@@ -35,7 +35,6 @@ import (
 	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/types"
-	"repro/internal/wal"
 	"repro/internal/ycsb"
 )
 
@@ -214,70 +213,11 @@ func BenchmarkSimnetRCCRound(b *testing.B) {
 	}
 }
 
-// BenchmarkWALAppend measures the durable journal's hot path under each
-// durability policy, for a 1-transaction block record (54 B, the
-// interactive BatchSize=1 default — fsync-latency bound) and a
-// 100-transaction block record (5400 B, the paper's proposal size — closer
-// to write-bandwidth bound). Group commit must amortize the fsync cost
-// across concurrent appenders — an order of magnitude on the small-record
-// case, visible directly in the records/fsync metric — which is what keeps
-// durable mode off the consensus critical path.
-func BenchmarkWALAppend(b *testing.B) {
-	for _, size := range []struct {
-		name string
-		txns int
-	}{
-		{"block=1txn", 1},
-		{"block=100txn", 100},
-	} {
-		payload := make([]byte, types.ProposalWireSize(size.txns))
-		for i := range payload {
-			payload[i] = byte(i)
-		}
-		for _, mode := range []struct {
-			name string
-			sync wal.SyncPolicy
-		}{
-			{"per-record-sync", wal.SyncAlways},
-			{"group-commit", wal.SyncGroup},
-		} {
-			b.Run(size.name+"/"+mode.name, func(b *testing.B) {
-				l, err := wal.Open(b.TempDir(), wal.Options{Sync: mode.sync})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer l.Close()
-				b.SetBytes(int64(len(payload)))
-				// Many appenders per core — the replica runtime's
-				// situation, and the case group commit exists for. fsync
-				// is a blocking syscall, so appenders overlap it even on
-				// one core.
-				b.SetParallelism(32)
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						if _, err := l.Append(payload); err != nil {
-							b.Error(err) // Fatal is not allowed off the benchmark goroutine
-							return
-						}
-					}
-				})
-				if appends, syncs := l.Stats(); syncs > 0 {
-					b.ReportMetric(float64(appends)/float64(syncs), "records/fsync")
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkAsyncJournal measures the replica commit path — ONE sequential
-// appender, the event loop's situation — through the durable ledger in
-// both modes. Sync mode stops and waits out a full fsync per block (group
-// commit cannot amortize with a single appender); async mode hands blocks
-// to the pipelined committer and only the completion callbacks wait, so
-// in-flight blocks share commit points. The async/sync ns/op ratio is the
-// speedup the pipeline buys a replica, and records/fsync shows why. Both
-// modes make every block durable before the timer stops.
+// appender, the event loop's situation — through the durable ledger: blocks
+// are handed to the pipelined committer and only the completion callbacks
+// wait, so in-flight blocks share commit points (records/fsync shows how
+// many). Every block is durable before the timer stops.
 func BenchmarkAsyncJournal(b *testing.B) {
 	for _, size := range []struct {
 		name string
@@ -296,64 +236,42 @@ func BenchmarkAsyncJournal(b *testing.B) {
 			}
 			return &types.Batch{Txns: txns}
 		}
-		for _, mode := range []struct {
-			name  string
-			async bool
-		}{
-			{"sync", false},
-			{"async", true},
-		} {
-			b.Run(size.name+"/"+mode.name, func(b *testing.B) {
-				d, err := store.Open(b.TempDir(), store.Options{
-					Sync:  wal.SyncGroup,
-					Async: mode.async,
+		b.Run(size.name+"/async", func(b *testing.B) {
+			d, err := store.Open(b.TempDir(), store.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer d.Close()
+			state := types.Hash([]byte("state"))
+			var completed atomic.Uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				seq := uint64(i + 1)
+				batch := mkBatch(seq)
+				proof := ledger.Proof{Round: types.Round(seq), Digest: batch.Digest()}
+				d.AppendAsync(batch, proof, state, func(lsn uint64, err error) {
+					if err != nil {
+						b.Error(err) // still counts below: the wait must terminate
+					}
+					completed.Add(1)
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer d.Close()
-				state := types.Hash([]byte("state"))
-				var completed atomic.Uint64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					seq := uint64(i + 1)
-					batch := mkBatch(seq)
-					proof := ledger.Proof{Round: types.Round(seq), Digest: batch.Digest()}
-					if mode.async {
-						d.AppendAsync(batch, proof, state, func(lsn uint64, err error) {
-							if err != nil {
-								b.Error(err) // still counts below: the wait must terminate
-							}
-							completed.Add(1)
-						})
-					} else {
-						if _, err := d.Append(batch, proof, state); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				if mode.async {
-					// The comparison is honest only if async also ends
-					// durable: wait for every block's commit point.
-					for completed.Load() < uint64(b.N) {
-						runtime.Gosched()
-					}
-				}
-				b.StopTimer()
-				if appends, syncs := d.WAL().Stats(); syncs > 0 {
-					b.ReportMetric(float64(appends)/float64(syncs), "records/fsync")
-				}
-			})
-		}
+			}
+			// Wait for every block's commit point.
+			for completed.Load() < uint64(b.N) {
+				runtime.Gosched()
+			}
+			b.StopTimer()
+			if appends, syncs := d.WAL().Stats(); syncs > 0 {
+				b.ReportMetric(float64(appends)/float64(syncs), "records/fsync")
+			}
+		})
 	}
 }
 
-// BenchmarkCodec races the registry-based binary codec (internal/types)
-// against the gob encoding the transport used before the messaging-layer
-// refactor, on the two message shapes that dominate the wire: a 250B-class
-// consensus vote and a 100-transaction proposal. Each op is one marshal +
-// one unmarshal. The binary variant appends into a reused buffer — the
-// transport's pooled-buffer situation.
+// BenchmarkCodec prices the registry-based binary codec (internal/types) on
+// the two message shapes that dominate the wire: a 250B-class consensus vote
+// and a 100-transaction proposal. Each op is one marshal + one unmarshal,
+// appending into a reused buffer — the transport's pooled-buffer situation.
 func BenchmarkCodec(b *testing.B) {
 	for _, m := range []struct {
 		name string
@@ -379,21 +297,6 @@ func BenchmarkCodec(b *testing.B) {
 			}
 			b.ReportMetric(float64(encoded), "wire_B")
 		})
-		b.Run(m.name+"/gob", func(b *testing.B) {
-			b.ReportAllocs()
-			var encoded int
-			for i := 0; i < b.N; i++ {
-				buf, err := bench.GobMarshal(&bench.GobFrame{FromReplica: 1, Msg: m.msg})
-				if err != nil {
-					b.Fatal(err)
-				}
-				encoded = len(buf)
-				if _, err := bench.GobUnmarshal(buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(encoded), "wire_B")
-		})
 	}
 }
 
@@ -405,63 +308,22 @@ func (discardEndpoint) DeliverClient(types.ClientID, types.Message)   {}
 
 // BenchmarkBroadcast measures the cost ONE broadcast (send to 3 peers over
 // real loopback TCP) charges the calling goroutine — the consensus event
-// loop's per-send bill.
-//
-//	sync:  the pre-refactor path — gob-encode and write inline per peer,
-//	       serialized by the connection mutex.
-//	async: the refactored path — enqueue onto per-peer outbound queues;
-//	       writer goroutines encode with the binary codec, coalesce bursts
-//	       into multi-message frames, and write off the caller's back.
-//
-// Sustained enqueueing is bounded by writer throughput (backpressure), so
-// the async number is honest steady-state cost, not just a channel send.
-//
-// The vote pair is named sync/async so scripts/benchgate enforces its
-// speedup floor in CI (votes are every wire message except proposals, and
-// the measured gap is >10x — the refactor's headline number). The
-// 100-transaction proposal pair is deliberately NOT speedup-paired: at that
-// size both paths approach the loopback bandwidth bound and the async side
-// additionally pays receiver-side decode, so its (real, smaller) win is
-// reported and regression-gated but not held to the speedup floor.
+// loop's per-send bill: enqueue onto per-peer outbound queues; writer
+// goroutines encode with the binary codec, coalesce bursts into
+// multi-message frames, and write off the caller's back. Sustained
+// enqueueing is bounded by writer throughput (backpressure), so the number
+// is honest steady-state cost, not just a channel send. The case names are
+// the baseline rows' (BENCH_baseline.json).
 func BenchmarkBroadcast(b *testing.B) {
 	const peers = 3
 	for _, m := range []struct {
-		name        string
-		msg         types.Message
-		syncN, asyN string
+		name string
+		msg  types.Message
 	}{
-		{"vote", bench.NetVote(), "sync", "async"},
-		{"preprepare100", bench.NetPrePrepare(100), "inline-gob", "enqueue"},
+		{"vote/async", bench.NetVote()},
+		{"preprepare100/enqueue", bench.NetPrePrepare(100)},
 	} {
-		b.Run(m.name+"/"+m.syncN, func(b *testing.B) {
-			var addrs []string
-			var servers []*bench.DiscardServer
-			for i := 0; i < peers; i++ {
-				s, err := bench.NewDiscardServer()
-				if err != nil {
-					b.Fatal(err)
-				}
-				servers = append(servers, s)
-				addrs = append(addrs, s.Addr())
-			}
-			g, err := bench.DialGobBroadcaster(addrs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := g.Broadcast(0, m.msg); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			g.Close()
-			for _, s := range servers {
-				s.Close()
-			}
-		})
-		b.Run(m.name+"/"+m.asyN, func(b *testing.B) {
+		b.Run(m.name, func(b *testing.B) {
 			peerMap := make(map[types.ReplicaID]string)
 			var recvs []*transport.TCP
 			for i := 0; i < peers; i++ {
@@ -631,8 +493,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 		b.Run("async-journal/"+v.name, func(b *testing.B) {
 			fsync := met.WALFsync
 			d, err := store.Open(b.TempDir(), store.Options{
-				Sync:  wal.SyncGroup,
-				Async: true,
 				AsyncOnCommit: func(_ int, _ int64, took time.Duration) {
 					fsync.Observe(took)
 				},

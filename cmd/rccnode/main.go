@@ -128,12 +128,10 @@ func main() {
 		digCache = flag.Int("digest-cache", 0, "verified client-request digest cache entries, shared across instances (0 off)")
 		statsSec = flag.Int("stats", 10, "stats print interval in seconds (0 off)")
 		dataDir  = flag.String("data-dir", "", "durable storage directory: journal decided blocks through a WAL and resume from it on restart")
-		syncMode = flag.String("sync", "group", "WAL durability with -data-dir: group (batched fsync), always (fsync per block), none")
+		syncMode = flag.String("sync", "group", "WAL durability with -data-dir: group (client acks wait for an fsync shared by every block in flight), none")
 		snapEach = flag.Uint64("snapshot-every", 1024, "persist an application checkpoint every N blocks with -data-dir (0 off)")
 		walPrune = flag.Bool("wal-prune", false, "with -data-dir and -snapshot-every: reclaim WAL segments below each persisted checkpoint; restart replays from the pinned checkpoint instead of genesis")
-		asyncJnl = flag.Bool("async-journal", true, "pipeline WAL fsyncs off the consensus event loop: client acks wait for durability, many blocks share each fsync")
-		jnlQueue = flag.Int("journal-queue", 0, "async journal: max blocks executed but not yet durable before execution back-pressures (0 = default 1024)")
-		jnlBatch = flag.Int64("journal-batch-bytes", 0, "async journal: max WAL bytes per fsync batch (0 = default 8 MiB)")
+		jnlQueue = flag.Int("journal-queue", 0, "max blocks executed but not yet durable before execution back-pressures (0 = default 1024)")
 		sendQ    = flag.Int("send-queue", 0, "per-peer outbound queue depth: messages buffered per replica link before backpressure (0 = default 4096)")
 		clientQ  = flag.Int("client-queue", 0, "per-client reply queue depth: replies buffered per client link before dropping (0 = default 1024)")
 		sendB    = flag.Int("send-batch-bytes", 0, "max encoded bytes coalesced into one multi-message frame per write syscall (0 = default 128 KiB)")
@@ -201,18 +199,10 @@ func main() {
 	switch *syncMode {
 	case "group":
 		durability = wal.SyncGroup
-	case "always":
-		durability = wal.SyncAlways
-		if *asyncJnl {
-			// "always" is an explicit request for one fsync per block;
-			// the async committer would silently batch them instead.
-			log.Printf("rccnode: -sync always requests a per-block fsync, disabling -async-journal")
-			*asyncJnl = false
-		}
 	case "none":
 		durability = wal.SyncNone
 	default:
-		log.Fatalf("rccnode: unknown -sync mode %q (want group, always, or none)", *syncMode)
+		log.Fatalf("rccnode: unknown -sync mode %q (want group or none)", *syncMode)
 	}
 
 	source := types.NoReplica
@@ -228,9 +218,7 @@ func main() {
 		DataDir: *dataDir,
 		Journaling: runtime.JournalOptions{
 			Sync:          durability,
-			Async:         *asyncJnl,
 			QueueDepth:    *jnlQueue,
-			MaxBatchBytes: *jnlBatch,
 			SnapshotEvery: *snapEach,
 			PruneWAL:      *walPrune,
 		},

@@ -10,8 +10,8 @@
 //
 // Durable storage: replicas configured with a data directory
 // (runtime.Config.DataDir, core.Options.DataDir, rccnode -data-dir)
-// journal every decided block through a segmented, CRC-checked,
-// group-commit write-ahead log (internal/wal) and persist execution-state
+// journal every decided block through a segmented, CRC-checked
+// write-ahead log (internal/wal) and persist execution-state
 // checkpoints (internal/store) — RCC's dynamic per-need checkpoints
 // (§III-D) double as the durable recovery points. A restarted replica
 // replays the log (truncating a torn tail, refusing corruption), restores
@@ -22,16 +22,14 @@
 // stamped with a replica identity and format version on first open and
 // refuse to serve a different replica or a newer format.
 //
-// Async pipelined durability: with runtime.Config.Journaling.Async (rccnode
-// -async-journal, on by default there) the fsync leaves the consensus
-// event loop. Executed blocks are handed to a background committer over a
-// bounded in-flight queue (-journal-queue), many blocks share each commit
-// point (-journal-batch-bytes caps the batch), and the client replies for
-// a block wait for its WAL record to be reported durable — under an
-// fsyncing policy an acknowledged transaction survives any crash (with
-// -sync none the commit point is flush-only: process-crash-safe, not
-// power-loss-safe), while the per-block fsync stall is gone
-// (BenchmarkAsyncJournal measures the speedup; records/fsync shows the
+// Pipelined durability: the fsync never runs on the consensus event loop.
+// Executed blocks are handed to a background committer over a bounded
+// in-flight queue (-journal-queue), many blocks share each commit point,
+// and the client replies for a block wait for its WAL record to be
+// reported durable — under the default policy an acknowledged transaction
+// survives any crash (with -sync none the commit point is flush-only:
+// process-crash-safe, not power-loss-safe), and no block pays an fsync
+// stall of its own (BenchmarkAsyncJournal; records/fsync shows the
 // amortization). When the queue fills, execution back-pressures; shutdown
 // and checkpoints drain it so snapshots never outrun the journal. See
 // internal/wal's package documentation for the pipeline design.
@@ -51,8 +49,8 @@
 // Connections open with a wire-version handshake and refuse mismatched
 // peers, the network twin of store.ErrDataDirMismatch. rccnode/rccclient
 // expose -send-queue, -client-queue, and -send-batch-bytes;
-// BenchmarkBroadcast and BenchmarkCodec measure the win (enqueue-only
-// vote broadcast is >10x the old inline gob+write path) and CI gates it.
+// BenchmarkBroadcast and BenchmarkCodec price the path and CI holds both
+// to their baseline rows.
 //
 // State-transfer subsystem: a replica whose disk no longer reaches the
 // cluster — wiped, corrupted, or partitioned past what in-protocol
@@ -96,14 +94,6 @@
 // BenchmarkParallelExec and rccbench -exp exec measure txn/s vs workers
 // and conflict rate, and CI gates parallel >= 2x serial on the
 // conflict-free workload (scripts/benchgate -min-parallel-speedup).
-//
-// Compatibility note: runtime.Config's flat durability and state-sync
-// knobs were regrouped in the same change — Durability/AsyncJournal/
-// JournalQueueDepth/JournalMaxBatchBytes/SnapshotEvery became the
-// Journaling (runtime.JournalOptions) group, the StateSync*/SnapshotChunk
-// fields became the StateSync (runtime.StateSyncOptions) group, and the
-// executor's worker count lives in Exec (runtime.ExecOptions).
-// core.Options and the rccnode flags are unchanged.
 //
 // Frame authentication at line rate: internal/crypto implements the
 // paper's Fig. 7-right schemes as production hot paths. NewMAC precomputes

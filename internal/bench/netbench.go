@@ -1,22 +1,10 @@
 package bench
 
-// Messaging-layer benchmark helpers: representative messages, the
-// pre-refactor gob wire path as a baseline, and a discard server.
-//
-// The repository's transport originally gob-encoded each message and wrote
-// it inline on the calling goroutine, serialized per connection by a mutex
-// — exactly what GobBroadcaster reproduces. BenchmarkBroadcast (root
-// bench_test.go) races that baseline against the refactored enqueue-only
-// transport, and BenchmarkCodec races gob against the registry-based binary
-// codec in internal/types; scripts/benchgate gates both.
+// Messaging-layer benchmark helpers: the representative messages
+// BenchmarkBroadcast and BenchmarkCodec (root bench_test.go) send.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"io"
-	"net"
-	"sync"
 
 	"repro/internal/types"
 )
@@ -43,140 +31,4 @@ func NetPrePrepare(txns int) types.Message {
 		Header: types.Header{Inst: 1},
 		View:   1, Round: 7, Digest: b.Digest(), Batch: b,
 	}
-}
-
-// GobFrame mirrors the pre-refactor wire envelope (sender identity and tag
-// repeated per message, gob-encoded message payload).
-type GobFrame struct {
-	FromReplica types.ReplicaID
-	FromClient  types.ClientID
-	IsClient    bool
-	Tag         []byte
-	Msg         types.Message
-}
-
-var gobOnce sync.Once
-
-// RegisterGob registers the message catalog with gob, as the old transport
-// did at init.
-func RegisterGob() {
-	gobOnce.Do(func() {
-		gob.Register(&types.ClientRequest{})
-		gob.Register(&types.ClientReply{})
-		gob.Register(&types.PrePrepare{})
-		gob.Register(&types.Prepare{})
-		gob.Register(&types.Commit{})
-	})
-}
-
-// GobMarshal encodes a frame the way the old transport did.
-func GobMarshal(f *GobFrame) ([]byte, error) {
-	RegisterGob()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// GobUnmarshal decodes a gob frame.
-func GobUnmarshal(b []byte) (*GobFrame, error) {
-	RegisterGob()
-	var f GobFrame
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&f); err != nil {
-		return nil, err
-	}
-	return &f, nil
-}
-
-// GobBroadcaster is the pre-refactor sender: one cached connection per
-// destination, a shared gob.Encoder per connection, and encode+write inline
-// on the calling goroutine under the connection mutex.
-type GobBroadcaster struct {
-	conns []*gobConn
-}
-
-type gobConn struct {
-	mu  sync.Mutex
-	enc *gob.Encoder
-	c   net.Conn
-}
-
-// DialGobBroadcaster connects to every address.
-func DialGobBroadcaster(addrs []string) (*GobBroadcaster, error) {
-	RegisterGob()
-	g := &GobBroadcaster{}
-	for _, a := range addrs {
-		c, err := net.Dial("tcp", a)
-		if err != nil {
-			g.Close()
-			return nil, err
-		}
-		g.conns = append(g.conns, &gobConn{enc: gob.NewEncoder(c), c: c})
-	}
-	return g, nil
-}
-
-// Broadcast writes m to every destination, inline — the per-send cost the
-// consensus event loop used to pay.
-func (g *GobBroadcaster) Broadcast(from types.ReplicaID, m types.Message) error {
-	f := &GobFrame{FromReplica: from, Msg: m}
-	for _, gc := range g.conns {
-		gc.mu.Lock()
-		err := gc.enc.Encode(f)
-		gc.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close tears the connections down.
-func (g *GobBroadcaster) Close() {
-	for _, gc := range g.conns {
-		gc.c.Close()
-	}
-}
-
-// DiscardServer accepts connections and discards every byte — a peer whose
-// read side never pushes back.
-type DiscardServer struct {
-	ln net.Listener
-	wg sync.WaitGroup
-}
-
-// NewDiscardServer starts a discard server on a loopback port.
-func NewDiscardServer() (*DiscardServer, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	s := &DiscardServer{ln: ln}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				io.Copy(io.Discard, c)
-				c.Close()
-			}()
-		}
-	}()
-	return s, nil
-}
-
-// Addr returns the server's address.
-func (s *DiscardServer) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the server.
-func (s *DiscardServer) Close() {
-	s.ln.Close()
-	s.wg.Wait()
 }

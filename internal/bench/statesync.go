@@ -71,12 +71,9 @@ func runStateSyncScenario(name string, records, blocks int, snapEvery uint64, wi
 			Machine: pbft.New(pbft.Config{
 				BatchSize: 1, Window: 16, ProgressTimeout: 30 * time.Second,
 			}),
-			App:     ycsb.NewStore(records),
-			DataDir: filepath.Join(base, fmt.Sprintf("replica-%d", id)),
-			Journaling: runtime.JournalOptions{
-				Async:         true,
-				SnapshotEvery: snapEvery,
-			},
+			App:            ycsb.NewStore(records),
+			DataDir:        filepath.Join(base, fmt.Sprintf("replica-%d", id)),
+			Journaling:     runtime.JournalOptions{SnapshotEvery: snapEvery},
 			ReplyToClients: true,
 			StateSync: runtime.StateSyncOptions{
 				Enabled:     true,

@@ -35,13 +35,12 @@ func Timeline() (*Table, error) {
 
 	met := obs.NewNodeMetrics(obs.NewRegistry(), 0, -1)
 	cluster, err := core.NewCluster(core.Options{
-		N:            n,
-		Protocol:     core.RCC,
-		BatchSize:    1,
-		Window:       8,
-		DataDir:      dir,
-		AsyncJournal: true,
-		Metrics:      met,
+		N:         n,
+		Protocol:  core.RCC,
+		BatchSize: 1,
+		Window:    8,
+		DataDir:   dir,
+		Metrics:   met,
 	})
 	if err != nil {
 		return nil, err

@@ -85,12 +85,8 @@ type Options struct {
 	// resumes where the previous one stopped.
 	DataDir string
 	// Durability selects the WAL sync policy when DataDir is set
-	// (default group commit).
+	// (default: client acks wait for an fsync covering their block).
 	Durability wal.SyncPolicy
-	// AsyncJournal pipelines durability when DataDir is set: fsyncs leave
-	// the event loop and client acks wait for the durable LSN (see
-	// runtime.Config.AsyncJournal).
-	AsyncJournal bool
 	// SnapshotEvery persists application checkpoints every N blocks when
 	// DataDir is set (see runtime.Config.SnapshotEvery).
 	SnapshotEvery uint64
@@ -238,7 +234,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 			Journal: opts.Journal,
 			Journaling: runtime.JournalOptions{
 				Sync:          opts.Durability,
-				Async:         opts.AsyncJournal,
 				SnapshotEvery: opts.SnapshotEvery,
 			},
 			Exec:           runtime.ExecOptions{Workers: opts.ExecWorkers},

@@ -80,23 +80,27 @@ type Result struct {
 	TxnExecuted int
 }
 
-// Journal is where the engine appends executed blocks. *ledger.Ledger is
-// the in-memory implementation; the durable storage subsystem
-// (internal/store wired through internal/runtime) provides a WAL-backed
-// one. Pass an untyped nil to skip journalling.
+// Journal is where the engine appends executed blocks. AppendAsync returns
+// as soon as the block joins the chain; done fires exactly once — possibly
+// before AppendAsync returns — with nil once the record is durable, or with
+// the journal's sticky error, after which the block must not be
+// acknowledged to clients. Implementations may run done on a background
+// goroutine. The durable storage subsystem (internal/store wired through
+// internal/runtime) provides the WAL-backed one; MemJournal adapts the
+// in-memory ledger. Pass an untyped nil to skip journalling.
 type Journal interface {
-	Append(batch *types.Batch, proof ledger.Proof, state types.Digest) *ledger.Block
+	AppendAsync(batch *types.Batch, proof ledger.Proof, state types.Digest, done func(err error)) *ledger.Block
 }
 
-// AsyncJournal is the pipelined journal surface: AppendAsync returns as
-// soon as the block joins the chain and the record is handed to the
-// journal's committer; done fires exactly once — possibly before
-// AppendAsync returns — with nil once the record is durable, or with the
-// journal's sticky error, after which the block must not be acknowledged
-// to clients. Implementations may run done on a background goroutine.
-type AsyncJournal interface {
-	Journal
-	AppendAsync(batch *types.Batch, proof ledger.Proof, state types.Digest, done func(err error)) *ledger.Block
+// MemJournal journals into an in-memory ledger, where an append is complete
+// the moment it returns: done fires inline.
+type MemJournal struct{ *ledger.Ledger }
+
+// AppendAsync implements Journal.
+func (m MemJournal) AppendAsync(batch *types.Batch, proof ledger.Proof, state types.Digest, done func(err error)) *ledger.Block {
+	blk := m.Append(batch, proof, state)
+	done(nil)
+	return blk
 }
 
 // Options tunes the engine's parallel executor.
@@ -204,33 +208,18 @@ func (e *Engine) Close() {
 	}
 }
 
-// ExecuteBatch applies every transaction of batch and returns the combined
-// result. proof records why the batch is final.
+// ExecuteBatch applies every transaction of batch, journals it, and returns
+// the combined result without waiting for the journal — for callers with no
+// one to acknowledge (an in-memory journal has completed by then anyway).
+// proof records why the batch is final.
 func (e *Engine) ExecuteBatch(batch *types.Batch, proof ledger.Proof) Result {
-	res := e.execute(batch, proof)
-	if e.journal != nil {
-		res.Block = e.appendSync(batch, proof, res.StateHash)
-	}
-	return res
+	return e.ExecuteBatchAsync(batch, proof, func(Result, error) {})
 }
 
-// appendSync journals one block synchronously, feeding the journal-stage
-// histogram (submit → durable is one fsync-inclusive call here).
-func (e *Engine) appendSync(batch *types.Batch, proof ledger.Proof, state types.Digest) *ledger.Block {
-	if e.met == nil {
-		return e.journal.Append(batch, proof, state)
-	}
-	start := time.Now()
-	blk := e.journal.Append(batch, proof, state)
-	e.met.ObserveStage(obs.StageJournal, time.Since(start))
-	return blk
-}
-
-// ExecuteBatchAsync is ExecuteBatch over the pipelined commit path: when
-// the journal implements AsyncJournal the block is handed off without
-// waiting for the disk and done fires once the record is durable (or the
-// journal failed); with a plain journal — or none — the append is
-// synchronous and done fires inline before ExecuteBatchAsync returns.
+// ExecuteBatchAsync is the engine's one journalling call site: the block is
+// handed to the journal without waiting for the disk and done fires once the
+// record is durable (or the journal failed) — inline, before
+// ExecuteBatchAsync returns, for an in-memory journal or none.
 //
 // done receives the Result by value WITHOUT the Block field — the returned
 // Result carries it — because done may run on the journal's committer
@@ -239,25 +228,22 @@ func (e *Engine) appendSync(batch *types.Batch, proof ledger.Proof, state types.
 // "executed", done means "durable".
 func (e *Engine) ExecuteBatchAsync(batch *types.Batch, proof ledger.Proof, done func(res Result, err error)) Result {
 	res := e.execute(batch, proof)
-	if aj, ok := e.journal.(AsyncJournal); ok {
-		notify := res // value copy: Block stays unset for the callback
-		if met := e.met; met != nil {
-			submitted := time.Now()
-			res.Block = aj.AppendAsync(batch, proof, res.StateHash, func(err error) {
-				met.ObserveStage(obs.StageJournal, time.Since(submitted))
-				done(notify, err)
-			})
-			return res
-		}
-		res.Block = aj.AppendAsync(batch, proof, res.StateHash, func(err error) { done(notify, err) })
+	notify := res // value copy: Block stays unset for the callback
+	if e.journal == nil {
+		done(notify, nil)
 		return res
 	}
-	if e.journal != nil {
-		res.Block = e.appendSync(batch, proof, res.StateHash)
+	met := e.met
+	var submitted time.Time
+	if met != nil {
+		submitted = time.Now()
 	}
-	notify := res
-	notify.Block = nil
-	done(notify, nil)
+	res.Block = e.journal.AppendAsync(batch, proof, res.StateHash, func(err error) {
+		if met != nil {
+			met.ObserveStage(obs.StageJournal, time.Since(submitted))
+		}
+		done(notify, err)
+	})
 	return res
 }
 

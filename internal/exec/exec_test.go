@@ -63,7 +63,7 @@ func TestOrderSensitivity(t *testing.T) {
 
 func TestJournalling(t *testing.T) {
 	l := ledger.New()
-	e := NewEngine(ycsb.NewStore(100), l)
+	e := NewEngine(ycsb.NewStore(100), MemJournal{l})
 	res := e.ExecuteBatch(batch(wtx(1, 1, 3)), ledger.Proof{Instance: 2, Round: 9})
 	if res.Block == nil {
 		t.Fatal("no block journalled")
@@ -84,14 +84,10 @@ func TestNilJournalIsFine(t *testing.T) {
 }
 
 // asyncLedger wraps the in-memory ledger with a deferred-completion journal
-// — the shape internal/store provides in async mode.
+// — the shape internal/store provides.
 type asyncLedger struct {
 	l       *ledger.Ledger
 	pending []func(error)
-}
-
-func (a *asyncLedger) Append(b *types.Batch, p ledger.Proof, s types.Digest) *ledger.Block {
-	return a.l.Append(b, p, s)
 }
 
 func (a *asyncLedger) AppendAsync(b *types.Batch, p ledger.Proof, s types.Digest, done func(error)) *ledger.Block {
@@ -135,9 +131,9 @@ func TestExecuteBatchAsyncDefersCompletion(t *testing.T) {
 	}
 }
 
-func TestExecuteBatchAsyncSyncJournalCompletesInline(t *testing.T) {
+func TestExecuteBatchAsyncMemJournalCompletesInline(t *testing.T) {
 	l := ledger.New()
-	e := NewEngine(ycsb.NewStore(100), l)
+	e := NewEngine(ycsb.NewStore(100), MemJournal{l})
 	fired := false
 	res := e.ExecuteBatchAsync(batch(wtx(1, 1, 3)), ledger.Proof{Round: 1}, func(r Result, err error) {
 		fired = true
@@ -146,7 +142,7 @@ func TestExecuteBatchAsyncSyncJournalCompletesInline(t *testing.T) {
 		}
 	})
 	if !fired {
-		t.Fatal("plain journal must complete inline")
+		t.Fatal("in-memory journal must complete inline")
 	}
 	if res.Block == nil || l.Height() != 1 {
 		t.Fatal("block not journalled")

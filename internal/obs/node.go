@@ -16,8 +16,8 @@ import (
 //
 //	consensus + unify + ack ≈ client-observed server latency
 //
-// where ack itself contains execute and (in async-journal mode) the
-// journal submit→durable wait.
+// where ack itself contains execute and, on a durable replica, the journal
+// submit→durable wait.
 type Stage uint8
 
 const (
@@ -36,8 +36,8 @@ const (
 	StageExecute
 	// StageJournal: journal record submitted → reported durable (wal).
 	StageJournal
-	// StageAck: unified delivery → client replies enqueued (runtime);
-	// in async-journal mode this spans execution and the durability wait.
+	// StageAck: unified delivery → client replies enqueued (runtime); spans
+	// execution and, on a durable replica, the durability wait.
 	StageAck
 
 	numStages

@@ -34,7 +34,6 @@ func asyncCluster(t *testing.T, n int, base string, queueDepth int, machine func
 			DataDir: filepath.Join(base, "replica-"+string(rune('0'+i))),
 			Journaling: JournalOptions{
 				Sync:       wal.SyncGroup,
-				Async:      true,
 				QueueDepth: queueDepth,
 			},
 			ReplyToClients: true,

@@ -34,27 +34,17 @@ import (
 // JournalOptions groups the durability tunables that apply when
 // Config.DataDir is set.
 type JournalOptions struct {
-	// Sync selects the WAL sync policy (default group commit).
+	// Sync selects the WAL sync policy. Under the default every client
+	// reply follows an fsync covering its block; under wal.SyncNone a
+	// completion means flushed to the OS, not fsynced.
 	Sync wal.SyncPolicy
-	// Async pipelines durability: executed blocks are handed to a
-	// background committer without stalling the event loop on fsync,
-	// many blocks share each commit point, and client replies for a
-	// block are deferred until its WAL record is reported durable — so
-	// an acknowledged transaction can never be lost to a crash, while
-	// the fsync cost amortizes across in-flight blocks
-	// (BenchmarkAsyncJournal). When the in-flight queue (QueueDepth)
-	// fills, execution back-pressures by blocking the event loop until
-	// the disk catches up. Combine with SyncGroup (the default): under
-	// SyncAlways the committer still batches — use sync mode when a
-	// per-block fsync is the point — and under SyncNone completions mean
-	// flushed, not fsynced.
+	// Async is accepted and ignored: journaling is always pipelined. The
+	// field remains only because benchmark/cluster.go still sets it.
 	Async bool
-	// QueueDepth bounds blocks executed but not yet durable in async
-	// mode (default wal.DefaultQueueDepth).
+	// QueueDepth bounds blocks executed but not yet durable (default
+	// wal.DefaultQueueDepth). When it fills, execution back-pressures by
+	// blocking the event loop until the disk catches up.
 	QueueDepth int
-	// MaxBatchBytes caps the WAL bytes one fsync covers in async mode
-	// (default wal.DefaultMaxBatchBytes).
-	MaxBatchBytes int64
 	// SnapshotEvery persists an application checkpoint every N decided
 	// blocks when App implements store.Snapshotter (0 disables periodic
 	// checkpoints; RCC's dynamic checkpoints still persist on demand).
@@ -81,7 +71,7 @@ type FlightOptions struct {
 	StallThreshold time.Duration
 	// FsyncStallThreshold is the WAL commit-point latency above which an
 	// fsync_stall event is recorded, detail = latency in nanoseconds
-	// (default 250ms). Requires async journaling (the commit hook).
+	// (default 250ms).
 	FsyncStallThreshold time.Duration
 	// MirrorInterval is the period of the crash-safe ring mirror written to
 	// <DataDir>/flight.bin (default 2s; requires DataDir). kill -9 then
@@ -143,10 +133,6 @@ type ExecOptions struct {
 }
 
 // Config parameterizes one replica process.
-//
-// Subsystem tunables are grouped: the flat Durability / AsyncJournal /
-// JournalQueueDepth / JournalMaxBatchBytes / SnapshotEvery knobs moved
-// into Journaling, and StateSync* into the StateSync group (see doc.go).
 type Config struct {
 	// ID is the local replica.
 	ID types.ReplicaID
@@ -161,7 +147,9 @@ type Config struct {
 	Journal bool
 	// DataDir enables the durable storage subsystem (implies Journal):
 	// every decided batch is journaled through a write-ahead log under
-	// this directory, and New restores ledger height and application
+	// this directory — pipelined, so the event loop never waits out an
+	// fsync and client replies for a block are deferred until its record
+	// is durable — and New restores ledger height and application
 	// state from disk before the replica starts — a restarted replica
 	// resumes at its pre-crash height with an identical head hash and
 	// state digest instead of demanding state transfer from peers.
@@ -283,14 +271,12 @@ func New(cfg Config) (*Replica, error) {
 			}
 		}
 		dl, err := store.Open(cfg.DataDir, store.Options{
-			Sync:               cfg.Journaling.Sync,
-			Async:              cfg.Journaling.Async,
-			AsyncQueueDepth:    cfg.Journaling.QueueDepth,
-			AsyncMaxBatchBytes: cfg.Journaling.MaxBatchBytes,
-			AsyncOnCommit:      onCommit,
-			PruneWAL:           cfg.Journaling.PruneWAL,
-			Failpoints:         cfg.Journaling.Failpoints,
-			Identity:           fmt.Sprintf("replica-%d", cfg.ID),
+			Sync:            cfg.Journaling.Sync,
+			AsyncQueueDepth: cfg.Journaling.QueueDepth,
+			AsyncOnCommit:   onCommit,
+			PruneWAL:        cfg.Journaling.PruneWAL,
+			Failpoints:      cfg.Journaling.Failpoints,
+			Identity:        fmt.Sprintf("replica-%d", cfg.ID),
 		})
 		if err != nil {
 			return nil, err
@@ -313,9 +299,8 @@ func New(cfg Config) (*Replica, error) {
 		return r, nil
 	}
 	if cfg.Journal {
-		l := ledger.New()
-		r.log = l
-		journal = l
+		r.log = ledger.New()
+		journal = exec.MemJournal{Ledger: r.log}
 	}
 	r.engine = exec.NewEngineOpts(cfg.App, journal, exec.Options{
 		Workers: cfg.Exec.Workers, MinParallel: cfg.Exec.MinParallel,
@@ -355,6 +340,8 @@ func (r *Replica) registerMetrics() {
 		return float64(r.stallCount.Load())
 	})
 	if dl := r.durable; dl != nil {
+		// A state-transfer install replaces the log and its appender, so
+		// each scrape resolves them afresh instead of capturing a pointer.
 		reg.CounterFunc("wal_appends_total", rl, "WAL records appended", func() float64 {
 			appends, _ := dl.WAL().Stats()
 			return float64(appends)
@@ -363,16 +350,14 @@ func (r *Replica) registerMetrics() {
 			_, syncs := dl.WAL().Stats()
 			return float64(syncs)
 		})
-		if ap := dl.Appender(); ap != nil {
-			reg.CounterFunc("wal_appender_submitted_total", rl, "records submitted to the async appender", func() float64 {
-				submitted, _ := ap.Stats()
-				return float64(submitted)
-			})
-			reg.CounterFunc("wal_appender_batches_total", rl, "async appender commit points issued", func() float64 {
-				_, batches := ap.Stats()
-				return float64(batches)
-			})
-		}
+		reg.CounterFunc("wal_appender_submitted_total", rl, "records submitted to the WAL appender", func() float64 {
+			submitted, _ := dl.Appender().Stats()
+			return float64(submitted)
+		})
+		reg.CounterFunc("wal_appender_batches_total", rl, "WAL appender commit points issued", func() float64 {
+			_, batches := dl.Appender().Stats()
+			return float64(batches)
+		})
 	}
 	if r.sync != nil {
 		r.sync.RegisterMetrics(reg)
@@ -568,18 +553,8 @@ func (r *Replica) installFromSync(res *statesync.Result) error {
 // running with a silent durability gap.
 type durableJournal struct{ r *Replica }
 
-var _ exec.AsyncJournal = durableJournal{}
-
-func (j durableJournal) Append(batch *types.Batch, proof ledger.Proof, state types.Digest) *ledger.Block {
-	blk, err := j.r.durable.Append(batch, proof, state)
-	if err != nil {
-		j.r.setDurErr(err)
-	}
-	return blk
-}
-
-// AppendAsync implements exec.AsyncJournal over the store's pipelined
-// commit path: the completion callback runs on the WAL committer goroutine
+// AppendAsync implements exec.Journal over the store's pipelined commit
+// path: the completion callback runs on the WAL committer goroutine
 // once the block's record is durable (carrying nil) or the journal has
 // failed (sticky error, also recorded for DurabilityErr).
 func (j durableJournal) AppendAsync(batch *types.Batch, proof ledger.Proof, state types.Digest, done func(err error)) *ledger.Block {
@@ -897,9 +872,9 @@ func (r *Replica) Stop() {
 	if r.sync != nil {
 		r.sync.Stop()
 	}
-	// Drain the durable store BEFORE closing the transport: in async mode
-	// Close completes every in-flight block's commit point and its
-	// durability callback enqueues the deferred client acks onto the
+	// Drain the durable store BEFORE closing the transport: Close
+	// completes every in-flight block's commit point and its durability
+	// callback enqueues the deferred client acks onto the
 	// transport's per-client queues, which the transport's Close then
 	// flushes (bounded by its drain timeout).
 	if r.durable != nil {
@@ -913,7 +888,7 @@ func (r *Replica) Stop() {
 }
 
 // Kill shuts the replica down the way kill -9 would: the event loop stops,
-// but the durable store closes abruptly — in-flight async appends are
+// but the durable store closes abruptly — in-flight appends are
 // dropped without their final fsync (and an armed torn-write failpoint
 // fires), deferred client acks never flush — so only state the WAL already
 // made durable survives into the next incarnation. Peers observe exactly
@@ -1011,10 +986,11 @@ func (e *replicaEnv) SendClient(c types.ClientID, m types.Message) {
 }
 
 // Deliver executes the decision's batch in order, journals it, and answers
-// the clients. With Config.Journaling.Async the journal append is pipelined:
-// execution returns immediately and the client replies wait for the block's
-// WAL record to be reported durable (per-height ack deferral), so no client
-// ever holds an acknowledgement the disk does not.
+// the clients. The journal append is pipelined: execution returns
+// immediately and the client replies wait for the block's WAL record to be
+// reported durable (per-height ack deferral), so no client ever holds an
+// acknowledgement the disk does not. Without a durable store the completion
+// fires inline.
 func (e *replicaEnv) Deliver(d sm.Decision) {
 	r := e.r
 	r.mu.Lock()
@@ -1034,32 +1010,27 @@ func (e *replicaEnv) Deliver(d sm.Decision) {
 	if met != nil {
 		delivAt = time.Now()
 	}
-	var res exec.Result
-	if r.cfg.Journaling.Async && r.durable != nil {
-		// The callback runs on the WAL committer goroutine; d and the
-		// completion Result are read-only there, and the transports are
-		// safe for concurrent use. SendClient is enqueue-only (bounded
-		// per-client queue, drop on overflow), so acking directly from
-		// the committer can never wait on a client's socket — a dropped
-		// reply only un-acks a durable block and the client collects its
-		// f+1 replies elsewhere or retries.
-		res = r.engine.ExecuteBatchAsync(d.Batch, proof, func(nres exec.Result, err error) {
-			if err != nil {
-				// setDurErr already ran (durableJournal); stay silent and
-				// let clients collect f+1 replies from healthy replicas.
-				return
-			}
-			if met.Tracing() {
-				traceBatch(met, d.Batch, obs.PointDurable)
-			}
-			e.ackClients(d, nres)
-			if met != nil {
-				met.ObserveStage(obs.StageAck, time.Since(delivAt))
-			}
-		})
-	} else {
-		res = r.engine.ExecuteBatch(d.Batch, proof)
-	}
+	// With a durable store the callback runs on the WAL committer
+	// goroutine; d and the completion Result are read-only there, and the
+	// transports are safe for concurrent use. SendClient is enqueue-only
+	// (bounded per-client queue, drop on overflow), so acking directly from
+	// the committer can never wait on a client's socket — a dropped reply
+	// only un-acks a durable block and the client collects its f+1 replies
+	// elsewhere or retries.
+	res := r.engine.ExecuteBatchAsync(d.Batch, proof, func(nres exec.Result, err error) {
+		if err != nil {
+			// setDurErr already ran (durableJournal); stay silent and
+			// let clients collect f+1 replies from healthy replicas.
+			return
+		}
+		if r.durable != nil && met.Tracing() {
+			traceBatch(met, d.Batch, obs.PointDurable)
+		}
+		e.ackClients(d, nres)
+		if met != nil {
+			met.ObserveStage(obs.StageAck, time.Since(delivAt))
+		}
+	})
 	r.mu.Lock()
 	r.executed += uint64(res.TxnExecuted)
 	r.mu.Unlock()
@@ -1076,13 +1047,6 @@ func (e *replicaEnv) Deliver(d sm.Decision) {
 		} else {
 			r.saveSnapshot()
 		}
-	}
-	if r.cfg.Journaling.Async && r.durable != nil {
-		return // replies ride on the durability callback
-	}
-	e.ackClients(d, res)
-	if met != nil {
-		met.ObserveStage(obs.StageAck, time.Since(delivAt))
 	}
 }
 

@@ -1,12 +1,16 @@
 package runtime
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/pbft"
 	"repro/internal/quorum"
 	"repro/internal/sm"
@@ -19,11 +23,12 @@ import (
 // cluster. Listen is the fixed address to bind (so a restarted replica is
 // reachable at the address its peers already know).
 func syncReplica(t *testing.T, base string, id types.ReplicaID, params quorum.Params,
-	listen string, peers map[types.ReplicaID]string, snapshotEvery uint64) (*Replica, *transport.TCP) {
+	listen string, peers map[types.ReplicaID]string, snapshotEvery uint64, met *obs.NodeMetrics) (*Replica, *transport.TCP) {
 	t.Helper()
 	rep, err := New(Config{
-		ID:     id,
-		Params: params,
+		Metrics: met,
+		ID:      id,
+		Params:  params,
 		Machine: pbft.New(pbft.Config{
 			BatchSize: 1, Window: 8,
 			// Keep the cluster calm while a replica is down or syncing:
@@ -33,7 +38,6 @@ func syncReplica(t *testing.T, base string, id types.ReplicaID, params quorum.Pa
 		App:     ycsb.NewStore(1000),
 		DataDir: filepath.Join(base, fmt.Sprintf("replica-%d", id)),
 		Journaling: JournalOptions{
-			Async:         true,
 			SnapshotEvery: snapshotEvery,
 		},
 		ReplyToClients: true,
@@ -70,7 +74,7 @@ func bootSyncCluster(t *testing.T, base string, snapshotEvery uint64) ([]*Replic
 	peers := make(map[types.ReplicaID]string)
 	for i := 0; i < n; i++ {
 		id := types.ReplicaID(i)
-		reps[i], tcps[i] = syncReplica(t, base, id, params, "127.0.0.1:0", nil, snapshotEvery)
+		reps[i], tcps[i] = syncReplica(t, base, id, params, "127.0.0.1:0", nil, snapshotEvery, nil)
 		peers[id] = tcps[i].Addr()
 	}
 	for i := 0; i < n; i++ {
@@ -112,7 +116,7 @@ func TestStateSyncWipedReplicaOverTCP(t *testing.T) {
 	if err := os.RemoveAll(filepath.Join(base, "replica-3")); err != nil {
 		t.Fatal(err)
 	}
-	rep3, _ := syncReplica(t, base, 3, params, peers[3], peers, 4)
+	rep3, _ := syncReplica(t, base, 3, params, peers[3], peers, 4, nil)
 	rep3.Run()
 	t.Cleanup(rep3.Stop)
 
@@ -175,7 +179,7 @@ func TestStateSyncLaggingReplicaOverTCP(t *testing.T) {
 	c2 := tcpClient(t, peers, params, 2, "", 8)
 	waitFor(t, 30*time.Second, func() bool { return len(c2.Completions()) == 8 })
 
-	rep3, _ := syncReplica(t, base, 3, params, peers[3], peers, 0)
+	rep3, _ := syncReplica(t, base, 3, params, peers[3], peers, 0, nil)
 	rep3.Run()
 	t.Cleanup(rep3.Stop)
 
@@ -204,6 +208,70 @@ func TestStateSyncLaggingReplicaOverTCP(t *testing.T) {
 	c3 := tcpClient(t, peers, params, 3, "", 4)
 	waitFor(t, 30*time.Second, func() bool { return len(c3.Completions()) == 4 })
 	waitFor(t, 10*time.Second, func() bool { return rep3.Ledger().Height() == 18 })
+}
+
+// TestMetricsFollowInstalledJournalOverTCP scrapes a wiped replica's registry
+// in a loop while it rejoins by state transfer: InstallState replaces the
+// store's log and appender, so the scrape must neither race the swap (run
+// under -race) nor keep reporting the retired appender — blocks journaled
+// after the rejoin have to move wal_appender_submitted_total.
+func TestMetricsFollowInstalledJournalOverTCP(t *testing.T) {
+	base := t.TempDir()
+	const txns = 14
+	reps, peers, params := bootSyncCluster(t, base, 4)
+	c := tcpClient(t, peers, params, 1, "", txns)
+	waitFor(t, 30*time.Second, func() bool { return len(c.Completions()) == txns })
+	for _, r := range reps {
+		waitFor(t, 10*time.Second, func() bool { return r.Ledger().Height() == txns })
+	}
+
+	reps[3].Stop()
+	if err := os.RemoveAll(filepath.Join(base, "replica-3")); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	rep3, _ := syncReplica(t, base, 3, params, peers[3], peers, 4, obs.NewNodeMetrics(reg, 0, -1))
+	stop, scraped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				reg.WritePrometheus(io.Discard)
+			}
+		}
+	}()
+	rep3.Run()
+	t.Cleanup(rep3.Stop)
+	waitFor(t, 30*time.Second, func() bool {
+		return rep3.Ledger().Height() == txns && rep3.StateSync().Synced()
+	})
+	close(stop)
+	<-scraped
+	if st := rep3.StateSync().Stats(); st.InstalledSnaps == 0 {
+		t.Fatalf("wiped replica did not install a snapshot transfer: %+v", st)
+	}
+
+	submitted := func() string {
+		var buf bytes.Buffer
+		reg.WritePrometheus(&buf)
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.HasPrefix(line, `wal_appender_submitted_total{replica="3"}`) {
+				return line
+			}
+		}
+		t.Fatal("wal_appender_submitted_total{replica=\"3\"} not exported")
+		return ""
+	}
+	before := submitted()
+	c2 := tcpClient(t, peers, params, 2, "", 4)
+	waitFor(t, 30*time.Second, func() bool { return len(c2.Completions()) == 4 })
+	waitFor(t, 10*time.Second, func() bool { return rep3.Ledger().Height() == txns+4 })
+	if after := submitted(); after == before {
+		t.Fatalf("4 blocks journaled after the rejoin but the scrape still reads %q: it reports the retired appender", after)
+	}
 }
 
 var _ sm.StateSyncable = (*pbft.Instance)(nil) // the TCP tests rely on it

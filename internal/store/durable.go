@@ -24,25 +24,18 @@ var ErrSnapshotMismatch = errors.New("store: snapshot disagrees with replayed WA
 type Options struct {
 	// SegmentBytes is the WAL roll threshold (default wal.DefaultSegmentBytes).
 	SegmentBytes int64
-	// Sync is the WAL durability policy (default group commit).
+	// Sync is the WAL durability policy (default: every ack follows an
+	// fsync covering its record).
 	Sync wal.SyncPolicy
 	// KeepSnapshots bounds retained checkpoint generations (default 2).
 	KeepSnapshots int
-	// Async enables the pipelined commit path: AppendAsync hands records
-	// to a background committer that batches many blocks per fsync and
-	// reports durability through completion callbacks, instead of every
-	// append stopping to wait out its own fsync.
-	Async bool
-	// AsyncQueueDepth bounds blocks in flight (appended, not yet durable)
-	// in async mode; appends block when it fills (back-pressure). Default
+	// AsyncQueueDepth bounds blocks in flight (appended, not yet durable);
+	// appends block when it fills (back-pressure). Default
 	// wal.DefaultQueueDepth.
 	AsyncQueueDepth int
-	// AsyncMaxBatchBytes caps the bytes one fsync covers in async mode
-	// (default wal.DefaultMaxBatchBytes).
-	AsyncMaxBatchBytes int64
-	// AsyncOnCommit, when set, observes every successful async commit
-	// point (records and bytes covered, commit-point duration) — the
-	// metrics hook. It runs on the committer goroutine; keep it fast.
+	// AsyncOnCommit, when set, observes every successful commit point
+	// (records and bytes covered, commit-point duration) — the metrics
+	// hook. It runs on the committer goroutine; keep it fast.
 	AsyncOnCommit func(records int, bytes int64, took time.Duration)
 	// Identity names the replica owning the data dir. On first open it is
 	// stamped into the dir; a reopen under a different identity fails with
@@ -63,10 +56,11 @@ type Options struct {
 }
 
 // DurableLedger wraps the in-memory hash-chained ledger with durability:
-// every appended block is journaled through the write-ahead log, and Open
-// rebuilds the chain from disk — replaying the WAL, truncating a torn tail,
-// re-auditing the rebuilt chain (ledger.Verify, including commit-proof
-// digests), and cross-checking the latest snapshot against it.
+// every appended block is journaled through the write-ahead log's pipelined
+// committer (wal.Appender), and Open rebuilds the chain from disk — replaying
+// the WAL, truncating a torn tail, re-auditing the rebuilt chain
+// (ledger.Verify, including commit-proof digests), and cross-checking the
+// latest snapshot against it.
 type DurableLedger struct {
 	dir  string
 	opts Options
@@ -74,7 +68,7 @@ type DurableLedger struct {
 	mu    sync.Mutex
 	mem   *ledger.Ledger
 	log   *wal.Log
-	async *wal.Appender // pipelined commit path, nil in sync mode
+	async *wal.Appender // the log's committer; replaced with it by InstallState
 	snaps *SnapshotStore
 	snap  *Snapshot // latest consistent checkpoint found at Open, may be nil
 }
@@ -96,31 +90,27 @@ func Open(dir string, opts Options) (*DurableLedger, error) {
 	if err := recoverInstall(dir); err != nil {
 		return nil, err
 	}
-	log, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{
-		SegmentBytes: opts.SegmentBytes,
-		Sync:         opts.Sync,
-		Failpoints:   opts.Failpoints,
-	})
+	d := &DurableLedger{dir: dir, opts: opts}
+	err := d.openJournal()
 	if err != nil {
 		return nil, err
 	}
-	d := &DurableLedger{dir: dir, opts: opts, log: log}
-	if d.snaps, err = OpenSnapshots(filepath.Join(dir, "checkpoints"), opts.KeepSnapshots); err != nil {
-		log.Close()
+	if d.snaps, err = OpenSnapshots(filepath.Join(dir, ckpDirName), opts.KeepSnapshots); err != nil {
+		d.Close()
 		return nil, err
 	}
 	// A journal whose first record index is past 1 was rebased by a
 	// state-transfer install: blocks below the base live only in the base
 	// snapshot, which anchors the chain's hash links and transaction count.
-	if base := log.Base() - 1; base > 0 {
+	if base := d.log.Base() - 1; base > 0 {
 		d.snaps.Pin(base)
 		bs, err := d.snaps.Load(base)
 		if err != nil {
-			log.Close()
+			d.Close()
 			return nil, err
 		}
 		if bs == nil {
-			log.Close()
+			d.Close()
 			return nil, fmt.Errorf("%w: journal is rebased to height %d but the base checkpoint is missing",
 				ErrSnapshotMismatch, base)
 		}
@@ -129,17 +119,17 @@ func Open(dir string, opts Options) (*DurableLedger, error) {
 		d.mem = ledger.New()
 	}
 	if err := d.replay(); err != nil {
-		log.Close()
+		d.Close()
 		return nil, err
 	}
 	snap, err := d.snaps.Latest()
 	if err != nil {
-		log.Close()
+		d.Close()
 		return nil, err
 	}
 	if snap != nil {
 		if err := d.checkSnapshot(snap); err != nil {
-			log.Close()
+			d.Close()
 			return nil, err
 		}
 		// v1 snapshot files carried no transaction count; rebuild it from
@@ -151,14 +141,27 @@ func Open(dir string, opts Options) (*DurableLedger, error) {
 		}
 		d.snap = snap
 	}
-	if opts.Async {
-		d.async = log.NewAppender(wal.AsyncOptions{
-			QueueDepth:    opts.AsyncQueueDepth,
-			MaxBatchBytes: opts.AsyncMaxBatchBytes,
-			OnCommit:      opts.AsyncOnCommit,
-		})
-	}
 	return d, nil
+}
+
+// openJournal opens the WAL under d.dir and starts its committer — the one
+// place the pair is built, so a state-transfer install reopens the journal
+// with exactly the options (commit hook included) the first open used.
+func (d *DurableLedger) openJournal() error {
+	log, err := wal.Open(filepath.Join(d.dir, walDirName), wal.Options{
+		SegmentBytes: d.opts.SegmentBytes,
+		Sync:         d.opts.Sync,
+		Failpoints:   d.opts.Failpoints,
+	})
+	if err != nil {
+		return err
+	}
+	d.log = log
+	d.async = log.NewAppender(wal.AsyncOptions{
+		QueueDepth: d.opts.AsyncQueueDepth,
+		OnCommit:   d.opts.AsyncOnCommit,
+	})
+	return nil
 }
 
 // replay rebuilds the in-memory chain from the WAL and re-audits it.
@@ -232,44 +235,33 @@ func (d *DurableLedger) LatestSnapshot() *Snapshot {
 	return d.snap
 }
 
-// Append journals the block in the WAL and appends it to the in-memory
-// chain. It returns once the record is durable under the log's sync policy.
-// The lock spans both appends so WAL record order always equals chain
-// order, whatever goroutine calls here (the WAL itself still group-commits
-// across logs). An error is fatal for the replica: the in-memory chain may
-// then be ahead of disk, so the caller must stop journaling rather than
-// continue with a silent durability gap.
+// Append is AppendAsync plus the wait: it returns once a commit point covers
+// the block's record (or the journal failed). The ledger's lock is released
+// before the wait, so other callers keep appending behind it. An error is
+// fatal for the replica: the in-memory chain may then be ahead of disk, so
+// the caller must stop journaling rather than continue with a silent
+// durability gap.
 func (d *DurableLedger) Append(batch *types.Batch, proof ledger.Proof, state types.Digest) (*ledger.Block, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	blk := d.mem.Append(batch, proof, state)
-	if _, err := d.log.Append(ledger.EncodeBlock(blk)); err != nil {
-		return blk, err
-	}
-	return blk, nil
+	done := make(chan error, 1)
+	blk := d.AppendAsync(batch, proof, state, func(_ uint64, err error) { done <- err })
+	return blk, <-done
 }
 
-// AppendAsync is the pipelined commit path: the block joins the in-memory
-// chain and is handed to the background committer without waiting for the
-// disk. done fires exactly once — from the committer, carrying the durable
-// LSN, once a commit point covers the record; inline with the sticky error
-// when the journal has already failed (the block is then ahead of disk and
-// the caller must stop journaling, same contract as Append). done runs on
-// the committer goroutine: keep it short and do not call back into the
-// ledger from it. AppendAsync blocks while AsyncQueueDepth blocks are in
-// flight. On a sync-mode ledger it degenerates to Append with an inline
-// done.
+// AppendAsync is the journaling path: the block joins the in-memory chain
+// and is handed to the background committer without waiting for the disk.
+// The lock spans both steps so WAL record order always equals chain order,
+// whatever goroutine calls here. done fires exactly once — from the
+// committer, carrying the durable LSN, once a commit point covers the
+// record; inline with the sticky error when the journal has already failed
+// (the block is then ahead of disk and the caller must stop journaling,
+// same contract as Append). done runs on the committer goroutine: keep it
+// short and do not call back into the ledger from it. AppendAsync blocks
+// while AsyncQueueDepth blocks are in flight.
 func (d *DurableLedger) AppendAsync(batch *types.Batch, proof ledger.Proof, state types.Digest, done func(lsn uint64, err error)) *ledger.Block {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	blk := d.mem.Append(batch, proof, state)
-	payload := ledger.EncodeBlock(blk)
-	if d.async == nil {
-		idx, err := d.log.Append(payload)
-		done(idx, err)
-		return blk
-	}
-	if _, err := d.async.Submit(payload, done); err != nil {
+	if _, err := d.async.Submit(ledger.EncodeBlock(blk), done); err != nil {
 		done(0, err) // Submit never ran the callback; fail it here
 	}
 	return blk
@@ -370,39 +362,44 @@ func (d *DurableLedger) RestoreApp(app exec.Application) (uint64, error) {
 	return d.mem.TxnCount(), nil
 }
 
-// Sync forces all journaled blocks to durable storage. In async mode the
-// blocks are already in the log's buffer (AppendAsync writes before it
-// returns), so this also covers every block still awaiting its completion
-// callback — which the committer will still deliver.
-func (d *DurableLedger) Sync() error { return d.log.Sync() }
+// Sync forces all journaled blocks to durable storage. The blocks are
+// already in the log's buffer (AppendAsync writes before it returns), so
+// this also covers every block still awaiting its completion callback —
+// which the committer will still deliver.
+func (d *DurableLedger) Sync() error { return d.WAL().Sync() }
 
-// WAL exposes the underlying log (stats, pruning, tests).
-func (d *DurableLedger) WAL() *wal.Log { return d.log }
-
-// Appender exposes the async committer (stats, tests); nil in sync mode.
-func (d *DurableLedger) Appender() *wal.Appender { return d.async }
-
-// Close drains the async committer — every in-flight block gets its commit
-// point and its completion callback before Close returns — then flushes and
-// closes the journal.
-func (d *DurableLedger) Close() error {
-	if d.async != nil {
-		err := d.async.Close()
-		cerr := d.log.Close()
-		if err != nil && !errors.Is(err, wal.ErrClosed) {
-			return err
-		}
-		return cerr
-	}
-	return d.log.Close()
+// WAL exposes the underlying log (stats, pruning, tests). A state-transfer
+// install replaces it: resolve it per use rather than caching the pointer.
+func (d *DurableLedger) WAL() *wal.Log {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.log
 }
 
-// CloseAbrupt closes the ledger the way a crash would: in-flight async
-// blocks get no commit point and no callbacks, and the log's write buffer
-// is discarded. Crash-realism test helper.
-func (d *DurableLedger) CloseAbrupt() {
-	if d.async != nil {
-		d.async.CloseAbrupt()
+// Appender exposes the log's committer (stats, tests). Like WAL, resolve it
+// per use: an install replaces it.
+func (d *DurableLedger) Appender() *wal.Appender {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.async
+}
+
+// Close drains the committer — every in-flight block gets its commit point
+// and its completion callback before Close returns — then flushes and closes
+// the journal.
+func (d *DurableLedger) Close() error {
+	err := d.async.Close()
+	cerr := d.log.Close()
+	if err != nil && !errors.Is(err, wal.ErrClosed) {
+		return err
 	}
+	return cerr
+}
+
+// CloseAbrupt closes the ledger the way a crash would: in-flight blocks get
+// no commit point and no callbacks, and the log's write buffer is discarded.
+// Crash-realism test helper.
+func (d *DurableLedger) CloseAbrupt() {
+	d.async.CloseAbrupt()
 	d.log.CloseAbrupt()
 }

@@ -198,13 +198,10 @@ func (d *DurableLedger) InstallState(snap *Snapshot, blocks []*ledger.Block) err
 		return err
 	}
 
-	// Close the live journal before the swap; its files are about to be
-	// retired. From here on a failure leaves the store closed but the
+	// Drain and close the live journal before the swap; its files are about
+	// to be retired. From here on a failure leaves the store closed but the
 	// directory consistent (pre-marker: old state; post-marker: new).
-	if d.async != nil {
-		d.async.Close()
-		d.async = nil
-	}
+	d.async.Close()
 	d.log.Close()
 
 	// Commit point.
@@ -216,15 +213,9 @@ func (d *DurableLedger) InstallState(snap *Snapshot, blocks []*ledger.Block) err
 	}
 
 	// Reopen on the installed state.
-	log, err := wal.Open(filepath.Join(d.dir, walDirName), wal.Options{
-		SegmentBytes: d.opts.SegmentBytes,
-		Sync:         d.opts.Sync,
-		Failpoints:   d.opts.Failpoints,
-	})
-	if err != nil {
+	if err := d.openJournal(); err != nil {
 		return err
 	}
-	d.log = log
 	d.snaps, err = OpenSnapshots(filepath.Join(d.dir, ckpDirName), d.opts.KeepSnapshots)
 	if err != nil {
 		return err
@@ -239,12 +230,6 @@ func (d *DurableLedger) InstallState(snap *Snapshot, blocks []*ledger.Block) err
 	}
 	d.mem = mem
 	d.snap = snap
-	if d.opts.Async {
-		d.async = log.NewAppender(wal.AsyncOptions{
-			QueueDepth:    d.opts.AsyncQueueDepth,
-			MaxBatchBytes: d.opts.AsyncMaxBatchBytes,
-		})
-	}
 	return nil
 }
 

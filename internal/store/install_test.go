@@ -3,7 +3,9 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/ledger"
 	"repro/internal/wal"
@@ -80,6 +82,33 @@ func TestInstallStateRebasesWipedStore(t *testing.T) {
 	}
 	if got := d2.Memory().TxnCount(); got != 11 {
 		t.Fatalf("reopened txn count %d, want 11", got)
+	}
+}
+
+// TestInstallStateKeepsCommitHook: the journal an install reopens must carry
+// the same commit hook the first open was given — it feeds the replica's
+// wal_fsync_seconds histogram and fsync-stall flight events, which otherwise
+// go dark after every state-transfer rejoin.
+func TestInstallStateKeepsCommitHook(t *testing.T) {
+	snap, blocks := buildSourceState(t, 9, 4)
+
+	var commits atomic.Uint64
+	d, err := Open(t.TempDir(), Options{AsyncOnCommit: func(int, int64, time.Duration) { commits.Add(1) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.InstallState(snap, blocks); err != nil {
+		t.Fatalf("install: %v", err)
+	}
+	app := ycsb.NewStore(64)
+	if _, err := d.RestoreApp(app); err != nil {
+		t.Fatal(err)
+	}
+	before := commits.Load()
+	appendBlocks(t, d, app, 9, 1)
+	if commits.Load() == before {
+		t.Fatal("commit hook did not observe the first commit point after InstallState")
 	}
 }
 

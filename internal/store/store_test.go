@@ -44,35 +44,6 @@ func openStore(t *testing.T, dir string) *DurableLedger {
 	return d
 }
 
-func TestDurableLedgerReopenResumesChain(t *testing.T) {
-	dir := t.TempDir()
-	d := openStore(t, dir)
-	app := ycsb.NewStore(64)
-	appendBlocks(t, d, app, 0, 7)
-	head := d.Memory().Head()
-	d.Close()
-
-	d2 := openStore(t, dir)
-	if d2.Memory().Height() != 7 {
-		t.Fatalf("reopened at height %d, want 7", d2.Memory().Height())
-	}
-	if d2.Memory().Head().Hash() != head.Hash() {
-		t.Fatal("head hash changed across reopen")
-	}
-	if err := d2.Memory().Verify(); err != nil {
-		t.Fatalf("replayed chain fails audit: %v", err)
-	}
-	// The journal keeps accepting blocks after a restart.
-	app2 := ycsb.NewStore(64)
-	if _, err := d2.RestoreApp(app2); err != nil {
-		t.Fatal(err)
-	}
-	appendBlocks(t, d2, app2, 7, 3)
-	if d2.Memory().Height() != 10 {
-		t.Fatalf("height %d after post-restart appends, want 10", d2.Memory().Height())
-	}
-}
-
 func TestRestoreAppRebuildsStateWithoutSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	d := openStore(t, dir)

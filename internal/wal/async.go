@@ -10,8 +10,9 @@ const (
 	// DefaultQueueDepth bounds submitted-but-not-durable records when
 	// AsyncOptions.QueueDepth is zero.
 	DefaultQueueDepth = 1024
-	// DefaultMaxBatchBytes caps the payload bytes one fsync covers when
-	// AsyncOptions.MaxBatchBytes is zero.
+	// DefaultMaxBatchBytes caps the record bytes one fsync covers: smaller
+	// batches bound completion latency, larger ones amortize the fsync
+	// further.
 	DefaultMaxBatchBytes = 8 << 20
 )
 
@@ -21,10 +22,6 @@ type AsyncOptions struct {
 	// durable). Submit blocks when the queue is full — the appender's
 	// back-pressure (default DefaultQueueDepth).
 	QueueDepth int
-	// MaxBatchBytes caps the record bytes coalesced under one fsync.
-	// Smaller batches bound completion latency; larger ones amortize the
-	// fsync further (default DefaultMaxBatchBytes).
-	MaxBatchBytes int64
 	// OnCommit, when set, observes every successful commit point: the
 	// records and payload bytes it covered and how long the commit point
 	// (flush + fsync) took. It runs on the committer goroutine before the
@@ -34,19 +31,17 @@ type AsyncOptions struct {
 
 // pendingRec is one submitted record awaiting its commit point.
 type pendingRec struct {
-	idx  uint64
 	size int64
 	done func(lsn uint64, err error)
 }
 
 // Appender is the pipelined commit path of a Log: Submit writes the record
 // into the log's buffer and returns immediately with its index; a single
-// background committer coalesces every record in flight under one fsync and
-// then reports each record durable via its completion callback, carrying
-// the log's durable LSN. This is group commit for a SINGLE sequential
-// appender — the replica event loop's situation — where the Log's own
-// group commit cannot amortize because a lone Append always waits out a
-// full fsync.
+// background committer coalesces every record in flight under one commit
+// point and then reports each record durable via its completion callback,
+// carrying the log's durable LSN. This is group commit for a SINGLE
+// sequential appender — the replica event loop's situation — where a
+// stop-and-wait Append would pay a full fsync per record.
 //
 // Errors are sticky, mirroring the Log: after any write or fsync failure
 // every in-flight callback fires with the error, and every later Submit
@@ -77,14 +72,11 @@ type Appender struct {
 
 // NewAppender starts an async appender over l. The caller owns sequencing:
 // records are durable in submit order, and Submit must not race Close.
-// Mixing Submit with direct l.Append calls is safe but forfeits the
-// pipelining for those appends.
+// Mixing Submit with direct l.Append or l.Sync calls is safe: they run the
+// same commit point, so whichever finishes first covers the other's records.
 func (l *Log) NewAppender(opts AsyncOptions) *Appender {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = DefaultQueueDepth
-	}
-	if opts.MaxBatchBytes <= 0 {
-		opts.MaxBatchBytes = DefaultMaxBatchBytes
 	}
 	a := &Appender{
 		log:     l,
@@ -135,7 +127,7 @@ func (a *Appender) Submit(payload []byte, done func(lsn uint64, err error)) (uin
 		return 0, ErrClosed
 	}
 	a.mu.Unlock()
-	idx, err := a.log.appendBuffered(payload)
+	idx, err := a.log.AppendNoSync(payload)
 	if err != nil {
 		a.subMu.Unlock()
 		<-a.slots
@@ -143,7 +135,7 @@ func (a *Appender) Submit(payload []byte, done func(lsn uint64, err error)) (uin
 		return 0, err
 	}
 	// Never blocks: cap(records) == cap(slots) and we hold a slot.
-	a.records <- pendingRec{idx: idx, size: frameSize + int64(len(payload)), done: done}
+	a.records <- pendingRec{size: frameSize + int64(len(payload)), done: done}
 	a.subMu.Unlock()
 	a.submitted.Add(1)
 	return idx, nil
@@ -172,8 +164,8 @@ func (a *Appender) Stats() (submitted, batches uint64) {
 }
 
 // run is the committer: pull the oldest in-flight record, coalesce
-// everything queued behind it up to MaxBatchBytes, issue ONE commit point,
-// then wake every covered waiter.
+// everything queued behind it up to DefaultMaxBatchBytes, issue ONE commit
+// point, then wake every covered waiter.
 func (a *Appender) run() {
 	defer a.wg.Done()
 	for {
@@ -191,11 +183,11 @@ func (a *Appender) run() {
 }
 
 // collect greedily batches queued records behind first, bounded by
-// MaxBatchBytes.
+// DefaultMaxBatchBytes.
 func (a *Appender) collect(first pendingRec) []pendingRec {
 	batch := append(a.scratch[:0], first)
 	size := first.size
-	for size < a.opts.MaxBatchBytes {
+	for size < DefaultMaxBatchBytes {
 		select {
 		case rec := <-a.records:
 			batch = append(batch, rec)
@@ -232,14 +224,9 @@ func (a *Appender) commit(batch []pendingRec) {
 		if a.opts.OnCommit != nil {
 			start = time.Now()
 		}
-		if a.log.opts.Sync == SyncNone {
-			// The log's owner opted out of fsync: push to the OS and call
-			// that the commit point, best-effort like synchronous SyncNone.
-			err = a.log.Flush()
-			lsn = batch[len(batch)-1].idx // Flush advances no durable watermark
-		} else {
-			lsn, err = a.log.syncPipelined()
-		}
+		// Under SyncNone the log's owner opted out of fsync: pushing the
+		// batch to the OS is the whole commit point.
+		lsn, err = a.log.commit(a.log.opts.Sync != SyncNone)
 		a.batches.Add(1)
 		if err != nil {
 			a.fail(err)

@@ -1,8 +1,8 @@
-// Package wal implements the segmented, checksummed, group-commit
-// write-ahead log underlying the durable storage subsystem
-// (internal/store). It persists the blockchain ledger the paper's replicas
-// maintain (§V-B) so a restarted replica resumes from disk instead of
-// demanding full state transfer from its peers.
+// Package wal implements the segmented, checksummed write-ahead log
+// underlying the durable storage subsystem (internal/store). It persists
+// the blockchain ledger the paper's replicas maintain (§V-B) so a restarted
+// replica resumes from disk instead of demanding full state transfer from
+// its peers.
 //
 // # On-disk format
 //
@@ -61,59 +61,53 @@
 // Options.FirstIndex is the creation hook; Log.Base reports the rebase
 // point.
 //
-// Acked⇒durable across a state transfer: the async committer is drained
-// and closed before the old journal is retired, the staged log is fully
+// Acked⇒durable across a state transfer: the committer is drained and
+// closed before the old journal is retired, the staged log is fully
 // fsynced before the commit marker is written, and the install either
 // completes or leaves the old state untouched — so at every instant the
 // journal on disk covers every transaction any client was ever
 // acknowledged for, on both sides of the swap.
 //
-// # Group commit
+// # Durability: one commit point, pipelined
 //
-// Durability policy is per-log (Options.Sync):
+// Exactly one piece of code makes records durable on the append path — the
+// log's commit point: flush the write buffer under the write lock, fsync
+// OUTSIDE it (writers keep filling the buffer while the disk works), then
+// advance the durable watermark (Log.DurableIndex) to the last record the
+// flush covered. Log.Sync and the Appender both run it, so whichever
+// finishes first covers the other's records and the watermark only ever
+// advances. (Close and a segment roll fsync under the lock instead, because
+// they close the file next.) Options.Sync selects the policy:
 //
-//   - SyncGroup (default): appenders publish their record under the write
-//     lock, then wait on a shared commit point. One appender becomes the
-//     sync leader and issues a single fdatasync covering every record
-//     written so far; appenders that arrive while that fsync is in flight
-//     are covered by the NEXT fsync, issued immediately after by the next
-//     leader. Concurrent appenders therefore amortize the ~ms fsync cost
-//     across the whole group (see BenchmarkWALAppend) while every Append
-//     still returns only after its record is durable.
+//   - SyncGroup (default): a record is reported complete only after a
+//     commit point covers it.
+//   - SyncNone: no fsync on the append path; the commit point stops after
+//     the flush (process-crash-safe, not power-loss-safe). For tests and
+//     throwaway runs. Log.Sync still fsyncs — checkpoints rely on it.
 //
-//   - SyncAlways: one fsync per record, serialized. The safe, slow
-//     baseline the benchmark compares against.
-//
-//   - SyncNone: no explicit fsync; durability is left to the OS page
-//     cache. For tests and throwaway runs.
-//
-// # Async pipelined commit (Appender)
-//
-// Group commit amortizes across CONCURRENT appenders, but a replica's
-// event loop is one sequential appender: stop-and-wait journaling pays a
-// full fsync per block however the log batches. The Appender converts that
-// path to a pipeline:
+// A replica's ledger has one writer — its event loop — so stop-and-wait
+// journaling (Log.Append: buffered write, then the commit point) pays a
+// full fsync per block. The Appender turns that writer into a pipeline:
 //
 //   - Submit writes the record into the log's buffer and returns
 //     immediately with its index; the caller keeps executing.
 //   - A single committer goroutine coalesces every record in flight — up
-//     to AsyncOptions.MaxBatchBytes per batch — under ONE commit point
-//     (flush under the write lock, fsync outside it, exactly like the
-//     group-commit leader), then fires each record's completion callback
-//     with the durable LSN, in index order.
+//     to DefaultMaxBatchBytes per batch — under ONE commit point, then
+//     fires each record's completion callback with the durable LSN, in
+//     index order.
 //   - AsyncOptions.QueueDepth bounds records submitted but not yet
 //     durable; a full queue blocks Submit, back-pressuring the producer
 //     instead of buffering unacknowledged work without limit.
-//   - Errors are sticky (fsyncgate): after one failed commit point every
-//     in-flight callback carries the error, later Submits fail, and
-//     nothing past the failure is ever reported durable.
+//   - Errors are sticky (fsyncgate): after one failed commit point the log
+//     is poisoned, every in-flight callback carries the error, later
+//     Submits fail, and nothing past the failure is ever reported durable.
 //   - Close drains: remaining records get a final commit point and their
 //     callbacks before Close returns. CloseAbrupt is the crash-shaped
 //     close for tests — no flush, no fsync, no callbacks.
 //
-// The replica runtime defers client replies to these callbacks
-// (runtime.Config.Journaling.Async): a client acknowledgement then implies the
-// block is on disk, while the event loop never waits out an fsync.
-// BenchmarkAsyncJournal compares the two shapes; records/fsync reports the
+// The replica runtime journals every block through an Appender
+// (store.DurableLedger) and defers client replies to these callbacks: a
+// client acknowledgement implies the block is on disk, while the event loop
+// never waits out an fsync. BenchmarkAsyncJournal reports records/fsync, the
 // amortization the pipeline recovers.
 package wal

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestFsyncFailpointPoisonsLog injects an fsync error into a SyncAlways log
+// TestFsyncFailpointPoisonsLog injects an fsync error into a durable log
 // and checks it enters the same sticky fatal path a real EIO would: the
 // failing append surfaces the injected error, the log refuses all further
 // appends even after the failpoint heals, and a reopen replays exactly the
@@ -14,7 +14,7 @@ func TestFsyncFailpointPoisonsLog(t *testing.T) {
 	dir := t.TempDir()
 	injected := errors.New("injected: EIO")
 	fp := &Failpoints{}
-	l := openT(t, dir, Options{Sync: SyncAlways, Failpoints: fp})
+	l := openT(t, dir, Options{Failpoints: fp})
 	appendN(t, l, 0, 3)
 
 	fp.FailFsync(injected)
@@ -37,7 +37,7 @@ func TestFsyncFailpointPoisonsLog(t *testing.T) {
 	// least the three records fsynced before the fault. (The record whose
 	// fsync failed may also survive: its bytes reached the OS page cache,
 	// and this crash is a process death, not power loss.)
-	l2 := openT(t, dir, Options{Sync: SyncAlways, Failpoints: fp})
+	l2 := openT(t, dir, Options{Failpoints: fp})
 	if l2.LastIndex() < 3 {
 		t.Fatalf("reopened at index %d, want >= 3", l2.LastIndex())
 	}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -212,18 +213,26 @@ func TestMissingSegmentIsCorruption(t *testing.T) {
 	}
 }
 
+// TestGroupCommitConcurrentAppendsAllDurable drives the Appender from
+// several submitters at once: every record must complete without error, land
+// under a commit point shared with its neighbours, and replay after a reopen.
 func TestGroupCommitConcurrentAppendsAllDurable(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, Options{Sync: SyncGroup})
+	a := l.NewAppender(AsyncOptions{QueueDepth: 16})
 	const writers, each = 8, 25
 	var wg sync.WaitGroup
-	errs := make(chan error, writers)
+	errs := make(chan error, 2*writers*each)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if _, err := l.Append([]byte(fmt.Sprintf("w%d-%d", w, i))); err != nil {
+				if _, err := a.Submit([]byte(fmt.Sprintf("w%d-%d", w, i)), func(_ uint64, err error) {
+					if err != nil {
+						errs <- err
+					}
+				}); err != nil {
 					errs <- err
 					return
 				}
@@ -231,18 +240,98 @@ func TestGroupCommitConcurrentAppendsAllDurable(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	if err := a.Close(); err != nil { // drains: every callback has fired
+		t.Fatal(err)
+	}
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if l.LastIndex() != writers*each {
-		t.Fatalf("last index %d, want %d", l.LastIndex(), writers*each)
+	if l.LastIndex() != writers*each || l.DurableIndex() != writers*each {
+		t.Fatalf("last index %d, durable index %d, want both %d", l.LastIndex(), l.DurableIndex(), writers*each)
 	}
 	l.Close()
 
 	l2 := openT(t, dir, Options{})
 	if got := len(collect(t, l2)); got != writers*each {
 		t.Fatalf("recovered %d records, want %d", got, writers*each)
+	}
+}
+
+// TestSyncRacingAppenderReportsOnlyReplayableRecords runs Log.Sync in a loop
+// against a busy Appender — two callers of the one commit point — then
+// crashes the log: every index either of them reported durable must replay,
+// and the durable watermark must never step backwards while they race.
+func TestSyncRacingAppenderReportsOnlyReplayableRecords(t *testing.T) {
+	dir := t.TempDir()
+	l := openT(t, dir, Options{SegmentBytes: 4 << 10}) // rolls race the commit point too
+	a := l.NewAppender(AsyncOptions{QueueDepth: 8})
+	var reported atomic.Uint64 // highest index anyone was told is durable
+	report := func(idx uint64) {
+		for cur := reported.Load(); idx > cur && !reported.CompareAndSwap(cur, idx); cur = reported.Load() {
+		}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // the racing Sync caller
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := l.Sync(); err != nil {
+				t.Errorf("sync: %v", err)
+				return
+			}
+			report(l.DurableIndex())
+		}
+	}()
+	go func() { // the monotonicity watcher
+		defer wg.Done()
+		var prev uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			cur := l.DurableIndex()
+			if cur < prev {
+				t.Errorf("durable index stepped back: %d after %d", cur, prev)
+				return
+			}
+			prev = cur
+		}
+	}()
+	const n = 400
+	for i := 0; i < n; i++ {
+		if _, err := a.Submit([]byte(fmt.Sprintf("record-%04d", i)), func(lsn uint64, err error) {
+			if err != nil {
+				t.Errorf("completion: %v", err)
+				return
+			}
+			report(lsn)
+		}); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	a.CloseAbrupt()
+	l.CloseAbrupt()
+	if reported.Load() == 0 {
+		t.Fatal("nothing was ever reported durable")
+	}
+
+	l2 := openT(t, dir, Options{})
+	got := collect(t, l2)
+	for i := uint64(1); i <= reported.Load(); i++ {
+		if _, ok := got[i]; !ok {
+			t.Fatalf("record %d was reported durable (watermark %d) but does not replay", i, reported.Load())
+		}
 	}
 }
 

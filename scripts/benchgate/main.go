@@ -10,22 +10,18 @@
 //	go run ./scripts/benchgate -emit -out BENCH_ci.json bench.txt
 //
 // Gate mode — compare against the committed baseline and fail (exit 1) on
-// a >25% ns/op regression in any benchmark matching -gate-pattern, and on
-// an async/sync speedup below -min-speedup. The speedup check pairs every
-// gated benchmark ending in "/async" with its "/sync" sibling — both the
-// durability pipeline (BenchmarkAsyncJournal) and the messaging layer
-// (BenchmarkBroadcast/vote) ride it:
+// a >25% ns/op regression in any benchmark matching -gate-pattern:
 //
 //	go run ./scripts/benchgate -gate -baseline BENCH_baseline.json \
-//	    -current BENCH_ci.json -max-regress 0.25 -min-speedup 1.5
+//	    -current BENCH_ci.json -max-regress 0.25
 //
-// A third gate, -max-overhead, pairs every benchmark ending in "/live" with
+// A second gate, -max-overhead, pairs every benchmark ending in "/live" with
 // its "/nop" sibling within the CURRENT run (no baseline needed) and fails
 // when live instrumentation costs more than the allowed fraction — how CI
 // holds the observability layer to ≤5% on the instrumented hot paths
 // (BenchmarkObsOverhead).
 //
-// A fourth gate, -min-parallel-speedup, pairs every benchmark ending in
+// A third gate, -min-parallel-speedup, pairs every benchmark ending in
 // "/parallel" with its "/serial" sibling within the CURRENT run and fails
 // when the parallel variant is not at least that many times faster — how CI
 // holds the conflict-aware execution engine to its >=2x floor on the
@@ -86,12 +82,11 @@ func main() {
 		baseline   = flag.String("baseline", "BENCH_baseline.json", "gate: committed baseline path")
 		current    = flag.String("current", "BENCH_ci.json", "gate: freshly emitted summary path")
 		maxRegress = flag.Float64("max-regress", 0.25, "gate: fail when ns/op exceeds baseline by more than this fraction")
-		minSpeedup = flag.Float64("min-speedup", 0, "gate: fail when an async variant is not at least this many times faster than its sync sibling (0 disables)")
 		maxOverhd  = flag.Float64("max-overhead", 0, "gate: fail when a /live variant exceeds its /nop sibling by more than this fraction, both from the current run (0 disables)")
 		minParSpd  = flag.Float64("min-parallel-speedup", 0, "gate: fail when a /parallel variant is not at least this many times faster than its /serial sibling, both from the current run (0 disables)")
 		minCached  = flag.Float64("min-cached-speedup", 0, "gate: fail when a /cached variant is not at least this many times faster than its /uncached sibling, both from the current run (0 disables)")
 		minPooled  = flag.Float64("min-pooled-speedup", 0, "gate: fail when a /pooled variant is not at least this many times faster than its /inline sibling, both from the current run (0 disables)")
-		pattern    = flag.String("gate-pattern", `^Benchmark(WALAppend|AsyncJournal|Codec|Broadcast|Obs|FlightRecord|ParallelExec|Auth|VerifyPool)`, "gate: regexp selecting the benchmarks that block the build")
+		pattern    = flag.String("gate-pattern", `^Benchmark(AsyncJournal|Codec|Broadcast|Obs|FlightRecord|ParallelExec|Auth|VerifyPool)`, "gate: regexp selecting the benchmarks that block the build")
 	)
 	flag.Parse()
 	switch {
@@ -100,7 +95,7 @@ func main() {
 	case *emit:
 		runEmit(*out, flag.Args())
 	default:
-		runGate(*baseline, *current, *pattern, *maxRegress, *minSpeedup, *maxOverhd, *minParSpd, *minCached, *minPooled)
+		runGate(*baseline, *current, *pattern, *maxRegress, *maxOverhd, *minParSpd, *minCached, *minPooled)
 	}
 }
 
@@ -194,7 +189,7 @@ func load(path string) Summary {
 	return sum
 }
 
-func runGate(basePath, curPath, pattern string, maxRegress, minSpeedup, maxOverhead, minParallelSpeedup, minCachedSpeedup, minPooledSpeedup float64) {
+func runGate(basePath, curPath, pattern string, maxRegress, maxOverhead, minParallelSpeedup, minCachedSpeedup, minPooledSpeedup float64) {
 	re, err := regexp.Compile(pattern)
 	if err != nil {
 		fatal("gate: bad -gate-pattern: %v", err)
@@ -220,28 +215,6 @@ func runGate(basePath, curPath, pattern string, maxRegress, minSpeedup, maxOverh
 	}
 	if checked == 0 {
 		failures = append(failures, fmt.Sprintf("no baseline benchmarks match %q — the gate is checking nothing; refresh the baseline", pattern))
-	}
-
-	if minSpeedup > 0 {
-		pairs := 0
-		for name, c := range cur.Benchmarks {
-			if !re.MatchString(name) || !strings.HasSuffix(name, "/async") {
-				continue
-			}
-			syncName := strings.TrimSuffix(name, "/async") + "/sync"
-			s, ok := cur.Benchmarks[syncName]
-			if !ok {
-				continue
-			}
-			pairs++
-			if speedup := s.NsPerOp / c.NsPerOp; speedup < minSpeedup {
-				failures = append(failures, fmt.Sprintf("%s: async is only %.2fx sync (%.0f vs %.0f ns/op), want >= %.1fx",
-					name, speedup, c.NsPerOp, s.NsPerOp, minSpeedup))
-			}
-		}
-		if pairs == 0 {
-			failures = append(failures, "no sync/async benchmark pairs found for the -min-speedup check")
-		}
 	}
 
 	if maxOverhead > 0 {
