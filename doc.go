@@ -40,7 +40,7 @@
 // feed dedicated writer goroutines that encode messages through the
 // registry-based binary codec in internal/types (explicit MsgType tag,
 // per-type Marshal/Unmarshal, pooled buffers; replaces per-message gob),
-// coalesce bursts into multi-message frames (wire format v2, one write
+// coalesce bursts into multi-message frames (wire format v3, one write
 // syscall per burst), and redial failed peers with exponential backoff.
 // Replica links backpressure on overflow while the peer is healthy and
 // drop (counted) while it is down; client links always drop on overflow,

@@ -4,7 +4,11 @@
 //
 // PBFT-style protocols (PBFT, SBFT, HotStuff, RCC): a client accepts a
 // result once f+1 replicas report the identical outcome (one of them must
-// be non-faulty). If the assigned primary neglects the request, the client
+// be non-faulty). Replicas answer with one reply per (client, decided
+// batch) that lists every seq of the client the batch carried — the
+// paper's §V-B reply, one authenticator for up to a whole batch — and the
+// client applies the f+1 rule to each listed seq it has in flight. If the
+// assigned primary neglects the request, the client
 // broadcasts it to all replicas, which forward it and start failure
 // detection (§III-E "forced execution").
 //
@@ -214,21 +218,30 @@ func (c *Client) onReply(from types.ReplicaID, m *types.ClientReply) {
 		// speculation protocol.
 		return
 	}
-	p, ok := c.inFlight[m.Seq]
-	if !ok || m.Client != c.cfg.Client {
+	if m.Client != c.cfg.Client {
 		return
 	}
-	p.replies[from] = m.Result
-	// f+1 matching results guarantee one comes from a non-faulty replica.
-	count := 0
-	for _, d := range p.replies {
-		if d == m.Result {
-			count++
+	// One reply covers every seq of this client in one decided batch; seqs
+	// not in flight when it arrived (already completed, never sent) are
+	// ignored, so the window refills only after the loop.
+	for _, seq := range m.Seqs {
+		p, ok := c.inFlight[seq]
+		if !ok {
+			continue
+		}
+		p.replies[from] = m.Result
+		// f+1 matching results guarantee one comes from a non-faulty replica.
+		count := 0
+		for _, d := range p.replies {
+			if d == m.Result {
+				count++
+			}
+		}
+		if count >= c.env.Params().FaultDetection() {
+			c.complete(p, m.Result, false)
 		}
 	}
-	if count >= c.env.Params().FaultDetection() {
-		c.complete(p, m.Result, false)
-	}
+	c.pump()
 }
 
 func (c *Client) onSpecResponse(from types.ReplicaID, m *types.SpecResponse) {
@@ -245,6 +258,7 @@ func (c *Client) onSpecResponse(from types.ReplicaID, m *types.SpecResponse) {
 	if len(matching) >= n {
 		// Fast path: all n replicas agree.
 		c.complete(target, m.Result, true)
+		c.pump()
 		return
 	}
 	// The slow path is driven by the retry timer (grace period for the
@@ -284,9 +298,12 @@ func (c *Client) onLocalCommit(from types.ReplicaID, m *types.LocalCommit) {
 	p.localCommit[from] = struct{}{}
 	if len(p.localCommit) >= c.env.Params().NF() {
 		c.complete(p, m.History, false)
+		c.pump()
 	}
 }
 
+// complete retires p and records its completion; the caller refills the
+// window with pump.
 func (c *Client) complete(p *pending, result types.Digest, fast bool) {
 	delete(c.inFlight, p.tx.Seq)
 	c.env.CancelTimer(sm.TimerID{Kind: sm.TimerClient, Round: types.Round(p.tx.Seq)})
@@ -302,7 +319,6 @@ func (c *Client) complete(p *pending, result types.Digest, fast bool) {
 	if c.onComplete != nil {
 		c.onComplete(comp)
 	}
-	c.pump()
 }
 
 // OnTimer implements sm.ClientMachine.

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -46,7 +47,96 @@ func tx(seq uint64) types.Transaction {
 }
 
 func reply(from types.ReplicaID, seq uint64, result types.Digest) *types.ClientReply {
-	return &types.ClientReply{Replica: from, Client: 1, Seq: seq, Result: result}
+	return batchReply(from, 1, result, seq)
+}
+
+// batchReply is one replica's reply to client c covering seqs of one batch.
+func batchReply(from types.ReplicaID, c types.ClientID, result types.Digest, seqs ...uint64) *types.ClientReply {
+	return types.NewClientReply(0, from, c, 1, result, seqs)
+}
+
+func completedSeqs(c *Client) []uint64 {
+	var out []uint64
+	for _, comp := range c.Completions() {
+		out = append(out, comp.Seq)
+	}
+	return out
+}
+
+// TestBatchReplyCompletesOnlyInFlightSeqs: one reply lists every seq the
+// client had in a decided batch. Of {in flight, already completed, never
+// sent}, only the in-flight seq completes, and only once f+1 replicas sent
+// matching replies.
+func TestBatchReplyCompletesOnlyInFlightSeqs(t *testing.T) {
+	env := newFakeEnv(4) // f = 1: needs 2 matching replies
+	c := New(Config{Client: 1, Broadcast: true})
+	c.Submit(tx(1))
+	c.Submit(tx(2))
+	c.Submit(tx(3)) // queued behind the window of 1: never sent
+	c.Start(env)
+	d := types.Hash([]byte("r"))
+	c.OnMessage(0, reply(0, 1, d))
+	c.OnMessage(1, reply(1, 1, d)) // seq 1 completes; seq 2 goes in flight
+	if got := completedSeqs(c); !reflect.DeepEqual(got, []uint64{1}) {
+		t.Fatalf("completed %v, want [1]", got)
+	}
+	env.bcast = nil
+
+	c.OnMessage(0, batchReply(0, 1, d, 1, 2, 3))
+	if got := completedSeqs(c); !reflect.DeepEqual(got, []uint64{1}) {
+		t.Fatalf("one batch reply completed %v", got)
+	}
+	c.OnMessage(2, batchReply(2, 1, d, 1, 2, 3))
+	if got := completedSeqs(c); !reflect.DeepEqual(got, []uint64{1, 2}) {
+		t.Fatalf("after f+1 batch replies completed %v, want [1 2]", got)
+	}
+	if len(env.bcast) != 1 || env.bcast[0].(*types.ClientRequest).Tx.Seq != 3 {
+		t.Fatalf("window refill sent %v, want seq 3", env.bcast)
+	}
+	// Seq 3 was not in flight when those replies arrived: they must not
+	// count toward it, so one more reply cannot complete it.
+	c.OnMessage(3, batchReply(3, 1, d, 3))
+	if got := completedSeqs(c); !reflect.DeepEqual(got, []uint64{1, 2}) {
+		t.Fatalf("seq 3 completed on replies sent before it was, %v", got)
+	}
+}
+
+// TestReplyForAnotherClientIgnored: a reply naming a different client
+// counts toward nothing, even when its seqs match in-flight ones.
+func TestReplyForAnotherClientIgnored(t *testing.T) {
+	env := newFakeEnv(4)
+	c := New(Config{Client: 1, Broadcast: true})
+	c.Submit(tx(1))
+	c.Start(env)
+	d := types.Hash([]byte("r"))
+	c.OnMessage(0, batchReply(0, 2, d, 1))
+	c.OnMessage(1, batchReply(1, 2, d, 1))
+	c.OnMessage(2, reply(2, 1, d))
+	if c.Done() {
+		t.Fatal("replies for another client counted")
+	}
+}
+
+// TestFMatchingPlusOneDivergentBatchRepliesDoNotComplete: f matching batch
+// replies and one with a different Result are not f+1 matching.
+func TestFMatchingPlusOneDivergentBatchRepliesDoNotComplete(t *testing.T) {
+	env := newFakeEnv(7) // f = 2: needs 3 matching replies
+	c := New(Config{Client: 1, Broadcast: true})
+	c.SetWindow(2)
+	c.Submit(tx(1))
+	c.Submit(tx(2))
+	c.Start(env)
+	d := types.Hash([]byte("r"))
+	c.OnMessage(0, batchReply(0, 1, d, 1, 2))
+	c.OnMessage(1, batchReply(1, 1, d, 1, 2))
+	c.OnMessage(2, batchReply(2, 1, types.Hash([]byte("other")), 1, 2))
+	if len(c.Completions()) != 0 {
+		t.Fatalf("completed %v on f matching replies", completedSeqs(c))
+	}
+	c.OnMessage(3, batchReply(3, 1, d, 1, 2))
+	if got := completedSeqs(c); !reflect.DeepEqual(got, []uint64{1, 2}) {
+		t.Fatalf("completed %v after f+1 matching, want [1 2]", got)
+	}
 }
 
 func TestCompletesAtFPlusOneMatchingReplies(t *testing.T) {

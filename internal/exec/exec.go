@@ -16,7 +16,6 @@
 package exec
 
 import (
-	"encoding/binary"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -277,10 +276,7 @@ func (e *Engine) execute(batch *types.Batch, proof ledger.Proof) Result {
 	for i := 0; i < n; i++ {
 		h = append(h, e.digests[i][:]...)
 	}
-	total := e.executed.Add(uint64(n))
-	var count [8]byte
-	binary.BigEndian.PutUint64(count[:], total)
-	h = append(h, count[:]...)
+	e.executed.Add(uint64(n))
 	e.hashBuf = h[:0]
 	if e.met != nil {
 		e.met.ObserveStage(obs.StageExecute, time.Since(start))
@@ -520,9 +516,10 @@ func (e *Engine) execOne(txns []types.Transaction, i int) {
 // concurrently with execution (metrics scrapes, tests).
 func (e *Engine) Executed() uint64 { return e.executed.Load() }
 
-// Restore primes the executed-transaction counter after a restart replay.
-// The counter feeds ResultHash, so a restarted replica must resume it to
-// produce client replies identical to peers that never crashed.
+// Restore primes the executed-transaction counter after a restart replay,
+// so Executed reports the chain total. ResultHash does not read it: a
+// batch's result digest depends only on the batch and its per-transaction
+// results (StateHash is what commits to history).
 func (e *Engine) Restore(executed uint64) { e.executed.Store(executed) }
 
 // StateDigest exposes the application state digest.

@@ -47,6 +47,26 @@ func TestIdenticalHistoriesProduceIdenticalResults(t *testing.T) {
 	}
 }
 
+// TestResultHashIgnoresHistory: a batch's ResultHash depends only on the
+// batch and its per-transaction results, not on how many transactions ran
+// before it — two replicas that interleave other clients' disjoint work
+// differently still hand a client the same result digest. StateHash is
+// what commits to history.
+func TestResultHashIgnoresHistory(t *testing.T) {
+	fresh := NewEngine(ycsb.NewStore(100), nil)
+	busy := NewEngine(ycsb.NewStore(100), nil)
+	busy.ExecuteBatch(batch(wtx(2, 1, 60), wtx(2, 2, 61)), ledger.Proof{Round: 1})
+	b := batch(wtx(1, 1, 1), wtx(1, 2, 2))
+	r1 := fresh.ExecuteBatch(b, ledger.Proof{Round: 1})
+	r2 := busy.ExecuteBatch(b, ledger.Proof{Round: 2})
+	if r1.ResultHash != r2.ResultHash {
+		t.Fatal("ResultHash depends on previously executed transactions")
+	}
+	if r1.StateHash == r2.StateHash {
+		t.Fatal("StateHash ignores history")
+	}
+}
+
 func TestOrderSensitivity(t *testing.T) {
 	// Different execution orders must yield different state hashes when
 	// the transactions conflict (that is the whole point of consensus).

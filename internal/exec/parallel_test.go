@@ -291,8 +291,8 @@ func TestExecutedCounterRaceSafe(t *testing.T) {
 	}
 }
 
-// TestParallelEngineCountsExecuted checks the counter (which feeds
-// ResultHash) advances identically on serial and parallel engines.
+// TestParallelEngineCountsExecuted checks the executed counter advances
+// identically on serial and parallel engines, with matching ResultHashes.
 func TestParallelEngineCountsExecuted(t *testing.T) {
 	rounds := ycsbRounds(5, 33)
 	es := NewEngine(ycsb.NewStore(256), nil)

@@ -521,6 +521,24 @@ func (p *Instance) maybeProposeBatch() {
 	}
 }
 
+// ProposePending proposes up to one batch of the queued requests now, full
+// or not. It reports whether a batch was proposed (only the primary, with
+// room in its window, proposes).
+func (p *Instance) ProposePending() bool {
+	if !p.IsPrimary() || len(p.pending) == 0 || p.inFlight() >= p.cfg.Window {
+		return false
+	}
+	txns := p.takeBatch(p.cfg.BatchSize)
+	if len(txns) == 0 {
+		return false
+	}
+	if !p.Propose(&types.Batch{Txns: txns}) {
+		p.pending = append(txns, p.pending...)
+		return false
+	}
+	return true
+}
+
 func (p *Instance) onPrePrepare(from types.ReplicaID, m *types.PrePrepare) {
 	if m.View != p.view || from != p.primaryOf(m.View) || p.inViewChange {
 		return
@@ -752,11 +770,7 @@ func (p *Instance) OnTimer(id sm.TimerID) {
 			p.suspect(p.deliver)
 		}
 	case sm.TimerBatch:
-		if p.IsPrimary() && len(p.pending) > 0 && p.inFlight() < p.cfg.Window {
-			if txns := p.takeBatch(p.cfg.BatchSize); len(txns) > 0 {
-				p.Propose(&types.Batch{Txns: txns})
-			}
-		}
+		p.ProposePending()
 	case sm.TimerViewChange:
 		if p.inViewChange {
 			// The new primary failed to install the view in time.

@@ -161,6 +161,27 @@ func TestNoOpFillCompletesRounds(t *testing.T) {
 	sameOrder(t, net, allIDs(n))
 }
 
+// TestPartialBatchJoinsDecidedRound pins that a primary holding fewer
+// requests than a batch proposes them once another instance decided the
+// round it proposes next, instead of waiting out the 50 ms batch timeout:
+// an instance left one round behind would otherwise stay behind under even
+// load, and every request of the instances ahead would wait a batch fill.
+func TestPartialBatchJoinsDecidedRound(t *testing.T) {
+	n := 4
+	net, _ := cluster(t, n, Config{BatchSize: 4}, simnet.Config{})
+	for s := uint64(1); s <= 4; s++ {
+		inject(net, n, mkTx(1, s)) // a full batch on instance 1
+	}
+	inject(net, n, mkTx(2, 1)) // one request short of a batch on instance 2
+	net.Run(25 * time.Millisecond)
+	for i := 0; i < n; i++ {
+		if txns := realTxns(net.Node(types.ReplicaID(i)).Decisions()); len(txns) != 5 {
+			t.Fatalf("replica %d delivered %d real txns by 25ms, want 5", i, len(txns))
+		}
+	}
+	sameOrder(t, net, allIDs(n))
+}
+
 func TestSustainedThroughputAllInstances(t *testing.T) {
 	n := 4
 	net, reps := cluster(t, n, Config{BatchSize: 1, Window: 8}, simnet.Config{Jitter: 2 * time.Millisecond, Seed: 3})

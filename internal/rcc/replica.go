@@ -105,6 +105,10 @@ type checkpointer interface{ ForceCheckpoint() }
 // pendinger exposes the queued-request count (used by no-op filling).
 type pendinger interface{ Pending() int }
 
+// partialProposer is the optional capability of a BCA primary to propose
+// its queued requests before they fill a batch (used by no-op filling).
+type partialProposer interface{ ProposePending() bool }
+
 // rangeSkipper is the optional capability of a BCA to void all rounds below
 // a target that hold no agreed proposal (used by handleStop). The skip must
 // cost O(materialized rounds), not O(range width): restart penalties can
@@ -624,6 +628,13 @@ func (r *Replica) voidHorizon(st *instState) types.Round {
 // maybeNoOpFill proposes a no-op on the local replica's own instance when
 // it has nothing to propose but other instances are progressing (§III-E),
 // so low client demand does not stall round completion.
+//
+// With requests queued but short of a batch, it proposes them as a partial
+// batch instead: another instance already decided the round this one
+// proposes next, so that round waits on this instance whether or not the
+// batch fills. Otherwise an instance one round behind stays behind while
+// the load is even (after a recovery drain, say), and every request of the
+// instances ahead waits one more batch fill.
 func (r *Replica) maybeNoOpFill() {
 	if r.cfg.DisableNoOpFill {
 		return
@@ -636,10 +647,13 @@ func (r *Replica) maybeNoOpFill() {
 	if st.inst.Halted() {
 		return
 	}
-	if p, ok := st.inst.(pendinger); ok && p.Pending() > 0 {
-		return
-	}
 	for st.inst.NextProposeRound() <= r.maxDecided {
+		if p, ok := st.inst.(pendinger); ok && p.Pending() > 0 {
+			if pp, ok := st.inst.(partialProposer); !ok || !pp.ProposePending() {
+				return
+			}
+			continue
+		}
 		if !st.inst.Propose(types.NoOpBatch()) {
 			return
 		}

@@ -13,6 +13,7 @@ package runtime
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -691,9 +692,10 @@ func (r *Replica) DeliverReplica(from types.ReplicaID, m types.Message) {
 // DeliverClient implements transport.Endpoint.
 func (r *Replica) DeliverClient(from types.ClientID, m types.Message) {
 	// A retransmit of a request this replica already executed and answered
-	// is resent its cached reply instead of entering the event loop: the
-	// machine would only drop it below the dedup floor, leaving a client
-	// that lost the original reply stuck retransmitting forever.
+	// is resent its reply (one seq, cut from the cached batch reply) instead
+	// of entering the event loop: the machine would only drop it below the
+	// dedup floor, leaving a client that lost the original reply stuck
+	// retransmitting forever.
 	if req, ok := m.(*types.ClientRequest); ok && r.cfg.ReplyToClients {
 		if reply := r.cachedReply(req.Tx.Client, req.Tx.Seq); reply != nil {
 			if r.trans != nil {
@@ -1061,19 +1063,20 @@ func traceBatch(met *obs.NodeMetrics, batch *types.Batch, p obs.TracePoint) {
 	}
 }
 
-// replyCacheWindow bounds the per-client reply cache. It needs to cover a
-// client's pipeline window (so every in-flight seq stays answerable);
-// clients here run windows of a few transactions, so 16 is ample.
+// replyCacheWindow bounds the per-client reply cache, counted in batch
+// replies: a retransmitted seq stays answerable while its batch is among
+// the client's last replyCacheWindow decided batches.
 const replyCacheWindow = 16
 
-// replyRing holds a client's most recent replies, keyed by sequence.
+// replyRing holds a client's most recent batch replies.
 type replyRing struct {
-	max uint64
-	m   map[uint64]*types.ClientReply
+	buf  [replyCacheWindow]*types.ClientReply
+	next int    // slot the next reply overwrites
+	max  uint64 // highest seq ever cached
 }
 
-// cacheReply remembers a sent reply for retransmit resends, evicting
-// replies that fell out of the cache window.
+// cacheReply remembers a sent batch reply for retransmit resends, evicting
+// the client's oldest cached batch reply.
 func (r *Replica) cacheReply(reply *types.ClientReply) {
 	r.replies.Lock()
 	defer r.replies.Unlock()
@@ -1082,38 +1085,38 @@ func (r *Replica) cacheReply(reply *types.ClientReply) {
 	}
 	ring := r.replies.m[reply.Client]
 	if ring == nil {
-		ring = &replyRing{m: make(map[uint64]*types.ClientReply)}
+		ring = &replyRing{}
 		r.replies.m[reply.Client] = ring
 	}
-	ring.m[reply.Seq] = reply
-	if reply.Seq > ring.max {
-		ring.max = reply.Seq
-		for s := range ring.m {
-			if s+replyCacheWindow <= ring.max {
-				delete(ring.m, s)
-			}
-		}
-	}
+	ring.buf[ring.next] = reply
+	ring.next = (ring.next + 1) % replyCacheWindow
+	ring.max = max(ring.max, slices.Max(reply.Seqs))
 }
 
-// cachedReply returns the remembered reply for (c, seq), or nil.
+// cachedReply returns a one-seq reply for (c, seq) derived from the cached
+// batch reply that covered it, or nil. A seq above the highest cached one —
+// every first transmission — returns in O(1); only retransmits scan.
 func (r *Replica) cachedReply(c types.ClientID, seq uint64) *types.ClientReply {
 	r.replies.Lock()
 	defer r.replies.Unlock()
 	ring := r.replies.m[c]
-	if ring == nil {
+	if ring == nil || seq > ring.max {
 		return nil
 	}
-	return ring.m[seq]
+	for _, cached := range ring.buf {
+		if cached != nil && slices.Contains(cached.Seqs, seq) {
+			return types.NewClientReply(cached.Inst, cached.Replica, c, cached.Round, cached.Result, []uint64{seq})
+		}
+	}
+	return nil
 }
 
 // ackClients answers the clients covered by a decided, executed, durable
-// batch: one reply per executed (client, seq) pair — not just each
-// client's newest, because when one batch carries two requests of the same
-// client the older one still has a waiting client slot that completes only
-// on f+1 replies naming its exact sequence. f+1 identical replies prove
-// the outcome. Safe off the event loop — it reads only immutable decision
-// state.
+// batch: one reply per client, listing every seq of that client's
+// non-no-op transactions in batch order (duplicates once), so a client's
+// whole share of a batch costs one tag here and one verify at the client,
+// and each listed seq completes on f+1 matching replies. Safe off the event
+// loop — it reads only immutable decision state.
 func (e *replicaEnv) ackClients(d sm.Decision, res exec.Result) {
 	r := e.r
 	if !r.cfg.ReplyToClients {
@@ -1131,6 +1134,8 @@ func (e *replicaEnv) ackClients(d sm.Decision, res exec.Result) {
 	}
 	met := r.cfg.Metrics
 	sent := make(map[ackKey]struct{}, len(d.Batch.Txns))
+	seqs := make(map[types.ClientID][]uint64)
+	var order []types.ClientID
 	for i := range d.Batch.Txns {
 		tx := &d.Batch.Txns[i]
 		if tx.IsNoOp() {
@@ -1141,17 +1146,19 @@ func (e *replicaEnv) ackClients(d sm.Decision, res exec.Result) {
 			continue
 		}
 		sent[k] = struct{}{}
-		reply := &types.ClientReply{
-			Replica: r.cfg.ID, Client: tx.Client, Seq: tx.Seq,
-			Round: d.Round, Result: res.ResultHash, Count: d.Batch.Len(),
+		if _, seen := seqs[tx.Client]; !seen {
+			order = append(order, tx.Client)
 		}
-		reply.Inst = d.Instance
-		r.cacheReply(reply)
-		e.SendClient(tx.Client, reply)
+		seqs[tx.Client] = append(seqs[tx.Client], tx.Seq)
 		if met != nil {
 			met.Acks.Inc()
 			met.Trace(uint64(tx.Client), tx.Seq, obs.PointAck)
 		}
+	}
+	for _, c := range order {
+		reply := types.NewClientReply(d.Instance, r.cfg.ID, c, d.Round, res.ResultHash, seqs[c])
+		r.cacheReply(reply)
+		e.SendClient(c, reply)
 	}
 }
 

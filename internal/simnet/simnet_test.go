@@ -241,7 +241,7 @@ type replyBack struct{ env sm.Env }
 func (r *replyBack) Start(env sm.Env) { r.env = env }
 func (r *replyBack) OnMessage(from sm.Source, m types.Message) {
 	if req, ok := m.(*types.ClientRequest); ok && from.IsClient {
-		r.env.SendClient(from.Client, &types.ClientReply{Replica: r.env.ID(), Client: req.Tx.Client, Seq: req.Tx.Seq, Count: 1})
+		r.env.SendClient(from.Client, types.NewClientReply(0, r.env.ID(), req.Tx.Client, 0, types.ZeroDigest, []uint64{req.Tx.Seq}))
 	}
 }
 func (r *replyBack) OnTimer(sm.TimerID) {}

@@ -164,7 +164,7 @@ func TestTCPStalledClientDropsNotBlocks(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := srv.SendClient(88, &types.ClientReply{Replica: 0, Client: 88, Seq: uint64(i + 1), Count: 1}); err != nil {
+		if err := srv.SendClient(88, types.NewClientReply(0, 0, 88, 0, types.ZeroDigest, []uint64{uint64(i + 1)})); err != nil {
 			t.Fatal(err)
 		}
 		healthySink.wait(t, 1)
@@ -308,13 +308,13 @@ func TestTCPClientDisconnectUnregisters(t *testing.T) {
 		t.Fatal(err)
 	}
 	srvSink.wait(t, 1)
-	if err := srv.SendClient(9, &types.ClientReply{Client: 9, Seq: 1}); err != nil {
+	if err := srv.SendClient(9, types.NewClientReply(0, 0, 9, 0, types.ZeroDigest, []uint64{1})); err != nil {
 		t.Fatalf("reply to a connected client failed: %v", err)
 	}
 
 	cli.Close()
 	waitCond(t, 5*time.Second, func() bool {
-		return srv.SendClient(9, &types.ClientReply{Client: 9, Seq: 1}) != nil
+		return srv.SendClient(9, types.NewClientReply(0, 0, 9, 0, types.ZeroDigest, []uint64{1})) != nil
 	})
 	srv.mu.Lock()
 	n := len(srv.clientsByID)
@@ -335,14 +335,15 @@ func TestTCPRefusesWireVersionMismatch(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// Inbound: dial raw, claim wire version 99, then try to push a frame.
+	// Inbound: dial raw, claim the previous wire version (v2 encodes
+	// CLIENT-REPLY differently), then try to push a frame.
 	raw, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
 	hdr := appendHeader(nil, false, 3, 0)
-	binary.BigEndian.PutUint16(hdr[4:6], 99)
+	binary.BigEndian.PutUint16(hdr[4:6], WireVersion-1)
 	if _, err := raw.Write(hdr); err != nil {
 		t.Fatal(err)
 	}
@@ -356,8 +357,8 @@ func TestTCPRefusesWireVersionMismatch(t *testing.T) {
 		t.Fatal("message from a version-mismatched peer was delivered")
 	}
 
-	// Outbound: a "newer" replica answers this client with a v99 header;
-	// the client must refuse the stream rather than misparse frames.
+	// Outbound: an older replica answers this client with a v2 header; the
+	// client must refuse the stream rather than misparse frames.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +371,7 @@ func TestTCPRefusesWireVersionMismatch(t *testing.T) {
 		}
 		io.ReadFull(c, make([]byte, wireHeaderLen)) // swallow the client's header
 		bad := appendHeader(nil, false, 0, 0)
-		binary.BigEndian.PutUint16(bad[4:6], 99)
+		binary.BigEndian.PutUint16(bad[4:6], WireVersion-1)
 		c.Write(bad)
 	}()
 	cliSink := newSink()
@@ -418,10 +419,12 @@ func TestWireHeaderRoundTrip(t *testing.T) {
 	if _, err := readHeader(bytesReader(bad)); !errors.Is(err, ErrWireVersion) {
 		t.Fatalf("bad magic: got %v, want ErrWireVersion", err)
 	}
-	bad = appendHeader(nil, false, 1, 0)
-	binary.BigEndian.PutUint16(bad[4:6], WireVersion+1)
-	if _, err := readHeader(bytesReader(bad)); !errors.Is(err, ErrWireVersion) {
-		t.Fatalf("bad version: got %v, want ErrWireVersion", err)
+	for _, v := range []uint16{2, WireVersion + 1} {
+		bad = appendHeader(nil, false, 1, 0)
+		binary.BigEndian.PutUint16(bad[4:6], v)
+		if _, err := readHeader(bytesReader(bad)); !errors.Is(err, ErrWireVersion) {
+			t.Fatalf("version %d: got %v, want ErrWireVersion", v, err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -147,7 +148,7 @@ func TestMemoryClientOverflowDrops(t *testing.T) {
 	ta := hub.AttachReplica(0, newSink())
 	hub.AttachClient(7, stuck)
 
-	reply := &types.ClientReply{Client: 7, Seq: 1}
+	reply := types.NewClientReply(0, 0, 7, 0, types.ZeroDigest, []uint64{1})
 	// One delivery in flight + a full queue, then every further send drops.
 	const sends = MemClientQueueDepth + 16
 	for i := 0; i < sends; i++ {
@@ -270,12 +271,12 @@ func TestTCPClientReplyPath(t *testing.T) {
 		t.Fatalf("client identity %d, want 42", srvSink.clients[0])
 	}
 
-	reply := &types.ClientReply{Replica: 0, Client: 42, Seq: 1, Result: types.Hash([]byte("r")), Count: 1}
+	reply := types.NewClientReply(0, 0, 42, 0, types.Hash([]byte("r")), []uint64{1, 2})
 	if err := srv.SendClient(42, reply); err != nil {
 		t.Fatal(err)
 	}
 	cliSink.wait(t, 1)
-	if got := cliSink.first(t).(*types.ClientReply); got.Seq != 1 || got.Client != 42 {
+	if got := cliSink.first(t).(*types.ClientReply); !reflect.DeepEqual(got, reply) {
 		t.Fatalf("reply mangled: %+v", got)
 	}
 }

@@ -1,6 +1,7 @@
 package transport
 
-// Wire format v2.
+// Wire format v3 (v3 changed the CLIENT-REPLY body to a seq list; v2 peers
+// are refused at the handshake).
 //
 // Each direction of a TCP connection is an independent byte stream:
 //
@@ -38,7 +39,7 @@ import (
 
 // WireVersion is the framing version this build speaks. Connections
 // announcing any other version are refused at the handshake.
-const WireVersion = 2
+const WireVersion = 3
 
 var wireMagic = [4]byte{'R', 'C', 'C', 'B'}
 

@@ -18,6 +18,7 @@ package types
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -93,9 +94,12 @@ type wireReader struct {
 	err error
 }
 
+// errTruncated is shared so refusing a hostile count allocates nothing.
+var errTruncated = errors.New("truncated message")
+
 func (r *wireReader) fail() {
 	if r.err == nil {
-		r.err = fmt.Errorf("truncated message")
+		r.err = errTruncated
 	}
 	r.b = nil
 }
@@ -205,6 +209,25 @@ func (r *wireReader) replicas() []ReplicaID {
 	return out
 }
 
+// seqs reads a client reply's u32-counted sequence numbers. The count
+// arrives before authentication, so it must be at least 1 (a reply answers
+// something) and at most what the remaining bytes can hold.
+func (r *wireReader) seqs() []uint64 {
+	n := int(r.u32())
+	if r.err != nil {
+		return nil
+	}
+	if n < 1 || n > len(r.b)/8 {
+		r.fail()
+		return nil
+	}
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = r.u64()
+	}
+	return out
+}
+
 // minProposalLen is the encoded floor of one AcceptedProposal (round +
 // view + digest + prepared + batch-presence byte): decode-side allocation
 // bounds divide by it so a forged count cannot amplify a small frame into
@@ -281,6 +304,14 @@ func appendReplicas(buf []byte, rs []ReplicaID) []byte {
 	return buf
 }
 
+func appendSeqs(buf []byte, seqs []uint64) []byte {
+	buf = appendU32(buf, uint32(len(seqs)))
+	for _, s := range seqs {
+		buf = appendU64(buf, s)
+	}
+	return buf
+}
+
 func appendProposal(buf []byte, p *AcceptedProposal) []byte {
 	buf = appendU64(buf, uint64(p.Round))
 	buf = appendU64(buf, uint64(p.View))
@@ -336,21 +367,14 @@ func init() {
 			buf = appendU16(buf, uint16(v.Inst))
 			buf = appendU16(buf, uint16(v.Replica))
 			buf = appendU32(buf, uint32(v.Client))
-			buf = appendU64(buf, v.Seq)
 			buf = appendU64(buf, uint64(v.Round))
 			buf = append(buf, v.Result[:]...)
-			return appendU32(buf, uint32(v.Count))
+			return appendSeqs(buf, v.Seqs)
 		},
 		func(r *wireReader) Message {
-			return &ClientReply{
-				Header:  Header{Inst: InstanceID(r.u16())},
-				Replica: ReplicaID(r.u16()),
-				Client:  ClientID(r.u32()),
-				Seq:     r.u64(),
-				Round:   Round(r.u64()),
-				Result:  r.digest(),
-				Count:   int(r.u32()),
-			}
+			// Arguments evaluate left to right, in wire order.
+			return NewClientReply(InstanceID(r.u16()), ReplicaID(r.u16()), ClientID(r.u32()),
+				Round(r.u64()), r.digest(), r.seqs())
 		})
 
 	registerCodec(MsgSwitchInstance,

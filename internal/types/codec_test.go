@@ -23,10 +23,15 @@ func codecCorpus() []Message {
 	fail1 := &Failure{Header: Header{Inst: 3}, Replica: 1, Round: 9, State: props, Light: false}
 	fail2 := &Failure{Header: Header{Inst: 3}, Replica: 2, Round: 9, Light: true}
 	qc := QuorumCert{View: 3, Round: 8, Block: d3, Signers: []ReplicaID{0, 2, 3}}
+	hundredSeqs := make([]uint64, 100) // one client's share of a full batch
+	for i := range hundredSeqs {
+		hundredSeqs[i] = uint64(1000 + 2*i)
+	}
 
 	return []Message{
 		&ClientRequest{Header: Header{Inst: 2}, Tx: Transaction{Client: 5, Seq: 11, Op: []byte("op")}},
-		&ClientReply{Header: Header{Inst: 2}, Replica: 3, Client: 5, Seq: 11, Round: 6, Result: d1, Count: 100},
+		NewClientReply(2, 3, 5, 6, d1, []uint64{11}),
+		NewClientReply(2, 3, 5, 6, d1, hundredSeqs),
 		&SwitchInstance{Header: Header{Inst: 1}, Client: 5, To: 2},
 		&PrePrepare{Header: Header{Inst: 1}, View: 2, Round: 7, Digest: d1, Batch: batch},
 		&PrePrepare{Header: Header{Inst: 1}, View: 2, Round: 7, Digest: d1}, // digest-only retransmission
@@ -224,5 +229,35 @@ func TestCodecRejectsForgedCounts(t *testing.T) {
 	forged[len(forged)-2] = 0xFF
 	if _, err := DecodeMessage(forged); err == nil {
 		t.Fatal("forged sync-point length decoded")
+	}
+}
+
+// TestCodecRejectsForgedReplySeqCount: a CLIENT-REPLY's seq count arrives
+// before authentication. Zero (a reply that answers nothing) and 2^32-1 on
+// a short buffer must both be refused before any seq slice is allocated.
+func TestCodecRejectsForgedReplySeqCount(t *testing.T) {
+	var d Digest
+	for _, count := range []uint32{0, 0xFFFFFFFF} {
+		body := appendU16(nil, 1)     // inst
+		body = appendU16(body, 2)     // replica
+		body = appendU32(body, 3)     // client
+		body = appendU64(body, 4)     // round
+		body = append(body, d[:]...)  // result
+		body = appendU32(body, count) // forged seq count
+		body = appendU64(body, 7)     // one actual seq
+		buf := append([]byte{byte(MsgClientReply)}, body...)
+		if _, err := DecodeMessage(buf); err == nil {
+			t.Fatalf("seq count %d decoded", count)
+		}
+		seqsAt := len(body) - 12
+		allocs := testing.AllocsPerRun(100, func() {
+			r := wireReader{b: body[seqsAt:]}
+			if r.seqs() != nil || r.err == nil {
+				t.Fatalf("seq count %d accepted", count)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("seq count %d: refusing it allocated %v times", count, allocs)
+		}
 	}
 }

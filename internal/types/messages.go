@@ -158,26 +158,42 @@ func (m *ClientRequest) AuthPayload(buf []byte) []byte {
 	return m.Tx.Marshal(m.marshal(buf, MsgClientRequest))
 }
 
-// ClientReply informs a client of the outcome of execution.
+// ClientReply informs one client of the outcome of one decided batch: a
+// replica sends one reply per (client, decided batch), listing every
+// sequence number of that client the batch carried, with one authenticator
+// tag — the paper's §V-B reply (1 748 B per 100-transaction batch). The
+// client completes each listed in-flight seq on f+1 matching replies.
 type ClientReply struct {
 	Header
 	Replica ReplicaID
 	Client  ClientID
-	Seq     uint64
-	Round   Round
-	Result  Digest // digest of the execution result
-	Count   int    // transactions covered (batched replies)
+	Seqs    []uint64 // the client's seqs in the batch, batch order; never empty
+	// Seq is derived, always Seqs[0] (set by NewClientReply and the
+	// decoder; neither encoded nor authenticated). It remains for readers
+	// that still key replies by one seq.
+	Seq    uint64
+	Round  Round
+	Result Digest // digest of the batch's execution result
+}
+
+// NewClientReply builds a reply covering seqs (batch order, non-empty).
+func NewClientReply(inst InstanceID, replica ReplicaID, client ClientID, round Round, result Digest, seqs []uint64) *ClientReply {
+	m := &ClientReply{Header: Header{Inst: inst}, Replica: replica, Client: client, Seqs: seqs, Round: round, Result: result}
+	if len(seqs) > 0 {
+		m.Seq = seqs[0]
+	}
+	return m
 }
 
 func (m *ClientReply) Type() MsgType { return MsgClientReply }
-func (m *ClientReply) WireSize() int { return ReplyWireSize(m.Count) }
+func (m *ClientReply) WireSize() int { return ReplyWireSize(len(m.Seqs)) }
 func (m *ClientReply) AuthPayload(buf []byte) []byte {
 	buf = m.marshal(buf, MsgClientReply)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Replica))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(m.Client))
-	buf = binary.BigEndian.AppendUint64(buf, m.Seq)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(m.Round))
-	return append(buf, m.Result[:]...)
+	buf = append(buf, m.Result[:]...)
+	return appendSeqs(buf, m.Seqs)
 }
 
 // SwitchInstance is a client request to be reassigned from its current

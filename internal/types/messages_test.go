@@ -13,7 +13,7 @@ func allMessages() []Message {
 	ap := []AcceptedProposal{{Round: 2, View: 1, Digest: d, Batch: b, Prepared: true}}
 	msgs := []Message{
 		NewClientRequest(1, b.Txns[0]),
-		&ClientReply{Replica: 1, Client: 9, Seq: 3, Round: 2, Result: d, Count: 1},
+		NewClientReply(0, 1, 9, 2, d, []uint64{3}),
 		&SwitchInstance{Client: 9, To: 2},
 		&PrePrepare{View: 1, Round: 2, Digest: d, Batch: b},
 		NewPrepare(1, 2, 1, 2, d),
@@ -139,5 +139,23 @@ func TestBatchCarryingSizesScale(t *testing.T) {
 	st := &Stop{Evidence: []*Failure{{State: ap}}}
 	if st.WireSize() <= ConsensusMsgBytes {
 		t.Fatal("stop ignores carried evidence")
+	}
+}
+
+// TestClientReplyAuthPayloadCoversEverySeq: one tag covers a whole batch
+// reply, so changing any one listed seq — or dropping one — must change the
+// authenticated bytes.
+func TestClientReplyAuthPayloadCoversEverySeq(t *testing.T) {
+	seqs := []uint64{4, 5, 9, 12}
+	base := NewClientReply(1, 2, 3, 7, Hash([]byte("r")), seqs).AuthPayload(nil)
+	for i := range seqs {
+		forged := append([]uint64(nil), seqs...)
+		forged[i]++
+		if bytes.Equal(NewClientReply(1, 2, 3, 7, Hash([]byte("r")), forged).AuthPayload(nil), base) {
+			t.Fatalf("changing seq %d left the auth payload unchanged", i)
+		}
+	}
+	if bytes.Equal(NewClientReply(1, 2, 3, 7, Hash([]byte("r")), seqs[:3]).AuthPayload(nil), base) {
+		t.Fatal("dropping a seq left the auth payload unchanged")
 	}
 }
