@@ -2,6 +2,16 @@
 // evaluated systems: submitting transactions, collecting replies, and
 // retransmitting or escalating on timeout.
 //
+// Requests: the machine sends one request per flush, not one per
+// transaction. Submissions, window refills and retransmissions only queue
+// transactions; Flush, which the host calls after each run of events, sends
+// everything queued since the last Flush as one request per destination set
+// (the assigned primary, or every replica), split only at maxEnvelopeTxns.
+// A request carries one authenticator tag, so a replica verifies one tag
+// per request. Nothing waits to fill a request: a lone transaction leaves
+// at the next Flush, and the only timer is the per-transaction retry timer,
+// armed when the transaction leaves.
+//
 // PBFT-style protocols (PBFT, SBFT, HotStuff, RCC): a client accepts a
 // result once f+1 replicas report the identical outcome (one of them must
 // be non-faulty). Replicas answer with one reply per (client, decided
@@ -81,6 +91,9 @@ type Client struct {
 	queue    []types.Transaction
 	inFlight map[uint64]*pending
 	window   int
+	// unsent lists the transactions put in flight or due for
+	// retransmission since the last Flush, in that order.
+	unsent []*pending
 
 	// statsMu guards completions and retries: the only fields external
 	// goroutines may read while the machine runs on its event loop.
@@ -167,14 +180,45 @@ func (c *Client) pump() {
 	}
 }
 
-func (c *Client) send(p *pending) {
-	req := types.NewClientRequest(c.cfg.Instance, p.tx)
-	if c.cfg.Broadcast || p.escalated {
-		c.env.Broadcast(req)
-	} else {
-		c.env.Send(c.cfg.Primary, req)
+// maxEnvelopeTxns caps the transactions one request carries at one full
+// consensus batch (§V-B).
+const maxEnvelopeTxns = 100
+
+// send queues p for the next Flush.
+func (c *Client) send(p *pending) { c.unsent = append(c.unsent, p) }
+
+// Flush implements sm.ClientMachine: every transaction queued since the
+// last Flush leaves now, in queue order, as requests of at most
+// maxEnvelopeTxns — one run to the assigned primary, one to every replica
+// (broadcast clients, escalated retransmissions). Each transaction's retry
+// timer starts as it leaves.
+func (c *Client) Flush() {
+	var toPrimary, toAll []types.Transaction
+	for _, p := range c.unsent {
+		if c.inFlight[p.tx.Seq] != p {
+			continue // completed before it left
+		}
+		if c.cfg.Broadcast || p.escalated {
+			toAll = append(toAll, p.tx)
+		} else {
+			toPrimary = append(toPrimary, p.tx)
+		}
+		c.env.SetTimer(sm.TimerID{Kind: sm.TimerClient, Round: types.Round(p.tx.Seq)}, c.cfg.RetryTimeout)
 	}
-	c.env.SetTimer(sm.TimerID{Kind: sm.TimerClient, Round: types.Round(p.tx.Seq)}, c.cfg.RetryTimeout)
+	clear(c.unsent)
+	c.unsent = c.unsent[:0]
+	c.emit(toPrimary, func(m types.Message) { c.env.Send(c.cfg.Primary, m) })
+	c.emit(toAll, c.env.Broadcast)
+}
+
+// emit hands txns to send as requests of at most maxEnvelopeTxns. Each
+// request owns its slice: the transport may still encode it after Flush.
+func (c *Client) emit(txns []types.Transaction, send func(types.Message)) {
+	for len(txns) > 0 {
+		n := min(len(txns), maxEnvelopeTxns)
+		send(types.NewClientRequest(c.cfg.Instance, txns[:n:n]...))
+		txns = txns[n:]
+	}
 }
 
 // Submission is a local event carrying a new transaction into a running

@@ -55,6 +55,15 @@ func batchReply(from types.ReplicaID, c types.ClientID, result types.Digest, seq
 	return types.NewClientReply(0, from, c, 1, result, seqs)
 }
 
+// sentSeqs lists the seqs a sent request carries, in request order.
+func sentSeqs(m types.Message) []uint64 {
+	var out []uint64
+	for _, tx := range m.(*types.ClientRequest).Txns {
+		out = append(out, tx.Seq)
+	}
+	return out
+}
+
 func completedSeqs(c *Client) []uint64 {
 	var out []uint64
 	for _, comp := range c.Completions() {
@@ -74,9 +83,11 @@ func TestBatchReplyCompletesOnlyInFlightSeqs(t *testing.T) {
 	c.Submit(tx(2))
 	c.Submit(tx(3)) // queued behind the window of 1: never sent
 	c.Start(env)
+	c.Flush()
 	d := types.Hash([]byte("r"))
 	c.OnMessage(0, reply(0, 1, d))
 	c.OnMessage(1, reply(1, 1, d)) // seq 1 completes; seq 2 goes in flight
+	c.Flush()
 	if got := completedSeqs(c); !reflect.DeepEqual(got, []uint64{1}) {
 		t.Fatalf("completed %v, want [1]", got)
 	}
@@ -87,10 +98,11 @@ func TestBatchReplyCompletesOnlyInFlightSeqs(t *testing.T) {
 		t.Fatalf("one batch reply completed %v", got)
 	}
 	c.OnMessage(2, batchReply(2, 1, d, 1, 2, 3))
+	c.Flush()
 	if got := completedSeqs(c); !reflect.DeepEqual(got, []uint64{1, 2}) {
 		t.Fatalf("after f+1 batch replies completed %v, want [1 2]", got)
 	}
-	if len(env.bcast) != 1 || env.bcast[0].(*types.ClientRequest).Tx.Seq != 3 {
+	if len(env.bcast) != 1 || !reflect.DeepEqual(sentSeqs(env.bcast[0]), []uint64{3}) {
 		t.Fatalf("window refill sent %v, want seq 3", env.bcast)
 	}
 	// Seq 3 was not in flight when those replies arrived: they must not
@@ -144,6 +156,7 @@ func TestCompletesAtFPlusOneMatchingReplies(t *testing.T) {
 	c := New(Config{Client: 1, Broadcast: true})
 	c.Submit(tx(1))
 	c.Start(env)
+	c.Flush()
 	if len(env.bcast) != 1 {
 		t.Fatalf("broadcasts %d, want 1", len(env.bcast))
 	}
@@ -198,12 +211,14 @@ func TestRetryEscalatesToBroadcast(t *testing.T) {
 	c := New(Config{Client: 1, Primary: 0, RetryTimeout: time.Second})
 	c.Submit(tx(1))
 	c.Start(env)
+	c.Flush()
 	if len(env.sent) != 1 || len(env.bcast) != 0 {
 		t.Fatalf("initial send went to %d targets, bcast %d", len(env.sent), len(env.bcast))
 	}
 	// Fire the retransmission timer: escalation broadcasts (§III-E forced
 	// execution).
 	c.OnTimer(sm.TimerID{Kind: sm.TimerClient, Round: 1})
+	c.Flush()
 	if len(env.bcast) != 1 {
 		t.Fatal("retry did not escalate to broadcast")
 	}
@@ -220,14 +235,16 @@ func TestPipelineWindow(t *testing.T) {
 		c.Submit(tx(s))
 	}
 	c.Start(env)
-	if len(env.bcast) != 2 {
-		t.Fatalf("in flight %d, want window 2", len(env.bcast))
+	c.Flush()
+	if len(env.bcast) != 1 || !reflect.DeepEqual(sentSeqs(env.bcast[0]), []uint64{1, 2}) {
+		t.Fatalf("first flush sent %v, want one request for the window [1 2]", env.bcast)
 	}
 	d := types.Hash([]byte("r"))
 	c.OnMessage(0, reply(0, 1, d))
 	c.OnMessage(1, reply(1, 1, d))
-	if len(env.bcast) != 3 {
-		t.Fatalf("completion did not pump the next txn: %d broadcasts", len(env.bcast))
+	c.Flush()
+	if len(env.bcast) != 2 || !reflect.DeepEqual(sentSeqs(env.bcast[1]), []uint64{3}) {
+		t.Fatalf("completion did not pump the next txn: %v", env.bcast)
 	}
 }
 
@@ -239,8 +256,129 @@ func TestLiveSubmission(t *testing.T) {
 		t.Fatal("sent without submissions")
 	}
 	c.OnMessage(types.NoReplica, &Submission{Tx: tx(1)})
+	c.Flush()
 	if len(env.bcast) != 1 {
 		t.Fatal("live submission not pumped")
+	}
+}
+
+// TestFlushSendsOneRequestPerDestination: k submissions handled before one
+// Flush leave as one request per destination, carrying all k in submission
+// order — to the primary for a primary-first client, to every replica for a
+// broadcasting one.
+func TestFlushSendsOneRequestPerDestination(t *testing.T) {
+	const k = 7
+	want := []uint64{1, 2, 3, 4, 5, 6, 7}
+	for _, broadcast := range []bool{false, true} {
+		env := newFakeEnv(4)
+		c := New(Config{Client: 1, Broadcast: broadcast, Primary: 2})
+		c.SetWindow(k)
+		c.Start(env)
+		for _, s := range want {
+			c.OnMessage(types.NoReplica, &Submission{Tx: tx(s)})
+		}
+		if len(env.sent)+len(env.bcast) != 0 {
+			t.Fatalf("broadcast=%v: sent before Flush", broadcast)
+		}
+		c.Flush()
+		out, to := env.sent, env.sentTo
+		if broadcast {
+			out, to = env.bcast, nil
+		}
+		if len(env.sent)+len(env.bcast) != 1 || !reflect.DeepEqual(sentSeqs(out[0]), want) {
+			t.Fatalf("broadcast=%v: sent %d requests, bcast %d; want one carrying %v", broadcast, len(env.sent), len(env.bcast), want)
+		}
+		if !broadcast && to[0] != 2 {
+			t.Fatalf("primary-first request went to replica %d, want 2", to[0])
+		}
+		c.Flush()
+		if len(env.sent)+len(env.bcast) != 1 {
+			t.Fatal("a second Flush resent the request")
+		}
+	}
+}
+
+// TestLoneSubmissionLeavesAtNextFlush: nothing waits to fill a request. A
+// single submission arms no timer until it leaves at the next Flush, and
+// then only its retry timer.
+func TestLoneSubmissionLeavesAtNextFlush(t *testing.T) {
+	env := newFakeEnv(4)
+	c := New(Config{Client: 1, Broadcast: true, RetryTimeout: time.Second})
+	c.SetWindow(64)
+	c.Start(env)
+	c.OnMessage(types.NoReplica, &Submission{Tx: tx(1)})
+	if len(env.timers) != 0 || len(env.bcast) != 0 {
+		t.Fatalf("before Flush: timers %v, broadcasts %d", env.timers, len(env.bcast))
+	}
+	c.Flush()
+	if len(env.bcast) != 1 || !reflect.DeepEqual(sentSeqs(env.bcast[0]), []uint64{1}) {
+		t.Fatalf("Flush sent %v, want one request for seq 1", env.bcast)
+	}
+	retry := sm.TimerID{Kind: sm.TimerClient, Round: 1}
+	if len(env.timers) != 1 || env.timers[retry] != time.Second {
+		t.Fatalf("timers after Flush %v, want only the retry timer of seq 1", env.timers)
+	}
+}
+
+// TestFlushSplitsAtEnvelopeCap: more transactions than one request may
+// carry leave as full requests plus one remainder, in order.
+func TestFlushSplitsAtEnvelopeCap(t *testing.T) {
+	const k = 2*maxEnvelopeTxns + 5
+	env := newFakeEnv(4)
+	c := New(Config{Client: 1, Broadcast: true})
+	c.SetWindow(k)
+	for s := uint64(1); s <= k; s++ {
+		c.Submit(tx(s))
+	}
+	c.Start(env)
+	c.Flush()
+	if len(env.bcast) != 3 {
+		t.Fatalf("%d requests, want 3", len(env.bcast))
+	}
+	next := uint64(1)
+	for i, want := range []int{maxEnvelopeTxns, maxEnvelopeTxns, 5} {
+		seqs := sentSeqs(env.bcast[i])
+		if len(seqs) != want {
+			t.Fatalf("request %d carries %d txns, want %d", i, len(seqs), want)
+		}
+		for _, s := range seqs {
+			if s != next {
+				t.Fatalf("request %d carries seq %d, want %d", i, s, next)
+			}
+			next++
+		}
+	}
+}
+
+// TestEscalatedRetransmissionReachesAllReplicas: a primary-first client's
+// timed-out transactions leave at the next Flush as one broadcast request,
+// while the transactions still within their timeout are not resent.
+func TestEscalatedRetransmissionReachesAllReplicas(t *testing.T) {
+	env := newFakeEnv(4)
+	c := New(Config{Client: 1, Primary: 0, RetryTimeout: time.Second})
+	c.SetWindow(3)
+	for s := uint64(1); s <= 3; s++ {
+		c.Submit(tx(s))
+	}
+	c.Start(env)
+	c.Flush()
+	if len(env.sent) != 1 || len(env.bcast) != 0 {
+		t.Fatalf("initial flush: sent %d, bcast %d; want one request to the primary", len(env.sent), len(env.bcast))
+	}
+	c.OnTimer(sm.TimerID{Kind: sm.TimerClient, Round: 1})
+	c.OnTimer(sm.TimerID{Kind: sm.TimerClient, Round: 3})
+	c.Flush()
+	if len(env.sent) != 1 || len(env.bcast) != 1 || !reflect.DeepEqual(sentSeqs(env.bcast[0]), []uint64{1, 3}) {
+		t.Fatalf("after two timeouts: sent %d, bcast %v; want one broadcast of [1 3]", len(env.sent), env.bcast)
+	}
+	// Escalation sticks: the next retransmission of seq 1 is broadcast too.
+	c.OnTimer(sm.TimerID{Kind: sm.TimerClient, Round: 1})
+	c.Flush()
+	if len(env.sent) != 1 || len(env.bcast) != 2 || !reflect.DeepEqual(sentSeqs(env.bcast[1]), []uint64{1}) {
+		t.Fatalf("second retry of seq 1: sent %d, bcast %v", len(env.sent), env.bcast)
+	}
+	if c.Retries() != 3 {
+		t.Fatalf("retries %d, want 3", c.Retries())
 	}
 }
 

@@ -185,16 +185,23 @@ func (h *Instance) OnMessage(from sm.Source, m types.Message) {
 }
 
 func (h *Instance) onClientRequest(m *types.ClientRequest) {
-	if m.Tx.IsNoOp() || m.Tx.Seq <= h.lastSeq[m.Tx.Client] {
-		return
+	queued := false
+	for i := range m.Txns {
+		tx := &m.Txns[i]
+		if tx.IsNoOp() || tx.Seq <= h.lastSeq[tx.Client] {
+			continue
+		}
+		key := txKey{tx.Client, tx.Seq}
+		if _, dup := h.pendingSet[key]; dup {
+			continue // queued or already carried by a chain block
+		}
+		h.pendingSet[key] = struct{}{}
+		h.pending = append(h.pending, *tx)
+		queued = true
 	}
-	key := txKey{m.Tx.Client, m.Tx.Seq}
-	if _, dup := h.pendingSet[key]; dup {
-		return // queued or already carried by a chain block
+	if queued {
+		h.maybePropose()
 	}
-	h.pendingSet[key] = struct{}{}
-	h.pending = append(h.pending, m.Tx)
-	h.maybePropose()
 }
 
 // maybePropose lets the current leader propose one block per view, skipping

@@ -228,9 +228,8 @@ func (r *Replica) routeClientRequest(from sm.Source, m *types.ClientRequest) {
 	if r.changing {
 		return // all buckets stall during an epoch change
 	}
-	inst := r.Assignment(m.Tx.Client)
-	fwd := types.NewClientRequest(inst, m.Tx)
-	r.states[inst].inst.OnMessage(from, fwd)
+	inst := r.Assignment(m.Txns[0].Client) // a request carries one client's transactions
+	r.states[inst].inst.OnMessage(from, types.NewClientRequest(inst, m.Txns...))
 }
 
 // suspectInstance starts the global epoch change (the Mir-BFT contrast to

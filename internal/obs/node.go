@@ -80,9 +80,12 @@ type NodeMetrics struct {
 	// cluster as well as a single node.
 	Flight *flight.Recorder
 
-	// Requests counts client requests admitted by consensus instances
+	// Requests counts client transactions admitted by consensus instances
 	// (post-dedup).
 	Requests *Counter
+	// ClientRequests counts client request envelopes the replica received,
+	// each carrying one or more transactions under one authenticator tag.
+	ClientRequests *Counter
 	// Decided counts rounds decided by individual BCA instances.
 	Decided *Counter
 	// Unified counts rounds delivered in the unified execution order.
@@ -114,7 +117,8 @@ func NewNodeMetrics(reg *Registry, traceSize, traceSample int) *NodeMetrics {
 	for s := Stage(0); s < numStages; s++ {
 		m.stages[s] = reg.Histogram("rcc_stage_latency_seconds", `stage="`+s.String()+`"`, stageHelp)
 	}
-	m.Requests = reg.Counter("rcc_requests_total", "", "client requests admitted by consensus instances")
+	m.Requests = reg.Counter("rcc_requests_total", "", "client transactions admitted by consensus instances")
+	m.ClientRequests = reg.Counter("rcc_client_requests_total", "", "client request envelopes received (one authenticator tag, one or more transactions each)")
 	m.Decided = reg.Counter("rcc_rounds_decided_total", "", "rounds decided by individual consensus instances")
 	m.Unified = reg.Counter("rcc_rounds_unified_total", "", "rounds delivered in the unified execution order")
 	m.NoOps = reg.Counter("rcc_noops_proposed_total", "", "no-op rounds proposed to fill lagging instances")

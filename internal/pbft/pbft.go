@@ -480,20 +480,29 @@ func (p *Instance) OnMessage(from sm.Source, m types.Message) {
 	}
 }
 
-// onClientRequest queues a request; the primary proposes a batch when full.
+// onClientRequest queues a request's transactions; the primary proposes a
+// batch when full.
 func (p *Instance) onClientRequest(from sm.Source, m *types.ClientRequest) {
-	if m.Tx.IsNoOp() || m.Tx.Seq <= p.seqFloor(m.Tx.Client) {
-		return // already executed or filler
+	queued := false
+	for i := range m.Txns {
+		tx := &m.Txns[i]
+		if tx.IsNoOp() || tx.Seq <= p.seqFloor(tx.Client) {
+			continue // already executed or filler
+		}
+		key := txKey{tx.Client, tx.Seq}
+		if _, dup := p.pendingSet[key]; dup {
+			continue // queued or already in flight
+		}
+		p.pendingSet[key] = struct{}{}
+		p.pending = append(p.pending, *tx)
+		queued = true
+		if met := p.cfg.Metrics; met != nil {
+			met.Requests.Inc()
+			met.Trace(uint64(tx.Client), tx.Seq, obs.PointArrive)
+		}
 	}
-	key := txKey{m.Tx.Client, m.Tx.Seq}
-	if _, dup := p.pendingSet[key]; dup {
-		return // queued or already in flight
-	}
-	p.pendingSet[key] = struct{}{}
-	p.pending = append(p.pending, m.Tx)
-	if met := p.cfg.Metrics; met != nil {
-		met.Requests.Inc()
-		met.Trace(uint64(m.Tx.Client), m.Tx.Seq, obs.PointArrive)
+	if !queued {
+		return
 	}
 	if !p.IsPrimary() {
 		// A backup starts its failure-detection timer when it learns

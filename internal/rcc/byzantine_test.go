@@ -25,8 +25,8 @@ func (e *equivocator) OnMessage(from sm.Source, m types.Message) {
 		return
 	}
 	e.round++
-	b1 := &types.Batch{Txns: []types.Transaction{req.Tx}}
-	alt := req.Tx
+	b1 := &types.Batch{Txns: []types.Transaction{req.Txns[0]}}
+	alt := req.Txns[0]
 	alt.Op = append([]byte("evil-"), alt.Op...)
 	b2 := &types.Batch{Txns: []types.Transaction{alt}}
 

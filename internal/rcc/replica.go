@@ -393,10 +393,11 @@ func (r *Replica) OnTimer(id sm.TimerID) {
 	}
 }
 
-// routeClientRequest forwards a client transaction to the instance serving
-// the client, honoring any in-progress reassignment schedule.
+// routeClientRequest forwards a client request — one client's transactions
+// — to the instance serving the client as one request, honoring any
+// in-progress reassignment schedule.
 func (r *Replica) routeClientRequest(from sm.Source, m *types.ClientRequest) {
-	c := m.Tx.Client
+	c := m.Txns[0].Client
 	if sched, ok := r.switches[c]; ok {
 		if r.maxDecided < sched.activeAfter {
 			sched.queued = append(sched.queued, m)
@@ -405,11 +406,12 @@ func (r *Replica) routeClientRequest(from sm.Source, m *types.ClientRequest) {
 		r.completeSwitch(c, sched)
 	}
 	inst := r.Assignment(c)
-	if met := r.cfg.Metrics; met != nil {
-		met.Trace(uint64(c), m.Tx.Seq, obs.PointAssign)
+	if met := r.cfg.Metrics; met.Tracing() {
+		for i := range m.Txns {
+			met.Trace(uint64(c), m.Txns[i].Seq, obs.PointAssign)
+		}
 	}
-	fwd := types.NewClientRequest(inst, m.Tx)
-	r.states[inst].inst.OnMessage(from, fwd)
+	r.states[inst].inst.OnMessage(from, types.NewClientRequest(inst, m.Txns...))
 }
 
 // completeSwitch flushes a finished reassignment.
@@ -417,8 +419,7 @@ func (r *Replica) completeSwitch(c types.ClientID, sched *switchSched) {
 	r.assign[c] = sched.to
 	delete(r.switches, c)
 	for _, q := range sched.queued {
-		fwd := types.NewClientRequest(sched.to, q.Tx)
-		r.states[sched.to].inst.OnMessage(sm.FromClient(c), fwd)
+		r.states[sched.to].inst.OnMessage(sm.FromClient(c), types.NewClientRequest(sched.to, q.Txns...))
 	}
 }
 

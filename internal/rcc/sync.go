@@ -2,7 +2,8 @@ package rcc
 
 // Checkpoint-based state transfer for the RCC paradigm (sm.StateSyncable):
 // the replica's frontier is the composition of every concurrent instance's
-// frontier (and its coordinating consensus'), plus the RCC-level round
+// frontier (and its coordinating consensus'), the decisions an instance
+// delivered that the wave has not executed yet, plus the RCC-level round
 // ordering state and the agreed client assignment. All of it is derived
 // from consensus decisions, so replicas with identical frontiers serialize
 // identically — the property the f+1 attestation of statesync offers rests
@@ -11,6 +12,7 @@ package rcc
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/sm"
@@ -46,6 +48,10 @@ func (r *Replica) SyncPoint() []byte {
 		csp := st.coord.SyncPoint()
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(csp)))
 		buf = append(buf, csp...)
+		// The inner frontier above counts rounds the instance decided but the
+		// wave has not executed yet; their decisions live only here, so they
+		// travel with it or an installing replica would treat them as void.
+		buf = appendDecided(buf, st, r.execRound)
 	}
 	// Client assignment (§III-E), sorted for determinism. Only explicit
 	// reassignments are recorded; the default hash assignment needs none.
@@ -79,6 +85,33 @@ func (r *Replica) SyncPoint() []byte {
 	// must know which sequence numbers already executed, or a client
 	// retransmission would be re-proposed and double-delivered.
 	return appendDelivered(buf, r.delivered)
+}
+
+// decidedRecordMin is the encoded floor of one decided round: round, view,
+// digest, batch count.
+const decidedRecordMin = 8 + 8 + 32 + 4
+
+// appendDecided appends a u32 count plus, in round order, the (round, view,
+// digest, batch) of every decision st holds for a round at or past from.
+// Commit signers are left out: they depend on quorum timing, and offers from
+// distinct replicas must serialize byte-identically.
+func appendDecided(buf []byte, st *instState, from types.Round) []byte {
+	rounds := make([]types.Round, 0, len(st.decided))
+	for rnd, d := range st.decided {
+		if rnd >= from && d.Batch != nil {
+			rounds = append(rounds, rnd)
+		}
+	}
+	slices.Sort(rounds)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(rounds)))
+	for _, rnd := range rounds {
+		d := st.decided[rnd]
+		buf = binary.BigEndian.AppendUint64(buf, uint64(rnd))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(d.View))
+		buf = append(buf, d.Digest[:]...)
+		buf = d.Batch.Marshal(buf)
+	}
+	return buf
 }
 
 // appendDelivered appends a u32 count plus sorted (client u32, seq u64)
@@ -153,6 +186,35 @@ func (r *rccSyncReader) blob() []byte {
 	return out
 }
 
+// decided reads what appendDecided wrote, as decisions of instance inst.
+func (r *rccSyncReader) decided(inst types.InstanceID) []sm.Decision {
+	n := int(r.u32())
+	if r.err != nil {
+		return nil
+	}
+	if n > len(r.b)/decidedRecordMin {
+		r.fail()
+		return nil
+	}
+	out := make([]sm.Decision, n)
+	for i := range out {
+		d := sm.Decision{Instance: inst, Round: types.Round(r.u64()), View: types.View(r.u64())}
+		if r.err != nil || len(r.b) < len(d.Digest) {
+			r.fail()
+			return nil
+		}
+		copy(d.Digest[:], r.b)
+		b, rest, err := types.UnmarshalBatch(r.b[len(d.Digest):])
+		if err != nil {
+			r.fail()
+			return nil
+		}
+		d.Batch, r.b = b, rest
+		out[i] = d
+	}
+	return out
+}
+
 // rccSyncState is a fully parsed sync point, decoded and bounds-checked in
 // its entirety BEFORE any machine state mutates — a truncated or malformed
 // blob must not leave some instances installed and others not (a retry of
@@ -174,6 +236,7 @@ type rccSyncInst struct {
 	startedAt types.Round
 	inner     []byte
 	coord     []byte
+	decided   []sm.Decision // decided at or past execRound, not yet executed
 }
 
 func parseRCCSyncPoint(data []byte, m int) (*rccSyncState, error) {
@@ -196,6 +259,7 @@ func parseRCCSyncPoint(data []byte, m int) (*rccSyncState, error) {
 			startedAt: types.Round(rd.u64()),
 			inner:     rd.blob(),
 			coord:     rd.blob(),
+			decided:   rd.decided(types.InstanceID(i)),
 		})
 	}
 	n := int(rd.u32())
@@ -318,11 +382,17 @@ func (r *Replica) InstallSyncPoint(data []byte) error {
 			st.stops = in.stops
 		}
 		// Delivered-elsewhere rounds below the new execution frontier are
-		// settled by the ledger install; drop their queued decisions.
+		// settled by the ledger install; drop their queued decisions. Rounds
+		// the source decided but had not executed queue here instead.
 		for rnd := range st.decided {
 			if rnd < sp.execRound {
 				delete(st.decided, rnd)
 				delete(st.decidedAt, rnd)
+			}
+		}
+		for _, d := range in.decided {
+			if _, ok := st.decided[d.Round]; !ok {
+				st.decided[d.Round] = d
 			}
 		}
 		r.resetDetection(st, in.startedAt)
@@ -392,6 +462,7 @@ func (r *Replica) BoundarySyncPoint() []byte {
 		buf = append(buf, isp...)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(csp)))
 		buf = append(buf, csp...)
+		buf = binary.BigEndian.AppendUint32(buf, 0) // decided ahead: none, the inner frontier stops at execRound
 	}
 	clients := make([]types.ClientID, 0, len(r.assign))
 	for c := range r.assign {

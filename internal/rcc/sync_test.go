@@ -68,4 +68,40 @@ func TestSyncPointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSyncPointCarriesDecidedRounds: an instance's frontier counts rounds
+// it decided while the wave waits on other instances, and those decisions
+// exist nowhere else. A replica installing the frontier must queue them for
+// execution; otherwise a later stop voids the rounds on it alone and its
+// chain forks from the cluster's.
+func TestSyncPointCarriesDecidedRounds(t *testing.T) {
+	const n = 4
+	cfg := Config{BatchSize: 1, DisableNoOpFill: true, ProgressTimeout: time.Hour}
+	net, reps := cluster(t, n, cfg, simnet.Config{})
+	for c := types.ClientID(1); c <= 4; c++ {
+		inject(net, n, mkTx(c, 1)) // round 1 on every instance
+	}
+	net.Run(net.Now() + 200*time.Millisecond)
+	inject(net, n, mkTx(1, 2)) // round 2 on instance 1 alone: the wave waits
+	net.Run(net.Now() + 200*time.Millisecond)
+	src := reps[0]
+	ahead, ok := src.states[1].decided[2]
+	if src.ExecRound() != 2 || !ok {
+		t.Fatalf("exec round %d, instance 1 decided round 2: %v; want a decided round the wave has not executed", src.ExecRound(), ok)
+	}
+
+	sp := src.SyncPoint()
+	_, reps2 := cluster(t, n, cfg, simnet.Config{})
+	fresh := reps2[0]
+	if err := fresh.InstallSyncPoint(sp); err != nil {
+		t.Fatalf("install: %v", err)
+	}
+	got, ok := fresh.states[1].decided[2]
+	if !ok || got.Digest != ahead.Digest || got.Batch.Digest() != ahead.Digest {
+		t.Fatalf("installed replica holds instance 1 round 2: %v (digest %v), want %v", ok, got.Digest, ahead.Digest)
+	}
+	if !bytes.Equal(fresh.SyncPoint(), sp) {
+		t.Fatal("installed sync point does not round-trip")
+	}
+}
+
 var _ sm.StateSyncable = (*Replica)(nil)

@@ -691,17 +691,21 @@ func (r *Replica) DeliverReplica(from types.ReplicaID, m types.Message) {
 
 // DeliverClient implements transport.Endpoint.
 func (r *Replica) DeliverClient(from types.ClientID, m types.Message) {
-	// A retransmit of a request this replica already executed and answered
-	// is resent its reply (one seq, cut from the cached batch reply) instead
-	// of entering the event loop: the machine would only drop it below the
-	// dedup floor, leaving a client that lost the original reply stuck
-	// retransmitting forever.
-	if req, ok := m.(*types.ClientRequest); ok && r.cfg.ReplyToClients {
-		if reply := r.cachedReply(req.Tx.Client, req.Tx.Seq); reply != nil {
-			if r.trans != nil {
-				_ = r.trans.SendClient(reply.Client, reply)
-			}
+	if req, ok := m.(*types.ClientRequest); ok {
+		// A request speaks only for the client whose link delivered it;
+		// otherwise any authenticated client could queue transactions under
+		// another client's identity. An empty one speaks for nobody.
+		if len(req.Txns) == 0 || slices.ContainsFunc(req.Txns, func(tx types.Transaction) bool { return tx.Client != from }) {
 			return
+		}
+		if met := r.cfg.Metrics; met != nil {
+			met.ClientRequests.Inc()
+		}
+		if r.cfg.ReplyToClients {
+			if req = r.answerRetransmits(req); req == nil {
+				return
+			}
+			m = req
 		}
 	}
 	select {
@@ -1093,6 +1097,39 @@ func (r *Replica) cacheReply(reply *types.ClientReply) {
 	ring.max = max(ring.max, slices.Max(reply.Seqs))
 }
 
+// answerRetransmits resends the cached reply of every transaction in req
+// this replica already executed and answered, and returns the request of
+// the rest (req itself when nothing was cached, nil when nothing is left).
+// Answered transactions must not enter the event loop: the machine would
+// only drop them below the dedup floor, leaving a client that lost the
+// original reply stuck retransmitting forever.
+func (r *Replica) answerRetransmits(req *types.ClientRequest) *types.ClientRequest {
+	var rest []types.Transaction
+	for i := range req.Txns {
+		tx := &req.Txns[i]
+		reply := r.cachedReply(tx.Client, tx.Seq)
+		if reply == nil {
+			if rest != nil {
+				rest = append(rest, *tx)
+			}
+			continue
+		}
+		if rest == nil {
+			rest = append(make([]types.Transaction, 0, len(req.Txns)), req.Txns[:i]...)
+		}
+		if r.trans != nil {
+			_ = r.trans.SendClient(reply.Client, reply)
+		}
+	}
+	switch {
+	case rest == nil:
+		return req
+	case len(rest) == 0:
+		return nil
+	}
+	return types.NewClientRequest(req.Inst, rest...)
+}
+
 // cachedReply returns a one-seq reply for (c, seq) derived from the cached
 // batch reply that covered it, or nil. A seq above the highest cached one —
 // every first transmission — returns in O(1); only retransmits scan.
@@ -1267,25 +1304,36 @@ func (c *ClientProc) DeliverReplica(from types.ReplicaID, m types.Message) {
 // DeliverClient implements transport.Endpoint (unused for clients).
 func (c *ClientProc) DeliverClient(types.ClientID, types.Message) {}
 
-// Run starts the client loop.
+// Run starts the client loop. The loop handles one event plus every event
+// already queued behind it, then flushes the machine, so whatever those
+// events put in flight leaves as one request per destination set.
 func (c *ClientProc) Run() {
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
 		c.machine.Start(&clientEnv{c: c})
+		c.machine.Flush()
 		for {
 			select {
 			case <-c.stopped:
 				return
 			case e := <-c.events:
-				if e.isTimer {
-					c.machine.OnTimer(e.timer)
-				} else {
-					c.machine.OnMessage(e.from.Replica, e.msg)
+				c.handle(e)
+				for n := len(c.events); n > 0; n-- {
+					c.handle(<-c.events)
 				}
+				c.machine.Flush()
 			}
 		}
 	}()
+}
+
+func (c *ClientProc) handle(e event) {
+	if e.isTimer {
+		c.machine.OnTimer(e.timer)
+	} else {
+		c.machine.OnMessage(e.from.Replica, e.msg)
+	}
 }
 
 // Stop shuts the client down.

@@ -364,15 +364,23 @@ func (s *Instance) OnMessage(from sm.Source, m types.Message) {
 }
 
 func (s *Instance) onClientRequest(m *types.ClientRequest) {
-	if m.Tx.IsNoOp() || m.Tx.Seq <= s.lastSeq[m.Tx.Client] {
+	queued := false
+	for i := range m.Txns {
+		tx := &m.Txns[i]
+		if tx.IsNoOp() || tx.Seq <= s.lastSeq[tx.Client] {
+			continue
+		}
+		key := txKey{tx.Client, tx.Seq}
+		if _, dup := s.pendingSet[key]; dup {
+			continue // queued or already in flight
+		}
+		s.pendingSet[key] = struct{}{}
+		s.pending = append(s.pending, *tx)
+		queued = true
+	}
+	if !queued {
 		return
 	}
-	key := txKey{m.Tx.Client, m.Tx.Seq}
-	if _, dup := s.pendingSet[key]; dup {
-		return // queued or already in flight
-	}
-	s.pendingSet[key] = struct{}{}
-	s.pending = append(s.pending, m.Tx)
 	if !s.IsPrimary() {
 		s.armTimer()
 		return

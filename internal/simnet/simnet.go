@@ -170,6 +170,7 @@ func (n *Network) Start() {
 	}
 	for _, c := range n.clients {
 		c.machine.Start(c)
+		c.machine.Flush()
 	}
 }
 
@@ -229,6 +230,7 @@ func (n *Network) Step() bool {
 			return true
 		}
 		c.machine.OnMessage(e.from.Replica, e.msg)
+		c.machine.Flush()
 	case evTimer:
 		if *e.canceled {
 			return true
@@ -249,6 +251,7 @@ func (n *Network) Step() bool {
 		}
 		delete(c.timers, e.timer)
 		c.machine.OnTimer(e.timer)
+		c.machine.Flush()
 	case evFunc:
 		e.fn()
 	}

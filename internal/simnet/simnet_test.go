@@ -234,6 +234,7 @@ func (c *clientEcho) Start(env sm.ClientEnv) {
 }
 func (c *clientEcho) OnMessage(from types.ReplicaID, m types.Message) { c.replies++ }
 func (c *clientEcho) OnTimer(sm.TimerID)                              { c.fired++ }
+func (c *clientEcho) Flush()                                          {}
 
 // replyBack answers every client request with a reply.
 type replyBack struct{ env sm.Env }
@@ -241,7 +242,8 @@ type replyBack struct{ env sm.Env }
 func (r *replyBack) Start(env sm.Env) { r.env = env }
 func (r *replyBack) OnMessage(from sm.Source, m types.Message) {
 	if req, ok := m.(*types.ClientRequest); ok && from.IsClient {
-		r.env.SendClient(from.Client, types.NewClientReply(0, r.env.ID(), req.Tx.Client, 0, types.ZeroDigest, []uint64{req.Tx.Seq}))
+		tx := req.Txns[0]
+		r.env.SendClient(from.Client, types.NewClientReply(0, r.env.ID(), tx.Client, 0, types.ZeroDigest, []uint64{tx.Seq}))
 	}
 }
 func (r *replyBack) OnTimer(sm.TimerID) {}

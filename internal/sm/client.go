@@ -33,4 +33,9 @@ type ClientMachine interface {
 	Start(env ClientEnv)
 	OnMessage(from types.ReplicaID, m types.Message)
 	OnTimer(id TimerID)
+	// Flush sends what Start, OnMessage and OnTimer queued for sending.
+	// Hosts call it after Start and after each run of events: a runtime
+	// after handling one event plus every event already queued behind it,
+	// a simulator after each event.
+	Flush()
 }

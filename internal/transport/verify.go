@@ -206,6 +206,7 @@ func (p *verifyPool) run(task *verifyTask) {
 // client request record. The digest binds the sender party, the exact
 // authenticated payload, and the tag (length-prefixed so boundaries cannot
 // shift), so a hit proves this precise triple passed verification before.
+// The request's first transaction names the key; the digest covers them all.
 func requestCacheKey(party uint32, payload, tag []byte, req *types.ClientRequest) digestcache.Key {
 	h := sha256.New()
 	var b [8]byte
@@ -214,7 +215,7 @@ func requestCacheKey(party uint32, payload, tag []byte, req *types.ClientRequest
 	h.Write(b[:])
 	h.Write(payload)
 	h.Write(tag)
-	k := digestcache.Key{Client: uint64(req.Tx.Client), Seq: req.Tx.Seq}
+	k := digestcache.Key{Client: uint64(req.Txns[0].Client), Seq: req.Txns[0].Seq}
 	h.Sum(k.Digest[:0])
 	return k
 }

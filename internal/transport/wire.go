@@ -1,7 +1,8 @@
 package transport
 
-// Wire format v3 (v3 changed the CLIENT-REPLY body to a seq list; v2 peers
-// are refused at the handshake).
+// Wire format v4 (v4 changed the CLIENT-REQUEST body to a transaction list,
+// v3 the CLIENT-REPLY body to a seq list; older peers are refused at the
+// handshake).
 //
 // Each direction of a TCP connection is an independent byte stream:
 //
@@ -39,7 +40,7 @@ import (
 
 // WireVersion is the framing version this build speaks. Connections
 // announcing any other version are refused at the handshake.
-const WireVersion = 3
+const WireVersion = 4
 
 var wireMagic = [4]byte{'R', 'C', 'C', 'B'}
 

@@ -228,6 +228,31 @@ func (r *wireReader) seqs() []uint64 {
 	return out
 }
 
+// txns reads a client request's u32-counted transactions. The count arrives
+// before authentication, so it must be at least 1 (Txns[0] is read
+// unchecked downstream) and at most what the remaining bytes can hold — a
+// transaction encodes to at least 16 bytes — before anything is allocated.
+func (r *wireReader) txns() []Transaction {
+	n := int(r.u32())
+	if r.err != nil {
+		return nil
+	}
+	if n < 1 || n > len(r.b)/16 {
+		r.fail()
+		return nil
+	}
+	out := make([]Transaction, n)
+	for i := range out {
+		tx, rest, err := UnmarshalTransaction(r.b)
+		if err != nil {
+			r.err, r.b = err, nil
+			return nil
+		}
+		out[i], r.b = tx, rest
+	}
+	return out
+}
+
 // minProposalLen is the encoded floor of one AcceptedProposal (round +
 // view + digest + prepared + batch-presence byte): decode-side allocation
 // bounds divide by it so a forged count cannot amplify a small frame into
@@ -312,6 +337,14 @@ func appendSeqs(buf []byte, seqs []uint64) []byte {
 	return buf
 }
 
+func appendTxns(buf []byte, txns []Transaction) []byte {
+	buf = appendU32(buf, uint32(len(txns)))
+	for i := range txns {
+		buf = txns[i].Marshal(buf)
+	}
+	return buf
+}
+
 func appendProposal(buf []byte, p *AcceptedProposal) []byte {
 	buf = appendU64(buf, uint64(p.Round))
 	buf = appendU64(buf, uint64(p.View))
@@ -344,21 +377,10 @@ func init() {
 		func(buf []byte, m Message) []byte {
 			v := m.(*ClientRequest)
 			buf = appendU16(buf, uint16(v.Inst))
-			return v.Tx.Marshal(buf)
+			return appendTxns(buf, v.Txns)
 		},
 		func(r *wireReader) Message {
-			v := &ClientRequest{Header: Header{Inst: InstanceID(r.u16())}}
-			if r.err != nil {
-				return v
-			}
-			tx, rest, err := UnmarshalTransaction(r.b)
-			if err != nil {
-				r.err = err
-				r.b = nil
-				return v
-			}
-			v.Tx, r.b = tx, rest
-			return v
+			return NewClientRequest(InstanceID(r.u16()), r.txns()...)
 		})
 
 	registerCodec(MsgClientReply,

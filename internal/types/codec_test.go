@@ -1,6 +1,7 @@
 package types
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 )
@@ -29,7 +30,8 @@ func codecCorpus() []Message {
 	}
 
 	return []Message{
-		&ClientRequest{Header: Header{Inst: 2}, Tx: Transaction{Client: 5, Seq: 11, Op: []byte("op")}},
+		NewClientRequest(2, Transaction{Client: 5, Seq: 11, Op: []byte("op")}),
+		NewClientRequest(2, fullEnvelope()...),
 		NewClientReply(2, 3, 5, 6, d1, []uint64{11}),
 		NewClientReply(2, 3, 5, 6, d1, hundredSeqs),
 		&SwitchInstance{Header: Header{Inst: 1}, Client: 5, To: 2},
@@ -70,6 +72,29 @@ func codecCorpus() []Message {
 		&BlockRange{Header: Header{Inst: 0}, Replica: 1, From: 64,
 			Blocks: [][]byte{make([]byte, minEncodedBlockLen), make([]byte, minEncodedBlockLen+17)}},
 	}
+}
+
+// envelopeCap is the largest request a client sends: internal/client caps
+// one request at a full 100-transaction batch.
+const envelopeCap = 100
+
+// fullEnvelope is one client's transactions filling a request to the cap.
+func fullEnvelope() []Transaction {
+	txns := make([]Transaction, envelopeCap)
+	for i := range txns {
+		txns[i] = Transaction{Client: 5, Seq: uint64(20 + i), Op: []byte{byte(i), 'w'}}
+	}
+	return txns
+}
+
+// forgedRequest is a CLIENT-REQUEST claiming count transactions but
+// carrying one.
+func forgedRequest(count uint32) []byte {
+	tx := Transaction{Client: 5, Seq: 1, Op: []byte("op")}
+	buf := []byte{byte(MsgClientRequest)}
+	buf = appendU16(buf, 2)     // inst
+	buf = appendU32(buf, count) // forged txn count
+	return tx.Marshal(buf)
 }
 
 // TestCodecRoundTripAllTypes is the completeness check the transport relies
@@ -259,5 +284,68 @@ func TestCodecRejectsForgedReplySeqCount(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("seq count %d: refusing it allocated %v times", count, allocs)
 		}
+	}
+}
+
+// TestCodecRejectsForgedRequestTxnCount: a CLIENT-REQUEST's transaction
+// count arrives before authentication. Zero (an empty request, whose Txns[0]
+// readers would index out of range) and a count beyond what the remaining
+// bytes can hold must both be refused before any transaction slice is
+// allocated.
+func TestCodecRejectsForgedRequestTxnCount(t *testing.T) {
+	for _, count := range []uint32{0, 0xFFFFFFFF} {
+		buf := forgedRequest(count)
+		if _, err := DecodeMessage(buf); err == nil {
+			t.Fatalf("txn count %d decoded", count)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			r := wireReader{b: buf[3:]}
+			if r.txns() != nil || r.err == nil {
+				t.Fatalf("txn count %d accepted", count)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("txn count %d: refusing it allocated %v times", count, allocs)
+		}
+	}
+	if _, err := DecodeMessage(forgedRequest(1)); err != nil {
+		t.Fatalf("honest one-txn request refused: %v", err)
+	}
+}
+
+// TestClientRequestCarriesEveryTxn: a request of one txn and a request at
+// the cap both round-trip with every transaction and the derived Tx, and one
+// tag covers all of them — changing or dropping any one transaction changes
+// the authenticated bytes.
+func TestClientRequestCarriesEveryTxn(t *testing.T) {
+	for _, txns := range [][]Transaction{fullEnvelope()[:1], fullEnvelope()} {
+		m := NewClientRequest(3, txns...)
+		enc, err := MarshalMessage(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeMessage(enc)
+		if err != nil {
+			t.Fatalf("k=%d: %v", len(txns), err)
+		}
+		req := got.(*ClientRequest)
+		if !reflect.DeepEqual(req.Txns, txns) || !reflect.DeepEqual(req.Tx, txns[0]) {
+			t.Fatalf("k=%d: decoded %d txns, Tx %+v", len(txns), len(req.Txns), req.Tx)
+		}
+		if m.WireSize() != len(txns)*ClientRequestBytes {
+			t.Fatalf("k=%d: wire size %d", len(txns), m.WireSize())
+		}
+	}
+	txns := fullEnvelope()
+	base := NewClientRequest(3, txns...).AuthPayload(nil)
+	for i := range txns {
+		forged := append([]Transaction(nil), txns...)
+		forged[i].Seq++
+		if bytes.Equal(NewClientRequest(3, forged...).AuthPayload(nil), base) {
+			t.Fatalf("changing txn %d left the auth payload unchanged", i)
+		}
+	}
+	if bytes.Equal(NewClientRequest(3, txns[:len(txns)-1]...).AuthPayload(nil), base) {
+		t.Fatal("dropping a txn left the auth payload unchanged")
 	}
 }

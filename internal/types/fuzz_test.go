@@ -9,7 +9,8 @@ import (
 // on every received record, before authentication. No input may panic, and
 // any input that decodes must re-encode to bytes that decode to the same
 // value. Seeds: every message of the round-trip corpus and each of its
-// truncations.
+// truncations, client requests of one transaction and at the cap, and
+// requests claiming zero or more transactions than they carry.
 //
 //	go test -run '^$' -fuzz FuzzDecodeMessage -fuzztime 20s ./internal/types
 func FuzzDecodeMessage(f *testing.F) {
@@ -22,6 +23,15 @@ func FuzzDecodeMessage(f *testing.F) {
 			f.Add(enc[:i])
 		}
 	}
+	for _, m := range []Message{NewClientRequest(1, fullEnvelope()[0]), NewClientRequest(1, fullEnvelope()...)} {
+		enc, err := MarshalMessage(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+	f.Add(forgedRequest(0))
+	f.Add(forgedRequest(0xFFFFFFFF))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := DecodeMessage(b)
 		if err != nil {

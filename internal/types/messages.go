@@ -141,21 +141,34 @@ func (h Header) marshal(buf []byte, t MsgType) []byte {
 // Client interaction
 // ---------------------------------------------------------------------------
 
-// ClientRequest carries a client transaction to the replicas.
+// ClientRequest carries transactions of one client to the replicas under one
+// authenticator tag: a client sends everything it put in flight since its
+// last flush as one request per destination set, so a replica verifies one
+// tag per request, not one per transaction. The replica runtime refuses a
+// request naming any client other than the one whose link delivered it.
 type ClientRequest struct {
 	Header
+	Txns []Transaction // one client's transactions, submission order; never empty
+	// Tx is derived, always Txns[0] (set by NewClientRequest and the
+	// decoder; neither encoded nor authenticated). It remains for readers
+	// that still key requests by one transaction.
 	Tx Transaction
 }
 
-// NewClientRequest builds a client request routed to instance inst.
-func NewClientRequest(inst InstanceID, tx Transaction) *ClientRequest {
-	return &ClientRequest{Header: Header{Inst: inst}, Tx: tx}
+// NewClientRequest builds a request routed to instance inst carrying txns
+// (one client's, non-empty).
+func NewClientRequest(inst InstanceID, txns ...Transaction) *ClientRequest {
+	m := &ClientRequest{Header: Header{Inst: inst}, Txns: txns}
+	if len(txns) > 0 {
+		m.Tx = txns[0]
+	}
+	return m
 }
 
 func (m *ClientRequest) Type() MsgType { return MsgClientRequest }
-func (m *ClientRequest) WireSize() int { return ClientRequestBytes }
+func (m *ClientRequest) WireSize() int { return len(m.Txns) * ClientRequestBytes }
 func (m *ClientRequest) AuthPayload(buf []byte) []byte {
-	return m.Tx.Marshal(m.marshal(buf, MsgClientRequest))
+	return appendTxns(m.marshal(buf, MsgClientRequest), m.Txns)
 }
 
 // ClientReply informs one client of the outcome of one decided batch: a

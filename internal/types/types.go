@@ -222,8 +222,9 @@ const (
 	// ConsensusMsgBytes is the size of every non-proposal consensus
 	// message (PREPARE, COMMIT, votes, shares, ...): 250 B.
 	ConsensusMsgBytes = 250
-	// ClientRequestBytes is the size of one client request on the wire
-	// (Fig. 1 uses 512 B individual transactions).
+	// ClientRequestBytes is the size of one client transaction on the
+	// wire (Fig. 1 uses 512 B individual transactions); a request carrying
+	// k transactions is charged k times this.
 	ClientRequestBytes = 512
 )
 

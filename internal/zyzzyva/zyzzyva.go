@@ -337,15 +337,23 @@ func (z *Instance) OnMessage(from sm.Source, m types.Message) {
 }
 
 func (z *Instance) onClientRequest(m *types.ClientRequest) {
-	if m.Tx.IsNoOp() || m.Tx.Seq <= z.lastSeq[m.Tx.Client] {
+	queued := false
+	for i := range m.Txns {
+		tx := &m.Txns[i]
+		if tx.IsNoOp() || tx.Seq <= z.lastSeq[tx.Client] {
+			continue
+		}
+		key := txKey{tx.Client, tx.Seq}
+		if _, dup := z.pendingSet[key]; dup {
+			continue // queued or already in flight
+		}
+		z.pendingSet[key] = struct{}{}
+		z.pending = append(z.pending, *tx)
+		queued = true
+	}
+	if !queued {
 		return
 	}
-	key := txKey{m.Tx.Client, m.Tx.Seq}
-	if _, dup := z.pendingSet[key]; dup {
-		return // queued or already in flight
-	}
-	z.pendingSet[key] = struct{}{}
-	z.pending = append(z.pending, m.Tx)
 	if !z.IsPrimary() {
 		z.armTimer()
 		return

@@ -8,7 +8,8 @@
 # acceptance check for the observability layer. The cluster runs with -auth ds (signed frames,
 # verify worker pool, digest cache), so the verify-stage histogram and the
 # verified-frames counter must move too — the CLI-level acceptance check for
-# the authentication layer.
+# the authentication layer. The client runs a window of 16, so its requests
+# must arrive as envelopes: fewer request envelopes than transactions.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -102,6 +103,19 @@ series 'rcc_txns_executed_total'
 series 'rcc_durability_healthy'
 series 'transport_msgs_sent_total'
 series 'transport_verified_frames_total'
+series 'rcc_client_requests_total'
+
+# Clients send one request per flush, not one per transaction: replica 0
+# must have received fewer request envelopes than its instances admitted
+# transactions.
+value() { grep -v '^#' <<<"$METRICS" | grep -F "$1" | head -n 1 | awk '{print $2}'; }
+ENVELOPES=$(value 'rcc_client_requests_total')
+ADMITTED=$(value 'rcc_requests_total')
+if ! awk -v e="$ENVELOPES" -v a="$ADMITTED" 'BEGIN { exit (e > 0 && e < a ? 0 : 1) }'; then
+  echo "FAIL: $ENVELOPES request envelopes for $ADMITTED admitted transactions, want 0 < envelopes < transactions" >&2
+  exit 1
+fi
+echo "OK: $ENVELOPES request envelopes carried $ADMITTED transactions"
 
 # The consensus stage must have observed at least the rounds the client's
 # transactions decided (no-op fills make it strictly more).
