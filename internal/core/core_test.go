@@ -77,7 +77,7 @@ func TestZyzzyvaClientFastPath(t *testing.T) {
 }
 
 func TestHotStuffExecutes(t *testing.T) {
-	cluster, err := NewCluster(Options{N: 4, Protocol: HotStuff, ProgressTimeout: 200 * time.Millisecond})
+	cluster, err := NewCluster(Options{N: 4, Protocol: HotStuff, ProgressTimeout: 200 * time.Millisecond, Journal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,6 +86,16 @@ func TestHotStuffExecutes(t *testing.T) {
 	cl := cluster.NewClient(0)
 	if _, err := cl.Execute(ycsb.EncodeWrite(1, []byte("x")), 15*time.Second); err != nil {
 		t.Fatal(err)
+	}
+	// Each block's commit proof must name its batch, or the audit refuses
+	// the chain.
+	waitFor(t, 5*time.Second, func() bool {
+		return cluster.Ledger(0).TxnCount() >= 1
+	})
+	for i := 0; i < 4; i++ {
+		if err := cluster.Ledger(i).Verify(); err != nil {
+			t.Fatalf("replica %d: %v", i, err)
+		}
 	}
 }
 

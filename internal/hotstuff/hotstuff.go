@@ -433,11 +433,14 @@ func (h *Instance) commitAncestry(b *block) {
 		blk := chain[i]
 		h.executed[blk.digest] = true
 		h.markDelivered(blk.batch)
+		// The decision names the batch, not the tree node: a ledger commits
+		// to the digest of the batch it journals (blk.digest also binds the
+		// parent and the view).
 		h.env.Deliver(sm.Decision{
 			Instance: h.cfg.Instance,
 			Round:    h.deliverSeq,
 			View:     blk.view,
-			Digest:   blk.digest,
+			Digest:   blk.batch.Digest(),
 			Batch:    blk.batch,
 			Signers:  blk.justify.Signers,
 		})

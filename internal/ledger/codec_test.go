@@ -8,12 +8,12 @@ import (
 
 func TestBlockCodecRoundTrip(t *testing.T) {
 	l := New()
-	b := l.Append(
-		&types.Batch{Txns: []types.Transaction{
-			{Client: 7, Seq: 1, Op: []byte("write k1")},
-			{Client: 9, Seq: 4, Op: []byte("write k2")},
-		}},
-		Proof{Instance: 2, Round: 11, View: 1, Digest: types.Hash([]byte("d")), Signers: []types.ReplicaID{0, 1, 3}},
+	writes := &types.Batch{Txns: []types.Transaction{
+		{Client: 7, Seq: 1, Op: []byte("write k1")},
+		{Client: 9, Seq: 4, Op: []byte("write k2")},
+	}}
+	b := l.Append(writes,
+		Proof{Instance: 2, Round: 11, View: 1, Digest: writes.Digest(), Signers: []types.ReplicaID{0, 1, 3}},
 		types.Hash([]byte("state")),
 	)
 	got, err := DecodeBlock(EncodeBlock(b))

@@ -3,6 +3,9 @@
 // transactions of one consensus decision together with the commit proof
 // (§V-B: "each replica maintains a blockchain ledger that holds an ordered
 // copy of all executed transactions ... also proofs of their acceptance").
+// Each block hash commits to the batch digest consensus decided on, taken
+// from the commit proof at append time without re-hashing the batch; Verify
+// recomputes every batch digest and refuses a chain where the two differ.
 package ledger
 
 import (
@@ -34,19 +37,23 @@ type Block struct {
 }
 
 // Hash returns the block's hash, computed over height, previous hash, batch
-// digest, and state hash.
+// digest, and state hash. A block built by Ledger.Append carries it from
+// birth; a decoded block computes it here from its batch.
 func (b *Block) Hash() types.Digest {
-	if !b.hash.IsZero() {
-		return b.hash
+	if b.hash.IsZero() {
+		b.hash = blockHash(b.Height, b.PrevHash, b.Batch.Digest(), b.StateHash)
 	}
-	buf := make([]byte, 0, 8+32*3)
-	buf = binary.BigEndian.AppendUint64(buf, b.Height)
-	buf = append(buf, b.PrevHash[:]...)
-	d := b.Batch.Digest()
-	buf = append(buf, d[:]...)
-	buf = append(buf, b.StateHash[:]...)
-	b.hash = types.Hash(buf)
 	return b.hash
+}
+
+// blockHash is the block-hash definition: H(height ‖ prev ‖ batch ‖ state).
+func blockHash(height uint64, prev, batch, state types.Digest) types.Digest {
+	var buf [8 + 32*3]byte
+	binary.BigEndian.PutUint64(buf[:], height)
+	copy(buf[8:], prev[:])
+	copy(buf[40:], batch[:])
+	copy(buf[72:], state[:])
+	return types.Hash(buf[:])
 }
 
 // Ledger is an in-memory hash-chained journal. It is safe for concurrent
@@ -94,12 +101,22 @@ func (l *Ledger) BaseHash() types.Digest {
 
 // Append adds a block holding batch with the given proof and state hash.
 // It returns the appended block.
+//
+// A non-zero proof.Digest is taken as the batch digest without re-hashing
+// the batch: it is the digest consensus already checked the batch against
+// (or computed when proposing it). A proof whose digest lies therefore
+// yields a block hash that Verify, which recomputes every batch digest,
+// refuses.
 func (l *Ledger) Append(batch *types.Batch, proof Proof, state types.Digest) *Block {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	prev := l.baseHash
 	if n := len(l.blocks); n > 0 {
 		prev = l.blocks[n-1].Hash()
+	}
+	digest := proof.Digest
+	if digest.IsZero() {
+		digest = batch.Digest()
 	}
 	b := &Block{
 		Height:    l.base + uint64(len(l.blocks)),
@@ -108,7 +125,7 @@ func (l *Ledger) Append(batch *types.Batch, proof Proof, state types.Digest) *Bl
 		Proof:     proof,
 		StateHash: state,
 	}
-	b.Hash()
+	b.hash = blockHash(b.Height, prev, digest, state)
 	l.blocks = append(l.blocks, b)
 	l.txns += uint64(batch.Len())
 	return b
@@ -194,15 +211,12 @@ func (l *Ledger) Verify() error {
 		if b.PrevHash != prev {
 			return fmt.Errorf("ledger: block %d prev-hash mismatch", i)
 		}
-		if !b.Proof.Digest.IsZero() && b.Proof.Digest != b.Batch.Digest() {
+		digest := b.Batch.Digest()
+		if !b.Proof.Digest.IsZero() && b.Proof.Digest != digest {
 			return fmt.Errorf("ledger: block %d proof digest does not cover its batch", i)
 		}
 		// Recompute the hash from scratch to catch mutation.
-		fresh := &Block{
-			Height: b.Height, PrevHash: b.PrevHash,
-			Batch: b.Batch, StateHash: b.StateHash,
-		}
-		if fresh.Hash() != b.Hash() {
+		if blockHash(b.Height, b.PrevHash, digest, b.StateHash) != b.Hash() {
 			return fmt.Errorf("ledger: block %d content mutated", i)
 		}
 		prev = b.Hash()

@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"encoding/hex"
 	"sync"
 	"testing"
 
@@ -44,6 +45,53 @@ func TestVerifyDetectsMutation(t *testing.T) {
 	l.Get(0).Batch.Txns[0].Op = []byte("EVIL")
 	if err := l.Verify(); err == nil {
 		t.Fatal("mutation not detected")
+	}
+}
+
+// TestBlockHashDefinition pins the block hash, H(height ‖ prev ‖ batch
+// digest ‖ state), to a fixed value: the same whether Append takes the batch
+// digest from the commit proof or recomputes it, and the same for the block
+// decoded from its journal encoding.
+func TestBlockHashDefinition(t *testing.T) {
+	const golden = "9d209903896b381c41c1cbeb605103be304ecdaa3648c1d1dd07360fb8eb07c3"
+	b := &types.Batch{Txns: []types.Transaction{
+		{Client: 7, Seq: 1, Op: []byte("write k1")},
+		{Client: 9, Seq: 4, Op: []byte("write k2")},
+	}}
+	for _, proof := range []Proof{{Round: 1}, {Round: 1, Digest: b.Digest()}} {
+		l := NewAt(41, types.Hash([]byte("prev")), 0)
+		blk := l.Append(b, proof, types.Hash([]byte("state")))
+		h := blk.Hash()
+		if got := hex.EncodeToString(h[:]); got != golden {
+			t.Fatalf("proof digest %v: block hash %s, want %s", proof.Digest, got, golden)
+		}
+		dec, err := DecodeBlock(EncodeBlock(blk))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec.Hash() != h {
+			t.Fatalf("proof digest %v: decoded block hashes differently", proof.Digest)
+		}
+	}
+}
+
+// TestAppendTakesProofDigest: given a non-zero proof digest, Append commits
+// to it without hashing the batch — a 100-txn append allocates only the
+// block — and so a lying digest shows in the block hash, where Verify finds
+// it (TestVerifyChecksProofDigest).
+func TestAppendTakesProofDigest(t *testing.T) {
+	b := &types.Batch{Txns: make([]types.Transaction, 100)}
+	for i := range b.Txns {
+		b.Txns[i] = types.Transaction{Client: 1, Seq: uint64(i + 1), Op: []byte("write key=value")}
+	}
+	proof := Proof{Round: 1, Digest: b.Digest()}
+	l := New()
+	if allocs := testing.AllocsPerRun(100, func() { l.Append(b, proof, types.ZeroDigest) }); allocs > 1 {
+		t.Fatalf("Append with a proof digest: %v allocations, want ≤ 1 (the block)", allocs)
+	}
+	lie := Proof{Round: 1, Digest: types.Hash([]byte("not the batch"))}
+	if New().Append(b, lie, types.ZeroDigest).Hash() == New().Append(b, proof, types.ZeroDigest).Hash() {
+		t.Fatal("block hash does not commit to the proof digest")
 	}
 }
 

@@ -187,6 +187,8 @@ func (r *rccSyncReader) blob() []byte {
 }
 
 // decided reads what appendDecided wrote, as decisions of instance inst.
+// Each digest must cover its batch, as on every other Decision source: the
+// ledger takes a decision's digest as its batch digest without re-hashing.
 func (r *rccSyncReader) decided(inst types.InstanceID) []sm.Decision {
 	n := int(r.u32())
 	if r.err != nil {
@@ -207,6 +209,10 @@ func (r *rccSyncReader) decided(inst types.InstanceID) []sm.Decision {
 		b, rest, err := types.UnmarshalBatch(r.b[len(d.Digest):])
 		if err != nil {
 			r.fail()
+			return nil
+		}
+		if b.Digest() != d.Digest {
+			r.err, r.b = fmt.Errorf("rcc: sync point decision %d/%d: digest does not cover its batch", inst, d.Round), nil
 			return nil
 		}
 		d.Batch, r.b = b, rest

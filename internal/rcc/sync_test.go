@@ -74,23 +74,8 @@ func TestSyncPointRoundTrip(t *testing.T) {
 // execution; otherwise a later stop voids the rounds on it alone and its
 // chain forks from the cluster's.
 func TestSyncPointCarriesDecidedRounds(t *testing.T) {
-	const n = 4
-	cfg := Config{BatchSize: 1, DisableNoOpFill: true, ProgressTimeout: time.Hour}
-	net, reps := cluster(t, n, cfg, simnet.Config{})
-	for c := types.ClientID(1); c <= 4; c++ {
-		inject(net, n, mkTx(c, 1)) // round 1 on every instance
-	}
-	net.Run(net.Now() + 200*time.Millisecond)
-	inject(net, n, mkTx(1, 2)) // round 2 on instance 1 alone: the wave waits
-	net.Run(net.Now() + 200*time.Millisecond)
-	src := reps[0]
-	ahead, ok := src.states[1].decided[2]
-	if src.ExecRound() != 2 || !ok {
-		t.Fatalf("exec round %d, instance 1 decided round 2: %v; want a decided round the wave has not executed", src.ExecRound(), ok)
-	}
-
-	sp := src.SyncPoint()
-	_, reps2 := cluster(t, n, cfg, simnet.Config{})
+	sp, ahead := decidedAheadSyncPoint(t)
+	_, reps2 := cluster(t, 4, decidedAheadConfig, simnet.Config{})
 	fresh := reps2[0]
 	if err := fresh.InstallSyncPoint(sp); err != nil {
 		t.Fatalf("install: %v", err)
@@ -102,6 +87,65 @@ func TestSyncPointCarriesDecidedRounds(t *testing.T) {
 	if !bytes.Equal(fresh.SyncPoint(), sp) {
 		t.Fatal("installed sync point does not round-trip")
 	}
+}
+
+// TestSyncPointRefusesSwappedDecision: a decision carried by a sync point is
+// checked like every other Decision source — its digest must cover its
+// batch, because the ledger journals that digest without re-hashing the
+// batch. One swapped batch refuses the whole sync point before anything
+// installs.
+func TestSyncPointRefusesSwappedDecision(t *testing.T) {
+	sp, ahead := decidedAheadSyncPoint(t)
+	record := ahead.Batch.Marshal(append([]byte(nil), ahead.Digest[:]...))
+	at := bytes.Index(sp, record)
+	if at < 0 {
+		t.Fatal("decided record not found in the sync point")
+	}
+	swapped := &types.Batch{Txns: append([]types.Transaction(nil), ahead.Batch.Txns...)}
+	swapped.Txns[0].Seq++ // same encoded length, different batch
+	forged := append([]byte(nil), sp...)
+	copy(forged[at+len(ahead.Digest):], swapped.Marshal(nil))
+
+	_, reps2 := cluster(t, 4, decidedAheadConfig, simnet.Config{})
+	fresh := reps2[0]
+	before := fresh.ExecRound()
+	if err := fresh.ValidateSyncPoint(forged); err == nil {
+		t.Fatal("sync point with a swapped batch validated")
+	}
+	if err := fresh.InstallSyncPoint(forged); err == nil {
+		t.Fatal("sync point with a swapped batch installed")
+	}
+	if fresh.ExecRound() != before || len(fresh.states[1].decided) != 0 {
+		t.Fatalf("refused sync point mutated the replica: exec round %d (was %d), %d decided on instance 1",
+			fresh.ExecRound(), before, len(fresh.states[1].decided))
+	}
+	if err := fresh.InstallSyncPoint(sp); err != nil {
+		t.Fatalf("honest sync point refused after the forged one: %v", err)
+	}
+}
+
+// decidedAheadConfig is the deployment decidedAheadSyncPoint runs.
+var decidedAheadConfig = Config{BatchSize: 1, DisableNoOpFill: true, ProgressTimeout: time.Hour}
+
+// decidedAheadSyncPoint returns the sync point of a replica whose instance 1
+// decided round 2 while the wave still waits on round 2 elsewhere, together
+// with that decision.
+func decidedAheadSyncPoint(t *testing.T) ([]byte, sm.Decision) {
+	t.Helper()
+	const n = 4
+	net, reps := cluster(t, n, decidedAheadConfig, simnet.Config{})
+	for c := types.ClientID(1); c <= 4; c++ {
+		inject(net, n, mkTx(c, 1)) // round 1 on every instance
+	}
+	net.Run(net.Now() + 200*time.Millisecond)
+	inject(net, n, mkTx(1, 2)) // round 2 on instance 1 alone: the wave waits
+	net.Run(net.Now() + 200*time.Millisecond)
+	src := reps[0]
+	ahead, ok := src.states[1].decided[2]
+	if src.ExecRound() != 2 || !ok {
+		t.Fatalf("exec round %d, instance 1 decided round 2: %v; want a decided round the wave has not executed", src.ExecRound(), ok)
+	}
+	return src.SyncPoint(), ahead
 }
 
 var _ sm.StateSyncable = (*Replica)(nil)

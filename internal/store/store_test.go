@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -187,6 +189,89 @@ func TestForeignSnapshotRefusesOpen(t *testing.T) {
 	}
 	if _, err := Open(dir, Options{Sync: wal.SyncNone}); !errors.Is(err, ErrSnapshotMismatch) {
 		t.Fatalf("open with foreign snapshot: %v, want ErrSnapshotMismatch", err)
+	}
+}
+
+// TestLyingProofDigestRefusesReopen: the ledger takes a block's batch digest
+// from its commit proof, so a proof digest that does not cover the batch
+// makes a chain the audit refuses — live, and on reopen of its journal.
+func TestLyingProofDigestRefusesReopen(t *testing.T) {
+	dir := t.TempDir()
+	d := openStore(t, dir)
+	app := ycsb.NewStore(64)
+	appendBlocks(t, d, app, 0, 2)
+	lying := &types.Batch{Txns: []types.Transaction{{Client: 2, Seq: 1, Op: []byte("swapped in")}}}
+	proof := ledger.Proof{Round: 3, Digest: types.Hash([]byte("some other proposal"))}
+	if _, err := d.Append(lying, proof, app.StateDigest()); err != nil {
+		t.Fatal(err)
+	}
+	appendBlocks(t, d, app, 3, 1)
+	if err := d.Memory().Verify(); err == nil {
+		t.Fatal("chain with a lying proof digest verified")
+	}
+	d.Close()
+	if _, err := Open(dir, Options{Sync: wal.SyncNone}); err == nil {
+		t.Fatal("journal with a lying proof digest reopened")
+	}
+}
+
+// TestJournalHashedFromBatchesReplays: a journal whose block hashes were
+// computed by re-hashing every batch — independently of the ledger package,
+// from the definition H(height ‖ prev ‖ H(batch encoding) ‖ state) — reopens
+// to the same head hash, and a checkpoint naming that head still matches.
+func TestJournalHashedFromBatchesReplays(t *testing.T) {
+	dir := t.TempDir()
+	log, err := wal.Open(filepath.Join(dir, walDirName), wal.Options{Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := ycsb.NewStore(64)
+	var prev types.Digest
+	const blocks = 4
+	for h := uint64(0); h < blocks; h++ {
+		batch := &types.Batch{Txns: []types.Transaction{
+			{Client: 1, Seq: 2*h + 1, Op: ycsb.EncodeWrite(uint32(h), []byte("a"))},
+			{Client: 2, Seq: 2*h + 2, Op: ycsb.EncodeWrite(uint32(h+9), []byte("bb"))},
+		}}
+		for i := range batch.Txns {
+			app.Execute(batch.Txns[i])
+		}
+		state := app.StateDigest()
+		blk := &ledger.Block{Height: h, PrevHash: prev, Batch: batch, StateHash: state,
+			Proof: ledger.Proof{Round: types.Round(h + 1), Digest: batch.Digest()}}
+		if _, err := log.Append(ledger.EncodeBlock(blk)); err != nil {
+			t.Fatal(err)
+		}
+		enc := binary.BigEndian.AppendUint64(nil, h)
+		enc = append(enc, prev[:]...)
+		bd := sha256.Sum256(batch.Marshal(nil))
+		enc = append(enc, bd[:]...)
+		enc = append(enc, state[:]...)
+		prev = sha256.Sum256(enc)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := OpenSnapshots(filepath.Join(dir, ckpDirName), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snaps.Save(&Snapshot{Height: blocks, HeadHash: prev, StateDigest: app.StateDigest(),
+		TxnCount: 2 * blocks, AppState: app.Snapshot()}); err != nil {
+		t.Fatal(err)
+	}
+
+	d := openStore(t, dir)
+	if h, head := d.Memory().Tip(); h != blocks || head != prev {
+		t.Fatalf("reopened at height %d head %v, want %d head %v", h, head, blocks, prev)
+	}
+	if snap := d.LatestSnapshot(); snap == nil || snap.Height != blocks {
+		t.Fatalf("checkpoint naming the head refused: %+v", snap)
+	}
+	// New blocks chain onto the replayed head.
+	appendBlocks(t, d, app, 100, 1)
+	if err := d.Memory().Verify(); err != nil {
+		t.Fatal(err)
 	}
 }
 

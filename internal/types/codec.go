@@ -228,28 +228,25 @@ func (r *wireReader) seqs() []uint64 {
 	return out
 }
 
-// txns reads a client request's u32-counted transactions. The count arrives
-// before authentication, so it must be at least 1 (Txns[0] is read
-// unchecked downstream) and at most what the remaining bytes can hold — a
-// transaction encodes to at least 16 bytes — before anything is allocated.
+// txns reads a client request's u32-counted transactions through the batch
+// decoder (decodeTxns: every length checked before the one op allocation).
+// The count arrives before authentication, so it must also be at least 1:
+// Txns[0] is read unchecked downstream.
 func (r *wireReader) txns() []Transaction {
 	n := int(r.u32())
 	if r.err != nil {
 		return nil
 	}
-	if n < 1 || n > len(r.b)/16 {
+	if n < 1 {
 		r.fail()
 		return nil
 	}
-	out := make([]Transaction, n)
-	for i := range out {
-		tx, rest, err := UnmarshalTransaction(r.b)
-		if err != nil {
-			r.err, r.b = err, nil
-			return nil
-		}
-		out[i], r.b = tx, rest
+	out, rest, err := decodeTxns(r.b, n)
+	if err != nil {
+		r.err, r.b = err, nil
+		return nil
 	}
+	r.b = rest
 	return out
 }
 

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"encoding/binary"
 	"reflect"
 	"testing"
 )
@@ -9,8 +10,9 @@ import (
 // on every received record, before authentication. No input may panic, and
 // any input that decodes must re-encode to bytes that decode to the same
 // value. Seeds: every message of the round-trip corpus and each of its
-// truncations, client requests of one transaction and at the cap, and
-// requests claiming zero or more transactions than they carry.
+// truncations, client requests of one transaction and at the cap, requests
+// claiming zero or more transactions than they carry, and a 100-txn
+// proposal with empty ops, whole and with one op length forged.
 //
 //	go test -run '^$' -fuzz FuzzDecodeMessage -fuzztime 20s ./internal/types
 func FuzzDecodeMessage(f *testing.F) {
@@ -32,6 +34,23 @@ func FuzzDecodeMessage(f *testing.F) {
 	}
 	f.Add(forgedRequest(0))
 	f.Add(forgedRequest(0xFFFFFFFF))
+	// A full proposal whose ops share one decode allocation, with empty ops
+	// among them, and the same proposal with one op length forged past the
+	// end of the frame.
+	full := hundredTxnBatch()
+	full.Txns[3].Op, full.Txns[60].Op = nil, nil
+	enc, err := MarshalMessage(&PrePrepare{Header: Header{Inst: 1}, View: 2, Round: 3, Digest: full.Digest(), Batch: full})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc)
+	forged := append([]byte(nil), enc...)
+	opLenAt := len(enc) - full.encodedLen() + 4 + 12 // past the txn count and the first client and seq
+	binary.BigEndian.PutUint32(forged[opLenAt:], 0xFFFFFF00)
+	if _, err := DecodeMessage(forged); err == nil {
+		f.Fatal("proposal with a forged op length decoded")
+	}
+	f.Add(forged)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := DecodeMessage(b)
 		if err != nil {

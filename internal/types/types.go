@@ -25,6 +25,7 @@ package types
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -126,6 +127,10 @@ func NoOp() Transaction { return Transaction{Client: 0, Seq: 0, Op: nil} }
 // IsNoOp reports whether t is a no-op transaction.
 func (t *Transaction) IsNoOp() bool { return t.Client == 0 && t.Seq == 0 && len(t.Op) == 0 }
 
+// txnHeaderLen is the fixed part of an encoded transaction: client, seq and
+// op length.
+const txnHeaderLen = 4 + 8 + 4
+
 // Marshal appends the deterministic encoding of t to buf.
 func (t *Transaction) Marshal(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(t.Client))
@@ -134,27 +139,51 @@ func (t *Transaction) Marshal(buf []byte) []byte {
 	return append(buf, t.Op...)
 }
 
-// UnmarshalTransaction decodes a transaction from buf, returning the rest.
-func UnmarshalTransaction(buf []byte) (Transaction, []byte, error) {
-	var t Transaction
-	if len(buf) < 16 {
-		return t, nil, fmt.Errorf("types: short transaction: %d bytes", len(buf))
-	}
-	t.Client = ClientID(binary.BigEndian.Uint32(buf))
-	t.Seq = binary.BigEndian.Uint64(buf[4:])
-	n := int(binary.BigEndian.Uint32(buf[12:]))
-	buf = buf[16:]
-	if len(buf) < n {
-		return t, nil, fmt.Errorf("types: transaction op truncated: want %d have %d", n, len(buf))
-	}
-	if n > 0 {
-		t.Op = append([]byte(nil), buf[:n]...)
-	}
-	return t, buf[n:], nil
-}
+// errTxnsTruncated is shared so refusing hostile lengths allocates nothing.
+var errTxnsTruncated = errors.New("types: transactions truncated")
 
-// Digest returns the digest identifying t.
-func (t *Transaction) Digest() Digest { return Hash(t.Marshal(nil)) }
+// decodeTxns decodes n consecutive transaction encodings from buf and
+// returns them with the rest of buf. n and every op length arrive from the
+// network, so all of them are checked against buf before anything is
+// allocated. The ops are then copied out of buf — a transport read buffer
+// that is reused after decode — into one shared allocation; each Op is a
+// capacity-capped sub-slice of it, so appending to one op reallocates
+// instead of writing into the next.
+func decodeTxns(buf []byte, n int) ([]Transaction, []byte, error) {
+	if n > len(buf)/txnHeaderLen {
+		return nil, nil, errTxnsTruncated
+	}
+	opBytes, rest := 0, buf
+	for i := 0; i < n; i++ {
+		if len(rest) < txnHeaderLen {
+			return nil, nil, errTxnsTruncated
+		}
+		l := int(binary.BigEndian.Uint32(rest[12:]))
+		if len(rest)-txnHeaderLen < l {
+			return nil, nil, errTxnsTruncated
+		}
+		opBytes += l
+		rest = rest[txnHeaderLen+l:]
+	}
+	txns := make([]Transaction, n)
+	var ops []byte
+	if opBytes > 0 {
+		ops = make([]byte, opBytes)
+	}
+	for i := range txns {
+		t := &txns[i]
+		t.Client = ClientID(binary.BigEndian.Uint32(buf))
+		t.Seq = binary.BigEndian.Uint64(buf[4:])
+		l := int(binary.BigEndian.Uint32(buf[12:]))
+		buf = buf[txnHeaderLen:]
+		if l > 0 { // a zero length decodes as nil so round-trips keep nil-ness
+			copy(ops, buf[:l])
+			t.Op, ops = ops[:l:l], ops[l:]
+		}
+		buf = buf[l:]
+	}
+	return txns, rest, nil
+}
 
 // Batch groups client transactions into one proposal (§V-B: ResilientDB
 // typically groups 100 txn/batch to amortize consensus cost).
@@ -171,36 +200,31 @@ func (b *Batch) Marshal(buf []byte) []byte {
 	return buf
 }
 
-// UnmarshalBatch decodes a batch from buf, returning the rest.
-func UnmarshalBatch(buf []byte) (*Batch, []byte, error) {
-	if len(buf) < 4 {
-		return nil, nil, fmt.Errorf("types: short batch")
+// encodedLen returns len(b.Marshal(nil)) without encoding.
+func (b *Batch) encodedLen() int {
+	n := 4
+	for i := range b.Txns {
+		n += txnHeaderLen + len(b.Txns[i].Op)
 	}
-	n := int(binary.BigEndian.Uint32(buf))
-	buf = buf[4:]
-	// The count arrives from the network (and, via the transport codec,
-	// possibly from an unauthenticated peer): cap the pre-allocation by
-	// what the buffer could physically hold (a transaction is ≥16 bytes)
-	// so a forged count cannot demand gigabytes before the first
-	// per-transaction bounds check fails.
-	capHint := n
-	if most := len(buf) / 16; capHint > most {
-		capHint = most
-	}
-	b := &Batch{Txns: make([]Transaction, 0, capHint)}
-	for i := 0; i < n; i++ {
-		t, rest, err := UnmarshalTransaction(buf)
-		if err != nil {
-			return nil, nil, fmt.Errorf("types: batch txn %d: %w", i, err)
-		}
-		b.Txns = append(b.Txns, t)
-		buf = rest
-	}
-	return b, buf, nil
+	return n
 }
 
-// Digest returns the digest identifying the batch.
-func (b *Batch) Digest() Digest { return Hash(b.Marshal(nil)) }
+// UnmarshalBatch decodes a batch from buf, returning the rest. The batch's
+// ops share one allocation (see decodeTxns).
+func UnmarshalBatch(buf []byte) (*Batch, []byte, error) {
+	if len(buf) < 4 {
+		return nil, nil, errTxnsTruncated
+	}
+	txns, rest, err := decodeTxns(buf[4:], int(binary.BigEndian.Uint32(buf)))
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Batch{Txns: txns}, rest, nil
+}
+
+// Digest returns the digest identifying the batch: the hash of its Marshal
+// encoding, built in one buffer sized up front.
+func (b *Batch) Digest() Digest { return Hash(b.Marshal(make([]byte, 0, b.encodedLen()))) }
 
 // Len returns the number of transactions in the batch.
 func (b *Batch) Len() int { return len(b.Txns) }

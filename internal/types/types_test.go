@@ -2,6 +2,8 @@ package types
 
 import (
 	"bytes"
+	"encoding/binary"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -9,12 +11,13 @@ import (
 func TestTransactionMarshalRoundTrip(t *testing.T) {
 	f := func(client uint32, seq uint64, op []byte) bool {
 		tx := Transaction{Client: ClientID(client), Seq: seq, Op: op}
-		buf := tx.Marshal(nil)
-		got, rest, err := UnmarshalTransaction(buf)
-		if err != nil || len(rest) != 0 {
+		b := &Batch{Txns: []Transaction{tx}}
+		got, rest, err := UnmarshalBatch(b.Marshal(nil))
+		if err != nil || len(rest) != 0 || got.Len() != 1 {
 			return false
 		}
-		return got.Client == tx.Client && got.Seq == tx.Seq && bytes.Equal(got.Op, tx.Op)
+		g := got.Txns[0]
+		return g.Client == tx.Client && g.Seq == tx.Seq && bytes.Equal(g.Op, tx.Op)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -26,18 +29,138 @@ func TestTransactionMarshalDeterministic(t *testing.T) {
 	if !bytes.Equal(tx.Marshal(nil), tx.Marshal(nil)) {
 		t.Fatal("marshal not deterministic")
 	}
-	if tx.Digest() != tx.Digest() {
-		t.Fatal("digest not deterministic")
+}
+
+// TestUnmarshalBatchTruncated: every strict prefix of a 1-txn and a 3-txn
+// batch encoding is refused, never decoded short.
+func TestUnmarshalBatchTruncated(t *testing.T) {
+	one := &Batch{Txns: []Transaction{{Client: 1, Seq: 2, Op: []byte("abcdef")}}}
+	three := &Batch{Txns: []Transaction{
+		{Client: 1, Seq: 2, Op: []byte("abcdef")},
+		{Client: 3, Seq: 4},
+		{Client: 5, Seq: 6, Op: []byte("xyz")},
+	}}
+	for _, b := range []*Batch{one, three} {
+		buf := b.Marshal(nil)
+		for cut := 0; cut < len(buf); cut++ {
+			if _, _, err := UnmarshalBatch(buf[:cut]); err == nil {
+				t.Fatalf("%d-txn batch: accepted truncation at %d/%d", b.Len(), cut, len(buf))
+			}
+		}
 	}
 }
 
-func TestUnmarshalTransactionTruncated(t *testing.T) {
-	tx := Transaction{Client: 1, Seq: 2, Op: []byte("abcdef")}
-	buf := tx.Marshal(nil)
-	for cut := 0; cut < len(buf); cut++ {
-		if _, _, err := UnmarshalTransaction(buf[:cut]); err == nil {
-			t.Fatalf("accepted truncation at %d/%d", cut, len(buf))
+// hundredTxnBatch is a full batch of varied op lengths.
+func hundredTxnBatch() *Batch {
+	b := &Batch{Txns: make([]Transaction, 100)}
+	for i := range b.Txns {
+		b.Txns[i] = Transaction{Client: ClientID(i%7 + 1), Seq: uint64(i), Op: bytes.Repeat([]byte{byte(i)}, i%40+1)}
+	}
+	return b
+}
+
+// Allocation pins for the per-batch hot path: decoding a 100-txn proposal
+// or request, and digesting a 100-txn batch, cost a constant number of
+// allocations rather than one per transaction.
+func TestBatchDecodeAndDigestAllocs(t *testing.T) {
+	b := hundredTxnBatch()
+	pp, err := MarshalMessage(&PrePrepare{Header: Header{Inst: 1}, View: 2, Round: 3, Digest: b.Digest(), Batch: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := MarshalMessage(NewClientRequest(1, fullEnvelope()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		max  float64
+		f    func()
+	}{
+		// reader, message, batch, txns, ops
+		{"decode 100-txn PrePrepare", 5, func() { mustDecode(t, pp) }},
+		// reader, message, txns, ops
+		{"decode 100-txn ClientRequest", 4, func() { mustDecode(t, req) }},
+		{"digest 100-txn batch", 1, func() { b.Digest() }},
+	} {
+		if got := testing.AllocsPerRun(50, c.f); got > c.max {
+			t.Errorf("%s: %v allocations, want ≤ %v", c.name, got, c.max)
 		}
+	}
+}
+
+func mustDecode(t *testing.T, enc []byte) {
+	if _, err := DecodeMessage(enc); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDecodedOpsAreIsolated: decoded ops share one allocation, so each must
+// still behave as its own slice. Appending to one op never writes into the
+// next, and overwriting the input frame after decode (the transport reuses
+// its read buffers) changes no op.
+func TestDecodedOpsAreIsolated(t *testing.T) {
+	want := hundredTxnBatch()
+	for _, m := range []Message{
+		&PrePrepare{Header: Header{Inst: 1}, Digest: want.Digest(), Batch: want},
+		NewClientRequest(1, want.Txns...),
+	} {
+		enc, err := MarshalMessage(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeMessage(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var txns []Transaction
+		switch v := got.(type) {
+		case *PrePrepare:
+			txns = v.Batch.Txns
+		case *ClientRequest:
+			txns = v.Txns
+		}
+		for i := range enc {
+			enc[i] = 0xEE
+		}
+		if !reflect.DeepEqual(txns, want.Txns) {
+			t.Fatalf("%v: overwriting the frame changed the decoded ops", m.Type())
+		}
+		next := append([]byte(nil), txns[2].Op...)
+		txns[1].Op = append(txns[1].Op, "grown"...)
+		if !bytes.Equal(txns[2].Op, next) {
+			t.Fatalf("%v: appending to Txns[1].Op rewrote Txns[2].Op", m.Type())
+		}
+	}
+}
+
+// TestBatchDecodeRefusesForgedLengths: a forged transaction count or op
+// length is refused by the length walk, before the transaction slice or the
+// op arena is allocated.
+func TestBatchDecodeRefusesForgedLengths(t *testing.T) {
+	b := &Batch{Txns: []Transaction{{Client: 1, Seq: 1, Op: []byte("abc")}, {Client: 2, Seq: 2, Op: []byte("de")}}}
+	honest := b.Marshal(nil)
+	forgedCount := append([]byte(nil), honest...)
+	binary.BigEndian.PutUint32(forgedCount, 0xFFFFFFFF)
+	forgedOp := append([]byte(nil), honest...)
+	// The second transaction's op length sits after the count, the first
+	// transaction, and its client and seq.
+	binary.BigEndian.PutUint32(forgedOp[4+txnHeaderLen+3+12:], 0xFFFFFFF0)
+	for name, enc := range map[string][]byte{"txn count": forgedCount, "op length": forgedOp} {
+		if _, _, err := UnmarshalBatch(enc); err == nil {
+			t.Fatalf("forged %s decoded", name)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, _, err := UnmarshalBatch(enc); err == nil {
+				t.Fatalf("forged %s decoded", name)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("forged %s: refusing it allocated %v times", name, allocs)
+		}
+	}
+	if _, _, err := UnmarshalBatch(honest); err != nil {
+		t.Fatalf("honest batch refused: %v", err)
 	}
 }
 
