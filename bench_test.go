@@ -8,8 +8,8 @@ package repro
 //
 // The flow-model experiments (Fig. 1, 7, 8, 9, summary) are deterministic
 // and fast; Fig. 6 and Fig. 10 execute the real protocol state machines on
-// the discrete-event simulator. Ablation benchmarks at the bottom isolate
-// the design decisions DESIGN.md calls out.
+// the discrete-event simulator. The ablation benchmarks after them isolate
+// concurrency (m) and out-of-order processing.
 
 import (
 	"fmt"
@@ -44,15 +44,11 @@ func reportPeak(b *testing.B, t *bench.Table, col int, unit string) {
 	peak := 0.0
 	for _, row := range t.Rows {
 		var v float64
-		if _, err := sscan(row[col], &v); err == nil && v > peak {
+		if _, err := fmt.Sscan(row[col], &v); err == nil && v > peak {
 			peak = v
 		}
 	}
 	b.ReportMetric(peak, unit)
-}
-
-func sscan(s string, v *float64) (int, error) {
-	return fmtSscan(s, v)
 }
 
 func BenchmarkFig1AnalyticalBounds(b *testing.B) {
@@ -134,14 +130,14 @@ func BenchmarkSummaryRatios(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md "Key design decisions")
+// Ablations
 // ---------------------------------------------------------------------------
 
 // BenchmarkAblationConcurrency sweeps the instance count m at n=32,
 // isolating the effect of concurrency (RCC3 vs RCCf+1 vs RCCn).
 func BenchmarkAblationConcurrency(b *testing.B) {
 	for _, m := range []int{1, 3, 11, 32} {
-		b.Run(fmtSprintf("m=%d", m), func(b *testing.B) {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			var r flowsim.Result
 			for i := 0; i < b.N; i++ {
 				r = flowsim.Evaluate(flowsim.Setup{
@@ -158,7 +154,7 @@ func BenchmarkAblationConcurrency(b *testing.B) {
 // reduced to one on/off pair).
 func BenchmarkAblationOutOfOrder(b *testing.B) {
 	for _, ooo := range []bool{true, false} {
-		b.Run(fmtSprintf("ooo=%v", ooo), func(b *testing.B) {
+		b.Run(fmt.Sprintf("ooo=%v", ooo), func(b *testing.B) {
 			var r flowsim.Result
 			for i := 0; i < b.N; i++ {
 				r = flowsim.Evaluate(flowsim.Setup{
@@ -231,7 +227,7 @@ func BenchmarkAsyncJournal(b *testing.B) {
 			for i := range txns {
 				txns[i] = types.Transaction{
 					Client: types.ClientID(i%16 + 1), Seq: seq,
-					Op: []byte(fmtSprintf("op-%d-%d", seq, i)),
+					Op: []byte(fmt.Sprintf("op-%d-%d", seq, i)),
 				}
 			}
 			return &types.Batch{Txns: txns}
@@ -268,6 +264,30 @@ func BenchmarkAsyncJournal(b *testing.B) {
 	}
 }
 
+// netVote returns a 250B-class consensus vote, the most common message on
+// the wire.
+func netVote() types.Message {
+	return types.NewPrepare(1, 2, 3, 4, types.Hash([]byte("vote")))
+}
+
+// netPrePrepare returns a proposal carrying a txns-transaction batch
+// (txns=100 is the paper's standard batch).
+func netPrePrepare(txns int) types.Message {
+	ts := make([]types.Transaction, txns)
+	for i := range ts {
+		ts[i] = types.Transaction{
+			Client: types.ClientID(i%16 + 1),
+			Seq:    uint64(i + 1),
+			Op:     fmt.Appendf(nil, "op-%04d-payload-padding-to-54-bytes-of-wire", i),
+		}
+	}
+	b := &types.Batch{Txns: ts}
+	return &types.PrePrepare{
+		Header: types.Header{Inst: 1},
+		View:   1, Round: 7, Digest: b.Digest(), Batch: b,
+	}
+}
+
 // BenchmarkCodec prices the registry-based binary codec (internal/types) on
 // the two message shapes that dominate the wire: a 250B-class consensus vote
 // and a 100-transaction proposal. Each op is one marshal + one unmarshal,
@@ -277,8 +297,8 @@ func BenchmarkCodec(b *testing.B) {
 		name string
 		msg  types.Message
 	}{
-		{"vote", bench.NetVote()},
-		{"preprepare100", bench.NetPrePrepare(100)},
+		{"vote", netVote()},
+		{"preprepare100", netPrePrepare(100)},
 	} {
 		b.Run(m.name+"/binary", func(b *testing.B) {
 			b.ReportAllocs()
@@ -306,6 +326,51 @@ type discardEndpoint struct{}
 func (discardEndpoint) DeliverReplica(types.ReplicaID, types.Message) {}
 func (discardEndpoint) DeliverClient(types.ClientID, types.Message)   {}
 
+// loopbackPeers is how many discarding receivers dialLoopbackPeers sets up:
+// replicas 1..loopbackPeers, one broadcast's worth at n=4.
+const loopbackPeers = 3
+
+// dialLoopbackPeers returns replica 0's transport linked over loopback TCP
+// to loopbackPeers discarding receivers, every link connected; everything
+// closes when b's current run ends. Messages enqueued before a link's first
+// dial completes fall into the drop-while-down policy, which would
+// invalidate a measurement, so the links are warmed with exactly ONE vote
+// each: aggregate MsgsSent reaching loopbackPeers proves every link
+// connected and wrote (a failed dial drops its message, the total never
+// arrives, and the bounded wait fails loudly instead of hanging CI).
+func dialLoopbackPeers(b *testing.B) *transport.TCP {
+	b.Helper()
+	peerMap := make(map[types.ReplicaID]string)
+	for id := types.ReplicaID(1); id <= loopbackPeers; id++ {
+		r, err := transport.NewTCP(transport.TCPConfig{Self: id, Listen: "127.0.0.1:0"}, discardEndpoint{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { r.Close() })
+		peerMap[id] = r.Addr()
+	}
+	t0, err := transport.NewTCP(transport.TCPConfig{
+		Self: 0, Listen: "127.0.0.1:0", Peers: peerMap,
+	}, discardEndpoint{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { t0.Close() })
+	for p := types.ReplicaID(1); p <= loopbackPeers; p++ {
+		if err := t0.Send(p, netVote()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	warmDeadline := time.Now().Add(10 * time.Second)
+	for t0.Stats().MsgsSent < loopbackPeers {
+		if time.Now().After(warmDeadline) {
+			b.Fatalf("warmup stalled: %+v", t0.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return t0
+}
+
 // BenchmarkBroadcast measures the cost ONE broadcast (send to 3 peers over
 // real loopback TCP) charges the calling goroutine — the consensus event
 // loop's per-send bill: enqueue onto per-peer outbound queues; writer
@@ -315,56 +380,20 @@ func (discardEndpoint) DeliverClient(types.ClientID, types.Message)   {}
 // is honest steady-state cost, not just a channel send. The case names are
 // the baseline rows' (BENCH_baseline.json).
 func BenchmarkBroadcast(b *testing.B) {
-	const peers = 3
 	for _, m := range []struct {
 		name string
 		msg  types.Message
 	}{
-		{"vote/async", bench.NetVote()},
-		{"preprepare100/enqueue", bench.NetPrePrepare(100)},
+		{"vote/async", netVote()},
+		{"preprepare100/enqueue", netPrePrepare(100)},
 	} {
 		b.Run(m.name, func(b *testing.B) {
-			peerMap := make(map[types.ReplicaID]string)
-			var recvs []*transport.TCP
-			for i := 0; i < peers; i++ {
-				id := types.ReplicaID(i + 1)
-				r, err := transport.NewTCP(transport.TCPConfig{Self: id, Listen: "127.0.0.1:0"}, discardEndpoint{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				recvs = append(recvs, r)
-				peerMap[id] = r.Addr()
-			}
-			t0, err := transport.NewTCP(transport.TCPConfig{
-				Self: 0, Listen: "127.0.0.1:0", Peers: peerMap,
-			}, discardEndpoint{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Warm the links: messages enqueued before a link's first dial
-			// completes fall into the drop-while-down policy, which would
-			// invalidate the measurement below. Exactly ONE message per
-			// link, so aggregate MsgsSent reaching `peers` proves every
-			// individual link connected and wrote (a failed dial drops its
-			// message, the total never arrives, and the bounded wait fails
-			// loudly instead of hanging the CI bench job).
-			for p := types.ReplicaID(1); p <= peers; p++ {
-				if err := t0.Send(p, bench.NetVote()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			warmDeadline := time.Now().Add(10 * time.Second)
-			for t0.Stats().MsgsSent < peers {
-				if time.Now().After(warmDeadline) {
-					b.Fatalf("warmup stalled: %+v", t0.Stats())
-				}
-				time.Sleep(time.Millisecond)
-			}
+			t0 := dialLoopbackPeers(b)
 			dropped0 := t0.Stats().PeerDropped
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for p := types.ReplicaID(1); p <= peers; p++ {
+				for p := types.ReplicaID(1); p <= loopbackPeers; p++ {
 					if err := t0.Send(p, m.msg); err != nil {
 						b.Fatal(err)
 					}
@@ -377,10 +406,6 @@ func BenchmarkBroadcast(b *testing.B) {
 			}
 			if st.PeerDropped > dropped0 {
 				b.Errorf("dropped %d messages with healthy peers", st.PeerDropped-dropped0)
-			}
-			t0.Close()
-			for _, r := range recvs {
-				r.Close()
 			}
 		})
 	}
@@ -436,42 +461,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 	for _, v := range variants {
 		met := v.met
 		b.Run("vote-broadcast/"+v.name, func(b *testing.B) {
-			peerMap := make(map[types.ReplicaID]string)
-			var recvs []*transport.TCP
-			for i := 0; i < 3; i++ {
-				id := types.ReplicaID(i + 1)
-				r, err := transport.NewTCP(transport.TCPConfig{Self: id, Listen: "127.0.0.1:0"}, discardEndpoint{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				recvs = append(recvs, r)
-				peerMap[id] = r.Addr()
-			}
-			t0, err := transport.NewTCP(transport.TCPConfig{
-				Self: 0, Listen: "127.0.0.1:0", Peers: peerMap,
-			}, discardEndpoint{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer t0.Close()
-			defer func() {
-				for _, r := range recvs {
-					r.Close()
-				}
-			}()
-			for p := types.ReplicaID(1); p <= 3; p++ {
-				if err := t0.Send(p, bench.NetVote()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			warmDeadline := time.Now().Add(10 * time.Second)
-			for t0.Stats().MsgsSent < 3 {
-				if time.Now().After(warmDeadline) {
-					b.Fatalf("warmup stalled: %+v", t0.Stats())
-				}
-				time.Sleep(time.Millisecond)
-			}
-			vote := bench.NetVote()
+			t0 := dialLoopbackPeers(b)
+			vote := netVote()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -479,7 +470,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 				// loop, around the real network work.
 				met.Requests.Inc()
 				met.Trace(uint64(i%16+1), uint64(i), obs.PointArrive)
-				for p := types.ReplicaID(1); p <= 3; p++ {
+				for p := types.ReplicaID(1); p <= loopbackPeers; p++ {
 					if err := t0.Send(p, vote); err != nil {
 						b.Fatal(err)
 					}
@@ -548,47 +539,13 @@ func BenchmarkFlightRecord(b *testing.B) {
 	for _, v := range variants {
 		met := v.met
 		b.Run("vote-broadcast/"+v.name, func(b *testing.B) {
-			peerMap := make(map[types.ReplicaID]string)
-			var recvs []*transport.TCP
-			for i := 0; i < 3; i++ {
-				id := types.ReplicaID(i + 1)
-				r, err := transport.NewTCP(transport.TCPConfig{Self: id, Listen: "127.0.0.1:0"}, discardEndpoint{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				recvs = append(recvs, r)
-				peerMap[id] = r.Addr()
-			}
-			t0, err := transport.NewTCP(transport.TCPConfig{
-				Self: 0, Listen: "127.0.0.1:0", Peers: peerMap,
-			}, discardEndpoint{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer t0.Close()
-			defer func() {
-				for _, r := range recvs {
-					r.Close()
-				}
-			}()
-			for p := types.ReplicaID(1); p <= 3; p++ {
-				if err := t0.Send(p, bench.NetVote()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			warmDeadline := time.Now().Add(10 * time.Second)
-			for t0.Stats().MsgsSent < 3 {
-				if time.Now().After(warmDeadline) {
-					b.Fatalf("warmup stalled: %+v", t0.Stats())
-				}
-				time.Sleep(time.Millisecond)
-			}
-			vote := bench.NetVote()
+			t0 := dialLoopbackPeers(b)
+			vote := netVote()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				met.Emit(0, flight.SubRCC, flight.KInstanceDecide, uint32(i%15), uint64(i%8), uint64(i), 0)
-				for p := types.ReplicaID(1); p <= 3; p++ {
+				for p := types.ReplicaID(1); p <= loopbackPeers; p++ {
 					if err := t0.Send(p, vote); err != nil {
 						b.Fatal(err)
 					}
@@ -656,8 +613,8 @@ func BenchmarkParallelExec(b *testing.B) {
 			for i := 0; i < execBatch; i++ {
 				seq++
 				t := bank.Transfer{
-					From:      fmtSprintf("acct-%05d", rng.Intn(accounts)),
-					To:        fmtSprintf("acct-%05d", rng.Intn(accounts)),
+					From:      fmt.Sprintf("acct-%05d", rng.Intn(accounts)),
+					To:        fmt.Sprintf("acct-%05d", rng.Intn(accounts)),
 					Threshold: 100,
 					Amount:    1,
 				}
@@ -670,7 +627,7 @@ func BenchmarkParallelExec(b *testing.B) {
 	bankApp := func() exec.Application {
 		opening := make(map[string]int64, 8192)
 		for i := 0; i < 8192; i++ {
-			opening[fmtSprintf("acct-%05d", i)] = 1_000_000
+			opening[fmt.Sprintf("acct-%05d", i)] = 1_000_000
 		}
 		return bank.New(opening)
 	}
@@ -704,14 +661,14 @@ func BenchmarkParallelExec(b *testing.B) {
 			}
 		}
 		for _, v := range variants {
-			b.Run(fmtSprintf("ycsb/conflict=%d/%s", conflict, v.name), func(b *testing.B) {
+			b.Run(fmt.Sprintf("ycsb/conflict=%d/%s", conflict, v.name), func(b *testing.B) {
 				run(b, ycsb.NewStore(execRecords), batches, v.workers)
 			})
 		}
 	}
 	batches := bankBatches()
 	for _, workers := range []int{1, 8} {
-		b.Run(fmtSprintf("bank/uniform/workers=%d", workers), func(b *testing.B) {
+		b.Run(fmt.Sprintf("bank/uniform/workers=%d", workers), func(b *testing.B) {
 			run(b, bankApp(), batches, workers)
 		})
 	}
@@ -842,7 +799,3 @@ func BenchmarkVerifyPool(b *testing.B) {
 		b.ReportMetric(float64(b.N)*votes/b.Elapsed().Seconds(), "verify/s")
 	})
 }
-
-// Small wrappers so the benchmark file reads without extra imports above.
-func fmtSscan(s string, v *float64) (int, error) { return fmt.Sscan(s, v) }
-func fmtSprintf(f string, a ...any) string       { return fmt.Sprintf(f, a...) }

@@ -1,10 +1,10 @@
 // Command rccbench regenerates the RCC paper's tables and figures. Each
-// experiment prints the same rows/series the paper reports; EXPERIMENTS.md
-// records measured-vs-paper values.
+// experiment prints the same rows/series the paper reports; where the paper
+// states a value, the table title quotes it for comparison.
 //
 // Usage:
 //
-//	rccbench -exp all        # every flow-model experiment
+//	rccbench -exp all        # every experiment except chaos
 //	rccbench -exp fig8a      # one experiment
 //	rccbench -exp fig10      # simnet failure timeline (slower)
 //	rccbench -exp chaos      # randomized fault harness over live TCP (slow)
@@ -24,6 +24,36 @@ import (
 	"repro/internal/bench"
 )
 
+// experiments is every experiment -exp all runs, in -list order. chaos is
+// not listed: it has its own flags and exit code and runs for minutes.
+var experiments = []struct {
+	id  string
+	run func() (*bench.Table, error)
+}{
+	{"fig1left", infallible(func() *bench.Table { return bench.Fig1(20) })},
+	{"fig1right", infallible(func() *bench.Table { return bench.Fig1(400) })},
+	{"fig6", infallible(bench.Fig6)},
+	{"fig7left", infallible(bench.Fig7Left)},
+	{"fig7right", infallible(bench.Fig7Right)},
+	{"fig8a", infallible(bench.Fig8a)},
+	{"fig8b", infallible(bench.Fig8b)},
+	{"fig8c", infallible(bench.Fig8c)},
+	{"fig8d", infallible(bench.Fig8d)},
+	{"fig8e", infallible(bench.Fig8e)},
+	{"fig8f", infallible(bench.Fig8f)},
+	{"fig8g", infallible(bench.Fig8g)},
+	{"fig8h", infallible(bench.Fig8h)},
+	{"fig9", infallible(bench.Fig9)},
+	{"fig10", func() (*bench.Table, error) { return bench.Fig10(bench.DefaultFig10()) }},
+	{"timeline", bench.Timeline},
+	{"summary", infallible(bench.Summary)},
+	{"validate", bench.Validate},
+}
+
+func infallible(f func() *bench.Table) func() (*bench.Table, error) {
+	return func() (*bench.Table, error) { return f(), nil }
+}
+
 func main() {
 	exp := flag.String("exp", "all", "experiment ID (see -list)")
 	list := flag.Bool("list", false, "list experiment IDs")
@@ -35,121 +65,46 @@ func main() {
 	verbose := flag.Bool("v", false, "chaos: stream fault actions to stderr")
 	flag.Parse()
 
-	byID := map[string]func() *bench.Table{
-		"fig1left":  func() *bench.Table { return bench.Fig1(20) },
-		"fig1right": func() *bench.Table { return bench.Fig1(400) },
-		"fig6":      bench.Fig6,
-		"fig7left":  bench.Fig7Left,
-		"fig7right": bench.Fig7Right,
-		"fig8a":     bench.Fig8a,
-		"fig8b":     bench.Fig8b,
-		"fig8c":     bench.Fig8c,
-		"fig8d":     bench.Fig8d,
-		"fig8e":     bench.Fig8e,
-		"fig8f":     bench.Fig8f,
-		"fig8g":     bench.Fig8g,
-		"fig8h":     bench.Fig8h,
-		"fig9":      bench.Fig9,
-	}
-	order := []string{
-		"fig1left", "fig1right", "fig6", "fig7left", "fig7right",
-		"fig8a", "fig8b", "fig8c", "fig8d", "fig8e", "fig8f", "fig8g", "fig8h",
-		"fig9", "fig10", "exec", "statesync", "stages", "timeline", "crypto", "summary", "validate",
-		"chaos", // excluded from -exp all: minutes-long live-cluster run
-	}
-
 	if *list {
-		for _, id := range order {
-			fmt.Println(id)
+		for _, e := range experiments {
+			fmt.Println(e.id)
+		}
+		fmt.Println("chaos")
+		return
+	}
+
+	if *exp == "chaos" {
+		t, rep, err := bench.Chaos(bench.ChaosOptions{
+			Seed: *seed, Nodes: *nodes, Duration: *duration,
+			WAN: *wan, ArtifactDir: *artifacts, Verbose: *verbose,
+		})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Println(t.Render())
+		fmt.Println(rep.Summary())
+		if !rep.Passed() {
+			os.Exit(1)
 		}
 		return
 	}
 
-	runOne := func(id string) {
-		switch id {
-		case "fig10":
-			t, err := bench.Fig10(bench.DefaultFig10())
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fig10: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(t.Render())
-		case "exec":
-			t, err := bench.Exec()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "exec: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(t.Render())
-		case "statesync":
-			t, err := bench.StateSync()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "statesync: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(t.Render())
-		case "stages":
-			t, err := bench.Stages()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "stages: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(t.Render())
-		case "timeline":
-			t, err := bench.Timeline()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "timeline: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(t.Render())
-		case "crypto":
-			t, err := bench.LiveCrypto()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "crypto: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(t.Render())
-		case "chaos":
-			t, rep, err := bench.Chaos(bench.ChaosOptions{
-				Seed: *seed, Nodes: *nodes, Duration: *duration,
-				WAN: *wan, ArtifactDir: *artifacts, Verbose: *verbose,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(t.Render())
-			fmt.Println(rep.Summary())
-			if !rep.Passed() {
-				os.Exit(1)
-			}
-		case "summary":
-			fmt.Println(bench.Summary().Render())
-		case "validate":
-			t, err := bench.Validate()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "validate: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(t.Render())
-		default:
-			f, ok := byID[id]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", id)
-				os.Exit(2)
-			}
-			fmt.Println(f().Render())
+	ran := false
+	for _, e := range experiments {
+		if *exp != "all" && *exp != e.id {
+			continue
 		}
-	}
-
-	if *exp == "all" {
-		for _, id := range order {
-			if id == "chaos" {
-				continue
-			}
-			runOne(id)
+		t, err := e.run()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.id, err)
+			os.Exit(1)
 		}
-		return
+		fmt.Println(t.Render())
+		ran = true
 	}
-	runOne(*exp)
+	if !ran {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *exp)
+		os.Exit(2)
+	}
 }

@@ -40,7 +40,7 @@
 // feed dedicated writer goroutines that encode messages through the
 // registry-based binary codec in internal/types (explicit MsgType tag,
 // per-type Marshal/Unmarshal, pooled buffers; replaces per-message gob),
-// coalesce bursts into multi-message frames (wire format v3, one write
+// coalesce bursts into multi-message frames (wire format v4, one write
 // syscall per burst), and redial failed peers with exponential backoff.
 // Replica links backpressure on overflow while the peer is healthy and
 // drop (counted) while it is down; client links always drop on overflow,
@@ -72,8 +72,8 @@
 // including decisions it accumulated while the transfer ran. Acked⇒durable
 // is preserved across a transfer: a syncing replica defers no acks (it is
 // not executing), and after the install its journal again covers exactly
-// the chain it acknowledges. rccbench -exp statesync reports transfer
-// throughput (MB/s, blocks/s).
+// the chain it acknowledges. The TestStateSync*OverTCP tests in
+// internal/runtime drive the whole transfer over real sockets.
 //
 // Conflict-aware parallel execution: the execution engine (internal/exec)
 // no longer applies unified rounds serially. The Application contract
@@ -91,8 +91,8 @@
 // application cannot declare (Keys ok=false) run alone as barriers. Both
 // applications (internal/bank with sharded per-account locking,
 // internal/ycsb with per-record disjoint writes) declare footprints;
-// BenchmarkParallelExec and rccbench -exp exec measure txn/s vs workers
-// and conflict rate, and CI gates parallel >= 2x serial on the
+// BenchmarkParallelExec measures txn/s vs workers and conflict rate, and
+// CI gates parallel >= 2x serial on the
 // conflict-free workload (scripts/benchgate -min-parallel-speedup).
 //
 // Frame authentication at line rate: internal/crypto implements the
@@ -111,8 +111,9 @@
 // skip re-verifying a retransmitted request another instance already
 // checked, and links exceeding consecutive bad tags are demoted
 // (reconnect, counted). The verify stage reports into
-// rcc_stage_latency_seconds{stage="verify"}; rccbench -exp crypto measures
-// the live none/mac/ds cost on a real loopback cluster, and a determinism
+// rcc_stage_latency_seconds{stage="verify"}; the benchmark/ module's lan_sat
+// (MAC) and lan_ds (ED25519) workloads measure the live cost of each
+// scheme, BenchmarkAuth its per-record Tag+Verify, and a determinism
 // test pins byte-identical ResultHash/StateDigest across verify-worker
 // counts. See the README's "Authentication" section.
 //
@@ -126,8 +127,9 @@
 // /metrics (Prometheus text format), /healthz (flips on the sticky
 // durability error), /readyz (journaling and caught up), /debug/trace,
 // /debug/events, and /debug/pprof. See internal/obs and the README's
-// "Observability" section; rccbench -exp stages prints the same stage
-// breakdown against client-observed end-to-end latency.
+// "Observability" section; scripts/admin_smoke.sh asserts every stage
+// histogram fills on a live TCP cluster, and the benchmark/ module's
+// traced runs break client-observed latency down per layer.
 //
 // Flight recorder: internal/obs/flight is the black box behind
 // /debug/events — a lock-free bounded ring of fixed-shape protocol events

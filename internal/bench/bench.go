@@ -1,8 +1,8 @@
 // Package bench is the experiment harness: one function per table/figure of
 // the RCC paper's evaluation (§V), each returning the same rows/series the
-// paper reports. cmd/rccbench prints them; the repository-root benchmarks
-// wrap them as testing.B targets; EXPERIMENTS.md records the measured
-// values against the paper's.
+// paper reports. cmd/rccbench prints them and the repository-root benchmarks
+// wrap them as testing.B targets. The live program's throughput and latency
+// come from the benchmark/ module, not from here.
 package bench
 
 import (

@@ -22,7 +22,8 @@
 //
 // Absolute numbers depend on the environment constants below; the *shapes*
 // (who wins, by what factor, where the crossovers are) are what this model
-// reproduces — see EXPERIMENTS.md for measured-vs-paper values.
+// reproduces. rccbench prints its series; where the paper states a value,
+// the table title quotes it.
 package flowsim
 
 import (

@@ -52,15 +52,6 @@ func (s Stage) String() string {
 	return "stage?"
 }
 
-// Stages lists every stage in pipeline order.
-func Stages() []Stage {
-	out := make([]Stage, numStages)
-	for i := range out {
-		out[i] = Stage(i)
-	}
-	return out
-}
-
 // NodeMetrics is the replica's instrument catalog: per-stage latency
 // histograms, consensus/runtime counters, and the lifecycle tracer. One
 // NodeMetrics is shared by every layer of a replica (pbft, rcc, exec, wal,

@@ -234,13 +234,12 @@ func mustPanic(t *testing.T, name string, f func()) {
 
 func TestStageNames(t *testing.T) {
 	want := []string{"verify", "consensus", "unify", "execute", "journal", "ack"}
-	stages := Stages()
-	if len(stages) != len(want) {
-		t.Fatalf("%d stages, want %d", len(stages), len(want))
+	if int(numStages) != len(want) {
+		t.Fatalf("%d stages, want %d", numStages, len(want))
 	}
-	for i, s := range stages {
-		if s.String() != want[i] {
-			t.Errorf("stage %d = %q, want %q", i, s, want[i])
+	for s := range numStages {
+		if s.String() != want[s] {
+			t.Errorf("stage %d = %q, want %q", s, s, want[s])
 		}
 	}
 }

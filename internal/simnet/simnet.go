@@ -9,9 +9,9 @@
 // number). This is what makes the protocol tests reproducible and lets the
 // benchmark harness regenerate the paper's failure timeline (Fig. 10).
 //
-// The simulator stands in for the paper's Google Cloud deployment; see
-// DESIGN.md ("Substitutions") for why bandwidth/latency/CPU charging
-// preserves the figures' shapes.
+// The simulator stands in for the paper's Google Cloud deployment. It
+// charges per-link latency and per-replica outgoing bandwidth, the two
+// resources the paper's primary-bandwidth argument (§I–II) turns on.
 package simnet
 
 import (

@@ -15,25 +15,27 @@
 //	go run ./scripts/benchgate -gate -baseline BENCH_baseline.json \
 //	    -current BENCH_ci.json -max-regress 0.25
 //
-// A second gate, -max-overhead, pairs every benchmark ending in "/live" with
-// its "/nop" sibling within the CURRENT run (no baseline needed) and fails
-// when live instrumentation costs more than the allowed fraction — how CI
-// holds the observability layer to ≤5% on the instrumented hot paths
-// (BenchmarkObsOverhead).
+// Pair gates compare two variants of one benchmark within the CURRENT run,
+// so they need no baseline entry and hold on whatever machine runs them.
+// Each pairs every gated benchmark ending in "/<fast>" with its "/<slow>"
+// sibling and fails when fast is not at least a floor times faster. A flag
+// set to 0 disables its gate; an enabled gate that finds no pair fails,
+// since it would be checking nothing.
 //
-// A third gate, -min-parallel-speedup, pairs every benchmark ending in
-// "/parallel" with its "/serial" sibling within the CURRENT run and fails
-// when the parallel variant is not at least that many times faster — how CI
-// holds the conflict-aware execution engine to its >=2x floor on the
-// conflict-free workload (BenchmarkParallelExec) on multicore runners.
+//	-max-overhead          /live vs /nop: live observability instrumentation
+//	                       costs at most this fraction, i.e. a floor of
+//	                       1/(1+max) (BenchmarkObsOverhead, BenchmarkFlightRecord)
+//	-min-parallel-speedup  /parallel vs /serial: the conflict-aware executor
+//	                       on the conflict-free workload (BenchmarkParallelExec)
+//	-min-cached-speedup    /cached vs /uncached: the precomputed-MAC-key +
+//	                       pooled-HMAC path against the derive-per-call
+//	                       implementation it replaced (BenchmarkAuth)
+//	-min-pooled-speedup    /pooled vs /inline: the parallel batched signature
+//	                       verification drain against sequential per-record
+//	                       verification (BenchmarkVerifyPool)
 //
-// Two more same-run pair gates hold the frame-authentication fast paths:
-// -min-cached-speedup pairs "/cached" with "/uncached" (BenchmarkAuth — the
-// precomputed-MAC-key + pooled-HMAC path against the derive-per-call
-// implementation it replaced, >=5x), and -min-pooled-speedup pairs
-// "/pooled" with "/inline" (BenchmarkVerifyPool — the parallel batched
-// signature-verification drain against sequential per-record verification,
-// >=2x on multicore runners).
+// The parallel and pooled floors need several cores; on a single-core
+// machine those pairs measure pure overhead.
 //
 // Refreshing the baseline: benchmark numbers are machine-bound, so the
 // baseline must come from the SAME runner class that gates. The CI bench
@@ -95,8 +97,37 @@ func main() {
 	case *emit:
 		runEmit(*out, flag.Args())
 	default:
-		runGate(*baseline, *current, *pattern, *maxRegress, *maxOverhd, *minParSpd, *minCached, *minPooled)
+		runGate(*baseline, *current, *pattern, *maxRegress, pairGates(*maxOverhd, *minParSpd, *minCached, *minPooled))
 	}
+}
+
+// pairGate is one same-run floor: every gated benchmark ending in "/<fast>"
+// must be at least floor times faster than its "/<slow>" sibling.
+type pairGate struct {
+	flag       string
+	fast, slow string
+	floor      float64
+}
+
+// pairGates maps the pair-gate flags onto floors, leaving out every gate
+// whose flag is 0.
+func pairGates(maxOverhead, minParallel, minCached, minPooled float64) []pairGate {
+	overheadFloor := 0.0
+	if maxOverhead > 0 {
+		overheadFloor = 1 / (1 + maxOverhead)
+	}
+	var gates []pairGate
+	for _, g := range []pairGate{
+		{"max-overhead", "live", "nop", overheadFloor},
+		{"min-parallel-speedup", "parallel", "serial", minParallel},
+		{"min-cached-speedup", "cached", "uncached", minCached},
+		{"min-pooled-speedup", "pooled", "inline", minPooled},
+	} {
+		if g.floor > 0 {
+			gates = append(gates, g)
+		}
+	}
+	return gates
 }
 
 func fatal(format string, args ...any) {
@@ -189,15 +220,25 @@ func load(path string) Summary {
 	return sum
 }
 
-func runGate(basePath, curPath, pattern string, maxRegress, maxOverhead, minParallelSpeedup, minCachedSpeedup, minPooledSpeedup float64) {
+func runGate(basePath, curPath, pattern string, maxRegress float64, gates []pairGate) {
 	re, err := regexp.Compile(pattern)
 	if err != nil {
 		fatal("gate: bad -gate-pattern: %v", err)
 	}
-	base, cur := load(basePath), load(curPath)
-	var failures []string
+	failures, checked := check(load(basePath), load(curPath), re, maxRegress, gates)
+	if len(failures) > 0 {
+		for _, f := range failures {
+			fmt.Fprintln(os.Stderr, "benchgate: FAIL:", f)
+		}
+		os.Exit(1)
+	}
+	fmt.Printf("benchgate: OK — %d gated benchmarks within +%.0f%% of baseline\n", checked, 100*maxRegress)
+}
 
-	checked := 0
+// check holds every benchmark re selects from base to within maxRegress of
+// its ns/op there, and cur to every pair gate. It returns the failure
+// messages and how many baseline benchmarks it compared.
+func check(base, cur Summary, re *regexp.Regexp, maxRegress float64, gates []pairGate) (failures []string, checked int) {
 	for name, b := range base.Benchmarks {
 		if !re.MatchString(name) {
 			continue
@@ -214,108 +255,43 @@ func runGate(basePath, curPath, pattern string, maxRegress, maxOverhead, minPara
 		}
 	}
 	if checked == 0 {
-		failures = append(failures, fmt.Sprintf("no baseline benchmarks match %q — the gate is checking nothing; refresh the baseline", pattern))
+		failures = append(failures, fmt.Sprintf("no baseline benchmarks match %q — the gate is checking nothing; refresh the baseline", re))
 	}
-
-	if maxOverhead > 0 {
-		// Instrumentation overhead pairs every "/live" benchmark with its
-		// "/nop" sibling — both from the CURRENT run, so the check is
-		// machine-independent and needs no baseline entry to exist first.
-		pairs := 0
-		for name, c := range cur.Benchmarks {
-			if !re.MatchString(name) || !strings.HasSuffix(name, "/live") {
-				continue
-			}
-			nopName := strings.TrimSuffix(name, "/live") + "/nop"
-			n, ok := cur.Benchmarks[nopName]
-			if !ok {
-				continue
-			}
-			pairs++
-			if c.NsPerOp > n.NsPerOp*(1+maxOverhead) {
-				failures = append(failures, fmt.Sprintf("%s: live instrumentation costs %.0f ns/op vs %.0f no-op (+%.1f%% > +%.0f%% allowed)",
-					name, c.NsPerOp, n.NsPerOp, 100*(c.NsPerOp/n.NsPerOp-1), 100*maxOverhead))
-			}
-		}
-		if pairs == 0 {
-			failures = append(failures, "no nop/live benchmark pairs found for the -max-overhead check")
-		}
+	for _, g := range gates {
+		failures = append(failures, pairSpeedup(cur.Benchmarks, re, g)...)
 	}
-
-	if minParallelSpeedup > 0 {
-		// Parallel-execution floor: every "/parallel" benchmark against its
-		// "/serial" sibling, both from the CURRENT run, so the check holds
-		// on whatever core count the runner has (the benchmark itself only
-		// pairs the names on its conflict-free workload).
-		pairs := 0
-		for name, c := range cur.Benchmarks {
-			if !re.MatchString(name) || !strings.HasSuffix(name, "/parallel") {
-				continue
-			}
-			serialName := strings.TrimSuffix(name, "/parallel") + "/serial"
-			s, ok := cur.Benchmarks[serialName]
-			if !ok {
-				continue
-			}
-			pairs++
-			if speedup := s.NsPerOp / c.NsPerOp; speedup < minParallelSpeedup {
-				failures = append(failures, fmt.Sprintf("%s: parallel is only %.2fx serial (%.0f vs %.0f ns/op), want >= %.1fx",
-					name, speedup, c.NsPerOp, s.NsPerOp, minParallelSpeedup))
-			}
-		}
-		if pairs == 0 {
-			failures = append(failures, "no serial/parallel benchmark pairs found for the -min-parallel-speedup check")
-		}
-	}
-
-	if minCachedSpeedup > 0 {
-		// Cached-MAC floor: the precomputed-pair-key + pooled-HMAC Tag+Verify
-		// path against the derive-keys-per-call implementation it replaced
-		// (BenchmarkAuth .../cached vs .../uncached), paired within the
-		// current run so the floor is machine-independent.
-		failures = append(failures, pairSpeedup(cur.Benchmarks, re, "cached", "uncached", minCachedSpeedup)...)
-	}
-
-	if minPooledSpeedup > 0 {
-		// Verify-pool floor: the parallel batched signature-verification
-		// drain against sequential per-record verification
-		// (BenchmarkVerifyPool .../pooled vs .../inline) — like the parallel
-		// execution floor, this needs the runner's multiple cores.
-		failures = append(failures, pairSpeedup(cur.Benchmarks, re, "pooled", "inline", minPooledSpeedup)...)
-	}
-
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "benchgate: FAIL:", f)
-		}
-		os.Exit(1)
-	}
-	fmt.Printf("benchgate: OK — %d gated benchmarks within +%.0f%% of baseline\n", checked, 100*maxRegress)
+	return failures, checked
 }
 
-// pairSpeedup enforces a same-run speedup floor: every gated benchmark
-// ending in "/<fast>" must be at least floor times faster than its
-// "/<slow>" sibling from the same summary. Returns the failure messages,
-// including one when no pairs exist at all (a silent gate checks nothing).
-func pairSpeedup(cur map[string]Result, re *regexp.Regexp, fast, slow string, floor float64) []string {
+// pairSpeedup holds every gated "/<fast>" benchmark in cur to g's floor
+// against its "/<slow>" sibling. It returns the failure messages, including
+// one when no pair exists at all.
+func pairSpeedup(cur map[string]Result, re *regexp.Regexp, g pairGate) []string {
 	var failures []string
 	pairs := 0
 	for name, c := range cur {
-		if !re.MatchString(name) || !strings.HasSuffix(name, "/"+fast) {
+		if !re.MatchString(name) || !strings.HasSuffix(name, "/"+g.fast) {
 			continue
 		}
-		s, ok := cur[strings.TrimSuffix(name, "/"+fast)+"/"+slow]
+		s, ok := cur[strings.TrimSuffix(name, "/"+g.fast)+"/"+g.slow]
 		if !ok {
 			continue
 		}
 		pairs++
-		if speedup := s.NsPerOp / c.NsPerOp; speedup < floor {
+		speedup := s.NsPerOp / c.NsPerOp
+		if speedup >= g.floor {
+			continue
+		}
+		if g.floor < 1 { // a ceiling on how much slower fast may be: report it as overhead
+			failures = append(failures, fmt.Sprintf("%s: %.0f ns/op vs %.0f %s (+%.1f%% > +%.0f%% allowed)",
+				name, c.NsPerOp, s.NsPerOp, g.slow, 100*(1/speedup-1), 100*(1/g.floor-1)))
+		} else {
 			failures = append(failures, fmt.Sprintf("%s: %s is only %.2fx %s (%.0f vs %.0f ns/op), want >= %.1fx",
-				name, fast, speedup, slow, c.NsPerOp, s.NsPerOp, floor))
+				name, g.fast, speedup, g.slow, c.NsPerOp, s.NsPerOp, g.floor))
 		}
 	}
 	if pairs == 0 {
-		failures = append(failures, fmt.Sprintf("no %s/%s benchmark pairs found for the speedup floor check", slow, fast))
+		failures = append(failures, fmt.Sprintf("no %s/%s benchmark pairs found for the -%s check", g.slow, g.fast, g.flag))
 	}
 	return failures
 }
