@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/chaos"
 )
 
 // experiments is every experiment -exp all runs, in -list order. chaos is
@@ -74,10 +75,20 @@ func main() {
 	}
 
 	if *exp == "chaos" {
-		t, rep, err := bench.Chaos(bench.ChaosOptions{
+		if *duration <= 0 {
+			fmt.Fprintln(os.Stderr, "chaos: -duration must be positive")
+			os.Exit(2)
+		}
+		cfg := chaos.Config{
 			Seed: *seed, Nodes: *nodes, Duration: *duration,
-			WAN: *wan, ArtifactDir: *artifacts, Verbose: *verbose,
-		})
+			WAN: *wan, ArtifactDir: *artifacts,
+		}
+		if *verbose {
+			cfg.Logf = func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, format+"\n", args...)
+			}
+		}
+		t, rep, err := bench.Chaos(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
 			os.Exit(1)

@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"log"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/client"
@@ -22,41 +20,6 @@ import (
 	"repro/internal/ycsb"
 )
 
-func parsePeers(s string) (map[types.ReplicaID]string, error) {
-	peers := make(map[types.ReplicaID]string)
-	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad peer %q (want id=host:port)", part)
-		}
-		id, err := strconv.Atoi(kv[0])
-		if err != nil {
-			return nil, fmt.Errorf("bad peer id %q: %v", kv[0], err)
-		}
-		peers[types.ReplicaID(id)] = kv[1]
-	}
-	return peers, nil
-}
-
-// buildAuth resolves the -auth / -auth-secret flags (with -mac-secret as a
-// backward-compatible alias implying mac) into an authenticator.
-func buildAuth(schemeArg, secret, macSecret string, party uint32) (crypto.Authenticator, error) {
-	if schemeArg == "" && macSecret != "" {
-		schemeArg = "mac"
-	}
-	if secret == "" {
-		secret = macSecret
-	}
-	scheme, err := crypto.ParseScheme(schemeArg)
-	if err != nil {
-		return nil, err
-	}
-	if scheme == crypto.SchemeNone {
-		return nil, nil
-	}
-	return crypto.NewAuth(scheme, party, []byte(secret))
-}
-
 func main() {
 	var (
 		id       = flag.Uint("id", 1, "client ID (>= 1)")
@@ -65,16 +28,13 @@ func main() {
 		txns     = flag.Int("txns", 100, "transactions to execute")
 		window   = flag.Int("window", 8, "client pipeline depth")
 		zyz      = flag.Bool("zyzzyva", false, "collect all-n speculative responses (Zyzzyva deployments)")
-		authArg  = flag.String("auth", "", "frame authentication scheme: none, mac, ds (must match the nodes); default none, or mac when -mac-secret is set")
+		authArg  = flag.String("auth", "", "frame authentication scheme: none (default), mac, ds (must match the nodes)")
 		authKey  = flag.String("auth-secret", "", "shared deployment secret (must match the nodes)")
-		macKey   = flag.String("mac-secret", "", "shared MAC secret (deprecated alias for -auth mac -auth-secret)")
 		timeout  = flag.Duration("timeout", 60*time.Second, "overall deadline")
-		sendQ    = flag.Int("send-queue", 0, "per-replica outbound queue depth (0 = default 4096)")
-		sendB    = flag.Int("send-batch-bytes", 0, "max encoded bytes coalesced per write syscall (0 = default 128 KiB)")
 	)
 	flag.Parse()
 
-	peers, err := parsePeers(*peersArg)
+	peers, err := transport.ParsePeers(*peersArg)
 	if err != nil {
 		log.Fatalf("rccclient: %v", err)
 	}
@@ -110,17 +70,15 @@ func main() {
 	})
 
 	proc := runtime.NewClient(cid, params, mach)
-	auth, err := buildAuth(*authArg, *authKey, *macKey, crypto.ClientPartyID(cid))
+	auth, err := crypto.ParseAuth(*authArg, *authKey, crypto.ClientPartyID(cid))
 	if err != nil {
 		log.Fatalf("rccclient: %v", err)
 	}
 	tcp, err := transport.NewTCP(transport.TCPConfig{
-		IsClient:      true,
-		SelfClient:    cid,
-		Peers:         peers,
-		Auth:          auth,
-		QueueDepth:    *sendQ,
-		MaxBatchBytes: *sendB,
+		IsClient:   true,
+		SelfClient: cid,
+		Peers:      peers,
+		Auth:       auth,
 	}, proc)
 	if err != nil {
 		log.Fatalf("rccclient: %v", err)

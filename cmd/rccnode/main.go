@@ -14,13 +14,11 @@ package main
 import (
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -38,41 +36,6 @@ import (
 	"repro/internal/wal"
 	"repro/internal/ycsb"
 )
-
-func parsePeers(s string) (map[types.ReplicaID]string, error) {
-	peers := make(map[types.ReplicaID]string)
-	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad peer %q (want id=host:port)", part)
-		}
-		id, err := strconv.Atoi(kv[0])
-		if err != nil {
-			return nil, fmt.Errorf("bad peer id %q: %v", kv[0], err)
-		}
-		peers[types.ReplicaID(id)] = kv[1]
-	}
-	return peers, nil
-}
-
-// buildAuth resolves the -auth / -auth-secret flags (with -mac-secret as a
-// backward-compatible alias implying mac) into an authenticator.
-func buildAuth(schemeArg, secret, macSecret string, party uint32) (crypto.Authenticator, error) {
-	if schemeArg == "" && macSecret != "" {
-		schemeArg = "mac"
-	}
-	if secret == "" {
-		secret = macSecret
-	}
-	scheme, err := crypto.ParseScheme(schemeArg)
-	if err != nil {
-		return nil, err
-	}
-	if scheme == crypto.SchemeNone {
-		return nil, nil
-	}
-	return crypto.NewAuth(scheme, party, []byte(secret))
-}
 
 // runTimeline is the post-mortem scrape mode: each comma-separated entry is
 // either an admin address (its /debug/events ring is fetched live) or a path
@@ -121,29 +84,20 @@ func main() {
 		batch    = flag.Int("batch", 100, "transactions per proposal")
 		window   = flag.Int("window", 4, "out-of-order proposal window")
 		records  = flag.Int("records", ycsb.DefaultRecords, "YCSB table records")
-		authArg  = flag.String("auth", "", "frame authentication scheme: none, mac (pairwise HMAC), ds (ED25519 dev keyring); default none, or mac when -mac-secret is set")
+		authArg  = flag.String("auth", "", "frame authentication scheme: none (default), mac (pairwise HMAC), ds (ED25519 dev keyring)")
 		authKey  = flag.String("auth-secret", "", "shared deployment secret: MAC pair keys or the ds dev-keyring seed derive from it")
-		macKey   = flag.String("mac-secret", "", "shared MAC secret (deprecated alias for -auth mac -auth-secret)")
-		verifyW  = flag.Int("verify-workers", 0, "inbound verification worker pool size (0 = scheme default: pooled for ds, inline for mac; negative = force inline)")
 		digCache = flag.Int("digest-cache", 0, "verified client-request digest cache entries, shared across instances (0 off)")
 		statsSec = flag.Int("stats", 10, "stats print interval in seconds (0 off)")
 		dataDir  = flag.String("data-dir", "", "durable storage directory: journal decided blocks through a WAL and resume from it on restart")
 		syncMode = flag.String("sync", "group", "WAL durability with -data-dir: group (client acks wait for an fsync shared by every block in flight), none")
 		snapEach = flag.Uint64("snapshot-every", 1024, "persist an application checkpoint every N blocks with -data-dir (0 off)")
 		walPrune = flag.Bool("wal-prune", false, "with -data-dir and -snapshot-every: reclaim WAL segments below each persisted checkpoint; restart replays from the pinned checkpoint instead of genesis")
-		jnlQueue = flag.Int("journal-queue", 0, "max blocks executed but not yet durable before execution back-pressures (0 = default 1024)")
-		sendQ    = flag.Int("send-queue", 0, "per-peer outbound queue depth: messages buffered per replica link before backpressure (0 = default 4096)")
-		clientQ  = flag.Int("client-queue", 0, "per-client reply queue depth: replies buffered per client link before dropping (0 = default 1024)")
-		sendB    = flag.Int("send-batch-bytes", 0, "max encoded bytes coalesced into one multi-message frame per write syscall (0 = default 128 KiB)")
 		stateSyn = flag.Bool("state-sync", true, "with -data-dir: serve checkpoints to lagging peers and, when this replica is behind (wiped disk, long partition), fetch the f+1-attested snapshot + ledger suffix and rejoin at the cluster head")
-		chunkB   = flag.Int("snapshot-chunk-bytes", 0, "state sync: snapshot chunk size served to peers (0 = default 256 KiB)")
-		syncSrc  = flag.Int("state-sync-source", -1, "state sync: preferred transfer source replica ID (-1 = automatic; the fetcher still rotates away on failure)")
 		execWkrs = flag.Int("exec-workers", 0, "parallel execution workers per batch: conflict-free transactions of a unified round fan out across this many goroutines (0 = GOMAXPROCS, 1 = serial)")
 		adminArg = flag.String("admin-addr", "", "admin HTTP listener serving /metrics (Prometheus), /healthz, /readyz, /debug/trace, /debug/events, and /debug/pprof (empty = off)")
 		traceN   = flag.Int("trace-sample", 64, "lifecycle tracer: sample 1 in N transactions into the /debug/trace ring (1 = all, negative = off)")
 		traceBuf = flag.Int("trace-buf", 4096, "lifecycle tracer: ring buffer capacity in events")
 		flightN  = flag.Int("flight-buf", 0, "flight recorder: ring capacity in events (0 = default 4096, negative = off)")
-		stallThr = flag.Duration("stall-threshold", 0, "flight recorder: event-loop stall watchdog threshold (0 = default 500ms, negative = off)")
 		mirrorIv = flag.Duration("flight-mirror", 0, "flight recorder: crash-safe mirror period for <data-dir>/flight.bin (0 = default 2s, negative = off)")
 		timeline = flag.String("timeline", "", "scrape mode: comma-separated admin addresses and/or flight.bin paths; fetch every ring, merge into one causal cluster timeline on stdout, and exit")
 	)
@@ -156,7 +110,7 @@ func main() {
 		return
 	}
 
-	peers, err := parsePeers(*peersArg)
+	peers, err := transport.ParsePeers(*peersArg)
 	if err != nil {
 		log.Fatalf("rccnode: %v", err)
 	}
@@ -205,10 +159,6 @@ func main() {
 		log.Fatalf("rccnode: unknown -sync mode %q (want group or none)", *syncMode)
 	}
 
-	source := types.NoReplica
-	if *syncSrc >= 0 {
-		source = types.ReplicaID(*syncSrc)
-	}
 	rep, err := runtime.New(runtime.Config{
 		ID:      types.ReplicaID(*id),
 		Params:  params,
@@ -218,20 +168,12 @@ func main() {
 		DataDir: *dataDir,
 		Journaling: runtime.JournalOptions{
 			Sync:          durability,
-			QueueDepth:    *jnlQueue,
 			SnapshotEvery: *snapEach,
 			PruneWAL:      *walPrune,
 		},
-		StateSync: runtime.StateSyncOptions{
-			Enabled:    *stateSyn && *dataDir != "",
-			ChunkBytes: *chunkB,
-			Source:     source,
-		},
-		Exec: runtime.ExecOptions{Workers: *execWkrs},
-		Flight: runtime.FlightOptions{
-			StallThreshold: *stallThr,
-			MirrorInterval: *mirrorIv,
-		},
+		StateSync:      runtime.StateSyncOptions{Enabled: *stateSyn && *dataDir != ""},
+		Exec:           runtime.ExecOptions{Workers: *execWkrs},
+		Flight:         runtime.FlightOptions{MirrorInterval: *mirrorIv},
 		ReplyToClients: true,
 		Logf:           log.Printf,
 		Metrics:        metrics,
@@ -248,19 +190,15 @@ func main() {
 		}
 	}
 
-	auth, err := buildAuth(*authArg, *authKey, *macKey, crypto.PartyID(types.ReplicaID(*id)))
+	auth, err := crypto.ParseAuth(*authArg, *authKey, crypto.PartyID(types.ReplicaID(*id)))
 	if err != nil {
 		log.Fatalf("rccnode: %v", err)
 	}
 	tcpCfg := transport.TCPConfig{
-		Self:             types.ReplicaID(*id),
-		Listen:           *listen,
-		Peers:            peers,
-		Auth:             auth,
-		QueueDepth:       *sendQ,
-		ClientQueueDepth: *clientQ,
-		MaxBatchBytes:    *sendB,
-		VerifyWorkers:    *verifyW,
+		Self:   types.ReplicaID(*id),
+		Listen: *listen,
+		Peers:  peers,
+		Auth:   auth,
 	}
 	if *digCache > 0 {
 		tcpCfg.DigestCache = digestcache.New(*digCache)

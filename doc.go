@@ -24,7 +24,7 @@
 //
 // Pipelined durability: the fsync never runs on the consensus event loop.
 // Executed blocks are handed to a background committer over a bounded
-// in-flight queue (-journal-queue), many blocks share each commit point,
+// in-flight queue (wal.DefaultQueueDepth blocks), many blocks share each commit point,
 // and the client replies for a block wait for its WAL record to be
 // reported durable — under the default policy an acknowledged transaction
 // survives any crash (with -sync none the commit point is flush-only:
@@ -47,8 +47,8 @@
 // so one stalled client or peer can never delay anyone else — client
 // acks ride these per-client queues straight off the WAL committer.
 // Connections open with a wire-version handshake and refuse mismatched
-// peers, the network twin of store.ErrDataDirMismatch. rccnode/rccclient
-// expose -send-queue, -client-queue, and -send-batch-bytes;
+// peers, the network twin of store.ErrDataDirMismatch. Queue depths and
+// batch caps are constants of internal/transport, not flags;
 // BenchmarkBroadcast and BenchmarkCodec price the path and CI holds both
 // to their baseline rows.
 //
@@ -59,7 +59,7 @@
 // It probes its peers, trusts only a target that f+1 distinct replicas
 // attest with byte-identical offers (snapshot digests, ledger head, and
 // the consensus machine's serialized frontier, sm.StateSyncable), fetches
-// the snapshot in bounded chunks (-snapshot-chunk-bytes) plus the ledger
+// the snapshot in bounded 256 KiB chunks plus the ledger
 // suffix in block ranges, and verifies everything against the attested
 // digests: reassembled chunks must hash to the attested state digest,
 // blocks must chain hash-to-hash from the attested anchor to the attested
@@ -81,8 +81,8 @@
 // types.StateKey identifying the state it reads or writes); the engine
 // partitions every batch into connected components of the conflict graph
 // (union-find over shared keys), packs components onto a bounded worker
-// pool (runtime.Config.Exec.Workers, core.Options.ExecWorkers, rccnode
-// -exec-workers; 0 = GOMAXPROCS, 1 = the serial engine), and executes
+// pool (runtime.Config.Exec.Workers, rccnode -exec-workers; 0 =
+// GOMAXPROCS, 1 = the serial engine), and executes
 // conflicting transactions one at a time in batch order on a single
 // goroutine. Per-transaction result digests assemble in batch-index order,
 // so ResultHash and StateDigest are byte-identical on every replica
@@ -103,7 +103,7 @@
 // ED25519 dev keyring from one shared secret, so rccnode/rccclient key a
 // whole cluster with -auth none|mac|ds plus -auth-secret (production keys
 // plug into NewDS/KeyRing). With signatures, inbound verification runs on
-// a bounded worker pool in internal/transport (-verify-workers) that
+// a bounded worker pool in internal/transport (TCPConfig.VerifyWorkers) that
 // batch-verifies each frame's records through one BatchVerifier (bisection
 // isolates forged records) while preserving exact per-link delivery order;
 // a sharded cache of verified client-request digests (-digest-cache,

@@ -2,48 +2,15 @@ package bench
 
 import (
 	"fmt"
-	"os"
-	"time"
 
 	"repro/internal/chaos"
 )
-
-// ChaosOptions parameterizes the chaos experiment.
-type ChaosOptions struct {
-	Seed     int64
-	Nodes    int
-	Duration time.Duration
-	WAN      bool
-	// ArtifactDir receives flight rings and the merged timeline when the
-	// run fails (empty: no artifacts).
-	ArtifactDir string
-	// Verbose streams the fault driver's actions to stderr.
-	Verbose bool
-}
 
 // Chaos runs the randomized fault harness over a live loopback-TCP cluster
 // and reports the outcome as a table plus the full report (for the caller's
 // exit code and failure listing). The schedule is a pure function of the
 // seed: rerunning with the same seed and duration replays the same faults.
-func Chaos(o ChaosOptions) (*Table, *chaos.Report, error) {
-	if o.Nodes <= 0 {
-		o.Nodes = 4
-	}
-	if o.Duration <= 0 {
-		o.Duration = 5 * time.Minute
-	}
-	cfg := chaos.Config{
-		Nodes:       o.Nodes,
-		Duration:    o.Duration,
-		Seed:        o.Seed,
-		WAN:         o.WAN,
-		ArtifactDir: o.ArtifactDir,
-	}
-	if o.Verbose {
-		cfg.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
+func Chaos(cfg chaos.Config) (*Table, *chaos.Report, error) {
 	rep, err := chaos.Run(cfg)
 	if err != nil {
 		return nil, nil, err

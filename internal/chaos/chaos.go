@@ -92,7 +92,7 @@ func Run(cfg Config) (*Report, error) {
 		sched = *cfg.Schedule
 	}
 	rep := &Report{
-		Seed: cfg.Seed, Nodes: cfg.Nodes, Clients: cfg.Clients,
+		Seed: cfg.Seed, Nodes: cfg.Nodes, Clients: cfg.Nodes,
 		Duration: cfg.Duration, Schedule: sched,
 	}
 
@@ -143,7 +143,7 @@ func Run(cfg Config) (*Report, error) {
 	close(monStop)
 	<-monDone
 	mon.scan(cluster) // pick up the final blocks before the verdict
-	verdict(cfg, cluster, mon, rep)
+	verdict(cluster, mon, rep)
 	if !rep.Passed() {
 		dumpArtifacts(cfg, cluster, mon, rep)
 	}

@@ -27,18 +27,6 @@ import (
 type Config struct {
 	// Nodes is the cluster size (default 4).
 	Nodes int
-	// Clients is the number of closed-loop clients (default Nodes).
-	Clients int
-	// Window is each client's pipeline depth (default 4).
-	Window int
-	// Records sizes the YCSB store (default 1000).
-	Records int
-	// BatchSize groups transactions per proposal (default 2 — small
-	// batches keep heights churning, which is what stresses checkpoints,
-	// pruning, and state transfer).
-	BatchSize int
-	// SnapshotEvery is the checkpoint cadence in blocks (default 8).
-	SnapshotEvery uint64
 	// Duration is the full run length including warmup and settle
 	// (default 60s).
 	Duration time.Duration
@@ -50,61 +38,41 @@ type Config struct {
 	// transport, so faults land on links that already carry tens of
 	// milliseconds.
 	WAN bool
-	// Secret keys both the transport MACs and the checkpoint-attestation
-	// threshold scheme (default "chaos").
-	Secret string
-	// RequireAttestedRejoin fails the run unless at least one state
-	// transfer locked its target through a checkpoint-boundary
-	// attestation (the under-load rejoin path). Off, the condition is
-	// reported but not enforced — short smoke runs may legitimately heal
-	// through the byte-identical offer path alone.
-	RequireAttestedRejoin bool
 	// ArtifactDir, when set, receives flight dumps and the merged cluster
 	// timeline of a failed run.
 	ArtifactDir string
 	// Schedule overrides the generated schedule (Seed is then only
 	// reported, not used).
 	Schedule *Schedule
-	// ProgressTimeout is the per-instance failure-detection timeout
-	// (default 2s: longer than transient scheduling noise, much shorter
-	// than an episode, so in-the-dark instances are detected mid-run).
-	ProgressTimeout time.Duration
-	// RetryTimeout is the clients' retransmission timeout (default 500ms).
-	RetryTimeout time.Duration
 	// Logf, when set, receives harness progress lines.
 	Logf func(format string, args ...any)
 }
+
+// The load and protocol shape of every run. One closed-loop client per node
+// keeps window transactions in flight.
+const (
+	window  = 4
+	records = 1000 // YCSB store size
+	// batchSize is small so heights churn, which is what stresses
+	// checkpoints, pruning, and state transfer.
+	batchSize     = 2
+	snapshotEvery = 8 // checkpoint cadence in blocks
+	// secret keys both the transport MACs and the checkpoint-attestation
+	// threshold scheme.
+	secret = "chaos"
+	// progressTimeout is the per-instance failure-detection timeout: longer
+	// than transient scheduling noise, much shorter than an episode, so
+	// in-the-dark instances are detected mid-run.
+	progressTimeout = 2 * time.Second
+	retryTimeout    = 500 * time.Millisecond // clients' retransmission timeout
+)
 
 func (c *Config) defaults() {
 	if c.Nodes < 4 {
 		c.Nodes = 4
 	}
-	if c.Clients <= 0 {
-		c.Clients = c.Nodes
-	}
-	if c.Window <= 0 {
-		c.Window = 4
-	}
-	if c.Records <= 0 {
-		c.Records = 1000
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 2
-	}
-	if c.SnapshotEvery == 0 {
-		c.SnapshotEvery = 8
-	}
 	if c.Duration <= 0 {
 		c.Duration = 60 * time.Second
-	}
-	if c.Secret == "" {
-		c.Secret = "chaos"
-	}
-	if c.ProgressTimeout <= 0 {
-		c.ProgressTimeout = 2 * time.Second
-	}
-	if c.RetryTimeout <= 0 {
-		c.RetryTimeout = 500 * time.Millisecond
 	}
 }
 
@@ -178,7 +146,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		cfg:    cfg,
 		params: params,
 		faults: transport.NewFaults(),
-		attest: crypto.NewThresholdScheme(cfg.Nodes, params.F+1, []byte(cfg.Secret)),
+		attest: crypto.NewThresholdScheme(cfg.Nodes, params.F+1, []byte(secret)),
 		base:   base,
 	}
 	if cfg.WAN {
@@ -231,15 +199,15 @@ func (c *Cluster) boot(n *node, listen string) error {
 		ID:     n.id,
 		Params: c.params,
 		Machine: rcc.New(rcc.Config{
-			BatchSize:       c.cfg.BatchSize,
+			BatchSize:       batchSize,
 			Window:          8,
-			ProgressTimeout: c.cfg.ProgressTimeout,
+			ProgressTimeout: progressTimeout,
 			Metrics:         met,
 		}),
-		App:     ycsb.NewStore(c.cfg.Records),
+		App:     ycsb.NewStore(records),
 		DataDir: n.dir,
 		Journaling: runtime.JournalOptions{
-			SnapshotEvery: c.cfg.SnapshotEvery,
+			SnapshotEvery: snapshotEvery,
 			PruneWAL:      true,
 			Failpoints:    n.fp,
 		},
@@ -261,7 +229,7 @@ func (c *Cluster) boot(n *node, listen string) error {
 	tcp, err := transport.NewTCP(transport.TCPConfig{
 		Self:   n.id,
 		Listen: listen,
-		Auth:   crypto.NewMAC(crypto.PartyID(n.id), []byte(c.cfg.Secret)),
+		Auth:   crypto.NewMAC(crypto.PartyID(n.id), []byte(secret)),
 		Faults: c.faults,
 		Flight: met.Flight,
 	}, rep)
@@ -384,19 +352,19 @@ func (c *Cluster) eachUp(f func(n *node)) {
 	}
 }
 
-// StartClients launches the closed-loop load: each client keeps Window
+// StartClients launches the closed-loop load: each client keeps window
 // transactions in flight, submitting a fresh one the moment one completes,
 // and reports every completion — an acked transaction — to mon.
 func (c *Cluster) StartClients(mon *monitor) {
 	peers := c.peerMap()
-	for i := 0; i < c.cfg.Clients; i++ {
+	for i := 0; i < c.cfg.Nodes; i++ {
 		id := types.ClientID(i + 1)
 		h := &clientHandle{
 			id:   id,
-			mach: client.New(client.Config{Client: id, Broadcast: true, RetryTimeout: c.cfg.RetryTimeout}),
-			wl:   ycsb.NewWorkload(ycsb.WorkloadConfig{Records: c.cfg.Records, Seed: int64(id)}),
+			mach: client.New(client.Config{Client: id, Broadcast: true, RetryTimeout: retryTimeout}),
+			wl:   ycsb.NewWorkload(ycsb.WorkloadConfig{Records: records, Seed: int64(id)}),
 		}
-		h.mach.SetWindow(c.cfg.Window)
+		h.mach.SetWindow(window)
 		h.proc = runtime.NewClient(id, c.params, h.mach)
 		h.mach.SetCompletionHook(func(comp client.Completion) {
 			mon.acked(id, comp.Seq)
@@ -411,13 +379,13 @@ func (c *Cluster) StartClients(mon *monitor) {
 				h.proc.DeliverReplica(types.NoReplica, &client.Submission{Tx: h.wl.Next(id)})
 			}
 		})
-		for j := 0; j < c.cfg.Window; j++ {
+		for j := 0; j < window; j++ {
 			h.submitted.Add(1)
 			h.mach.Submit(h.wl.Next(id))
 		}
 		tcp, err := transport.NewTCP(transport.TCPConfig{
 			IsClient: true, SelfClient: id, Peers: peers,
-			Auth: crypto.NewMAC(crypto.ClientPartyID(id), []byte(c.cfg.Secret)),
+			Auth: crypto.NewMAC(crypto.ClientPartyID(id), []byte(secret)),
 		}, h.proc)
 		if err != nil {
 			c.cfg.logf("chaos: client %d transport: %v", id, err)

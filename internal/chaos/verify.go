@@ -101,7 +101,7 @@ func (m *monitor) hashAt(h uint64) (types.Digest, bool) {
 }
 
 // verdict fills the report from the monitor and cluster state.
-func verdict(cfg Config, c *Cluster, mon *monitor, rep *Report) {
+func verdict(c *Cluster, mon *monitor, rep *Report) {
 	rep.Acked = mon.ackedCount()
 	rep.Committed = mon.chainLen()
 
@@ -147,13 +147,8 @@ func verdict(cfg Config, c *Cluster, mon *monitor, rep *Report) {
 		rep.Failures = append(rep.Failures, "no transaction was ever acknowledged — the cluster made no progress under faults")
 	}
 
-	if rep.AttestedRejoins == 0 {
-		msg := "no state transfer used the checkpoint-attested offer path"
-		if cfg.RequireAttestedRejoin {
-			rep.Failures = append(rep.Failures, msg)
-		} else if rep.Wipes > 0 {
-			rep.Warnings = append(rep.Warnings, msg+" (healed via byte-identical offers)")
-		}
+	if rep.AttestedRejoins == 0 && rep.Wipes > 0 {
+		rep.Warnings = append(rep.Warnings, "no state transfer used the checkpoint-attested offer path (healed via byte-identical offers)")
 	}
 	if rep.Wipes > 0 && rep.InstalledSnaps == 0 {
 		rep.Warnings = append(rep.Warnings, "nodes were wiped but no snapshot install was recorded")

@@ -35,7 +35,6 @@ import (
 	"repro/internal/sm"
 	"repro/internal/transport"
 	"repro/internal/types"
-	"repro/internal/wal"
 	"repro/internal/ycsb"
 	"repro/internal/zyzzyva"
 )
@@ -63,8 +62,6 @@ type Options struct {
 	N int
 	// Protocol selects the consensus protocol (default RCC).
 	Protocol Protocol
-	// M is the number of concurrent instances for RCC/MirBFT (0 = n).
-	M int
 	// BatchSize groups client transactions per proposal (default 1 for
 	// interactive use; benchmarks use the paper's 100).
 	BatchSize int
@@ -84,21 +81,9 @@ type Options struct {
 	// there on construction, so a cluster rebuilt on the same DataDir
 	// resumes where the previous one stopped.
 	DataDir string
-	// Durability selects the WAL sync policy when DataDir is set
-	// (default: client acks wait for an fsync covering their block).
-	Durability wal.SyncPolicy
 	// SnapshotEvery persists application checkpoints every N blocks when
 	// DataDir is set (see runtime.Config.SnapshotEvery).
 	SnapshotEvery uint64
-	// StateSync arms checkpoint-based state transfer when DataDir is set
-	// and the protocol supports it: a replica whose data dir is wiped or
-	// behind fetches the f+1-attested snapshot plus ledger suffix from its
-	// peers and rejoins at the cluster head (see runtime.Config.StateSync).
-	StateSync bool
-	// ExecWorkers bounds the conflict-aware parallel execution engine's
-	// per-batch concurrency on every replica (0 = GOMAXPROCS, 1 = the
-	// serial executor; see runtime.Config.Exec).
-	ExecWorkers int
 	// UnpredictableOrdering enables RCC's §IV permutation ordering.
 	UnpredictableOrdering bool
 	// Metrics is the instrument catalog wired through the consensus
@@ -141,7 +126,6 @@ func (o *Options) machine() (sm.Machine, error) {
 	switch o.Protocol {
 	case RCC, RCCZyzzyva, RCCSBFT:
 		cfg := rcc.Config{
-			M:                     o.M,
 			BatchSize:             o.BatchSize,
 			Window:                o.Window,
 			ProgressTimeout:       o.ProgressTimeout,
@@ -184,7 +168,7 @@ func (o *Options) machine() (sm.Machine, error) {
 		}), nil
 	case MirBFT:
 		return mirbft.New(mirbft.Config{
-			M: o.M, BatchSize: o.BatchSize, Window: o.Window, ProgressTimeout: o.ProgressTimeout,
+			BatchSize: o.BatchSize, Window: o.Window, ProgressTimeout: o.ProgressTimeout,
 		}), nil
 	}
 	return nil, fmt.Errorf("core: unknown protocol %q", o.Protocol)
@@ -227,25 +211,17 @@ func NewCluster(opts Options) (*Cluster, error) {
 			return nil, err
 		}
 		rcfg := runtime.Config{
-			ID:      types.ReplicaID(i),
-			Params:  params,
-			Machine: m,
-			App:     opts.App(),
-			Journal: opts.Journal,
-			Journaling: runtime.JournalOptions{
-				Sync:          opts.Durability,
-				SnapshotEvery: opts.SnapshotEvery,
-			},
-			Exec:           runtime.ExecOptions{Workers: opts.ExecWorkers},
+			ID:             types.ReplicaID(i),
+			Params:         params,
+			Machine:        m,
+			App:            opts.App(),
+			Journal:        opts.Journal,
+			Journaling:     runtime.JournalOptions{SnapshotEvery: opts.SnapshotEvery},
 			ReplyToClients: true,
 			Metrics:        opts.Metrics,
 		}
 		if opts.DataDir != "" {
 			rcfg.DataDir = ReplicaDir(opts.DataDir, i)
-			rcfg.StateSync = runtime.StateSyncOptions{
-				Enabled: opts.StateSync,
-				Source:  types.NoReplica,
-			}
 		}
 		rep, err := runtime.New(rcfg)
 		if err != nil {

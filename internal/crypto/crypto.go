@@ -70,6 +70,17 @@ func ParseScheme(s string) (Scheme, error) {
 	return SchemeNone, fmt.Errorf("crypto: unknown auth scheme %q (want none, mac, or ds)", s)
 }
 
+// ParseAuth resolves rccnode and rccclient's -auth and -auth-secret flags
+// into party's authenticator; none (or empty) yields a nil Authenticator,
+// which the transport treats as no authentication.
+func ParseAuth(scheme, secret string, party uint32) (Authenticator, error) {
+	s, err := ParseScheme(scheme)
+	if err != nil || s == SchemeNone {
+		return nil, err
+	}
+	return NewAuth(s, party, []byte(secret))
+}
+
 // Simulated per-operation CPU costs. Calibrated so that, with the paper's
 // message mix, DS costs ≈ 86% throughput and MAC ≈ 33% (Fig. 7 right).
 const (

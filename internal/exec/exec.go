@@ -109,15 +109,16 @@ type Options struct {
 	// the pool handles the rest). 0 means GOMAXPROCS; 1 disables the
 	// pool and reproduces the serial engine exactly.
 	Workers int
-	// MinParallel is the smallest batch (and conflict-free segment)
-	// worth planning and fanning out; smaller ones execute inline.
-	// 0 means DefaultMinParallel.
-	MinParallel int
+
+	// minParallel overrides defaultMinParallel in same-package tests (zero
+	// selects it).
+	minParallel int
 }
 
-// DefaultMinParallel is the Options.MinParallel default: below this many
-// transactions the fixed planning + handoff cost outweighs any win.
-const DefaultMinParallel = 8
+// defaultMinParallel is the smallest batch (and conflict-free segment)
+// worth planning and fanning out; smaller ones execute inline. Below it the
+// fixed planning + handoff cost outweighs any win.
+const defaultMinParallel = 8
 
 // Engine applies ordered batches to an Application and journals them.
 //
@@ -186,10 +187,10 @@ func NewEngineOpts(app Application, j Journal, opts Options) *Engine {
 	if opts.Workers < 1 {
 		opts.Workers = 1
 	}
-	if opts.MinParallel <= 0 {
-		opts.MinParallel = DefaultMinParallel
+	if opts.minParallel <= 0 {
+		opts.minParallel = defaultMinParallel
 	}
-	return &Engine{app: app, journal: j, workers: opts.Workers, minParallel: opts.MinParallel}
+	return &Engine{app: app, journal: j, workers: opts.Workers, minParallel: opts.minParallel}
 }
 
 // Workers reports the engine's configured execution concurrency.

@@ -19,7 +19,7 @@ import (
 // workers sleep a random few microseconds before each group, so completion
 // order varies run to run. Results must not.
 func newPerturbedEngine(app Application, workers int, seed int64) *Engine {
-	e := NewEngineOpts(app, nil, Options{Workers: workers, MinParallel: 2})
+	e := NewEngineOpts(app, nil, Options{Workers: workers, minParallel: 2})
 	if workers > 1 {
 		rng := rand.New(rand.NewSource(seed))
 		var mu sync.Mutex
@@ -257,7 +257,7 @@ func TestNoOpFootprintsAreEmpty(t *testing.T) {
 // polls Executed() — the metrics scrape path — and a Restore lands between
 // batches. Run under -race this pins the atomic counter fix.
 func TestExecutedCounterRaceSafe(t *testing.T) {
-	e := NewEngineOpts(ycsb.NewStore(128), nil, Options{Workers: 4, MinParallel: 2})
+	e := NewEngineOpts(ycsb.NewStore(128), nil, Options{Workers: 4, minParallel: 2})
 	defer e.Close()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

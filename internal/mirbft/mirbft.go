@@ -26,10 +26,8 @@ import (
 	"repro/internal/types"
 )
 
-// Config parameterizes a Mir-BFT replica.
+// Config parameterizes a Mir-BFT replica. It runs one instance per replica.
 type Config struct {
-	// M is the number of concurrent instances (0 means n).
-	M int
 	// BatchSize groups client transactions per proposal.
 	BatchSize int
 	// Window is the out-of-order proposal window per instance.
@@ -39,14 +37,9 @@ type Config struct {
 	// StabilityInterval is how long the super-primary waits after an
 	// epoch change before re-enabling one disabled leader.
 	StabilityInterval time.Duration
-	// DisableNoOpFill turns off no-op filling for tests.
-	DisableNoOpFill bool
 }
 
-func (c *Config) defaults(n int) {
-	if c.M <= 0 || c.M > n {
-		c.M = n
-	}
+func (c *Config) defaults() {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 100
 	}
@@ -74,7 +67,7 @@ type instState struct {
 	suspected bool
 }
 
-// Replica is one Mir-BFT replica hosting m concurrent instances under
+// Replica is one Mir-BFT replica hosting n concurrent instances under
 // global epoch coordination.
 type Replica struct {
 	cfg Config
@@ -117,10 +110,10 @@ func New(cfg Config) *Replica {
 func (r *Replica) Start(env sm.Env) {
 	r.env = env
 	n := env.Params().N
-	r.cfg.defaults(n)
+	r.cfg.defaults()
 	r.execRound = 1
-	r.states = make([]*instState, r.cfg.M)
-	for i := 0; i < r.cfg.M; i++ {
+	r.states = make([]*instState, n)
+	for i := 0; i < n; i++ {
 		id := types.InstanceID(i)
 		st := &instState{
 			id:      id,
@@ -464,7 +457,7 @@ func (r *Replica) tryExecute() {
 // maybeNoOpFill keeps the local leader's instance in step with the most
 // advanced instance so rounds complete (same role as RCC's no-op filling).
 func (r *Replica) maybeNoOpFill() {
-	if r.cfg.DisableNoOpFill || r.changing {
+	if r.changing {
 		return
 	}
 	own, ok := r.OwnInstance()

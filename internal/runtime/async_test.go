@@ -34,7 +34,7 @@ func asyncCluster(t *testing.T, n int, base string, queueDepth int, machine func
 			DataDir: filepath.Join(base, "replica-"+string(rune('0'+i))),
 			Journaling: JournalOptions{
 				Sync:       wal.SyncGroup,
-				QueueDepth: queueDepth,
+				queueDepth: queueDepth,
 			},
 			ReplyToClients: true,
 		})

@@ -34,7 +34,7 @@ func TestWatchdogDetectsWedgedLoop(t *testing.T) {
 		Params:  params,
 		Machine: pbft.New(pbft.Config{BatchSize: 1, Window: 4, ProgressTimeout: time.Minute}),
 		App:     ycsb.NewStore(100),
-		Flight:  FlightOptions{StallThreshold: 40 * time.Millisecond},
+		Flight:  FlightOptions{stallThreshold: 40 * time.Millisecond},
 		Metrics: met,
 	})
 	if err != nil {

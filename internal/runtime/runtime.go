@@ -42,10 +42,6 @@ type JournalOptions struct {
 	// Async is accepted and ignored: journaling is always pipelined. The
 	// field remains only because benchmark/cluster.go still sets it.
 	Async bool
-	// QueueDepth bounds blocks executed but not yet durable (default
-	// wal.DefaultQueueDepth). When it fills, execution back-pressures by
-	// blocking the event loop until the disk catches up.
-	QueueDepth int
 	// SnapshotEvery persists an application checkpoint every N decided
 	// blocks when App implements store.Snapshotter (0 disables periodic
 	// checkpoints; RCC's dynamic checkpoints still persist on demand).
@@ -59,34 +55,41 @@ type JournalOptions struct {
 	// (fsync-error, torn-write; see wal.Failpoints). Chaos/test wiring
 	// only.
 	Failpoints *wal.Failpoints
+
+	// queueDepth bounds blocks executed but not yet durable (zero selects
+	// wal.DefaultQueueDepth); only same-package tests shrink it. When it
+	// fills, execution back-pressures by blocking the event loop until the
+	// disk catches up.
+	queueDepth int
 }
 
-// FlightOptions tunes the black-box flight recorder's runtime hooks. All
-// thresholds follow the same convention: zero means the default, negative
-// disables the hook.
-type FlightOptions struct {
-	// StallThreshold is how long the event loop may fail to service a
+const (
+	// stallThreshold is how long the event loop may fail to service a
 	// watchdog probe before a loop_stalled event is recorded and
-	// rcc_loop_stalls_total increments (default 500ms). One event fires per
-	// stall episode, not per probe interval.
-	StallThreshold time.Duration
-	// FsyncStallThreshold is the WAL commit-point latency above which an
-	// fsync_stall event is recorded, detail = latency in nanoseconds
-	// (default 250ms).
-	FsyncStallThreshold time.Duration
+	// rcc_loop_stalls_total increments. One event fires per stall episode,
+	// not per probe interval.
+	stallThreshold = 500 * time.Millisecond
+	// fsyncStallThreshold is the WAL commit-point latency above which an
+	// fsync_stall event is recorded, detail = latency in nanoseconds.
+	fsyncStallThreshold = 250 * time.Millisecond
+)
+
+// FlightOptions tunes the black-box flight recorder's runtime hooks.
+type FlightOptions struct {
 	// MirrorInterval is the period of the crash-safe ring mirror written to
-	// <DataDir>/flight.bin (default 2s; requires DataDir). kill -9 then
-	// loses at most one interval of events; a sticky durability failure
-	// additionally dumps synchronously.
+	// <DataDir>/flight.bin (default 2s; requires DataDir; negative
+	// disables). kill -9 then loses at most one interval of events; a
+	// sticky durability failure additionally dumps synchronously.
 	MirrorInterval time.Duration
+
+	// stallThreshold overrides the watchdog's stallThreshold in
+	// same-package tests (zero selects it).
+	stallThreshold time.Duration
 }
 
 func (o *FlightOptions) defaults() {
-	if o.StallThreshold == 0 {
-		o.StallThreshold = 500 * time.Millisecond
-	}
-	if o.FsyncStallThreshold == 0 {
-		o.FsyncStallThreshold = 250 * time.Millisecond
+	if o.stallThreshold == 0 {
+		o.stallThreshold = stallThreshold
 	}
 	if o.MirrorInterval == 0 {
 		o.MirrorInterval = 2 * time.Second
@@ -103,12 +106,6 @@ type StateSyncOptions struct {
 	// peers, installs it crash-atomically, and rejoins consensus at the
 	// cluster head.
 	Enabled bool
-	// ChunkBytes bounds each served snapshot chunk (default 256 KiB).
-	ChunkBytes int
-	// Source is the preferred transfer source; types.NoReplica (or any
-	// ID outside the attesting set) falls back to automatic selection,
-	// and the fetcher still rotates away on failure.
-	Source types.ReplicaID
 	// OfferWait / Retry / SteadyProbe tune the manager's probe gathering
 	// window, failed-pass retry interval, and the steady-state re-probe
 	// period (defaults in internal/statesync; tests shrink them).
@@ -128,9 +125,6 @@ type ExecOptions struct {
 	// Workers bounds the conflict-aware executor's concurrency per batch
 	// (0 = GOMAXPROCS, 1 = serial; see exec.Options.Workers).
 	Workers int
-	// MinParallel is the smallest batch worth fanning out (0 = the
-	// exec.DefaultMinParallel).
-	MinParallel int
 }
 
 // Config parameterizes one replica process.
@@ -260,10 +254,9 @@ func New(cfg Config) (*Replica, error) {
 			fsync := cfg.Metrics.WALFsync
 			met := cfg.Metrics
 			id := uint16(cfg.ID)
-			stall := cfg.Flight.FsyncStallThreshold
 			onCommit = func(_ int, _ int64, took time.Duration) {
 				fsync.Observe(took)
-				if stall > 0 && took >= stall {
+				if took >= fsyncStallThreshold {
 					// The disk held up a commit point long enough to matter:
 					// leave a breadcrumb the post-mortem timeline can line up
 					// against demotions and view changes.
@@ -273,7 +266,7 @@ func New(cfg Config) (*Replica, error) {
 		}
 		dl, err := store.Open(cfg.DataDir, store.Options{
 			Sync:            cfg.Journaling.Sync,
-			AsyncQueueDepth: cfg.Journaling.QueueDepth,
+			AsyncQueueDepth: cfg.Journaling.queueDepth,
 			AsyncOnCommit:   onCommit,
 			PruneWAL:        cfg.Journaling.PruneWAL,
 			Failpoints:      cfg.Journaling.Failpoints,
@@ -290,9 +283,7 @@ func New(cfg Config) (*Replica, error) {
 		r.durable = dl
 		r.log = dl.Memory()
 		journal = durableJournal{r}
-		r.engine = exec.NewEngineOpts(cfg.App, journal, exec.Options{
-			Workers: cfg.Exec.Workers, MinParallel: cfg.Exec.MinParallel,
-		})
+		r.engine = exec.NewEngineOpts(cfg.App, journal, exec.Options{Workers: cfg.Exec.Workers})
 		r.engine.SetMetrics(cfg.Metrics)
 		r.engine.Restore(txns)
 		r.initStateSync()
@@ -303,9 +294,7 @@ func New(cfg Config) (*Replica, error) {
 		r.log = ledger.New()
 		journal = exec.MemJournal{Ledger: r.log}
 	}
-	r.engine = exec.NewEngineOpts(cfg.App, journal, exec.Options{
-		Workers: cfg.Exec.Workers, MinParallel: cfg.Exec.MinParallel,
-	})
+	r.engine = exec.NewEngineOpts(cfg.App, journal, exec.Options{Workers: cfg.Exec.Workers})
 	r.engine.SetMetrics(cfg.Metrics)
 	r.registerMetrics()
 	return r, nil
@@ -411,11 +400,9 @@ func (r *Replica) initStateSync() {
 		Self:          r.cfg.ID,
 		N:             r.cfg.Params.N,
 		Attest:        r.cfg.Params.FaultDetection(),
-		ChunkBytes:    r.cfg.StateSync.ChunkBytes,
 		OfferWait:     r.cfg.StateSync.OfferWait,
 		RetryInterval: r.cfg.StateSync.Retry,
 		SteadyProbe:   r.cfg.StateSync.SteadyProbe,
-		Source:        r.cfg.StateSync.Source,
 		AttestScheme:  r.attestScheme(),
 		Flight:        r.flight(),
 	}, statesync.Host{
@@ -720,9 +707,9 @@ func (r *Replica) DeliverClient(from types.ClientID, m types.Message) {
 func (r *Replica) Run() {
 	r.wg.Add(1)
 	go r.loop()
-	if th := r.cfg.Flight.StallThreshold; th > 0 && r.cfg.Metrics != nil {
+	if r.cfg.Metrics != nil {
 		r.wg.Add(1)
-		go r.watchdog(th)
+		go r.watchdog(r.cfg.Flight.stallThreshold)
 	}
 	if iv := r.cfg.Flight.MirrorInterval; iv > 0 && r.flight() != nil && r.cfg.DataDir != "" {
 		r.wg.Add(1)

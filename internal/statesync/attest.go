@@ -66,7 +66,7 @@ type pendingShare struct {
 // attestDigest is the message f+1 replicas sign at a checkpoint boundary:
 // every snapshot identity field a fetch will be verified against, bound to
 // the boundary sync point. ChunkBytes is deliberately excluded — it is
-// per-server configuration, and a lie about it only makes a fetch fail its
+// the serving side's choice, and a lie about it only makes a fetch fail its
 // size checks, never pass verification with wrong bytes.
 func attestDigest(snapHeight, snapSize uint64, appHash, headHash, stateDigest types.Digest, txnCount uint64, bsp []byte) types.Digest {
 	buf := make([]byte, 0, 12+8*3+32*3+len(bsp))
@@ -198,7 +198,7 @@ func (m *Manager) maybeFormAttestation(height uint64) {
 	scheme := m.cfg.AttestScheme
 	m.mu.Lock()
 	local, ok := m.attLocals[height]
-	if !ok || len(local.shares) < m.cfg.AttestQuorum || (m.attDone != nil && m.attDone.height >= height) {
+	if !ok || len(local.shares) < m.cfg.Attest || (m.attDone != nil && m.attDone.height >= height) {
 		m.mu.Unlock()
 		return
 	}

@@ -66,6 +66,7 @@ package statesync
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,17 +87,6 @@ type Config struct {
 	// Attest is how many byte-identical offers make a target trustworthy;
 	// use quorum f+1 (at least one honest attester).
 	Attest int
-	// ChunkBytes is the snapshot chunk size served to peers (default
-	// 256 KiB). The fetch side accepts whatever chunk size the attested
-	// offer names.
-	ChunkBytes int
-	// MaxRangeBlocks / MaxRangeBytes bound one BlockRange response
-	// (defaults 256 blocks / 1 MiB); fetchers paginate.
-	MaxRangeBlocks int
-	MaxRangeBytes  int
-	// RequestTimeout bounds each request-response round trip (default 2s);
-	// on expiry the fetcher rotates to the next attesting source.
-	RequestTimeout time.Duration
 	// OfferWait is how long a probe gathers offers (default 400ms).
 	OfferWait time.Duration
 	// RetryInterval separates sync passes while the replica knows it is
@@ -106,10 +96,6 @@ type Config struct {
 	// caught up, so silent lag is eventually noticed without any trigger
 	// (default 10s; negative disables).
 	SteadyProbe time.Duration
-	// Source, when not NoReplica, is the preferred transfer source; it is
-	// used only while it is part of the attesting set, and the fetcher
-	// still rotates away from it on failure.
-	Source types.ReplicaID
 	// AttestScheme, when set, enables checkpoint-boundary attestation
 	// (attest.go): the manager exchanges threshold shares over each local
 	// snapshot's boundary digest, attaches the formed aggregate to its
@@ -117,26 +103,30 @@ type Config struct {
 	// target when no byte-identical f+1 group forms. Nil disables both
 	// sides.
 	AttestScheme *crypto.ThresholdScheme
-	// AttestQuorum is how many shares form an aggregate (default: Attest,
-	// i.e. f+1).
-	AttestQuorum int
 	// Flight, when set, receives sync-phase transitions and refusal causes
 	// as structured events (nil disables recording).
 	Flight *flight.Recorder
+
+	// requestTimeout bounds each request-response round trip; on expiry the
+	// fetcher rotates to the next attesting source. Zero selects
+	// defaultRequestTimeout; only same-package tests shrink it.
+	requestTimeout time.Duration
 }
 
+const (
+	// chunkBytes is the snapshot chunk size served to peers. The fetch side
+	// accepts whatever chunk size the attested offer names.
+	chunkBytes = 256 << 10
+	// maxRangeBlocks / maxRangeBytes bound one BlockRange response;
+	// fetchers paginate.
+	maxRangeBlocks        = 256
+	maxRangeBytes         = 1 << 20
+	defaultRequestTimeout = 2 * time.Second
+)
+
 func (c *Config) defaults() {
-	if c.ChunkBytes <= 0 {
-		c.ChunkBytes = 256 << 10
-	}
-	if c.MaxRangeBlocks <= 0 {
-		c.MaxRangeBlocks = 256
-	}
-	if c.MaxRangeBytes <= 0 {
-		c.MaxRangeBytes = 1 << 20
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 2 * time.Second
+	if c.requestTimeout <= 0 {
+		c.requestTimeout = defaultRequestTimeout
 	}
 	if c.OfferWait <= 0 {
 		c.OfferWait = 400 * time.Millisecond
@@ -149,9 +139,6 @@ func (c *Config) defaults() {
 	}
 	if c.Attest <= 0 {
 		c.Attest = 1
-	}
-	if c.AttestQuorum <= 0 {
-		c.AttestQuorum = c.Attest
 	}
 }
 
@@ -443,7 +430,7 @@ func (m *Manager) serveOffer(to types.ReplicaID) {
 	if snap != nil {
 		offer.SnapHeight = snap.Height
 		offer.SnapSize = uint64(len(snap.AppState))
-		offer.ChunkBytes = uint32(m.cfg.ChunkBytes)
+		offer.ChunkBytes = chunkBytes
 		offer.SnapHeadHash = snap.HeadHash
 		offer.SnapStateDigest = snap.StateDigest
 		offer.TxnCount = snap.TxnCount
@@ -511,7 +498,7 @@ func (m *Manager) serveChunk(to types.ReplicaID, req *types.SnapshotRequest) {
 	if snap == nil || snap.Height != req.Height {
 		return // we no longer hold that generation; the fetcher re-probes
 	}
-	cb := uint64(m.cfg.ChunkBytes)
+	cb := uint64(chunkBytes)
 	total := chunkCount(uint64(len(snap.AppState)), cb)
 	if uint64(req.Chunk) >= total {
 		return
@@ -542,7 +529,7 @@ func (m *Manager) serveRange(to types.ReplicaID, req *types.BlockRangeRequest) {
 	}
 	var blocks [][]byte
 	bytes := 0
-	for h := req.From; h < to_ && len(blocks) < m.cfg.MaxRangeBlocks && bytes < m.cfg.MaxRangeBytes; h++ {
+	for h := req.From; h < to_ && len(blocks) < maxRangeBlocks && bytes < maxRangeBytes; h++ {
 		blk := lg.Get(h)
 		if blk == nil {
 			break
@@ -756,7 +743,7 @@ type probeInfo struct {
 
 // probe broadcasts a probe and gathers offers for OfferWait; it returns the
 // highest target attested by Config.Attest byte-identical offers, plus the
-// replicas that attested it (preferred source first).
+// replicas that attested it in ascending ID order.
 func (m *Manager) probe() (*types.StateOffer, []types.ReplicaID, probeInfo) {
 	local := m.host.Ledger().Height()
 	m.drain()
@@ -824,33 +811,14 @@ gather:
 		// installs it and in-protocol catch-up bridges the rest.
 		if t, srcs := m.attestedTarget(offers, local); t != nil {
 			info.attested = true
-			sortReplicas(srcs, m.cfg.Source)
+			slices.Sort(srcs)
 			return t, srcs, info
 		}
 		return nil, nil, info
 	}
 	info.attested = true
-	// Stable source order: preferred source first, then ascending IDs.
-	sortReplicas(bestSrc, m.cfg.Source)
+	slices.Sort(bestSrc)
 	return best, bestSrc, info
-}
-
-func sortReplicas(rs []types.ReplicaID, preferred types.ReplicaID) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && less(rs[j], rs[j-1], preferred); j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
-}
-
-func less(a, b, preferred types.ReplicaID) bool {
-	if a == preferred {
-		return b != preferred
-	}
-	if b == preferred {
-		return false
-	}
-	return a < b
 }
 
 // drain discards stale responses from a previous pass.
@@ -866,7 +834,7 @@ func (m *Manager) drain() {
 
 // await reads fetchQ until match returns true or the request times out.
 func (m *Manager) await(match func(in inMsg) bool) bool {
-	deadline := time.NewTimer(m.cfg.RequestTimeout)
+	deadline := time.NewTimer(m.cfg.requestTimeout)
 	defer deadline.Stop()
 	for {
 		select {

@@ -37,7 +37,7 @@ func newFetcher(t *testing.T, attest int, respond func(to types.ReplicaID, m typ
 	var m *Manager
 	m = New(Config{
 		Self: 3, N: 4, Attest: attest,
-		RequestTimeout: 50 * time.Millisecond,
+		requestTimeout: 50 * time.Millisecond,
 		OfferWait:      30 * time.Millisecond,
 	}, Host{
 		Send: func(to types.ReplicaID, msg types.Message) {

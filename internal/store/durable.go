@@ -22,13 +22,9 @@ var ErrSnapshotMismatch = errors.New("store: snapshot disagrees with replayed WA
 
 // Options parameterizes a DurableLedger.
 type Options struct {
-	// SegmentBytes is the WAL roll threshold (default wal.DefaultSegmentBytes).
-	SegmentBytes int64
 	// Sync is the WAL durability policy (default: every ack follows an
 	// fsync covering its record).
 	Sync wal.SyncPolicy
-	// KeepSnapshots bounds retained checkpoint generations (default 2).
-	KeepSnapshots int
 	// AsyncQueueDepth bounds blocks in flight (appended, not yet durable);
 	// appends block when it fills (back-pressure). Default
 	// wal.DefaultQueueDepth.
@@ -95,7 +91,7 @@ func Open(dir string, opts Options) (*DurableLedger, error) {
 	if err != nil {
 		return nil, err
 	}
-	if d.snaps, err = OpenSnapshots(filepath.Join(dir, ckpDirName), opts.KeepSnapshots); err != nil {
+	if d.snaps, err = OpenSnapshots(filepath.Join(dir, ckpDirName)); err != nil {
 		d.Close()
 		return nil, err
 	}
@@ -149,9 +145,8 @@ func Open(dir string, opts Options) (*DurableLedger, error) {
 // with exactly the options (commit hook included) the first open used.
 func (d *DurableLedger) openJournal() error {
 	log, err := wal.Open(filepath.Join(d.dir, walDirName), wal.Options{
-		SegmentBytes: d.opts.SegmentBytes,
-		Sync:         d.opts.Sync,
-		Failpoints:   d.opts.Failpoints,
+		Sync:       d.opts.Sync,
+		Failpoints: d.opts.Failpoints,
 	})
 	if err != nil {
 		return err
@@ -315,9 +310,10 @@ func (d *DurableLedger) pruneWAL(h uint64) {
 	if err := d.log.Roll(); err != nil {
 		return
 	}
-	if err := d.log.Prune(h + 1); err != nil {
-		return
-	}
+	// Prune's error is ignored here: it can fail after removing segments (at
+	// the directory sync, which poisons the log, so the next append reports
+	// it), and a base those removals moved must still be pinned.
+	_ = d.log.Prune(h + 1)
 	if d.log.Base()-1 == h {
 		d.mu.Lock()
 		d.snaps.Pin(h)

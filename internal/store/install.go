@@ -158,10 +158,9 @@ func (d *DurableLedger) InstallState(snap *Snapshot, blocks []*ledger.Block) err
 		return fmt.Errorf("store: %w", err)
 	}
 	stagedWAL, err := wal.Open(filepath.Join(incoming, walDirName), wal.Options{
-		SegmentBytes: d.opts.SegmentBytes,
-		Sync:         d.opts.Sync,
-		FirstIndex:   snap.Height + 1,
-		Failpoints:   d.opts.Failpoints,
+		Sync:       d.opts.Sync,
+		FirstIndex: snap.Height + 1,
+		Failpoints: d.opts.Failpoints,
 	})
 	if err != nil {
 		return err
@@ -176,7 +175,7 @@ func (d *DurableLedger) InstallState(snap *Snapshot, blocks []*ledger.Block) err
 		return err
 	}
 	stagedCkp := filepath.Join(incoming, ckpDirName)
-	stagedSnaps, err := OpenSnapshots(stagedCkp, d.opts.KeepSnapshots)
+	stagedSnaps, err := OpenSnapshots(stagedCkp)
 	if err != nil {
 		return err
 	}
@@ -216,7 +215,7 @@ func (d *DurableLedger) InstallState(snap *Snapshot, blocks []*ledger.Block) err
 	if err := d.openJournal(); err != nil {
 		return err
 	}
-	d.snaps, err = OpenSnapshots(filepath.Join(d.dir, ckpDirName), d.opts.KeepSnapshots)
+	d.snaps, err = OpenSnapshots(filepath.Join(d.dir, ckpDirName))
 	if err != nil {
 		return err
 	}

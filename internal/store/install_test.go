@@ -224,7 +224,7 @@ func TestInstallCrashBeforeCommitKeepsOldState(t *testing.T) {
 		}
 	}
 	sw.Close()
-	ss, err := OpenSnapshots(filepath.Join(incoming, ckpDirName), 0)
+	ss, err := OpenSnapshots(filepath.Join(incoming, ckpDirName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestInstallCrashAfterCommitRollsForward(t *testing.T) {
 			}
 		}
 		sw.Close()
-		ss, err := OpenSnapshots(filepath.Join(incoming, ckpDirName), 0)
+		ss, err := OpenSnapshots(filepath.Join(incoming, ckpDirName))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,8 +25,7 @@ const (
 	snapPrefix  = "ckp-"
 	snapSuffix  = ".ckp"
 
-	// DefaultKeepSnapshots is how many generations Save retains.
-	DefaultKeepSnapshots = 2
+	keepSnapshots = 2 // generations Save retains
 )
 
 // Snapshot is one durable execution-state checkpoint: the application state
@@ -66,8 +65,7 @@ type Snapshotter interface {
 // SnapshotStore persists snapshots as individual files, one per
 // checkpoint, written atomically (tmp + fsync + rename).
 type SnapshotStore struct {
-	dir  string
-	keep int
+	dir string
 	// pin is a height whose snapshot retention never prunes: the base
 	// snapshot of a rebased ledger is the only record of the summarized
 	// prefix (its head hash and cumulative transaction count), so it must
@@ -79,16 +77,12 @@ type SnapshotStore struct {
 // Pin protects the snapshot at height h from retention pruning.
 func (s *SnapshotStore) Pin(h uint64) { s.pin = h }
 
-// OpenSnapshots opens (creating if necessary) a snapshot directory. keep
-// bounds the retained generations (<=0 selects DefaultKeepSnapshots).
-func OpenSnapshots(dir string, keep int) (*SnapshotStore, error) {
-	if keep <= 0 {
-		keep = DefaultKeepSnapshots
-	}
+// OpenSnapshots opens (creating if necessary) a snapshot directory.
+func OpenSnapshots(dir string) (*SnapshotStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	return &SnapshotStore{dir: dir, keep: keep}, nil
+	return &SnapshotStore{dir: dir}, nil
 }
 
 func (s *SnapshotStore) path(height uint64) string {
@@ -182,11 +176,7 @@ func writeFileAtomic(dir, path string, data []byte) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync() // make the rename itself durable
-		d.Close()
-	}
-	return nil
+	return syncDir(dir) // make the rename itself durable
 }
 
 func (s *SnapshotStore) heights() ([]uint64, error) {
@@ -223,7 +213,7 @@ func (s *SnapshotStore) prune() error {
 		live++
 	}
 	for _, h := range hs {
-		if live <= s.keep {
+		if live <= keepSnapshots {
 			break
 		}
 		if s.pin != 0 && h == s.pin {

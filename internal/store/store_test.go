@@ -175,7 +175,7 @@ func TestForeignSnapshotRefusesOpen(t *testing.T) {
 
 	// Plant a checkpoint from a DIFFERENT chain at a height the WAL does
 	// reach: heights agree, hashes must not.
-	snaps, err := OpenSnapshots(filepath.Join(dir, "checkpoints"), 0)
+	snaps, err := OpenSnapshots(filepath.Join(dir, "checkpoints"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestJournalHashedFromBatchesReplays(t *testing.T) {
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snaps, err := OpenSnapshots(filepath.Join(dir, ckpDirName), 0)
+	snaps, err := OpenSnapshots(filepath.Join(dir, ckpDirName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestJournalHashedFromBatchesReplays(t *testing.T) {
 
 func TestSnapshotStoreRetentionAndFallback(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenSnapshots(dir, 2)
+	s, err := OpenSnapshots(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

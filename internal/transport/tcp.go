@@ -8,6 +8,8 @@ import (
 	"net"
 	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,38 +35,6 @@ type TCPConfig struct {
 	// Auth authenticates frames; nil disables authentication.
 	Auth crypto.Authenticator
 
-	// QueueDepth bounds each per-peer outbound queue (default 4096).
-	// Overflow on a connected peer link blocks the sender (backpressure);
-	// while the peer is unreachable messages are dropped and counted.
-	QueueDepth int
-	// ClientQueueDepth bounds each per-client reply queue (default 1024).
-	// Overflow drops the reply and counts it — a stalled client never
-	// delays anyone else's replies.
-	ClientQueueDepth int
-	// MaxBatchBytes caps the encoded bytes one write batch coalesces into
-	// a single syscall (default 128 KiB).
-	MaxBatchBytes int
-	// MaxBatchMsgs caps the messages per write batch (default 256).
-	MaxBatchMsgs int
-	// MaxFrameBytes caps accepted inbound frames (default 64 MiB).
-	MaxFrameBytes int
-	// DialTimeout bounds each connection attempt (default 2s).
-	DialTimeout time.Duration
-	// WriteTimeout bounds each steady-state frame write (default 10s).
-	// A peer that accepts the connection but stops draining it (paused,
-	// partitioned, Byzantine) fails its write within this bound and the
-	// link demotes to the drop-while-down policy — so the backpressure a
-	// full replica queue exerts on senders is bounded, never a permanent
-	// wedge of the consensus event loop.
-	WriteTimeout time.Duration
-	// ReconnectBackoff is the initial redial delay after a link failure,
-	// doubling up to ReconnectBackoffMax (defaults 50ms, 1s).
-	ReconnectBackoff    time.Duration
-	ReconnectBackoffMax time.Duration
-	// DrainTimeout bounds how long Close lets writer goroutines flush
-	// queued messages (default 1s).
-	DrainTimeout time.Duration
-
 	// VerifyWorkers sizes the shared inbound-verification worker pool (see
 	// verify.go). 0 picks a scheme-dependent default: GOMAXPROCS workers
 	// for digital signatures (verification dominates, parallelism pays),
@@ -72,15 +42,6 @@ type TCPConfig struct {
 	// queue handoff). Negative forces the inline path; positive forces a
 	// pool of that size. Ignored when Auth is nil or SchemeNone.
 	VerifyWorkers int
-	// VerifyQueueDepth bounds both the shared pool queue and each link's
-	// in-order release FIFO, in frames (default 32). A link producing
-	// faster than the pool verifies backpressures its own reader.
-	VerifyQueueDepth int
-	// AuthFailLimit demotes an inbound link after this many consecutive
-	// records failed authentication (default 16): the connection is closed
-	// and the counting peer re-establishes through its reconnect backoff.
-	// Negative disables demotion.
-	AuthFailLimit int
 	// DigestCache, when set, memoizes verified client-request digests so
 	// retransmitted and cross-delivered requests skip re-verification.
 	// Worth wiring for digital signatures; a MAC re-check costs about as
@@ -98,44 +59,84 @@ type TCPConfig struct {
 	// chaos harness shares one matrix across an in-process cluster; nil
 	// (production) injects nothing and costs one nil check per message.
 	Faults *Faults
+
+	// Link tunings only same-package tests shrink; zero selects the
+	// constant named in the comment.
+	queueDepth          int           // peerQueueDepth
+	writeTimeout        time.Duration // WriteTimeout
+	reconnectBackoff    time.Duration // backoffMin
+	reconnectBackoffMax time.Duration // backoffMax
+	drainTimeout        time.Duration // closeDrain
+}
+
+const (
+	// WriteTimeout bounds each steady-state frame write. A peer that
+	// accepts the connection but stops draining it (paused, partitioned,
+	// Byzantine) fails its write within this bound and the link demotes to
+	// the drop-while-down policy — so the backpressure a full replica queue
+	// exerts on senders is bounded, never a permanent wedge of the
+	// consensus event loop.
+	WriteTimeout = 10 * time.Second
+	// AuthFailLimit demotes an inbound link after this many consecutive
+	// records failed authentication: the connection is closed and the
+	// counting peer re-establishes through its reconnect backoff.
+	AuthFailLimit = 16
+
+	// peerQueueDepth bounds each per-peer outbound queue. Overflow on a
+	// connected peer link blocks the sender (backpressure); while the peer
+	// is unreachable messages are dropped and counted.
+	peerQueueDepth = 4096
+	// clientQueueDepth bounds each per-client reply queue. Overflow drops
+	// the reply and counts it — a stalled client never delays anyone
+	// else's replies.
+	clientQueueDepth = 1024
+	// verifyQueueDepth bounds both the shared pool queue and each link's
+	// in-order release FIFO, in frames. A link producing faster than the
+	// pool verifies backpressures its own reader.
+	verifyQueueDepth = 32
+
+	maxBatchBytes = 128 << 10 // encoded bytes one write syscall coalesces
+	maxBatchMsgs  = 256       // messages one write syscall coalesces
+	maxFrameBytes = 64 << 20  // largest accepted inbound frame
+	dialTimeout   = 2 * time.Second
+	backoffMin    = 50 * time.Millisecond // first redial delay, doubling up to backoffMax
+	backoffMax    = time.Second
+	closeDrain    = time.Second // how long Close lets writers flush queued messages
+)
+
+// ParsePeers parses rccnode and rccclient's -peers flag, a comma-separated
+// list of id=host:port entries, into a TCPConfig.Peers map.
+func ParsePeers(s string) (map[types.ReplicaID]string, error) {
+	peers := make(map[types.ReplicaID]string)
+	for _, part := range strings.Split(s, ",") {
+		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
+		if len(kv) != 2 {
+			return nil, fmt.Errorf("bad peer %q (want id=host:port)", part)
+		}
+		id, err := strconv.Atoi(kv[0])
+		if err != nil {
+			return nil, fmt.Errorf("bad peer id %q: %v", kv[0], err)
+		}
+		peers[types.ReplicaID(id)] = kv[1]
+	}
+	return peers, nil
 }
 
 func (c *TCPConfig) defaults() {
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4096
+	if c.queueDepth <= 0 {
+		c.queueDepth = peerQueueDepth
 	}
-	if c.ClientQueueDepth <= 0 {
-		c.ClientQueueDepth = 1024
+	if c.writeTimeout <= 0 {
+		c.writeTimeout = WriteTimeout
 	}
-	if c.MaxBatchBytes <= 0 {
-		c.MaxBatchBytes = 128 << 10
+	if c.reconnectBackoff <= 0 {
+		c.reconnectBackoff = backoffMin
 	}
-	if c.MaxBatchMsgs <= 0 {
-		c.MaxBatchMsgs = 256
+	if c.reconnectBackoffMax <= 0 {
+		c.reconnectBackoffMax = backoffMax
 	}
-	if c.MaxFrameBytes <= 0 {
-		c.MaxFrameBytes = 64 << 20
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
-	if c.ReconnectBackoff <= 0 {
-		c.ReconnectBackoff = 50 * time.Millisecond
-	}
-	if c.ReconnectBackoffMax <= 0 {
-		c.ReconnectBackoffMax = time.Second
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = time.Second
-	}
-	if c.VerifyQueueDepth <= 0 {
-		c.VerifyQueueDepth = 32
-	}
-	if c.AuthFailLimit == 0 {
-		c.AuthFailLimit = 16
+	if c.drainTimeout <= 0 {
+		c.drainTimeout = closeDrain
 	}
 }
 
@@ -217,7 +218,7 @@ type TCP struct {
 	done chan struct{}
 	// closeDeadline (unix nanos, 0 until Close) caps every write deadline
 	// once shutdown starts, so no in-flight or drain write can stretch
-	// Close past its DrainTimeout bound.
+	// Close past its drain bound.
 	closeDeadline atomic.Int64
 	wgReaders     sync.WaitGroup
 	wgWriters     sync.WaitGroup
@@ -441,7 +442,7 @@ func (t *TCP) readLoop(c net.Conn, dialed bool) {
 			return
 		}
 		n := int(binary.BigEndian.Uint32(lenb[:]))
-		if n <= 0 || n > t.cfg.MaxFrameBytes {
+		if n <= 0 || n > maxFrameBytes {
 			return
 		}
 		bp := getBuf()
@@ -489,7 +490,7 @@ func (t *TCP) readLoop(c net.Conn, dialed bool) {
 			// let the peer re-establish.
 			return
 		}
-		if t.cfg.AuthFailLimit > 0 && consecFails >= t.cfg.AuthFailLimit {
+		if consecFails >= AuthFailLimit {
 			// Demote: a stream of forged records stops costing verify
 			// cycles here; an honest-but-misconfigured dialer returns
 			// through its reconnect backoff.
@@ -572,7 +573,7 @@ func (t *TCP) peerQueueFor(to types.ReplicaID) (*peerQueue, error) {
 		t:     t,
 		id:    to,
 		party: crypto.PartyID(to),
-		ch:    make(chan types.Message, t.cfg.QueueDepth),
+		ch:    make(chan types.Message, t.cfg.queueDepth),
 	}
 	t.queues[to] = q
 	t.wgWriters.Add(1)
@@ -581,7 +582,7 @@ func (t *TCP) peerQueueFor(to types.ReplicaID) (*peerQueue, error) {
 }
 
 // Close implements Transport: stop accepting work, give every writer up to
-// DrainTimeout to flush what is queued, then tear the connections down.
+// the drain timeout to flush what is queued, then tear the connections down.
 func (t *TCP) Close() error {
 	t.mu.Lock()
 	if t.closing {
@@ -593,7 +594,7 @@ func (t *TCP) Close() error {
 	// at this deadline instead of holding Close hostage, and writeFrame
 	// caps later deadlines at it. Stored before done closes so no drain
 	// can observe a zero deadline.
-	deadline := time.Now().Add(t.cfg.DrainTimeout)
+	deadline := time.Now().Add(t.cfg.drainTimeout)
 	t.closeDeadline.Store(deadline.UnixNano())
 	close(t.done)
 	if t.listener != nil {
@@ -674,7 +675,7 @@ func (q *peerQueue) run() {
 			conn.Close()
 		}
 	}()
-	backoff := t.cfg.ReconnectBackoff
+	backoff := t.cfg.reconnectBackoff
 	var nextDial time.Time
 	everConnected := false
 	scratch := make([]byte, 0, 512)
@@ -705,10 +706,10 @@ func (q *peerQueue) run() {
 				t.emit(flight.KOverflowDrop, uint64(count), uint64(q.id))
 				continue
 			}
-			c, err := net.DialTimeout("tcp", q.addr(), t.cfg.DialTimeout)
+			c, err := net.DialTimeout("tcp", q.addr(), dialTimeout)
 			if err != nil {
 				nextDial = time.Now().Add(backoff)
-				backoff = min(2*backoff, t.cfg.ReconnectBackoffMax)
+				backoff = min(2*backoff, t.cfg.reconnectBackoffMax)
 				t.peerDropped.Add(uint64(count))
 				continue
 			}
@@ -721,13 +722,13 @@ func (q *peerQueue) run() {
 				t.dropConn(c)
 				c.Close()
 				nextDial = time.Now().Add(backoff)
-				backoff = min(2*backoff, t.cfg.ReconnectBackoffMax)
+				backoff = min(2*backoff, t.cfg.reconnectBackoffMax)
 				t.peerDropped.Add(uint64(count))
 				continue
 			}
 			conn = c
 			q.connected.Store(true)
-			backoff = t.cfg.ReconnectBackoff
+			backoff = t.cfg.reconnectBackoff
 			if everConnected {
 				t.reconnects.Add(1)
 				t.emit(flight.KReconnect, 0, uint64(q.id))
@@ -752,7 +753,7 @@ func (q *peerQueue) run() {
 			conn = nil
 			q.connected.Store(false)
 			nextDial = time.Now().Add(backoff)
-			backoff = min(2*backoff, t.cfg.ReconnectBackoffMax)
+			backoff = min(2*backoff, t.cfg.reconnectBackoffMax)
 			t.peerDropped.Add(uint64(count))
 			t.emit(flight.KDemote, uint64(count), uint64(q.id))
 			continue
@@ -769,7 +770,7 @@ func (q *peerQueue) batch(frame []byte, first types.Message, scratch *[]byte) ([
 // writeDeadline is the deadline for a write starting now: WriteTimeout
 // ahead, capped at the Close drain deadline once shutdown has started.
 func (t *TCP) writeDeadline() time.Time {
-	dl := time.Now().Add(t.cfg.WriteTimeout)
+	dl := time.Now().Add(t.cfg.writeTimeout)
 	if cd := t.closeDeadline.Load(); cd != 0 {
 		if c := time.Unix(0, cd); c.Before(dl) {
 			dl = c
@@ -831,7 +832,7 @@ func batchInto(t *TCP, frame []byte, ch chan types.Message, first types.Message,
 	}
 	add(first)
 collect:
-	for count < t.cfg.MaxBatchMsgs && len(frame) < t.cfg.MaxBatchBytes {
+	for count < maxBatchMsgs && len(frame) < maxBatchBytes {
 		select {
 		case m := <-ch:
 			add(m)
@@ -864,7 +865,7 @@ func newConnQueue(t *TCP, c net.Conn, client types.ClientID) *connQueue {
 	return &connQueue{
 		t: t, conn: c, client: client,
 		party: crypto.ClientPartyID(client),
-		ch:    make(chan types.Message, t.cfg.ClientQueueDepth),
+		ch:    make(chan types.Message, clientQueueDepth),
 		quit:  make(chan struct{}),
 	}
 }

@@ -22,8 +22,9 @@
 //     redials with exponential backoff, so a dead peer can never wedge the
 //     event loop — consensus timeouts and retransmission own that failure.
 //     The backpressure is bounded: a peer that accepts the connection but
-//     stops draining it fails its next write within WriteTimeout, at which
-//     point the link demotes to the same drop-while-down policy.
+//     stops draining it fails its next write within the WriteTimeout
+//     constant (10 s), at which point the link demotes to the same
+//     drop-while-down policy.
 //   - Client links (inbound connections from clients) DROP on overflow,
 //     with an observable counter: a reply dropped for one stalled client
 //     costs nothing — the block is durable and the client collects its f+1
@@ -37,7 +38,8 @@
 // pool that preserves per-link delivery order, batches a frame's records
 // into one VerifyBatch call, and can memoize verified client-request
 // digests in a TCPConfig.DigestCache; links streaming forged records are
-// demoted after AuthFailLimit consecutive failures. See verify.go.
+// demoted after the AuthFailLimit constant (16) of consecutive failures.
+// See verify.go.
 package transport
 
 import (

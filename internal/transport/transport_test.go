@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"maps"
 	"reflect"
 	"sync"
 	"testing"
@@ -330,4 +331,25 @@ func waitCond(t *testing.T, timeout time.Duration, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("condition not reached")
+}
+
+func TestParsePeers(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want map[types.ReplicaID]string
+		err  bool
+	}{
+		{in: "0=:7000, 1=host:7001", want: map[types.ReplicaID]string{0: ":7000", 1: "host:7001"}},
+		{in: "0=:7000,1:7001", err: true}, // entry without '='
+		{in: "x=:7000", err: true},        // non-numeric id
+		{in: "", err: true},
+	} {
+		got, err := ParsePeers(tc.in)
+		if (err != nil) != tc.err {
+			t.Fatalf("ParsePeers(%q): err %v, want error %v", tc.in, err, tc.err)
+		}
+		if !tc.err && !maps.Equal(got, tc.want) {
+			t.Fatalf("ParsePeers(%q) = %v, want %v", tc.in, got, tc.want)
+		}
+	}
 }

@@ -27,7 +27,7 @@ package transport
 // the rest.
 //
 // Batching falls out of the wire format: a sender under vote load coalesces
-// everything queued into one frame, so one task carries up to MaxBatchMsgs
+// everything queued into one frame, so one task carries up to maxBatchMsgs
 // records and the worker hands them to the authenticator's VerifyBatch in a
 // single call — the queue drains in frame-sized batches exactly when load is
 // highest.
@@ -107,7 +107,7 @@ type verifyPool struct {
 // newVerifyPool starts workers verify workers. Callers gate on the scheme:
 // no pool is built for unauthenticated transports.
 func newVerifyPool(t *TCP, workers int) *verifyPool {
-	p := &verifyPool{t: t, ch: make(chan *verifyTask, t.cfg.VerifyQueueDepth)}
+	p := &verifyPool{t: t, ch: make(chan *verifyTask, verifyQueueDepth)}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go p.worker()
@@ -249,7 +249,7 @@ func (t *TCP) newInLink(c net.Conn, hdr wireHeader) *inLink {
 		isClient: hdr.isClient,
 		replica:  hdr.replica,
 		client:   hdr.client,
-		pending:  make(chan *verifyTask, t.cfg.VerifyQueueDepth),
+		pending:  make(chan *verifyTask, verifyQueueDepth),
 	}
 	t.wgReaders.Add(1)
 	go l.release()
@@ -314,7 +314,7 @@ func (l *inLink) release() {
 				t.authRejects.Add(1)
 				t.emit(flight.KAuthFail, 0, l.sourceID())
 				consecFails++
-				if !demoted && t.cfg.AuthFailLimit > 0 && consecFails >= t.cfg.AuthFailLimit {
+				if !demoted && consecFails >= AuthFailLimit {
 					demoted = true
 					t.authDemotions.Add(1)
 					t.emit(flight.KDemote, 0, l.sourceID())

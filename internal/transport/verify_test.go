@@ -165,7 +165,7 @@ func TestTCPAuthDemotion(t *testing.T) {
 			s1 := newSink()
 			t1, err := NewTCP(TCPConfig{
 				Self: 1, Listen: "127.0.0.1:0",
-				Auth: tc.auth(crypto.PartyID(1), []byte("good")), AuthFailLimit: 4,
+				Auth: tc.auth(crypto.PartyID(1), []byte("good")),
 			}, s1)
 			if err != nil {
 				t.Fatal(err)
@@ -194,8 +194,8 @@ func TestTCPAuthDemotion(t *testing.T) {
 				}
 				time.Sleep(time.Millisecond)
 			}
-			if st := t1.Stats(); st.AuthRejects < 4 {
-				t.Fatalf("demoted after only %d rejects, limit 4", st.AuthRejects)
+			if st := t1.Stats(); st.AuthRejects < AuthFailLimit {
+				t.Fatalf("demoted after only %d rejects, limit %d", st.AuthRejects, AuthFailLimit)
 			}
 			if n := s1.count(); n != 0 {
 				t.Fatalf("delivered %d forged messages", n)

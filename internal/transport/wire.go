@@ -25,7 +25,7 @@ package transport
 // message queued at that moment into one frame and hands the kernel a single
 // buffer, so the per-syscall cost amortizes across the burst. Record and
 // frame lengths let the reader slice messages back out without peeking into
-// codec internals, and cap memory per frame (MaxFrameBytes).
+// codec internals, and cap memory per frame (maxFrameBytes).
 
 import (
 	"encoding/binary"

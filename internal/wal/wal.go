@@ -314,7 +314,8 @@ func truncateSegment(path string, size int64) error {
 }
 
 // rollLocked flushes, syncs, and closes the active segment and starts a
-// fresh one whose first index is l.next. Caller holds l.mu.
+// fresh one whose first index is l.next, fsyncing the directory so the new
+// segment's entry survives a crash. Caller holds l.mu.
 func (l *Log) rollLocked() error {
 	if l.f != nil {
 		if err := l.syncLocked(); err != nil {
@@ -335,6 +336,10 @@ func (l *Log) rollLocked() error {
 	if _, err := f.Write(hdr[:]); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: %w", err)
+	}
+	if err := l.syncDir(); err != nil {
+		f.Close()
+		return err
 	}
 	l.segments = append(l.segments, segment{path: path, first: l.next})
 	l.f, l.w, l.size = f, bufio.NewWriterSize(f, writeBuffer), headerSize
@@ -427,6 +432,20 @@ func (l *Log) fsync(f *os.File) error {
 		return l.fsyncFn(f)
 	}
 	return f.Sync()
+}
+
+// syncDir fsyncs the log directory, making segment creations and removals
+// durable. It goes through l.fsync, so failpoints and the test seam see it.
+func (l *Log) syncDir() error {
+	d, err := os.Open(l.dir)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	defer d.Close()
+	if err := l.fsync(d); err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	return nil
 }
 
 // markDurable advances the durable watermark to idx (never backwards: two
@@ -566,9 +585,10 @@ func (l *Log) Roll() error {
 	return nil
 }
 
-// Prune deletes whole segments whose every record index is below keepFrom.
-// The active segment is never deleted. Partial segments are kept: pruning
-// is a space reclaim, not a truncation.
+// Prune deletes whole segments whose every record index is below keepFrom,
+// then fsyncs the directory so the removals are durable. The active segment
+// is never deleted. Partial segments are kept: pruning is a space reclaim,
+// not a truncation.
 func (l *Log) Prune(keepFrom uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -586,7 +606,14 @@ func (l *Log) Prune(keepFrom uint64) error {
 		}
 		kept = append(kept, s)
 	}
+	removed := len(kept) < len(l.segments)
 	l.segments = kept
+	if removed {
+		if err := l.syncDir(); err != nil {
+			l.fatal = err // a failed fsync poisons the log, as in Roll
+			return err
+		}
+	}
 	return nil
 }
 

@@ -385,3 +385,50 @@ func TestEmptyPayloadRoundTrips(t *testing.T) {
 		t.Fatalf("empty payload lost: %v", got)
 	}
 }
+
+// TestDirectorySyncedOnRollAndPrune: creating a segment and removing
+// segments both change the log directory, so each must fsync it — through
+// the fsync seam, which is also how failpoints see it.
+func TestDirectorySyncedOnRollAndPrune(t *testing.T) {
+	dir := t.TempDir()
+	l := openT(t, dir, Options{Sync: SyncNone, SegmentBytes: 128})
+	dirSyncs := 0
+	l.fsyncFn = func(f *os.File) error {
+		if f.Name() == dir {
+			dirSyncs++
+		}
+		return f.Sync()
+	}
+	appendN(t, l, 0, 40)
+	if l.Segments() < 2 {
+		t.Fatalf("appends never rolled a segment (%d segments)", l.Segments())
+	}
+	if dirSyncs == 0 {
+		t.Fatal("segment roll did not fsync the directory")
+	}
+	rolled := dirSyncs
+	before := l.Segments()
+	if err := l.Prune(20); err != nil {
+		t.Fatal(err)
+	}
+	if l.Segments() >= before {
+		t.Fatalf("prune removed nothing (%d segments)", l.Segments())
+	}
+	if dirSyncs == rolled {
+		t.Fatal("prune did not fsync the directory after removing segments")
+	}
+
+	// A failed directory fsync in Prune poisons the log like any other.
+	fp := &Failpoints{}
+	l2 := openT(t, t.TempDir(), Options{Sync: SyncNone, SegmentBytes: 128, Failpoints: fp})
+	appendN(t, l2, 0, 40)
+	injected := errors.New("injected EIO")
+	fp.FailFsync(injected)
+	if err := l2.Prune(20); !errors.Is(err, injected) {
+		t.Fatalf("prune under armed failpoint returned %v, want %v", err, injected)
+	}
+	fp.HealFsync()
+	if _, err := l2.Append([]byte("after")); !errors.Is(err, injected) {
+		t.Fatalf("append after failed prune sync returned %v, want the sticky %v", err, injected)
+	}
+}
