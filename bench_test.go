@@ -678,10 +678,10 @@ func BenchmarkParallelExec(b *testing.B) {
 // Frame authentication (internal/crypto + the transport verify pool)
 // ---------------------------------------------------------------------------
 
-// BenchmarkAuth prices one Tag + one Verify — the per-record bill both ends
-// of an authenticated link pay — for each scheme, on a vote-sized record
-// (53 B, every wire message except proposals) and a 100-transaction proposal
-// record.
+// BenchmarkAuth prices one Tag + one Verify — the per-frame bill both ends
+// of an authenticated link pay — for each scheme, on a vote-sized payload
+// (53 B, every wire message except proposals) and a 100-transaction
+// proposal.
 //
 // The vote-sized MAC variants are named /cached and /uncached:
 // scripts/benchgate pairs them within the current run and CI fails when the
@@ -725,15 +725,17 @@ func BenchmarkAuth(b *testing.B) {
 	}
 }
 
-// BenchmarkVerifyPool prices clearing a burst of 64 signed vote records from
-// one sender — the drain the transport's inbound verify pool performs when
-// consensus votes pile up on a link — two ways:
+// BenchmarkVerifyPool prices clearing 64 signed 53-byte payloads from one
+// sender two ways:
 //
-//	inline: one goroutine, per-record ed25519.Verify — the pre-pool
-//	        readLoop's situation.
-//	pooled: 8 workers splitting the burst, each clearing its share through
-//	        VerifyBatch (shared-key batch verification with bisection
-//	        fallback) — transport/verify.go's situation.
+//	inline: one goroutine, one ed25519.Verify per payload.
+//	pooled: 8 workers splitting the payloads, each clearing its share
+//	        through VerifyBatch (shared-key batch verification with
+//	        bisection fallback).
+//
+// It measures crypto.BatchAuthenticator only. The transport no longer works
+// this way: since wire v5 a frame carries one signature over all its
+// records, so transport/verify.go checks one tag per frame with Verify.
 //
 // scripts/benchgate pairs /pooled with /inline within the current run and CI
 // fails when the pool stops being >=2x (-min-pooled-speedup). Like the

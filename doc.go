@@ -40,8 +40,8 @@
 // feed dedicated writer goroutines that encode messages through the
 // registry-based binary codec in internal/types (explicit MsgType tag,
 // per-type Marshal/Unmarshal, pooled buffers; replaces per-message gob),
-// coalesce bursts into multi-message frames (wire format v4, one write
-// syscall per burst), and redial failed peers with exponential backoff.
+// coalesce bursts into multi-message frames (wire format v5, one write
+// syscall and one authenticator tag per burst), and redial failed peers with exponential backoff.
 // Replica links backpressure on overflow while the peer is healthy and
 // drop (counted) while it is down; client links always drop on overflow,
 // so one stalled client or peer can never delay anyone else — client
@@ -102,18 +102,19 @@
 // scripts/benchgate -min-cached-speedup). NewDSDev derives a deterministic
 // ED25519 dev keyring from one shared secret, so rccnode/rccclient key a
 // whole cluster with -auth none|mac|ds plus -auth-secret (production keys
-// plug into NewDS/KeyRing). With signatures, inbound verification runs on
-// a bounded worker pool in internal/transport (TCPConfig.VerifyWorkers) that
-// batch-verifies each frame's records through one BatchVerifier (bisection
-// isolates forged records) while preserving exact per-link delivery order;
-// a sharded cache of verified client-request digests (-digest-cache,
-// internal/crypto/digestcache) lets any of RCC's m concurrent instances
-// skip re-verifying a retransmitted request another instance already
-// checked, and links exceeding consecutive bad tags are demoted
+// plug into NewDS/KeyRing). One tag per frame covers the exact bytes of
+// all its records and is checked before any record is decoded, so no
+// decoded field escapes authentication and a forged frame is dropped whole.
+// With signatures, inbound verification runs on a bounded worker pool in
+// internal/transport (TCPConfig.VerifyWorkers) that verifies and then
+// decodes each frame while preserving exact per-link delivery order; a
+// sharded cache of verified client frames (-digest-cache,
+// internal/crypto/digestcache) skips re-verifying a byte-identical
+// retransmission, and links exceeding consecutive bad frames are demoted
 // (reconnect, counted). The verify stage reports into
 // rcc_stage_latency_seconds{stage="verify"}; the benchmark/ module's lan_sat
 // (MAC) and lan_ds (ED25519) workloads measure the live cost of each
-// scheme, BenchmarkAuth its per-record Tag+Verify, and a determinism
+// scheme, BenchmarkAuth its Tag+Verify, and a determinism
 // test pins byte-identical ResultHash/StateDigest across verify-worker
 // counts. See the README's "Authentication" section.
 //

@@ -237,9 +237,6 @@ func (Submission) Instance() types.InstanceID { return 0 }
 // WireSize implements types.Message.
 func (Submission) WireSize() int { return 0 }
 
-// AuthPayload implements types.Message.
-func (Submission) AuthPayload(b []byte) []byte { return b }
-
 // OnMessage implements sm.ClientMachine.
 func (c *Client) OnMessage(from types.ReplicaID, m types.Message) {
 	switch msg := m.(type) {

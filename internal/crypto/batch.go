@@ -7,8 +7,7 @@ import "crypto/ed25519"
 // verification (one multi-scalar check over the whole batch, bisection to
 // isolate forgeries when the aggregate check fails); the standard library
 // exposes no batch equation, so the default backend verifies a range by
-// checking its items with early exit — the transport still wins by running
-// whole frames per worker dispatch, and a real batch backend slots in
+// checking its items with early exit, and a real batch backend slots in
 // behind checkFn without touching any caller.
 //
 // The zero value is ready to use. A BatchVerifier is not safe for

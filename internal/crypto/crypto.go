@@ -9,8 +9,9 @@
 // outer SHA-256 states precomputed (Tag/Verify then cost two short hash
 // finalizations, no key schedule, no allocations on the Verify path), the DS
 // authenticator freezes its public-key ring at construction so verification
-// never races provisioning, and BatchVerifier amortizes signature checks
-// over whole inbound frames with bisection to isolate bad records.
+// never races provisioning. BatchVerifier checks many same-sender
+// signatures with bisection to isolate bad ones; since the transport signs
+// whole frames it has no program caller (BenchmarkVerifyPool prices it).
 //
 // The package also exports the per-operation CPU cost table used by the
 // simulators: the paper (§V-B, Fig. 7 right) reports that digital signatures
@@ -142,9 +143,9 @@ type TagAppender interface {
 }
 
 // BatchAuthenticator is implemented by authenticators that can verify many
-// records from one sender as a unit — the transport's verify workers use it
-// to drain whole frames of votes per call instead of one signature at a
-// time. ok[i] reports the verdict for (payloads[i], tags[i]).
+// payloads from one sender as a unit. ok[i] reports the verdict for
+// (payloads[i], tags[i]). The transport no longer calls it: one tag covers a
+// whole frame.
 type BatchAuthenticator interface {
 	VerifyBatch(from uint32, payloads, tags [][]byte, ok []bool)
 }
@@ -501,11 +502,10 @@ func (a *dsAuth) Verify(from uint32, payload, tag []byte) bool {
 	return ed25519.Verify(pub, payload, tag)
 }
 
-// VerifyBatch implements BatchAuthenticator: all records of one frame share
-// the sender, so they share the public key and flow through one
-// BatchVerifier — valid frames (the overwhelming majority) cost one batch
-// check, and a frame with forged records pays only the bisection to isolate
-// them.
+// VerifyBatch implements BatchAuthenticator: all payloads share the
+// sender, so they share the public key and flow through one BatchVerifier —
+// an all-valid batch costs one batch check, and forged items pay only the
+// bisection to isolate them.
 func (a *dsAuth) VerifyBatch(from uint32, payloads, tags [][]byte, ok []bool) {
 	pub, found := a.pub(from)
 	if !found {

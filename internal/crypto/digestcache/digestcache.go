@@ -1,12 +1,10 @@
-// Package digestcache holds a sharded, bounded LRU of verified
-// client-request digests.
+// Package digestcache holds a sharded, bounded LRU of verified digests.
 //
-// Under RCC, all m concurrent instances of a replica see the same forwarded
-// client request — and retransmissions re-deliver it again. Each arrival
-// used to pay a full signature (or MAC) verification. The cache keys on
-// (client, seq, digest), where the digest binds the sender party, the exact
-// authenticated payload bytes, and the tag: a hit proves this precise triple
-// was verified before on this replica, so re-verifying is pure waste. A miss
+// The TCP transport keys it on the digest of one authenticated frame: the
+// sender party, the exact record bytes, and the tag. A client request
+// retransmitted alone repeats its frame byte for byte, and each arrival
+// would otherwise pay a full signature (or MAC) verification. A hit proves this precise triple was
+// verified before on this replica, so re-verifying is pure waste. A miss
 // verifies as usual and, on success, inserts.
 //
 // Sharding keeps the transport's verify workers from serializing on one
@@ -30,13 +28,9 @@ const DefaultEntries = 1 << 16
 
 const shardCount = 16 // power of two; low bits of the digest pick the shard
 
-// Key identifies one verified (client, seq, digest) tuple. Digest must bind
-// everything the verification depended on (sender party, payload, tag).
-type Key struct {
-	Client uint64
-	Seq    uint64
-	Digest [DigestSize]byte
-}
+// Key identifies one verified item by a digest that binds everything the
+// verification depended on (sender party, authenticated bytes, tag).
+type Key [DigestSize]byte
 
 // Stats is a point-in-time view of cache effectiveness.
 type Stats struct {
@@ -83,7 +77,7 @@ type shard struct {
 }
 
 func (c *Cache) shard(k *Key) *shard {
-	return &c.shards[int(k.Digest[0])&(shardCount-1)]
+	return &c.shards[int(k[0])&(shardCount-1)]
 }
 
 // Contains reports whether k was previously inserted, refreshing its

@@ -339,8 +339,8 @@ func TestTCPRefusesWireVersionMismatch(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// Inbound: dial raw, claim the previous wire version (v3 encodes
-	// CLIENT-REQUEST differently), then try to push a frame.
+	// Inbound: dial raw, claim the previous wire version (v4 tags each
+	// record, v5 each frame), then try to push a frame.
 	raw, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -361,7 +361,7 @@ func TestTCPRefusesWireVersionMismatch(t *testing.T) {
 		t.Fatal("message from a version-mismatched peer was delivered")
 	}
 
-	// Outbound: an older replica answers this client with a v3 header; the
+	// Outbound: an older replica answers this client with a v4 header; the
 	// client must refuse the stream rather than misparse frames.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -423,7 +423,7 @@ func TestWireHeaderRoundTrip(t *testing.T) {
 	if _, err := readHeader(bytesReader(bad)); !errors.Is(err, ErrWireVersion) {
 		t.Fatalf("bad magic: got %v, want ErrWireVersion", err)
 	}
-	for _, v := range []uint16{2, 3, WireVersion + 1} {
+	for _, v := range []uint16{3, 4, WireVersion + 1} {
 		bad = appendHeader(nil, false, 1, 0)
 		binary.BigEndian.PutUint16(bad[4:6], v)
 		if _, err := readHeader(bytesReader(bad)); !errors.Is(err, ErrWireVersion) {

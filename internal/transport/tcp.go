@@ -42,13 +42,15 @@ type TCPConfig struct {
 	// queue handoff). Negative forces the inline path; positive forces a
 	// pool of that size. Ignored when Auth is nil or SchemeNone.
 	VerifyWorkers int
-	// DigestCache, when set, memoizes verified client-request digests so
-	// retransmitted and cross-delivered requests skip re-verification.
-	// Worth wiring for digital signatures; a MAC re-check costs about as
-	// much as the cache's own hash.
+	// DigestCache, when set, memoizes verified (party, record bytes, tag)
+	// frames from client links, so a byte-identical frame (a retransmitted
+	// request that travels alone) skips re-verification. Only the verify pool consults it: worth wiring for
+	// digital signatures; a MAC re-check costs about as much as the
+	// cache's own hash.
 	DigestCache *digestcache.Cache
-	// VerifyObserve, when set, receives the queue+verify latency of every
-	// frame the verify pool completes (feeds the "verify" stage histogram).
+	// VerifyObserve, when set, receives the queue+verify+decode latency of
+	// every frame the verify pool completes (feeds the "verify" stage
+	// histogram).
 	VerifyObserve func(time.Duration)
 	// Flight, when set, receives link lifecycle events (connect, reconnect,
 	// demotion, auth failure, overflow drop) attributed to Self. Nil
@@ -78,7 +80,7 @@ const (
 	// consensus event loop.
 	WriteTimeout = 10 * time.Second
 	// AuthFailLimit demotes an inbound link after this many consecutive
-	// records failed authentication: the connection is closed and the
+	// frames failed authentication: the connection is closed and the
 	// counting peer re-establishes through its reconnect backoff.
 	AuthFailLimit = 16
 
@@ -176,14 +178,16 @@ type TCPStats struct {
 	// BadHeader counts connections refused at the handshake (wrong magic,
 	// wire version, or sender kind).
 	BadHeader uint64
-	// DecodeErrs counts inbound records that failed to decode and were
-	// skipped.
+	// DecodeErrs counts records of authenticated frames that failed to
+	// decode and were skipped (a record length past the frame counts once
+	// and skips the rest of the frame).
 	DecodeErrs uint64
 	// EncodeErrs counts outbound messages discarded because they could
 	// not be encoded (a message type missing from the codec registry —
 	// a local bug, not a peer problem).
 	EncodeErrs uint64
-	// AuthRejects counts records dropped for a bad authenticator tag.
+	// AuthRejects counts frames dropped whole because their tag was
+	// missing, truncated, or did not verify over their record bytes.
 	AuthRejects uint64
 	// AuthDemotions counts inbound links closed after AuthFailLimit
 	// consecutive authentication failures.
@@ -428,14 +432,19 @@ func (t *TCP) readLoop(c net.Conn, dialed bool) {
 		t.mu.Unlock()
 		go cq.run()
 	}
+	auth := t.cfg.Auth
+	if auth != nil && auth.Scheme() == crypto.SchemeNone {
+		auth = nil
+	}
 	var link *inLink
 	if t.pool != nil {
-		// Pooled verification: this loop only decodes and stages; the
-		// link's releaser delivers in order once workers have verified.
+		// Pooled verification: this loop only reads and stages; workers
+		// verify and decode, and the link's releaser delivers in order.
 		link = t.newInLink(c, hdr)
 		defer close(link.pending)
 	}
 	consecFails := 0
+	var msgs []types.Message
 	var lenb [4]byte
 	for {
 		if _, err := io.ReadFull(br, lenb[:]); err != nil {
@@ -449,55 +458,46 @@ func (t *TCP) readLoop(c net.Conn, dialed bool) {
 		if cap(*bp) < n {
 			*bp = make([]byte, n)
 		}
-		frame := (*bp)[:n]
-		if _, err := io.ReadFull(br, frame); err != nil {
+		*bp = (*bp)[:n]
+		if _, err := io.ReadFull(br, *bp); err != nil {
 			putBuf(bp)
 			return
 		}
 		if link != nil {
-			task, err := link.buildTask(frame)
-			putBuf(bp)
-			if err != nil {
-				return // framing desync: drop the connection
-			}
-			if task != nil && !t.pool.submit(link, task) {
+			if !t.pool.submit(link, link.newTask(bp)) {
 				return // shutting down
 			}
 			continue
 		}
-		err := forEachRecord(frame, func(tag, msg []byte) {
-			m, err := types.DecodeMessage(msg)
-			if err != nil {
-				t.decodeErrs.Add(1)
+		// Inline: check the frame's tag against its raw record bytes before
+		// decoding any of them.
+		records, tag, ok := openFrame(*bp)
+		if ok && auth != nil {
+			ok = auth.Verify(party, records, tag)
+		}
+		if !ok {
+			putBuf(bp)
+			consecFails++
+			if t.rejectFrame(sourceID(hdr), consecFails) {
+				// Demote: a stream of forged frames stops costing verify
+				// cycles here; an honest-but-misconfigured dialer returns
+				// through its reconnect backoff.
 				return
 			}
-			if !t.verify(party, m, tag) {
-				t.authRejects.Add(1)
-				t.emit(flight.KAuthFail, 0, sourceID(hdr))
-				consecFails++
-				return
-			}
-			consecFails = 0
+			continue
+		}
+		consecFails = 0
+		msgs = t.decodeRecords(records, msgs)
+		putBuf(bp)
+		for _, m := range msgs {
 			if hdr.isClient {
 				t.ep.DeliverClient(hdr.client, m)
 			} else {
 				t.deliverReplica(hdr.replica, m)
 			}
-		})
-		putBuf(bp)
-		if err != nil {
-			// A framing error desyncs the stream: drop the connection and
-			// let the peer re-establish.
-			return
 		}
-		if consecFails >= AuthFailLimit {
-			// Demote: a stream of forged records stops costing verify
-			// cycles here; an honest-but-misconfigured dialer returns
-			// through its reconnect backoff.
-			t.authDemotions.Add(1)
-			t.emit(flight.KDemote, 0, sourceID(hdr))
-			return
-		}
+		clear(msgs)
+		msgs = msgs[:0]
 	}
 }
 
@@ -510,16 +510,37 @@ func sourceID(hdr wireHeader) uint64 {
 	return uint64(hdr.replica)
 }
 
-func (t *TCP) verify(party uint32, m types.Message, tag []byte) bool {
-	if t.cfg.Auth == nil || t.cfg.Auth.Scheme() == crypto.SchemeNone {
-		return true
+// rejectFrame counts one inbound frame from src that failed authentication,
+// the consecFails-th in a row on its link, and reports whether the link must
+// now be demoted: exactly once per streak, when the streak reaches
+// AuthFailLimit.
+func (t *TCP) rejectFrame(src uint64, consecFails int) bool {
+	t.authRejects.Add(1)
+	t.emit(flight.KAuthFail, 0, src)
+	if consecFails != AuthFailLimit {
+		return false
 	}
-	bp := getBuf()
-	payload := m.AuthPayload((*bp)[:0])
-	ok := t.cfg.Auth.Verify(party, payload, tag)
-	*bp = payload[:0]
-	putBuf(bp)
-	return ok
+	t.authDemotions.Add(1)
+	t.emit(flight.KDemote, 0, src)
+	return true
+}
+
+// decodeRecords appends the messages of an authenticated frame's records to
+// msgs. A record that fails to decode, and everything after a record length
+// that overruns the frame, is counted in DecodeErrs and skipped.
+func (t *TCP) decodeRecords(records []byte, msgs []types.Message) []types.Message {
+	err := forEachRecord(records, func(msg []byte) {
+		m, err := types.DecodeMessage(msg)
+		if err != nil {
+			t.decodeErrs.Add(1)
+			return
+		}
+		msgs = append(msgs, m)
+	})
+	if err != nil {
+		t.decodeErrs.Add(1)
+	}
+	return msgs
 }
 
 // emit records a transport flight event attributed to this node.
@@ -627,7 +648,7 @@ func (t *TCP) Close() error {
 // peerQueue is the outbound queue and writer goroutine of one dialed link
 // (replica→replica, or client→replica). The writer owns the connection:
 // it dials lazily, redials with exponential backoff after failures, encodes
-// and tags messages, and coalesces bursts into multi-message frames.
+// messages, coalesces bursts into multi-message frames, and tags each frame.
 type peerQueue struct {
 	t         *TCP
 	id        types.ReplicaID
@@ -678,7 +699,6 @@ func (q *peerQueue) run() {
 	backoff := t.cfg.reconnectBackoff
 	var nextDial time.Time
 	everConnected := false
-	scratch := make([]byte, 0, 512)
 	frame := make([]byte, 0, 4096)
 
 	for {
@@ -687,14 +707,13 @@ func (q *peerQueue) run() {
 		case first = <-q.ch:
 		case <-t.done:
 			if conn != nil {
-				t.drainOnClose(conn, q.ch, q.party, &frame, &scratch)
+				t.drainOnClose(conn, q.ch, q.party, &frame)
 			}
 			return
 		}
 
-		frame = frame[:0]
 		count := 0
-		frame, count = q.batch(frame, first, &scratch)
+		frame, count = batchInto(t, frame, q.ch, first, q.party)
 		if count == 0 {
 			continue
 		}
@@ -761,12 +780,6 @@ func (q *peerQueue) run() {
 	}
 }
 
-// batch encodes first plus everything else queued right now (up to the
-// batch caps) into one frame, returning the frame and the message count.
-func (q *peerQueue) batch(frame []byte, first types.Message, scratch *[]byte) ([]byte, int) {
-	return batchInto(q.t, frame, q.ch, first, q.party, scratch)
-}
-
 // writeDeadline is the deadline for a write starting now: WriteTimeout
 // ahead, capped at the Close drain deadline once shutdown has started.
 func (t *TCP) writeDeadline() time.Time {
@@ -796,12 +809,12 @@ func (t *TCP) writeFrame(conn net.Conn, frame []byte, count int) error {
 // closes, all of it under the one Close-wide drain deadline (per-write
 // timeouts would let a stalled destination stretch Close far past its
 // bound).
-func (t *TCP) drainOnClose(conn net.Conn, ch chan types.Message, party uint32, frame, scratch *[]byte) {
+func (t *TCP) drainOnClose(conn net.Conn, ch chan types.Message, party uint32, frame *[]byte) {
 	conn.SetWriteDeadline(time.Unix(0, t.closeDeadline.Load()))
 	for {
 		select {
 		case m := <-ch:
-			f, n := batchInto(t, (*frame)[:0], ch, m, party, scratch)
+			f, n := batchInto(t, *frame, ch, m, party)
 			*frame = f
 			if n == 0 {
 				continue
@@ -817,12 +830,15 @@ func (t *TCP) drainOnClose(conn net.Conn, ch chan types.Message, party uint32, f
 	}
 }
 
-// batchInto is the shared frame assembly of both queue kinds.
-func batchInto(t *TCP, frame []byte, ch chan types.Message, first types.Message, party uint32, scratch *[]byte) ([]byte, int) {
-	frame = append(frame, 0, 0, 0, 0)
+// batchInto is the shared frame assembly of both queue kinds: it encodes
+// first plus everything else queued right now (up to the batch caps) into
+// frame's buffer, seals the frame with one tag, and returns the frame and
+// its message count.
+func batchInto(t *TCP, frame []byte, ch chan types.Message, first types.Message, party uint32) ([]byte, int) {
+	frame = append(frame[:0], 0, 0, 0, 0) // frameLen, patched by sealFrame
 	count := 0
 	add := func(m types.Message) {
-		out, err := appendRecord(frame, t.cfg.Auth, party, m, scratch)
+		out, err := appendRecord(frame, m)
 		if err != nil {
 			t.encodeErrs.Add(1) // unregistered type: local bug, message dropped
 			return
@@ -843,7 +859,11 @@ collect:
 	if count == 0 {
 		return frame[:0], 0
 	}
-	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	frame, err := sealFrame(frame, t.cfg.Auth, party)
+	if err != nil {
+		t.encodeErrs.Add(uint64(count)) // authenticator tag too long: local bug
+		return frame[:0], 0
+	}
 	return frame, count
 }
 
@@ -912,7 +932,6 @@ func (q *connQueue) run() {
 	if _, err := q.conn.Write(hdr); err != nil {
 		return
 	}
-	scratch := make([]byte, 0, 512)
 	frame := make([]byte, 0, 4096)
 	for {
 		var first types.Message
@@ -921,11 +940,11 @@ func (q *connQueue) run() {
 		case <-q.quit:
 			return
 		case <-t.done:
-			t.drainOnClose(q.conn, q.ch, q.party, &frame, &scratch)
+			t.drainOnClose(q.conn, q.ch, q.party, &frame)
 			return
 		}
 		count := 0
-		frame, count = batchInto(t, frame[:0], q.ch, first, q.party, &scratch)
+		frame, count = batchInto(t, frame, q.ch, first, q.party)
 		if count == 0 {
 			continue
 		}

@@ -1,6 +1,6 @@
 // Package transport provides the message transports of the replica runtime:
 // an in-process transport for tests and single-machine deployments, and a
-// TCP transport (binary wire format v4, see wire.go) for real multi-host
+// TCP transport (binary wire format v5, see wire.go) for real multi-host
 // deployments via cmd/rccnode and cmd/rccclient.
 //
 // # Non-blocking contract
@@ -30,20 +30,20 @@
 //     costs nothing — the block is durable and the client collects its f+1
 //     replies from other replicas or retries.
 //
-// Authentication: every record carries an authenticator tag over the
-// message's AuthPayload, computed on the writer goroutine and verified
+// Authentication: every frame carries one authenticator tag over the exact
+// bytes of its records, computed on the writer goroutine and verified
 // against the sender identity announced in the connection's stream header
-// before delivery. With digital signatures (and optionally with MACs, see
-// TCPConfig.VerifyWorkers) verification runs on a bounded shared worker
-// pool that preserves per-link delivery order, batches a frame's records
-// into one VerifyBatch call, and can memoize verified client-request
-// digests in a TCPConfig.DigestCache; links streaming forged records are
-// demoted after the AuthFailLimit constant (16) of consecutive failures.
-// See verify.go.
+// before any record is decoded — so no decoded field escapes the tag, and a
+// frame that fails is dropped whole. With digital signatures (and
+// optionally with MACs, see TCPConfig.VerifyWorkers) verification and
+// decoding run on a bounded shared worker pool that preserves per-link
+// delivery order, and can memoize verified client frames in a
+// TCPConfig.DigestCache; links streaming forged frames are demoted after
+// the AuthFailLimit constant (16) of consecutive failures. See wire.go and
+// verify.go.
 package transport
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -69,62 +69,6 @@ type Transport interface {
 	// Close drains the outbound queues (bounded by the drain timeout) and
 	// releases resources.
 	Close() error
-}
-
-// Frame is the logical envelope of one message: who sent it, the
-// authenticator tag, and the message itself. The TCP stream encodes the
-// sender once per connection (wire.go); Frame plus Marshal/Unmarshal exist
-// for tests and wire-size measurements that want a self-contained record.
-type Frame struct {
-	FromReplica types.ReplicaID
-	FromClient  types.ClientID
-	IsClient    bool
-	Tag         []byte
-	Msg         types.Message
-}
-
-// Marshal encodes a frame to self-contained bytes via the binary codec.
-func Marshal(f *Frame) ([]byte, error) {
-	buf := make([]byte, 0, 256)
-	if f.IsClient {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = binary.BigEndian.AppendUint16(buf, uint16(f.FromReplica))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(f.FromClient))
-	if len(f.Tag) > maxTagLen {
-		return nil, fmt.Errorf("transport: tag too long")
-	}
-	buf = append(buf, byte(len(f.Tag)))
-	buf = append(buf, f.Tag...)
-	return types.AppendMessage(buf, f.Msg)
-}
-
-// Unmarshal decodes a frame from bytes.
-func Unmarshal(b []byte) (*Frame, error) {
-	if len(b) < 8 {
-		return nil, fmt.Errorf("transport: short frame")
-	}
-	f := &Frame{
-		IsClient:    b[0] != 0,
-		FromReplica: types.ReplicaID(binary.BigEndian.Uint16(b[1:])),
-		FromClient:  types.ClientID(binary.BigEndian.Uint32(b[3:])),
-	}
-	tagLen := int(b[7])
-	b = b[8:]
-	if len(b) < tagLen {
-		return nil, fmt.Errorf("transport: truncated tag")
-	}
-	if tagLen > 0 {
-		f.Tag = append([]byte(nil), b[:tagLen]...)
-	}
-	m, err := types.DecodeMessage(b[tagLen:])
-	if err != nil {
-		return nil, err
-	}
-	f.Msg = m
-	return f, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -282,21 +282,6 @@ func TestTCPClientReplyPath(t *testing.T) {
 	}
 }
 
-func TestFrameMarshalRoundTrip(t *testing.T) {
-	f := &Frame{FromReplica: 3, Tag: []byte{9, 9}, Msg: types.NewPrepare(1, 3, 2, 9, types.Hash([]byte("d")))}
-	b, err := Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Unmarshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.FromReplica != 3 || got.Msg.(*types.Prepare).Round != 9 || len(got.Tag) != 2 {
-		t.Fatalf("frame mangled: %+v", got)
-	}
-}
-
 // TestTCPBatchesBursts: a burst of sends to one destination must coalesce
 // into fewer write batches than messages — the multi-message framing at
 // work (exact counts depend on scheduling, so only the ratio is asserted).

@@ -2,13 +2,14 @@ package transport
 
 // Asynchronous frame verification.
 //
-// With authentication enabled, every inbound record costs a MAC or signature
-// check. Running those checks on the connection's read goroutine serializes
-// crypto behind the socket: one link's verification stalls its own reads, and
-// a digital-signature scheme (~2 orders of magnitude more expensive than a
-// MAC) caps throughput at one core per link. The verify pool moves the
-// checks onto a bounded set of workers shared by all links while keeping the
-// guarantee the consensus layer depends on: per-link delivery order.
+// With authentication enabled, every inbound frame costs one MAC or
+// signature check over its record bytes. Running those checks on the
+// connection's read goroutine serializes crypto behind the socket: one link's
+// verification stalls its own reads, and a digital-signature scheme (~2
+// orders of magnitude more expensive than a MAC) caps throughput at one core
+// per link. The verify pool moves the checks onto a bounded set of workers
+// shared by all links while keeping the guarantee the consensus layer
+// depends on: per-link delivery order.
 //
 // The pipeline per connection:
 //
@@ -16,24 +17,19 @@ package transport
 //	     │                                        ▲
 //	     └────task────▶ pool queue ──▶ worker ────┘ (task.done)
 //
-// The read loop decodes a frame's messages and copies their tags (the frame
-// buffer is pooled; record slices alias it), then enqueues the task on the
-// link's pending FIFO *before* the shared pool queue. Workers verify tasks
-// in whatever order the pool schedules; the link's releaser goroutine waits
-// on each pending task's done channel in FIFO order, so messages reach the
-// endpoint exactly in arrival order no matter how verification interleaves.
-// Both queues are bounded, so a link that floods faster than the pool
-// verifies backpressures its own reader — the kernel's receive window does
-// the rest.
-//
-// Batching falls out of the wire format: a sender under vote load coalesces
-// everything queued into one frame, so one task carries up to maxBatchMsgs
-// records and the worker hands them to the authenticator's VerifyBatch in a
-// single call — the queue drains in frame-sized batches exactly when load is
-// highest.
+// The read loop only reads: it hands the raw frame buffer to a task and
+// enqueues the task on the link's pending FIFO *before* the shared pool
+// queue. A worker verifies the frame's one tag against its record bytes and,
+// only if the tag holds, decodes the records, so no unauthenticated byte
+// reaches the message decoder. Workers finish tasks in whatever order the pool
+// schedules; the link's releaser goroutine waits on each pending task's done
+// channel in FIFO order, so messages reach the endpoint exactly in arrival
+// order no matter how verification interleaves. Both queues are bounded, so
+// a link that floods faster than the pool verifies backpressures its own
+// reader — the kernel's receive window does the rest.
 //
 // Unauthenticated transports (nil or SchemeNone auth) never build a pool and
-// keep the zero-copy inline path in readLoop.
+// keep the inline path in readLoop.
 
 import (
 	"crypto/sha256"
@@ -42,33 +38,21 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/crypto"
 	"repro/internal/crypto/digestcache"
-	"repro/internal/obs/flight"
 	"repro/internal/types"
 )
 
-// verifyTask is one inbound frame staged for verification: the decoded
-// messages, their copied tags, and the verdicts. Payload bytes are built by
-// the worker into a single arena to keep per-record allocations off the
-// steady state.
+// verifyTask is one inbound frame staged for verification: the raw frame
+// until a worker has checked it, then the verdict and the decoded messages.
 type verifyTask struct {
 	link *inLink
-	// msgs are the frame's decoded messages, in wire order.
+	// buf holds the frame (the bytes after frameLen); the worker returns it
+	// to the pool once it has decoded the records.
+	buf *[]byte
+	// ok is the frame's verdict; msgs are its decoded messages, in wire
+	// order, set only when ok.
+	ok   bool
 	msgs []types.Message
-	// tags/tagOffs are the records' authenticator tags, concatenated;
-	// tag i is tags[tagOffs[i]:tagOffs[i+1]].
-	tags    []byte
-	tagOffs []int
-	// payloads/payloadOffs are the AuthPayload arena, built by the worker.
-	payloads    []byte
-	payloadOffs []int
-	// ok[i] is the verdict for msgs[i].
-	ok []bool
-	// scratch slices reused by the worker for VerifyBatch calls.
-	batchPayloads [][]byte
-	batchTags     [][]byte
-	batchIdx      []int
 
 	start time.Time
 	done  chan struct{}
@@ -76,23 +60,11 @@ type verifyTask struct {
 
 var taskPool = sync.Pool{New: func() any { return new(verifyTask) }}
 
-func newVerifyTask(l *inLink) *verifyTask {
-	task := taskPool.Get().(*verifyTask)
-	task.link = l
-	return task
-}
-
 func releaseTask(task *verifyTask) {
 	task.link = nil
+	task.ok = false
+	clear(task.msgs)
 	task.msgs = task.msgs[:0]
-	task.tags = task.tags[:0]
-	task.tagOffs = task.tagOffs[:0]
-	task.payloads = task.payloads[:0]
-	task.payloadOffs = task.payloadOffs[:0]
-	task.ok = task.ok[:0]
-	task.batchPayloads = task.batchPayloads[:0]
-	task.batchTags = task.batchTags[:0]
-	task.batchIdx = task.batchIdx[:0]
 	task.done = nil
 	taskPool.Put(task)
 }
@@ -144,56 +116,20 @@ func (p *verifyPool) submit(l *inLink, task *verifyTask) bool {
 	}
 }
 
-// run verifies every record of one task and signals the link's releaser.
+// run verifies one frame, decodes it if the tag holds, and signals the
+// link's releaser.
 func (p *verifyPool) run(task *verifyTask) {
 	t := p.t
-	auth := t.cfg.Auth
-	party := task.link.party
-
-	// Build the payload arena first, slice after: append may reallocate,
-	// which would invalidate slices taken earlier.
-	for _, m := range task.msgs {
-		task.payloadOffs = append(task.payloadOffs, len(task.payloads))
-		task.payloads = m.AuthPayload(task.payloads)
+	l := task.link
+	records, tag, ok := openFrame(*task.buf)
+	if ok {
+		ok = t.verifyFrame(l.party, l.isClient, records, tag)
 	}
-	task.payloadOffs = append(task.payloadOffs, len(task.payloads))
-
-	for i, m := range task.msgs {
-		payload := task.payloads[task.payloadOffs[i]:task.payloadOffs[i+1]]
-		tag := task.tags[task.tagOffs[i]:task.tagOffs[i+1]]
-		if cache := t.cfg.DigestCache; cache != nil {
-			if req, isReq := m.(*types.ClientRequest); isReq {
-				key := requestCacheKey(party, payload, tag, req)
-				if cache.Contains(key) {
-					task.ok[i] = true // this exact triple verified before
-					continue
-				}
-				if task.ok[i] = auth.Verify(party, payload, tag); task.ok[i] {
-					cache.Add(key)
-				}
-				continue
-			}
-		}
-		task.batchIdx = append(task.batchIdx, i)
+	if task.ok = ok; ok {
+		task.msgs = t.decodeRecords(records, task.msgs)
 	}
-
-	if ba, isBatch := auth.(crypto.BatchAuthenticator); isBatch && len(task.batchIdx) > 1 {
-		for _, i := range task.batchIdx {
-			task.batchPayloads = append(task.batchPayloads, task.payloads[task.payloadOffs[i]:task.payloadOffs[i+1]])
-			task.batchTags = append(task.batchTags, task.tags[task.tagOffs[i]:task.tagOffs[i+1]])
-		}
-		verdicts := make([]bool, len(task.batchIdx))
-		ba.VerifyBatch(party, task.batchPayloads, task.batchTags, verdicts)
-		for j, i := range task.batchIdx {
-			task.ok[i] = verdicts[j]
-		}
-	} else {
-		for _, i := range task.batchIdx {
-			payload := task.payloads[task.payloadOffs[i]:task.payloadOffs[i+1]]
-			tag := task.tags[task.tagOffs[i]:task.tagOffs[i+1]]
-			task.ok[i] = auth.Verify(party, payload, tag)
-		}
-	}
+	putBuf(task.buf)
+	task.buf = nil
 
 	t.verifiedFrames.Add(1)
 	if obs := t.cfg.VerifyObserve; obs != nil {
@@ -202,21 +138,41 @@ func (p *verifyPool) run(task *verifyTask) {
 	close(task.done)
 }
 
-// requestCacheKey derives the digest-cache key for one verified-or-not
-// client request record. The digest binds the sender party, the exact
-// authenticated payload, and the tag (length-prefixed so boundaries cannot
-// shift), so a hit proves this precise triple passed verification before.
-// The request's first transaction names the key; the digest covers them all.
-func requestCacheKey(party uint32, payload, tag []byte, req *types.ClientRequest) digestcache.Key {
+// verifyFrame checks one frame's tag against its record bytes. Frames from
+// client links consult the digest cache, when one is wired: a retransmitted
+// request that travels alone repeats its frame byte for byte, while replica
+// frames coalesce votes that never repeat.
+func (t *TCP) verifyFrame(party uint32, fromClient bool, records, tag []byte) bool {
+	auth := t.cfg.Auth
+	cache := t.cfg.DigestCache
+	if cache == nil || !fromClient {
+		return auth.Verify(party, records, tag)
+	}
+	key := frameCacheKey(party, records, tag)
+	if cache.Contains(key) {
+		return true // this exact triple verified before
+	}
+	ok := auth.Verify(party, records, tag)
+	if ok {
+		cache.Add(key)
+	}
+	return ok
+}
+
+// frameCacheKey derives the digest-cache key of one frame. The digest binds
+// the sender party, the exact record bytes, and the tag (length-prefixed so
+// boundaries cannot shift), so a hit proves this precise triple passed
+// verification before.
+func frameCacheKey(party uint32, records, tag []byte) digestcache.Key {
 	h := sha256.New()
 	var b [8]byte
 	binary.BigEndian.PutUint32(b[:4], party)
-	binary.BigEndian.PutUint32(b[4:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(b[4:], uint32(len(records)))
 	h.Write(b[:])
-	h.Write(payload)
+	h.Write(records)
 	h.Write(tag)
-	k := digestcache.Key{Client: uint64(req.Txns[0].Client), Seq: req.Txns[0].Seq}
-	h.Sum(k.Digest[:0])
+	var k digestcache.Key
+	h.Sum(k[:0])
 	return k
 }
 
@@ -256,36 +212,22 @@ func (t *TCP) newInLink(c net.Conn, hdr wireHeader) *inLink {
 	return l
 }
 
-// buildTask decodes one frame into a task. Returns (nil, nil) when nothing
-// decoded (every record skipped), and an error on a framing desync.
-func (l *inLink) buildTask(frame []byte) (*verifyTask, error) {
-	task := newVerifyTask(l)
-	err := forEachRecord(frame, func(tag, msg []byte) {
-		m, derr := types.DecodeMessage(msg)
-		if derr != nil {
-			l.t.decodeErrs.Add(1)
-			return
-		}
-		task.msgs = append(task.msgs, m)
-		task.tagOffs = append(task.tagOffs, len(task.tags))
-		task.tags = append(task.tags, tag...) // frame buffer is pooled; keep our own copy
-		task.ok = append(task.ok, false)
-	})
-	task.tagOffs = append(task.tagOffs, len(task.tags))
-	if err != nil || len(task.msgs) == 0 {
-		releaseTask(task)
-		return nil, err
-	}
+// newTask stages the frame in buf for verification; the task owns buf from
+// here on.
+func (l *inLink) newTask(buf *[]byte) *verifyTask {
+	task := taskPool.Get().(*verifyTask)
+	task.link = l
+	task.buf = buf
 	task.start = time.Now()
 	task.done = make(chan struct{})
-	return task, nil
+	return task
 }
 
 // release is the link's releaser goroutine: it waits on each staged task in
 // FIFO order and delivers its verified messages, preserving per-link arrival
 // order regardless of how the pool interleaved the verification. It also
 // owns the auth-failure demotion policy: after AuthFailLimit consecutive
-// rejected records the connection is closed — an inbound garbage stream
+// rejected frames the connection is closed — an inbound garbage stream
 // stops costing verify cycles, and a dialing peer re-establishes through its
 // normal reconnect backoff.
 func (l *inLink) release() {
@@ -309,27 +251,21 @@ func (l *inLink) release() {
 		case <-t.done:
 			return // shutdown: workers may never finish this task
 		}
-		for i, m := range task.msgs {
-			if !task.ok[i] {
-				t.authRejects.Add(1)
-				t.emit(flight.KAuthFail, 0, l.sourceID())
-				consecFails++
-				if !demoted && consecFails >= AuthFailLimit {
-					demoted = true
-					t.authDemotions.Add(1)
-					t.emit(flight.KDemote, 0, l.sourceID())
-					l.conn.Close() // reader tears the link down; dialer side redials with backoff
-				}
-				continue
+		switch {
+		case !task.ok:
+			consecFails++
+			if t.rejectFrame(l.sourceID(), consecFails) {
+				demoted = true
+				l.conn.Close() // reader tears the link down; dialer side redials with backoff
 			}
+		case !demoted: // past the demotion point nothing more is delivered
 			consecFails = 0
-			if demoted {
-				continue // past the demotion point nothing more is delivered
-			}
-			if l.isClient {
-				t.ep.DeliverClient(l.client, m)
-			} else {
-				t.deliverReplica(l.replica, m)
+			for _, m := range task.msgs {
+				if l.isClient {
+					t.ep.DeliverClient(l.client, m)
+				} else {
+					t.deliverReplica(l.replica, m)
+				}
 			}
 		}
 		releaseTask(task)

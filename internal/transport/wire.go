@@ -1,31 +1,37 @@
 package transport
 
-// Wire format v4 (v4 changed the CLIENT-REQUEST body to a transaction list,
-// v3 the CLIENT-REPLY body to a seq list; older peers are refused at the
-// handshake).
+// Wire format v5 (v5 moved the authenticator tag from each record to the
+// frame; v4 changed the CLIENT-REQUEST body to a transaction list, v3 the
+// CLIENT-REPLY body to a seq list; older peers are refused at the handshake).
 //
 // Each direction of a TCP connection is an independent byte stream:
 //
 //	stream  = header frame*
 //	header  = magic("RCCB") version(u16) kind(u8) sender(u32)
-//	frame   = frameLen(u32) record*            // frameLen = total record bytes
-//	record  = recLen(u32) tagLen(u8) tag msg   // recLen = 1 + tagLen + len(msg)
-//	msg     = MsgType(u8) body                 // types.AppendMessage encoding
+//	frame   = frameLen(u32) record* tag tagLen(u8) // frameLen = bytes after it
+//	record  = recLen(u32) msg                      // recLen = len(msg)
+//	msg     = MsgType(u8) body                     // types.AppendMessage encoding
 //
 // All integers are big-endian. The header names the SENDER once per
 // connection (kind 0 = replica, 1 = client; sender carries the replica ID in
 // the low 16 bits or the full client ID), so records carry no per-message
-// envelope — only the authenticator tag over the message's AuthPayload.
-// A reader that sees a bad magic or a different version refuses the
+// envelope. One authenticator tag per frame covers the exact bytes of all its
+// records (every recLen and msg, in order); unauthenticated transports send
+// an empty tag. A reader splits the tag off the end of the frame and verifies
+// it against the raw record bytes before it decodes anything, so the only
+// parser hostile bytes reach is openFrame's tag split — the message decoder
+// sees authenticated bytes only, and no decoded field can sit outside the
+// tag. A reader that sees a bad magic or a different version refuses the
 // connection before any frame is interpreted: mixed-version deployments
 // fail loudly at connect time (compare store.ErrDataDirMismatch for disk
 // state) instead of corrupting each other's streams.
 //
 // Frames exist for write-side batching: a writer goroutine coalesces every
-// message queued at that moment into one frame and hands the kernel a single
-// buffer, so the per-syscall cost amortizes across the burst. Record and
-// frame lengths let the reader slice messages back out without peeking into
-// codec internals, and cap memory per frame (maxFrameBytes).
+// message queued at that moment into one frame, computes one tag over it and
+// hands the kernel a single buffer, so the per-syscall and per-tag costs
+// amortize across the burst. Record and frame lengths let the reader slice
+// messages back out without peeking into codec internals, and cap memory per
+// frame (maxFrameBytes).
 
 import (
 	"encoding/binary"
@@ -40,7 +46,7 @@ import (
 
 // WireVersion is the framing version this build speaks. Connections
 // announcing any other version are refused at the handshake.
-const WireVersion = 4
+const WireVersion = 5
 
 var wireMagic = [4]byte{'R', 'C', 'C', 'B'}
 
@@ -110,33 +116,10 @@ func readHeader(r io.Reader) (wireHeader, error) {
 	return h, nil
 }
 
-// appendRecord encodes one message (tag + codec bytes) as a record into buf.
-// The authenticator tag is computed here — on the writer goroutine — so the
-// MAC cost never lands on the caller of Send. scratch is reused across calls
-// for the AuthPayload bytes.
-func appendRecord(buf []byte, auth crypto.Authenticator, party uint32, m types.Message, scratch *[]byte) ([]byte, error) {
+// appendRecord encodes one message as a record into buf.
+func appendRecord(buf []byte, m types.Message) ([]byte, error) {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0) // recLen, patched below
-	var tag []byte
-	if auth != nil && auth.Scheme() != crypto.SchemeNone {
-		*scratch = m.AuthPayload((*scratch)[:0])
-		if ta, ok := auth.(crypto.TagAppender); ok {
-			// Tag lands in scratch right after the payload: no per-record
-			// allocation once the scratch buffer is warm. AppendTag only
-			// reads payload and appends to dst, so aliasing one buffer is
-			// safe even if the append reallocates.
-			plen := len(*scratch)
-			*scratch = ta.AppendTag(party, (*scratch)[:plen], *scratch)
-			tag = (*scratch)[plen:]
-		} else {
-			tag = auth.Tag(party, *scratch)
-		}
-	}
-	if len(tag) > maxTagLen {
-		return buf[:start], fmt.Errorf("transport: authenticator tag %d bytes exceeds %d", len(tag), maxTagLen)
-	}
-	buf = append(buf, byte(len(tag)))
-	buf = append(buf, tag...)
 	out, err := types.AppendMessage(buf, m)
 	if err != nil {
 		return buf[:start], err
@@ -145,25 +128,61 @@ func appendRecord(buf []byte, auth crypto.Authenticator, party uint32, m types.M
 	return out, nil
 }
 
-// forEachRecord walks the records of one frame, yielding (tag, msg) slices
-// that alias the frame buffer — the callback must not retain them.
-func forEachRecord(frame []byte, fn func(tag, msg []byte)) error {
-	for len(frame) > 0 {
-		if len(frame) < 4 {
+// sealFrame appends the tag over frame's records (everything after the
+// frameLen slot) and the tag length, then patches frameLen. The tag is
+// computed here, on the writer goroutine, so the MAC or signature cost never
+// lands on the caller of Send.
+func sealFrame(frame []byte, auth crypto.Authenticator, party uint32) ([]byte, error) {
+	end := len(frame)
+	if auth != nil && auth.Scheme() != crypto.SchemeNone {
+		if ta, ok := auth.(crypto.TagAppender); ok {
+			// AppendTag only reads the records and appends to the frame,
+			// so aliasing one buffer is safe even if the append reallocates.
+			frame = ta.AppendTag(party, frame[4:end], frame)
+		} else {
+			frame = append(frame, auth.Tag(party, frame[4:end])...)
+		}
+	}
+	tagLen := len(frame) - end
+	if tagLen > maxTagLen {
+		return frame[:end], fmt.Errorf("transport: authenticator tag %d bytes exceeds %d", tagLen, maxTagLen)
+	}
+	frame = append(frame, byte(tagLen))
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	return frame, nil
+}
+
+// openFrame splits a frame (the bytes after frameLen) into its record bytes
+// and its tag. It runs before authentication, so it only slices, and both
+// results alias frame. ok is false when the frame cannot even hold the tag
+// its last byte announces.
+func openFrame(frame []byte) (records, tag []byte, ok bool) {
+	if len(frame) == 0 {
+		return nil, nil, false
+	}
+	end := len(frame) - 1
+	tagLen := int(frame[end])
+	if tagLen > end {
+		return nil, nil, false
+	}
+	return frame[:end-tagLen], frame[end-tagLen : end], true
+}
+
+// forEachRecord walks a frame's records, yielding msg slices that alias
+// records: the callback must not retain them. An error means a record's
+// length runs past the frame; records before it were yielded.
+func forEachRecord(records []byte, fn func(msg []byte)) error {
+	for len(records) > 0 {
+		if len(records) < 4 {
 			return fmt.Errorf("transport: truncated record header")
 		}
-		n := int(binary.BigEndian.Uint32(frame))
-		frame = frame[4:]
-		if n < 1 || n > len(frame) {
+		n := int(binary.BigEndian.Uint32(records))
+		records = records[4:]
+		if n < 1 || n > len(records) {
 			return fmt.Errorf("transport: record length %d exceeds frame", n)
 		}
-		rec := frame[:n]
-		frame = frame[n:]
-		tagLen := int(rec[0])
-		if 1+tagLen > len(rec) {
-			return fmt.Errorf("transport: tag length %d exceeds record", tagLen)
-		}
-		fn(rec[1:1+tagLen], rec[1+tagLen:])
+		fn(records[:n])
+		records = records[n:]
 	}
 	return nil
 }

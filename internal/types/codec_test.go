@@ -336,16 +336,19 @@ func TestClientRequestCarriesEveryTxn(t *testing.T) {
 			t.Fatalf("k=%d: wire size %d", len(txns), m.WireSize())
 		}
 	}
+	// The transport authenticates the encoded bytes, so every transaction
+	// must reach them.
 	txns := fullEnvelope()
-	base := NewClientRequest(3, txns...).AuthPayload(nil)
+	enc := func(txns []Transaction) []byte { return authBytes(t, NewClientRequest(3, txns...)) }
+	base := enc(txns)
 	for i := range txns {
 		forged := append([]Transaction(nil), txns...)
 		forged[i].Seq++
-		if bytes.Equal(NewClientRequest(3, forged...).AuthPayload(nil), base) {
-			t.Fatalf("changing txn %d left the auth payload unchanged", i)
+		if bytes.Equal(enc(forged), base) {
+			t.Fatalf("changing txn %d left the encoding unchanged", i)
 		}
 	}
-	if bytes.Equal(NewClientRequest(3, txns[:len(txns)-1]...).AuthPayload(nil), base) {
-		t.Fatal("dropping a txn left the auth payload unchanged")
+	if bytes.Equal(enc(txns[:len(txns)-1]), base) {
+		t.Fatal("dropping a txn left the encoding unchanged")
 	}
 }

@@ -7,7 +7,9 @@ import (
 )
 
 // FuzzDecodeMessage feeds hostile bytes to the decoder the transports run
-// on every received record, before authentication. No input may panic, and
+// on every received record. With authentication on, only a frame whose tag
+// held reaches it, but an unauthenticated transport, or an authenticated
+// Byzantine peer, can still hand it anything. No input may panic, and
 // any input that decodes must re-encode to bytes that decode to the same
 // value. Seeds: every message of the round-trip corpus and each of its
 // truncations, client requests of one transaction and at the cap, requests

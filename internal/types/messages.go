@@ -1,9 +1,6 @@
 package types
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // MsgType discriminates the messages in the shared catalog.
 type MsgType uint8
@@ -120,9 +117,6 @@ type Message interface {
 	// WireSize returns the simulated size in bytes charged against
 	// network bandwidth (paper §V-B constants).
 	WireSize() int
-	// AuthPayload appends the deterministic byte form covered by the
-	// message authenticator (MAC or signature) to buf.
-	AuthPayload(buf []byte) []byte
 }
 
 // Header is embedded by all messages for the common fields.
@@ -131,11 +125,6 @@ type Header struct {
 }
 
 func (h Header) Instance() InstanceID { return h.Inst }
-
-func (h Header) marshal(buf []byte, t MsgType) []byte {
-	buf = append(buf, byte(t))
-	return binary.BigEndian.AppendUint16(buf, uint16(h.Inst))
-}
 
 // ---------------------------------------------------------------------------
 // Client interaction
@@ -167,9 +156,6 @@ func NewClientRequest(inst InstanceID, txns ...Transaction) *ClientRequest {
 
 func (m *ClientRequest) Type() MsgType { return MsgClientRequest }
 func (m *ClientRequest) WireSize() int { return len(m.Txns) * ClientRequestBytes }
-func (m *ClientRequest) AuthPayload(buf []byte) []byte {
-	return appendTxns(m.marshal(buf, MsgClientRequest), m.Txns)
-}
 
 // ClientReply informs one client of the outcome of one decided batch: a
 // replica sends one reply per (client, decided batch), listing every
@@ -200,14 +186,6 @@ func NewClientReply(inst InstanceID, replica ReplicaID, client ClientID, round R
 
 func (m *ClientReply) Type() MsgType { return MsgClientReply }
 func (m *ClientReply) WireSize() int { return ReplyWireSize(len(m.Seqs)) }
-func (m *ClientReply) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgClientReply)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Replica))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(m.Client))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.Round))
-	buf = append(buf, m.Result[:]...)
-	return appendSeqs(buf, m.Seqs)
-}
 
 // SwitchInstance is a client request to be reassigned from its current
 // instance to instance To (§III-E). It is agreed upon via the coordinating
@@ -220,11 +198,6 @@ type SwitchInstance struct {
 
 func (m *SwitchInstance) Type() MsgType { return MsgSwitchInstance }
 func (m *SwitchInstance) WireSize() int { return ConsensusMsgBytes }
-func (m *SwitchInstance) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgSwitchInstance)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(m.Client))
-	return binary.BigEndian.AppendUint16(buf, uint16(m.To))
-}
 
 // ---------------------------------------------------------------------------
 // PBFT-style Byzantine commit (also reused by SBFT's proposal and as the
@@ -248,12 +221,6 @@ func (m *PrePrepare) WireSize() int {
 	}
 	return ProposalWireSize(m.Batch.Len())
 }
-func (m *PrePrepare) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgPrePrepare)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.View))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.Round))
-	return append(buf, m.Digest[:]...)
-}
 
 // PhaseVote is the shared shape of PREPARE/COMMIT-style votes.
 type PhaseVote struct {
@@ -265,13 +232,6 @@ type PhaseVote struct {
 }
 
 func (m *PhaseVote) WireSize() int { return ConsensusMsgBytes }
-func (m *PhaseVote) payload(buf []byte, t MsgType) []byte {
-	buf = m.marshal(buf, t)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Replica))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.View))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.Round))
-	return append(buf, m.Digest[:]...)
-}
 
 // Prepare is a replica's PREPARE vote for a preprepared proposal.
 type Prepare struct{ PhaseVote }
@@ -281,8 +241,7 @@ func NewPrepare(inst InstanceID, r ReplicaID, v View, rnd Round, d Digest) *Prep
 	return &Prepare{PhaseVote{Header{inst}, r, v, rnd, d}}
 }
 
-func (m *Prepare) Type() MsgType                 { return MsgPrepare }
-func (m *Prepare) AuthPayload(buf []byte) []byte { return m.payload(buf, MsgPrepare) }
+func (m *Prepare) Type() MsgType { return MsgPrepare }
 
 // Commit is a replica's COMMIT vote for a prepared proposal.
 type Commit struct{ PhaseVote }
@@ -292,8 +251,7 @@ func NewCommit(inst InstanceID, r ReplicaID, v View, rnd Round, d Digest) *Commi
 	return &Commit{PhaseVote{Header{inst}, r, v, rnd, d}}
 }
 
-func (m *Commit) Type() MsgType                 { return MsgCommit }
-func (m *Commit) AuthPayload(buf []byte) []byte { return m.payload(buf, MsgCommit) }
+func (m *Commit) Type() MsgType { return MsgCommit }
 
 // Checkpoint carries a replica's state digest at a round boundary; nf
 // matching checkpoints let in-the-dark replicas recover (§III-D).
@@ -316,12 +274,6 @@ func (m *Checkpoint) WireSize() int {
 		}
 	}
 	return sz
-}
-func (m *Checkpoint) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgCheckpoint)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Replica))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.Round))
-	return append(buf, m.State[:]...)
 }
 
 // AcceptedProposal is one accepted (round, batch) pair together with the
@@ -358,17 +310,6 @@ func (m *ViewChange) WireSize() int {
 	}
 	return sz
 }
-func (m *ViewChange) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgViewChange)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Replica))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.NewView))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.StableCkp))
-	for i := range m.Prepared {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(m.Prepared[i].Round))
-		buf = append(buf, m.Prepared[i].Digest[:]...)
-	}
-	return buf
-}
 
 // NewView is the new primary's announcement of view NewView, carrying the
 // proposals that must be re-proposed.
@@ -389,16 +330,6 @@ func (m *NewView) WireSize() int {
 		}
 	}
 	return sz
-}
-func (m *NewView) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgNewView)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Replica))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.NewView))
-	for i := range m.Reproposed {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(m.Reproposed[i].Round))
-		buf = append(buf, m.Reproposed[i].Digest[:]...)
-	}
-	return buf
 }
 
 // ---------------------------------------------------------------------------
@@ -431,16 +362,6 @@ func (m *Failure) WireSize() int {
 	}
 	return sz
 }
-func (m *Failure) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgFailure)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Replica))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.Round))
-	for i := range m.State {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(m.State[i].Round))
-		buf = append(buf, m.State[i].Digest[:]...)
-	}
-	return buf
-}
 
 // Stop is the stop(i; E) operation replicated by the coordinating consensus
 // protocol: E is a set of nf FAILURE messages from distinct replicas from
@@ -458,13 +379,4 @@ func (m *Stop) WireSize() int {
 		sz += f.WireSize()
 	}
 	return sz
-}
-func (m *Stop) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgStop)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Target))
-	for _, f := range m.Evidence {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(f.Replica))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(f.Round))
-	}
-	return buf
 }

@@ -1,7 +1,5 @@
 package types
 
-import "encoding/binary"
-
 // ---------------------------------------------------------------------------
 // Zyzzyva
 // ---------------------------------------------------------------------------
@@ -25,13 +23,6 @@ func (m *OrderRequest) WireSize() int {
 	}
 	return ProposalWireSize(m.Batch.Len())
 }
-func (m *OrderRequest) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgOrderRequest)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.View))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.Round))
-	buf = append(buf, m.History[:]...)
-	return append(buf, m.Digest[:]...)
-}
 
 // SpecResponse is a replica's speculative response, sent directly to the
 // client. A client accepts when it collects 3f+1 matching responses; with
@@ -49,14 +40,6 @@ type SpecResponse struct {
 
 func (m *SpecResponse) Type() MsgType { return MsgSpecResponse }
 func (m *SpecResponse) WireSize() int { return ReplyWireSize(m.Count) }
-func (m *SpecResponse) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgSpecResponse)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Replica))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.View))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.Round))
-	buf = append(buf, m.History[:]...)
-	return append(buf, m.Result[:]...)
-}
 
 // CommitCert carries 2f+1 matching spec responses gathered by a client that
 // could not reach the fast path; replicas answer with LocalCommit.
@@ -71,13 +54,6 @@ type CommitCert struct {
 
 func (m *CommitCert) Type() MsgType { return MsgCommitCert }
 func (m *CommitCert) WireSize() int { return ConsensusMsgBytes + 48*len(m.Responses) }
-func (m *CommitCert) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgCommitCert)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(m.Client))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.View))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.Round))
-	return append(buf, m.History[:]...)
-}
 
 // LocalCommit is a replica's acknowledgement of a commit certificate.
 type LocalCommit struct {
@@ -91,13 +67,6 @@ type LocalCommit struct {
 
 func (m *LocalCommit) Type() MsgType { return MsgLocalCommit }
 func (m *LocalCommit) WireSize() int { return ConsensusMsgBytes }
-func (m *LocalCommit) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgLocalCommit)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Replica))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.View))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.Round))
-	return append(buf, m.History[:]...)
-}
 
 // FillHole asks the primary to retransmit order requests the sender missed.
 type FillHole struct {
@@ -110,13 +79,6 @@ type FillHole struct {
 
 func (m *FillHole) Type() MsgType { return MsgFillHole }
 func (m *FillHole) WireSize() int { return ConsensusMsgBytes }
-func (m *FillHole) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgFillHole)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Replica))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.View))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.From))
-	return binary.BigEndian.AppendUint64(buf, uint64(m.To))
-}
 
 // IHatePrimary is a replica's accusation that starts a Zyzzyva view change.
 type IHatePrimary struct {
@@ -127,11 +89,6 @@ type IHatePrimary struct {
 
 func (m *IHatePrimary) Type() MsgType { return MsgIHatePrimary }
 func (m *IHatePrimary) WireSize() int { return ConsensusMsgBytes }
-func (m *IHatePrimary) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgIHatePrimary)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Replica))
-	return binary.BigEndian.AppendUint64(buf, uint64(m.View))
-}
 
 // ---------------------------------------------------------------------------
 // SBFT
@@ -150,13 +107,6 @@ type SignShare struct {
 
 func (m *SignShare) Type() MsgType { return MsgSignShare }
 func (m *SignShare) WireSize() int { return ConsensusMsgBytes }
-func (m *SignShare) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgSignShare)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Replica))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.View))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.Round))
-	return append(buf, m.Digest[:]...)
-}
 
 // FullCommitProof is the collector's combined threshold signature proving
 // that nf replicas signed the proposal; receiving it commits the round.
@@ -171,13 +121,6 @@ type FullCommitProof struct {
 
 func (m *FullCommitProof) Type() MsgType { return MsgFullCommitProof }
 func (m *FullCommitProof) WireSize() int { return ConsensusMsgBytes }
-func (m *FullCommitProof) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgFullCommitProof)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Replica))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.View))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.Round))
-	return append(buf, m.Digest[:]...)
-}
 
 // SignStateShare is a replica's post-execution share over the resulting
 // state, sent to the collector.
@@ -191,12 +134,6 @@ type SignStateShare struct {
 
 func (m *SignStateShare) Type() MsgType { return MsgSignStateShare }
 func (m *SignStateShare) WireSize() int { return ConsensusMsgBytes }
-func (m *SignStateShare) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgSignStateShare)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Replica))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.Round))
-	return append(buf, m.State[:]...)
-}
 
 // FullExecuteProof is the collector's combined execution proof.
 type FullExecuteProof struct {
@@ -209,12 +146,6 @@ type FullExecuteProof struct {
 
 func (m *FullExecuteProof) Type() MsgType { return MsgFullExecuteProof }
 func (m *FullExecuteProof) WireSize() int { return ConsensusMsgBytes }
-func (m *FullExecuteProof) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgFullExecuteProof)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Replica))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.Round))
-	return append(buf, m.State[:]...)
-}
 
 // ---------------------------------------------------------------------------
 // HotStuff (event-based chained variant)
@@ -248,14 +179,6 @@ func (m *HSProposal) WireSize() int {
 	}
 	return ProposalWireSize(m.Batch.Len())
 }
-func (m *HSProposal) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgHSProposal)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Replica))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.View))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.Round))
-	buf = append(buf, m.Parent[:]...)
-	return append(buf, m.Digest[:]...)
-}
 
 // HSVote is a replica's vote on a proposal, sent to the next leader.
 type HSVote struct {
@@ -269,13 +192,6 @@ type HSVote struct {
 
 func (m *HSVote) Type() MsgType { return MsgHSVote }
 func (m *HSVote) WireSize() int { return ConsensusMsgBytes }
-func (m *HSVote) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgHSVote)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Replica))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.View))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.Round))
-	return append(buf, m.Block[:]...)
-}
 
 // HSNewView carries a replica's highest QC to the next leader on timeout.
 type HSNewView struct {
@@ -287,12 +203,6 @@ type HSNewView struct {
 
 func (m *HSNewView) Type() MsgType { return MsgHSNewView }
 func (m *HSNewView) WireSize() int { return ConsensusMsgBytes }
-func (m *HSNewView) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgHSNewView)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Replica))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.View))
-	return append(buf, m.HighQC.Block[:]...)
-}
 
 // ---------------------------------------------------------------------------
 // Mir-BFT-style epoch coordination
@@ -310,12 +220,6 @@ type EpochChange struct {
 
 func (m *EpochChange) Type() MsgType { return MsgEpochChange }
 func (m *EpochChange) WireSize() int { return ConsensusMsgBytes }
-func (m *EpochChange) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgEpochChange)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Replica))
-	buf = binary.BigEndian.AppendUint64(buf, m.Epoch)
-	return binary.BigEndian.AppendUint16(buf, uint16(m.Failed))
-}
 
 // NewEpoch is the super-primary's configuration for epoch Epoch: the set of
 // leaders enabled in the new epoch and the common round at which every
@@ -331,13 +235,3 @@ type NewEpoch struct {
 
 func (m *NewEpoch) Type() MsgType { return MsgNewEpoch }
 func (m *NewEpoch) WireSize() int { return ConsensusMsgBytes + 2*len(m.Leaders) }
-func (m *NewEpoch) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgNewEpoch)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Replica))
-	buf = binary.BigEndian.AppendUint64(buf, m.Epoch)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.StartRound))
-	for _, l := range m.Leaders {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(l))
-	}
-	return buf
-}

@@ -1,7 +1,5 @@
 package types
 
-import "encoding/binary"
-
 // State-transfer message catalog (internal/statesync). A replica that is
 // behind — wiped, corrupted, or long-partitioned — probes its peers, picks
 // an f+1-attested target, fetches the latest snapshot in bounded chunks
@@ -69,24 +67,6 @@ func (m *StateOffer) Type() MsgType { return MsgStateOffer }
 func (m *StateOffer) WireSize() int {
 	return ConsensusMsgBytes + len(m.SyncPoint) + len(m.AttSyncPoint) + len(m.Att)
 }
-func (m *StateOffer) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgStateOffer)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Replica))
-	buf = binary.BigEndian.AppendUint64(buf, m.SnapHeight)
-	buf = binary.BigEndian.AppendUint64(buf, m.SnapSize)
-	buf = binary.BigEndian.AppendUint32(buf, m.ChunkBytes)
-	buf = append(buf, m.SnapAppHash[:]...)
-	buf = append(buf, m.SnapHeadHash[:]...)
-	buf = append(buf, m.SnapStateDigest[:]...)
-	buf = binary.BigEndian.AppendUint64(buf, m.TxnCount)
-	buf = binary.BigEndian.AppendUint64(buf, m.Height)
-	buf = append(buf, m.HeadHash[:]...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.SyncPoint)))
-	buf = append(buf, m.SyncPoint...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.AttSyncPoint)))
-	buf = append(buf, m.AttSyncPoint...)
-	return append(buf, m.Att...)
-}
 
 // SnapshotRequest asks a peer either for its StateOffer (Chunk == NoChunk, a
 // probe) or for one chunk of the snapshot at Height.
@@ -102,12 +82,6 @@ func (m *SnapshotRequest) IsProbe() bool { return m.Chunk == NoChunk }
 
 func (m *SnapshotRequest) Type() MsgType { return MsgSnapshotRequest }
 func (m *SnapshotRequest) WireSize() int { return ConsensusMsgBytes }
-func (m *SnapshotRequest) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgSnapshotRequest)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Replica))
-	buf = binary.BigEndian.AppendUint64(buf, m.Height)
-	return binary.BigEndian.AppendUint32(buf, m.Chunk)
-}
 
 // SnapshotChunk carries chunk Chunk (of Of total) of the application-state
 // bytes of the snapshot at Height. Chunks are worthless individually: the
@@ -124,14 +98,6 @@ type SnapshotChunk struct {
 
 func (m *SnapshotChunk) Type() MsgType { return MsgSnapshotChunk }
 func (m *SnapshotChunk) WireSize() int { return ConsensusMsgBytes + len(m.Data) }
-func (m *SnapshotChunk) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgSnapshotChunk)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Replica))
-	buf = binary.BigEndian.AppendUint64(buf, m.Height)
-	buf = binary.BigEndian.AppendUint32(buf, m.Chunk)
-	buf = binary.BigEndian.AppendUint32(buf, m.Of)
-	return append(buf, m.Data...)
-}
 
 // BlockRangeRequest asks for the encoded ledger blocks of heights
 // [From, To). Servers may answer with fewer blocks than asked (bounded
@@ -145,12 +111,6 @@ type BlockRangeRequest struct {
 
 func (m *BlockRangeRequest) Type() MsgType { return MsgBlockRangeRequest }
 func (m *BlockRangeRequest) WireSize() int { return ConsensusMsgBytes }
-func (m *BlockRangeRequest) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgBlockRangeRequest)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Replica))
-	buf = binary.BigEndian.AppendUint64(buf, m.From)
-	return binary.BigEndian.AppendUint64(buf, m.To)
-}
 
 // BlockRange answers a BlockRangeRequest: Blocks[i] is the wire encoding
 // (ledger.EncodeBlock) of the block at height From+i. The fetcher verifies
@@ -172,17 +132,6 @@ func (m *BlockRange) WireSize() int {
 	}
 	return sz
 }
-func (m *BlockRange) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgBlockRange)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Replica))
-	buf = binary.BigEndian.AppendUint64(buf, m.From)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Blocks)))
-	for _, b := range m.Blocks {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))
-		buf = append(buf, b...)
-	}
-	return buf
-}
 
 // CheckpointAttest carries one replica's threshold-signature share over its
 // checkpoint-boundary attestation digest (internal/statesync): Digest binds
@@ -200,10 +149,3 @@ type CheckpointAttest struct {
 
 func (m *CheckpointAttest) Type() MsgType { return MsgCheckpointAttest }
 func (m *CheckpointAttest) WireSize() int { return ConsensusMsgBytes + len(m.Share) }
-func (m *CheckpointAttest) AuthPayload(buf []byte) []byte {
-	buf = m.marshal(buf, MsgCheckpointAttest)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Replica))
-	buf = binary.BigEndian.AppendUint64(buf, m.Height)
-	buf = append(buf, m.Digest[:]...)
-	return append(buf, m.Share...)
-}

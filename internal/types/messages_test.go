@@ -42,42 +42,55 @@ func allMessages() []Message {
 	return msgs
 }
 
-// TestAuthPayloadsPairwiseDistinct checks that no two message types (with
+// authBytes returns the bytes the transport authenticates for m: its
+// encoding, exactly as it travels in a record.
+func authBytes(t *testing.T, m Message) []byte {
+	t.Helper()
+	b, err := MarshalMessage(m)
+	if err != nil {
+		t.Fatalf("%s: %v", m.Type(), err)
+	}
+	return b
+}
+
+// TestEncodingsPairwiseDistinct checks that no two message types (with
 // overlapping field values) authenticate to the same bytes: a tag for one
 // message must never verify another.
-func TestAuthPayloadsPairwiseDistinct(t *testing.T) {
-	msgs := allMessages()
+func TestEncodingsPairwiseDistinct(t *testing.T) {
 	seen := make(map[string]MsgType)
-	for _, m := range msgs {
-		payload := string(m.AuthPayload(nil))
+	for _, m := range allMessages() {
+		payload := string(authBytes(t, m))
 		if prev, dup := seen[payload]; dup {
-			t.Fatalf("%s and %s share an auth payload", prev, m.Type())
+			t.Fatalf("%s and %s share an encoding", prev, m.Type())
 		}
 		seen[payload] = m.Type()
 	}
 }
 
-// TestAuthPayloadsDeterministic checks replayability of the authenticated
-// form (MACs/signatures are computed over it on both ends).
-func TestAuthPayloadsDeterministic(t *testing.T) {
+// TestEncodingsDeterministic checks replayability of the authenticated
+// form: a retransmitted message must carry the same bytes.
+func TestEncodingsDeterministic(t *testing.T) {
 	for _, m := range allMessages() {
-		if !bytes.Equal(m.AuthPayload(nil), m.AuthPayload(nil)) {
-			t.Fatalf("%s: auth payload not deterministic", m.Type())
+		if !bytes.Equal(authBytes(t, m), authBytes(t, m)) {
+			t.Fatalf("%s: encoding not deterministic", m.Type())
 		}
 	}
 }
 
-// TestAuthPayloadsAppend checks the append contract: the payload goes after
-// whatever the caller already buffered.
-func TestAuthPayloadsAppend(t *testing.T) {
+// TestAppendMessageAppends checks the append contract the transport's record
+// writer relies on: the encoding goes after whatever the frame already holds.
+func TestAppendMessageAppends(t *testing.T) {
 	prefix := []byte("prefix")
 	for _, m := range allMessages() {
-		out := m.AuthPayload(append([]byte(nil), prefix...))
+		out, err := AppendMessage(append([]byte(nil), prefix...), m)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !bytes.HasPrefix(out, prefix) {
 			t.Fatalf("%s: append contract broken", m.Type())
 		}
-		if !bytes.Equal(out[len(prefix):], m.AuthPayload(nil)) {
-			t.Fatalf("%s: appended payload differs", m.Type())
+		if !bytes.Equal(out[len(prefix):], authBytes(t, m)) {
+			t.Fatalf("%s: appended encoding differs", m.Type())
 		}
 	}
 }
@@ -142,20 +155,23 @@ func TestBatchCarryingSizesScale(t *testing.T) {
 	}
 }
 
-// TestClientReplyAuthPayloadCoversEverySeq: one tag covers a whole batch
+// TestClientReplyEncodingCoversEverySeq: one tag covers a whole batch
 // reply, so changing any one listed seq — or dropping one — must change the
 // authenticated bytes.
-func TestClientReplyAuthPayloadCoversEverySeq(t *testing.T) {
+func TestClientReplyEncodingCoversEverySeq(t *testing.T) {
 	seqs := []uint64{4, 5, 9, 12}
-	base := NewClientReply(1, 2, 3, 7, Hash([]byte("r")), seqs).AuthPayload(nil)
+	reply := func(seqs []uint64) []byte {
+		return authBytes(t, NewClientReply(1, 2, 3, 7, Hash([]byte("r")), seqs))
+	}
+	base := reply(seqs)
 	for i := range seqs {
 		forged := append([]uint64(nil), seqs...)
 		forged[i]++
-		if bytes.Equal(NewClientReply(1, 2, 3, 7, Hash([]byte("r")), forged).AuthPayload(nil), base) {
-			t.Fatalf("changing seq %d left the auth payload unchanged", i)
+		if bytes.Equal(reply(forged), base) {
+			t.Fatalf("changing seq %d left the encoding unchanged", i)
 		}
 	}
-	if bytes.Equal(NewClientReply(1, 2, 3, 7, Hash([]byte("r")), seqs[:3]).AuthPayload(nil), base) {
-		t.Fatal("dropping a seq left the auth payload unchanged")
+	if bytes.Equal(reply(seqs[:3]), base) {
+		t.Fatal("dropping a seq left the encoding unchanged")
 	}
 }

@@ -259,14 +259,14 @@ func TestDigestHelpers(t *testing.T) {
 	}
 }
 
-func TestAuthPayloadsDifferAcrossTypes(t *testing.T) {
-	// A PREPARE and a COMMIT with identical fields must authenticate
-	// differently, or votes could be replayed across phases.
+func TestEncodingsDifferAcrossVoteTypes(t *testing.T) {
+	// A PREPARE and a COMMIT with identical fields must encode (and so
+	// authenticate) differently, or votes could be replayed across phases.
 	d := Hash([]byte("d"))
-	p := NewPrepare(1, 2, 3, 4, d)
-	c := NewCommit(1, 2, 3, 4, d)
-	if bytes.Equal(p.AuthPayload(nil), c.AuthPayload(nil)) {
-		t.Fatal("PREPARE and COMMIT share an auth payload")
+	p := authBytes(t, NewPrepare(1, 2, 3, 4, d))
+	c := authBytes(t, NewCommit(1, 2, 3, 4, d))
+	if bytes.Equal(p, c) {
+		t.Fatal("PREPARE and COMMIT share an encoding")
 	}
 }
 

@@ -37,8 +37,8 @@ SECRET="admin-smoke-secret"
 for i in 0 1 2 3; do
   # -batch 1: the client keeps only its window in flight, so interactive
   # batch sizing is what keeps the run fast. -auth ds turns on signed
-  # frames with the pooled verifier; -digest-cache the cross-instance
-  # verified-request cache.
+  # frames with the pooled verifier; -digest-cache the verified client
+  # frame cache.
   "$BIN/rccnode" -id "$i" -n 4 -peers "$PEERS" -batch 1 \
     -auth ds -auth-secret "$SECRET" -digest-cache 4096 \
     -data-dir "$DIR/replica-$i" -admin-addr "127.0.0.1:770$((i+4))" \

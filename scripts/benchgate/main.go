@@ -31,7 +31,7 @@
 //	                       pooled-HMAC path against the derive-per-call
 //	                       implementation it replaced (BenchmarkAuth)
 //	-min-pooled-speedup    /pooled vs /inline: the parallel batched signature
-//	                       verification drain against sequential per-record
+//	                       verification drain against sequential
 //	                       verification (BenchmarkVerifyPool)
 //
 // The parallel and pooled floors need several cores; on a single-core
