@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -675,33 +674,15 @@ func BenchmarkParallelExec(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Frame authentication (internal/crypto + the transport verify pool)
+// Frame authentication (internal/crypto)
 // ---------------------------------------------------------------------------
 
 // BenchmarkAuth prices one Tag + one Verify — the per-frame bill both ends
 // of an authenticated link pay — for each scheme, on a vote-sized payload
 // (53 B, every wire message except proposals) and a 100-transaction
 // proposal.
-//
-// The vote-sized MAC variants are named /cached and /uncached:
-// scripts/benchgate pairs them within the current run and CI fails when the
-// precomputed-pair-key + pooled-HMAC path stops being >=5x the
-// derive-keys-per-call implementation it replaced (-min-cached-speedup —
-// same-run pairing, so the floor holds on any machine without a baseline).
-// The proposal-sized MAC pair is deliberately NOT floor-paired (/precomputed
-// vs /per-call): at 5400 B the HMAC's SHA passes dominate and key caching
-// amortizes to ~1.2x, so its (real, smaller) win is reported and
-// regression-gated but not held to the 5x floor.
 func BenchmarkAuth(b *testing.B) {
 	secret := []byte("bench-auth-secret")
-	sizes := []struct {
-		name               string
-		n                  int
-		cachedN, uncachedN string
-	}{
-		{"53B", 53, "cached", "uncached"},
-		{"5400B", 5400, "precomputed", "per-call"},
-	}
 	run := func(name string, tagger, verifier crypto.Authenticator, payload []byte) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -714,90 +695,15 @@ func BenchmarkAuth(b *testing.B) {
 			}
 		})
 	}
-	for _, s := range sizes {
+	for _, s := range []struct {
+		name string
+		n    int
+	}{{"53B", 53}, {"5400B", 5400}} {
 		payload := make([]byte, s.n)
 		for i := range payload {
 			payload[i] = byte(i)
 		}
-		run("mac/"+s.name+"/"+s.cachedN, crypto.NewMAC(0, secret), crypto.NewMAC(1, secret), payload)
-		run("mac/"+s.name+"/"+s.uncachedN, crypto.NewMACUncached(0, secret), crypto.NewMACUncached(1, secret), payload)
+		run("mac/"+s.name, crypto.NewMAC(0, secret), crypto.NewMAC(1, secret), payload)
 		run("ds/"+s.name, crypto.NewDSDev(0, secret), crypto.NewDSDev(1, secret), payload)
 	}
-}
-
-// BenchmarkVerifyPool prices clearing 64 signed 53-byte payloads from one
-// sender two ways:
-//
-//	inline: one goroutine, one ed25519.Verify per payload.
-//	pooled: 8 workers splitting the payloads, each clearing its share
-//	        through VerifyBatch (shared-key batch verification with
-//	        bisection fallback).
-//
-// It measures crypto.BatchAuthenticator only. The transport no longer works
-// this way: since wire v5 a frame carries one signature over all its
-// records, so transport/verify.go checks one tag per frame with Verify.
-//
-// scripts/benchgate pairs /pooled with /inline within the current run and CI
-// fails when the pool stops being >=2x (-min-pooled-speedup). Like the
-// ParallelExec floor this needs the runner's multiple cores; on a
-// single-core machine the pair measures pure pool overhead instead.
-func BenchmarkVerifyPool(b *testing.B) {
-	const (
-		votes   = 64
-		workers = 8
-		chunk   = votes / workers
-	)
-	secret := []byte("bench-auth-secret")
-	signer := crypto.NewDSDev(0, secret)
-	verifier := crypto.NewDSDev(1, secret)
-	batch := verifier.(crypto.BatchAuthenticator)
-	payloads := make([][]byte, votes)
-	tags := make([][]byte, votes)
-	for i := range payloads {
-		p := make([]byte, 53)
-		for j := range p {
-			p[j] = byte(i + j)
-		}
-		payloads[i] = p
-		tags[i] = signer.Tag(1, p)
-	}
-
-	b.Run("votes=64/inline", func(b *testing.B) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := range payloads {
-				if !verifier.Verify(0, payloads[j], tags[j]) {
-					b.Fatal("verify failed")
-				}
-			}
-		}
-		b.ReportMetric(float64(b.N)*votes/b.Elapsed().Seconds(), "verify/s")
-	})
-	b.Run("votes=64/pooled", func(b *testing.B) {
-		oks := make([][]bool, workers)
-		for w := range oks {
-			oks[w] = make([]bool, chunk)
-		}
-		var wg sync.WaitGroup
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			wg.Add(workers)
-			for w := 0; w < workers; w++ {
-				go func(w int) {
-					defer wg.Done()
-					lo := w * chunk
-					batch.VerifyBatch(0, payloads[lo:lo+chunk], tags[lo:lo+chunk], oks[w])
-				}(w)
-			}
-			wg.Wait()
-			for w := range oks {
-				for _, ok := range oks[w] {
-					if !ok {
-						b.Fatal("verify failed")
-					}
-				}
-			}
-		}
-		b.ReportMetric(float64(b.N)*votes/b.Elapsed().Seconds(), "verify/s")
-	})
 }

@@ -128,12 +128,12 @@ func main() {
 	var metrics *obs.NodeMetrics
 	if *adminArg != "" {
 		metrics = obs.NewNodeMetrics(obs.NewRegistry(), *traceBuf, *traceN)
-		if *flightN >= 0 {
-			size := *flightN
-			if size == 0 {
-				size = 4096
-			}
-			metrics.Flight = flight.New(size)
+		// NewNodeMetrics installs a default-size recorder.
+		switch {
+		case *flightN < 0:
+			metrics.Flight = nil
+		case *flightN > 0:
+			metrics.Flight = flight.New(*flightN)
 		}
 	}
 

@@ -98,25 +98,24 @@
 // Frame authentication at line rate: internal/crypto implements the
 // paper's Fig. 7-right schemes as production hot paths. NewMAC precomputes
 // pairwise HMAC keys and pools HMAC state (Tag+Verify is one pool hit, one
-// allocation — CI holds it >= 5x the derive-per-call path via
-// scripts/benchgate -min-cached-speedup). NewDSDev derives a deterministic
-// ED25519 dev keyring from one shared secret, so rccnode/rccclient key a
-// whole cluster with -auth none|mac|ds plus -auth-secret (production keys
-// plug into NewDS/KeyRing). One tag per frame covers the exact bytes of
-// all its records and is checked before any record is decoded, so no
-// decoded field escapes authentication and a forged frame is dropped whole.
-// With signatures, inbound verification runs on a bounded worker pool in
-// internal/transport (TCPConfig.VerifyWorkers) that verifies and then
-// decodes each frame while preserving exact per-link delivery order; a
+// allocation; BenchmarkAuth is regression-gated). NewDSDev derives a
+// deterministic ED25519 dev keyring from one shared secret, so
+// rccnode/rccclient key a whole cluster with -auth none|mac|ds plus
+// -auth-secret (production keys plug into NewDS/KeyRing). One tag per
+// frame covers the exact bytes of all its records and is checked before
+// any record is decoded, so no decoded field escapes authentication and a
+// forged frame is dropped whole.
+// Each link's reader in internal/transport checks and then decodes its own
+// frames, so links verify in parallel and each delivers in order; a
 // sharded cache of verified client frames (-digest-cache,
 // internal/crypto/digestcache) skips re-verifying a byte-identical
 // retransmission, and links exceeding consecutive bad frames are demoted
 // (reconnect, counted). The verify stage reports into
 // rcc_stage_latency_seconds{stage="verify"}; the benchmark/ module's lan_sat
 // (MAC) and lan_ds (ED25519) workloads measure the live cost of each
-// scheme, BenchmarkAuth its Tag+Verify, and a determinism
-// test pins byte-identical ResultHash/StateDigest across verify-worker
-// counts. See the README's "Authentication" section.
+// scheme, BenchmarkAuth its Tag+Verify, and TestAuthDSOverTCP pins
+// byte-identical StateDigests across a signed cluster's replicas. See the
+// README's "Authentication" section.
 //
 // Observability: internal/obs instruments the full request path —
 // per-stage latency histograms (verify, consensus, unify, execute,
@@ -156,7 +155,6 @@
 // observability/execution pass), emits BENCH_ci.json, and gates merges on
 // >25% ns/op regressions against the committed BENCH_baseline.json via
 // scripts/benchgate, which also enforces the observability overhead
-// ceiling (-max-overhead), the parallel-execution speedup floor
-// (-min-parallel-speedup), and the authentication floors
-// (-min-cached-speedup, -min-pooled-speedup).
+// ceiling (-max-overhead) and the parallel-execution speedup floor
+// (-min-parallel-speedup).
 package repro

@@ -11,7 +11,7 @@
 // authenticator freezes its public-key ring at construction so verification
 // never races provisioning. BatchVerifier checks many same-sender
 // signatures with bisection to isolate bad ones; since the transport signs
-// whole frames it has no program caller (BenchmarkVerifyPool prices it).
+// whole frames it has no program caller.
 //
 // The package also exports the per-operation CPU cost table used by the
 // simulators: the paper (§V-B, Fig. 7 right) reports that digital signatures
@@ -296,8 +296,7 @@ type macAuth struct {
 // from it, mirroring how ResilientDB provisions CMAC-AES keys out of band.
 //
 // Each peer's key schedule is derived once on first use and cached, so
-// steady-state Tag/Verify never re-derive the pairwise key (compare
-// NewMACUncached, the pre-caching twin kept for the gated benchmark pair).
+// steady-state Tag/Verify never re-derive the pairwise key.
 func NewMAC(self uint32, secret []byte) Authenticator {
 	cp := append([]byte(nil), secret...)
 	return &macAuth{self: self, secret: cp}
@@ -342,36 +341,6 @@ func derivePairKey(secret []byte, x, y uint32) []byte {
 	h := hmac.New(sha256.New, secret)
 	h.Write(b[:])
 	return h.Sum(nil)
-}
-
-// macUncached is the pre-caching MAC implementation: it re-derives the
-// pairwise key and re-runs the full HMAC key schedule on every operation.
-type macUncached struct {
-	self   uint32
-	secret []byte
-}
-
-// NewMACUncached returns a MAC authenticator that derives the pairwise key
-// on every Tag/Verify — the reference twin BenchmarkAuth pairs against the
-// cached implementation (scripts/benchgate enforces the speedup floor
-// within one run). Produces tags byte-identical to NewMAC's.
-func NewMACUncached(self uint32, secret []byte) Authenticator {
-	cp := append([]byte(nil), secret...)
-	return &macUncached{self: self, secret: cp}
-}
-
-func (a *macUncached) Scheme() Scheme { return SchemeMAC }
-
-func (a *macUncached) Tag(to uint32, payload []byte) []byte {
-	h := hmac.New(sha256.New, derivePairKey(a.secret, a.self, to))
-	h.Write(payload)
-	return h.Sum(nil)
-}
-
-func (a *macUncached) Verify(from uint32, payload, tag []byte) bool {
-	h := hmac.New(sha256.New, derivePairKey(a.secret, from, a.self))
-	h.Write(payload)
-	return hmac.Equal(h.Sum(nil), tag)
 }
 
 // ---------------------------------------------------------------------------

@@ -7,12 +7,12 @@
 // verified before on this replica, so re-verifying is pure waste. A miss
 // verifies as usual and, on success, inserts.
 //
-// Sharding keeps the transport's verify workers from serializing on one
+// Sharding keeps the transport's link readers from serializing on one
 // lock; per-shard LRU eviction bounds memory no matter how many clients
 // churn. Only successful verifications are inserted, so cache state can
 // never turn a forgery into an accept — and because a hit and a miss return
-// on the same code path of the same worker, hit/miss patterns cannot reorder
-// per-link delivery (pinned by runtime's determinism tests).
+// on the same link reader, hit/miss patterns cannot reorder per-link
+// delivery.
 package digestcache
 
 import (

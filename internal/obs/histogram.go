@@ -52,14 +52,16 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	h.counts[bucketIndex(d)].Add(1)
-	h.sum.Add(int64(d))
+	// Raise max before counting, so a Snapshot that sees this observation's
+	// count (counts are loaded before max) also sees a max covering it.
 	for {
 		cur := h.max.Load()
 		if int64(d) <= cur || h.max.CompareAndSwap(cur, int64(d)) {
-			return
+			break
 		}
 	}
+	h.sum.Add(int64(d))
+	h.counts[bucketIndex(d)].Add(1)
 }
 
 // HistSnapshot is a point-in-time summary of a histogram.
@@ -131,7 +133,10 @@ func quantile(counts *[histBuckets]uint64, total uint64, max time.Duration, q fl
 			}
 		}
 		frac := (rank - cum) / c
-		return time.Duration((lower + (upper-lower)*frac) * 1e9)
+		if v := time.Duration((lower + (upper-lower)*frac) * 1e9); v < max {
+			return v
+		}
+		return max
 	}
 	return max
 }

@@ -21,10 +21,9 @@ import (
 type Stage uint8
 
 const (
-	// StageVerify: inbound frame staged for authentication → every record
-	// verified by the transport's verify pool (transport). Only populated
-	// with authentication enabled and pooled verification active; spans
-	// pool queueing plus the MAC/signature checks themselves.
+	// StageVerify: inbound frame read → its tag checked and its records
+	// decoded, on the link's reader (transport). Populated on every
+	// authenticated link, MAC or signature; unauthenticated links skip it.
 	StageVerify Stage = iota
 	// StageConsensus: proposal first seen (pre-prepare) → round decided
 	// and delivered by its BCA instance (pbft).

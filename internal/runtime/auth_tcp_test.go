@@ -28,9 +28,8 @@ func TestAuthMACOverTCP(t *testing.T) {
 }
 
 // TestAuthDSOverTCP runs the same stack under ED25519 dev-keyring
-// signatures with the verify pool and the verified-digest cache active —
-// the `-auth ds` stack, i.e. the authenticated configuration of Fig. 7
-// (right) measured live.
+// signatures with the verified-digest cache active — the `-auth ds` stack,
+// i.e. the authenticated configuration of Fig. 7 (right) measured live.
 func TestAuthDSOverTCP(t *testing.T) {
 	opts := dsOpts("auth-ds-smoke")
 	opts.cacheEntries = 4096
@@ -47,69 +46,67 @@ func TestAuthDSOverTCP(t *testing.T) {
 }
 
 // TestDSVerifyPoolDeterminismOverTCP pins the acceptance property of
-// pooled verification: a DS cluster must produce byte-identical results and
-// state digests whether frames are verified by one worker or eight — the
-// pool parallelizes crypto, never reorders delivery.
+// verifying on the link reader: a DS cluster must produce byte-identical
+// results and state digests on every replica and across independent runs —
+// authentication checks frames, it never reorders delivery.
 func TestDSVerifyPoolDeterminismOverTCP(t *testing.T) {
-	const txns = 5
-	var wantState types.Digest
-	var wantResults []types.Digest
-	for _, workers := range []int{1, 8} {
-		workers := workers
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			opts := dsOpts("determinism-secret")
-			opts.verifyWorkers = workers
-			opts.cacheEntries = 4096
-			params, _ := quorum.NewParams(4)
-			peers, reps := tcpClusterWith(t, 4, opts, func() sm.Machine {
-				return rcc.New(rcc.Config{BatchSize: 1, Window: 4})
-			})
-			c1 := tcpClientWith(t, peers, params, 1, opts, disjointWrites(1, 100, txns))
-			c2 := tcpClientWith(t, peers, params, 2, opts, disjointWrites(2, 200, txns))
-			waitFor(t, 30*time.Second, func() bool {
-				return len(c1.Completions()) == txns && len(c2.Completions()) == txns
-			})
-			assertLedgersAgree(t, reps)
-
-			// Result hashes, keyed by (client, seq) so completion-arrival
-			// order doesn't matter, must be byte-identical across runs.
-			results := make([]types.Digest, 0, 2*txns)
-			for _, c := range []*client.Client{c1, c2} {
-				comps := c.Completions()
-				sort.Slice(comps, func(i, j int) bool { return comps[i].Seq < comps[j].Seq })
-				for _, comp := range comps {
-					results = append(results, comp.Result)
-				}
-			}
-			// Stop the cluster before touching application state (the app
-			// is single-threaded by contract), then compare digests: equal
-			// across replicas within the run, and across worker counts.
-			for _, r := range reps {
-				r.Stop()
-			}
-			state := reps[0].StateDigest()
-			for i, r := range reps {
-				if got := r.StateDigest(); got != state {
-					t.Fatalf("replica %d state digest diverges within run: %x != %x", i, got, state)
-				}
-			}
-			if wantState == (types.Digest{}) {
-				wantState, wantResults = state, results
-				return
-			}
-			if state != wantState {
-				t.Fatalf("state digest differs across verify worker counts: %x != %x", state, wantState)
-			}
-			if len(results) != len(wantResults) {
-				t.Fatalf("%d results, want %d", len(results), len(wantResults))
-			}
-			for i := range results {
-				if results[i] != wantResults[i] {
-					t.Fatalf("result %d differs across verify worker counts: %x != %x", i, results[i], wantResults[i])
-				}
-			}
-		})
+	state, results := dsDeterminismRun(t)
+	state2, results2 := dsDeterminismRun(t)
+	if state2 != state {
+		t.Fatalf("state digest differs across runs: %x != %x", state2, state)
 	}
+	if len(results2) != len(results) {
+		t.Fatalf("%d results, want %d", len(results2), len(results))
+	}
+	for i := range results2 {
+		if results2[i] != results[i] {
+			t.Fatalf("result %d differs across runs: %x != %x", i, results2[i], results[i])
+		}
+	}
+}
+
+// dsDeterminismRun drives one fresh DS cluster with two disjoint-key clients
+// to completion, stops it, and returns its application state digest (checked
+// equal on every replica) and the clients' result hashes in (client, seq)
+// order.
+func dsDeterminismRun(t *testing.T) (types.Digest, []types.Digest) {
+	t.Helper()
+	const txns = 5
+	opts := dsOpts("determinism-secret")
+	opts.cacheEntries = 4096
+	params, _ := quorum.NewParams(4)
+	peers, reps := tcpClusterWith(t, 4, opts, func() sm.Machine {
+		return rcc.New(rcc.Config{BatchSize: 1, Window: 4})
+	})
+	c1 := tcpClientWith(t, peers, params, 1, opts, disjointWrites(1, 100, txns))
+	c2 := tcpClientWith(t, peers, params, 2, opts, disjointWrites(2, 200, txns))
+	waitFor(t, 30*time.Second, func() bool {
+		return len(c1.Completions()) == txns && len(c2.Completions()) == txns
+	})
+	assertLedgersAgree(t, reps)
+
+	// Result hashes, keyed by (client, seq) so completion-arrival order
+	// doesn't matter.
+	results := make([]types.Digest, 0, 2*txns)
+	for _, c := range []*client.Client{c1, c2} {
+		comps := c.Completions()
+		sort.Slice(comps, func(i, j int) bool { return comps[i].Seq < comps[j].Seq })
+		for _, comp := range comps {
+			results = append(results, comp.Result)
+		}
+	}
+	// Stop the cluster before touching application state (the app is
+	// single-threaded by contract), then compare digests across replicas.
+	for _, r := range reps {
+		r.Stop()
+	}
+	state := reps[0].StateDigest()
+	for i, r := range reps {
+		if got := r.StateDigest(); got != state {
+			t.Fatalf("replica %d state digest diverges within run: %x != %x", i, got, state)
+		}
+	}
+	return state, results
 }
 
 // disjointWrites builds txns explicit writes to keys [base, base+txns) —

@@ -607,7 +607,6 @@ func (r *Replica) Attach(t transport.Transport) {
 		{"transport_encode_errors_total", "messages that failed encoding", func(s transport.TCPStats) uint64 { return s.EncodeErrs }},
 		{"transport_auth_rejects_total", "records dropped for a bad authenticator tag", func(s transport.TCPStats) uint64 { return s.AuthRejects }},
 		{"transport_auth_demotions_total", "inbound links closed after consecutive auth failures", func(s transport.TCPStats) uint64 { return s.AuthDemotions }},
-		{"transport_verified_frames_total", "frames verified by the verify worker pool", func(s transport.TCPStats) uint64 { return s.VerifiedFrames }},
 		{"transport_digest_cache_hits_total", "verified-digest cache hits (re-verification skipped)", func(s transport.TCPStats) uint64 { return s.DigestHits }},
 		{"transport_digest_cache_misses_total", "verified-digest cache misses", func(s transport.TCPStats) uint64 { return s.DigestMisses }},
 	}

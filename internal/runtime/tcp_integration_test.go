@@ -22,8 +22,6 @@ import (
 type tcpAuthOpts struct {
 	// auth builds the party's authenticator; nil runs unauthenticated.
 	auth func(party uint32) crypto.Authenticator
-	// verifyWorkers is passed through to TCPConfig (0 = scheme default).
-	verifyWorkers int
 	// cacheEntries > 0 gives each replica a verified-digest cache.
 	cacheEntries int
 }
@@ -72,10 +70,7 @@ func tcpClusterWith(t *testing.T, n int, opts tcpAuthOpts, machine func() sm.Mac
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := transport.TCPConfig{
-			Self: id, Listen: "127.0.0.1:0",
-			VerifyWorkers: opts.verifyWorkers,
-		}
+		cfg := transport.TCPConfig{Self: id, Listen: "127.0.0.1:0"}
 		if opts.auth != nil {
 			cfg.Auth = opts.auth(crypto.PartyID(id))
 		}

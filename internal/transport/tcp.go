@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,21 +34,14 @@ type TCPConfig struct {
 	// Auth authenticates frames; nil disables authentication.
 	Auth crypto.Authenticator
 
-	// VerifyWorkers sizes the shared inbound-verification worker pool (see
-	// verify.go). 0 picks a scheme-dependent default: GOMAXPROCS workers
-	// for digital signatures (verification dominates, parallelism pays),
-	// inline verification for MACs (a cached HMAC check is cheaper than a
-	// queue handoff). Negative forces the inline path; positive forces a
-	// pool of that size. Ignored when Auth is nil or SchemeNone.
-	VerifyWorkers int
 	// DigestCache, when set, memoizes verified (party, record bytes, tag)
 	// frames from client links, so a byte-identical frame (a retransmitted
-	// request that travels alone) skips re-verification. Only the verify pool consults it: worth wiring for
-	// digital signatures; a MAC re-check costs about as much as the
-	// cache's own hash.
+	// request that travels alone) skips re-verification, under every
+	// scheme. Worth wiring for digital signatures; a MAC re-check costs
+	// about as much as the cache's own hash.
 	DigestCache *digestcache.Cache
-	// VerifyObserve, when set, receives the queue+verify+decode latency of
-	// every frame the verify pool completes (feeds the "verify" stage
+	// VerifyObserve, when set, receives the check+decode latency of every
+	// frame an authenticated link reads (feeds the "verify" stage
 	// histogram).
 	VerifyObserve func(time.Duration)
 	// Flight, when set, receives link lifecycle events (connect, reconnect,
@@ -92,10 +84,6 @@ const (
 	// the reply and counts it — a stalled client never delays anyone
 	// else's replies.
 	clientQueueDepth = 1024
-	// verifyQueueDepth bounds both the shared pool queue and each link's
-	// in-order release FIFO, in frames. A link producing faster than the
-	// pool verifies backpressures its own reader.
-	verifyQueueDepth = 32
 
 	maxBatchBytes = 128 << 10 // encoded bytes one write syscall coalesces
 	maxBatchMsgs  = 256       // messages one write syscall coalesces
@@ -142,24 +130,6 @@ func (c *TCPConfig) defaults() {
 	}
 }
 
-// verifyWorkers resolves the VerifyWorkers policy against the configured
-// scheme: how many pool workers to start, or 0 for inline verification.
-func (c *TCPConfig) verifyWorkers() int {
-	if c.Auth == nil || c.Auth.Scheme() == crypto.SchemeNone {
-		return 0
-	}
-	switch {
-	case c.VerifyWorkers > 0:
-		return c.VerifyWorkers
-	case c.VerifyWorkers < 0:
-		return 0
-	case c.Auth.Scheme() == crypto.SchemeDS:
-		return runtime.GOMAXPROCS(0)
-	default:
-		return 0
-	}
-}
-
 // TCPStats are the transport's observable counters. All values are
 // cumulative since NewTCP.
 type TCPStats struct {
@@ -192,9 +162,6 @@ type TCPStats struct {
 	// AuthDemotions counts inbound links closed after AuthFailLimit
 	// consecutive authentication failures.
 	AuthDemotions uint64
-	// VerifiedFrames counts frames verified off the reader thread by the
-	// verify worker pool (0 on the inline path).
-	VerifiedFrames uint64
 	// DigestHits / DigestMisses mirror the configured digest cache's
 	// counters (0 when no cache is wired).
 	DigestHits   uint64
@@ -211,7 +178,6 @@ type TCP struct {
 	cfg      TCPConfig
 	ep       Endpoint
 	listener net.Listener
-	pool     *verifyPool // nil = inline verification
 
 	mu          sync.Mutex
 	closing     bool
@@ -227,18 +193,17 @@ type TCP struct {
 	wgReaders     sync.WaitGroup
 	wgWriters     sync.WaitGroup
 
-	msgsSent       atomic.Uint64
-	batchesSent    atomic.Uint64
-	peerDropped    atomic.Uint64
-	clientDropped  atomic.Uint64
-	reconnects     atomic.Uint64
-	badHeader      atomic.Uint64
-	decodeErrs     atomic.Uint64
-	encodeErrs     atomic.Uint64
-	authRejects    atomic.Uint64
-	authDemotions  atomic.Uint64
-	verifiedFrames atomic.Uint64
-	faultDropped   atomic.Uint64
+	msgsSent      atomic.Uint64
+	batchesSent   atomic.Uint64
+	peerDropped   atomic.Uint64
+	clientDropped atomic.Uint64
+	reconnects    atomic.Uint64
+	badHeader     atomic.Uint64
+	decodeErrs    atomic.Uint64
+	encodeErrs    atomic.Uint64
+	authRejects   atomic.Uint64
+	authDemotions atomic.Uint64
+	faultDropped  atomic.Uint64
 
 	// delayCh feeds the delay heap goroutine (faults.go); nil unless a
 	// Faults matrix is configured.
@@ -261,9 +226,6 @@ func NewTCP(cfg TCPConfig, ep Endpoint) (*TCP, error) {
 		cp[k] = v
 	}
 	t.cfg.Peers = cp
-	if w := t.cfg.verifyWorkers(); w > 0 {
-		t.pool = newVerifyPool(t, w)
-	}
 	if cfg.Faults != nil {
 		t.delayCh = make(chan delayedMsg, 1024)
 		t.wgReaders.Add(1)
@@ -306,18 +268,17 @@ func (t *TCP) Addr() string {
 // Stats returns a snapshot of the transport's counters.
 func (t *TCP) Stats() TCPStats {
 	st := TCPStats{
-		MsgsSent:       t.msgsSent.Load(),
-		BatchesSent:    t.batchesSent.Load(),
-		PeerDropped:    t.peerDropped.Load(),
-		ClientDropped:  t.clientDropped.Load(),
-		Reconnects:     t.reconnects.Load(),
-		BadHeader:      t.badHeader.Load(),
-		DecodeErrs:     t.decodeErrs.Load(),
-		EncodeErrs:     t.encodeErrs.Load(),
-		AuthRejects:    t.authRejects.Load(),
-		AuthDemotions:  t.authDemotions.Load(),
-		VerifiedFrames: t.verifiedFrames.Load(),
-		FaultDropped:   t.faultDropped.Load(),
+		MsgsSent:      t.msgsSent.Load(),
+		BatchesSent:   t.batchesSent.Load(),
+		PeerDropped:   t.peerDropped.Load(),
+		ClientDropped: t.clientDropped.Load(),
+		Reconnects:    t.reconnects.Load(),
+		BadHeader:     t.badHeader.Load(),
+		DecodeErrs:    t.decodeErrs.Load(),
+		EncodeErrs:    t.encodeErrs.Load(),
+		AuthRejects:   t.authRejects.Load(),
+		AuthDemotions: t.authDemotions.Load(),
+		FaultDropped:  t.faultDropped.Load(),
 	}
 	if c := t.cfg.DigestCache; c != nil {
 		cs := c.Stats()
@@ -394,8 +355,10 @@ func (t *TCP) acceptLoop() {
 }
 
 // readLoop reads one connection: stream header first (refusing version
-// mismatches), then batched frames. dialed marks connections this node
-// dialed (a client reading replies from a replica).
+// mismatches), then batched frames. It checks each frame's tag before
+// decoding any of its records, drops a frame that fails whole, and delivers
+// the rest in arrival order. dialed marks connections this node dialed (a
+// client reading replies from a replica).
 func (t *TCP) readLoop(c net.Conn, dialed bool) {
 	var cq *connQueue
 	defer t.wgReaders.Done()
@@ -436,12 +399,9 @@ func (t *TCP) readLoop(c net.Conn, dialed bool) {
 	if auth != nil && auth.Scheme() == crypto.SchemeNone {
 		auth = nil
 	}
-	var link *inLink
-	if t.pool != nil {
-		// Pooled verification: this loop only reads and stages; workers
-		// verify and decode, and the link's releaser delivers in order.
-		link = t.newInLink(c, hdr)
-		defer close(link.pending)
+	observe := t.cfg.VerifyObserve
+	if auth == nil {
+		observe = nil
 	}
 	consecFails := 0
 	var msgs []types.Message
@@ -463,20 +423,22 @@ func (t *TCP) readLoop(c net.Conn, dialed bool) {
 			putBuf(bp)
 			return
 		}
-		if link != nil {
-			if !t.pool.submit(link, link.newTask(bp)) {
-				return // shutting down
-			}
-			continue
+		var start time.Time
+		if observe != nil {
+			start = time.Now()
 		}
-		// Inline: check the frame's tag against its raw record bytes before
-		// decoding any of them.
 		records, tag, ok := openFrame(*bp)
 		if ok && auth != nil {
-			ok = auth.Verify(party, records, tag)
+			ok = t.verifyFrame(party, hdr.isClient, records, tag)
+		}
+		if ok {
+			msgs = t.decodeRecords(records, msgs)
+		}
+		putBuf(bp)
+		if observe != nil {
+			observe(time.Since(start))
 		}
 		if !ok {
-			putBuf(bp)
 			consecFails++
 			if t.rejectFrame(sourceID(hdr), consecFails) {
 				// Demote: a stream of forged frames stops costing verify
@@ -487,8 +449,6 @@ func (t *TCP) readLoop(c net.Conn, dialed bool) {
 			continue
 		}
 		consecFails = 0
-		msgs = t.decodeRecords(records, msgs)
-		putBuf(bp)
 		for _, m := range msgs {
 			if hdr.isClient {
 				t.ep.DeliverClient(hdr.client, m)
@@ -635,9 +595,6 @@ func (t *TCP) Close() error {
 	}
 	t.mu.Unlock()
 	t.wgReaders.Wait()
-	if t.pool != nil {
-		t.pool.wg.Wait()
-	}
 	return nil
 }
 

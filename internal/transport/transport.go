@@ -34,11 +34,10 @@
 // bytes of its records, computed on the writer goroutine and verified
 // against the sender identity announced in the connection's stream header
 // before any record is decoded — so no decoded field escapes the tag, and a
-// frame that fails is dropped whole. With digital signatures (and
-// optionally with MACs, see TCPConfig.VerifyWorkers) verification and
-// decoding run on a bounded shared worker pool that preserves per-link
-// delivery order, and can memoize verified client frames in a
-// TCPConfig.DigestCache; links streaming forged frames are demoted after
+// frame that fails is dropped whole. Each link's reader goroutine checks,
+// decodes and delivers its own frames, so per-link delivery order holds and
+// links verify in parallel; verified client frames can be memoized in a
+// TCPConfig.DigestCache. Links streaming forged frames are demoted after
 // the AuthFailLimit constant (16) of consecutive failures. See wire.go and
 // verify.go.
 package transport

@@ -17,8 +17,6 @@ import (
 // TestTCPDSRejectsWrongSigner: a sender holding a different dev keyring (so
 // its ED25519 keys derive from another secret) claims replica 0's identity;
 // every record must be rejected while a properly keyed sender is delivered.
-// This exercises the verify worker pool — DS defaults to pooled
-// verification.
 func TestTCPDSRejectsWrongSigner(t *testing.T) {
 	good := []byte("ds-secret")
 	s1 := newSink()
@@ -60,9 +58,6 @@ func TestTCPDSRejectsWrongSigner(t *testing.T) {
 	waitCond(t, 5*time.Second, func() bool { return t1.Stats().AuthRejects >= 1 })
 	if n := s1.count(); n != 1 {
 		t.Fatalf("delivered %d messages, want 1 (forgery dropped)", n)
-	}
-	if st := t1.Stats(); st.VerifiedFrames == 0 {
-		t.Fatal("DS transport did not route frames through the verify pool")
 	}
 }
 
@@ -214,7 +209,7 @@ func forgeStream(t *testing.T, stream []byte, genuine, forged types.Message) []b
 // and State[0].Batch dropped, and a genuine CHECKPOINT frame with one op
 // byte of a carried proposal flipped, are replayed without re-tagging: the
 // recovery path picks the proposal to adopt from exactly those fields, so
-// both must be refused, over MAC (inline) and DS (pooled).
+// both must be refused, over MAC and DS.
 func TestTCPTagCoversEveryDecodedField(t *testing.T) {
 	b := &types.Batch{Txns: []types.Transaction{{Client: 7, Seq: 1, Op: []byte("op-bytes")}}}
 	ap := types.AcceptedProposal{Round: 5, View: 1, Digest: b.Digest(), Batch: b, Prepared: true}
@@ -280,15 +275,15 @@ func TestTCPTagCoversEveryDecodedField(t *testing.T) {
 	}
 }
 
-// TestTCPVerifyPoolPreservesOrder floods one link through an 8-worker verify
-// pool and asserts messages reach the endpoint exactly in send order:
-// workers may finish out of order, the releaser may not.
-func TestTCPVerifyPoolPreservesOrder(t *testing.T) {
+// TestTCPDeliversLinkInOrder floods one signed link and asserts messages
+// reach the endpoint exactly in send order: the consensus layer depends on
+// per-link order, and verification must not disturb it.
+func TestTCPDeliversLinkInOrder(t *testing.T) {
 	secret := []byte("order-secret")
 	s1 := newSink()
 	t1, err := NewTCP(TCPConfig{
 		Self: 1, Listen: "127.0.0.1:0",
-		Auth: crypto.NewDSDev(crypto.PartyID(1), secret), VerifyWorkers: 8,
+		Auth: crypto.NewDSDev(crypto.PartyID(1), secret),
 	}, s1)
 	if err != nil {
 		t.Fatal(err)
@@ -315,22 +310,21 @@ func TestTCPVerifyPoolPreservesOrder(t *testing.T) {
 	defer s1.mu.Unlock()
 	for i, m := range s1.msgs {
 		if got := m.(*types.Prepare).Round; got != types.Round(i) {
-			t.Fatalf("message %d has round %d: pool reordered the link", i, got)
+			t.Fatalf("message %d has round %d: the link was reordered", i, got)
 		}
 	}
 }
 
 // TestTCPAuthDemotion: the inbound link must be demoted (closed) on exactly
 // the AuthFailLimit-th consecutive forged frame, observable via Stats; a
-// genuine frame in between restarts the count. Runs on both the pooled (DS)
-// and inline (MAC) verification paths.
+// genuine frame in between restarts the count. Runs under both schemes.
 func TestTCPAuthDemotion(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		auth func(party uint32, secret []byte) crypto.Authenticator
 	}{
-		{"pooled_ds", func(p uint32, s []byte) crypto.Authenticator { return crypto.NewDSDev(p, s) }},
-		{"inline_mac", func(p uint32, s []byte) crypto.Authenticator { return crypto.NewMAC(p, s) }},
+		{"ds", func(p uint32, s []byte) crypto.Authenticator { return crypto.NewDSDev(p, s) }},
+		{"mac", func(p uint32, s []byte) crypto.Authenticator { return crypto.NewMAC(p, s) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s1 := newSink()
@@ -385,46 +379,55 @@ func TestTCPAuthDemotion(t *testing.T) {
 // TestTCPDigestCacheHitsOnRetransmit: the same client request sent twice
 // (a retransmission, so a byte-identical frame) must verify once and hit the
 // digest cache the second time — and still be delivered both times (the
-// cache dedupes crypto work, not messages).
+// cache dedupes crypto work, not messages). The cache applies under every
+// scheme.
 func TestTCPDigestCacheHitsOnRetransmit(t *testing.T) {
 	secret := []byte("cache-secret")
-	cache := digestcache.New(1024)
-	srvSink := newSink()
-	srv, err := NewTCP(TCPConfig{
-		Self: 0, Listen: "127.0.0.1:0",
-		Auth: crypto.NewDSDev(crypto.PartyID(0), secret), DigestCache: cache,
-	}, srvSink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	for _, tc := range []struct {
+		name string
+		auth func(party uint32) crypto.Authenticator
+	}{
+		{"mac", func(p uint32) crypto.Authenticator { return crypto.NewMAC(p, secret) }},
+		{"ds", func(p uint32) crypto.Authenticator { return crypto.NewDSDev(p, secret) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srvSink := newSink()
+			srv, err := NewTCP(TCPConfig{
+				Self: 0, Listen: "127.0.0.1:0",
+				Auth: tc.auth(crypto.PartyID(0)), DigestCache: digestcache.New(1024),
+			}, srvSink)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
 
-	cli, err := NewTCP(TCPConfig{
-		IsClient: true, SelfClient: 42,
-		Peers: map[types.ReplicaID]string{0: srv.Addr()},
-		Auth:  crypto.NewDSDev(crypto.ClientPartyID(42), secret),
-	}, newSink())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+			cli, err := NewTCP(TCPConfig{
+				IsClient: true, SelfClient: 42,
+				Peers: map[types.ReplicaID]string{0: srv.Addr()},
+				Auth:  tc.auth(crypto.ClientPartyID(42)),
+			}, newSink())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
 
-	req := types.NewClientRequest(0, types.Transaction{Client: 42, Seq: 1, Op: []byte("put")})
-	if err := cli.Send(0, req); err != nil {
-		t.Fatal(err)
-	}
-	srvSink.wait(t, 1)
-	if err := cli.Send(0, req); err != nil { // retransmission
-		t.Fatal(err)
-	}
-	srvSink.wait(t, 1)
+			req := types.NewClientRequest(0, types.Transaction{Client: 42, Seq: 1, Op: []byte("put")})
+			if err := cli.Send(0, req); err != nil {
+				t.Fatal(err)
+			}
+			srvSink.wait(t, 1)
+			if err := cli.Send(0, req); err != nil { // retransmission
+				t.Fatal(err)
+			}
+			srvSink.wait(t, 1)
 
-	st := srv.Stats()
-	if st.DigestMisses == 0 {
-		t.Fatal("first delivery did not consult the digest cache")
-	}
-	waitCond(t, 5*time.Second, func() bool { return srv.Stats().DigestHits >= 1 })
-	if n := srvSink.count(); n != 2 {
-		t.Fatalf("delivered %d messages, want 2", n)
+			if st := srv.Stats(); st.DigestMisses == 0 {
+				t.Fatal("first delivery did not consult the digest cache")
+			}
+			waitCond(t, 5*time.Second, func() bool { return srv.Stats().DigestHits >= 1 })
+			if n := srvSink.count(); n != 2 {
+				t.Fatalf("delivered %d messages, want 2", n)
+			}
+		})
 	}
 }

@@ -17,11 +17,10 @@ import (
 
 // knobCensus is the reviewed list of exported fields on the option structs
 // of the replica-process path. Every entry is a knob some caller outside
-// tests sets to more than one value, or a deployment setting, with two
-// exceptions: store.Options.AsyncQueueDepth and TCPConfig.VerifyWorkers are
-// cross-package test seams (runtime's tests set them through another
-// package), which stay exported until export_test.go hooks replace them
-// (ROADMAP 19a). A field that every caller leaves at its default is an
+// tests sets to more than one value, or a deployment setting, with one
+// exception: store.Options.AsyncQueueDepth is a cross-package test seam
+// (runtime's tests set it through another package), which stays exported
+// until an export_test.go hook replaces it (ROADMAP 19a). A field that every caller leaves at its default is an
 // unexported constant instead; a tuning only same-package tests change is
 // an unexported field.
 var knobCensus = []struct {
@@ -29,7 +28,7 @@ var knobCensus = []struct {
 	fields []string
 }{
 	{transport.TCPConfig{}, []string{"Self", "SelfClient", "IsClient", "Listen", "Peers", "Auth",
-		"VerifyWorkers", "DigestCache", "VerifyObserve", "Flight", "Faults"}},
+		"DigestCache", "VerifyObserve", "Flight", "Faults"}},
 	{statesync.Config{}, []string{"Self", "N", "Attest", "OfferWait", "RetryInterval", "SteadyProbe",
 		"AttestScheme", "Flight"}},
 	{runtime.StateSyncOptions{}, []string{"Enabled", "OfferWait", "Retry", "SteadyProbe", "AttestScheme"}},

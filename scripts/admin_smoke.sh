@@ -5,11 +5,12 @@
 # the key series, that the per-stage latency histograms actually observed
 # the transactions the client executed, and that every replica's flight
 # recorder (/debug/events) captured protocol events — the live-cluster
-# acceptance check for the observability layer. The cluster runs with -auth ds (signed frames,
-# verify worker pool, digest cache), so the verify-stage histogram and the
-# verified-frames counter must move too — the CLI-level acceptance check for
-# the authentication layer. The client runs a window of 16, so its requests
-# must arrive as envelopes: fewer request envelopes than transactions.
+# acceptance check for the observability layer. The cluster runs with -auth ds
+# (signed frames checked by each link's reader, digest cache), so the
+# verify-stage histogram and the digest-cache miss counter must move too —
+# the CLI-level acceptance check for the authentication layer. The client
+# runs a window of 16, so its requests must arrive as envelopes: fewer
+# request envelopes than transactions.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -37,8 +38,7 @@ SECRET="admin-smoke-secret"
 for i in 0 1 2 3; do
   # -batch 1: the client keeps only its window in flight, so interactive
   # batch sizing is what keeps the run fast. -auth ds turns on signed
-  # frames with the pooled verifier; -digest-cache the verified client
-  # frame cache.
+  # frames; -digest-cache the verified client frame cache.
   "$BIN/rccnode" -id "$i" -n 4 -peers "$PEERS" -batch 1 \
     -auth ds -auth-secret "$SECRET" -digest-cache 4096 \
     -data-dir "$DIR/replica-$i" -admin-addr "127.0.0.1:770$((i+4))" \
@@ -102,7 +102,7 @@ series 'wal_appends_total'
 series 'rcc_txns_executed_total'
 series 'rcc_durability_healthy'
 series 'transport_msgs_sent_total'
-series 'transport_verified_frames_total'
+series 'transport_digest_cache_misses_total'
 series 'rcc_client_requests_total'
 
 # Clients send one request per flush, not one per transaction: replica 0

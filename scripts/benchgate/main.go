@@ -27,15 +27,9 @@
 //	                       1/(1+max) (BenchmarkObsOverhead, BenchmarkFlightRecord)
 //	-min-parallel-speedup  /parallel vs /serial: the conflict-aware executor
 //	                       on the conflict-free workload (BenchmarkParallelExec)
-//	-min-cached-speedup    /cached vs /uncached: the precomputed-MAC-key +
-//	                       pooled-HMAC path against the derive-per-call
-//	                       implementation it replaced (BenchmarkAuth)
-//	-min-pooled-speedup    /pooled vs /inline: the parallel batched signature
-//	                       verification drain against sequential
-//	                       verification (BenchmarkVerifyPool)
 //
-// The parallel and pooled floors need several cores; on a single-core
-// machine those pairs measure pure overhead.
+// The parallel floor needs several cores; on a single-core machine that pair
+// measures pure overhead.
 //
 // Refreshing the baseline: benchmark numbers are machine-bound, so the
 // baseline must come from the SAME runner class that gates. The CI bench
@@ -86,9 +80,7 @@ func main() {
 		maxRegress = flag.Float64("max-regress", 0.25, "gate: fail when ns/op exceeds baseline by more than this fraction")
 		maxOverhd  = flag.Float64("max-overhead", 0, "gate: fail when a /live variant exceeds its /nop sibling by more than this fraction, both from the current run (0 disables)")
 		minParSpd  = flag.Float64("min-parallel-speedup", 0, "gate: fail when a /parallel variant is not at least this many times faster than its /serial sibling, both from the current run (0 disables)")
-		minCached  = flag.Float64("min-cached-speedup", 0, "gate: fail when a /cached variant is not at least this many times faster than its /uncached sibling, both from the current run (0 disables)")
-		minPooled  = flag.Float64("min-pooled-speedup", 0, "gate: fail when a /pooled variant is not at least this many times faster than its /inline sibling, both from the current run (0 disables)")
-		pattern    = flag.String("gate-pattern", `^Benchmark(AsyncJournal|Codec|Broadcast|Obs|FlightRecord|ParallelExec|Auth|VerifyPool)`, "gate: regexp selecting the benchmarks that block the build")
+		pattern    = flag.String("gate-pattern", `^Benchmark(AsyncJournal|Codec|Broadcast|Obs|FlightRecord|ParallelExec|Auth)`, "gate: regexp selecting the benchmarks that block the build")
 	)
 	flag.Parse()
 	switch {
@@ -97,7 +89,7 @@ func main() {
 	case *emit:
 		runEmit(*out, flag.Args())
 	default:
-		runGate(*baseline, *current, *pattern, *maxRegress, pairGates(*maxOverhd, *minParSpd, *minCached, *minPooled))
+		runGate(*baseline, *current, *pattern, *maxRegress, pairGates(*maxOverhd, *minParSpd))
 	}
 }
 
@@ -111,7 +103,7 @@ type pairGate struct {
 
 // pairGates maps the pair-gate flags onto floors, leaving out every gate
 // whose flag is 0.
-func pairGates(maxOverhead, minParallel, minCached, minPooled float64) []pairGate {
+func pairGates(maxOverhead, minParallel float64) []pairGate {
 	overheadFloor := 0.0
 	if maxOverhead > 0 {
 		overheadFloor = 1 / (1 + maxOverhead)
@@ -120,8 +112,6 @@ func pairGates(maxOverhead, minParallel, minCached, minPooled float64) []pairGat
 	for _, g := range []pairGate{
 		{"max-overhead", "live", "nop", overheadFloor},
 		{"min-parallel-speedup", "parallel", "serial", minParallel},
-		{"min-cached-speedup", "cached", "uncached", minCached},
-		{"min-pooled-speedup", "pooled", "inline", minPooled},
 	} {
 		if g.floor > 0 {
 			gates = append(gates, g)
