@@ -118,7 +118,7 @@
 // README's "Authentication" section.
 //
 // Observability: internal/obs instruments the full request path —
-// per-stage latency histograms (verify, consensus, unify, execute,
+// per-stage latency histograms (verify, batch, consensus, unify, execute,
 // journal, ack),
 // consensus/WAL/transport/statesync counters, Go runtime self-metrics,
 // and a deterministic 1-in-N transaction lifecycle tracer — behind a

@@ -14,7 +14,7 @@ import (
 // stages tile the path a request takes through the replica, so their sums
 // account for end-to-end latency:
 //
-//	consensus + unify + ack ≈ client-observed server latency
+//	batch + consensus + unify + ack ≈ client-observed server latency
 //
 // where ack itself contains execute and, on a durable replica, the journal
 // submit→durable wait.
@@ -25,6 +25,10 @@ const (
 	// decoded, on the link's reader (transport). Populated on every
 	// authenticated link, MAC or signature; unauthenticated links skip it.
 	StageVerify Stage = iota
+	// StageBatch: request queued at its instance's primary → its batch
+	// proposed (pbft). Observed once per proposal, for the batch's oldest
+	// transaction.
+	StageBatch
 	// StageConsensus: proposal first seen (pre-prepare) → round decided
 	// and delivered by its BCA instance (pbft).
 	StageConsensus
@@ -42,7 +46,7 @@ const (
 	numStages
 )
 
-var stageNames = [numStages]string{"verify", "consensus", "unify", "execute", "journal", "ack"}
+var stageNames = [numStages]string{"verify", "batch", "consensus", "unify", "execute", "journal", "ack"}
 
 func (s Stage) String() string {
 	if int(s) < len(stageNames) {
@@ -82,6 +86,9 @@ type NodeMetrics struct {
 	Unified *Counter
 	// NoOps counts no-op rounds proposed to fill lagging instances.
 	NoOps *Counter
+	// LightPartials counts partial batches a primary proposed at its
+	// light-regime deadline (pbft's two-regime batching).
+	LightPartials *Counter
 	// Suspects counts instance-failure suspicions raised.
 	Suspects *Counter
 	// ViewChanges counts new views installed.
@@ -103,7 +110,7 @@ func NewNodeMetrics(reg *Registry, traceSize, traceSample int) *NodeMetrics {
 	if traceSample >= 0 {
 		m.Tracer = NewTracer(traceSize, traceSample)
 	}
-	const stageHelp = "per-stage transaction latency: verify (frame staged to authenticated), consensus (proposal seen to decided), unify (decided to unified order), execute (state machine apply), journal (submit to durable), ack (delivered to replies enqueued)"
+	const stageHelp = "per-stage transaction latency: verify (frame staged to authenticated), batch (queued at the primary to proposed, oldest of each batch), consensus (proposal seen to decided), unify (decided to unified order), execute (state machine apply), journal (submit to durable), ack (delivered to replies enqueued)"
 	for s := Stage(0); s < numStages; s++ {
 		m.stages[s] = reg.Histogram("rcc_stage_latency_seconds", `stage="`+s.String()+`"`, stageHelp)
 	}
@@ -112,6 +119,7 @@ func NewNodeMetrics(reg *Registry, traceSize, traceSample int) *NodeMetrics {
 	m.Decided = reg.Counter("rcc_rounds_decided_total", "", "rounds decided by individual consensus instances")
 	m.Unified = reg.Counter("rcc_rounds_unified_total", "", "rounds delivered in the unified execution order")
 	m.NoOps = reg.Counter("rcc_noops_proposed_total", "", "no-op rounds proposed to fill lagging instances")
+	m.LightPartials = reg.Counter("rcc_light_partials_total", "", "partial batches proposed at the light-regime batching deadline")
 	m.Suspects = reg.Counter("rcc_suspects_total", "", "instance-failure suspicions raised")
 	m.ViewChanges = reg.Counter("rcc_view_changes_total", "", "new views installed")
 	m.Acks = reg.Counter("rcc_acks_sent_total", "", "client reply messages enqueued")

@@ -233,7 +233,7 @@ func mustPanic(t *testing.T, name string, f func()) {
 }
 
 func TestStageNames(t *testing.T) {
-	want := []string{"verify", "consensus", "unify", "execute", "journal", "ack"}
+	want := []string{"verify", "batch", "consensus", "unify", "execute", "journal", "ack"}
 	if int(numStages) != len(want) {
 		t.Fatalf("%d stages, want %d", numStages, len(want))
 	}

@@ -15,6 +15,27 @@
 // Out-of-order processing (§V-B) is supported through a proposal window:
 // the primary may propose round ρ+k while round ρ is still committing,
 // which is what lets PBFT (and RCC over PBFT) saturate primary bandwidth.
+//
+// The primary batches queued client requests in one of two regimes, chosen
+// from what it observes (see maybeProposeBatch):
+//
+//   - Load (the default): batches fill to Config.BatchSize, and
+//     Config.BatchTimeout is the backstop for a batch that does not fill.
+//     It is a deadline, which arrivals do not move, measured patiently
+//     (sm.BatchDeadline): from the first moment after the last proposal at
+//     which the primary had a free window slot and a queued request.
+//   - Light: the last proposal left nothing queued and the pipeline
+//     occupancy is below 1/4. A partial batch then goes out lightWait after
+//     the last proposal, once nothing is in flight.
+//
+// Occupancy is the primary's mean number of own proposals in flight by
+// Little's law: a moving average of their commit latency over a moving
+// average of the gap between them. Below 1/4 the pipeline is idle at least
+// three quarters of the time, so smaller batches spend only idle capacity
+// on latency (the paper's batch-size trade, §V Fig. 8e–f). Above it, each
+// extra round would be matched by every other RCC instance (see
+// rcc.Replica.maybeNoOpFill), multiplying rounds and breaking the in-phase
+// proposing that cross-instance frame coalescing relies on.
 package pbft
 
 import (
@@ -55,15 +76,31 @@ type Config struct {
 	// ProgressTimeout is the failure-detection timeout: if an expected
 	// decision does not arrive in time, the primary is suspected.
 	ProgressTimeout time.Duration
-	// BatchSize is the number of client requests grouped per proposal
-	// when the instance batches requests itself (standalone mode).
+	// BatchSize is the number of client transactions in a full batch.
 	BatchSize int
-	// BatchTimeout proposes a partial batch after this delay.
+	// BatchTimeout is the load-regime deadline: queued transactions that
+	// have not filled a batch BatchTimeout after the primary could first
+	// have proposed them go out as a partial batch, whatever keeps
+	// arriving. It is a backstop, long enough (50 ms by default) that a
+	// busy primary fills its batches first. In the light regime the
+	// deadline is lightWait after the last proposal instead (see the
+	// package doc).
 	BatchTimeout time.Duration
 	// Metrics receives consensus counters, the consensus-stage latency
 	// histogram, and lifecycle trace stamps. Nil disables instrumentation.
 	Metrics *obs.NodeMetrics
 }
+
+const (
+	// lightWait is the light-regime deadline. It is a fifth of the default
+	// BatchTimeout: at a third of saturation it roughly halves the batch,
+	// and it stays several LAN consensus rounds (≈ 1–4 ms) long, so the
+	// previous proposal has usually committed when it passes.
+	lightWait = 10 * time.Millisecond
+	// ewmaShift sets the weight of a new sample in the occupancy averages
+	// to 1/8, smoothing over about eight proposals (TCP's SRTT gain).
+	ewmaShift = 3
+)
 
 func (c *Config) defaults() {
 	if c.Window <= 0 {
@@ -151,7 +188,7 @@ type Instance struct {
 	// executed requests are not re-proposed; pendingSet covers requests
 	// queued or in flight (proposed but not yet delivered), so client
 	// retransmissions cannot enter a second round.
-	pending    []types.Transaction
+	pending    []queuedTx
 	pendingSet map[txKey]struct{}
 	// staleTxns counts delivered transactions since the last queue
 	// compaction (amortization counter).
@@ -187,6 +224,21 @@ type Instance struct {
 	viewInstalled func(types.View)
 
 	timerArmed bool
+
+	// Batching regime state (see maybeProposeBatch). leftQueued records
+	// whether the last proposal left transactions queued; commitAvg and
+	// gapAvg are moving averages of the commit latency of this primary's
+	// proposals and of the gap between them.
+	batch      sm.BatchDeadline
+	leftQueued bool
+	commitAvg  time.Duration
+	gapAvg     time.Duration
+}
+
+// queuedTx is a queued client transaction and the time it was queued.
+type queuedTx struct {
+	types.Transaction
+	at time.Duration
 }
 
 var _ sm.Instance = (*Instance)(nil)
@@ -256,15 +308,19 @@ func (p *Instance) inFlight() int {
 	return n
 }
 
+// mayPropose reports whether Propose would accept a batch now.
+func (p *Instance) mayPropose() bool {
+	return !p.halted && !p.inViewChange && p.IsPrimary() && p.inFlight() < p.cfg.Window
+}
+
 // Propose implements sm.Instance: the primary assigns the next round to
 // batch and broadcasts a PREPREPARE.
 func (p *Instance) Propose(batch *types.Batch) bool {
-	if p.halted || p.inViewChange || !p.IsPrimary() {
+	if !p.mayPropose() {
 		return false
 	}
-	if p.inFlight() >= p.cfg.Window {
-		return false
-	}
+	p.leftQueued = len(p.pending) > 0
+	p.gapAvg = ewma(p.gapAvg, p.batch.Proposed(p.env.Now(), !p.leftQueued || p.inFlight()+1 >= p.cfg.Window))
 	r := p.next
 	if r < p.resumeFloor {
 		r = p.resumeFloor
@@ -405,7 +461,7 @@ func (p *Instance) requeueVoided(b *types.Batch, queued map[txKey]struct{}) {
 			continue // still queued, nothing lost
 		}
 		if _, tracked := p.pendingSet[key]; tracked {
-			p.pending = append(p.pending, tx)
+			p.pending = append(p.pending, queuedTx{tx, p.env.Now()})
 			queued[key] = struct{}{}
 		}
 	}
@@ -480,10 +536,11 @@ func (p *Instance) OnMessage(from sm.Source, m types.Message) {
 	}
 }
 
-// onClientRequest queues a request's transactions; the primary proposes a
-// batch when full.
+// onClientRequest queues a request's transactions; the primary then
+// proposes what its batching regime allows (maybeProposeBatch).
 func (p *Instance) onClientRequest(from sm.Source, m *types.ClientRequest) {
 	queued := false
+	now := p.env.Now()
 	for i := range m.Txns {
 		tx := &m.Txns[i]
 		if tx.IsNoOp() || tx.Seq <= p.seqFloor(tx.Client) {
@@ -494,7 +551,7 @@ func (p *Instance) onClientRequest(from sm.Source, m *types.ClientRequest) {
 			continue // queued or already in flight
 		}
 		p.pendingSet[key] = struct{}{}
-		p.pending = append(p.pending, *tx)
+		p.pending = append(p.pending, queuedTx{*tx, now})
 		queued = true
 		if met := p.cfg.Metrics; met != nil {
 			met.Requests.Inc()
@@ -513,39 +570,70 @@ func (p *Instance) onClientRequest(from sm.Source, m *types.ClientRequest) {
 	p.maybeProposeBatch()
 }
 
+// maybeProposeBatch proposes full batches while the window has room, then
+// the rest of the queue as a partial batch once the regime's deadline has
+// passed (see the package doc). In the light regime the partial also waits
+// until nothing is in flight; the delivery that empties the window
+// re-enters here through tryDeliver.
 func (p *Instance) maybeProposeBatch() {
-	for len(p.pending) >= p.cfg.BatchSize && p.inFlight() < p.cfg.Window {
-		txns := p.takeBatch(p.cfg.BatchSize)
-		if len(txns) == 0 {
-			continue // only stale entries were consumed; re-check the queue
+	for len(p.pending) > 0 && p.mayPropose() {
+		if len(p.pending) >= p.cfg.BatchSize {
+			p.cut()
+			continue
 		}
-		if !p.Propose(&types.Batch{Txns: txns}) {
-			// Window full: return the batch to the queue front.
-			p.pending = append(txns, p.pending...)
+		light := p.lightRegime()
+		wait := p.cfg.BatchTimeout
+		if light {
+			wait = lightWait
+		}
+		if !p.batch.Passed(p.env, p.cfg.Instance, wait, !light) || light && p.inFlight() > 0 {
 			return
 		}
+		if p.cut() && light {
+			if met := p.cfg.Metrics; met != nil {
+				met.LightPartials.Inc()
+			}
+		}
 	}
-	if len(p.pending) > 0 {
-		p.env.SetTimer(sm.TimerID{Instance: p.cfg.Instance, Kind: sm.TimerBatch}, p.cfg.BatchTimeout)
+}
+
+// lightRegime reports whether the last proposal left nothing queued and the
+// pipeline occupancy, commitAvg/gapAvg, is below 1/4. Before the first
+// samples the primary counts as idle.
+func (p *Instance) lightRegime() bool {
+	return !p.leftQueued && 4*p.commitAvg <= p.gapAvg
+}
+
+// ewma folds sample into avg with weight 1/2^ewmaShift; the first sample
+// seeds it.
+func ewma(avg, sample time.Duration) time.Duration {
+	if avg == 0 {
+		return sample
 	}
+	return avg + (sample-avg)>>ewmaShift
+}
+
+// cut proposes up to BatchSize queued transactions as one batch and
+// observes the batch stage for the oldest of them. The caller has checked
+// mayPropose, so Propose accepts the batch. It reports false when the
+// queue held only stale entries.
+func (p *Instance) cut() bool {
+	txns, oldest := p.takeBatch(p.cfg.BatchSize)
+	if len(txns) == 0 {
+		return false
+	}
+	p.Propose(&types.Batch{Txns: txns})
+	if met := p.cfg.Metrics; met != nil {
+		met.ObserveStage(obs.StageBatch, p.env.Now()-oldest)
+	}
+	return true
 }
 
 // ProposePending proposes up to one batch of the queued requests now, full
 // or not. It reports whether a batch was proposed (only the primary, with
 // room in its window, proposes).
 func (p *Instance) ProposePending() bool {
-	if !p.IsPrimary() || len(p.pending) == 0 || p.inFlight() >= p.cfg.Window {
-		return false
-	}
-	txns := p.takeBatch(p.cfg.BatchSize)
-	if len(txns) == 0 {
-		return false
-	}
-	if !p.Propose(&types.Batch{Txns: txns}) {
-		p.pending = append(txns, p.pending...)
-		return false
-	}
-	return true
+	return len(p.pending) > 0 && p.mayPropose() && p.cut()
 }
 
 func (p *Instance) onPrePrepare(from types.ReplicaID, m *types.PrePrepare) {
@@ -649,6 +737,9 @@ func (p *Instance) tryDeliver() {
 		p.chain = chainStep(p.chain, rd.digest)
 		p.chainAt[p.deliver] = p.chain
 		p.markDelivered(rd.batch)
+		if rd.seenAt > 0 && p.primaryOf(rd.view) == p.env.ID() {
+			p.commitAvg = ewma(p.commitAvg, p.env.Now()-rd.seenAt)
+		}
 		if met := p.cfg.Metrics; met != nil {
 			met.Decided.Inc()
 			if rd.seenAt > 0 {
@@ -779,7 +870,10 @@ func (p *Instance) OnTimer(id sm.TimerID) {
 			p.suspect(p.deliver)
 		}
 	case sm.TimerBatch:
-		p.ProposePending()
+		p.batch.Fired()
+		if p.IsPrimary() {
+			p.maybeProposeBatch()
+		}
 	case sm.TimerViewChange:
 		if p.inViewChange {
 			// The new primary failed to install the view in time.
@@ -835,17 +929,21 @@ func (p *Instance) seqFloor(c types.ClientID) uint64 {
 }
 
 // takeBatch pops up to max live transactions from the queue front, skipping
-// entries already delivered elsewhere (their pendingSet entry is gone).
-func (p *Instance) takeBatch(max int) []types.Transaction {
-	out := make([]types.Transaction, 0, max)
+// entries already delivered elsewhere (their pendingSet entry is gone), and
+// returns them with the time the oldest of them was queued.
+func (p *Instance) takeBatch(max int) (out []types.Transaction, oldest time.Duration) {
+	out = make([]types.Transaction, 0, max)
 	i := 0
 	for ; i < len(p.pending) && len(out) < max; i++ {
-		tx := p.pending[i]
+		tx := &p.pending[i]
 		if _, live := p.pendingSet[txKey{tx.Client, tx.Seq}]; !live || tx.Seq <= p.seqFloor(tx.Client) {
 			continue
 		}
-		out = append(out, tx)
+		if len(out) == 0 || tx.at < oldest {
+			oldest = tx.at
+		}
+		out = append(out, tx.Transaction)
 	}
 	p.pending = p.pending[i:]
-	return out
+	return out, oldest
 }

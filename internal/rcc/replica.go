@@ -636,6 +636,13 @@ func (r *Replica) voidHorizon(st *instState) types.Round {
 // batch fills. Otherwise an instance one round behind stays behind while
 // the load is even (after a recovery drain, say), and every request of the
 // instances ahead waits one more batch fill.
+//
+// This cascades: a partial batch one primary proposes early gets decided,
+// which makes every other instance propose a partial (or a no-op) for that
+// round. One primary's batching deadline thus sets the round rate of all
+// m instances, which is why pbft cuts early only in its light regime, when
+// its pipeline occupancy is below 1/4 and the extra rounds cost idle
+// capacity only.
 func (r *Replica) maybeNoOpFill() {
 	if r.cfg.DisableNoOpFill {
 		return

@@ -44,7 +44,10 @@ type Config struct {
 	ProgressTimeout time.Duration
 	// BatchSize groups client requests per proposal.
 	BatchSize int
-	// BatchTimeout proposes a partial batch after this delay.
+	// BatchTimeout is the partial-batch deadline: queued transactions
+	// that have not filled a batch BatchTimeout after the primary could
+	// first have proposed them go out as a partial batch, whatever keeps
+	// arriving (sm.BatchDeadline, patient).
 	BatchTimeout time.Duration
 	// Threshold is the (nf, n) threshold signature scheme shared by the
 	// deployment. When nil, a deterministic development scheme is derived
@@ -120,6 +123,7 @@ type Instance struct {
 	execProofs  map[types.Round][]byte
 
 	timerArmed bool
+	batch      sm.BatchDeadline
 }
 
 var _ sm.Instance = (*Instance)(nil)
@@ -212,6 +216,7 @@ func (s *Instance) Propose(batch *types.Batch) bool {
 	if s.inFlight() >= s.cfg.Window {
 		return false
 	}
+	s.batch.Proposed(s.env.Now(), len(s.pending) == 0 || s.inFlight()+1 >= s.cfg.Window)
 	r := s.next
 	if r < s.resumeFloor {
 		r = s.resumeFloor
@@ -388,20 +393,20 @@ func (s *Instance) onClientRequest(m *types.ClientRequest) {
 	s.maybeProposeBatch()
 }
 
+// maybeProposeBatch proposes full batches while the window has room, and
+// the rest of the queue as a partial batch once BatchTimeout has passed.
 func (s *Instance) maybeProposeBatch() {
-	for len(s.pending) >= s.cfg.BatchSize && s.inFlight() < s.cfg.Window {
+	for len(s.pending) > 0 && s.inFlight() < s.cfg.Window &&
+		(len(s.pending) >= s.cfg.BatchSize || s.batch.Passed(s.env, s.cfg.Instance, s.cfg.BatchTimeout, true)) {
 		txns := s.takeBatch(s.cfg.BatchSize)
 		if len(txns) == 0 {
 			continue // only stale entries were consumed; re-check the queue
 		}
 		if !s.Propose(&types.Batch{Txns: txns}) {
-			// Window full: return the batch to the queue front.
+			// Halted or changing views: return the batch to the queue front.
 			s.pending = append(txns, s.pending...)
 			return
 		}
-	}
-	if len(s.pending) > 0 {
-		s.env.SetTimer(sm.TimerID{Instance: s.cfg.Instance, Kind: sm.TimerBatch}, s.cfg.BatchTimeout)
 	}
 }
 
@@ -859,10 +864,9 @@ func (s *Instance) OnTimer(id sm.TimerID) {
 			s.suspect(s.deliver)
 		}
 	case sm.TimerBatch:
-		if s.IsPrimary() && len(s.pending) > 0 && s.inFlight() < s.cfg.Window {
-			if txns := s.takeBatch(s.cfg.BatchSize); len(txns) > 0 {
-				s.Propose(&types.Batch{Txns: txns})
-			}
+		s.batch.Fired()
+		if s.IsPrimary() {
+			s.maybeProposeBatch()
 		}
 	case sm.TimerViewChange:
 		if s.inViewChange {

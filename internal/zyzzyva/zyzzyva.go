@@ -44,7 +44,10 @@ type Config struct {
 	ProgressTimeout time.Duration
 	// BatchSize groups client requests per order request.
 	BatchSize int
-	// BatchTimeout proposes a partial batch after this delay.
+	// BatchTimeout is the partial-batch deadline: queued transactions
+	// that have not filled a batch BatchTimeout after the primary could
+	// first have proposed them go out as a partial batch, whatever keeps
+	// arriving (sm.BatchDeadline, patient).
 	BatchTimeout time.Duration
 }
 
@@ -108,6 +111,7 @@ type Instance struct {
 	vcVotes      map[types.View]map[types.ReplicaID]*types.ViewChange
 
 	timerArmed bool
+	batch      sm.BatchDeadline
 }
 
 var _ sm.Instance = (*Instance)(nil)
@@ -184,6 +188,7 @@ func (z *Instance) Propose(batch *types.Batch) bool {
 	if z.inFlight() >= z.cfg.Window {
 		return false
 	}
+	z.batch.Proposed(z.env.Now(), len(z.pending) == 0 || z.inFlight()+1 >= z.cfg.Window)
 	r := z.next
 	if r < z.resumeFloor {
 		r = z.resumeFloor
@@ -361,20 +366,20 @@ func (z *Instance) onClientRequest(m *types.ClientRequest) {
 	z.maybeProposeBatch()
 }
 
+// maybeProposeBatch proposes full batches while the window has room, and
+// the rest of the queue as a partial batch once BatchTimeout has passed.
 func (z *Instance) maybeProposeBatch() {
-	for len(z.pending) >= z.cfg.BatchSize && z.inFlight() < z.cfg.Window {
+	for len(z.pending) > 0 && z.inFlight() < z.cfg.Window &&
+		(len(z.pending) >= z.cfg.BatchSize || z.batch.Passed(z.env, z.cfg.Instance, z.cfg.BatchTimeout, true)) {
 		txns := z.takeBatch(z.cfg.BatchSize)
 		if len(txns) == 0 {
 			continue // only stale entries were consumed; re-check the queue
 		}
 		if !z.Propose(&types.Batch{Txns: txns}) {
-			// Window full: return the batch to the queue front.
+			// Halted or changing views: return the batch to the queue front.
 			z.pending = append(txns, z.pending...)
 			return
 		}
-	}
-	if len(z.pending) > 0 {
-		z.env.SetTimer(sm.TimerID{Instance: z.cfg.Instance, Kind: sm.TimerBatch}, z.cfg.BatchTimeout)
 	}
 }
 
@@ -744,10 +749,9 @@ func (z *Instance) OnTimer(id sm.TimerID) {
 			z.suspect(z.deliver)
 		}
 	case sm.TimerBatch:
-		if z.IsPrimary() && len(z.pending) > 0 && z.inFlight() < z.cfg.Window {
-			if txns := z.takeBatch(z.cfg.BatchSize); len(txns) > 0 {
-				z.Propose(&types.Batch{Txns: txns})
-			}
+		z.batch.Fired()
+		if z.IsPrimary() {
+			z.maybeProposeBatch()
 		}
 	case sm.TimerViewChange:
 		if z.inViewChange {
