@@ -27,7 +27,6 @@ func main() {
 		peersArg = flag.String("peers", "", "comma-separated id=host:port replica map")
 		txns     = flag.Int("txns", 100, "transactions to execute")
 		window   = flag.Int("window", 8, "client pipeline depth")
-		zyz      = flag.Bool("zyzzyva", false, "collect all-n speculative responses (Zyzzyva deployments)")
 		authArg  = flag.String("auth", "", "frame authentication scheme: none (default), mac, ds (must match the nodes)")
 		authKey  = flag.String("auth-secret", "", "shared deployment secret (must match the nodes)")
 		timeout  = flag.Duration("timeout", 60*time.Second, "overall deadline")
@@ -43,14 +42,9 @@ func main() {
 		log.Fatalf("rccclient: %v", err)
 	}
 
-	mode := client.ModePBFT
-	if *zyz {
-		mode = client.ModeZyzzyva
-	}
 	cid := types.ClientID(*id)
 	mach := client.New(client.Config{
 		Client:       cid,
-		Mode:         mode,
 		Broadcast:    true,
 		RetryTimeout: 2 * time.Second,
 	})

@@ -1,6 +1,6 @@
-// Package client implements the client-side protocol machines of the
-// evaluated systems: submitting transactions, collecting replies, and
-// retransmitting or escalating on timeout.
+// Package client implements the client-side protocol machine: submitting
+// transactions, collecting replies, and retransmitting or escalating on
+// timeout.
 //
 // Requests: the machine sends one request per flush, not one per
 // transaction. Submissions, window refills and retransmissions only queue
@@ -12,7 +12,8 @@
 // at the next Flush, and the only timer is the per-transaction retry timer,
 // armed when the transaction leaves.
 //
-// PBFT-style protocols (PBFT, SBFT, HotStuff, RCC): a client accepts a
+// Replies: every deployment (PBFT, Mir-BFT, and RCC over PBFT, Zyzzyva or
+// SBFT instances) answers clients after execution, and a client accepts a
 // result once f+1 replicas report the identical outcome (one of them must
 // be non-faulty). Replicas answer with one reply per (client, decided
 // batch) that lists every seq of the client the batch carried — the
@@ -21,17 +22,9 @@
 // assigned primary neglects the request, the client
 // broadcasts it to all replicas, which forward it and start failure
 // detection (§III-E "forced execution").
-//
-// Zyzzyva: a client first waits for all n matching speculative responses
-// (fast path). If only nf = 2f+1 arrive within the timeout, it assembles a
-// commit certificate, broadcasts it, and completes after nf LOCAL-COMMIT
-// acknowledgements. The paper observes (§V-F) that waiting on all n replies
-// makes RCC-Z require far more concurrent clients than RCC-S to reach peak
-// throughput.
 package client
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -39,21 +32,10 @@ import (
 	"repro/internal/types"
 )
 
-// Mode selects the reply-collection protocol.
-type Mode uint8
-
-// Client modes.
-const (
-	ModePBFT    Mode = iota // f+1 matching replies
-	ModeZyzzyva             // n matching spec responses, else commit cert
-)
-
 // Config parameterizes a client.
 type Config struct {
 	// Client is the client identity.
 	Client types.ClientID
-	// Mode selects the reply protocol.
-	Mode Mode
 	// RetryTimeout is the retransmission / escalation timeout.
 	RetryTimeout time.Duration
 	// Broadcast sends every request to all replicas instead of only the
@@ -75,10 +57,9 @@ func (c *Config) defaults() {
 
 // Completion describes one finished transaction.
 type Completion struct {
-	Seq      uint64
-	Latency  time.Duration
-	Result   types.Digest
-	FastPath bool // Zyzzyva: completed with all n responses
+	Seq     uint64
+	Latency time.Duration
+	Result  types.Digest
 }
 
 // Client is a deterministic client machine. It submits the transactions
@@ -106,14 +87,10 @@ type Client struct {
 }
 
 type pending struct {
-	tx      types.Transaction
-	sentAt  time.Duration
-	replies map[types.ReplicaID]types.Digest // PBFT replies / result digests
-
-	spec        map[types.ReplicaID]*types.SpecResponse // Zyzzyva
-	certSent    bool
-	localCommit map[types.ReplicaID]struct{}
-	escalated   bool // broadcast after neglect
+	tx        types.Transaction
+	sentAt    time.Duration
+	replies   map[types.ReplicaID]types.Digest // result digest per replying replica
+	escalated bool                             // broadcast after neglect
 }
 
 var _ sm.ClientMachine = (*Client)(nil)
@@ -169,11 +146,9 @@ func (c *Client) pump() {
 		tx := c.queue[0]
 		c.queue = c.queue[1:]
 		p := &pending{
-			tx:          tx,
-			sentAt:      c.env.Now(),
-			replies:     make(map[types.ReplicaID]types.Digest),
-			spec:        make(map[types.ReplicaID]*types.SpecResponse),
-			localCommit: make(map[types.ReplicaID]struct{}),
+			tx:      tx,
+			sentAt:  c.env.Now(),
+			replies: make(map[types.ReplicaID]types.Digest),
 		}
 		c.inFlight[tx.Seq] = p
 		c.send(p)
@@ -245,20 +220,10 @@ func (c *Client) OnMessage(from types.ReplicaID, m types.Message) {
 		c.pump()
 	case *types.ClientReply:
 		c.onReply(from, msg)
-	case *types.SpecResponse:
-		c.onSpecResponse(from, msg)
-	case *types.LocalCommit:
-		c.onLocalCommit(from, msg)
 	}
 }
 
 func (c *Client) onReply(from types.ReplicaID, m *types.ClientReply) {
-	if c.cfg.Mode == ModeZyzzyva {
-		// Zyzzyva clients complete through speculative responses (all n)
-		// or commit certificates; post-execution replies would bypass the
-		// speculation protocol.
-		return
-	}
 	if m.Client != c.cfg.Client {
 		return
 	}
@@ -279,80 +244,21 @@ func (c *Client) onReply(from types.ReplicaID, m *types.ClientReply) {
 			}
 		}
 		if count >= c.env.Params().FaultDetection() {
-			c.complete(p, m.Result, false)
+			c.complete(p, m.Result)
 		}
 	}
 	c.pump()
 }
 
-func (c *Client) onSpecResponse(from types.ReplicaID, m *types.SpecResponse) {
-	// Spec responses do not carry the client sequence number; match by the
-	// oldest in-flight transaction (Zyzzyva clients pipeline per round,
-	// and our batches carry one request per client).
-	target := c.matchPending()
-	if target == nil || m.Client != c.cfg.Client {
-		return
-	}
-	target.spec[from] = m
-	matching := c.matchingSpec(target, m)
-	n := c.env.Params().N
-	if len(matching) >= n {
-		// Fast path: all n replicas agree.
-		c.complete(target, m.Result, true)
-		c.pump()
-		return
-	}
-	// The slow path is driven by the retry timer (grace period for the
-	// fast path); see OnTimer.
-}
-
-// matchPending returns the oldest in-flight transaction (Zyzzyva matching).
-func (c *Client) matchPending() *pending {
-	var seqs []uint64
-	for s := range c.inFlight {
-		seqs = append(seqs, s)
-	}
-	if len(seqs) == 0 {
-		return nil
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return c.inFlight[seqs[0]]
-}
-
-// matchingSpec returns the replicas whose responses match m's (view, round,
-// history, result).
-func (c *Client) matchingSpec(p *pending, m *types.SpecResponse) []types.ReplicaID {
-	var out []types.ReplicaID
-	for r, sr := range p.spec {
-		if sr.View == m.View && sr.Round == m.Round && sr.History == m.History && sr.Result == m.Result {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func (c *Client) onLocalCommit(from types.ReplicaID, m *types.LocalCommit) {
-	p := c.matchPending()
-	if p == nil || !p.certSent || m.Client != c.cfg.Client {
-		return
-	}
-	p.localCommit[from] = struct{}{}
-	if len(p.localCommit) >= c.env.Params().NF() {
-		c.complete(p, m.History, false)
-		c.pump()
-	}
-}
-
 // complete retires p and records its completion; the caller refills the
 // window with pump.
-func (c *Client) complete(p *pending, result types.Digest, fast bool) {
+func (c *Client) complete(p *pending, result types.Digest) {
 	delete(c.inFlight, p.tx.Seq)
 	c.env.CancelTimer(sm.TimerID{Kind: sm.TimerClient, Round: types.Round(p.tx.Seq)})
 	comp := Completion{
-		Seq:      p.tx.Seq,
-		Latency:  c.env.Now() - p.sentAt,
-		Result:   result,
-		FastPath: fast,
+		Seq:     p.tx.Seq,
+		Latency: c.env.Now() - p.sentAt,
+		Result:  result,
 	}
 	c.statsMu.Lock()
 	c.completions = append(c.completions, comp)
@@ -371,26 +277,6 @@ func (c *Client) OnTimer(id sm.TimerID) {
 	if !ok {
 		return
 	}
-	if c.cfg.Mode == ModeZyzzyva {
-		// Slow path: with nf matching responses, assemble a commit
-		// certificate instead of retransmitting.
-		if best := c.bestSpecGroup(p); best != nil && !p.certSent {
-			p.certSent = true
-			signers := c.matchingSpec(p, best)
-			sort.Slice(signers, func(i, j int) bool { return signers[i] < signers[j] })
-			cert := &types.CommitCert{
-				Client: c.cfg.Client, View: best.View, Round: best.Round,
-				History: best.History, Responses: signers,
-			}
-			cert.Inst = c.cfg.Instance
-			c.env.Broadcast(cert)
-			c.statsMu.Lock()
-			c.retries++
-			c.statsMu.Unlock()
-			c.env.SetTimer(sm.TimerID{Kind: sm.TimerClient, Round: types.Round(p.tx.Seq)}, c.cfg.RetryTimeout)
-			return
-		}
-	}
 	// Retransmit, escalating to a broadcast so every replica forwards the
 	// request and starts neglect detection (§III-E).
 	p.escalated = true
@@ -398,21 +284,4 @@ func (c *Client) OnTimer(id sm.TimerID) {
 	c.retries++
 	c.statsMu.Unlock()
 	c.send(p)
-}
-
-// bestSpecGroup returns a representative response of the largest matching
-// group if it reaches nf, else nil.
-func (c *Client) bestSpecGroup(p *pending) *types.SpecResponse {
-	var best *types.SpecResponse
-	bestN := 0
-	for _, sr := range p.spec {
-		n := len(c.matchingSpec(p, sr))
-		if n > bestN {
-			best, bestN = sr, n
-		}
-	}
-	if bestN >= c.env.Params().NF() {
-		return best
-	}
-	return nil
 }

@@ -396,76 +396,3 @@ func TestCompletionHook(t *testing.T) {
 		t.Fatalf("hook saw %+v", hooked)
 	}
 }
-
-func TestZyzzyvaFastPathNeedsAllN(t *testing.T) {
-	env := newFakeEnv(4)
-	c := New(Config{Client: 1, Mode: ModeZyzzyva, Broadcast: true})
-	c.Submit(tx(1))
-	c.Start(env)
-	sr := func(from types.ReplicaID) *types.SpecResponse {
-		return &types.SpecResponse{Replica: from, View: 0, Round: 1,
-			History: types.Hash([]byte("h")), Result: types.Hash([]byte("r")), Client: 1, Count: 1}
-	}
-	for r := types.ReplicaID(0); r < 3; r++ {
-		c.OnMessage(r, sr(r))
-	}
-	if c.Done() {
-		t.Fatal("fast path completed with 3 of 4 responses")
-	}
-	c.OnMessage(3, sr(3))
-	if !c.Done() {
-		t.Fatal("fast path did not complete with all n responses")
-	}
-	if !c.Completions()[0].FastPath {
-		t.Fatal("completion not marked fast path")
-	}
-}
-
-func TestZyzzyvaSlowPathCommitCert(t *testing.T) {
-	env := newFakeEnv(4)
-	c := New(Config{Client: 1, Mode: ModeZyzzyva, Broadcast: true, RetryTimeout: time.Second})
-	c.Submit(tx(1))
-	c.Start(env)
-	sr := func(from types.ReplicaID) *types.SpecResponse {
-		return &types.SpecResponse{Replica: from, View: 0, Round: 1,
-			History: types.Hash([]byte("h")), Result: types.Hash([]byte("r")), Client: 1, Count: 1}
-	}
-	// Only nf = 3 responses arrive (one replica crashed).
-	for r := types.ReplicaID(0); r < 3; r++ {
-		c.OnMessage(r, sr(r))
-	}
-	// Timeout: the client must assemble and broadcast a commit cert.
-	env.bcast = nil
-	c.OnTimer(sm.TimerID{Kind: sm.TimerClient, Round: 1})
-	if len(env.bcast) != 1 {
-		t.Fatalf("no commit certificate broadcast (%d broadcasts)", len(env.bcast))
-	}
-	cert, ok := env.bcast[0].(*types.CommitCert)
-	if !ok || len(cert.Responses) != 3 {
-		t.Fatalf("unexpected broadcast %T %+v", env.bcast[0], env.bcast[0])
-	}
-	// nf LOCAL-COMMIT acks complete the request.
-	for r := types.ReplicaID(0); r < 3; r++ {
-		c.OnMessage(r, &types.LocalCommit{Replica: r, View: 0, Round: 1, History: cert.History, Client: 1})
-	}
-	if !c.Done() {
-		t.Fatal("slow path did not complete after nf local commits")
-	}
-	if c.Completions()[0].FastPath {
-		t.Fatal("slow-path completion marked fast")
-	}
-}
-
-func TestZyzzyvaIgnoresPlainReplies(t *testing.T) {
-	env := newFakeEnv(4)
-	c := New(Config{Client: 1, Mode: ModeZyzzyva, Broadcast: true})
-	c.Submit(tx(1))
-	c.Start(env)
-	d := types.Hash([]byte("r"))
-	c.OnMessage(0, reply(0, 1, d))
-	c.OnMessage(1, reply(1, 1, d))
-	c.OnMessage(2, reply(2, 1, d))
-	if c.Done() {
-		t.Fatal("Zyzzyva client completed on execution replies")
-	}
-}

@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/exec"
-	"repro/internal/hotstuff"
 	"repro/internal/ledger"
 	"repro/internal/mirbft"
 	"repro/internal/obs"
@@ -43,16 +42,13 @@ import (
 type Protocol string
 
 // Supported protocols. RCC, RCCZyzzyva, and RCCSBFT are the paper's RCC-P,
-// RCC-Z, and RCC-S paradigm variants; the rest are the standalone
-// baselines of the evaluation.
+// RCC-Z, and RCC-S paradigm variants (Fig. 9); PBFT is RCC's coordinating
+// consensus run on its own, and MirBFT is the Fig. 10 comparator.
 const (
 	RCC        Protocol = "rcc"
 	RCCZyzzyva Protocol = "rcc-z"
 	RCCSBFT    Protocol = "rcc-s"
 	PBFT       Protocol = "pbft"
-	Zyzzyva    Protocol = "zyzzyva"
-	SBFT       Protocol = "sbft"
-	HotStuff   Protocol = "hotstuff"
 	MirBFT     Protocol = "mirbft"
 )
 
@@ -136,14 +132,14 @@ func (o *Options) machine() (sm.Machine, error) {
 		case RCCZyzzyva:
 			cfg.NewInstance = func(ic rcc.InstanceConfig) sm.Instance {
 				return zyzzyva.New(zyzzyva.Config{
-					Instance: ic.Instance, Primary: ic.Primary, FixedPrimary: true,
+					Instance: ic.Instance, Primary: ic.Primary,
 					Window: ic.Window, BatchSize: ic.BatchSize, ProgressTimeout: ic.ProgressTimeout,
 				})
 			}
 		case RCCSBFT:
 			cfg.NewInstance = func(ic rcc.InstanceConfig) sm.Instance {
 				return sbft.New(sbft.Config{
-					Instance: ic.Instance, Primary: ic.Primary, FixedPrimary: true,
+					Instance: ic.Instance, Primary: ic.Primary,
 					Window: ic.Window, BatchSize: ic.BatchSize, ProgressTimeout: ic.ProgressTimeout,
 				})
 			}
@@ -153,18 +149,6 @@ func (o *Options) machine() (sm.Machine, error) {
 		return pbft.New(pbft.Config{
 			BatchSize: o.BatchSize, Window: o.Window, ProgressTimeout: o.ProgressTimeout,
 			Metrics: o.Metrics,
-		}), nil
-	case Zyzzyva:
-		return zyzzyva.New(zyzzyva.Config{
-			BatchSize: o.BatchSize, Window: o.Window, ProgressTimeout: o.ProgressTimeout,
-		}), nil
-	case SBFT:
-		return sbft.New(sbft.Config{
-			BatchSize: o.BatchSize, Window: o.Window, ProgressTimeout: o.ProgressTimeout,
-		}), nil
-	case HotStuff:
-		return hotstuff.New(hotstuff.Config{
-			BatchSize: o.BatchSize, ViewTimeout: o.ProgressTimeout,
 		}), nil
 	case MirBFT:
 		return mirbft.New(mirbft.Config{
@@ -287,8 +271,7 @@ type Client struct {
 }
 
 // NewClient connects a new client to the cluster; pass 0 to auto-assign an
-// identity. Zyzzyva deployments get Zyzzyva-mode clients (all-n response
-// collection), everything else f+1 reply matching.
+// identity. The client accepts a result on f+1 matching replies.
 func (c *Cluster) NewClient(id types.ClientID) *Client {
 	if id == 0 {
 		id = c.nextCli
@@ -296,13 +279,8 @@ func (c *Cluster) NewClient(id types.ClientID) *Client {
 	if id >= c.nextCli {
 		c.nextCli = id + 1
 	}
-	mode := client.ModePBFT
-	if c.opts.Protocol == Zyzzyva {
-		mode = client.ModeZyzzyva
-	}
 	mach := client.New(client.Config{
 		Client:       id,
-		Mode:         mode,
 		Broadcast:    true,
 		RetryTimeout: 2 * c.opts.ProgressTimeout,
 	})

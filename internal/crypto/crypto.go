@@ -2,7 +2,7 @@
 // consensus protocols: no authentication (baseline), HMAC-SHA256 message
 // authentication codes (standing in for the paper's CMAC-AES), and ED25519
 // digital signatures, plus a threshold-signature scheme for SBFT and
-// HotStuff.
+// checkpoint attestation.
 //
 // The live-path implementations are built for line rate: the MAC
 // authenticator derives each pairwise key once and keeps the HMAC inner and

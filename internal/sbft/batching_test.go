@@ -9,8 +9,8 @@ import (
 	"repro/internal/types"
 )
 
-// BatchTimeout is a deadline from the primary's last proposal: a steady
-// trickle that never fills a batch is still proposed BatchTimeout after
+// batchTimeout is a deadline from the primary's last proposal: a steady
+// trickle that never fills a batch is still proposed batchTimeout after
 // start. The old idle timer, re-armed on every arrival, never fired, and
 // the first batch waited for the 100th transaction.
 func TestTrickleProposedAtBatchTimeout(t *testing.T) {
@@ -32,6 +32,6 @@ func TestTrickleProposedAtBatchTimeout(t *testing.T) {
 	}
 	net.Run(time.Second)
 	if first == 0 || first > 50*time.Millisecond {
-		t.Fatalf("first proposal at %v, want within the default 50 ms BatchTimeout", first)
+		t.Fatalf("first proposal at %v, want within the 50 ms batchTimeout", first)
 	}
 }

@@ -16,9 +16,10 @@
 // proposal itself — the dominant term in practice (§I-A) — but they cut all
 // other phase costs from O(n²) to O(n) messages.
 //
-// The instance supports RCC mode (Config.FixedPrimary) exactly like the
-// PBFT and Zyzzyva packages: failures are reported through Env.Suspect,
-// which is how RCC-S (Fig. 9) is assembled.
+// An instance is one of RCC-S's m concurrent instances (Fig. 9): its
+// primary is fixed, and a primary that equivocates or leaves queued work
+// uncommitted for ProgressTimeout is reported through Env.Suspect, so RCC's
+// recovery (Fig. 4) takes the place of SBFT's view change.
 package sbft
 
 import (
@@ -34,21 +35,14 @@ import (
 type Config struct {
 	// Instance is the consensus instance this machine serves.
 	Instance types.InstanceID
-	// Primary is the initial primary (fixed in RCC mode).
+	// Primary is the instance's fixed primary.
 	Primary types.ReplicaID
-	// FixedPrimary selects RCC mode.
-	FixedPrimary bool
 	// Window is the out-of-order proposal window.
 	Window int
 	// ProgressTimeout is the failure-detection timeout.
 	ProgressTimeout time.Duration
 	// BatchSize groups client requests per proposal.
 	BatchSize int
-	// BatchTimeout is the partial-batch deadline: queued transactions
-	// that have not filled a batch BatchTimeout after the primary could
-	// first have proposed them go out as a partial batch, whatever keeps
-	// arriving (sm.BatchDeadline, patient).
-	BatchTimeout time.Duration
 	// Threshold is the (nf, n) threshold signature scheme shared by the
 	// deployment. When nil, a deterministic development scheme is derived
 	// at Start (all replicas derive the same one).
@@ -65,10 +59,13 @@ func (c *Config) defaults() {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 100
 	}
-	if c.BatchTimeout <= 0 {
-		c.BatchTimeout = 50 * time.Millisecond
-	}
 }
+
+// batchTimeout is the partial-batch deadline: queued transactions that
+// have not filled a batch batchTimeout after the primary could first have
+// proposed them go out as a partial batch, whatever keeps arriving
+// (sm.BatchDeadline, patient).
+const batchTimeout = 50 * time.Millisecond
 
 // devSecret seeds the development threshold scheme when none is supplied.
 var devSecret = []byte("sbft-development-threshold-secret")
@@ -94,7 +91,6 @@ type Instance struct {
 	env    sm.Env
 	scheme *crypto.ThresholdScheme
 
-	view    types.View
 	rounds  map[types.Round]*round
 	next    types.Round
 	deliver types.Round
@@ -108,9 +104,6 @@ type Instance struct {
 	// compaction (amortization counter).
 	staleTxns int
 	lastSeq   map[types.ClientID]uint64
-
-	inViewChange bool
-	vcVotes      map[types.View]map[types.ReplicaID]*types.ViewChange
 
 	// Execution-proof phase (SBFT's second linear phase): execChain is the
 	// hash chain over delivered digests; stateShares collects per-round
@@ -138,7 +131,6 @@ func New(cfg Config) *Instance {
 		deliver:     1,
 		lastSeq:     make(map[types.ClientID]uint64),
 		pendingSet:  make(map[txKey]struct{}),
-		vcVotes:     make(map[types.View]map[types.ReplicaID]*types.ViewChange),
 		chainAt:     make(map[types.Round]types.Digest),
 		stateShares: make(map[types.Round]map[types.ReplicaID][]byte),
 		execProofs:  make(map[types.Round][]byte),
@@ -155,25 +147,14 @@ func (s *Instance) Start(env sm.Env) {
 	}
 }
 
-// View returns the current view.
-func (s *Instance) View() types.View { return s.view }
-
-func (s *Instance) primaryOf(v types.View) types.ReplicaID {
-	if s.cfg.FixedPrimary {
-		return s.cfg.Primary
-	}
-	n := s.env.Params().N
-	return types.ReplicaID((int(s.cfg.Primary) + int(v)) % n)
-}
-
-// IsPrimary reports whether the local replica leads the current view.
-func (s *Instance) IsPrimary() bool { return s.primaryOf(s.view) == s.env.ID() }
+// IsPrimary reports whether the local replica is the instance's primary.
+func (s *Instance) IsPrimary() bool { return s.cfg.Primary == s.env.ID() }
 
 // collectorOf returns the collector of round r: SBFT rotates collectors
 // across rounds to spread the combining load; the primary collects round 1.
 func (s *Instance) collectorOf(r types.Round) types.ReplicaID {
 	n := s.env.Params().N
-	return types.ReplicaID((int(s.primaryOf(s.view)) + int(r-1)) % n)
+	return types.ReplicaID((int(s.cfg.Primary) + int(r-1)) % n)
 }
 
 func (s *Instance) getRound(r types.Round) *round {
@@ -210,7 +191,7 @@ func commitMsg(inst types.InstanceID, v types.View, r types.Round, d types.Diges
 
 // Propose implements sm.Instance.
 func (s *Instance) Propose(batch *types.Batch) bool {
-	if s.halted || s.inViewChange || !s.IsPrimary() {
+	if s.halted || !s.IsPrimary() {
 		return false
 	}
 	if s.inFlight() >= s.cfg.Window {
@@ -224,7 +205,7 @@ func (s *Instance) Propose(batch *types.Batch) bool {
 	}
 	s.next++
 	d := batch.Digest()
-	pp := &types.PrePrepare{View: s.view, Round: r, Digest: d, Batch: batch}
+	pp := &types.PrePrepare{Round: r, Digest: d, Batch: batch}
 	pp.Inst = s.cfg.Instance
 	s.env.Broadcast(pp)
 	return true
@@ -361,10 +342,6 @@ func (s *Instance) OnMessage(from sm.Source, m types.Message) {
 		s.onStateShare(msg)
 	case *types.FullExecuteProof:
 		s.onExecuteProof(msg)
-	case *types.ViewChange:
-		s.onViewChange(msg)
-	case *types.NewView:
-		s.onNewView(from.Replica, msg)
 	}
 }
 
@@ -394,16 +371,16 @@ func (s *Instance) onClientRequest(m *types.ClientRequest) {
 }
 
 // maybeProposeBatch proposes full batches while the window has room, and
-// the rest of the queue as a partial batch once BatchTimeout has passed.
+// the rest of the queue as a partial batch once batchTimeout has passed.
 func (s *Instance) maybeProposeBatch() {
 	for len(s.pending) > 0 && s.inFlight() < s.cfg.Window &&
-		(len(s.pending) >= s.cfg.BatchSize || s.batch.Passed(s.env, s.cfg.Instance, s.cfg.BatchTimeout, true)) {
+		(len(s.pending) >= s.cfg.BatchSize || s.batch.Passed(s.env, s.cfg.Instance, batchTimeout, true)) {
 		txns := s.takeBatch(s.cfg.BatchSize)
 		if len(txns) == 0 {
 			continue // only stale entries were consumed; re-check the queue
 		}
 		if !s.Propose(&types.Batch{Txns: txns}) {
-			// Halted or changing views: return the batch to the queue front.
+			// Halted: return the batch to the queue front.
 			s.pending = append(txns, s.pending...)
 			return
 		}
@@ -411,20 +388,21 @@ func (s *Instance) maybeProposeBatch() {
 }
 
 func (s *Instance) onPrePrepare(from types.ReplicaID, m *types.PrePrepare) {
-	if m.View != s.view || from != s.primaryOf(m.View) || s.inViewChange {
+	// The primary never changes, so every proposal is of view 0.
+	if m.View != 0 || from != s.cfg.Primary {
 		return
 	}
 	if m.Round < s.resumeFloor || m.Batch == nil {
 		return
 	}
 	if m.Batch.Digest() != m.Digest {
-		s.suspect(m.Round)
+		s.env.Suspect(s.cfg.Instance, m.Round)
 		return
 	}
 	rd := s.getRound(m.Round)
 	if rd.proposed {
 		if rd.digest != m.Digest {
-			s.suspect(m.Round)
+			s.env.Suspect(s.cfg.Instance, m.Round)
 		}
 		return
 	}
@@ -452,7 +430,7 @@ func (s *Instance) onPrePrepare(from types.ReplicaID, m *types.PrePrepare) {
 // onSignShare runs at the round's collector: combine nf shares into a
 // commit proof and broadcast it.
 func (s *Instance) onSignShare(m *types.SignShare) {
-	if m.View != s.view || s.inViewChange || s.collectorOf(m.Round) != s.env.ID() {
+	if m.View != 0 || s.collectorOf(m.Round) != s.env.ID() {
 		return
 	}
 	rd := s.getRound(m.Round)
@@ -512,7 +490,7 @@ func (s *Instance) onCommitProof(m *types.FullCommitProof) {
 		return
 	}
 	if rd.digest != m.Digest {
-		s.suspect(m.Round)
+		s.env.Suspect(s.cfg.Instance, m.Round)
 		return
 	}
 	rd.committed = true
@@ -715,143 +693,6 @@ func (s *Instance) markDelivered(b *types.Batch) {
 	s.pending = kept
 }
 
-func (s *Instance) suspect(rnd types.Round) {
-	if s.cfg.FixedPrimary {
-		s.env.Suspect(s.cfg.Instance, rnd)
-		return
-	}
-	s.startViewChange(s.view + 1)
-}
-
-func (s *Instance) startViewChange(v types.View) {
-	if v <= s.view && s.inViewChange {
-		return
-	}
-	s.inViewChange = true
-	s.view = v
-	s.disarmTimer()
-	vc := &types.ViewChange{Replica: s.env.ID(), NewView: v, Prepared: s.StateForRecovery()}
-	vc.Inst = s.cfg.Instance
-	s.env.Broadcast(vc)
-	s.env.SetTimer(sm.TimerID{Instance: s.cfg.Instance, Kind: sm.TimerViewChange}, s.cfg.ProgressTimeout)
-}
-
-func (s *Instance) onViewChange(m *types.ViewChange) {
-	if s.cfg.FixedPrimary || m.NewView < s.view {
-		return
-	}
-	votes, ok := s.vcVotes[m.NewView]
-	if !ok {
-		votes = make(map[types.ReplicaID]*types.ViewChange)
-		s.vcVotes[m.NewView] = votes
-	}
-	votes[m.Replica] = m
-	if len(votes) < s.env.Params().NF() || s.primaryOf(m.NewView) != s.env.ID() {
-		return
-	}
-	// New primary: re-propose every committed proposal reported, plus any
-	// proposal seen by f+1 replicas (one honest witness).
-	counts := make(map[types.Round]map[types.Digest]int)
-	byDigest := make(map[types.Digest]types.AcceptedProposal)
-	for _, vc := range votes {
-		for _, ap := range vc.Prepared {
-			if ap.Batch == nil || ap.Batch.Digest() != ap.Digest {
-				continue
-			}
-			c, ok := counts[ap.Round]
-			if !ok {
-				c = make(map[types.Digest]int)
-				counts[ap.Round] = c
-			}
-			c[ap.Digest]++
-			if prev, dup := byDigest[ap.Digest]; !dup || ap.Prepared && !prev.Prepared {
-				byDigest[ap.Digest] = ap
-			}
-		}
-	}
-	var rounds []types.Round
-	for r := range counts {
-		rounds = append(rounds, r)
-	}
-	sort.Slice(rounds, func(i, j int) bool { return rounds[i] < rounds[j] })
-	var repropose []types.AcceptedProposal
-	for _, r := range rounds {
-		var pick types.AcceptedProposal
-		found := false
-		for d, c := range counts[r] {
-			ap := byDigest[d]
-			if ap.Prepared || c >= s.env.Params().FaultDetection() {
-				if !found || ap.Prepared && !pick.Prepared {
-					pick, found = ap, true
-				}
-			}
-		}
-		if found {
-			pick.Round = r
-			repropose = append(repropose, pick)
-		}
-	}
-	signers := make([]types.ReplicaID, 0, len(votes))
-	for r := range votes {
-		signers = append(signers, r)
-	}
-	sort.Slice(signers, func(i, j int) bool { return signers[i] < signers[j] })
-	nv := &types.NewView{Replica: s.env.ID(), NewView: m.NewView, ViewProofs: signers, Reproposed: repropose}
-	nv.Inst = s.cfg.Instance
-	s.env.Broadcast(nv)
-}
-
-func (s *Instance) onNewView(from types.ReplicaID, m *types.NewView) {
-	if s.cfg.FixedPrimary || m.NewView < s.view || from != s.primaryOf(m.NewView) {
-		return
-	}
-	s.view = m.NewView
-	s.inViewChange = false
-	s.env.CancelTimer(sm.TimerID{Instance: s.cfg.Instance, Kind: sm.TimerViewChange})
-	for i := range m.Reproposed {
-		ap := &m.Reproposed[i]
-		if ap.Batch == nil || ap.Batch.Digest() != ap.Digest {
-			continue
-		}
-		rd := s.getRound(ap.Round)
-		if rd.committed {
-			continue
-		}
-		rd.view = m.NewView
-		rd.digest = ap.Digest
-		rd.batch = ap.Batch
-		rd.proposed = true
-		rd.committed = true
-		if ap.Round >= s.next {
-			s.next = ap.Round + 1
-		}
-	}
-	// Rounds below the re-proposed maximum that no one reported are voided
-	// by the view change.
-	var maxR types.Round
-	for i := range m.Reproposed {
-		if m.Reproposed[i].Round > maxR {
-			maxR = m.Reproposed[i].Round
-		}
-	}
-	for r := s.deliver; r <= maxR; r++ {
-		if rd, ok := s.rounds[r]; !ok || !rd.committed {
-			if ok {
-				delete(s.rounds, r)
-			}
-			if r == s.deliver {
-				s.deliver = r + 1
-			}
-		}
-	}
-	s.tryDeliver()
-	if s.IsPrimary() {
-		s.maybeProposeBatch()
-	} else if len(s.pending) > 0 {
-		s.armTimer()
-	}
-}
-
 // OnTimer implements sm.Machine.
 func (s *Instance) OnTimer(id sm.TimerID) {
 	if s.halted {
@@ -861,16 +702,12 @@ func (s *Instance) OnTimer(id sm.TimerID) {
 	case sm.TimerProgress:
 		s.timerArmed = false
 		if s.outstandingWork() {
-			s.suspect(s.deliver)
+			s.env.Suspect(s.cfg.Instance, s.deliver)
 		}
 	case sm.TimerBatch:
 		s.batch.Fired()
 		if s.IsPrimary() {
 			s.maybeProposeBatch()
-		}
-	case sm.TimerViewChange:
-		if s.inViewChange {
-			s.startViewChange(s.view + 1)
 		}
 	}
 }

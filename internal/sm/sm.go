@@ -65,9 +65,6 @@ type Decision struct {
 	Digest   types.Digest
 	Batch    *types.Batch
 	Signers  []types.ReplicaID
-	// Speculative marks decisions that may still be rolled back
-	// (Zyzzyva's fast path before a commit certificate forms).
-	Speculative bool
 }
 
 // Env is the effect interface a runtime provides to a machine. All calls

@@ -30,10 +30,3 @@ func TestTimerIDsDistinguishInstancesKindsRounds(t *testing.T) {
 		t.Fatalf("timer IDs collide: %d distinct, want 18", len(ids))
 	}
 }
-
-func TestDecisionZeroValueIsNotSpeculative(t *testing.T) {
-	var d Decision
-	if d.Speculative {
-		t.Fatal("zero decision marked speculative")
-	}
-}

@@ -1,6 +1,7 @@
 package transport
 
-// Wire format v5 (v5 moved the authenticator tag from each record to the
+// Wire format v6 (v6 renumbered the message types after seven were removed
+// from the catalog; v5 moved the authenticator tag from each record to the
 // frame; v4 changed the CLIENT-REQUEST body to a transaction list, v3 the
 // CLIENT-REPLY body to a seq list; older peers are refused at the handshake).
 //
@@ -45,8 +46,9 @@ import (
 )
 
 // WireVersion is the framing version this build speaks. Connections
-// announcing any other version are refused at the handshake.
-const WireVersion = 5
+// announcing any other version are refused at the handshake. types.MsgType
+// values are positional, so a change to the catalog bumps it too.
+const WireVersion = 6
 
 var wireMagic = [4]byte{'R', 'C', 'C', 'B'}
 

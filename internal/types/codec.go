@@ -285,15 +285,6 @@ func (r *wireReader) proposal() AcceptedProposal {
 	}
 }
 
-func (r *wireReader) qc() QuorumCert {
-	return QuorumCert{
-		View:    View(r.u64()),
-		Round:   Round(r.u64()),
-		Block:   r.digest(),
-		Signers: r.replicas(),
-	}
-}
-
 func appendU16(buf []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(buf, v) }
 func appendU32(buf []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(buf, v) }
 func appendU64(buf []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(buf, v) }
@@ -356,13 +347,6 @@ func appendProposals(buf []byte, ps []AcceptedProposal) []byte {
 		buf = appendProposal(buf, &ps[i])
 	}
 	return buf
-}
-
-func appendQC(buf []byte, qc *QuorumCert) []byte {
-	buf = appendU64(buf, uint64(qc.View))
-	buf = appendU64(buf, uint64(qc.Round))
-	buf = append(buf, qc.Block[:]...)
-	return appendReplicas(buf, qc.Signers)
 }
 
 // ---------------------------------------------------------------------------
@@ -568,73 +552,6 @@ func init() {
 			}
 		})
 
-	registerCodec(MsgSpecResponse,
-		func(buf []byte, m Message) []byte {
-			v := m.(*SpecResponse)
-			buf = appendU16(buf, uint16(v.Inst))
-			buf = appendU16(buf, uint16(v.Replica))
-			buf = appendU64(buf, uint64(v.View))
-			buf = appendU64(buf, uint64(v.Round))
-			buf = append(buf, v.History[:]...)
-			buf = append(buf, v.Result[:]...)
-			buf = appendU32(buf, uint32(v.Client))
-			return appendU32(buf, uint32(v.Count))
-		},
-		func(r *wireReader) Message {
-			return &SpecResponse{
-				Header:  Header{Inst: InstanceID(r.u16())},
-				Replica: ReplicaID(r.u16()),
-				View:    View(r.u64()),
-				Round:   Round(r.u64()),
-				History: r.digest(),
-				Result:  r.digest(),
-				Client:  ClientID(r.u32()),
-				Count:   int(r.u32()),
-			}
-		})
-
-	registerCodec(MsgCommitCert,
-		func(buf []byte, m Message) []byte {
-			v := m.(*CommitCert)
-			buf = appendU16(buf, uint16(v.Inst))
-			buf = appendU32(buf, uint32(v.Client))
-			buf = appendU64(buf, uint64(v.View))
-			buf = appendU64(buf, uint64(v.Round))
-			buf = append(buf, v.History[:]...)
-			return appendReplicas(buf, v.Responses)
-		},
-		func(r *wireReader) Message {
-			return &CommitCert{
-				Header:    Header{Inst: InstanceID(r.u16())},
-				Client:    ClientID(r.u32()),
-				View:      View(r.u64()),
-				Round:     Round(r.u64()),
-				History:   r.digest(),
-				Responses: r.replicas(),
-			}
-		})
-
-	registerCodec(MsgLocalCommit,
-		func(buf []byte, m Message) []byte {
-			v := m.(*LocalCommit)
-			buf = appendU16(buf, uint16(v.Inst))
-			buf = appendU16(buf, uint16(v.Replica))
-			buf = appendU64(buf, uint64(v.View))
-			buf = appendU64(buf, uint64(v.Round))
-			buf = append(buf, v.History[:]...)
-			return appendU32(buf, uint32(v.Client))
-		},
-		func(r *wireReader) Message {
-			return &LocalCommit{
-				Header:  Header{Inst: InstanceID(r.u16())},
-				Replica: ReplicaID(r.u16()),
-				View:    View(r.u64()),
-				Round:   Round(r.u64()),
-				History: r.digest(),
-				Client:  ClientID(r.u32()),
-			}
-		})
-
 	registerCodec(MsgFillHole,
 		func(buf []byte, m Message) []byte {
 			v := m.(*FillHole)
@@ -651,21 +568,6 @@ func init() {
 				View:    View(r.u64()),
 				From:    Round(r.u64()),
 				To:      Round(r.u64()),
-			}
-		})
-
-	registerCodec(MsgIHatePrimary,
-		func(buf []byte, m Message) []byte {
-			v := m.(*IHatePrimary)
-			buf = appendU16(buf, uint16(v.Inst))
-			buf = appendU16(buf, uint16(v.Replica))
-			return appendU64(buf, uint64(v.View))
-		},
-		func(r *wireReader) Message {
-			return &IHatePrimary{
-				Header:  Header{Inst: InstanceID(r.u16())},
-				Replica: ReplicaID(r.u16()),
-				View:    View(r.u64()),
 			}
 		})
 
@@ -746,69 +648,6 @@ func init() {
 				Round:    Round(r.u64()),
 				State:    r.digest(),
 				Combined: r.blob(),
-			}
-		})
-
-	registerCodec(MsgHSProposal,
-		func(buf []byte, m Message) []byte {
-			v := m.(*HSProposal)
-			buf = appendU16(buf, uint16(v.Inst))
-			buf = appendU16(buf, uint16(v.Replica))
-			buf = appendU64(buf, uint64(v.View))
-			buf = appendU64(buf, uint64(v.Round))
-			buf = append(buf, v.Parent[:]...)
-			buf = append(buf, v.Digest[:]...)
-			buf = appendBatch(buf, v.Batch)
-			return appendQC(buf, &v.Justify)
-		},
-		func(r *wireReader) Message {
-			return &HSProposal{
-				Header:  Header{Inst: InstanceID(r.u16())},
-				Replica: ReplicaID(r.u16()),
-				View:    View(r.u64()),
-				Round:   Round(r.u64()),
-				Parent:  r.digest(),
-				Digest:  r.digest(),
-				Batch:   r.batch(),
-				Justify: r.qc(),
-			}
-		})
-
-	registerCodec(MsgHSVote,
-		func(buf []byte, m Message) []byte {
-			v := m.(*HSVote)
-			buf = appendU16(buf, uint16(v.Inst))
-			buf = appendU16(buf, uint16(v.Replica))
-			buf = appendU64(buf, uint64(v.View))
-			buf = appendU64(buf, uint64(v.Round))
-			buf = append(buf, v.Block[:]...)
-			return appendBlob(buf, v.Share)
-		},
-		func(r *wireReader) Message {
-			return &HSVote{
-				Header:  Header{Inst: InstanceID(r.u16())},
-				Replica: ReplicaID(r.u16()),
-				View:    View(r.u64()),
-				Round:   Round(r.u64()),
-				Block:   r.digest(),
-				Share:   r.blob(),
-			}
-		})
-
-	registerCodec(MsgHSNewView,
-		func(buf []byte, m Message) []byte {
-			v := m.(*HSNewView)
-			buf = appendU16(buf, uint16(v.Inst))
-			buf = appendU16(buf, uint16(v.Replica))
-			buf = appendU64(buf, uint64(v.View))
-			return appendQC(buf, &v.HighQC)
-		},
-		func(r *wireReader) Message {
-			return &HSNewView{
-				Header:  Header{Inst: InstanceID(r.u16())},
-				Replica: ReplicaID(r.u16()),
-				View:    View(r.u64()),
-				HighQC:  r.qc(),
 			}
 		})
 

@@ -23,7 +23,6 @@ func codecCorpus() []Message {
 	}
 	fail1 := &Failure{Header: Header{Inst: 3}, Replica: 1, Round: 9, State: props, Light: false}
 	fail2 := &Failure{Header: Header{Inst: 3}, Replica: 2, Round: 9, Light: true}
-	qc := QuorumCert{View: 3, Round: 8, Block: d3, Signers: []ReplicaID{0, 2, 3}}
 	hundredSeqs := make([]uint64, 100) // one client's share of a full batch
 	for i := range hundredSeqs {
 		hundredSeqs[i] = uint64(1000 + 2*i)
@@ -46,18 +45,11 @@ func codecCorpus() []Message {
 		fail2,
 		&Stop{Header: Header{Inst: CoordInstance(3)}, Target: 3, Evidence: []*Failure{fail1, fail2}},
 		&OrderRequest{Header: Header{Inst: 0}, View: 1, Round: 2, History: d1, Digest: d2, Batch: batch},
-		&SpecResponse{Header: Header{Inst: 0}, Replica: 1, View: 2, Round: 3, History: d1, Result: d2, Client: 5, Count: 100},
-		&CommitCert{Header: Header{Inst: 0}, Client: 5, View: 2, Round: 3, History: d1, Responses: []ReplicaID{0, 1, 3}},
-		&LocalCommit{Header: Header{Inst: 0}, Replica: 1, View: 2, Round: 3, History: d1, Client: 5},
 		&FillHole{Header: Header{Inst: 0}, Replica: 1, View: 2, From: 3, To: 9},
-		&IHatePrimary{Header: Header{Inst: 0}, Replica: 1, View: 2},
 		&SignShare{Header: Header{Inst: 0}, Replica: 1, View: 2, Round: 3, Digest: d1, Share: []byte{1, 2, 3}},
 		&FullCommitProof{Header: Header{Inst: 0}, Replica: 1, View: 2, Round: 3, Digest: d1, Combined: []byte{4, 5}},
 		&SignStateShare{Header: Header{Inst: 0}, Replica: 1, Round: 3, State: d2, Share: []byte{6}},
 		&FullExecuteProof{Header: Header{Inst: 0}, Replica: 1, Round: 3, State: d2, Combined: []byte{7, 8}},
-		&HSProposal{Header: Header{Inst: 0}, Replica: 1, View: 2, Round: 3, Parent: d1, Digest: d2, Batch: batch, Justify: qc},
-		&HSVote{Header: Header{Inst: 0}, Replica: 1, View: 2, Round: 3, Block: d3, Share: []byte{9}},
-		&HSNewView{Header: Header{Inst: 0}, Replica: 1, View: 2, HighQC: qc},
 		&EpochChange{Header: Header{Inst: 0}, Replica: 1, Epoch: 5, Failed: 2, Round: 7},
 		&NewEpoch{Header: Header{Inst: 0}, Replica: 1, Epoch: 5, Leaders: []ReplicaID{0, 1, 3}, StartRound: 12},
 		&StateOffer{Header: Header{Inst: 0}, Replica: 1, SnapHeight: 64, SnapSize: 4096,

@@ -5,8 +5,8 @@ import "fmt"
 // MsgType discriminates the messages in the shared catalog.
 type MsgType uint8
 
-// Message type constants. The catalog is shared: PBFT, Zyzzyva, SBFT,
-// HotStuff, RCC, and Mir-BFT all route messages by (InstanceID, MsgType).
+// Message type constants. The catalog is shared: PBFT, Zyzzyva, SBFT, RCC,
+// and Mir-BFT all route messages by (InstanceID, MsgType).
 const (
 	MsgInvalid MsgType = iota
 
@@ -29,22 +29,13 @@ const (
 
 	// Zyzzyva.
 	MsgOrderRequest // primary's speculative order assignment
-	MsgSpecResponse // replica's speculative response to the client
-	MsgCommitCert   // client-assembled commit certificate (2f+1 spec responses)
-	MsgLocalCommit  // replica ack of a commit certificate
 	MsgFillHole     // replica asks the primary for missed order requests
-	MsgIHatePrimary // replica accusation starting Zyzzyva view change
 
 	// SBFT.
 	MsgSignShare        // replica's threshold signature share to the collector
 	MsgFullCommitProof  // collector's combined threshold signature
 	MsgSignStateShare   // post-execution share
 	MsgFullExecuteProof // collector's combined execution proof
-
-	// HotStuff (event-based chained variant).
-	MsgHSProposal
-	MsgHSVote
-	MsgHSNewView
 
 	// Mir-BFT-style epoch coordination.
 	MsgEpochChange
@@ -78,18 +69,11 @@ var msgTypeNames = map[MsgType]string{
 	MsgFailure:          "FAILURE",
 	MsgStop:             "STOP",
 	MsgOrderRequest:     "ORDER-REQ",
-	MsgSpecResponse:     "SPEC-RESPONSE",
-	MsgCommitCert:       "COMMIT-CERT",
-	MsgLocalCommit:      "LOCAL-COMMIT",
 	MsgFillHole:         "FILL-HOLE",
-	MsgIHatePrimary:     "I-HATE-THE-PRIMARY",
 	MsgSignShare:        "SIGN-SHARE",
 	MsgFullCommitProof:  "FULL-COMMIT-PROOF",
 	MsgSignStateShare:   "SIGN-STATE-SHARE",
 	MsgFullExecuteProof: "FULL-EXECUTE-PROOF",
-	MsgHSProposal:       "HS-PROPOSAL",
-	MsgHSVote:           "HS-VOTE",
-	MsgHSNewView:        "HS-NEW-VIEW",
 	MsgEpochChange:      "EPOCH-CHANGE",
 	MsgNewEpoch:         "NEW-EPOCH",
 

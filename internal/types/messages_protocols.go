@@ -5,8 +5,8 @@ package types
 // ---------------------------------------------------------------------------
 
 // OrderRequest is the Zyzzyva primary's speculative order assignment: the
-// primary assigns Round to Batch and broadcasts; replicas speculatively
-// execute and answer the client directly.
+// primary assigns Round to Batch and broadcasts; replicas deliver it in
+// round order.
 type OrderRequest struct {
 	Header
 	View    View
@@ -24,50 +24,6 @@ func (m *OrderRequest) WireSize() int {
 	return ProposalWireSize(m.Batch.Len())
 }
 
-// SpecResponse is a replica's speculative response, sent directly to the
-// client. A client accepts when it collects 3f+1 matching responses; with
-// only 2f+1..3f it assembles a CommitCert.
-type SpecResponse struct {
-	Header
-	Replica ReplicaID
-	View    View
-	Round   Round
-	History Digest
-	Result  Digest
-	Client  ClientID
-	Count   int
-}
-
-func (m *SpecResponse) Type() MsgType { return MsgSpecResponse }
-func (m *SpecResponse) WireSize() int { return ReplyWireSize(m.Count) }
-
-// CommitCert carries 2f+1 matching spec responses gathered by a client that
-// could not reach the fast path; replicas answer with LocalCommit.
-type CommitCert struct {
-	Header
-	Client    ClientID
-	View      View
-	Round     Round
-	History   Digest
-	Responses []ReplicaID // replicas whose spec responses form the certificate
-}
-
-func (m *CommitCert) Type() MsgType { return MsgCommitCert }
-func (m *CommitCert) WireSize() int { return ConsensusMsgBytes + 48*len(m.Responses) }
-
-// LocalCommit is a replica's acknowledgement of a commit certificate.
-type LocalCommit struct {
-	Header
-	Replica ReplicaID
-	View    View
-	Round   Round
-	History Digest
-	Client  ClientID
-}
-
-func (m *LocalCommit) Type() MsgType { return MsgLocalCommit }
-func (m *LocalCommit) WireSize() int { return ConsensusMsgBytes }
-
 // FillHole asks the primary to retransmit order requests the sender missed.
 type FillHole struct {
 	Header
@@ -79,16 +35,6 @@ type FillHole struct {
 
 func (m *FillHole) Type() MsgType { return MsgFillHole }
 func (m *FillHole) WireSize() int { return ConsensusMsgBytes }
-
-// IHatePrimary is a replica's accusation that starts a Zyzzyva view change.
-type IHatePrimary struct {
-	Header
-	Replica ReplicaID
-	View    View
-}
-
-func (m *IHatePrimary) Type() MsgType { return MsgIHatePrimary }
-func (m *IHatePrimary) WireSize() int { return ConsensusMsgBytes }
 
 // ---------------------------------------------------------------------------
 // SBFT
@@ -146,63 +92,6 @@ type FullExecuteProof struct {
 
 func (m *FullExecuteProof) Type() MsgType { return MsgFullExecuteProof }
 func (m *FullExecuteProof) WireSize() int { return ConsensusMsgBytes }
-
-// ---------------------------------------------------------------------------
-// HotStuff (event-based chained variant)
-// ---------------------------------------------------------------------------
-
-// QuorumCert is a quorum certificate over a HotStuff block.
-type QuorumCert struct {
-	View    View
-	Round   Round
-	Block   Digest
-	Signers []ReplicaID
-}
-
-// HSProposal is the leader's block proposal extending the block certified
-// by Justify.
-type HSProposal struct {
-	Header
-	Replica ReplicaID
-	View    View
-	Round   Round
-	Parent  Digest
-	Digest  Digest
-	Batch   *Batch
-	Justify QuorumCert
-}
-
-func (m *HSProposal) Type() MsgType { return MsgHSProposal }
-func (m *HSProposal) WireSize() int {
-	if m.Batch == nil {
-		return ConsensusMsgBytes
-	}
-	return ProposalWireSize(m.Batch.Len())
-}
-
-// HSVote is a replica's vote on a proposal, sent to the next leader.
-type HSVote struct {
-	Header
-	Replica ReplicaID
-	View    View
-	Round   Round
-	Block   Digest
-	Share   []byte
-}
-
-func (m *HSVote) Type() MsgType { return MsgHSVote }
-func (m *HSVote) WireSize() int { return ConsensusMsgBytes }
-
-// HSNewView carries a replica's highest QC to the next leader on timeout.
-type HSNewView struct {
-	Header
-	Replica ReplicaID
-	View    View
-	HighQC  QuorumCert
-}
-
-func (m *HSNewView) Type() MsgType { return MsgHSNewView }
-func (m *HSNewView) WireSize() int { return ConsensusMsgBytes }
 
 // ---------------------------------------------------------------------------
 // Mir-BFT-style epoch coordination

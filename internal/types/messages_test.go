@@ -24,18 +24,11 @@ func allMessages() []Message {
 		&Failure{Replica: 1, Round: 2, State: ap},
 		&Stop{Target: 1, Evidence: []*Failure{{Replica: 1, Round: 2}}},
 		&OrderRequest{View: 1, Round: 2, History: h, Digest: d, Batch: b},
-		&SpecResponse{Replica: 1, View: 1, Round: 2, History: h, Result: d, Client: 9, Count: 1},
-		&CommitCert{Client: 9, View: 1, Round: 2, History: h, Responses: []ReplicaID{0, 1, 2}},
-		&LocalCommit{Replica: 1, View: 1, Round: 2, History: h, Client: 9},
 		&FillHole{Replica: 1, View: 1, From: 2, To: 5},
-		&IHatePrimary{Replica: 1, View: 1},
 		&SignShare{Replica: 1, View: 1, Round: 2, Digest: d, Share: []byte("sh")},
 		&FullCommitProof{Replica: 1, View: 1, Round: 2, Digest: d, Combined: []byte("cb")},
 		&SignStateShare{Replica: 1, Round: 2, State: h, Share: []byte("sh")},
 		&FullExecuteProof{Replica: 1, Round: 2, State: h, Combined: []byte("cb")},
-		&HSProposal{Replica: 1, View: 1, Round: 2, Parent: h, Digest: d, Batch: b},
-		&HSVote{Replica: 1, View: 1, Round: 2, Block: d, Share: []byte("sh")},
-		&HSNewView{Replica: 1, View: 1, HighQC: QuorumCert{View: 1, Block: d}},
 		&EpochChange{Replica: 1, Epoch: 2, Failed: 1, Round: 2},
 		&NewEpoch{Replica: 1, Epoch: 2, Leaders: []ReplicaID{0, 2}, StartRound: 9},
 	}
@@ -133,9 +126,6 @@ func TestBatchCarryingSizesScale(t *testing.T) {
 	}
 	if (&OrderRequest{Batch: small}).WireSize() >= (&OrderRequest{Batch: large}).WireSize() {
 		t.Fatal("order request size does not scale with batch")
-	}
-	if (&HSProposal{Batch: small}).WireSize() >= (&HSProposal{Batch: large}).WireSize() {
-		t.Fatal("hotstuff proposal size does not scale with batch")
 	}
 	v := NewPrepare(0, 0, 0, 1, ZeroDigest)
 	if v.WireSize() != ConsensusMsgBytes {

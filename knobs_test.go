@@ -6,23 +6,29 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/mirbft"
 	"repro/internal/runtime"
+	"repro/internal/sbft"
 	"repro/internal/statesync"
 	"repro/internal/store"
 	"repro/internal/transport"
+	"repro/internal/zyzzyva"
 )
 
 // knobCensus is the reviewed list of exported fields on the option structs
 // of the replica-process path. Every entry is a knob some caller outside
-// tests sets to more than one value, or a deployment setting, with one
-// exception: store.Options.AsyncQueueDepth is a cross-package test seam
+// tests sets to more than one value, or a deployment setting, with two
+// exceptions: store.Options.AsyncQueueDepth is a cross-package test seam
 // (runtime's tests set it through another package), which stays exported
-// until an export_test.go hook replaces it (ROADMAP 19a). A field that every caller leaves at its default is an
-// unexported constant instead; a tuning only same-package tests change is
-// an unexported field.
+// until an export_test.go hook replaces it (ROADMAP 19a); and
+// client.Config's Broadcast, which every caller sets to true, with the
+// Primary and Instance that only a non-broadcasting client reads (ROADMAP
+// 24c). A field that every caller leaves at its default is an unexported
+// constant instead; a tuning only same-package tests change is an
+// unexported field.
 var knobCensus = []struct {
 	v      any
 	fields []string
@@ -41,6 +47,9 @@ var knobCensus = []struct {
 		"DataDir", "SnapshotEvery", "UnpredictableOrdering", "Metrics"}},
 	{chaos.Config{}, []string{"Nodes", "Duration", "Seed", "WAN", "ArtifactDir", "Schedule", "Logf"}},
 	{mirbft.Config{}, []string{"BatchSize", "Window", "ProgressTimeout", "StabilityInterval"}},
+	{zyzzyva.Config{}, []string{"Instance", "Primary", "Window", "ProgressTimeout", "BatchSize"}},
+	{sbft.Config{}, []string{"Instance", "Primary", "Window", "ProgressTimeout", "BatchSize", "Threshold"}},
+	{client.Config{}, []string{"Client", "RetryTimeout", "Broadcast", "Primary", "Instance"}},
 }
 
 // TestKnobCensus fails when an option struct gains or loses an exported
