@@ -556,21 +556,13 @@ func BenchmarkFlightRecord(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel execution (internal/exec)
+// Execution (internal/exec)
 // ---------------------------------------------------------------------------
 
-// BenchmarkParallelExec prices the conflict-aware parallel executor against
-// the serial baseline (the paper's 217 ktxn/s execution wall, Fig. 7 left)
-// across worker counts and conflict rates. The conflict axis mixes a single
-// hot record into an otherwise conflict-free write stream: at 0% every
-// transaction touches a distinct record (one singleton component each), at
-// 100% the whole batch is one component and must serialize.
-//
-// The conflict-free workers=8 variants are named .../serial and
-// .../parallel: scripts/benchgate pairs them within the current run and CI
-// fails if parallel is not >=2x serial on its multicore runners (on a
-// single-core machine the pair measures pure engine overhead instead).
-func BenchmarkParallelExec(b *testing.B) {
+// BenchmarkExec prices the in-order executor (the paper's 217 ktxn/s
+// execution wall, Fig. 7 left) on two applications: YCSB writes to
+// distinct records, and bank transfers between uniformly drawn accounts.
+func BenchmarkExec(b *testing.B) {
 	const (
 		execRecords = 1 << 16
 		execBatch   = 2048
@@ -578,19 +570,15 @@ func BenchmarkParallelExec(b *testing.B) {
 		execRounds  = 8
 	)
 
-	ycsbBatches := func(conflictPct int) []*types.Batch {
-		rng := rand.New(rand.NewSource(int64(conflictPct) + 1))
+	ycsbBatches := func() []*types.Batch {
+		rng := rand.New(rand.NewSource(1))
 		batches := make([]*types.Batch, execRounds)
-		seq, next := uint64(0), 0
+		seq := uint64(0)
 		for r := range batches {
 			bt := &types.Batch{Txns: make([]types.Transaction, 0, execBatch)}
 			for i := 0; i < execBatch; i++ {
 				seq++
-				key := uint32(0) // the hot record
-				if rng.Intn(100) >= conflictPct {
-					next++
-					key = uint32(1 + next%(execRecords-1)) // distinct within a batch
-				}
+				key := uint32(1 + seq%(execRecords-1)) // distinct within a batch
 				value := make([]byte, execField)
 				rng.Read(value)
 				bt.Txns = append(bt.Txns, types.Transaction{
@@ -631,9 +619,8 @@ func BenchmarkParallelExec(b *testing.B) {
 		return bank.New(opening)
 	}
 
-	run := func(b *testing.B, app exec.Application, batches []*types.Batch, workers int) {
-		e := exec.NewEngineOpts(app, nil, exec.Options{Workers: workers})
-		defer e.Close()
+	run := func(b *testing.B, app exec.Application, batches []*types.Batch) {
+		e := exec.NewEngine(app, nil)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			e.ExecuteBatch(batches[i%len(batches)], ledger.Proof{Round: types.Round(i + 1)})
@@ -642,35 +629,8 @@ func BenchmarkParallelExec(b *testing.B) {
 		b.ReportMetric(float64(b.N)*execBatch/b.Elapsed().Seconds(), "txn/s")
 	}
 
-	for _, conflict := range []int{0, 50, 100} {
-		batches := ycsbBatches(conflict)
-		variants := []struct {
-			name    string
-			workers int
-		}{
-			{"workers=1", 1}, {"workers=8", 8},
-		}
-		if conflict == 0 {
-			// The gated pair, plus the sweep CI plots.
-			variants = []struct {
-				name    string
-				workers int
-			}{
-				{"serial", 1}, {"workers=2", 2}, {"workers=4", 4}, {"parallel", 8},
-			}
-		}
-		for _, v := range variants {
-			b.Run(fmt.Sprintf("ycsb/conflict=%d/%s", conflict, v.name), func(b *testing.B) {
-				run(b, ycsb.NewStore(execRecords), batches, v.workers)
-			})
-		}
-	}
-	batches := bankBatches()
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("bank/uniform/workers=%d", workers), func(b *testing.B) {
-			run(b, bankApp(), batches, workers)
-		})
-	}
+	b.Run("ycsb", func(b *testing.B) { run(b, ycsb.NewStore(execRecords), ycsbBatches()) })
+	b.Run("bank", func(b *testing.B) { run(b, bankApp(), bankBatches()) })
 }
 
 // ---------------------------------------------------------------------------

@@ -93,7 +93,6 @@ func main() {
 		snapEach = flag.Uint64("snapshot-every", 1024, "persist an application checkpoint every N blocks with -data-dir (0 off)")
 		walPrune = flag.Bool("wal-prune", false, "with -data-dir and -snapshot-every: reclaim WAL segments below each persisted checkpoint; restart replays from the pinned checkpoint instead of genesis")
 		stateSyn = flag.Bool("state-sync", true, "with -data-dir: serve checkpoints to lagging peers and, when this replica is behind (wiped disk, long partition), fetch the f+1-attested snapshot + ledger suffix and rejoin at the cluster head")
-		execWkrs = flag.Int("exec-workers", 0, "parallel execution workers per batch: conflict-free transactions of a unified round fan out across this many goroutines (0 = GOMAXPROCS, 1 = serial)")
 		adminArg = flag.String("admin-addr", "", "admin HTTP listener serving /metrics (Prometheus), /healthz, /readyz, /debug/trace, /debug/events, and /debug/pprof (empty = off)")
 		traceN   = flag.Int("trace-sample", 64, "lifecycle tracer: sample 1 in N transactions into the /debug/trace ring (1 = all, negative = off)")
 		traceBuf = flag.Int("trace-buf", 4096, "lifecycle tracer: ring buffer capacity in events")
@@ -172,7 +171,6 @@ func main() {
 			PruneWAL:      *walPrune,
 		},
 		StateSync:      runtime.StateSyncOptions{Enabled: *stateSyn && *dataDir != ""},
-		Exec:           runtime.ExecOptions{Workers: *execWkrs},
 		Flight:         runtime.FlightOptions{MirrorInterval: *mirrorIv},
 		ReplyToClients: true,
 		Logf:           log.Printf,

@@ -75,25 +75,12 @@
 // the chain it acknowledges. The TestStateSync*OverTCP tests in
 // internal/runtime drive the whole transfer over real sockets.
 //
-// Conflict-aware parallel execution: the execution engine (internal/exec)
-// no longer applies unified rounds serially. The Application contract
-// exposes each transaction's state-key footprint (Keys, with
-// types.StateKey identifying the state it reads or writes); the engine
-// partitions every batch into connected components of the conflict graph
-// (union-find over shared keys), packs components onto a bounded worker
-// pool (runtime.Config.Exec.Workers, rccnode -exec-workers; 0 =
-// GOMAXPROCS, 1 = the serial engine), and executes
-// conflicting transactions one at a time in batch order on a single
-// goroutine. Per-transaction result digests assemble in batch-index order,
-// so ResultHash and StateDigest are byte-identical on every replica
-// regardless of worker count or scheduling — one replica's parallelism
-// knob never shows in its replies. Transactions whose footprint an
-// application cannot declare (Keys ok=false) run alone as barriers. Both
-// applications (internal/bank with sharded per-account locking,
-// internal/ycsb with per-record disjoint writes) declare footprints;
-// BenchmarkParallelExec measures txn/s vs workers and conflict rate, and
-// CI gates parallel >= 2x serial on the
-// conflict-free workload (scripts/benchgate -min-parallel-speedup).
+// In-order execution: the execution engine (internal/exec) applies each
+// unified round after unification, in the one deterministic order every
+// replica agrees on (§III), one transaction at a time. ResultHash is the
+// hash of the per-transaction result hashes in batch order, so it depends
+// only on the batch and its results; TestGoldenResultHashes pins it.
+// BenchmarkExec measures the executor's txn/s on YCSB and on the bank.
 //
 // Frame authentication at line rate: internal/crypto implements the
 // paper's Fig. 7-right schemes as production hot paths. NewMAC precomputes
@@ -155,6 +142,5 @@
 // observability/execution pass), emits BENCH_ci.json, and gates merges on
 // >25% ns/op regressions against the committed BENCH_baseline.json via
 // scripts/benchgate, which also enforces the observability overhead
-// ceiling (-max-overhead) and the parallel-execution speedup floor
-// (-min-parallel-speedup).
+// ceiling (-max-overhead).
 package repro

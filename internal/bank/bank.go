@@ -72,33 +72,8 @@ func readString(buf []byte) (string, []byte, error) {
 	return string(buf[:n]), buf[n:], nil
 }
 
-// rawAccounts slices the From/To account names out of a transfer payload
-// without allocating strings, mirroring DecodeTransfer's framing exactly:
-// any payload DecodeTransfer rejects is rejected here too (and Execute
-// leaves state untouched for those).
-func rawAccounts(op []byte) (from, to []byte, ok bool) {
-	if len(op) < 2 {
-		return nil, nil, false
-	}
-	n := int(binary.BigEndian.Uint16(op))
-	op = op[2:]
-	if len(op) < n {
-		return nil, nil, false
-	}
-	from, op = op[:n], op[n:]
-	if len(op) < 2 {
-		return nil, nil, false
-	}
-	n = int(binary.BigEndian.Uint16(op))
-	op = op[2:]
-	if len(op) < n+16 {
-		return nil, nil, false
-	}
-	return from, op[:n], true
-}
-
-// shardCount is a power of two: accounts hash onto shards with the same
-// FNV-1a hash that yields their conflict StateKey.
+// shardCount is a power of two: accounts hash onto shards with
+// types.KeyString.
 const shardCount = 64
 
 type shard struct {
@@ -108,10 +83,8 @@ type shard struct {
 
 // Bank is a deterministic account store implementing exec.Application.
 // Balances are sharded by account-name hash with per-shard locks and the
-// applied counter is atomic, so Execute tolerates the engine's concurrent
-// calls for transactions with disjoint account footprints; transfers
-// touching a common account share a StateKey and are serialized by the
-// engine in batch order.
+// applied counter is atomic, so Balance and StateDigest may read while a
+// batch executes.
 type Bank struct {
 	shards  [shardCount]shard
 	applied atomic.Uint64
@@ -140,24 +113,9 @@ func (b *Bank) Balance(a string) int64 {
 	return v
 }
 
-// Keys declares a transfer's conflict footprint: the From and To accounts.
-// Payloads DecodeTransfer would reject execute statelessly (result 0xff,
-// no counter bump), so they declare an empty footprint.
-func (b *Bank) Keys(tx types.Transaction, buf []types.StateKey) ([]types.StateKey, bool) {
-	if tx.IsNoOp() {
-		return buf, true
-	}
-	from, to, ok := rawAccounts(tx.Op)
-	if !ok {
-		return buf, true // stateless rejection: conflicts with nothing
-	}
-	return append(buf, types.KeyBytes(from), types.KeyBytes(to)), true
-}
-
 // Execute applies one transfer transaction. The result byte reports whether
-// the conditional fired (1) or not (0). Concurrent calls are safe for
-// transfers with disjoint {From, To} footprints: the two shards involved
-// are locked in index order.
+// the conditional fired (1) or not (0). The two shards involved are locked
+// in index order.
 func (b *Bank) Execute(tx types.Transaction) []byte {
 	if tx.IsNoOp() {
 		return nil

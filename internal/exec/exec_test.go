@@ -1,8 +1,12 @@
 package exec
 
 import (
+	"encoding/hex"
+	"fmt"
+	"sync"
 	"testing"
 
+	"repro/internal/bank"
 	"repro/internal/ledger"
 	"repro/internal/types"
 	"repro/internal/ycsb"
@@ -175,5 +179,102 @@ func TestExecuteBatchAsyncNilJournalCompletesInline(t *testing.T) {
 	e.ExecuteBatchAsync(batch(wtx(1, 1, 1)), ledger.Proof{}, func(Result, error) { fired = true })
 	if !fired {
 		t.Fatal("nil journal must complete inline")
+	}
+}
+
+// goldenBatches returns one fixed YCSB batch and one fixed bank batch, each
+// with conflicting transactions whose results depend on batch order.
+func goldenBatches() (ycsbBatch, bankBatch *types.Batch) {
+	ycsbBatch = &types.Batch{}
+	for i := 0; i < 48; i++ {
+		key := uint32(i*7) % 16
+		op := ycsb.EncodeWrite(key, []byte{byte(i), byte(i * 3)})
+		if i%3 == 0 {
+			op = ycsb.EncodeRead(key)
+		}
+		ycsbBatch.Txns = append(ycsbBatch.Txns, types.Transaction{Client: types.ClientID(i%5 + 1), Seq: uint64(i + 1), Op: op})
+	}
+	ycsbBatch.Txns = append(ycsbBatch.Txns, types.NoOp(), types.Transaction{Client: 9, Seq: 1, Op: []byte{0xde}})
+
+	bankBatch = &types.Batch{}
+	for i := 0; i < 48; i++ {
+		t := bank.Transfer{
+			From:      fmt.Sprintf("acct-%02d", i%11),
+			To:        fmt.Sprintf("acct-%02d", (i*5+3)%11),
+			Threshold: int64(i * 13 % 200),
+			Amount:    int64(i*7%50 + 1),
+		}
+		bankBatch.Txns = append(bankBatch.Txns, types.Transaction{Client: 1, Seq: uint64(i + 1), Op: t.Encode()})
+	}
+	bankBatch.Txns = append(bankBatch.Txns, types.NoOp(), types.Transaction{Client: 9, Seq: 1, Op: []byte{0xde}})
+	return ycsbBatch, bankBatch
+}
+
+// TestGoldenResultHashes pins reply compatibility: a fixed batch's
+// ResultHash (Hash of the concatenated per-transaction result hashes) and
+// StateHash must equal the values earlier releases returned, or replicas
+// running different versions stop agreeing on client replies.
+func TestGoldenResultHashes(t *testing.T) {
+	yb, bb := goldenBatches()
+	opening := make(map[string]int64)
+	for i := 0; i < 11; i++ {
+		opening[fmt.Sprintf("acct-%02d", i)] = 100
+	}
+	for _, c := range []struct {
+		name          string
+		app           Application
+		b             *types.Batch
+		result, state string
+	}{
+		{"ycsb", ycsb.NewStore(16), yb,
+			"6566399e5e6c43accf4423d950353e9195ae099b0c2e397c09cc8296103ec2c7",
+			"4386d0668bcfc971e56ff642edf3389bcb75e9e84fa1f709cd9e11a157e5ec32"},
+		{"bank", bank.New(opening), bb,
+			"d4abd5be4fc701b0207a961cac5b470db984a8b65109206081fdd7c28a9a1b3e",
+			"d58dc4704f03c16f2069d0f6abd8fd13d06c5d93ab96c9655b47af73115e5de2"},
+	} {
+		res := NewEngine(c.app, nil).ExecuteBatch(c.b, ledger.Proof{Round: 1})
+		if got := hex.EncodeToString(res.ResultHash[:]); got != c.result {
+			t.Errorf("%s: ResultHash %s, want %s", c.name, got, c.result)
+		}
+		if got := hex.EncodeToString(res.StateHash[:]); got != c.state {
+			t.Errorf("%s: StateHash %s, want %s", c.name, got, c.state)
+		}
+	}
+}
+
+// TestExecutedCounterRaceSafe drives the engine while another goroutine
+// polls Executed() — the metrics scrape path — and a Restore lands between
+// batches. Run under -race this pins the atomic counter.
+func TestExecutedCounterRaceSafe(t *testing.T) {
+	e := NewEngine(ycsb.NewStore(128), nil)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = e.Executed()
+			}
+		}
+	}()
+	wl := ycsb.NewWorkload(ycsb.WorkloadConfig{Records: 128, WriteRatio: 0.7, FieldLen: 8, Seed: 42})
+	var want uint64
+	for i := 0; i < 30; i++ {
+		b := wl.NextBatch(types.ClientID(i%13+1), 64)
+		want += uint64(len(b.Txns))
+		e.ExecuteBatch(b, ledger.Proof{Round: types.Round(i + 1)})
+		if i == 15 {
+			e.Restore(e.Executed()) // restart replay primes the counter
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if got := e.Executed(); got != want {
+		t.Fatalf("executed %d, want %d", got, want)
 	}
 }

@@ -504,8 +504,7 @@ func (p *Instance) AdoptDecision(d sm.Decision) {
 	p.tryDeliver()
 }
 
-// Pending returns the number of queued client transactions (standalone
-// batching).
+// Pending implements sm.Instance.
 func (p *Instance) Pending() int { return len(p.pending) }
 
 // OnMessage implements sm.Machine.
@@ -629,9 +628,7 @@ func (p *Instance) cut() bool {
 	return true
 }
 
-// ProposePending proposes up to one batch of the queued requests now, full
-// or not. It reports whether a batch was proposed (only the primary, with
-// room in its window, proposes).
+// ProposePending implements sm.Instance.
 func (p *Instance) ProposePending() bool {
 	return len(p.pending) > 0 && p.mayPropose() && p.cut()
 }

@@ -268,9 +268,7 @@ func (r *Replica) handleStop(inst types.InstanceID, evidence []*types.Failure) {
 	if resume > st.voidBelow {
 		st.voidBelow = resume
 	}
-	if skipper, ok := st.inst.(rangeSkipper); ok {
-		skipper.SkipTo(resume)
-	}
+	st.inst.SkipTo(resume)
 	st.inst.ResumeAt(resume)
 	st.startedAt = resume
 	r.emit(flight.KVoid, inst, 0, uint64(resume), uint64(st.stops))

@@ -102,19 +102,6 @@ func PBFTFactory() Factory {
 // checkpoints (§III-D).
 type checkpointer interface{ ForceCheckpoint() }
 
-// pendinger exposes the queued-request count (used by no-op filling).
-type pendinger interface{ Pending() int }
-
-// partialProposer is the optional capability of a BCA primary to propose
-// its queued requests before they fill a batch (used by no-op filling).
-type partialProposer interface{ ProposePending() bool }
-
-// rangeSkipper is the optional capability of a BCA to void all rounds below
-// a target that hold no agreed proposal (used by handleStop). The skip must
-// cost O(materialized rounds), not O(range width): restart penalties can
-// span arbitrarily many rounds.
-type rangeSkipper interface{ SkipTo(types.Round) }
-
 // instState tracks one concurrent instance at this replica.
 type instState struct {
 	id      types.InstanceID
@@ -656,8 +643,8 @@ func (r *Replica) maybeNoOpFill() {
 		return
 	}
 	for st.inst.NextProposeRound() <= r.maxDecided {
-		if p, ok := st.inst.(pendinger); ok && p.Pending() > 0 {
-			if pp, ok := st.inst.(partialProposer); !ok || !pp.ProposePending() {
+		if st.inst.Pending() > 0 {
+			if !st.inst.ProposePending() {
 				return
 			}
 			continue

@@ -120,13 +120,6 @@ type StateSyncOptions struct {
 	AttestScheme *crypto.ThresholdScheme
 }
 
-// ExecOptions groups the execution-engine tunables.
-type ExecOptions struct {
-	// Workers bounds the conflict-aware executor's concurrency per batch
-	// (0 = GOMAXPROCS, 1 = serial; see exec.Options.Workers).
-	Workers int
-}
-
 // Config parameterizes one replica process.
 type Config struct {
 	// ID is the local replica.
@@ -156,8 +149,6 @@ type Config struct {
 	// Flight tunes the flight recorder's watchdog, fsync-stall detector,
 	// and crash-safe disk mirror (the recorder itself lives in Metrics).
 	Flight FlightOptions
-	// Exec tunes the conflict-aware parallel execution engine.
-	Exec ExecOptions
 	// QueueDepth bounds the inbound event queue (default 4096).
 	QueueDepth int
 	// ReplyToClients answers the clients of executed batches.
@@ -283,7 +274,7 @@ func New(cfg Config) (*Replica, error) {
 		r.durable = dl
 		r.log = dl.Memory()
 		journal = durableJournal{r}
-		r.engine = exec.NewEngineOpts(cfg.App, journal, exec.Options{Workers: cfg.Exec.Workers})
+		r.engine = exec.NewEngine(cfg.App, journal)
 		r.engine.SetMetrics(cfg.Metrics)
 		r.engine.Restore(txns)
 		r.initStateSync()
@@ -294,7 +285,7 @@ func New(cfg Config) (*Replica, error) {
 		r.log = ledger.New()
 		journal = exec.MemJournal{Ledger: r.log}
 	}
-	r.engine = exec.NewEngineOpts(cfg.App, journal, exec.Options{Workers: cfg.Exec.Workers})
+	r.engine = exec.NewEngine(cfg.App, journal)
 	r.engine.SetMetrics(cfg.Metrics)
 	r.registerMetrics()
 	return r, nil
@@ -855,9 +846,6 @@ func (r *Replica) Stop() {
 		r.timers.Unlock()
 	})
 	r.wg.Wait()
-	// The event loop has exited, so no batch is in flight: the execution
-	// engine's worker pool can wind down.
-	r.engine.Close()
 	// The state-transfer manager stops before the store closes: an
 	// in-flight transfer aborts (installs are atomic, nothing partial
 	// remains) and no serve request can touch a closing store.
@@ -895,7 +883,6 @@ func (r *Replica) Kill() {
 		r.timers.Unlock()
 	})
 	r.wg.Wait()
-	r.engine.Close()
 	if r.sync != nil {
 		r.sync.Stop()
 	}

@@ -321,8 +321,17 @@ func (s *Instance) AdoptDecision(d sm.Decision) {
 	s.tryDeliver()
 }
 
-// Pending returns the number of queued client transactions.
+// Pending implements sm.Instance.
 func (s *Instance) Pending() int { return len(s.pending) }
+
+// ProposePending implements sm.Instance.
+func (s *Instance) ProposePending() bool {
+	if s.halted || !s.IsPrimary() || s.inFlight() >= s.cfg.Window {
+		return false
+	}
+	txns := s.takeBatch(s.cfg.BatchSize)
+	return len(txns) > 0 && s.Propose(&types.Batch{Txns: txns})
+}
 
 // OnMessage implements sm.Machine.
 func (s *Instance) OnMessage(from sm.Source, m types.Message) {

@@ -86,9 +86,8 @@ type Env interface {
 	SendClient(c types.ClientID, m types.Message)
 
 	// Deliver reports a decision ready for ordering/execution. Decisions
-	// are delivered in the unified order; how the runtime executes each
-	// batch (serially or on internal/exec's conflict-aware worker pool)
-	// is invisible here — execution is deterministic either way.
+	// are delivered in the unified order, and the runtime executes each
+	// batch in that order.
 	Deliver(d Decision)
 
 	// SetTimer arms (or re-arms) timer id to fire after d.
@@ -138,6 +137,14 @@ type Instance interface {
 	// NextProposeRound returns the round the primary would propose next.
 	NextProposeRound() types.Round
 
+	// Pending returns the number of queued client transactions.
+	Pending() int
+	// ProposePending proposes up to one batch of the queued requests now,
+	// full or not (RCC's partial batches, §III-E). It reports whether a
+	// batch was proposed: only the primary, not halted and with room in
+	// its window, proposes.
+	ProposePending() bool
+
 	// Halt stops participation (recovery step, Fig. 4 line 2).
 	Halt()
 	// Halted reports whether the instance is halted.
@@ -145,6 +152,11 @@ type Instance interface {
 	// ResumeAt re-enables the instance with round as the next valid
 	// round number (Fig. 4 line 12).
 	ResumeAt(round types.Round)
+	// SkipTo voids every round below target that holds no agreed
+	// proposal (stop(i; E), Fig. 4). The cost must be O(materialized
+	// rounds), not O(range width): restart penalties can span
+	// arbitrarily many rounds.
+	SkipTo(target types.Round)
 
 	// StateForRecovery returns the accepted proposals that form the
 	// FAILURE message state P in accordance with Assumption A3.

@@ -64,27 +64,13 @@ type View uint64
 // Round numbers consensus rounds (sequence numbers) within an instance.
 type Round uint64
 
-// StateKey identifies one unit of application state for conflict
-// detection: two transactions conflict exactly when their key sets
-// intersect (see exec.Application). Applications map their own state
-// identifiers onto StateKey — YCSB uses record indices directly, the bank
-// hashes account names with KeyBytes. Collisions are safe: they can only
-// merge two non-conflicting transactions into one serialized group, never
-// split a real conflict.
+// StateKey identifies one unit of application state. Only
+// ycsb.Store.Keys returns it, for the benchmark module's traced app; the
+// bank hashes account names onto it with KeyString to pick a lock shard.
 type StateKey uint64
 
-// KeyBytes maps an application state identifier onto a StateKey with
-// FNV-1a (deterministic across replicas, allocation-free).
-func KeyBytes(b []byte) StateKey {
-	var h uint64 = 14695981039346656037
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return StateKey(h)
-}
-
-// KeyString is KeyBytes for a string identifier.
+// KeyString maps a string identifier onto a StateKey with FNV-1a
+// (deterministic across replicas, allocation-free).
 func KeyString(s string) StateKey {
 	var h uint64 = 14695981039346656037
 	for i := 0; i < len(s); i++ {

@@ -53,10 +53,8 @@ func DecodeOp(op []byte) (code byte, key uint32, value []byte, err error) {
 
 // Store is the YCSB table: a deterministic key/value application.
 // It implements exec.Application. Each transaction touches exactly one
-// record — its conflict StateKey is the record index — so transactions on
-// distinct records commute: concurrent Execute calls write disjoint slice
-// slots and the operation counters/state accumulator are atomic (wrapping
-// adds commute, so the totals are schedule-independent).
+// record. The operation counters are atomic, so Reads and Writes may be
+// read while a batch executes.
 type Store struct {
 	records  []uint64 // fingerprint of the value for each key (compact state)
 	writes   atomic.Uint64
@@ -84,23 +82,22 @@ func (s *Store) Len() int { return len(s.records) }
 func (s *Store) Reads() uint64  { return s.reads.Load() }
 func (s *Store) Writes() uint64 { return s.writes.Load() }
 
-// Keys declares a transaction's conflict footprint: the single record it
-// reads or writes (reads conflict with writes to the same record — the
-// read result depends on order). Malformed and unknown-opcode payloads
-// execute statelessly (result 0xff), so they declare an empty footprint.
+// Keys appends the one record tx reads or writes. Malformed and
+// unknown-opcode payloads execute statelessly (result 0xff), so they
+// append nothing. The engine does not call it; it stays only because the
+// benchmark module's traced app does.
 func (s *Store) Keys(tx types.Transaction, buf []types.StateKey) ([]types.StateKey, bool) {
 	if tx.IsNoOp() {
 		return buf, true
 	}
 	code, key, _, err := DecodeOp(tx.Op)
 	if err != nil || len(s.records) == 0 || (code != OpRead && code != OpWrite) {
-		return buf, true // stateless rejection: conflicts with nothing
+		return buf, true // stateless rejection
 	}
 	return append(buf, types.StateKey(int(key)%len(s.records))), true
 }
 
-// Execute applies one YCSB transaction deterministically. Concurrent calls
-// are safe for transactions on distinct records.
+// Execute applies one YCSB transaction deterministically.
 func (s *Store) Execute(tx types.Transaction) []byte {
 	if tx.IsNoOp() {
 		return nil

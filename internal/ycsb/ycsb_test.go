@@ -138,3 +138,16 @@ func TestExecuteRejectsGarbage(t *testing.T) {
 		t.Fatal("noop produced output")
 	}
 }
+
+// TestNoOpFootprintsAreEmpty pins Keys' contract: no-ops and malformed
+// payloads execute statelessly, so they declare an empty footprint.
+func TestNoOpFootprintsAreEmpty(t *testing.T) {
+	s := NewStore(16)
+	if keys, ok := s.Keys(types.NoOp(), nil); !ok || len(keys) != 0 {
+		t.Fatalf("no-op footprint = %v, %v; want empty, true", keys, ok)
+	}
+	bad := types.Transaction{Client: 1, Seq: 1, Op: []byte{0xde}}
+	if keys, ok := s.Keys(bad, nil); !ok || len(keys) != 0 {
+		t.Fatalf("malformed footprint = %v, %v; want empty, true", keys, ok)
+	}
+}

@@ -284,8 +284,17 @@ func (z *Instance) AdoptDecision(d sm.Decision) {
 	z.tryDeliver()
 }
 
-// Pending returns the number of queued client transactions.
+// Pending implements sm.Instance.
 func (z *Instance) Pending() int { return len(z.pending) }
+
+// ProposePending implements sm.Instance.
+func (z *Instance) ProposePending() bool {
+	if z.halted || !z.IsPrimary() || z.inFlight() >= z.cfg.Window {
+		return false
+	}
+	txns := z.takeBatch(z.cfg.BatchSize)
+	return len(txns) > 0 && z.Propose(&types.Batch{Txns: txns})
+}
 
 // OnMessage implements sm.Machine.
 func (z *Instance) OnMessage(from sm.Source, m types.Message) {

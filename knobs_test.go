@@ -8,7 +8,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/mirbft"
 	"repro/internal/runtime"
 	"repro/internal/sbft"
@@ -39,8 +38,6 @@ var knobCensus = []struct {
 		"AttestScheme", "Flight"}},
 	{runtime.StateSyncOptions{}, []string{"Enabled", "OfferWait", "Retry", "SteadyProbe", "AttestScheme"}},
 	{runtime.FlightOptions{}, []string{"MirrorInterval"}},
-	{runtime.ExecOptions{}, []string{"Workers"}},
-	{exec.Options{}, []string{"Workers"}},
 	{runtime.JournalOptions{}, []string{"Sync", "Async", "SnapshotEvery", "PruneWAL", "Failpoints"}},
 	{store.Options{}, []string{"Sync", "AsyncQueueDepth", "AsyncOnCommit", "Identity", "PruneWAL", "Failpoints"}},
 	{core.Options{}, []string{"N", "Protocol", "BatchSize", "Window", "ProgressTimeout", "App", "Journal",

@@ -36,7 +36,7 @@ func TestOverheadGate(t *testing.T) {
 			"BenchmarkObsOverhead/vote-broadcast/nop":  1000,
 			"BenchmarkObsOverhead/vote-broadcast/live": tc.live,
 		})
-		failures := gateRun(cur, pairGates(0.05, 0))
+		failures := gateRun(cur, pairGates(0.05))
 		switch {
 		case tc.want == "" && len(failures) != 0:
 			t.Errorf("live %.0f vs nop 1000: want pass, got %q", tc.live, failures)
@@ -46,43 +46,29 @@ func TestOverheadGate(t *testing.T) {
 	}
 }
 
-func TestSpeedupGate(t *testing.T) {
-	cur := summary(map[string]float64{
-		"BenchmarkParallelExec/ycsb/conflict=0/serial":   3000,
-		"BenchmarkParallelExec/ycsb/conflict=0/parallel": 2000,
-	})
-	failures := gateRun(cur, pairGates(0, 2))
-	if len(failures) != 1 || !strings.Contains(failures[0], "parallel is only 1.50x serial") {
-		t.Errorf("1.5x against a 2x floor: got %q", failures)
-	}
-	if failures := gateRun(cur, pairGates(0, 1.4)); len(failures) != 0 {
-		t.Errorf("1.5x against a 1.4x floor: got %q", failures)
-	}
-}
-
 func TestPairGateWithoutSiblingFails(t *testing.T) {
-	cur := summary(map[string]float64{"BenchmarkParallelExec/ycsb/conflict=0/parallel": 2000})
-	failures := gateRun(cur, pairGates(0, 2))
-	if len(failures) != 1 || !strings.Contains(failures[0], "no serial/parallel benchmark pairs") {
+	cur := summary(map[string]float64{"BenchmarkObsOverhead/vote-broadcast/live": 2000})
+	failures := gateRun(cur, pairGates(0.05))
+	if len(failures) != 1 || !strings.Contains(failures[0], "no nop/live benchmark pairs") {
 		t.Errorf("fast row without its slow sibling: got %q", failures)
 	}
 }
 
 func TestZeroFlagDisablesGate(t *testing.T) {
-	if gates := pairGates(0, 0); len(gates) != 0 {
+	if gates := pairGates(0); len(gates) != 0 {
 		t.Fatalf("all flags 0: got gates %+v", gates)
 	}
-	if gates := pairGates(0.05, 2); len(gates) != 2 {
-		t.Fatalf("all flags set: got %d gates, want 2", len(gates))
+	if gates := pairGates(0.05); len(gates) != 1 {
+		t.Fatalf("all flags set: got %d gates, want 1", len(gates))
 	}
 	cur := summary(map[string]float64{
 		"BenchmarkFlightRecord/vote-broadcast/nop":  1000,
 		"BenchmarkFlightRecord/vote-broadcast/live": 2000,
 	})
-	if failures := gateRun(cur, pairGates(0, 0)); len(failures) != 0 {
+	if failures := gateRun(cur, pairGates(0)); len(failures) != 0 {
 		t.Errorf("-max-overhead 0 with live at 2x nop: got %q", failures)
 	}
-	if failures := gateRun(cur, pairGates(0.05, 0)); len(failures) != 1 {
+	if failures := gateRun(cur, pairGates(0.05)); len(failures) != 1 {
 		t.Errorf("-max-overhead 0.05 with live at 2x nop: got %q", failures)
 	}
 }
