@@ -3,8 +3,8 @@
 // (Gupta, Hellings, Sadoghi — ICDE 2021).
 //
 // The public API lives in internal/core (cluster assembly), the paradigm in
-// internal/rcc, its instance protocols in internal/{pbft,zyzzyva,sbft}, the
-// Mir-BFT comparator in internal/mirbft, and the experiment harness in
+// internal/rcc, its instance protocol (and coordinating consensus) in
+// internal/pbft, the Mir-BFT comparator in internal/mirbft, and the experiment harness in
 // internal/bench plus cmd/rccbench. See README.md for the package tour, the
 // subsystem overviews, and how to run rccnode/rccclient/rccbench.
 //
@@ -40,7 +40,7 @@
 // feed dedicated writer goroutines that encode messages through the
 // registry-based binary codec in internal/types (explicit MsgType tag,
 // per-type Marshal/Unmarshal, pooled buffers; replaces per-message gob),
-// coalesce bursts into multi-message frames (wire format v6, one write
+// coalesce bursts into multi-message frames (wire format v7, one write
 // syscall and one authenticator tag per burst), and redial failed peers with exponential backoff.
 // Replica links backpressure on overflow while the peer is healthy and
 // drop (counted) while it is down; client links always drop on overflow,

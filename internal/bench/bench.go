@@ -261,7 +261,8 @@ func Fig8h() *Table {
 // Fig. 9 — RCC as a paradigm
 // ---------------------------------------------------------------------------
 
-// Fig9 evaluates RCC-P, RCC-Z, and RCC-S (m = n, no failures).
+// Fig9 evaluates RCC-P, RCC-Z, and RCC-S (m = n, no failures) in the flow
+// model only: the program runs RCC-P alone.
 func Fig9() *Table {
 	t := &Table{
 		ID:     "fig9",

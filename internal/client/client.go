@@ -12,8 +12,8 @@
 // at the next Flush, and the only timer is the per-transaction retry timer,
 // armed when the transaction leaves.
 //
-// Replies: every deployment (PBFT, Mir-BFT, and RCC over PBFT, Zyzzyva or
-// SBFT instances) answers clients after execution, and a client accepts a
+// Replies: every deployment (PBFT, Mir-BFT, and RCC over PBFT instances)
+// answers clients after execution, and a client accepts a
 // result once f+1 replicas report the identical outcome (one of them must
 // be non-faulty). Replicas answer with one reply per (client, decided
 // batch) that lists every seq of the client the batch carried — the

@@ -30,26 +30,22 @@ import (
 	"repro/internal/quorum"
 	"repro/internal/rcc"
 	"repro/internal/runtime"
-	"repro/internal/sbft"
 	"repro/internal/sm"
 	"repro/internal/transport"
 	"repro/internal/types"
 	"repro/internal/ycsb"
-	"repro/internal/zyzzyva"
 )
 
 // Protocol selects the consensus protocol of a deployment.
 type Protocol string
 
-// Supported protocols. RCC, RCCZyzzyva, and RCCSBFT are the paper's RCC-P,
-// RCC-Z, and RCC-S paradigm variants (Fig. 9); PBFT is RCC's coordinating
-// consensus run on its own, and MirBFT is the Fig. 10 comparator.
+// Supported protocols. RCC is the paper's RCC-P: m concurrent PBFT
+// instances unified per round. PBFT is RCC's coordinating consensus run on
+// its own, and MirBFT is the Fig. 10 comparator.
 const (
-	RCC        Protocol = "rcc"
-	RCCZyzzyva Protocol = "rcc-z"
-	RCCSBFT    Protocol = "rcc-s"
-	PBFT       Protocol = "pbft"
-	MirBFT     Protocol = "mirbft"
+	RCC    Protocol = "rcc"
+	PBFT   Protocol = "pbft"
+	MirBFT Protocol = "mirbft"
 )
 
 // Options configures a cluster.
@@ -120,31 +116,14 @@ func (o *Options) defaults() error {
 // machine builds the consensus machine for one replica.
 func (o *Options) machine() (sm.Machine, error) {
 	switch o.Protocol {
-	case RCC, RCCZyzzyva, RCCSBFT:
-		cfg := rcc.Config{
+	case RCC:
+		return rcc.New(rcc.Config{
 			BatchSize:             o.BatchSize,
 			Window:                o.Window,
 			ProgressTimeout:       o.ProgressTimeout,
 			UnpredictableOrdering: o.UnpredictableOrdering,
 			Metrics:               o.Metrics,
-		}
-		switch o.Protocol {
-		case RCCZyzzyva:
-			cfg.NewInstance = func(ic rcc.InstanceConfig) sm.Instance {
-				return zyzzyva.New(zyzzyva.Config{
-					Instance: ic.Instance, Primary: ic.Primary,
-					Window: ic.Window, BatchSize: ic.BatchSize, ProgressTimeout: ic.ProgressTimeout,
-				})
-			}
-		case RCCSBFT:
-			cfg.NewInstance = func(ic rcc.InstanceConfig) sm.Instance {
-				return sbft.New(sbft.Config{
-					Instance: ic.Instance, Primary: ic.Primary,
-					Window: ic.Window, BatchSize: ic.BatchSize, ProgressTimeout: ic.ProgressTimeout,
-				})
-			}
-		}
-		return rcc.New(cfg), nil
+		}), nil
 	case PBFT:
 		return pbft.New(pbft.Config{
 			BatchSize: o.BatchSize, Window: o.Window, ProgressTimeout: o.ProgressTimeout,

@@ -8,7 +8,6 @@ import (
 	"repro/internal/bank"
 	"repro/internal/exec"
 	"repro/internal/rcc"
-	"repro/internal/types"
 	"repro/internal/ycsb"
 )
 
@@ -42,12 +41,9 @@ func TestQuickstartRCC(t *testing.T) {
 	}
 }
 
-// Every protocol executes a transaction, and the three RCC variants answer
-// the same operation on a fresh cluster with the same executed result: the
-// instance protocol decides order, not what the client is told.
+// Every protocol executes a transaction.
 func TestAllProtocolsExecuteTransactions(t *testing.T) {
-	results := make(map[Protocol]types.Digest)
-	for _, proto := range []Protocol{RCC, RCCZyzzyva, RCCSBFT, PBFT, MirBFT} {
+	for _, proto := range []Protocol{RCC, PBFT, MirBFT} {
 		t.Run(string(proto), func(t *testing.T) {
 			cluster, err := NewCluster(Options{N: 4, Protocol: proto})
 			if err != nil {
@@ -56,18 +52,10 @@ func TestAllProtocolsExecuteTransactions(t *testing.T) {
 			defer cluster.Stop()
 			cluster.Start()
 			cl := cluster.NewClient(0)
-			comp, err := cl.Execute(ycsb.EncodeWrite(7, []byte("x")), 10*time.Second)
-			if err != nil {
+			if _, err := cl.Execute(ycsb.EncodeWrite(7, []byte("x")), 10*time.Second); err != nil {
 				t.Fatal(err)
 			}
-			results[proto] = comp.Result
 		})
-	}
-	want, ok := results[RCC]
-	for _, proto := range []Protocol{RCCZyzzyva, RCCSBFT} {
-		if got, done := results[proto]; ok && done && got != want {
-			t.Errorf("%s answered result %x, rcc answered %x", proto, got[:4], want[:4])
-		}
 	}
 }
 
@@ -129,8 +117,12 @@ func TestInvalidOptions(t *testing.T) {
 	if _, err := NewCluster(Options{N: 3}); err == nil {
 		t.Fatal("accepted n=3 (< 4)")
 	}
-	if _, err := NewCluster(Options{N: 4, Protocol: "bogus"}); err == nil {
-		t.Fatal("accepted unknown protocol")
+	// The last two named RCC over Zyzzyva and SBFT instances, which this
+	// build no longer has.
+	for _, proto := range []Protocol{"bogus", "rcc-z", "rcc-s"} {
+		if _, err := NewCluster(Options{N: 4, Protocol: proto}); err == nil {
+			t.Fatalf("accepted unknown protocol %q", proto)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package crypto provides the message-authentication primitives used by the
 // consensus protocols: no authentication (baseline), HMAC-SHA256 message
 // authentication codes (standing in for the paper's CMAC-AES), and ED25519
-// digital signatures, plus a threshold-signature scheme for SBFT and
+// digital signatures, plus a simulated threshold-signature scheme for
 // checkpoint attestation.
 //
 // The live-path implementations are built for line rate: the MAC
@@ -85,13 +85,10 @@ func ParseAuth(scheme, secret string, party uint32) (Authenticator, error) {
 // Simulated per-operation CPU costs. Calibrated so that, with the paper's
 // message mix, DS costs ≈ 86% throughput and MAC ≈ 33% (Fig. 7 right).
 const (
-	CostMACGen     = 2 * time.Microsecond
-	CostMACVerify  = 2 * time.Microsecond
-	CostDSSign     = 55 * time.Microsecond
-	CostDSVerify   = 130 * time.Microsecond
-	CostShareGen   = 60 * time.Microsecond  // threshold share
-	CostCombine    = 150 * time.Microsecond // combine nf shares
-	CostThreshVrfy = 140 * time.Microsecond // verify combined signature
+	CostMACGen    = 2 * time.Microsecond
+	CostMACVerify = 2 * time.Microsecond
+	CostDSSign    = 55 * time.Microsecond
+	CostDSVerify  = 130 * time.Microsecond
 )
 
 // SignCost returns the simulated CPU time to authenticate one outgoing

@@ -9,25 +9,21 @@ import (
 	"sync"
 )
 
-// ThresholdScheme is an (t, n) threshold signature scheme: any t of the n
-// parties can jointly produce a signature verifiable against the group.
+// ThresholdScheme is the interface of a (t, n) threshold signature scheme:
+// t shares from distinct parties combine into one constant-size proof,
+// checked against the signer set. Checkpoint-boundary attestation
+// (internal/statesync) uses it.
 //
-// Real SBFT and HotStuff use BLS threshold signatures. This implementation
-// simulates the interface with HMAC shares combined into a deterministic
-// aggregate: a share is HMAC(k_i, msg), and the combined signature is the
+// This implementation simulates the interface with HMAC shares combined into
+// a deterministic aggregate: a share is HMAC(k_i, msg), where the share key
+// k_i is derived from the group secret, and the combined signature is the
 // hash of the t lexicographically-smallest signer IDs with their shares.
-// The simulation preserves exactly the properties the protocols rely on:
 //
-//   - a share can only be produced by a party holding its share key,
-//   - t valid shares from distinct parties combine into one constant-size
-//     proof,
-//   - the proof is verifiable by anyone holding the group key and the
-//     signer set.
-//
-// It does NOT provide signer anonymity or non-interactive public
-// verification against a single group public key; the simulators charge
-// BLS-style CPU costs (CostShareGen, CostCombine, CostThreshVrfy) so the
-// performance model matches the real primitive.
+// It is not a threshold signature. Every party holds the group secret, so any
+// one party can derive every share key and produce any share and any
+// combined proof: a proof shows that t parties signed only when no holder of
+// the group secret lies. It also offers no signer anonymity and no
+// verification against a single group public key.
 type ThresholdScheme struct {
 	n         int
 	threshold int

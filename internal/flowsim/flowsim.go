@@ -4,8 +4,8 @@
 // per-round byte, CPU, and execution costs against per-replica resource
 // budgets and solves for the steady-state throughput — which makes n = 91
 // sweeps instantaneous and is how the Fig. 7/8/9 series are regenerated.
-// Its standalone Zyzzyva, SBFT and HotStuff rows are model-only: the program
-// runs Zyzzyva and SBFT only as RCC instances, and HotStuff not at all.
+// Its Zyzzyva, SBFT and HotStuff rows, standalone or as RCC-Z and RCC-S
+// instances, are model-only: they model code the program does not run.
 //
 // The model follows the paper's own analysis:
 //

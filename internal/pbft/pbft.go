@@ -167,7 +167,10 @@ func voters(m map[types.Digest]map[types.ReplicaID]struct{}, d types.Digest) []t
 	return out
 }
 
-// Instance is one PBFT machine. It implements sm.Instance.
+// Instance is one PBFT machine: standalone, an RCC coordinating consensus,
+// or one of RCC's concurrent instances (FixedPrimary), for which it offers
+// the hooks of RCC's wait-free recovery (Halt, ResumeAt, SkipTo,
+// StateForRecovery, AdoptDecision).
 type Instance struct {
 	cfg Config
 	env sm.Env
@@ -241,8 +244,6 @@ type queuedTx struct {
 	at time.Duration
 }
 
-var _ sm.Instance = (*Instance)(nil)
-
 // New creates a PBFT instance.
 func New(cfg Config) *Instance {
 	cfg.defaults()
@@ -313,8 +314,10 @@ func (p *Instance) mayPropose() bool {
 	return !p.halted && !p.inViewChange && p.IsPrimary() && p.inFlight() < p.cfg.Window
 }
 
-// Propose implements sm.Instance: the primary assigns the next round to
-// batch and broadcasts a PREPREPARE.
+// Propose has the primary assign the next round to batch and broadcast a
+// PREPREPARE. It returns false when the local replica is not the primary,
+// when the instance is halted or in a view change, or when the out-of-order
+// window is full.
 func (p *Instance) Propose(batch *types.Batch) bool {
 	if !p.mayPropose() {
 		return false
@@ -334,7 +337,7 @@ func (p *Instance) Propose(batch *types.Batch) bool {
 	return true
 }
 
-// NextProposeRound implements sm.Instance.
+// NextProposeRound returns the round the primary would propose next.
 func (p *Instance) NextProposeRound() types.Round {
 	if p.next < p.resumeFloor {
 		return p.resumeFloor
@@ -342,28 +345,17 @@ func (p *Instance) NextProposeRound() types.Round {
 	return p.next
 }
 
-// LastAccepted implements sm.Instance.
-func (p *Instance) LastAccepted() (types.Round, bool) {
-	var max types.Round
-	found := false
-	for r, rd := range p.rounds {
-		if rd.committed && r > max {
-			max, found = r, true
-		}
-	}
-	return max, found
-}
-
-// Halt implements sm.Instance.
+// Halt stops participation (RCC recovery, Fig. 4 line 2).
 func (p *Instance) Halt() {
 	p.halted = true
 	p.disarmTimer()
 }
 
-// Halted implements sm.Instance.
+// Halted reports whether the instance is halted.
 func (p *Instance) Halted() bool { return p.halted }
 
-// ResumeAt implements sm.Instance. Rounds below r that are neither adopted
+// ResumeAt re-enables the instance with r as the next valid round (Fig. 4
+// line 12). Rounds below r that are neither adopted
 // (AdoptDecision) nor voided (SkipTo) by the recovery layer keep delivery
 // parked; RCC's handleStop covers every such round before calling ResumeAt.
 func (p *Instance) ResumeAt(r types.Round) {
@@ -467,8 +459,8 @@ func (p *Instance) requeueVoided(b *types.Batch, queued map[txKey]struct{}) {
 	}
 }
 
-// StateForRecovery implements sm.Instance (Assumption A3): the accepted and
-// prepared proposals of this replica.
+// StateForRecovery returns the accepted and prepared proposals of this
+// replica: the state P of its FAILURE messages (Assumption A3).
 func (p *Instance) StateForRecovery() []types.AcceptedProposal {
 	out := make([]types.AcceptedProposal, 0, len(p.rounds))
 	for r, rd := range p.rounds {
@@ -485,8 +477,9 @@ func (p *Instance) StateForRecovery() []types.AcceptedProposal {
 	return out
 }
 
-// AdoptDecision implements sm.Instance: installs a decision recovered by
-// RCC recovery or a checkpoint without re-running the commit phases.
+// AdoptDecision installs a decision recovered by RCC recovery or a
+// checkpoint without re-running the commit phases. Adopting an
+// already-committed round is a no-op.
 func (p *Instance) AdoptDecision(d sm.Decision) {
 	rd := p.getRound(d.Round)
 	if rd.committed {
@@ -504,7 +497,7 @@ func (p *Instance) AdoptDecision(d sm.Decision) {
 	p.tryDeliver()
 }
 
-// Pending implements sm.Instance.
+// Pending returns the number of queued client transactions.
 func (p *Instance) Pending() int { return len(p.pending) }
 
 // OnMessage implements sm.Machine.
@@ -628,7 +621,9 @@ func (p *Instance) cut() bool {
 	return true
 }
 
-// ProposePending implements sm.Instance.
+// ProposePending proposes up to one batch of the queued requests now, full
+// or not (RCC's partial batches, §III-E). It reports whether a batch was
+// proposed.
 func (p *Instance) ProposePending() bool {
 	return len(p.pending) > 0 && p.mayPropose() && p.cut()
 }

@@ -321,8 +321,8 @@ func TestAdoptDecisionIdempotent(t *testing.T) {
 	d := sm.Decision{Instance: 0, Round: 1, Digest: b.Digest(), Batch: b}
 	insts[1].AdoptDecision(d)
 	insts[1].AdoptDecision(d)
-	if last, ok := insts[1].LastAccepted(); !ok || last != 1 {
-		t.Fatalf("LastAccepted = (%d,%v), want (1,true)", last, ok)
+	if rd := insts[1].rounds[1]; len(insts[1].rounds) != 1 || rd == nil || !rd.committed {
+		t.Fatalf("rounds = %v, want round 1 committed and nothing else", insts[1].rounds)
 	}
 	if insts[1].NextProposeRound() != 2 {
 		t.Fatalf("NextProposeRound = %d, want 2", insts[1].NextProposeRound())

@@ -5,7 +5,8 @@
 // wait-free (§III-C, Fig. 4), running dynamic per-need checkpoints against
 // in-the-dark attacks (§III-D), managing client-to-instance assignment
 // (§III-E), and executing each round's transactions in a deterministic but
-// unpredictable permutation to mitigate ordering attacks (§IV).
+// unpredictable permutation to mitigate ordering attacks (§IV). This
+// package builds RCC-P: every instance is a PBFT instance.
 package rcc
 
 import (

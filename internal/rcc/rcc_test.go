@@ -5,11 +5,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/sbft"
 	"repro/internal/simnet"
 	"repro/internal/sm"
 	"repro/internal/types"
-	"repro/internal/zyzzyva"
 )
 
 // cluster builds an n-replica simnet running RCC.
@@ -168,38 +166,23 @@ func TestNoOpFillCompletesRounds(t *testing.T) {
 // round it proposes next, instead of waiting out the 50 ms batch timeout:
 // an instance left one round behind would otherwise stay behind under even
 // load, and every request of the instances ahead would wait a batch fill.
-// It holds for every BCA RCC runs: RCC-P, RCC-Z and RCC-S.
+// The subtest is named for the instance protocol, PBFT (RCC-P).
 func TestPartialBatchJoinsDecidedRound(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		inst Factory
-	}{
-		{"pbft", PBFTFactory()},
-		{"zyzzyva", func(ic InstanceConfig) sm.Instance {
-			return zyzzyva.New(zyzzyva.Config{Instance: ic.Instance, Primary: ic.Primary,
-				Window: ic.Window, BatchSize: ic.BatchSize, ProgressTimeout: ic.ProgressTimeout})
-		}},
-		{"sbft", func(ic InstanceConfig) sm.Instance {
-			return sbft.New(sbft.Config{Instance: ic.Instance, Primary: ic.Primary,
-				Window: ic.Window, BatchSize: ic.BatchSize, ProgressTimeout: ic.ProgressTimeout})
-		}},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			n := 4
-			net, _ := cluster(t, n, Config{BatchSize: 4, NewInstance: c.inst}, simnet.Config{})
-			for s := uint64(1); s <= 4; s++ {
-				inject(net, n, mkTx(1, s)) // a full batch on instance 1
+	t.Run("pbft", func(t *testing.T) {
+		n := 4
+		net, _ := cluster(t, n, Config{BatchSize: 4}, simnet.Config{})
+		for s := uint64(1); s <= 4; s++ {
+			inject(net, n, mkTx(1, s)) // a full batch on instance 1
+		}
+		inject(net, n, mkTx(2, 1)) // one request short of a batch on instance 2
+		net.Run(25 * time.Millisecond)
+		for i := 0; i < n; i++ {
+			if txns := realTxns(net.Node(types.ReplicaID(i)).Decisions()); len(txns) != 5 {
+				t.Fatalf("replica %d delivered %d real txns by 25ms, want 5", i, len(txns))
 			}
-			inject(net, n, mkTx(2, 1)) // one request short of a batch on instance 2
-			net.Run(25 * time.Millisecond)
-			for i := 0; i < n; i++ {
-				if txns := realTxns(net.Node(types.ReplicaID(i)).Decisions()); len(txns) != 5 {
-					t.Fatalf("replica %d delivered %d real txns by 25ms, want 5", i, len(txns))
-				}
-			}
-			sameOrder(t, net, allIDs(n))
-		})
-	}
+		}
+		sameOrder(t, net, allIDs(n))
+	})
 }
 
 func TestSustainedThroughputAllInstances(t *testing.T) {

@@ -105,10 +105,8 @@ func (r *Replica) onFailure(from sm.Source, m *types.Failure) {
 	// confirmed failure will ever form), the f+1 honest responses let it
 	// adopt the missed proposals (§III-D).
 	if !st.suspected && st.lastDec >= m.Round && m.Round > st.ckpForced {
-		if ckp, ok := st.inst.(checkpointer); ok {
-			st.ckpForced = st.lastDec
-			ckp.ForceCheckpoint()
-		}
+		st.ckpForced = st.lastDec
+		st.inst.ForceCheckpoint()
 	}
 	// f+1 distinct claims: at least one is from a non-faulty replica,
 	// so detect the failure ourselves (Fig. 4 line 5).
@@ -312,9 +310,7 @@ func (r *Replica) maybeDynamicCheckpoint(round types.Round) {
 		}
 	}
 	for _, st := range r.states {
-		if ckp, ok := st.inst.(checkpointer); ok {
-			ckp.ForceCheckpoint()
-		}
+		st.inst.ForceCheckpoint()
 	}
 	// A checkpoint everyone can agree on is also the cheapest durable
 	// recovery point: runtimes with a snapshot store persist the

@@ -10,23 +10,6 @@ import (
 	"repro/internal/types"
 )
 
-// Factory creates one BCA instance; it is how RCC acts as a paradigm
-// (design goal D3): supply a PBFT, Zyzzyva, or SBFT factory to obtain
-// RCC-P, RCC-Z, or RCC-S.
-type Factory func(cfg InstanceConfig) sm.Instance
-
-// InstanceConfig parameterizes one concurrent BCA instance.
-type InstanceConfig struct {
-	Instance        types.InstanceID
-	Primary         types.ReplicaID
-	Window          int
-	BatchSize       int
-	ProgressTimeout time.Duration
-	// Metrics is the replica's instrument catalog; factories whose BCA
-	// supports instrumentation forward it (nil disables).
-	Metrics *obs.NodeMetrics
-}
-
 // Config parameterizes an RCC replica.
 type Config struct {
 	// M is the number of concurrent instances (1 ≤ m ≤ n); 0 means n.
@@ -50,8 +33,6 @@ type Config struct {
 	UnpredictableOrdering bool
 	// DisableNoOpFill turns off no-op filling (§III-E) for tests.
 	DisableNoOpFill bool
-	// NewInstance creates the underlying BCA; nil selects PBFT.
-	NewInstance Factory
 	// Metrics receives unification counters, the unify-stage latency
 	// histogram, and lifecycle trace stamps, and is forwarded to each
 	// BCA instance. Nil disables instrumentation.
@@ -77,37 +58,14 @@ func (c *Config) defaults(n int) {
 	if c.Sigma <= 0 {
 		c.Sigma = 16
 	}
-	if c.NewInstance == nil {
-		c.NewInstance = PBFTFactory()
-	}
 }
-
-// PBFTFactory returns a Factory producing PBFT instances in RCC mode
-// (fixed primary, no view changes).
-func PBFTFactory() Factory {
-	return func(cfg InstanceConfig) sm.Instance {
-		return pbft.New(pbft.Config{
-			Instance:        cfg.Instance,
-			Primary:         cfg.Primary,
-			FixedPrimary:    true,
-			Window:          cfg.Window,
-			BatchSize:       cfg.BatchSize,
-			ProgressTimeout: cfg.ProgressTimeout,
-			Metrics:         cfg.Metrics,
-		})
-	}
-}
-
-// checkpointer is the optional capability RCC uses for dynamic per-need
-// checkpoints (§III-D).
-type checkpointer interface{ ForceCheckpoint() }
 
 // instState tracks one concurrent instance at this replica.
 type instState struct {
 	id      types.InstanceID
 	primary types.ReplicaID
-	inst    sm.Instance
-	coord   *pbft.Instance
+	inst    *pbft.Instance // the BCA instance: PBFT with a fixed primary
+	coord   *pbft.Instance // its coordinating consensus, with view changes
 
 	decided map[types.Round]sm.Decision
 	// decidedAt stamps when each decided round arrived (env.Now), feeding
@@ -139,10 +97,10 @@ type switchSched struct {
 	queued      []*types.ClientRequest
 }
 
-// Replica is the RCC machine of one replica: it hosts m concurrent BCA
-// instances plus their coordinating consensus instances, collects per-round
-// decisions, orders them deterministically, and emits them for execution
-// through its environment's Deliver.
+// Replica is the RCC-P machine of one replica: it hosts m concurrent PBFT
+// instances with fixed primaries plus their coordinating consensus
+// instances, collects per-round decisions, orders them deterministically,
+// and emits them for execution through its environment's Deliver.
 type Replica struct {
 	cfg Config
 	env sm.Env
@@ -203,9 +161,10 @@ func (r *Replica) Start(env sm.Env) {
 		if r.cfg.Metrics != nil {
 			st.decidedAt = make(map[types.Round]time.Duration)
 		}
-		st.inst = r.cfg.NewInstance(InstanceConfig{
+		st.inst = pbft.New(pbft.Config{
 			Instance:        id,
 			Primary:         st.primary,
+			FixedPrimary:    true,
 			Window:          r.cfg.Window,
 			BatchSize:       r.cfg.BatchSize,
 			ProgressTimeout: r.cfg.ProgressTimeout,
@@ -259,9 +218,6 @@ func (r *Replica) OwnInstance() (types.InstanceID, bool) {
 	}
 	return 0, false
 }
-
-// Instance returns the i-th BCA instance (for tests and the runtime).
-func (r *Replica) Instance(i types.InstanceID) sm.Instance { return r.states[i].inst }
 
 // ExecRound returns the next RCC round awaiting ordering/execution.
 func (r *Replica) ExecRound() types.Round { return r.execRound }

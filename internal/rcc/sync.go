@@ -21,9 +21,7 @@ import (
 
 const rccSyncPointV1 = 2 // distinct from the PBFT tag so blobs cannot be confused
 
-// SyncPoint implements sm.StateSyncable. Returns nil when any nested
-// instance cannot serialize its frontier (a non-PBFT factory without
-// support): state transfer is then unavailable for the deployment.
+// SyncPoint implements sm.StateSyncable.
 func (r *Replica) SyncPoint() []byte {
 	buf := make([]byte, 0, 64+64*len(r.states))
 	buf = append(buf, rccSyncPointV1)
@@ -31,14 +29,7 @@ func (r *Replica) SyncPoint() []byte {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(r.maxDecided))
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(r.states)))
 	for _, st := range r.states {
-		inner, ok := st.inst.(sm.StateSyncable)
-		if !ok {
-			return nil
-		}
-		isp := inner.SyncPoint()
-		if isp == nil {
-			return nil
-		}
+		isp := st.inst.SyncPoint()
 		buf = binary.BigEndian.AppendUint64(buf, uint64(st.voidBelow))
 		buf = binary.BigEndian.AppendUint64(buf, uint64(st.lastDec))
 		buf = binary.BigEndian.AppendUint32(buf, uint32(st.stops))
@@ -308,15 +299,11 @@ func parseRCCSyncPoint(data []byte, m int) (*rccSyncState, error) {
 	return st, nil
 }
 
-// validateParsed checks every nested frontier blob against its instance
-// (capability and format) without mutating anything.
+// validateParsed checks every nested frontier blob against its instance's
+// format without mutating anything.
 func (r *Replica) validateParsed(sp *rccSyncState) error {
 	for i, st := range r.states {
-		inner, ok := st.inst.(sm.StateSyncable)
-		if !ok {
-			return fmt.Errorf("rcc: instance %d does not support state transfer", st.id)
-		}
-		if err := inner.ValidateSyncPoint(sp.insts[i].inner); err != nil {
+		if err := st.inst.ValidateSyncPoint(sp.insts[i].inner); err != nil {
 			return fmt.Errorf("rcc: instance %d: %w", st.id, err)
 		}
 		if err := st.coord.ValidateSyncPoint(sp.insts[i].coord); err != nil {
@@ -327,8 +314,7 @@ func (r *Replica) validateParsed(sp *rccSyncState) error {
 }
 
 // ValidateSyncPoint implements sm.StateSyncable: full structural check —
-// envelope, per-instance capability, and every nested frontier blob — with
-// no mutation.
+// envelope and every nested frontier blob — with no mutation.
 func (r *Replica) ValidateSyncPoint(data []byte) error {
 	sp, err := parseRCCSyncPoint(data, len(r.states))
 	if err != nil {
@@ -361,9 +347,7 @@ func (r *Replica) InstallSyncPoint(data []byte) error {
 		}
 	}
 	for _, st := range r.states {
-		if merger, ok := st.inst.(seqMerger); ok {
-			merger.MergeDeliveredSeqs(sp.delivered)
-		}
+		st.inst.MergeDeliveredSeqs(sp.delivered)
 	}
 	if sp.execRound <= r.execRound {
 		return nil // already at or past the install point
@@ -374,10 +358,6 @@ func (r *Replica) InstallSyncPoint(data []byte) error {
 	}
 	for i, st := range r.states {
 		in := &sp.insts[i]
-		inner, ok := st.inst.(sm.StateSyncable)
-		if !ok {
-			return fmt.Errorf("rcc: instance %d does not support state transfer", st.id)
-		}
 		if in.voidBelow > st.voidBelow {
 			st.voidBelow = in.voidBelow
 		}
@@ -402,7 +382,7 @@ func (r *Replica) InstallSyncPoint(data []byte) error {
 			}
 		}
 		r.resetDetection(st, in.startedAt)
-		if err := inner.InstallSyncPoint(in.inner); err != nil {
+		if err := st.inst.InstallSyncPoint(in.inner); err != nil {
 			return fmt.Errorf("rcc: instance %d: %w", st.id, err)
 		}
 		if err := st.coord.InstallSyncPoint(in.coord); err != nil {
@@ -414,19 +394,6 @@ func (r *Replica) InstallSyncPoint(data []byte) error {
 	r.tryExecute()
 	r.maybeNoOpFill()
 	return nil
-}
-
-// seqMerger is the per-instance capability of pushing externally-established
-// delivered sequence numbers into the dedup map (pbft.MergeDeliveredSeqs).
-type seqMerger interface {
-	MergeDeliveredSeqs(map[types.ClientID]uint64)
-}
-
-// boundarySerializer is the per-instance capability of serializing the
-// frontier as it stood when delivery crossed a given round
-// (pbft.BoundarySyncPointAt).
-type boundarySerializer interface {
-	BoundarySyncPointAt(types.Round) []byte
 }
 
 // BoundarySyncPoint implements sm.BoundarySyncable: the frontier as it
@@ -448,11 +415,7 @@ func (r *Replica) BoundarySyncPoint() []byte {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(r.execRound-1)) // maxDecided, normalized
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(r.states)))
 	for _, st := range r.states {
-		inner, ok := st.inst.(boundarySerializer)
-		if !ok {
-			return nil
-		}
-		isp := inner.BoundarySyncPointAt(r.execRound)
+		isp := st.inst.BoundarySyncPointAt(r.execRound)
 		if isp == nil {
 			return nil
 		}

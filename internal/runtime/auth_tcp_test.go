@@ -129,11 +129,15 @@ func disjointWrites(id types.ClientID, base uint32, txns int) []types.Transactio
 // match.
 func assertLedgersAgree(t *testing.T, reps []*Replica) {
 	t.Helper()
-	h := reps[0].Ledger().Head()
+	// A replica's ledger may still be empty when the client completes: wait
+	// for a non-empty chain whose tip every replica shares.
 	waitFor(t, 10*time.Second, func() bool {
-		h = reps[0].Ledger().Head()
+		height, head := reps[0].Ledger().Tip()
+		if height == 0 {
+			return false
+		}
 		for _, r := range reps[1:] {
-			if r.Ledger().Head().Hash() != h.Hash() {
+			if h, hash := r.Ledger().Tip(); h != height || hash != head {
 				return false
 			}
 		}

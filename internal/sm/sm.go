@@ -119,55 +119,6 @@ type Machine interface {
 	OnTimer(id TimerID)
 }
 
-// Instance is the interface RCC requires from a Byzantine commit algorithm
-// (paper Assumptions A1–A4 plus the hooks for wait-free recovery).
-type Instance interface {
-	Machine
-
-	// Propose asks the instance to propose batch in its next round.
-	// It returns false when the local replica is not the instance's
-	// primary, when the instance is halted, or when the out-of-order
-	// proposal window is full.
-	Propose(batch *types.Batch) bool
-
-	// LastAccepted returns the highest round in which the local replica
-	// accepted a proposal (0 and false when none).
-	LastAccepted() (types.Round, bool)
-
-	// NextProposeRound returns the round the primary would propose next.
-	NextProposeRound() types.Round
-
-	// Pending returns the number of queued client transactions.
-	Pending() int
-	// ProposePending proposes up to one batch of the queued requests now,
-	// full or not (RCC's partial batches, §III-E). It reports whether a
-	// batch was proposed: only the primary, not halted and with room in
-	// its window, proposes.
-	ProposePending() bool
-
-	// Halt stops participation (recovery step, Fig. 4 line 2).
-	Halt()
-	// Halted reports whether the instance is halted.
-	Halted() bool
-	// ResumeAt re-enables the instance with round as the next valid
-	// round number (Fig. 4 line 12).
-	ResumeAt(round types.Round)
-	// SkipTo voids every round below target that holds no agreed
-	// proposal (stop(i; E), Fig. 4). The cost must be O(materialized
-	// rounds), not O(range width): restart penalties can span
-	// arbitrarily many rounds.
-	SkipTo(target types.Round)
-
-	// StateForRecovery returns the accepted proposals that form the
-	// FAILURE message state P in accordance with Assumption A3.
-	StateForRecovery() []types.AcceptedProposal
-
-	// AdoptDecision installs a decision recovered via stop(i;E) or a
-	// checkpoint, without running the commit phases again. Adopting an
-	// already-accepted round is a no-op.
-	AdoptDecision(d Decision)
-}
-
 // Suspector is implemented by client-facing machines that can be told a
 // request went unserved (used to detect primaries refusing service,
 // §III-E).

@@ -295,6 +295,9 @@ func TestTCPBatchesBursts(t *testing.T) {
 		}
 	}
 	s1.wait(t, burst)
+	// The peer can read a frame before the writer's conn.Write returns and
+	// counts it, so wait for the counters to catch up with the delivery.
+	waitCond(t, 5*time.Second, func() bool { return t0.Stats().MsgsSent >= burst })
 	st := t0.Stats()
 	if st.MsgsSent != burst {
 		t.Fatalf("sent %d msgs, want %d", st.MsgsSent, burst)

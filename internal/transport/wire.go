@@ -1,7 +1,7 @@
 package transport
 
-// Wire format v6 (v6 renumbered the message types after seven were removed
-// from the catalog; v5 moved the authenticator tag from each record to the
+// Wire format v7 (v7 and v6 renumbered the message types after six and seven
+// were removed from the catalog; v5 moved the authenticator tag from each record to the
 // frame; v4 changed the CLIENT-REQUEST body to a transaction list, v3 the
 // CLIENT-REPLY body to a seq list; older peers are refused at the handshake).
 //
@@ -48,7 +48,7 @@ import (
 // WireVersion is the framing version this build speaks. Connections
 // announcing any other version are refused at the handshake. types.MsgType
 // values are positional, so a change to the catalog bumps it too.
-const WireVersion = 6
+const WireVersion = 7
 
 var wireMagic = [4]byte{'R', 'C', 'C', 'B'}
 

@@ -531,126 +531,6 @@ func init() {
 			return v
 		})
 
-	registerCodec(MsgOrderRequest,
-		func(buf []byte, m Message) []byte {
-			v := m.(*OrderRequest)
-			buf = appendU16(buf, uint16(v.Inst))
-			buf = appendU64(buf, uint64(v.View))
-			buf = appendU64(buf, uint64(v.Round))
-			buf = append(buf, v.History[:]...)
-			buf = append(buf, v.Digest[:]...)
-			return appendBatch(buf, v.Batch)
-		},
-		func(r *wireReader) Message {
-			return &OrderRequest{
-				Header:  Header{Inst: InstanceID(r.u16())},
-				View:    View(r.u64()),
-				Round:   Round(r.u64()),
-				History: r.digest(),
-				Digest:  r.digest(),
-				Batch:   r.batch(),
-			}
-		})
-
-	registerCodec(MsgFillHole,
-		func(buf []byte, m Message) []byte {
-			v := m.(*FillHole)
-			buf = appendU16(buf, uint16(v.Inst))
-			buf = appendU16(buf, uint16(v.Replica))
-			buf = appendU64(buf, uint64(v.View))
-			buf = appendU64(buf, uint64(v.From))
-			return appendU64(buf, uint64(v.To))
-		},
-		func(r *wireReader) Message {
-			return &FillHole{
-				Header:  Header{Inst: InstanceID(r.u16())},
-				Replica: ReplicaID(r.u16()),
-				View:    View(r.u64()),
-				From:    Round(r.u64()),
-				To:      Round(r.u64()),
-			}
-		})
-
-	registerCodec(MsgSignShare,
-		func(buf []byte, m Message) []byte {
-			v := m.(*SignShare)
-			buf = appendU16(buf, uint16(v.Inst))
-			buf = appendU16(buf, uint16(v.Replica))
-			buf = appendU64(buf, uint64(v.View))
-			buf = appendU64(buf, uint64(v.Round))
-			buf = append(buf, v.Digest[:]...)
-			return appendBlob(buf, v.Share)
-		},
-		func(r *wireReader) Message {
-			return &SignShare{
-				Header:  Header{Inst: InstanceID(r.u16())},
-				Replica: ReplicaID(r.u16()),
-				View:    View(r.u64()),
-				Round:   Round(r.u64()),
-				Digest:  r.digest(),
-				Share:   r.blob(),
-			}
-		})
-
-	registerCodec(MsgFullCommitProof,
-		func(buf []byte, m Message) []byte {
-			v := m.(*FullCommitProof)
-			buf = appendU16(buf, uint16(v.Inst))
-			buf = appendU16(buf, uint16(v.Replica))
-			buf = appendU64(buf, uint64(v.View))
-			buf = appendU64(buf, uint64(v.Round))
-			buf = append(buf, v.Digest[:]...)
-			return appendBlob(buf, v.Combined)
-		},
-		func(r *wireReader) Message {
-			return &FullCommitProof{
-				Header:   Header{Inst: InstanceID(r.u16())},
-				Replica:  ReplicaID(r.u16()),
-				View:     View(r.u64()),
-				Round:    Round(r.u64()),
-				Digest:   r.digest(),
-				Combined: r.blob(),
-			}
-		})
-
-	registerCodec(MsgSignStateShare,
-		func(buf []byte, m Message) []byte {
-			v := m.(*SignStateShare)
-			buf = appendU16(buf, uint16(v.Inst))
-			buf = appendU16(buf, uint16(v.Replica))
-			buf = appendU64(buf, uint64(v.Round))
-			buf = append(buf, v.State[:]...)
-			return appendBlob(buf, v.Share)
-		},
-		func(r *wireReader) Message {
-			return &SignStateShare{
-				Header:  Header{Inst: InstanceID(r.u16())},
-				Replica: ReplicaID(r.u16()),
-				Round:   Round(r.u64()),
-				State:   r.digest(),
-				Share:   r.blob(),
-			}
-		})
-
-	registerCodec(MsgFullExecuteProof,
-		func(buf []byte, m Message) []byte {
-			v := m.(*FullExecuteProof)
-			buf = appendU16(buf, uint16(v.Inst))
-			buf = appendU16(buf, uint16(v.Replica))
-			buf = appendU64(buf, uint64(v.Round))
-			buf = append(buf, v.State[:]...)
-			return appendBlob(buf, v.Combined)
-		},
-		func(r *wireReader) Message {
-			return &FullExecuteProof{
-				Header:   Header{Inst: InstanceID(r.u16())},
-				Replica:  ReplicaID(r.u16()),
-				Round:    Round(r.u64()),
-				State:    r.digest(),
-				Combined: r.blob(),
-			}
-		})
-
 	registerCodec(MsgEpochChange,
 		func(buf []byte, m Message) []byte {
 			v := m.(*EpochChange)

@@ -44,12 +44,6 @@ func codecCorpus() []Message {
 		fail1,
 		fail2,
 		&Stop{Header: Header{Inst: CoordInstance(3)}, Target: 3, Evidence: []*Failure{fail1, fail2}},
-		&OrderRequest{Header: Header{Inst: 0}, View: 1, Round: 2, History: d1, Digest: d2, Batch: batch},
-		&FillHole{Header: Header{Inst: 0}, Replica: 1, View: 2, From: 3, To: 9},
-		&SignShare{Header: Header{Inst: 0}, Replica: 1, View: 2, Round: 3, Digest: d1, Share: []byte{1, 2, 3}},
-		&FullCommitProof{Header: Header{Inst: 0}, Replica: 1, View: 2, Round: 3, Digest: d1, Combined: []byte{4, 5}},
-		&SignStateShare{Header: Header{Inst: 0}, Replica: 1, Round: 3, State: d2, Share: []byte{6}},
-		&FullExecuteProof{Header: Header{Inst: 0}, Replica: 1, Round: 3, State: d2, Combined: []byte{7, 8}},
 		&EpochChange{Header: Header{Inst: 0}, Replica: 1, Epoch: 5, Failed: 2, Round: 7},
 		&NewEpoch{Header: Header{Inst: 0}, Replica: 1, Epoch: 5, Leaders: []ReplicaID{0, 1, 3}, StartRound: 12},
 		&StateOffer{Header: Header{Inst: 0}, Replica: 1, SnapHeight: 64, SnapSize: 4096,

@@ -15,8 +15,8 @@ import (
 // value. Seeds: every message of the round-trip corpus and each of its
 // truncations, client requests of one transaction and at the cap, requests
 // claiming zero or more transactions than they carry, a 100-txn proposal
-// with empty ops, whole and with one op length forged, and each wire-v5
-// record of a removed message type with each of its truncations.
+// with empty ops, whole and with one op length forged, and each wire-v5 or
+// wire-v6 record of a removed message type with each of its truncations.
 //
 //	go test -run '^$' -fuzz FuzzDecodeMessage -fuzztime 20s ./internal/types
 func FuzzDecodeMessage(f *testing.F) {
@@ -55,7 +55,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		f.Fatal("proposal with a forged op length decoded")
 	}
 	f.Add(forged)
-	for _, h := range removedV5Records {
+	for _, h := range append(removedV5Records, removedV6Records...) {
 		enc, err := hex.DecodeString(h)
 		if err != nil {
 			f.Fatal(err)
@@ -86,9 +86,10 @@ func FuzzDecodeMessage(f *testing.F) {
 // removedV5Records are records a wire-v5 build encoded for the seven
 // message types v6 removed: SPEC-RESPONSE, COMMIT-CERT, LOCAL-COMMIT,
 // I-HATE-THE-PRIMARY, HS-PROPOSAL, HS-VOTE and HS-NEW-VIEW. Type bytes are
-// positional, so v6 reads each of them as a different message (0x0d is now
-// FILL-HOLE, 0x16 SNAPSHOT-CHUNK). The handshake refuses v5 peers; these
-// seeds check that the decoder stays safe if such bytes reach it anyway.
+// positional, so a later build reads each of them as a different message
+// (0x0d is now NEW-EPOCH) or as an unknown type (0x16). The handshake
+// refuses v5 peers; these seeds check that the decoder stays safe if such
+// bytes reach it anyway.
 var removedV5Records = []string{
 	"0d00000001000000000000000200000000000000038b53639f152c8fc6ef30802fde462ba0be9cf085f7580dc69efd72e002abbb35e788103ee15318fcd2af9b73b4ebbb33a903b020de7b307d71f5fed0f433e5480000000500000064",
 	"0e000000000005000000000000000200000000000000038b53639f152c8fc6ef30802fde462ba0be9cf085f7580dc69efd72e002abbb3500000003000000010003",
@@ -97,4 +98,17 @@ var removedV5Records = []string{
 	"1600000001000000000000000200000000000000038b53639f152c8fc6ef30802fde462ba0be9cf085f7580dc69efd72e002abbb35e788103ee15318fcd2af9b73b4ebbb33a903b020de7b307d71f5fed0f433e548010000000200000007000000000000000300000009777269746520783d310000000900000000000000010000000672656164207900000000000000030000000000000008f451a61749c611ba0fa0e16c61831db44f38c611dff25879cf271a24c81a88b600000003000000020003",
 	"170000000100000000000000020000000000000003f451a61749c611ba0fa0e16c61831db44f38c611dff25879cf271a24c81a88b60000000109",
 	"1800000001000000000000000200000000000000030000000000000008f451a61749c611ba0fa0e16c61831db44f38c611dff25879cf271a24c81a88b600000003000000020003",
+}
+
+// removedV6Records are records a wire-v6 build encoded for the six message
+// types v7 removed: ORDER-REQ, FILL-HOLE, SIGN-SHARE, FULL-COMMIT-PROOF,
+// SIGN-STATE-SHARE and FULL-EXECUTE-PROOF. v7 reads their type bytes
+// 0x0c-0x11 as EPOCH-CHANGE through BLOCK-RANGE-REQUEST.
+var removedV6Records = []string{
+	"0c0000000000000000000100000000000000028b53639f152c8fc6ef30802fde462ba0be9cf085f7580dc69efd72e002abbb35e788103ee15318fcd2af9b73b4ebbb33a903b020de7b307d71f5fed0f433e548010000000200000007000000000000000300000009777269746520783d3100000009000000000000000100000006726561642079",
+	"0d00000001000000000000000200000000000000030000000000000009",
+	"0e00000001000000000000000200000000000000038b53639f152c8fc6ef30802fde462ba0be9cf085f7580dc69efd72e002abbb3500000003010203",
+	"0f00000001000000000000000200000000000000038b53639f152c8fc6ef30802fde462ba0be9cf085f7580dc69efd72e002abbb35000000020405",
+	"10000000010000000000000003e788103ee15318fcd2af9b73b4ebbb33a903b020de7b307d71f5fed0f433e5480000000106",
+	"11000000010000000000000003e788103ee15318fcd2af9b73b4ebbb33a903b020de7b307d71f5fed0f433e548000000020708",
 }

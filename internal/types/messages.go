@@ -5,8 +5,8 @@ import "fmt"
 // MsgType discriminates the messages in the shared catalog.
 type MsgType uint8
 
-// Message type constants. The catalog is shared: PBFT, Zyzzyva, SBFT, RCC,
-// and Mir-BFT all route messages by (InstanceID, MsgType).
+// Message type constants. The catalog is shared: PBFT, RCC and Mir-BFT all
+// route messages by (InstanceID, MsgType).
 const (
 	MsgInvalid MsgType = iota
 
@@ -27,16 +27,6 @@ const (
 	MsgFailure // FAILURE(i, ρ, P)
 	MsgStop    // stop(i; E) proposed via the coordinating consensus P
 
-	// Zyzzyva.
-	MsgOrderRequest // primary's speculative order assignment
-	MsgFillHole     // replica asks the primary for missed order requests
-
-	// SBFT.
-	MsgSignShare        // replica's threshold signature share to the collector
-	MsgFullCommitProof  // collector's combined threshold signature
-	MsgSignStateShare   // post-execution share
-	MsgFullExecuteProof // collector's combined execution proof
-
 	// Mir-BFT-style epoch coordination.
 	MsgEpochChange
 	MsgNewEpoch
@@ -56,26 +46,20 @@ const (
 )
 
 var msgTypeNames = map[MsgType]string{
-	MsgInvalid:          "INVALID",
-	MsgClientRequest:    "CLIENT-REQUEST",
-	MsgClientReply:      "CLIENT-REPLY",
-	MsgSwitchInstance:   "SWITCH-INSTANCE",
-	MsgPrePrepare:       "PREPREPARE",
-	MsgPrepare:          "PREPARE",
-	MsgCommit:           "COMMIT",
-	MsgCheckpoint:       "CHECKPOINT",
-	MsgViewChange:       "VIEW-CHANGE",
-	MsgNewView:          "NEW-VIEW",
-	MsgFailure:          "FAILURE",
-	MsgStop:             "STOP",
-	MsgOrderRequest:     "ORDER-REQ",
-	MsgFillHole:         "FILL-HOLE",
-	MsgSignShare:        "SIGN-SHARE",
-	MsgFullCommitProof:  "FULL-COMMIT-PROOF",
-	MsgSignStateShare:   "SIGN-STATE-SHARE",
-	MsgFullExecuteProof: "FULL-EXECUTE-PROOF",
-	MsgEpochChange:      "EPOCH-CHANGE",
-	MsgNewEpoch:         "NEW-EPOCH",
+	MsgInvalid:        "INVALID",
+	MsgClientRequest:  "CLIENT-REQUEST",
+	MsgClientReply:    "CLIENT-REPLY",
+	MsgSwitchInstance: "SWITCH-INSTANCE",
+	MsgPrePrepare:     "PREPREPARE",
+	MsgPrepare:        "PREPARE",
+	MsgCommit:         "COMMIT",
+	MsgCheckpoint:     "CHECKPOINT",
+	MsgViewChange:     "VIEW-CHANGE",
+	MsgNewView:        "NEW-VIEW",
+	MsgFailure:        "FAILURE",
+	MsgStop:           "STOP",
+	MsgEpochChange:    "EPOCH-CHANGE",
+	MsgNewEpoch:       "NEW-EPOCH",
 
 	MsgStateOffer:        "STATE-OFFER",
 	MsgSnapshotRequest:   "SNAPSHOT-REQUEST",
@@ -184,8 +168,8 @@ func (m *SwitchInstance) Type() MsgType { return MsgSwitchInstance }
 func (m *SwitchInstance) WireSize() int { return ConsensusMsgBytes }
 
 // ---------------------------------------------------------------------------
-// PBFT-style Byzantine commit (also reused by SBFT's proposal and as the
-// coordinating consensus for RCC recovery)
+// PBFT-style Byzantine commit (RCC's instances and the coordinating
+// consensus for RCC recovery)
 // ---------------------------------------------------------------------------
 
 // PrePrepare is the primary's proposal of a batch as the Round-th

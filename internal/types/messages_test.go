@@ -23,12 +23,6 @@ func allMessages() []Message {
 		&NewView{Replica: 1, NewView: 3, ViewProofs: []ReplicaID{0, 1, 2}, Reproposed: ap},
 		&Failure{Replica: 1, Round: 2, State: ap},
 		&Stop{Target: 1, Evidence: []*Failure{{Replica: 1, Round: 2}}},
-		&OrderRequest{View: 1, Round: 2, History: h, Digest: d, Batch: b},
-		&FillHole{Replica: 1, View: 1, From: 2, To: 5},
-		&SignShare{Replica: 1, View: 1, Round: 2, Digest: d, Share: []byte("sh")},
-		&FullCommitProof{Replica: 1, View: 1, Round: 2, Digest: d, Combined: []byte("cb")},
-		&SignStateShare{Replica: 1, Round: 2, State: h, Share: []byte("sh")},
-		&FullExecuteProof{Replica: 1, Round: 2, State: h, Combined: []byte("cb")},
 		&EpochChange{Replica: 1, Epoch: 2, Failed: 1, Round: 2},
 		&NewEpoch{Replica: 1, Epoch: 2, Leaders: []ReplicaID{0, 2}, StartRound: 9},
 	}
@@ -123,9 +117,6 @@ func TestBatchCarryingSizesScale(t *testing.T) {
 	large := &Batch{Txns: make([]Transaction, 400)}
 	if (&PrePrepare{Batch: small}).WireSize() >= (&PrePrepare{Batch: large}).WireSize() {
 		t.Fatal("preprepare size does not scale with batch")
-	}
-	if (&OrderRequest{Batch: small}).WireSize() >= (&OrderRequest{Batch: large}).WireSize() {
-		t.Fatal("order request size does not scale with batch")
 	}
 	v := NewPrepare(0, 0, 0, 1, ZeroDigest)
 	if v.WireSize() != ConsensusMsgBytes {

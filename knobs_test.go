@@ -10,11 +10,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/mirbft"
 	"repro/internal/runtime"
-	"repro/internal/sbft"
 	"repro/internal/statesync"
 	"repro/internal/store"
 	"repro/internal/transport"
-	"repro/internal/zyzzyva"
 )
 
 // knobCensus is the reviewed list of exported fields on the option structs
@@ -44,8 +42,6 @@ var knobCensus = []struct {
 		"DataDir", "SnapshotEvery", "UnpredictableOrdering", "Metrics"}},
 	{chaos.Config{}, []string{"Nodes", "Duration", "Seed", "WAN", "ArtifactDir", "Schedule", "Logf"}},
 	{mirbft.Config{}, []string{"BatchSize", "Window", "ProgressTimeout", "StabilityInterval"}},
-	{zyzzyva.Config{}, []string{"Instance", "Primary", "Window", "ProgressTimeout", "BatchSize"}},
-	{sbft.Config{}, []string{"Instance", "Primary", "Window", "ProgressTimeout", "BatchSize", "Threshold"}},
 	{client.Config{}, []string{"Client", "RetryTimeout", "Broadcast", "Primary", "Instance"}},
 }
 
