@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/bank"
 	"repro/internal/bench"
+	"repro/internal/client"
 	"repro/internal/crypto"
 	"repro/internal/exec"
 	"repro/internal/flowsim"
@@ -28,6 +29,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
+	"repro/internal/quorum"
 	"repro/internal/rcc"
 	"repro/internal/simnet"
 	"repro/internal/sm"
@@ -665,5 +667,67 @@ func BenchmarkAuth(b *testing.B) {
 		}
 		run("mac/"+s.name, crypto.NewMAC(0, secret), crypto.NewMAC(1, secret), payload)
 		run("ds/"+s.name, crypto.NewDSDev(0, secret), crypto.NewDSDev(1, secret), payload)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Client reply path (internal/client)
+// ---------------------------------------------------------------------------
+
+// replyPathEnv is a client environment that drops what the client sends
+// and ignores its timer.
+type replyPathEnv struct{ params quorum.Params }
+
+func (e *replyPathEnv) Client() types.ClientID              { return 1 }
+func (e *replyPathEnv) Params() quorum.Params               { return e.params }
+func (e *replyPathEnv) Send(types.ReplicaID, types.Message) {}
+func (e *replyPathEnv) Broadcast(types.Message)             {}
+func (e *replyPathEnv) SetTimer(sm.TimerID, time.Duration)  {}
+func (e *replyPathEnv) CancelTimer(sm.TimerID)              {}
+func (e *replyPathEnv) Now() time.Duration                  { return 0 }
+func (e *replyPathEnv) Logf(string, ...any)                 {}
+
+// BenchmarkClientReplyPath prices the client machine's per-transaction
+// work at n = 4: a transaction is submitted, leaves in a 100-transaction
+// Flush, and completes on the f+1 matching batch replies that list it. One
+// op is one transaction.
+func BenchmarkClientReplyPath(b *testing.B) {
+	const k = 100
+	params, _ := quorum.NewParams(4)
+	var c *client.Client
+	fresh := func() {
+		c = client.New(client.Config{Client: 1, Broadcast: true, RetryTimeout: time.Hour})
+		c.SetWindow(k)
+		c.Start(&replyPathEnv{params: params})
+	}
+	subs := make([]*client.Submission, k)
+	seqs := make([]uint64, k)
+	for i := range subs {
+		seqs[i] = uint64(i + 1)
+		subs[i] = &client.Submission{Tx: types.Transaction{Client: 1, Seq: seqs[i], Op: []byte{1}}}
+	}
+	result := types.Hash([]byte("result"))
+	replies := make([]*types.ClientReply, params.FaultDetection())
+	for i := range replies {
+		replies[i] = types.NewClientReply(0, types.ReplicaID(i), 1, 1, result, seqs)
+	}
+	fresh()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += k {
+		if done%(1000*k) == 0 {
+			// A client keeps every completion; start over so the log
+			// stays small.
+			b.StopTimer()
+			fresh()
+			b.StartTimer()
+		}
+		for _, s := range subs {
+			c.OnMessage(types.NoReplica, s)
+		}
+		c.Flush()
+		for i, r := range replies {
+			c.OnMessage(types.ReplicaID(i), r)
+		}
 	}
 }

@@ -9,8 +9,19 @@
 // (the assigned primary, or every replica), split only at maxEnvelopeTxns.
 // A request carries one authenticator tag, so a replica verifies one tag
 // per request. Nothing waits to fill a request: a lone transaction leaves
-// at the next Flush, and the only timer is the per-transaction retry timer,
-// armed when the transaction leaves.
+// at the next Flush.
+//
+// Retries: each send falls due for retransmission RetryTimeout after it
+// leaves. Sends leave in time order, so their deadlines form a FIFO that
+// the client keeps in a reused ring, and it arms one timer for the whole
+// client (sm.TimerClient), due at the deadline at the head of the FIFO.
+// When it fires, the client retransmits exactly the sends whose deadline
+// has passed and that are still their transaction's latest, drops the
+// entries of completed or re-sent transactions, and arms the timer for the
+// next live deadline. A completion does not re-arm the timer, so it may
+// fire early; an early or stale firing retransmits nothing. Replies drop
+// the dead entries at the head of the FIFO, so it stays about the window's
+// size, and cancel the timer once no send is pending.
 //
 // Replies: every deployment (PBFT, Mir-BFT, and RCC over PBFT instances)
 // answers clients after execution, and a client accepts a
@@ -69,12 +80,17 @@ type Client struct {
 	cfg Config
 	env sm.ClientEnv
 
-	queue    []types.Transaction
+	queue    fifo[types.Transaction]
 	inFlight map[uint64]*pending
+	free     []*pending // retired pendings, reused by pump
 	window   int
 	// unsent lists the transactions put in flight or due for
 	// retransmission since the last Flush, in that order.
 	unsent []*pending
+	// deadlines holds one entry per send, in send order; armed reports
+	// whether the client timer is set.
+	deadlines fifo[deadline]
+	armed     bool
 
 	// statsMu guards completions and retries: the only fields external
 	// goroutines may read while the machine runs on its event loop.
@@ -87,10 +103,48 @@ type Client struct {
 }
 
 type pending struct {
-	tx        types.Transaction
-	sentAt    time.Duration
-	replies   map[types.ReplicaID]types.Digest // result digest per replying replica
-	escalated bool                             // broadcast after neglect
+	tx     types.Transaction
+	sentAt time.Duration
+	due    time.Duration // retry deadline of the latest send
+	// votes holds the latest result of each replying replica, at most n.
+	votes     []vote
+	escalated bool // broadcast after neglect
+	queued    bool // listed in unsent
+}
+
+type vote struct {
+	from   types.ReplicaID
+	result types.Digest
+}
+
+// deadline is one send of transaction seq; it falls due for retransmission
+// at time at.
+type deadline struct {
+	seq uint64
+	at  time.Duration
+}
+
+// clientTimer is the client's one retry timer.
+var clientTimer = sm.TimerID{Kind: sm.TimerClient}
+
+// vote records from's result, replacing its earlier one, and returns how
+// many replicas reported that result.
+func (p *pending) vote(from types.ReplicaID, result types.Digest) int {
+	i := 0
+	for i < len(p.votes) && p.votes[i].from != from {
+		i++
+	}
+	if i == len(p.votes) {
+		p.votes = append(p.votes, vote{from: from})
+	}
+	p.votes[i].result = result
+	n := 0
+	for _, v := range p.votes {
+		if v.result == result {
+			n++
+		}
+	}
+	return n
 }
 
 var _ sm.ClientMachine = (*Client)(nil)
@@ -109,7 +163,7 @@ func (c *Client) SetWindow(w int) {
 }
 
 // Submit queues a transaction for submission. Safe to call before Start.
-func (c *Client) Submit(tx types.Transaction) { c.queue = append(c.queue, tx) }
+func (c *Client) Submit(tx types.Transaction) { c.queue.push(tx) }
 
 // SetCompletionHook registers a callback invoked (from the client's event
 // loop) on every completion. Set before Start.
@@ -132,7 +186,7 @@ func (c *Client) Retries() uint64 {
 }
 
 // Done reports whether every queued transaction completed.
-func (c *Client) Done() bool { return len(c.queue) == 0 && len(c.inFlight) == 0 }
+func (c *Client) Done() bool { return c.queue.len() == 0 && len(c.inFlight) == 0 }
 
 // Start implements sm.ClientMachine.
 func (c *Client) Start(env sm.ClientEnv) {
@@ -142,14 +196,17 @@ func (c *Client) Start(env sm.ClientEnv) {
 
 // pump moves queued transactions into flight up to the window.
 func (c *Client) pump() {
-	for len(c.inFlight) < c.window && len(c.queue) > 0 {
-		tx := c.queue[0]
-		c.queue = c.queue[1:]
-		p := &pending{
-			tx:      tx,
-			sentAt:  c.env.Now(),
-			replies: make(map[types.ReplicaID]types.Digest),
+	for len(c.inFlight) < c.window && c.queue.len() > 0 {
+		tx := c.queue.pop()
+		var p *pending
+		if n := len(c.free); n > 0 {
+			p = c.free[n-1]
+			c.free = c.free[:n-1]
+			*p = pending{votes: p.votes[:0]}
+		} else {
+			p = &pending{votes: make([]vote, 0, c.env.Params().N)}
 		}
+		p.tx, p.sentAt = tx, c.env.Now()
 		c.inFlight[tx.Seq] = p
 		c.send(p)
 	}
@@ -160,30 +217,58 @@ func (c *Client) pump() {
 const maxEnvelopeTxns = 100
 
 // send queues p for the next Flush.
-func (c *Client) send(p *pending) { c.unsent = append(c.unsent, p) }
+func (c *Client) send(p *pending) {
+	if !p.queued {
+		p.queued = true
+		c.unsent = append(c.unsent, p)
+	}
+}
 
 // Flush implements sm.ClientMachine: every transaction queued since the
 // last Flush leaves now, in queue order, as requests of at most
 // maxEnvelopeTxns — one run to the assigned primary, one to every replica
-// (broadcast clients, escalated retransmissions). Each transaction's retry
-// timer starts as it leaves.
+// (broadcast clients, escalated retransmissions). Each send joins the
+// deadline FIFO as it leaves.
 func (c *Client) Flush() {
+	if len(c.unsent) == 0 {
+		return
+	}
+	due := c.env.Now() + c.cfg.RetryTimeout
 	var toPrimary, toAll []types.Transaction
-	for _, p := range c.unsent {
-		if c.inFlight[p.tx.Seq] != p {
-			continue // completed before it left
+	for i, p := range c.unsent {
+		// A pending completed before it left, or listed twice because it
+		// was reused within the run, leaves at most once.
+		if !p.queued || c.inFlight[p.tx.Seq] != p {
+			p.queued = false
+			continue
 		}
+		p.queued = false
+		dst := &toPrimary
 		if c.cfg.Broadcast || p.escalated {
-			toAll = append(toAll, p.tx)
-		} else {
-			toPrimary = append(toPrimary, p.tx)
+			dst = &toAll
 		}
-		c.env.SetTimer(sm.TimerID{Kind: sm.TimerClient, Round: types.Round(p.tx.Seq)}, c.cfg.RetryTimeout)
+		if *dst == nil {
+			*dst = make([]types.Transaction, 0, len(c.unsent)-i)
+		}
+		*dst = append(*dst, p.tx)
+		p.due = due
+		c.deadlines.push(deadline{seq: p.tx.Seq, at: due})
 	}
 	clear(c.unsent)
 	c.unsent = c.unsent[:0]
+	c.arm()
 	c.emit(toPrimary, func(m types.Message) { c.env.Send(c.cfg.Primary, m) })
 	c.emit(toAll, c.env.Broadcast)
+}
+
+// arm sets the client timer for the deadline at the head of the FIFO,
+// unless it is already set.
+func (c *Client) arm() {
+	if c.armed || c.deadlines.len() == 0 {
+		return
+	}
+	c.armed = true
+	c.env.SetTimer(clientTimer, c.deadlines.peek().at-c.env.Now())
 }
 
 // emit hands txns to send as requests of at most maxEnvelopeTxns. Each
@@ -216,7 +301,7 @@ func (Submission) WireSize() int { return 0 }
 func (c *Client) OnMessage(from types.ReplicaID, m types.Message) {
 	switch msg := m.(type) {
 	case *Submission:
-		c.queue = append(c.queue, msg.Tx)
+		c.queue.push(msg.Tx)
 		c.pump()
 	case *types.ClientReply:
 		c.onReply(from, msg)
@@ -230,36 +315,31 @@ func (c *Client) onReply(from types.ReplicaID, m *types.ClientReply) {
 	// One reply covers every seq of this client in one decided batch; seqs
 	// not in flight when it arrived (already completed, never sent) are
 	// ignored, so the window refills only after the loop.
+	need := c.env.Params().FaultDetection()
 	for _, seq := range m.Seqs {
-		p, ok := c.inFlight[seq]
-		if !ok {
-			continue
-		}
-		p.replies[from] = m.Result
 		// f+1 matching results guarantee one comes from a non-faulty replica.
-		count := 0
-		for _, d := range p.replies {
-			if d == m.Result {
-				count++
-			}
-		}
-		if count >= c.env.Params().FaultDetection() {
+		if p := c.inFlight[seq]; p != nil && p.vote(from, m.Result) >= need {
 			c.complete(p, m.Result)
 		}
 	}
 	c.pump()
+	c.prune()
+	if c.deadlines.len() == 0 && c.armed {
+		c.armed = false
+		c.env.CancelTimer(clientTimer)
+	}
 }
 
 // complete retires p and records its completion; the caller refills the
 // window with pump.
 func (c *Client) complete(p *pending, result types.Digest) {
 	delete(c.inFlight, p.tx.Seq)
-	c.env.CancelTimer(sm.TimerID{Kind: sm.TimerClient, Round: types.Round(p.tx.Seq)})
 	comp := Completion{
 		Seq:     p.tx.Seq,
 		Latency: c.env.Now() - p.sentAt,
 		Result:  result,
 	}
+	c.free = append(c.free, p)
 	c.statsMu.Lock()
 	c.completions = append(c.completions, comp)
 	c.statsMu.Unlock()
@@ -268,20 +348,69 @@ func (c *Client) complete(p *pending, result types.Digest) {
 	}
 }
 
-// OnTimer implements sm.ClientMachine.
+// OnTimer implements sm.ClientMachine: it retransmits every send whose
+// deadline has passed and that is still its transaction's latest, then
+// re-arms for the next one.
 func (c *Client) OnTimer(id sm.TimerID) {
-	if id.Kind != sm.TimerClient {
+	if id != clientTimer || !c.armed {
 		return
 	}
-	p, ok := c.inFlight[uint64(id.Round)]
-	if !ok {
-		return
+	c.armed = false
+	now := c.env.Now()
+	for c.prune(); c.deadlines.len() > 0 && c.deadlines.peek().at <= now; c.prune() {
+		// Retransmit, escalating to a broadcast so every replica forwards
+		// the request and starts neglect detection (§III-E).
+		p := c.inFlight[c.deadlines.pop().seq]
+		p.escalated = true
+		c.statsMu.Lock()
+		c.retries++
+		c.statsMu.Unlock()
+		c.send(p)
 	}
-	// Retransmit, escalating to a broadcast so every replica forwards the
-	// request and starts neglect detection (§III-E).
-	p.escalated = true
-	c.statsMu.Lock()
-	c.retries++
-	c.statsMu.Unlock()
-	c.send(p)
+	c.arm()
+}
+
+// prune drops the entries at the head of the deadline FIFO that no longer
+// count: sends of completed transactions, and sends a later send of the
+// same transaction superseded.
+func (c *Client) prune() {
+	for c.deadlines.len() > 0 {
+		d := c.deadlines.peek()
+		if p := c.inFlight[d.seq]; p != nil && p.due == d.at {
+			return
+		}
+		c.deadlines.pop()
+	}
+}
+
+// fifo is a queue whose backing array is reused: pops advance the head,
+// and a push that would grow the array first moves the live entries to the
+// front when at least half of it is popped.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+func (q *fifo[T]) peek() T { return q.buf[q.head] }
+
+func (q *fifo[T]) push(v T) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && 2*q.head >= len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return v
 }

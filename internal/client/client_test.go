@@ -10,7 +10,8 @@ import (
 	"repro/internal/types"
 )
 
-// fakeEnv is a synchronous sm.ClientEnv capturing effects.
+// fakeEnv is a synchronous sm.ClientEnv capturing effects. Tests move its
+// clock by setting now, or with advance, which also fires due timers.
 type fakeEnv struct {
 	id       types.ClientID
 	params   quorum.Params
@@ -18,8 +19,10 @@ type fakeEnv struct {
 	sentTo   []types.ReplicaID
 	bcast    []types.Message
 	now      time.Duration
-	timers   map[sm.TimerID]time.Duration
+	timers   map[sm.TimerID]time.Duration // due time per armed timer
 	canceled []sm.TimerID
+	// maxArmed is the most timers ever armed at once.
+	maxArmed int
 }
 
 func newFakeEnv(n int) *fakeEnv {
@@ -33,14 +36,30 @@ func (f *fakeEnv) Send(to types.ReplicaID, m types.Message) {
 	f.sent = append(f.sent, m)
 	f.sentTo = append(f.sentTo, to)
 }
-func (f *fakeEnv) Broadcast(m types.Message)               { f.bcast = append(f.bcast, m) }
-func (f *fakeEnv) SetTimer(id sm.TimerID, d time.Duration) { f.timers[id] = d }
+func (f *fakeEnv) Broadcast(m types.Message) { f.bcast = append(f.bcast, m) }
+func (f *fakeEnv) SetTimer(id sm.TimerID, d time.Duration) {
+	f.timers[id] = f.now + d
+	f.maxArmed = max(f.maxArmed, len(f.timers))
+}
 func (f *fakeEnv) CancelTimer(id sm.TimerID) {
 	f.canceled = append(f.canceled, id)
 	delete(f.timers, id)
 }
 func (f *fakeEnv) Now() time.Duration  { return f.now }
 func (f *fakeEnv) Logf(string, ...any) {}
+
+// advance moves the clock by d, fires every timer due by then, and flushes
+// c, as a host does after each event.
+func (f *fakeEnv) advance(c *Client, d time.Duration) {
+	f.now += d
+	for id, due := range f.timers {
+		if due <= f.now {
+			delete(f.timers, id)
+			c.OnTimer(id)
+		}
+	}
+	c.Flush()
+}
 
 func tx(seq uint64) types.Transaction {
 	return types.Transaction{Client: 1, Seq: seq, Op: []byte{byte(seq)}}
@@ -215,10 +234,9 @@ func TestRetryEscalatesToBroadcast(t *testing.T) {
 	if len(env.sent) != 1 || len(env.bcast) != 0 {
 		t.Fatalf("initial send went to %d targets, bcast %d", len(env.sent), len(env.bcast))
 	}
-	// Fire the retransmission timer: escalation broadcasts (§III-E forced
+	// Let the retry deadline pass: escalation broadcasts (§III-E forced
 	// execution).
-	c.OnTimer(sm.TimerID{Kind: sm.TimerClient, Round: 1})
-	c.Flush()
+	env.advance(c, time.Second)
 	if len(env.bcast) != 1 {
 		t.Fatal("retry did not escalate to broadcast")
 	}
@@ -300,7 +318,7 @@ func TestFlushSendsOneRequestPerDestination(t *testing.T) {
 
 // TestLoneSubmissionLeavesAtNextFlush: nothing waits to fill a request. A
 // single submission arms no timer until it leaves at the next Flush, and
-// then only its retry timer.
+// then only the client timer, due RetryTimeout later.
 func TestLoneSubmissionLeavesAtNextFlush(t *testing.T) {
 	env := newFakeEnv(4)
 	c := New(Config{Client: 1, Broadcast: true, RetryTimeout: time.Second})
@@ -314,9 +332,8 @@ func TestLoneSubmissionLeavesAtNextFlush(t *testing.T) {
 	if len(env.bcast) != 1 || !reflect.DeepEqual(sentSeqs(env.bcast[0]), []uint64{1}) {
 		t.Fatalf("Flush sent %v, want one request for seq 1", env.bcast)
 	}
-	retry := sm.TimerID{Kind: sm.TimerClient, Round: 1}
-	if len(env.timers) != 1 || env.timers[retry] != time.Second {
-		t.Fatalf("timers after Flush %v, want only the retry timer of seq 1", env.timers)
+	if len(env.timers) != 1 || env.timers[clientTimer] != time.Second {
+		t.Fatalf("timers after Flush %v, want only the client timer, due at seq 1's deadline", env.timers)
 	}
 }
 
@@ -357,28 +374,195 @@ func TestEscalatedRetransmissionReachesAllReplicas(t *testing.T) {
 	env := newFakeEnv(4)
 	c := New(Config{Client: 1, Primary: 0, RetryTimeout: time.Second})
 	c.SetWindow(3)
-	for s := uint64(1); s <= 3; s++ {
-		c.Submit(tx(s))
-	}
+	c.Submit(tx(1))
+	c.Submit(tx(2))
 	c.Start(env)
 	c.Flush()
-	if len(env.sent) != 1 || len(env.bcast) != 0 {
-		t.Fatalf("initial flush: sent %d, bcast %d; want one request to the primary", len(env.sent), len(env.bcast))
-	}
-	c.OnTimer(sm.TimerID{Kind: sm.TimerClient, Round: 1})
-	c.OnTimer(sm.TimerID{Kind: sm.TimerClient, Round: 3})
+	env.now = 600 * time.Millisecond
+	c.OnMessage(types.NoReplica, &Submission{Tx: tx(3)})
 	c.Flush()
-	if len(env.sent) != 1 || len(env.bcast) != 1 || !reflect.DeepEqual(sentSeqs(env.bcast[0]), []uint64{1, 3}) {
-		t.Fatalf("after two timeouts: sent %d, bcast %v; want one broadcast of [1 3]", len(env.sent), env.bcast)
+	if len(env.sent) != 2 || len(env.bcast) != 0 {
+		t.Fatalf("initial flushes: sent %d, bcast %d; want two requests to the primary", len(env.sent), len(env.bcast))
 	}
-	// Escalation sticks: the next retransmission of seq 1 is broadcast too.
-	c.OnTimer(sm.TimerID{Kind: sm.TimerClient, Round: 1})
-	c.Flush()
-	if len(env.sent) != 1 || len(env.bcast) != 2 || !reflect.DeepEqual(sentSeqs(env.bcast[1]), []uint64{1}) {
-		t.Fatalf("second retry of seq 1: sent %d, bcast %v", len(env.sent), env.bcast)
+	env.advance(c, 400*time.Millisecond) // t = 1 s: seqs 1 and 2 time out
+	if len(env.sent) != 2 || len(env.bcast) != 1 || !reflect.DeepEqual(sentSeqs(env.bcast[0]), []uint64{1, 2}) {
+		t.Fatalf("after two timeouts: sent %d, bcast %v; want one broadcast of [1 2]", len(env.sent), env.bcast)
+	}
+	env.advance(c, 600*time.Millisecond) // t = 1.6 s: seq 3 times out
+	if len(env.sent) != 2 || len(env.bcast) != 2 || !reflect.DeepEqual(sentSeqs(env.bcast[1]), []uint64{3}) {
+		t.Fatalf("seq 3's timeout: sent %d, bcast %v; want a broadcast of [3]", len(env.sent), env.bcast)
+	}
+	// Escalation sticks: the next retransmission of seqs 1 and 2 is
+	// broadcast too.
+	env.advance(c, 400*time.Millisecond) // t = 2 s
+	if len(env.sent) != 2 || len(env.bcast) != 3 || !reflect.DeepEqual(sentSeqs(env.bcast[2]), []uint64{1, 2}) {
+		t.Fatalf("second retry of seqs 1 and 2: sent %d, bcast %v", len(env.sent), env.bcast)
+	}
+	if c.Retries() != 5 {
+		t.Fatalf("retries %d, want 5", c.Retries())
+	}
+}
+
+// TestRetransmissionRestartsDeadline: a transaction sent at t0 and re-sent
+// at t1 falls due again only at t1 + RetryTimeout, not at any deadline of
+// its t0 send.
+func TestRetransmissionRestartsDeadline(t *testing.T) {
+	env := newFakeEnv(4)
+	c := New(Config{Client: 1, Broadcast: true, RetryTimeout: time.Second})
+	c.SetWindow(2)
+	c.Submit(tx(1))
+	c.Start(env)
+	c.Flush() // seq 1 leaves at t0 = 0
+	env.now = 500 * time.Millisecond
+	c.OnMessage(types.NoReplica, &Submission{Tx: tx(2)})
+	c.Flush()                            // seq 2 leaves at 0.5 s
+	env.advance(c, 500*time.Millisecond) // t1 = 1 s: seq 1 is re-sent
+	if len(env.bcast) != 3 || !reflect.DeepEqual(sentSeqs(env.bcast[2]), []uint64{1}) {
+		t.Fatalf("at t1: broadcasts %v, want seq 1 re-sent", env.bcast)
+	}
+	env.advance(c, 500*time.Millisecond) // 1.5 s: only seq 2 is due
+	if len(env.bcast) != 4 || !reflect.DeepEqual(sentSeqs(env.bcast[3]), []uint64{2}) {
+		t.Fatalf("at 1.5 s: broadcasts %v, want only seq 2 re-sent", env.bcast)
+	}
+	env.advance(c, 499*time.Millisecond)
+	if len(env.bcast) != 4 {
+		t.Fatalf("seq 1 re-sent before t1 + RetryTimeout: %v", env.bcast)
+	}
+	env.advance(c, time.Millisecond) // t1 + RetryTimeout
+	if len(env.bcast) != 5 || !reflect.DeepEqual(sentSeqs(env.bcast[4]), []uint64{1}) {
+		t.Fatalf("at t1 + RetryTimeout: broadcasts %v, want seq 1 re-sent", env.bcast)
 	}
 	if c.Retries() != 3 {
 		t.Fatalf("retries %d, want 3", c.Retries())
+	}
+}
+
+// TestCompletedTransactionNeverRetransmits: once a transaction completes,
+// no deadline of its sends resends it, and the timer is cancelled once
+// nothing is in flight.
+func TestCompletedTransactionNeverRetransmits(t *testing.T) {
+	env := newFakeEnv(4)
+	c := New(Config{Client: 1, Broadcast: true, RetryTimeout: time.Second})
+	c.SetWindow(2)
+	c.Submit(tx(1))
+	c.Submit(tx(2))
+	c.Start(env)
+	c.Flush()
+	d := types.Hash([]byte("r"))
+	env.now = 500 * time.Millisecond
+	c.OnMessage(0, reply(0, 1, d))
+	c.OnMessage(1, reply(1, 1, d))
+	c.Flush()
+	env.advance(c, 500*time.Millisecond)
+	if len(env.bcast) != 2 || !reflect.DeepEqual(sentSeqs(env.bcast[1]), []uint64{2}) {
+		t.Fatalf("broadcasts %v, want only seq 2 re-sent", env.bcast)
+	}
+	c.OnMessage(0, reply(0, 2, d))
+	c.OnMessage(1, reply(1, 2, d))
+	c.Flush()
+	if len(env.timers) != 0 {
+		t.Fatalf("timers %v armed with nothing in flight", env.timers)
+	}
+	for range 5 {
+		env.advance(c, time.Second)
+	}
+	if len(env.bcast) != 2 || c.Retries() != 1 {
+		t.Fatalf("completed transactions retransmitted: broadcasts %v, retries %d", env.bcast, c.Retries())
+	}
+}
+
+// TestOneClientTimer: however many transactions are in flight and however
+// often they time out, the client arms only its one timer.
+func TestOneClientTimer(t *testing.T) {
+	env := newFakeEnv(4)
+	c := New(Config{Client: 1, Broadcast: true, RetryTimeout: time.Second})
+	c.SetWindow(50)
+	c.Start(env)
+	for s := uint64(1); s <= 50; s++ {
+		c.OnMessage(types.NoReplica, &Submission{Tx: tx(s)})
+		env.advance(c, 30*time.Millisecond)
+	}
+	for range 100 {
+		env.advance(c, 70*time.Millisecond)
+	}
+	if env.maxArmed != 1 {
+		t.Fatalf("%d timers armed at once, want 1", env.maxArmed)
+	}
+	for id := range env.timers {
+		if id != clientTimer {
+			t.Fatalf("armed timer %+v, want only the client timer", id)
+		}
+	}
+	if c.Retries() < 50 {
+		t.Fatalf("retries %d: the transactions did not time out", c.Retries())
+	}
+}
+
+// TestEarlyOrStaleTimerSendsNothing: a timer event before any deadline, or
+// one left over from a timer the client no longer has armed, retransmits
+// nothing; the real deadline still does.
+func TestEarlyOrStaleTimerSendsNothing(t *testing.T) {
+	env := newFakeEnv(4)
+	c := New(Config{Client: 1, Broadcast: true, RetryTimeout: time.Second})
+	c.Submit(tx(1))
+	c.Start(env)
+	c.Flush()
+	env.now = 500 * time.Millisecond
+	c.OnTimer(clientTimer) // early
+	c.OnTimer(sm.TimerID{Kind: sm.TimerClient, Round: 1})
+	c.Flush()
+	if len(env.bcast) != 1 || c.Retries() != 0 {
+		t.Fatalf("early timer: broadcasts %d, retries %d; want no retransmission", len(env.bcast), c.Retries())
+	}
+	env.advance(c, 500*time.Millisecond)
+	if len(env.bcast) != 2 || c.Retries() != 1 {
+		t.Fatalf("deadline: broadcasts %d, retries %d; want one retransmission", len(env.bcast), c.Retries())
+	}
+	d := types.Hash([]byte("r"))
+	c.OnMessage(0, reply(0, 1, d))
+	c.OnMessage(1, reply(1, 1, d))
+	env.now += 5 * time.Second
+	c.OnTimer(clientTimer) // stale: delivered after the timer was cancelled
+	c.Flush()
+	if len(env.bcast) != 2 || c.Retries() != 1 {
+		t.Fatalf("stale timer: broadcasts %d, retries %d", len(env.bcast), c.Retries())
+	}
+}
+
+// TestReplyPathAllocations: in steady state the client allocates nothing
+// per transaction beyond its share of the request envelope and the
+// completion log: a cycle of k submissions, one Flush and f+1 matching
+// batch replies stays under half an allocation per transaction.
+func TestReplyPathAllocations(t *testing.T) {
+	const k = 100
+	env := newFakeEnv(4)
+	c := New(Config{Client: 1, Broadcast: true, RetryTimeout: time.Hour})
+	c.SetWindow(k)
+	c.Start(env)
+	subs := make([]*Submission, k)
+	seqs := make([]uint64, k)
+	for i := range subs {
+		subs[i] = &Submission{Tx: tx(uint64(i + 1))}
+		seqs[i] = uint64(i + 1)
+	}
+	d := types.Hash([]byte("r"))
+	replies := []*types.ClientReply{batchReply(0, 1, d, seqs...), batchReply(1, 1, d, seqs...)}
+	cycle := func() {
+		for _, s := range subs {
+			c.OnMessage(types.NoReplica, s)
+		}
+		c.Flush()
+		for i, r := range replies {
+			c.OnMessage(types.ReplicaID(i), r)
+		}
+		env.bcast, env.canceled = env.bcast[:0], env.canceled[:0]
+	}
+	cycle()
+	if !c.Done() {
+		t.Fatal("cycle left transactions in flight")
+	}
+	if per := testing.AllocsPerRun(20, cycle) / k; per >= 0.5 {
+		t.Fatalf("%.2f allocations per transaction, want < 0.5", per)
 	}
 }
 

@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/exec"
 	"repro/internal/pbft"
 	"repro/internal/quorum"
+	"repro/internal/sm"
 	"repro/internal/transport"
 	"repro/internal/types"
 	"repro/internal/ycsb"
@@ -135,5 +137,96 @@ func TestReplyCacheHoldsLastBatches(t *testing.T) {
 	}
 	if r.cachedReply(c, 100*replyCacheWindow+3) != nil || r.cachedReply(c+1, 1) != nil {
 		t.Fatal("uncached seq or client answered")
+	}
+}
+
+// ackSink is a transport that keeps the client replies sent through it.
+type ackSink struct{ sent []*types.ClientReply }
+
+func (s *ackSink) Send(types.ReplicaID, types.Message) error { return nil }
+func (s *ackSink) Close() error                              { return nil }
+func (s *ackSink) SendClient(_ types.ClientID, m types.Message) error {
+	s.sent = append(s.sent, m.(*types.ClientReply))
+	return nil
+}
+
+// ackBatch acks a decided batch of txns from a bare replica and returns the
+// replies it sent.
+func ackBatch(sink *ackSink, txns []types.Transaction) {
+	r := &Replica{cfg: Config{ID: 2, ReplyToClients: true}, trans: sink}
+	d := sm.Decision{Instance: 1, Round: 3, Batch: &types.Batch{Txns: txns}}
+	(&replicaEnv{r: r}).ackClients(d, exec.Result{ResultHash: types.Hash([]byte("result"))})
+}
+
+// TestAckClientsGroupsByClient: a batch's replies are one per client, in
+// first-appearance order, each listing the client's seqs in batch order
+// with every duplicate once; no-ops are nobody's.
+func TestAckClientsGroupsByClient(t *testing.T) {
+	txn := func(c types.ClientID, seq uint64) types.Transaction {
+		return types.Transaction{Client: c, Seq: seq, Op: []byte{1}}
+	}
+	noop := types.NoOp()
+	type ack struct {
+		c    types.ClientID
+		seqs []uint64
+	}
+	for _, tc := range []struct {
+		name string
+		txns []types.Transaction
+		want []ack
+	}{
+		{
+			name: "three clients interleaved, a repeat and no-ops",
+			txns: []types.Transaction{txn(5, 1), txn(3, 7), noop, txn(5, 2), txn(9, 4), txn(3, 8),
+				txn(5, 1), noop, txn(9, 5), txn(3, 9)},
+			want: []ack{{5, []uint64{1, 2}}, {3, []uint64{7, 8, 9}}, {9, []uint64{4, 5}}},
+		},
+		{
+			name: "seqs out of order",
+			txns: []types.Transaction{txn(4, 3), txn(4, 1), txn(4, 3), txn(4, 2), txn(4, 1)},
+			want: []ack{{4, []uint64{3, 1, 2}}},
+		},
+		{
+			name: "only no-ops",
+			txns: []types.Transaction{noop, noop},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := &ackSink{}
+			ackBatch(sink, tc.txns)
+			var got []ack
+			for _, r := range sink.sent {
+				if r.Replica != 2 || r.Inst != 1 || r.Round != 3 || r.Seq != r.Seqs[0] {
+					t.Fatalf("reply header %+v", r)
+				}
+				got = append(got, ack{r.Client, r.Seqs})
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("replies %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestAckClientsAllocsFlatInBatchSize: acking a batch allocates per client,
+// not per transaction — two clients' 400 transactions cost no more
+// allocations than their 4.
+func TestAckClientsAllocsFlatInBatchSize(t *testing.T) {
+	allocs := func(k int) float64 {
+		txns := make([]types.Transaction, k)
+		for i := range txns {
+			txns[i] = types.Transaction{Client: types.ClientID(1 + i%2), Seq: uint64(i), Op: []byte{1}}
+		}
+		sink := &ackSink{sent: make([]*types.ClientReply, 0, 4)}
+		r := &Replica{cfg: Config{ID: 2, ReplyToClients: true}, trans: sink}
+		d := sm.Decision{Instance: 1, Round: 3, Batch: &types.Batch{Txns: txns}}
+		env := &replicaEnv{r: r}
+		return testing.AllocsPerRun(50, func() {
+			env.ackClients(d, exec.Result{})
+			sink.sent = sink.sent[:0]
+		})
+	}
+	if small, large := allocs(4), allocs(400); large > small {
+		t.Fatalf("%v allocations for a 400-transaction batch, %v for 4", large, small)
 	}
 }

@@ -1138,38 +1138,71 @@ func (e *replicaEnv) ackClients(d sm.Decision, res exec.Result) {
 	if r.DurabilityErr() != nil {
 		return
 	}
-	type ackKey struct {
-		c   types.ClientID
-		seq uint64
-	}
 	met := r.cfg.Metrics
-	sent := make(map[ackKey]struct{}, len(d.Batch.Txns))
-	seqs := make(map[types.ClientID][]uint64)
-	var order []types.ClientID
-	for i := range d.Batch.Txns {
-		tx := &d.Batch.Txns[i]
+	for _, a := range groupAcks(d.Batch.Txns) {
+		if met != nil {
+			for _, seq := range a.seqs {
+				met.Acks.Inc()
+				met.Trace(uint64(a.c), seq, obs.PointAck)
+			}
+		}
+		reply := types.NewClientReply(d.Instance, r.cfg.ID, a.c, d.Round, res.ResultHash, a.seqs)
+		r.cacheReply(reply)
+		e.SendClient(a.c, reply)
+	}
+}
+
+// clientAck is one client's share of a decided batch.
+type clientAck struct {
+	c    types.ClientID
+	n    int    // c's transactions in the batch, duplicates included
+	max  uint64 // highest seq in seqs
+	seqs []uint64
+}
+
+// groupAcks groups the seqs of txns' non-no-op transactions by client: one
+// entry per client in first-appearance order, its seqs in batch order, each
+// duplicate once. Batches carry few clients, so it finds a client by
+// scanning those seen so far, and looks for a duplicate only where a seq
+// is not above the client's highest so far. Every entry's seqs share one
+// allocation.
+func groupAcks(txns []types.Transaction) []clientAck {
+	var acks []clientAck
+	last := 0 // the previous transaction's entry
+	find := func(c types.ClientID) *clientAck {
+		if last >= len(acks) || acks[last].c != c {
+			last = slices.IndexFunc(acks, func(a clientAck) bool { return a.c == c })
+			if last < 0 {
+				last = len(acks)
+				acks = append(acks, clientAck{c: c})
+			}
+		}
+		return &acks[last]
+	}
+	total := 0
+	for i := range txns {
+		if tx := &txns[i]; !tx.IsNoOp() {
+			find(tx.Client).n++
+			total++
+		}
+	}
+	buf := make([]uint64, total)
+	for i := range acks {
+		acks[i].seqs, buf = buf[:0:acks[i].n], buf[acks[i].n:]
+	}
+	for i := range txns {
+		tx := &txns[i]
 		if tx.IsNoOp() {
 			continue
 		}
-		k := ackKey{tx.Client, tx.Seq}
-		if _, dup := sent[k]; dup {
+		a := find(tx.Client)
+		if tx.Seq <= a.max && slices.Contains(a.seqs, tx.Seq) {
 			continue
 		}
-		sent[k] = struct{}{}
-		if _, seen := seqs[tx.Client]; !seen {
-			order = append(order, tx.Client)
-		}
-		seqs[tx.Client] = append(seqs[tx.Client], tx.Seq)
-		if met != nil {
-			met.Acks.Inc()
-			met.Trace(uint64(tx.Client), tx.Seq, obs.PointAck)
-		}
+		a.seqs = append(a.seqs, tx.Seq)
+		a.max = max(a.max, tx.Seq)
 	}
-	for _, c := range order {
-		reply := types.NewClientReply(d.Instance, r.cfg.ID, c, d.Round, res.ResultHash, seqs[c])
-		r.cacheReply(reply)
-		e.SendClient(c, reply)
-	}
+	return acks
 }
 
 func (e *replicaEnv) SetTimer(id sm.TimerID, d time.Duration) {

@@ -31,7 +31,7 @@ const (
 	TimerRecovery                         // RCC: waiting for the coordinating leader's stop proposal
 	TimerRebroadcast                      // RCC: exponential FAILURE rebroadcast
 	TimerBatch                            // primary batch-formation deadline
-	TimerClient                           // client-side retransmission
+	TimerClient                           // client retransmission: one per client, due at its earliest retry deadline
 	TimerLag                              // RCC: throttling/lag detection (σ rounds behind)
 	TimerEpoch                            // Mir-BFT epoch change
 )
