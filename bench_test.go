@@ -29,6 +29,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
+	"repro/internal/pbft"
 	"repro/internal/quorum"
 	"repro/internal/rcc"
 	"repro/internal/simnet"
@@ -729,5 +730,76 @@ func BenchmarkClientReplyPath(b *testing.B) {
 		for i, r := range replies {
 			c.OnMessage(types.ReplicaID(i), r)
 		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Backup batch path (internal/pbft)
+// ---------------------------------------------------------------------------
+
+// backupEnv is a replica environment that drops what the instance sends,
+// ignores its timers and discards its decisions.
+type backupEnv struct{ params quorum.Params }
+
+func (e *backupEnv) ID() types.ReplicaID                      { return 1 }
+func (e *backupEnv) Params() quorum.Params                    { return e.params }
+func (e *backupEnv) Send(types.ReplicaID, types.Message)      {}
+func (e *backupEnv) Broadcast(types.Message)                  {}
+func (e *backupEnv) SendClient(types.ClientID, types.Message) {}
+func (e *backupEnv) Deliver(sm.Decision)                      {}
+func (e *backupEnv) SetTimer(sm.TimerID, time.Duration)       {}
+func (e *backupEnv) CancelTimer(sm.TimerID)                   {}
+func (e *backupEnv) Now() time.Duration                       { return 0 }
+func (e *backupEnv) Suspect(types.InstanceID, types.Round)    {}
+func (e *backupEnv) Logf(string, ...any)                      {}
+
+// BenchmarkBackupBatchPath prices a pbft backup's per-transaction work at
+// n = 4 with 100-transaction batches and 69-byte ops: each transaction
+// arrives in a 25-transaction CLIENT-REQUEST, and per batch the backup
+// checks one PRE-PREPARE against its digest, tallies 2f PREPAREs and 2f+1
+// COMMITs, and delivers. The harness digests each batch once more, as the
+// primary would, to fill in the PRE-PREPARE. One op is one transaction.
+func BenchmarkBackupBatchPath(b *testing.B) {
+	const k, perReq = 100, 25
+	params, _ := quorum.NewParams(4)
+	p := pbft.New(pbft.Config{Primary: 0, FixedPrimary: true, Window: 64, BatchSize: k})
+	p.Start(&backupEnv{params: params})
+	batch := &types.Batch{Txns: make([]types.Transaction, k)}
+	for i := range batch.Txns {
+		batch.Txns[i] = types.Transaction{Client: 1, Op: make([]byte, 69)}
+	}
+	reqs := make([]*types.ClientRequest, k/perReq)
+	for i := range reqs {
+		reqs[i] = types.NewClientRequest(0, batch.Txns[i*perReq:(i+1)*perReq]...)
+	}
+	pp := &types.PrePrepare{Batch: batch}
+	prepares := []*types.Prepare{types.NewPrepare(0, 2, 0, 0, types.Digest{}), types.NewPrepare(0, 3, 0, 0, types.Digest{})}
+	commits := []*types.Commit{types.NewCommit(0, 0, 0, 0, types.Digest{}), types.NewCommit(0, 2, 0, 0, types.Digest{}), types.NewCommit(0, 3, 0, 0, types.Digest{})}
+	from := sm.FromClient(1)
+	var seq uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += k {
+		for i := range batch.Txns {
+			seq++
+			batch.Txns[i].Seq = seq
+		}
+		for _, r := range reqs {
+			p.OnMessage(from, r)
+		}
+		pp.Round++
+		pp.Digest = batch.Digest()
+		p.OnMessage(sm.FromReplica(0), pp)
+		for _, m := range prepares {
+			m.Round, m.Digest = pp.Round, pp.Digest
+			p.OnMessage(sm.FromReplica(m.Replica), m)
+		}
+		for _, m := range commits {
+			m.Round, m.Digest = pp.Round, pp.Digest
+			p.OnMessage(sm.FromReplica(m.Replica), m)
+		}
+	}
+	if p.Delivered() != pp.Round+1 {
+		b.Fatalf("delivered up to round %d, want %d", p.Delivered()-1, pp.Round)
 	}
 }

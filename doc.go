@@ -40,7 +40,7 @@
 // feed dedicated writer goroutines that encode messages through the
 // registry-based binary codec in internal/types (explicit MsgType tag,
 // per-type Marshal/Unmarshal, pooled buffers; replaces per-message gob),
-// coalesce bursts into multi-message frames (wire format v7, one write
+// coalesce bursts into multi-message frames (wire format v8, one write
 // syscall and one authenticator tag per burst), and redial failed peers with exponential backoff.
 // Replica links backpressure on overflow while the peer is healthy and
 // drop (counted) while it is down; client links always drop on overflow,
@@ -77,9 +77,10 @@
 //
 // In-order execution: the execution engine (internal/exec) applies each
 // unified round after unification, in the one deterministic order every
-// replica agrees on (§III), one transaction at a time. ResultHash is the
-// hash of the per-transaction result hashes in batch order, so it depends
-// only on the batch and its results; TestGoldenResultHashes pins it.
+// replica agrees on (§III), one transaction at a time. ResultHash is one
+// SHA-256 over every result in batch order, each as a u32 length and its
+// bytes (wire v8), so it depends only on the batch and its results and
+// costs one hash per batch; TestGoldenResultHashes pins it.
 // BenchmarkExec measures the executor's txn/s on YCSB and on the bank.
 //
 // Frame authentication at line rate: internal/crypto implements the

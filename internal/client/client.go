@@ -166,11 +166,14 @@ func (c *Client) SetWindow(w int) {
 func (c *Client) Submit(tx types.Transaction) { c.queue.push(tx) }
 
 // SetCompletionHook registers a callback invoked (from the client's event
-// loop) on every completion. Set before Start.
+// loop) on every completion. Set before Start. A client with a hook keeps
+// no completion list: the hook is the only record, and Completions stays
+// empty.
 func (c *Client) SetCompletionHook(f func(Completion)) { c.onComplete = f }
 
 // Completions returns a snapshot of the finished transactions in
-// completion order. Safe to call from any goroutine.
+// completion order, for a client without a completion hook (see
+// SetCompletionHook). Safe to call from any goroutine.
 func (c *Client) Completions() []Completion {
 	c.statsMu.Lock()
 	defer c.statsMu.Unlock()
@@ -340,12 +343,13 @@ func (c *Client) complete(p *pending, result types.Digest) {
 		Result:  result,
 	}
 	c.free = append(c.free, p)
+	if c.onComplete != nil {
+		c.onComplete(comp)
+		return
+	}
 	c.statsMu.Lock()
 	c.completions = append(c.completions, comp)
 	c.statsMu.Unlock()
-	if c.onComplete != nil {
-		c.onComplete(comp)
-	}
 }
 
 // OnTimer implements sm.ClientMachine: it retransmits every send whose

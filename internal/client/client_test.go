@@ -579,4 +579,8 @@ func TestCompletionHook(t *testing.T) {
 	if len(hooked) != 1 || hooked[0].Seq != 1 {
 		t.Fatalf("hook saw %+v", hooked)
 	}
+	// The hook is the only record: the client keeps no list beside it.
+	if got := c.Completions(); len(got) != 0 {
+		t.Fatalf("client with a hook kept %d completions", len(got))
+	}
 }

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"sync"
@@ -210,10 +212,28 @@ func goldenBatches() (ycsbBatch, bankBatch *types.Batch) {
 	return ycsbBatch, bankBatch
 }
 
+// referenceResultHash computes ResultHash from its definition with
+// crypto/sha256 alone: one hash over each transaction's result, in batch
+// order, as a u32 big-endian length followed by the result bytes.
+func referenceResultHash(app Application, b *types.Batch) types.Digest {
+	h := sha256.New()
+	for _, tx := range b.Txns {
+		r := app.Execute(tx)
+		h.Write(binary.BigEndian.AppendUint32(nil, uint32(len(r))))
+		h.Write(r)
+	}
+	var d types.Digest
+	h.Sum(d[:0])
+	return d
+}
+
 // TestGoldenResultHashes pins reply compatibility: a fixed batch's
-// ResultHash (Hash of the concatenated per-transaction result hashes) and
-// StateHash must equal the values earlier releases returned, or replicas
-// running different versions stop agreeing on client replies.
+// ResultHash (one SHA-256 over every result as u32 length ‖ bytes, in
+// batch order; wire v8) and StateHash must equal the values earlier
+// releases returned, or replicas running different versions stop agreeing
+// on client replies. The result constants moved when wire v8 redefined
+// ResultHash; the state constants never move. Each ResultHash is also
+// recomputed from the definition.
 func TestGoldenResultHashes(t *testing.T) {
 	yb, bb := goldenBatches()
 	opening := make(map[string]int64)
@@ -222,20 +242,23 @@ func TestGoldenResultHashes(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name          string
-		app           Application
+		app           func() Application
 		b             *types.Batch
 		result, state string
 	}{
-		{"ycsb", ycsb.NewStore(16), yb,
-			"6566399e5e6c43accf4423d950353e9195ae099b0c2e397c09cc8296103ec2c7",
+		{"ycsb", func() Application { return ycsb.NewStore(16) }, yb,
+			"39bf9c7782547b99c08c7ea28d05624dfa76e4bf1f5d43ceef8dc5743d0c1ef7",
 			"4386d0668bcfc971e56ff642edf3389bcb75e9e84fa1f709cd9e11a157e5ec32"},
-		{"bank", bank.New(opening), bb,
-			"d4abd5be4fc701b0207a961cac5b470db984a8b65109206081fdd7c28a9a1b3e",
+		{"bank", func() Application { return bank.New(opening) }, bb,
+			"06d64598da89dda632b71e420d674586c5bbad3ce9c37f2561d4e3c5a6e761b2",
 			"d58dc4704f03c16f2069d0f6abd8fd13d06c5d93ab96c9655b47af73115e5de2"},
 	} {
-		res := NewEngine(c.app, nil).ExecuteBatch(c.b, ledger.Proof{Round: 1})
+		res := NewEngine(c.app(), nil).ExecuteBatch(c.b, ledger.Proof{Round: 1})
 		if got := hex.EncodeToString(res.ResultHash[:]); got != c.result {
 			t.Errorf("%s: ResultHash %s, want %s", c.name, got, c.result)
+		}
+		if ref := referenceResultHash(c.app(), c.b); res.ResultHash != ref {
+			t.Errorf("%s: ResultHash %x, definition gives %x", c.name, res.ResultHash, ref)
 		}
 		if got := hex.EncodeToString(res.StateHash[:]); got != c.state {
 			t.Errorf("%s: StateHash %s, want %s", c.name, got, c.state)
@@ -276,5 +299,42 @@ func TestExecutedCounterRaceSafe(t *testing.T) {
 	wg.Wait()
 	if got := e.Executed(); got != want {
 		t.Fatalf("executed %d, want %d", got, want)
+	}
+}
+
+// sizedApp returns, for each transaction, a result of as many bytes as the
+// op's first two bytes say (big-endian), filled with the seq.
+type sizedApp struct{}
+
+func (sizedApp) Execute(tx types.Transaction) []byte {
+	n := int(binary.BigEndian.Uint16(tx.Op))
+	r := make([]byte, n)
+	for i := range r {
+		r[i] = byte(tx.Seq)
+	}
+	return r
+}
+
+func (sizedApp) StateDigest() types.Digest { return types.Digest{} }
+
+// TestResultHashChunkBoundaries checks ResultHash against its definition
+// around the engine's 1 KiB hashing buffer: empty results, results that
+// fill it exactly or overflow it by one byte, and results larger than it.
+func TestResultHashChunkBoundaries(t *testing.T) {
+	sizes := [][]int{
+		{}, {0}, {1020}, {1021}, {1019, 1}, {1, 1016}, {1, 1017},
+		{3000}, {5, 3000, 7}, {200, 200, 200, 200, 200, 200},
+		{0, 0, 4096, 0, 1020, 1020, 1},
+	}
+	for _, sz := range sizes {
+		b := &types.Batch{}
+		for i, n := range sz {
+			op := binary.BigEndian.AppendUint16(nil, uint16(n))
+			b.Txns = append(b.Txns, types.Transaction{Client: 1, Seq: uint64(i + 1), Op: op})
+		}
+		res := NewEngine(sizedApp{}, nil).ExecuteBatch(b, ledger.Proof{Round: 1})
+		if ref := referenceResultHash(sizedApp{}, b); res.ResultHash != ref {
+			t.Errorf("sizes %v: ResultHash %x, definition gives %x", sz, res.ResultHash, ref)
+		}
 	}
 }

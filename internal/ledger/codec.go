@@ -3,6 +3,7 @@ package ledger
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/types"
 )
@@ -15,9 +16,20 @@ import (
 
 const codecVersion = 1
 
-// EncodeBlock returns the wire encoding of b.
-func EncodeBlock(b *Block) []byte {
-	buf := make([]byte, 0, 128+b.Batch.Len()*64)
+// blockFixedLen is the size of the encoding's fixed fields after the
+// version byte: height, prev and state hashes, proof instance, round, view
+// and digest, and the signer count.
+const blockFixedLen = 8 + 32 + 32 + 2 + 8 + 8 + 32 + 2
+
+// EncodeBlock returns the wire encoding of b in one allocation sized to it.
+// The state-transfer paths call it; the journal appends into a reused
+// buffer through AppendBlock instead.
+func EncodeBlock(b *Block) []byte { return AppendBlock(nil, b) }
+
+// AppendBlock appends the wire encoding of b to buf, growing buf at most
+// once, to the encoding's exact size.
+func AppendBlock(buf []byte, b *Block) []byte {
+	buf = slices.Grow(buf, 1+blockFixedLen+2*len(b.Proof.Signers)+b.Batch.EncodedLen())
 	buf = append(buf, codecVersion)
 	buf = binary.BigEndian.AppendUint64(buf, b.Height)
 	buf = append(buf, b.PrevHash[:]...)
@@ -42,7 +54,7 @@ func DecodeBlock(buf []byte) (*Block, error) {
 		return nil, fmt.Errorf("ledger: unknown block encoding version %d", buf[0])
 	}
 	buf = buf[1:]
-	if len(buf) < 8+32+32+2+8+8+32+2 {
+	if len(buf) < blockFixedLen {
 		return nil, fmt.Errorf("ledger: short block encoding: %d bytes", len(buf))
 	}
 	b := &Block{}

@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/types"
@@ -34,6 +35,29 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 	// recovery verify the rebuilt chain head against pre-crash state.
 	if got.Hash() != b.Hash() {
 		t.Fatal("decoded block hashes differently")
+	}
+}
+
+// TestEncodeBlockSizesOnce: the encoding is sized up front, so EncodeBlock
+// allocates once whatever the batch size, and AppendBlock into a buffer
+// that already fits allocates nothing and appends the same bytes.
+func TestEncodeBlockSizesOnce(t *testing.T) {
+	for _, n := range []int{4, 400} {
+		batch := &types.Batch{Txns: make([]types.Transaction, n)}
+		for i := range batch.Txns {
+			batch.Txns[i] = types.Transaction{Client: 1, Seq: uint64(i + 1), Op: bytes.Repeat([]byte{byte(i)}, 69)}
+		}
+		b := New().Append(batch, Proof{Round: 1, Signers: []types.ReplicaID{0, 1, 2}}, types.Digest{})
+		if got := testing.AllocsPerRun(20, func() { EncodeBlock(b) }); got != 1 {
+			t.Errorf("%d txns: EncodeBlock made %v allocations, want 1", n, got)
+		}
+		buf := append([]byte("prefix"), EncodeBlock(b)...)
+		if got := testing.AllocsPerRun(20, func() { AppendBlock(buf[:6], b) }); got != 0 {
+			t.Errorf("%d txns: AppendBlock into a fitting buffer made %v allocations", n, got)
+		}
+		if !bytes.Equal(AppendBlock([]byte("prefix"), b), buf) {
+			t.Errorf("%d txns: AppendBlock differs from prefix + EncodeBlock", n)
+		}
 	}
 }
 

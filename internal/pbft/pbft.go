@@ -136,10 +136,39 @@ type round struct {
 	sentCommit  bool
 }
 
-// txKey identifies one client transaction for deduplication.
+// txKey identifies one client transaction.
 type txKey struct {
 	c types.ClientID
 	s uint64
+}
+
+// clientState is one client's dedup record.
+type clientState struct {
+	id types.ClientID
+	// lastSeq is the highest sequence number this instance delivered. Only
+	// delivery (and an installed sync point, which carries the source's
+	// lastSeq) advances it: it must stay a pure function of the delivered
+	// prefix, because sync points serialize it.
+	lastSeq uint64
+	// syncSeq is a floor established OUTSIDE this instance's own delivery
+	// prefix: RCC's composite delivery frontier, pushed down after a
+	// state-transfer install (MergeDeliveredSeqs). It stays out of sync
+	// points, so installed replicas serialize like organic ones.
+	syncSeq uint64
+	// live holds the seqs queued or in flight (proposed, not delivered),
+	// so client retransmissions cannot enter a second round. A set rather
+	// than a sorted list: a client may send its seqs in any order.
+	live map[uint64]struct{}
+}
+
+// floor is the client's dedup floor: the highest sequence number known
+// executed, delivered here (lastSeq) or elsewhere (syncSeq).
+func (cs *clientState) floor() uint64 { return max(cs.lastSeq, cs.syncSeq) }
+
+// isLive reports whether seq is queued or in flight and not yet executed.
+func (cs *clientState) isLive(seq uint64) bool {
+	_, live := cs.live[seq]
+	return live && seq > cs.floor()
 }
 
 func newRound() *round {
@@ -186,24 +215,18 @@ type Instance struct {
 	// nextGC is the delivery round at which the next retention sweep runs.
 	nextGC types.Round
 
-	// Standalone batching of client requests. lastSeq tracks the highest
-	// delivered sequence number per client so duplicates and already
-	// executed requests are not re-proposed; pendingSet covers requests
-	// queued or in flight (proposed but not yet delivered), so client
-	// retransmissions cannot enter a second round.
-	pending    []queuedTx
-	pendingSet map[txKey]struct{}
+	// Client request queue and dedup. pending is the queue in arrival
+	// order; it may hold stale entries (delivered elsewhere), which the
+	// per-client dedup records in clients filter out, so duplicates and
+	// already executed requests are never re-proposed.
+	pending []queuedTx
+	clients map[types.ClientID]*clientState
 	// staleTxns counts delivered transactions since the last queue
 	// compaction (amortization counter).
 	staleTxns int
-	lastSeq   map[types.ClientID]uint64
-	// syncSeq carries dedup floors established OUTSIDE this instance's own
-	// delivery prefix — RCC's composite delivery frontier, pushed down after
-	// a state-transfer install (MergeDeliveredSeqs). Kept apart from lastSeq
-	// because lastSeq is serialized into sync points and must stay a pure
-	// function of the delivered prefix (byte-identical across replicas at
-	// the same frontier); dedup checks consult the max of both.
-	syncSeq map[types.ClientID]uint64
+	// highPrep is the highest round this instance ever marked preprepared.
+	// outstandingWork walks no further.
+	highPrep types.Round
 
 	// Checkpoints. chain is the incremental digest chain over the
 	// delivered prefix; chainAt records the chain value after each
@@ -248,17 +271,15 @@ type queuedTx struct {
 func New(cfg Config) *Instance {
 	cfg.defaults()
 	return &Instance{
-		cfg:        cfg,
-		rounds:     make(map[types.Round]*round),
-		next:       1,
-		deliver:    1,
-		chainAt:    make(map[types.Round]types.Digest),
-		pendingSet: make(map[txKey]struct{}),
-		lastSeq:    make(map[types.ClientID]uint64),
-		syncSeq:    make(map[types.ClientID]uint64),
-		ckpVotes:   make(map[types.Round]map[types.Digest]map[types.ReplicaID]struct{}),
-		ckpBodies:  make(map[types.Round]map[types.ReplicaID][]types.AcceptedProposal),
-		vcVotes:    make(map[types.View]map[types.ReplicaID]*types.ViewChange),
+		cfg:       cfg,
+		rounds:    make(map[types.Round]*round),
+		next:      1,
+		deliver:   1,
+		chainAt:   make(map[types.Round]types.Digest),
+		clients:   make(map[types.ClientID]*clientState),
+		ckpVotes:  make(map[types.Round]map[types.Digest]map[types.ReplicaID]struct{}),
+		ckpBodies: make(map[types.Round]map[types.ReplicaID][]types.AcceptedProposal),
+		vcVotes:   make(map[types.View]map[types.ReplicaID]*types.ViewChange),
 	}
 }
 
@@ -282,6 +303,21 @@ func (p *Instance) primaryOf(v types.View) types.ReplicaID {
 
 // IsPrimary reports whether the local replica leads the current view.
 func (p *Instance) IsPrimary() bool { return p.primaryOf(p.view) == p.env.ID() }
+
+// client returns c's dedup record, creating it. cur is the record the
+// caller looked up last and is returned as is when it is c's, so a scan
+// over transactions pays one map lookup per same-client run.
+func (p *Instance) client(cur *clientState, c types.ClientID) *clientState {
+	if cur != nil && cur.id == c {
+		return cur
+	}
+	cs := p.clients[c]
+	if cs == nil {
+		cs = &clientState{id: c, live: make(map[uint64]struct{})}
+		p.clients[c] = cs
+	}
+	return cs
+}
 
 func (p *Instance) getRound(r types.Round) *round {
 	rd, ok := p.rounds[r]
@@ -443,19 +479,21 @@ func (p *Instance) requeueVoided(b *types.Batch, queued map[txKey]struct{}) {
 	if b == nil {
 		return
 	}
+	var cs *clientState
 	for i := range b.Txns {
 		tx := b.Txns[i]
-		if tx.IsNoOp() || tx.Seq <= p.seqFloor(tx.Client) {
+		if tx.IsNoOp() {
+			continue
+		}
+		if cs = p.client(cs, tx.Client); !cs.isLive(tx.Seq) {
 			continue
 		}
 		key := txKey{tx.Client, tx.Seq}
 		if _, inQueue := queued[key]; inQueue {
 			continue // still queued, nothing lost
 		}
-		if _, tracked := p.pendingSet[key]; tracked {
-			p.pending = append(p.pending, queuedTx{tx, p.env.Now()})
-			queued[key] = struct{}{}
-		}
+		p.pending = append(p.pending, queuedTx{tx, p.env.Now()})
+		queued[key] = struct{}{}
 	}
 }
 
@@ -491,6 +529,7 @@ func (p *Instance) AdoptDecision(d sm.Decision) {
 	rd.preprepared = true
 	rd.prepared = true
 	rd.committed = true
+	p.highPrep = max(p.highPrep, d.Round)
 	if d.Round >= p.next {
 		p.next = d.Round + 1
 	}
@@ -533,16 +572,21 @@ func (p *Instance) OnMessage(from sm.Source, m types.Message) {
 func (p *Instance) onClientRequest(from sm.Source, m *types.ClientRequest) {
 	queued := false
 	now := p.env.Now()
+	var cs *clientState
 	for i := range m.Txns {
 		tx := &m.Txns[i]
-		if tx.IsNoOp() || tx.Seq <= p.seqFloor(tx.Client) {
-			continue // already executed or filler
+		if tx.IsNoOp() {
+			continue // filler
 		}
-		key := txKey{tx.Client, tx.Seq}
-		if _, dup := p.pendingSet[key]; dup {
-			continue // queued or already in flight
+		if cs = p.client(cs, tx.Client); tx.Seq <= cs.floor() {
+			continue // already executed
 		}
-		p.pendingSet[key] = struct{}{}
+		// One map operation: an insert that leaves the set's size alone
+		// found the seq already queued or in flight.
+		n := len(cs.live)
+		if cs.live[tx.Seq] = struct{}{}; len(cs.live) == n {
+			continue
+		}
 		p.pending = append(p.pending, queuedTx{*tx, now})
 		queued = true
 		if met := p.cfg.Metrics; met != nil {
@@ -652,6 +696,7 @@ func (p *Instance) onPrePrepare(from types.ReplicaID, m *types.PrePrepare) {
 	rd.digest = m.Digest
 	rd.batch = m.Batch
 	rd.preprepared = true
+	p.highPrep = max(p.highPrep, m.Round)
 	rd.seenAt = p.env.Now()
 	if met := p.cfg.Metrics; met.Tracing() {
 		for i := range m.Batch.Txns {
@@ -795,17 +840,15 @@ func (p *Instance) markDelivered(b *types.Batch) {
 	if b == nil {
 		return
 	}
+	var cs *clientState
 	for i := range b.Txns {
 		tx := &b.Txns[i]
 		if tx.IsNoOp() {
 			continue
 		}
-		delete(p.pendingSet, txKey{tx.Client, tx.Seq})
-		// Only delivery advances lastSeq: it must remain a pure function of
-		// the delivered prefix (sync points serialize it).
-		if tx.Seq > p.lastSeq[tx.Client] {
-			p.lastSeq[tx.Client] = tx.Seq
-		}
+		cs = p.client(cs, tx.Client)
+		delete(cs.live, tx.Seq)
+		cs.lastSeq = max(cs.lastSeq, tx.Seq)
 	}
 	// Compact the queue only when at least half of it is stale: a scan per
 	// delivered batch is O(backlog) and melts down under open-loop
@@ -818,7 +861,7 @@ func (p *Instance) markDelivered(b *types.Batch) {
 	kept := p.pending[:0]
 	for i := range p.pending {
 		tx := &p.pending[i]
-		if _, live := p.pendingSet[txKey{tx.Client, tx.Seq}]; live && tx.Seq > p.seqFloor(tx.Client) {
+		if cs = p.client(cs, tx.Client); cs.isLive(tx.Seq) {
 			kept = append(kept, *tx)
 		}
 	}
@@ -875,13 +918,30 @@ func (p *Instance) OnTimer(id sm.TimerID) {
 	}
 }
 
-// outstandingWork reports whether the replica is waiting on the primary.
+// outstandingWork reports whether the replica is waiting on the primary:
+// it has queued requests as a backup, or a preprepared round at or above
+// the frontier has not committed. Only rounds up to highPrep can be
+// preprepared, so it walks [frontier, highPrep], or the round map when
+// that span is wider (a lying primary's far-future PRE-PREPARE).
 func (p *Instance) outstandingWork() bool {
 	if len(p.pending) > 0 && !p.IsPrimary() {
 		return true
 	}
+	start := max(p.deliver, p.resumeFloor)
+	if p.highPrep < start {
+		return false
+	}
+	waiting := func(rd *round) bool { return rd.preprepared && !rd.committed }
+	if p.highPrep-start < types.Round(len(p.rounds)) {
+		for r := start; r <= p.highPrep; r++ {
+			if rd, ok := p.rounds[r]; ok && waiting(rd) {
+				return true
+			}
+		}
+		return false
+	}
 	for r, rd := range p.rounds {
-		if r >= p.deliver && r >= p.resumeFloor && rd.preprepared && !rd.committed {
+		if r >= start && waiting(rd) {
 			return true
 		}
 	}
@@ -909,26 +969,16 @@ func (p *Instance) disarmTimer() {
 	p.env.CancelTimer(sm.TimerID{Instance: p.cfg.Instance, Kind: sm.TimerProgress})
 }
 
-// seqFloor is the per-client dedup floor: the highest sequence number known
-// executed, whether delivered by this instance (lastSeq) or established
-// externally through a state-transfer install (syncSeq).
-func (p *Instance) seqFloor(c types.ClientID) uint64 {
-	f := p.lastSeq[c]
-	if s := p.syncSeq[c]; s > f {
-		f = s
-	}
-	return f
-}
-
 // takeBatch pops up to max live transactions from the queue front, skipping
-// entries already delivered elsewhere (their pendingSet entry is gone), and
-// returns them with the time the oldest of them was queued.
+// entries already delivered elsewhere (no longer live in their client's
+// record), and returns them with the time the oldest of them was queued.
 func (p *Instance) takeBatch(max int) (out []types.Transaction, oldest time.Duration) {
 	out = make([]types.Transaction, 0, max)
+	var cs *clientState
 	i := 0
 	for ; i < len(p.pending) && len(out) < max; i++ {
 		tx := &p.pending[i]
-		if _, live := p.pendingSet[txKey{tx.Client, tx.Seq}]; !live || tx.Seq <= p.seqFloor(tx.Client) {
+		if cs = p.client(cs, tx.Client); !cs.isLive(tx.Seq) {
 			continue
 		}
 		if len(out) == 0 || tx.at < oldest {

@@ -9,24 +9,43 @@ import (
 	"repro/internal/types"
 )
 
-// recEnv is a synchronous sm.Env recording deliveries for one instance.
+// recEnv is a synchronous sm.Env recording, for one instance, its
+// deliveries, the PRE-PREPAREs it broadcasts, the timers it has armed and
+// the rounds it suspected.
 type recEnv struct {
-	id     types.ReplicaID
-	params quorum.Params
-	decs   []sm.Decision
+	id       types.ReplicaID
+	params   quorum.Params
+	decs     []sm.Decision
+	props    []*types.PrePrepare
+	timers   map[sm.TimerID]time.Duration
+	suspects []types.Round
 }
 
-func (e *recEnv) ID() types.ReplicaID                      { return e.id }
-func (e *recEnv) Params() quorum.Params                    { return e.params }
-func (e *recEnv) Send(types.ReplicaID, types.Message)      {}
-func (e *recEnv) Broadcast(types.Message)                  {}
+func newRecEnv(id types.ReplicaID) *recEnv {
+	params, _ := quorum.NewParams(4)
+	return &recEnv{id: id, params: params}
+}
+
+func (e *recEnv) ID() types.ReplicaID                 { return e.id }
+func (e *recEnv) Params() quorum.Params               { return e.params }
+func (e *recEnv) Send(types.ReplicaID, types.Message) {}
+func (e *recEnv) Broadcast(m types.Message) {
+	if pp, ok := m.(*types.PrePrepare); ok {
+		e.props = append(e.props, pp)
+	}
+}
 func (e *recEnv) SendClient(types.ClientID, types.Message) {}
 func (e *recEnv) Deliver(d sm.Decision)                    { e.decs = append(e.decs, d) }
-func (e *recEnv) SetTimer(sm.TimerID, time.Duration)       {}
-func (e *recEnv) CancelTimer(sm.TimerID)                   {}
-func (e *recEnv) Now() time.Duration                       { return 0 }
-func (e *recEnv) Suspect(types.InstanceID, types.Round)    {}
-func (e *recEnv) Logf(string, ...any)                      {}
+func (e *recEnv) SetTimer(id sm.TimerID, d time.Duration) {
+	if e.timers == nil {
+		e.timers = make(map[sm.TimerID]time.Duration)
+	}
+	e.timers[id] = d
+}
+func (e *recEnv) CancelTimer(id sm.TimerID)                 { delete(e.timers, id) }
+func (e *recEnv) Now() time.Duration                        { return 0 }
+func (e *recEnv) Suspect(_ types.InstanceID, r types.Round) { e.suspects = append(e.suspects, r) }
+func (e *recEnv) Logf(string, ...any)                       {}
 
 func newFixed(t *testing.T) (*Instance, *recEnv) {
 	t.Helper()

@@ -44,32 +44,35 @@ const syncPointLen = 1 + 8 + 8 + 8 + 32
 // replica stands without re-proposing delivered requests. Deterministic:
 // replicas with identical frontiers serialize identically.
 func (p *Instance) SyncPoint() []byte {
-	buf := make([]byte, 0, syncPointLen+4+12*len(p.lastSeq))
+	// Only clients with a delivered seq appear: a record may exist for a
+	// client whose requests are merely queued, or whose floor came from
+	// MergeDeliveredSeqs.
+	delivered := make([]*clientState, 0, len(p.clients))
+	for _, cs := range p.clients {
+		if cs.lastSeq > 0 {
+			delivered = append(delivered, cs)
+		}
+	}
+	sort.Slice(delivered, func(i, j int) bool { return delivered[i].id < delivered[j].id })
+	buf := make([]byte, 0, syncPointLen+4+12*len(delivered))
 	buf = append(buf, syncPointV1)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(p.view))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(p.deliver))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(p.stableCkp))
 	buf = append(buf, p.chain[:]...)
-	return appendSeqMap(buf, p.lastSeq)
-}
-
-// appendSeqMap appends a u32 count plus sorted (client u32, seq u64) pairs.
-func appendSeqMap(buf []byte, m map[types.ClientID]uint64) []byte {
-	clients := make([]types.ClientID, 0, len(m))
-	for c := range m {
-		clients = append(clients, c)
-	}
-	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(clients)))
-	for _, c := range clients {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(c))
-		buf = binary.BigEndian.AppendUint64(buf, m[c])
+	// The dedup map: a u32 count plus (client u32, seq u64) pairs sorted by
+	// client.
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(delivered)))
+	for _, cs := range delivered {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(cs.id))
+		buf = binary.BigEndian.AppendUint64(buf, cs.lastSeq)
 	}
 	return buf
 }
 
-// parseSeqMap parses the suffix appendSeqMap wrote. The count is bounded by
-// the remaining bytes, so a hostile count cannot force a huge allocation.
+// parseSeqMap parses the dedup map suffix SyncPoint wrote. The count is
+// bounded by the remaining bytes, so a hostile count cannot force a huge
+// allocation.
 func parseSeqMap(b []byte) (map[types.ClientID]uint64, error) {
 	if len(b) == 0 {
 		return nil, nil // legacy fixed-length form
@@ -126,9 +129,8 @@ func (p *Instance) InstallSyncPoint(data []byte) error {
 	// organic ones. Merged even when the frontier brings nothing new: it
 	// only ever prevents re-proposing delivered requests.
 	for c, s := range seqs {
-		if s > p.lastSeq[c] {
-			p.lastSeq[c] = s
-		}
+		cs := p.client(nil, c)
+		cs.lastSeq = max(cs.lastSeq, s)
 	}
 
 	if deliver <= p.deliver {
@@ -204,9 +206,8 @@ func (p *Instance) BoundarySyncPointAt(frontier types.Round) []byte {
 // organically-progressed replicas at the same frontier.
 func (p *Instance) MergeDeliveredSeqs(seqs map[types.ClientID]uint64) {
 	for c, s := range seqs {
-		if s > p.syncSeq[c] {
-			p.syncSeq[c] = s
-		}
+		cs := p.client(nil, c)
+		cs.syncSeq = max(cs.syncSeq, s)
 	}
 }
 

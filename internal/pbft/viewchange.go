@@ -196,6 +196,7 @@ func (p *Instance) onNewView(from types.ReplicaID, m *types.NewView) {
 		rd.digest = ap.Digest
 		rd.batch = ap.Batch
 		rd.preprepared = true
+		p.highPrep = max(p.highPrep, ap.Round)
 		rd.prepared = false
 		rd.sentPrepare = true
 		rd.sentCommit = false

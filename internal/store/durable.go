@@ -67,6 +67,10 @@ type DurableLedger struct {
 	async *wal.Appender // the log's committer; replaced with it by InstallState
 	snaps *SnapshotStore
 	snap  *Snapshot // latest consistent checkpoint found at Open, may be nil
+	// enc is AppendAsync's block encoding buffer, reused across appends:
+	// the WAL copies a record into its own write buffer before Submit
+	// returns.
+	enc []byte
 }
 
 // Open opens (creating if necessary) the durable ledger rooted at dir. The
@@ -256,7 +260,8 @@ func (d *DurableLedger) AppendAsync(batch *types.Batch, proof ledger.Proof, stat
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	blk := d.mem.Append(batch, proof, state)
-	if _, err := d.async.Submit(ledger.EncodeBlock(blk), done); err != nil {
+	d.enc = ledger.AppendBlock(d.enc[:0], blk)
+	if _, err := d.async.Submit(d.enc, done); err != nil {
 		done(0, err) // Submit never ran the callback; fail it here
 	}
 	return blk

@@ -357,3 +357,29 @@ func TestIdentityStampAdoptedByUnnamedDir(t *testing.T) {
 		t.Fatalf("post-adoption foreign reopen: %v, want ErrDataDirMismatch", err)
 	}
 }
+
+// TestAppendAsyncAllocsFlatInBatchSize: AppendAsync encodes each block into
+// a buffer the ledger reuses, sized from the batch, so its steady-state
+// allocations per append do not grow from a 4- to a 400-transaction batch.
+func TestAppendAsyncAllocsFlatInBatchSize(t *testing.T) {
+	perAppend := func(n int) float64 {
+		d, err := Open(t.TempDir(), Options{Sync: wal.SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		batch := &types.Batch{Txns: make([]types.Transaction, n)}
+		for i := range batch.Txns {
+			batch.Txns[i] = types.Transaction{Client: 1, Seq: uint64(i + 1), Op: make([]byte, 69)}
+		}
+		proof := ledger.Proof{Round: 1, Digest: batch.Digest(), Signers: []types.ReplicaID{0, 1, 2}}
+		done := func(uint64, error) {}
+		d.AppendAsync(batch, proof, types.Digest{}, done) // sizes the buffer
+		return testing.AllocsPerRun(200, func() { d.AppendAsync(batch, proof, types.Digest{}, done) })
+	}
+	small, large := perAppend(4), perAppend(400)
+	if large > small+0.5 {
+		t.Fatalf("allocations per append: %.2f at 400 txns, %.2f at 4", large, small)
+	}
+	t.Logf("allocations per append: %.2f at 4 txns, %.2f at 400", small, large)
+}

@@ -1,9 +1,12 @@
 package transport
 
-// Wire format v7 (v7 and v6 renumbered the message types after six and seven
-// were removed from the catalog; v5 moved the authenticator tag from each record to the
-// frame; v4 changed the CLIENT-REQUEST body to a transaction list, v3 the
-// CLIENT-REPLY body to a seq list; older peers are refused at the handshake).
+// Wire format v8 (v8: ResultHash redefined — one SHA-256 over each result's
+// u32 length and bytes, so CLIENT-REPLY digests differ from v7's while every
+// encoding stays the same; v7 and v6 renumbered the message types after six
+// and seven were removed from the catalog; v5 moved the authenticator tag
+// from each record to the frame; v4 changed the CLIENT-REQUEST body to a
+// transaction list, v3 the CLIENT-REPLY body to a seq list; older peers are
+// refused at the handshake).
 //
 // Each direction of a TCP connection is an independent byte stream:
 //
@@ -47,8 +50,9 @@ import (
 
 // WireVersion is the framing version this build speaks. Connections
 // announcing any other version are refused at the handshake. types.MsgType
-// values are positional, so a change to the catalog bumps it too.
-const WireVersion = 7
+// values are positional, so a change to the catalog bumps it too, and so
+// does a change to what replicas must agree on in replies (ResultHash).
+const WireVersion = 8
 
 var wireMagic = [4]byte{'R', 'C', 'C', 'B'}
 

@@ -49,7 +49,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	}
 	f.Add(enc)
 	forged := append([]byte(nil), enc...)
-	opLenAt := len(enc) - full.encodedLen() + 4 + 12 // past the txn count and the first client and seq
+	opLenAt := len(enc) - full.EncodedLen() + 4 + 12 // past the txn count and the first client and seq
 	binary.BigEndian.PutUint32(forged[opLenAt:], 0xFFFFFF00)
 	if _, err := DecodeMessage(forged); err == nil {
 		f.Fatal("proposal with a forged op length decoded")

@@ -118,11 +118,14 @@ func (t *Transaction) IsNoOp() bool { return t.Client == 0 && t.Seq == 0 && len(
 const txnHeaderLen = 4 + 8 + 4
 
 // Marshal appends the deterministic encoding of t to buf.
-func (t *Transaction) Marshal(buf []byte) []byte {
+func (t *Transaction) Marshal(buf []byte) []byte { return append(t.appendHeader(buf), t.Op...) }
+
+// appendHeader appends the fixed part of t's encoding: client, seq and op
+// length.
+func (t *Transaction) appendHeader(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(t.Client))
 	buf = binary.BigEndian.AppendUint64(buf, t.Seq)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(t.Op)))
-	return append(buf, t.Op...)
+	return binary.BigEndian.AppendUint32(buf, uint32(len(t.Op)))
 }
 
 // errTxnsTruncated is shared so refusing hostile lengths allocates nothing.
@@ -186,8 +189,8 @@ func (b *Batch) Marshal(buf []byte) []byte {
 	return buf
 }
 
-// encodedLen returns len(b.Marshal(nil)) without encoding.
-func (b *Batch) encodedLen() int {
+// EncodedLen returns len(b.Marshal(nil)) without encoding.
+func (b *Batch) EncodedLen() int {
 	n := 4
 	for i := range b.Txns {
 		n += txnHeaderLen + len(b.Txns[i].Op)
@@ -209,8 +212,33 @@ func UnmarshalBatch(buf []byte) (*Batch, []byte, error) {
 }
 
 // Digest returns the digest identifying the batch: the hash of its Marshal
-// encoding, built in one buffer sized up front.
-func (b *Batch) Digest() Digest { return Hash(b.Marshal(make([]byte, 0, b.encodedLen()))) }
+// encoding. The encoding is never materialized: it reaches the hash in
+// chunks of a fixed stack buffer, and an op too large for the buffer is
+// written directly, so hashing allocates nothing.
+func (b *Batch) Digest() Digest {
+	h := sha256.New()
+	var buf [1024]byte
+	chunk := binary.BigEndian.AppendUint32(buf[:0], uint32(len(b.Txns)))
+	for i := range b.Txns {
+		t := &b.Txns[i]
+		n := txnHeaderLen + len(t.Op)
+		if len(chunk)+n > cap(chunk) {
+			h.Write(chunk)
+			chunk = chunk[:0]
+		}
+		if n <= cap(chunk) {
+			chunk = t.Marshal(chunk)
+			continue
+		}
+		h.Write(t.appendHeader(chunk))
+		h.Write(t.Op)
+		chunk = chunk[:0]
+	}
+	h.Write(chunk)
+	var d Digest
+	h.Sum(d[:0])
+	return d
+}
 
 // Len returns the number of transactions in the batch.
 func (b *Batch) Len() int { return len(b.Txns) }

@@ -89,6 +89,39 @@ func TestBatchDecodeAndDigestAllocs(t *testing.T) {
 	}
 }
 
+// TestBatchDigestAllocatesNothing: the digest streams the encoding into
+// the hash instead of materializing it, at any batch size.
+func TestBatchDigestAllocatesNothing(t *testing.T) {
+	for _, n := range []int{1, 400} {
+		b := &Batch{Txns: make([]Transaction, n)}
+		for i := range b.Txns {
+			b.Txns[i] = Transaction{Client: ClientID(i%4 + 1), Seq: uint64(i + 1), Op: bytes.Repeat([]byte{byte(i)}, 69)}
+		}
+		if got := testing.AllocsPerRun(50, func() { b.Digest() }); got != 0 {
+			t.Errorf("%d-txn batch: %v allocations, want 0", n, got)
+		}
+	}
+}
+
+// TestBatchDigestHashesEncoding: the streamed digest equals the hash of the
+// Marshal encoding, for ops that fill the 1 KiB hashing buffer exactly,
+// overflow it by a byte, or exceed it.
+func TestBatchDigestHashesEncoding(t *testing.T) {
+	for _, sizes := range [][]int{
+		{}, {0}, {1020 - txnHeaderLen}, {1021 - txnHeaderLen}, {1024}, {5000},
+		{10, 1000, 10}, {100, 100, 100, 100, 100, 100, 100, 100, 100, 100, 100},
+		{0, 2000, 0, 990, 992, 1, 3000},
+	} {
+		b := &Batch{}
+		for i, n := range sizes {
+			b.Txns = append(b.Txns, Transaction{Client: ClientID(i + 1), Seq: uint64(i), Op: bytes.Repeat([]byte{byte(i + 1)}, n)})
+		}
+		if got, want := b.Digest(), Hash(b.Marshal(nil)); got != want {
+			t.Errorf("op sizes %v: digest %v, want hash of encoding %v", sizes, got, want)
+		}
+	}
+}
+
 func mustDecode(t *testing.T, enc []byte) {
 	if _, err := DecodeMessage(enc); err != nil {
 		t.Fatal(err)

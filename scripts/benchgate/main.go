@@ -74,7 +74,7 @@ func main() {
 		current    = flag.String("current", "BENCH_ci.json", "gate: freshly emitted summary path")
 		maxRegress = flag.Float64("max-regress", 0.25, "gate: fail when ns/op exceeds baseline by more than this fraction")
 		maxOverhd  = flag.Float64("max-overhead", 0, "gate: fail when a /live variant exceeds its /nop sibling by more than this fraction, both from the current run (0 disables)")
-		pattern    = flag.String("gate-pattern", `^Benchmark(AsyncJournal|Codec|Broadcast|Obs|FlightRecord|Exec|Auth|ClientReplyPath)`, "gate: regexp selecting the benchmarks that block the build")
+		pattern    = flag.String("gate-pattern", `^Benchmark(AsyncJournal|Codec|Broadcast|Obs|FlightRecord|Exec|Auth|ClientReplyPath|BackupBatchPath)`, "gate: regexp selecting the benchmarks that block the build")
 	)
 	flag.Parse()
 	switch {
