@@ -80,7 +80,7 @@ func main() {
 		n        = flag.Int("n", 4, "number of replicas")
 		peersArg = flag.String("peers", "", "comma-separated id=host:port peer map (including self)")
 		listen   = flag.String("listen", "", "listen address (defaults to the self entry of -peers)")
-		protoArg = flag.String("protocol", "rcc", "protocol: rcc, pbft, mirbft")
+		protoArg = flag.String("protocol", "rcc", "protocol: rcc, pbft")
 		batch    = flag.Int("batch", 100, "transactions per proposal")
 		window   = flag.Int("window", 4, "out-of-order proposal window")
 		records  = flag.Int("records", ycsb.DefaultRecords, "YCSB table records")

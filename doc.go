@@ -4,8 +4,8 @@
 //
 // The public API lives in internal/core (cluster assembly), the paradigm in
 // internal/rcc, its instance protocol (and coordinating consensus) in
-// internal/pbft, the Mir-BFT comparator in internal/mirbft, and the experiment harness in
-// internal/bench plus cmd/rccbench. See README.md for the package tour, the
+// internal/pbft, and the experiment harness in internal/bench plus
+// cmd/rccbench. See README.md for the package tour, the
 // subsystem overviews, and how to run rccnode/rccclient/rccbench.
 //
 // Durable storage: replicas configured with a data directory
@@ -40,7 +40,7 @@
 // feed dedicated writer goroutines that encode messages through the
 // registry-based binary codec in internal/types (explicit MsgType tag,
 // per-type Marshal/Unmarshal, pooled buffers; replaces per-message gob),
-// coalesce bursts into multi-message frames (wire format v8, one write
+// coalesce bursts into multi-message frames (wire format v9, one write
 // syscall and one authenticator tag per burst), and redial failed peers with exponential backoff.
 // Replica links backpressure on overflow while the peer is healthy and
 // drop (counted) while it is down; client links always drop on overflow,
@@ -79,7 +79,7 @@
 // unified round after unification, in the one deterministic order every
 // replica agrees on (§III), one transaction at a time. ResultHash is one
 // SHA-256 over every result in batch order, each as a u32 length and its
-// bytes (wire v8), so it depends only on the batch and its results and
+// bytes (since wire v8), so it depends only on the batch and its results and
 // costs one hash per batch; TestGoldenResultHashes pins it.
 // BenchmarkExec measures the executor's txn/s on YCSB and on the bank.
 //

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/mirbft"
 	"repro/internal/rcc"
 	"repro/internal/simnet"
 	"repro/internal/sm"
@@ -28,7 +27,7 @@ type Fig10Config struct {
 
 // DefaultFig10 mirrors the paper's timeline compressed to simulate quickly:
 // P1 fails early, P1+P2 fail later, and the run is long enough to watch
-// recovery and (for Mir-BFT) gradual re-enablement.
+// each recovery complete.
 func DefaultFig10() Fig10Config {
 	return Fig10Config{
 		N:           11,
@@ -40,15 +39,22 @@ func DefaultFig10() Fig10Config {
 	}
 }
 
-// fig10Run drives one system (factory builds the per-replica machine) and
+// fig10Run drives an RCC deployment through the failure schedule and
 // returns delivered-transaction counts per bucket, measured at replica 0.
-func fig10Run(cfg Fig10Config, factory func() sm.Machine) ([]uint64, error) {
+// Failure-detection timeouts are paper-scale (seconds): the recovery
+// periods of Fig. 10 span multiple sampling buckets.
+func fig10Run(cfg Fig10Config) ([]uint64, error) {
 	net, err := simnet.New(simnet.Config{N: cfg.N, Latency: time.Millisecond, Seed: 42})
 	if err != nil {
 		return nil, err
 	}
 	for i := 0; i < cfg.N; i++ {
-		net.SetMachine(types.ReplicaID(i), factory())
+		net.SetMachine(types.ReplicaID(i), rcc.New(rcc.Config{
+			BatchSize:       1,
+			Window:          4,
+			ProgressTimeout: time.Second,
+			RecoveryTimeout: 1500 * time.Millisecond,
+		}))
 	}
 	net.Start()
 
@@ -83,10 +89,8 @@ func fig10Run(cfg Fig10Config, factory func() sm.Machine) ([]uint64, error) {
 	net.Schedule(cfg.CrashP2At, func() { net.Crash(2) })
 
 	// Clients served by the crashed primaries ask to be reassigned to a
-	// healthy instance (§III-E SwitchInstance). Under RCC the reassignment
-	// is agreed through the coordinating consensus of the old instance;
-	// Mir-BFT re-buckets clients on its own at epoch changes and ignores
-	// these messages.
+	// healthy instance (§III-E SwitchInstance); the reassignment is agreed
+	// through the coordinating consensus of the old instance.
 	reassign := func(c types.ClientID, from, to types.InstanceID) {
 		sw := &types.SwitchInstance{Client: c, To: to}
 		sw.Inst = from
@@ -125,51 +129,29 @@ func fig10Run(cfg Fig10Config, factory func() sm.Machine) ([]uint64, error) {
 	return counts, nil
 }
 
-// Fig10 reproduces the Fig. 10 failure timeline: RCC's wait-free
-// per-instance recovery versus Mir-BFT's fully-coordinated epoch changes,
-// with primaries P1 (and later P2) crashing mid-run. The series is the
-// per-bucket transaction throughput at replica 0.
+// Fig10 reproduces the Fig. 10 failure timeline for RCC on the simulator:
+// primaries P1 (and later P2) crash mid-run, and wait-free per-instance
+// recovery keeps the healthy instances delivering throughout. The series is
+// the per-bucket transaction throughput at replica 0.
 func Fig10(cfg Fig10Config) (*Table, error) {
 	if cfg.N == 0 {
 		cfg = DefaultFig10()
 	}
-	// Failure-detection timeouts are paper-scale (seconds): the recovery
-	// periods of Fig. 10 span multiple sampling buckets.
-	rccCounts, err := fig10Run(cfg, func() sm.Machine {
-		return rcc.New(rcc.Config{
-			BatchSize:       1,
-			Window:          4,
-			ProgressTimeout: time.Second,
-			RecoveryTimeout: 1500 * time.Millisecond,
-		})
-	})
+	counts, err := fig10Run(cfg)
 	if err != nil {
 		return nil, err
 	}
-	mirCounts, err := fig10Run(cfg, func() sm.Machine {
-		return mirbft.New(mirbft.Config{
-			BatchSize:         1,
-			Window:            4,
-			ProgressTimeout:   time.Second,
-			StabilityInterval: 8 * time.Second,
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	t := &Table{
 		ID: "fig10",
 		Title: fmt.Sprintf(
 			"Failure timeline, m=%d instances (txn per %s bucket at replica 0); P1 fails at %s, P1+P2 at %s",
 			cfg.N, cfg.Bucket, cfg.CrashP1At, cfg.CrashP2At),
-		Header: []string{"t(s)", "RCC", "MirBFT"},
+		Header: []string{"t(s)", "RCC"},
 	}
-	for b := range rccCounts {
+	for b, c := range counts {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.0f", (time.Duration(b+1) * cfg.Bucket).Seconds()),
-			fmt.Sprint(rccCounts[b]),
-			fmt.Sprint(mirCounts[b]),
+			fmt.Sprint(c),
 		})
 	}
 	return t, nil

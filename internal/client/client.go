@@ -23,7 +23,7 @@
 // the dead entries at the head of the FIFO, so it stays about the window's
 // size, and cancel the timer once no send is pending.
 //
-// Replies: every deployment (PBFT, Mir-BFT, and RCC over PBFT instances)
+// Replies: every deployment (standalone PBFT, and RCC over PBFT instances)
 // answers clients after execution, and a client accepts a
 // result once f+1 replicas report the identical outcome (one of them must
 // be non-faulty). Replicas answer with one reply per (client, decided

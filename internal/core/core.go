@@ -11,9 +11,10 @@
 //	cl := cluster.NewClient(1)
 //	res, _ := cl.Execute(op, time.Second)
 //
-// Every deployment runs the real protocol state machines (internal/rcc,
-// internal/pbft, ...) on the goroutine runtime (internal/runtime) over an
-// in-process transport; cmd/rccnode runs the same machinery over TCP.
+// Every deployment runs a real protocol state machine — RCC (internal/rcc)
+// or standalone PBFT (internal/pbft) — on the goroutine runtime
+// (internal/runtime) over an in-process transport; cmd/rccnode runs the same
+// machinery over TCP.
 package core
 
 import (
@@ -24,7 +25,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/exec"
 	"repro/internal/ledger"
-	"repro/internal/mirbft"
 	"repro/internal/obs"
 	"repro/internal/pbft"
 	"repro/internal/quorum"
@@ -41,11 +41,10 @@ type Protocol string
 
 // Supported protocols. RCC is the paper's RCC-P: m concurrent PBFT
 // instances unified per round. PBFT is RCC's coordinating consensus run on
-// its own, and MirBFT is the Fig. 10 comparator.
+// its own.
 const (
-	RCC    Protocol = "rcc"
-	PBFT   Protocol = "pbft"
-	MirBFT Protocol = "mirbft"
+	RCC  Protocol = "rcc"
+	PBFT Protocol = "pbft"
 )
 
 // Options configures a cluster.
@@ -128,10 +127,6 @@ func (o *Options) machine() (sm.Machine, error) {
 		return pbft.New(pbft.Config{
 			BatchSize: o.BatchSize, Window: o.Window, ProgressTimeout: o.ProgressTimeout,
 			Metrics: o.Metrics,
-		}), nil
-	case MirBFT:
-		return mirbft.New(mirbft.Config{
-			BatchSize: o.BatchSize, Window: o.Window, ProgressTimeout: o.ProgressTimeout,
 		}), nil
 	}
 	return nil, fmt.Errorf("core: unknown protocol %q", o.Protocol)

@@ -43,7 +43,7 @@ func TestQuickstartRCC(t *testing.T) {
 
 // Every protocol executes a transaction.
 func TestAllProtocolsExecuteTransactions(t *testing.T) {
-	for _, proto := range []Protocol{RCC, PBFT, MirBFT} {
+	for _, proto := range []Protocol{RCC, PBFT} {
 		t.Run(string(proto), func(t *testing.T) {
 			cluster, err := NewCluster(Options{N: 4, Protocol: proto})
 			if err != nil {

@@ -12,7 +12,7 @@ import (
 
 // cluster builds an n-replica simnet with one standalone PBFT instance per
 // replica.
-func cluster(t *testing.T, n int, cfg Config, netcfg simnet.Config) (*simnet.Network, []*Instance) {
+func cluster(t testing.TB, n int, cfg Config, netcfg simnet.Config) (*simnet.Network, []*Instance) {
 	t.Helper()
 	netcfg.N = n
 	if netcfg.Latency == 0 {

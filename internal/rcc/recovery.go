@@ -321,9 +321,13 @@ func (r *Replica) maybeDynamicCheckpoint(round types.Round) {
 	}
 }
 
-// handleSwitch installs the agreed reassignment schedule (§III-E): the old
-// primary stops proposing for the client immediately; the new instance
-// starts accepting after 2σ more rounds; requests queue in between.
+// handleSwitch installs the agreed reassignment schedule (§III-E): requests
+// the client sends from now on queue here, and after 2σ more rounds they
+// route to the new instance. The schedule starts at the local maxDecided,
+// which replicas do not agree on. Nothing leaves the old instance: its pbft
+// queue keeps the client's pending seqs and its primary still proposes
+// them, so a seq the client retransmits after the move can run in both
+// instances (TestSwitchUnderLoadExecutesOnce, skipped until ROADMAP 32).
 func (r *Replica) handleSwitch(coordOf types.InstanceID, c types.ClientID, to types.InstanceID) {
 	if int(to) >= len(r.states) {
 		return

@@ -274,17 +274,6 @@ func (r *Replica) Assignment(c types.ClientID) types.InstanceID {
 	return types.InstanceID(uint32(c) % uint32(len(r.states)))
 }
 
-// Propose submits a batch directly to the local replica's own instance
-// (used by the benchmark drivers; client traffic normally arrives as
-// ClientRequest messages).
-func (r *Replica) Propose(b *types.Batch) bool {
-	own, ok := r.OwnInstance()
-	if !ok {
-		return false
-	}
-	return r.states[own].inst.Propose(b)
-}
-
 // OnMessage implements sm.Machine: route by instance and type.
 func (r *Replica) OnMessage(from sm.Source, m types.Message) {
 	switch msg := m.(type) {

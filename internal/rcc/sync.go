@@ -265,8 +265,11 @@ func parseRCCSyncPoint(data []byte, m int) (*rccSyncState, error) {
 	}
 	st.assign = make(map[types.ClientID]types.InstanceID, n)
 	for i := 0; i < n && rd.err == nil; i++ {
-		c := types.ClientID(rd.u32())
-		st.assign[c] = types.InstanceID(rd.u16())
+		c, inst := types.ClientID(rd.u32()), types.InstanceID(rd.u16())
+		if int(inst) >= m {
+			return nil, fmt.Errorf("rcc: sync point assigns client %d to instance %d of %d", c, inst, m)
+		}
+		st.assign[c] = inst
 	}
 	n = int(rd.u32())
 	if rd.err == nil && n > len(rd.b)/16 {
@@ -275,11 +278,15 @@ func parseRCCSyncPoint(data []byte, m int) (*rccSyncState, error) {
 	st.switches = make(map[types.ClientID]*switchSched, n)
 	for i := 0; i < n && rd.err == nil; i++ {
 		c := types.ClientID(rd.u32())
-		st.switches[c] = &switchSched{
+		sw := &switchSched{
 			from:        types.InstanceID(rd.u16()),
 			to:          types.InstanceID(rd.u16()),
 			activeAfter: types.Round(rd.u64()),
 		}
+		if int(sw.from) >= m || int(sw.to) >= m {
+			return nil, fmt.Errorf("rcc: sync point moves client %d between instances %d and %d of %d", c, sw.from, sw.to, m)
+		}
+		st.switches[c] = sw
 	}
 	n = int(rd.u32())
 	if rd.err == nil && n > len(rd.b)/12 {

@@ -98,13 +98,12 @@ func (o *FlightOptions) defaults() {
 
 // StateSyncOptions groups the checkpoint-based state-transfer tunables.
 type StateSyncOptions struct {
-	// Enabled arms the subsystem (requires Config.DataDir and a Machine
-	// implementing sm.StateSyncable): the replica serves its snapshots
-	// and ledger to lagging peers, and when it is itself behind — wiped,
-	// corrupted, or partitioned past what checkpoint catch-up bridges —
-	// it fetches the f+1-attested snapshot plus ledger suffix from
-	// peers, installs it crash-atomically, and rejoins consensus at the
-	// cluster head.
+	// Enabled arms the subsystem (requires Config.DataDir): the replica
+	// serves its snapshots and ledger to lagging peers, and when it is
+	// itself behind — wiped, corrupted, or partitioned past what
+	// checkpoint catch-up bridges — it fetches the f+1-attested snapshot
+	// plus ledger suffix from peers, installs it crash-atomically, and
+	// rejoins consensus at the cluster head.
 	Enabled bool
 	// OfferWait / Retry / SteadyProbe tune the manager's probe gathering
 	// window, failed-pass retry interval, and the steady-state re-probe
@@ -113,10 +112,10 @@ type StateSyncOptions struct {
 	Retry       time.Duration
 	SteadyProbe time.Duration
 	// AttestScheme enables checkpoint-boundary attestation when the
-	// machine implements sm.BoundarySyncable: replicas exchange threshold
-	// shares over each checkpoint, and a fetcher accepts one
-	// aggregate-verified offer when load keeps f+1 byte-identical offers
-	// from forming. All replicas must share the scheme's group secret.
+	// machine also implements the optional sm.BoundarySyncable (RCC does,
+	// standalone PBFT does not): replicas exchange threshold shares over
+	// each checkpoint, and a fetcher accepts one aggregate-verified offer
+	// when load keeps f+1 byte-identical offers from forming. All replicas must share the scheme's group secret.
 	AttestScheme *crypto.ThresholdScheme
 }
 
@@ -126,8 +125,9 @@ type Config struct {
 	ID types.ReplicaID
 	// Params are the deployment's quorum parameters.
 	Params quorum.Params
-	// Machine is the consensus machine to host (RCC replica, standalone
-	// PBFT, ...).
+	// Machine is the consensus machine to host: an RCC replica or a
+	// standalone PBFT instance. It must implement sm.StateSyncable; New
+	// refuses one that does not.
 	Machine sm.Machine
 	// App is the deterministic application decisions execute against.
 	App exec.Application
@@ -172,6 +172,12 @@ type Replica struct {
 	log     *ledger.Ledger
 	durable *store.DurableLedger
 	sync    *statesync.Manager
+
+	// syncable is cfg.Machine's state-transfer capability, and boundary
+	// its delivery-boundary serialization (nil for standalone PBFT); New
+	// resolves both once.
+	syncable sm.StateSyncable
+	boundary sm.BoundarySyncable
 
 	events chan event
 	timers struct {
@@ -225,17 +231,25 @@ type event struct {
 // write-ahead log (truncating a torn tail, rejecting corruption), restores
 // the application to the journaled head state, and resumes the ledger at
 // its pre-crash height — so construction can fail when disk state is
-// damaged or inconsistent.
+// damaged or inconsistent. It also fails when the machine does not
+// implement sm.StateSyncable.
 func New(cfg Config) (*Replica, error) {
+	syncable, ok := cfg.Machine.(sm.StateSyncable)
+	if !ok {
+		return nil, fmt.Errorf("runtime: machine %T does not implement sm.StateSyncable", cfg.Machine)
+	}
+	boundary, _ := cfg.Machine.(sm.BoundarySyncable)
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 4096
 	}
 	cfg.Flight.defaults()
 	r := &Replica{
-		cfg:     cfg,
-		events:  make(chan event, cfg.QueueDepth),
-		stopped: make(chan struct{}),
-		start:   time.Now(),
+		cfg:      cfg,
+		syncable: syncable,
+		boundary: boundary,
+		events:   make(chan event, cfg.QueueDepth),
+		stopped:  make(chan struct{}),
+		start:    time.Now(),
 	}
 	r.timers.m = make(map[sm.TimerID]*time.Timer)
 	var journal exec.Journal
@@ -377,14 +391,10 @@ func (r *Replica) dumpFlight() {
 }
 
 // initStateSync wires the checkpoint-based state-transfer subsystem when
-// configured and the machine supports it. The manager's goroutines start in
-// Run (after the transport is attached).
+// configured. The manager's goroutines start in Run (after the transport is
+// attached).
 func (r *Replica) initStateSync() {
 	if !r.cfg.StateSync.Enabled {
-		return
-	}
-	if _, ok := r.cfg.Machine.(sm.StateSyncable); !ok {
-		r.logf("runtime: machine %T does not support state transfer; StateSync disabled", r.cfg.Machine)
 		return
 	}
 	r.sync = statesync.New(statesync.Config{
@@ -402,12 +412,10 @@ func (r *Replica) initStateSync() {
 				_ = r.trans.Send(to, m)
 			}
 		},
-		Snapshot: func() *store.Snapshot { return r.durable.LatestSnapshot() },
-		Ledger:   func() *ledger.Ledger { return r.durable.Memory() },
-		SyncPoint: func() []byte {
-			return r.cfg.Machine.(sm.StateSyncable).SyncPoint()
-		},
-		Install: r.installFromSync,
+		Snapshot:  func() *store.Snapshot { return r.durable.LatestSnapshot() },
+		Ledger:    func() *ledger.Ledger { return r.durable.Memory() },
+		SyncPoint: r.syncable.SyncPoint,
+		Install:   r.installFromSync,
 		OnLoop: func(fn func()) bool {
 			select {
 			case r.events <- event{fn: fn}:
@@ -427,7 +435,7 @@ func (r *Replica) attestScheme() *crypto.ThresholdScheme {
 	if r.cfg.StateSync.AttestScheme == nil {
 		return nil
 	}
-	if _, ok := r.cfg.Machine.(sm.BoundarySyncable); !ok {
+	if r.boundary == nil {
 		r.logf("runtime: machine %T cannot serialize boundary frontiers; checkpoint attestation disabled", r.cfg.Machine)
 		return nil
 	}
@@ -455,7 +463,7 @@ func (r *Replica) installFromSync(res *statesync.Result) error {
 	// commits anything: at this point the whole transfer is still cleanly
 	// retryable, whereas a post-commit failure tears the replica.
 	if len(res.SyncPoint) > 0 {
-		if err := r.cfg.Machine.(sm.StateSyncable).ValidateSyncPoint(res.SyncPoint); err != nil {
+		if err := r.syncable.ValidateSyncPoint(res.SyncPoint); err != nil {
 			return err
 		}
 	}
@@ -515,7 +523,7 @@ func (r *Replica) installFromSync(res *statesync.Result) error {
 	// The machine rejoins at the attested frontier; rounds it committed
 	// while the transfer ran deliver (and execute) from here.
 	if len(res.SyncPoint) > 0 {
-		if err := r.cfg.Machine.(sm.StateSyncable).InstallSyncPoint(res.SyncPoint); err != nil {
+		if err := r.syncable.InstallSyncPoint(res.SyncPoint); err != nil {
 			// Store and application are at the target but the machine is
 			// not: poison rather than run split-brained. A restart
 			// re-derives the machine frontier from a fresh sync.
@@ -921,11 +929,9 @@ func (r *Replica) saveSnapshot() {
 	// single-offer state-transfer target even under load. saveSnapshot runs
 	// on the event loop for boundary-syncable machines only at the boundary
 	// (CheckpointDue), so the frontier read here IS the boundary frontier.
-	if r.sync != nil {
-		if b, ok := r.cfg.Machine.(sm.BoundarySyncable); ok {
-			if bsp := b.BoundarySyncPoint(); bsp != nil {
-				r.sync.AttestCheckpoint(r.durable.LatestSnapshot(), bsp)
-			}
+	if r.sync != nil && r.boundary != nil {
+		if bsp := r.boundary.BoundarySyncPoint(); bsp != nil {
+			r.sync.AttestCheckpoint(r.durable.LatestSnapshot(), bsp)
 		}
 	}
 }
@@ -1018,7 +1024,7 @@ func (e *replicaEnv) Deliver(d sm.Decision) {
 	}
 	if r.cfg.Journaling.SnapshotEvery > 0 && res.Block != nil &&
 		(res.Block.Height+1)%r.cfg.Journaling.SnapshotEvery == 0 {
-		if _, ok := r.cfg.Machine.(sm.BoundarySyncable); ok {
+		if r.boundary != nil {
 			// Heights land mid-wave; a boundary-syncable machine drains the
 			// flag at the end of the wave (CheckpointDue → PersistCheckpoint)
 			// so the checkpoint lands where the frontier is deterministic.

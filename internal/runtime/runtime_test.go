@@ -2,6 +2,8 @@ package runtime
 
 import (
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -132,6 +134,45 @@ func TestStopIsIdempotentAndClean(t *testing.T) {
 	r.Run()
 	r.Stop()
 	r.Stop() // second stop must not panic or deadlock
+}
+
+// bareMachine implements sm.Machine and nothing else.
+type bareMachine struct{}
+
+func (bareMachine) Start(sm.Env)                       {}
+func (bareMachine) OnMessage(sm.Source, types.Message) {}
+func (bareMachine) OnTimer(sm.TimerID)                 {}
+
+// TestNewRefusesMachineWithoutStateSync: the runtime's state-transfer
+// contract is resolved once, at construction. A machine without
+// sm.StateSyncable is refused by name before any disk state opens, and each
+// hosted machine's optional boundary capability is resolved with it.
+func TestNewRefusesMachineWithoutStateSync(t *testing.T) {
+	params, _ := quorum.NewParams(4)
+	dir := t.TempDir()
+	_, err := New(Config{ID: 0, Params: params, Machine: bareMachine{}, App: ycsb.NewStore(10), DataDir: dir})
+	if err == nil || !strings.Contains(err.Error(), "runtime.bareMachine") || !strings.Contains(err.Error(), "sm.StateSyncable") {
+		t.Fatalf("New with a machine lacking sm.StateSyncable: err = %v", err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Fatalf("refused New left %d entries in its data dir", len(ents))
+	}
+	for _, tc := range []struct {
+		m        sm.Machine
+		boundary bool
+	}{
+		{pbft.New(pbft.Config{BatchSize: 1}), false},
+		{rcc.New(rcc.Config{BatchSize: 1}), true},
+	} {
+		r, err := New(Config{ID: 0, Params: params, Machine: tc.m, App: ycsb.NewStore(10)})
+		if err != nil {
+			t.Fatalf("%T: %v", tc.m, err)
+		}
+		if r.syncable == nil || (r.boundary != nil) != tc.boundary {
+			t.Fatalf("%T: syncable %v, boundary %v; want boundary %v", tc.m, r.syncable != nil, r.boundary != nil, tc.boundary)
+		}
+		r.Stop()
+	}
 }
 
 func TestQueueBackpressureDoesNotDeadlockOnStop(t *testing.T) {

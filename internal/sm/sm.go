@@ -33,7 +33,6 @@ const (
 	TimerBatch                            // primary batch-formation deadline
 	TimerClient                           // client retransmission: one per client, due at its earliest retry deadline
 	TimerLag                              // RCC: throttling/lag detection (σ rounds behind)
-	TimerEpoch                            // Mir-BFT epoch change
 )
 
 // TimerID identifies one timer of one instance.
@@ -126,12 +125,13 @@ type Suspector interface {
 	SuspectClientNeglect(c types.ClientID)
 }
 
-// StateSyncable is optionally implemented by machines that support
-// checkpoint-based state transfer (internal/statesync). A machine that
-// implements it can hand its delivered frontier to a lagging peer and can
-// jump its own frontier to an attested install point, so a replica that
-// installed a snapshot + ledger suffix rejoins consensus at the cluster
-// head instead of waiting on rounds that were decided while it was gone.
+// StateSyncable is the checkpoint-based state-transfer capability
+// (internal/statesync). The replica runtime requires it: runtime.New refuses
+// a machine without it, and both RCC and standalone PBFT implement it. A
+// machine hands its delivered frontier to a lagging peer and jumps its own
+// frontier to an attested install point, so a replica that installed a
+// snapshot + ledger suffix rejoins consensus at the cluster head instead of
+// waiting on rounds that were decided while it was gone.
 type StateSyncable interface {
 	// SyncPoint returns a deterministic serialization of the machine's
 	// delivered frontier (round watermarks, checkpoint chain anchors),
@@ -157,10 +157,11 @@ type StateSyncable interface {
 	InstallSyncPoint(data []byte) error
 }
 
-// BoundarySyncable is optionally implemented by StateSyncable machines
-// whose live frontier is NOT deterministic at a ledger height (RCC: inner
-// instances and the coordinating consensus run ahead of the wave-unified
-// delivery frontier, at quorum-dependent speeds). BoundarySyncPoint
+// BoundarySyncable is the one optional sync capability, implemented by
+// StateSyncable machines whose live frontier is NOT deterministic at a
+// ledger height (RCC: inner instances and the coordinating consensus run
+// ahead of the wave-unified delivery frontier, at quorum-dependent speeds;
+// standalone PBFT does not implement it). BoundarySyncPoint
 // serializes the frontier as it stands at the machine's current delivery
 // boundary — a pure function of the delivery prefix — so every correct
 // replica serializes identical bytes when its ledger stands at the same

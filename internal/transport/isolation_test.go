@@ -330,12 +330,12 @@ func TestTCPClientDisconnectUnregisters(t *testing.T) {
 
 // TestTCPRefusesWireVersionMismatch: a peer announcing a different framing
 // version must be cut off at the handshake — inbound (we read its header)
-// and outbound (we read the header it sends back). The peer speaks v7,
-// whose frames this v8 build could parse but whose ResultHash differs, so
-// replies would silently disagree.
+// and outbound (we read the header it sends back). The peer speaks v8,
+// whose type bytes from 0x0c up name different messages than this v9
+// build's, so a state-transfer record would decode as another type.
 func TestTCPRefusesWireVersionMismatch(t *testing.T) {
-	const v7 = 7
-	if WireVersion != 8 {
+	const v8 = 8
+	if WireVersion != 9 {
 		t.Fatalf("WireVersion %d: move this test to the new previous version", WireVersion)
 	}
 	srvSink := newSink()
@@ -345,14 +345,14 @@ func TestTCPRefusesWireVersionMismatch(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// Inbound: dial raw, claim v7, then try to push a frame.
+	// Inbound: dial raw, claim v8, then try to push a frame.
 	raw, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
 	hdr := appendHeader(nil, false, 3, 0)
-	binary.BigEndian.PutUint16(hdr[4:6], v7)
+	binary.BigEndian.PutUint16(hdr[4:6], v8)
 	if _, err := raw.Write(hdr); err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestTCPRefusesWireVersionMismatch(t *testing.T) {
 		t.Fatal("message from a version-mismatched peer was delivered")
 	}
 
-	// Outbound: an older replica answers this client with a v7 header; the
+	// Outbound: an older replica answers this client with a v8 header; the
 	// client must refuse the stream rather than trust its replies.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -380,7 +380,7 @@ func TestTCPRefusesWireVersionMismatch(t *testing.T) {
 		}
 		io.ReadFull(c, make([]byte, wireHeaderLen)) // swallow the client's header
 		bad := appendHeader(nil, false, 0, 0)
-		binary.BigEndian.PutUint16(bad[4:6], v7)
+		binary.BigEndian.PutUint16(bad[4:6], v8)
 		c.Write(bad)
 	}()
 	cliSink := newSink()

@@ -1,7 +1,9 @@
 package transport
 
-// Wire format v8 (v8: ResultHash redefined — one SHA-256 over each result's
-// u32 length and bytes, so CLIENT-REPLY digests differ from v7's while every
+// Wire format v9 (v9: the message types renumbered after EPOCH-CHANGE and
+// NEW-EPOCH left the catalog, so the state-sync types moved down two type
+// bytes; v8: ResultHash redefined — one SHA-256 over each result's u32
+// length and bytes, so CLIENT-REPLY digests differ from v7's while every
 // encoding stays the same; v7 and v6 renumbered the message types after six
 // and seven were removed from the catalog; v5 moved the authenticator tag
 // from each record to the frame; v4 changed the CLIENT-REQUEST body to a
@@ -52,7 +54,7 @@ import (
 // announcing any other version are refused at the handshake. types.MsgType
 // values are positional, so a change to the catalog bumps it too, and so
 // does a change to what replicas must agree on in replies (ResultHash).
-const WireVersion = 8
+const WireVersion = 9
 
 var wireMagic = [4]byte{'R', 'C', 'C', 'B'}
 

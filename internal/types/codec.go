@@ -530,44 +530,6 @@ func init() {
 			}
 			return v
 		})
-
-	registerCodec(MsgEpochChange,
-		func(buf []byte, m Message) []byte {
-			v := m.(*EpochChange)
-			buf = appendU16(buf, uint16(v.Inst))
-			buf = appendU16(buf, uint16(v.Replica))
-			buf = appendU64(buf, v.Epoch)
-			buf = appendU16(buf, uint16(v.Failed))
-			return appendU64(buf, uint64(v.Round))
-		},
-		func(r *wireReader) Message {
-			return &EpochChange{
-				Header:  Header{Inst: InstanceID(r.u16())},
-				Replica: ReplicaID(r.u16()),
-				Epoch:   r.u64(),
-				Failed:  InstanceID(r.u16()),
-				Round:   Round(r.u64()),
-			}
-		})
-
-	registerCodec(MsgNewEpoch,
-		func(buf []byte, m Message) []byte {
-			v := m.(*NewEpoch)
-			buf = appendU16(buf, uint16(v.Inst))
-			buf = appendU16(buf, uint16(v.Replica))
-			buf = appendU64(buf, v.Epoch)
-			buf = appendReplicas(buf, v.Leaders)
-			return appendU64(buf, uint64(v.StartRound))
-		},
-		func(r *wireReader) Message {
-			return &NewEpoch{
-				Header:     Header{Inst: InstanceID(r.u16())},
-				Replica:    ReplicaID(r.u16()),
-				Epoch:      r.u64(),
-				Leaders:    r.replicas(),
-				StartRound: Round(r.u64()),
-			}
-		})
 }
 
 func appendFailure(buf []byte, v *Failure) []byte {

@@ -44,8 +44,6 @@ func codecCorpus() []Message {
 		fail1,
 		fail2,
 		&Stop{Header: Header{Inst: CoordInstance(3)}, Target: 3, Evidence: []*Failure{fail1, fail2}},
-		&EpochChange{Header: Header{Inst: 0}, Replica: 1, Epoch: 5, Failed: 2, Round: 7},
-		&NewEpoch{Header: Header{Inst: 0}, Replica: 1, Epoch: 5, Leaders: []ReplicaID{0, 1, 3}, StartRound: 12},
 		&StateOffer{Header: Header{Inst: 0}, Replica: 1, SnapHeight: 64, SnapSize: 4096,
 			ChunkBytes: 1024, SnapAppHash: d1, SnapHeadHash: d2, SnapStateDigest: d3,
 			TxnCount: 640, Height: 70, HeadHash: d1, SyncPoint: []byte{1, 2, 3, 4},

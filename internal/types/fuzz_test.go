@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -15,8 +16,9 @@ import (
 // value. Seeds: every message of the round-trip corpus and each of its
 // truncations, client requests of one transaction and at the cap, requests
 // claiming zero or more transactions than they carry, a 100-txn proposal
-// with empty ops, whole and with one op length forged, and each wire-v5 or
-// wire-v6 record of a removed message type with each of its truncations.
+// with empty ops, whole and with one op length forged, and each wire-v5,
+// wire-v6 or wire-v8 record of a removed message type with each of its
+// truncations.
 //
 //	go test -run '^$' -fuzz FuzzDecodeMessage -fuzztime 20s ./internal/types
 func FuzzDecodeMessage(f *testing.F) {
@@ -55,7 +57,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		f.Fatal("proposal with a forged op length decoded")
 	}
 	f.Add(forged)
-	for _, h := range append(removedV5Records, removedV6Records...) {
+	for _, h := range slices.Concat(removedV5Records, removedV6Records, removedV8Records) {
 		enc, err := hex.DecodeString(h)
 		if err != nil {
 			f.Fatal(err)
@@ -87,7 +89,7 @@ func FuzzDecodeMessage(f *testing.F) {
 // message types v6 removed: SPEC-RESPONSE, COMMIT-CERT, LOCAL-COMMIT,
 // I-HATE-THE-PRIMARY, HS-PROPOSAL, HS-VOTE and HS-NEW-VIEW. Type bytes are
 // positional, so a later build reads each of them as a different message
-// (0x0d is now NEW-EPOCH) or as an unknown type (0x16). The handshake
+// (0x0d is SNAPSHOT-REQUEST at v9) or as an unknown type (0x16). The handshake
 // refuses v5 peers; these seeds check that the decoder stays safe if such
 // bytes reach it anyway.
 var removedV5Records = []string{
@@ -111,4 +113,13 @@ var removedV6Records = []string{
 	"0f00000001000000000000000200000000000000038b53639f152c8fc6ef30802fde462ba0be9cf085f7580dc69efd72e002abbb35000000020405",
 	"10000000010000000000000003e788103ee15318fcd2af9b73b4ebbb33a903b020de7b307d71f5fed0f433e5480000000106",
 	"11000000010000000000000003e788103ee15318fcd2af9b73b4ebbb33a903b020de7b307d71f5fed0f433e548000000020708",
+}
+
+// removedV8Records are records a wire-v8 build encoded for the two message
+// types v9 removed with the Mir-BFT comparator: EPOCH-CHANGE and NEW-EPOCH.
+// v9 reads their type bytes 0x0c and 0x0d as STATE-OFFER and
+// SNAPSHOT-REQUEST.
+var removedV8Records = []string{
+	"0c00000001000000000000000500020000000000000007",
+	"0d00000001000000000000000500000003000000010003000000000000000c",
 }

@@ -5,8 +5,8 @@ import "fmt"
 // MsgType discriminates the messages in the shared catalog.
 type MsgType uint8
 
-// Message type constants. The catalog is shared: PBFT, RCC and Mir-BFT all
-// route messages by (InstanceID, MsgType).
+// Message type constants. The catalog is shared: PBFT and RCC both route
+// messages by (InstanceID, MsgType).
 const (
 	MsgInvalid MsgType = iota
 
@@ -27,10 +27,6 @@ const (
 	MsgFailure // FAILURE(i, ρ, P)
 	MsgStop    // stop(i; E) proposed via the coordinating consensus P
 
-	// Mir-BFT-style epoch coordination.
-	MsgEpochChange
-	MsgNewEpoch
-
 	// Checkpoint-based state transfer (internal/statesync): lagging or
 	// wiped replicas fetch an f+1-attested snapshot plus the ledger suffix
 	// from their peers instead of replaying history they no longer have.
@@ -43,6 +39,8 @@ const (
 	// over a checkpoint-boundary attestation digest; f+1 matching shares
 	// combine into the aggregate attestation offers carry.
 	MsgCheckpointAttest
+
+	msgTypeEnd // one past the last message type
 )
 
 var msgTypeNames = map[MsgType]string{
@@ -58,8 +56,6 @@ var msgTypeNames = map[MsgType]string{
 	MsgNewView:        "NEW-VIEW",
 	MsgFailure:        "FAILURE",
 	MsgStop:           "STOP",
-	MsgEpochChange:    "EPOCH-CHANGE",
-	MsgNewEpoch:       "NEW-EPOCH",
 
 	MsgStateOffer:        "STATE-OFFER",
 	MsgSnapshotRequest:   "SNAPSHOT-REQUEST",

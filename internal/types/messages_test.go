@@ -5,30 +5,6 @@ import (
 	"testing"
 )
 
-// allMessages builds one populated instance of every message type.
-func allMessages() []Message {
-	b := &Batch{Txns: []Transaction{{Client: 9, Seq: 3, Op: []byte("op")}}}
-	d := b.Digest()
-	h := Hash([]byte("chain"))
-	ap := []AcceptedProposal{{Round: 2, View: 1, Digest: d, Batch: b, Prepared: true}}
-	msgs := []Message{
-		NewClientRequest(1, b.Txns[0]),
-		NewClientReply(0, 1, 9, 2, d, []uint64{3}),
-		&SwitchInstance{Client: 9, To: 2},
-		&PrePrepare{View: 1, Round: 2, Digest: d, Batch: b},
-		NewPrepare(1, 2, 1, 2, d),
-		NewCommit(1, 2, 1, 2, d),
-		&Checkpoint{Replica: 1, Round: 2, State: h, Proposals: ap},
-		&ViewChange{Replica: 1, NewView: 3, StableCkp: 1, Prepared: ap},
-		&NewView{Replica: 1, NewView: 3, ViewProofs: []ReplicaID{0, 1, 2}, Reproposed: ap},
-		&Failure{Replica: 1, Round: 2, State: ap},
-		&Stop{Target: 1, Evidence: []*Failure{{Replica: 1, Round: 2}}},
-		&EpochChange{Replica: 1, Epoch: 2, Failed: 1, Round: 2},
-		&NewEpoch{Replica: 1, Epoch: 2, Leaders: []ReplicaID{0, 2}, StartRound: 9},
-	}
-	return msgs
-}
-
 // authBytes returns the bytes the transport authenticates for m: its
 // encoding, exactly as it travels in a record.
 func authBytes(t *testing.T, m Message) []byte {
@@ -45,7 +21,7 @@ func authBytes(t *testing.T, m Message) []byte {
 // message must never verify another.
 func TestEncodingsPairwiseDistinct(t *testing.T) {
 	seen := make(map[string]MsgType)
-	for _, m := range allMessages() {
+	for _, m := range codecCorpus() {
 		payload := string(authBytes(t, m))
 		if prev, dup := seen[payload]; dup {
 			t.Fatalf("%s and %s share an encoding", prev, m.Type())
@@ -57,7 +33,7 @@ func TestEncodingsPairwiseDistinct(t *testing.T) {
 // TestEncodingsDeterministic checks replayability of the authenticated
 // form: a retransmitted message must carry the same bytes.
 func TestEncodingsDeterministic(t *testing.T) {
-	for _, m := range allMessages() {
+	for _, m := range codecCorpus() {
 		if !bytes.Equal(authBytes(t, m), authBytes(t, m)) {
 			t.Fatalf("%s: encoding not deterministic", m.Type())
 		}
@@ -68,7 +44,7 @@ func TestEncodingsDeterministic(t *testing.T) {
 // writer relies on: the encoding goes after whatever the frame already holds.
 func TestAppendMessageAppends(t *testing.T) {
 	prefix := []byte("prefix")
-	for _, m := range allMessages() {
+	for _, m := range codecCorpus() {
 		out, err := AppendMessage(append([]byte(nil), prefix...), m)
 		if err != nil {
 			t.Fatal(err)
@@ -85,7 +61,7 @@ func TestAppendMessageAppends(t *testing.T) {
 // TestWireSizesPositiveAndTyped checks every message reports a positive
 // simulated wire size and its declared type.
 func TestWireSizesPositiveAndTyped(t *testing.T) {
-	for _, m := range allMessages() {
+	for _, m := range codecCorpus() {
 		if m.WireSize() <= 0 {
 			t.Fatalf("%s: non-positive wire size", m.Type())
 		}
@@ -98,7 +74,7 @@ func TestWireSizesPositiveAndTyped(t *testing.T) {
 // TestInstanceRouting checks the Header Instance accessor survives each
 // concrete type.
 func TestInstanceRouting(t *testing.T) {
-	for _, m := range allMessages() {
+	for _, m := range codecCorpus() {
 		pp, ok := m.(*PrePrepare)
 		if !ok {
 			continue

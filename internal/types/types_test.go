@@ -303,11 +303,44 @@ func TestEncodingsDifferAcrossVoteTypes(t *testing.T) {
 	}
 }
 
+// TestMsgTypeStrings walks the whole catalog: every type up to the last
+// constant has its own name and a registered codec, codecCorpus holds a
+// value of it, and no byte past the catalog decodes.
 func TestMsgTypeStrings(t *testing.T) {
-	for mt := MsgInvalid; mt <= MsgNewEpoch; mt++ {
-		if s := mt.String(); s == "" {
-			t.Fatalf("empty name for type %d", mt)
+	inCorpus := make(map[MsgType]bool)
+	for _, m := range codecCorpus() {
+		inCorpus[m.Type()] = true
+	}
+	names := make(map[string]MsgType)
+	for mt := MsgInvalid; mt < msgTypeEnd; mt++ {
+		s, ok := msgTypeNames[mt]
+		if !ok || s == "" {
+			t.Fatalf("type %d has no name", mt)
 		}
+		if prev, dup := names[s]; dup {
+			t.Fatalf("types %d and %d share the name %q", prev, mt, s)
+		}
+		names[s] = mt
+		if mt == MsgInvalid {
+			continue
+		}
+		if msgCodecs[mt].enc == nil || msgCodecs[mt].dec == nil {
+			t.Fatalf("%s has no codec", mt)
+		}
+		if !inCorpus[mt] {
+			t.Fatalf("%s has no value in codecCorpus", mt)
+		}
+	}
+	if len(msgTypeNames) != int(msgTypeEnd) {
+		t.Fatalf("%d names for %d types", len(msgTypeNames), msgTypeEnd)
+	}
+	for mt := msgTypeEnd; mt != 0; mt++ {
+		if msgCodecs[mt].enc != nil {
+			t.Fatalf("codec registered for type %d past the catalog", mt)
+		}
+	}
+	if msgCodecs[MsgInvalid].enc != nil {
+		t.Fatal("codec registered for MsgInvalid")
 	}
 	if MsgType(200).String() == "" {
 		t.Fatal("unknown type has empty name")

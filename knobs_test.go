@@ -8,7 +8,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/mirbft"
 	"repro/internal/runtime"
 	"repro/internal/statesync"
 	"repro/internal/store"
@@ -41,7 +40,6 @@ var knobCensus = []struct {
 	{core.Options{}, []string{"N", "Protocol", "BatchSize", "Window", "ProgressTimeout", "App", "Journal",
 		"DataDir", "SnapshotEvery", "UnpredictableOrdering", "Metrics"}},
 	{chaos.Config{}, []string{"Nodes", "Duration", "Seed", "WAN", "ArtifactDir", "Schedule", "Logf"}},
-	{mirbft.Config{}, []string{"BatchSize", "Window", "ProgressTimeout", "StabilityInterval"}},
 	{client.Config{}, []string{"Client", "RetryTimeout", "Broadcast", "Primary", "Instance"}},
 }
 
