@@ -1,15 +1,12 @@
 package repro
 
-// One benchmark per table/figure of the paper's evaluation (§V). Each
-// regenerates its experiment series and reports the headline number as a
-// custom metric, so `go test -bench=.` doubles as the reproduction run:
+// Benchmarks of the program's own code paths: Fig. 6 and Fig. 10 on the real
+// state machines, §IV's permutation ordering, simulated RCC rounds, and the
+// journal, codec, transport, observability, execution, authentication,
+// client-reply and backup-batch hot paths that CI gates against
+// BENCH_baseline.json:
 //
 //	go test -bench=. -benchmem .
-//
-// The flow-model experiments (Fig. 1, 7, 8, 9, summary) are deterministic
-// and fast; Fig. 6 and Fig. 10 execute the real protocol state machines on
-// the discrete-event simulator. The ablation benchmarks after them isolate
-// concurrency (m) and out-of-order processing.
 
 import (
 	"fmt"
@@ -24,9 +21,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/crypto"
 	"repro/internal/exec"
-	"repro/internal/flowsim"
 	"repro/internal/ledger"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/pbft"
@@ -40,76 +35,12 @@ import (
 	"repro/internal/ycsb"
 )
 
-// reportPeak extracts a table's peak numeric cell in the given column.
-func reportPeak(b *testing.B, t *bench.Table, col int, unit string) {
-	b.Helper()
-	peak := 0.0
-	for _, row := range t.Rows {
-		var v float64
-		if _, err := fmt.Sscan(row[col], &v); err == nil && v > peak {
-			peak = v
-		}
-	}
-	b.ReportMetric(peak, unit)
-}
-
-func BenchmarkFig1AnalyticalBounds(b *testing.B) {
-	var pts []model.Point
-	for i := 0; i < b.N; i++ {
-		pts = model.Fig1Series(model.DefaultFig1(400), 100)
-	}
-	b.ReportMetric(pts[len(pts)-1].Tcmax, "Tcmax_txn/s_n=100")
-	b.ReportMetric(pts[len(pts)-1].Tmax, "Tmax_txn/s_n=100")
-}
-
 func BenchmarkFig6OrderingAttack(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if t := bench.Fig6(); len(t.Rows) != 4 {
 			b.Fatal("fig6 rows")
 		}
 	}
-}
-
-func BenchmarkFig7LeftSingleReplica(b *testing.B) {
-	env := flowsim.DefaultEnv()
-	for i := 0; i < b.N; i++ {
-		_ = flowsim.SingleReplicaFull(env, 100)
-	}
-	b.ReportMetric(flowsim.SingleReplicaReply(env), "reply_txn/s")
-	b.ReportMetric(flowsim.SingleReplicaFull(env, 100), "full_txn/s")
-}
-
-func BenchmarkFig7RightCrypto(b *testing.B) {
-	var t *bench.Table
-	for i := 0; i < b.N; i++ {
-		t = bench.Fig7Right()
-	}
-	_ = t
-}
-
-func benchFig8(b *testing.B, f func() *bench.Table) {
-	var t *bench.Table
-	for i := 0; i < b.N; i++ {
-		t = f()
-	}
-	reportPeak(b, t, 1, "peak_RCCn_ktxn/s")
-}
-
-func BenchmarkFig8aScalabilityNoFailures(b *testing.B)  { benchFig8(b, bench.Fig8a) }
-func BenchmarkFig8bLatencyNoFailures(b *testing.B)      { benchFig8(b, bench.Fig8b) }
-func BenchmarkFig8cScalabilityOneFailure(b *testing.B)  { benchFig8(b, bench.Fig8c) }
-func BenchmarkFig8dLatencyOneFailure(b *testing.B)      { benchFig8(b, bench.Fig8d) }
-func BenchmarkFig8eBatchingThroughput(b *testing.B)     { benchFig8(b, bench.Fig8e) }
-func BenchmarkFig8fBatchingLatency(b *testing.B)        { benchFig8(b, bench.Fig8f) }
-func BenchmarkFig8gNoOutOfOrderThroughput(b *testing.B) { benchFig8(b, bench.Fig8g) }
-func BenchmarkFig8hNoOutOfOrderLatency(b *testing.B)    { benchFig8(b, bench.Fig8h) }
-
-func BenchmarkFig9Paradigm(b *testing.B) {
-	var t *bench.Table
-	for i := 0; i < b.N; i++ {
-		t = bench.Fig9()
-	}
-	reportPeak(b, t, 3, "peak_RCC-S_ktxn/s")
 }
 
 func BenchmarkFig10FailureTimeline(b *testing.B) {
@@ -120,52 +51,6 @@ func BenchmarkFig10FailureTimeline(b *testing.B) {
 		if _, err := bench.Fig10(cfg); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkSummaryRatios(b *testing.B) {
-	var t *bench.Table
-	for i := 0; i < b.N; i++ {
-		t = bench.Summary()
-	}
-	_ = t
-}
-
-// ---------------------------------------------------------------------------
-// Ablations
-// ---------------------------------------------------------------------------
-
-// BenchmarkAblationConcurrency sweeps the instance count m at n=32,
-// isolating the effect of concurrency (RCC3 vs RCCf+1 vs RCCn).
-func BenchmarkAblationConcurrency(b *testing.B) {
-	for _, m := range []int{1, 3, 11, 32} {
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			var r flowsim.Result
-			for i := 0; i < b.N; i++ {
-				r = flowsim.Evaluate(flowsim.Setup{
-					Protocol: flowsim.PBFT, N: 32, Concurrent: m, BatchSize: 100,
-					Crypto: crypto.SchemeMAC, ClientSig: crypto.SchemeMAC, OutOfOrder: true,
-				})
-			}
-			b.ReportMetric(r.Throughput, "txn/s")
-		})
-	}
-}
-
-// BenchmarkAblationOutOfOrder isolates the out-of-order window (Fig. 8 g,h
-// reduced to one on/off pair).
-func BenchmarkAblationOutOfOrder(b *testing.B) {
-	for _, ooo := range []bool{true, false} {
-		b.Run(fmt.Sprintf("ooo=%v", ooo), func(b *testing.B) {
-			var r flowsim.Result
-			for i := 0; i < b.N; i++ {
-				r = flowsim.Evaluate(flowsim.Setup{
-					Protocol: flowsim.PBFT, N: 32, Concurrent: 1, BatchSize: 100,
-					Crypto: crypto.SchemeMAC, ClientSig: crypto.SchemeMAC, OutOfOrder: ooo,
-				})
-			}
-			b.ReportMetric(r.Throughput, "txn/s")
-		})
 	}
 }
 

@@ -1,11 +1,11 @@
-// Command rccbench regenerates the RCC paper's tables and figures. Each
-// experiment prints the same rows/series the paper reports; where the paper
-// states a value, the table title quotes it for comparison.
+// Command rccbench runs the experiments that drive the program's own state
+// machines and prints each as a table. REPRODUCTION.md maps every experiment
+// to the paper claim it backs.
 //
 // Usage:
 //
 //	rccbench -exp all        # every experiment except chaos
-//	rccbench -exp fig8a      # one experiment
+//	rccbench -exp fig6       # one experiment
 //	rccbench -exp fig10      # simnet failure timeline (slower)
 //	rccbench -exp chaos      # randomized fault harness over live TCP (slow)
 //	rccbench -list           # list experiment IDs
@@ -31,28 +31,19 @@ var experiments = []struct {
 	id  string
 	run func() (*bench.Table, error)
 }{
-	{"fig1left", infallible(func() *bench.Table { return bench.Fig1(20) })},
-	{"fig1right", infallible(func() *bench.Table { return bench.Fig1(400) })},
-	{"fig6", infallible(bench.Fig6)},
-	{"fig7left", infallible(bench.Fig7Left)},
-	{"fig7right", infallible(bench.Fig7Right)},
-	{"fig8a", infallible(bench.Fig8a)},
-	{"fig8b", infallible(bench.Fig8b)},
-	{"fig8c", infallible(bench.Fig8c)},
-	{"fig8d", infallible(bench.Fig8d)},
-	{"fig8e", infallible(bench.Fig8e)},
-	{"fig8f", infallible(bench.Fig8f)},
-	{"fig8g", infallible(bench.Fig8g)},
-	{"fig8h", infallible(bench.Fig8h)},
-	{"fig9", infallible(bench.Fig9)},
+	{"fig6", func() (*bench.Table, error) { return bench.Fig6(), nil }},
+	{"scaling", bench.Scaling},
 	{"fig10", func() (*bench.Table, error) { return bench.Fig10(bench.DefaultFig10()) }},
 	{"timeline", bench.Timeline},
-	{"summary", infallible(bench.Summary)},
-	{"validate", bench.Validate},
 }
 
-func infallible(f func() *bench.Table) func() (*bench.Table, error) {
-	return func() (*bench.Table, error) { return f(), nil }
+// ids is what -list prints: every experiment, then chaos.
+func ids() []string {
+	out := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		out = append(out, e.id)
+	}
+	return append(out, "chaos")
 }
 
 func main() {
@@ -67,10 +58,9 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, e := range experiments {
-			fmt.Println(e.id)
+		for _, id := range ids() {
+			fmt.Println(id)
 		}
-		fmt.Println("chaos")
 		return
 	}
 
@@ -88,12 +78,11 @@ func main() {
 				fmt.Fprintf(os.Stderr, format+"\n", args...)
 			}
 		}
-		t, rep, err := bench.Chaos(cfg)
+		rep, err := chaos.Run(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Println(t.Render())
 		fmt.Println(rep.Summary())
 		if !rep.Passed() {
 			os.Exit(1)

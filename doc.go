@@ -4,9 +4,10 @@
 //
 // The public API lives in internal/core (cluster assembly), the paradigm in
 // internal/rcc, its instance protocol (and coordinating consensus) in
-// internal/pbft, and the experiment harness in internal/bench plus
-// cmd/rccbench. See README.md for the package tour, the
-// subsystem overviews, and how to run rccnode/rccclient/rccbench.
+// internal/pbft, and the experiments that drive these state machines in
+// internal/bench plus cmd/rccbench. REPRODUCTION.md lists each paper claim
+// with its status, number and command. See README.md for the package tour,
+// the subsystem overviews, and how to run rccnode/rccclient/rccbench.
 //
 // Durable storage: replicas configured with a data directory
 // (runtime.Config.DataDir, core.Options.DataDir, rccnode -data-dir)
@@ -134,8 +135,8 @@
 // cluster timeline" section for the event catalog, the cursor contract,
 // and a worked stuck-wave diagnosis.
 //
-// The root-level benchmarks (bench_test.go) expose one testing.B target per
-// table and figure of the paper's evaluation:
+// The root-level benchmarks (bench_test.go) time Fig. 6 and Fig. 10 on the
+// real state machines and the program's hot paths:
 //
 //	go test -bench=. -benchmem .
 //

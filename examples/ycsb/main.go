@@ -72,6 +72,6 @@ func main() {
 		fmt.Printf("%-6s %8.0f txn/s committed\n", proto, tput)
 	}
 	fmt.Println("\n(In-process deployment: absolute numbers reflect this machine;")
-	fmt.Println(" the bandwidth-limited comparison of the paper is regenerated by")
-	fmt.Println(" cmd/rccbench, which models the Google Cloud environment.)")
+	fmt.Println(" REPRODUCTION.md lists which of the paper's comparisons this")
+	fmt.Println(" repository reproduces, and how.)")
 }

@@ -16,27 +16,30 @@ func parseK(t *testing.T, cell string) float64 {
 	return v
 }
 
-func TestAllTablesWellFormed(t *testing.T) {
-	for _, tab := range All() {
-		if tab.ID == "" || tab.Title == "" {
-			t.Fatalf("table missing ID/title: %+v", tab)
+// checkWellFormed holds every table to the shape Render relies on: an ID and
+// title, at least one row, each row as wide as the header, and a render that
+// names the table. Each test below calls it on the table it already built.
+func checkWellFormed(t *testing.T, tab *Table) {
+	t.Helper()
+	if tab.ID == "" || tab.Title == "" {
+		t.Fatalf("table missing ID/title: %+v", tab)
+	}
+	if len(tab.Rows) == 0 {
+		t.Fatalf("%s: no rows", tab.ID)
+	}
+	for i, row := range tab.Rows {
+		if len(row) != len(tab.Header) {
+			t.Fatalf("%s row %d: %d cells, header has %d", tab.ID, i, len(row), len(tab.Header))
 		}
-		if len(tab.Rows) == 0 {
-			t.Fatalf("%s: no rows", tab.ID)
-		}
-		for i, row := range tab.Rows {
-			if len(row) != len(tab.Header) {
-				t.Fatalf("%s row %d: %d cells, header has %d", tab.ID, i, len(row), len(tab.Header))
-			}
-		}
-		if !strings.Contains(tab.Render(), tab.ID) {
-			t.Fatalf("%s: render missing ID", tab.ID)
-		}
+	}
+	if !strings.Contains(tab.Render(), tab.ID) {
+		t.Fatalf("%s: render missing ID", tab.ID)
 	}
 }
 
 func TestFig6MatchesPaperTable(t *testing.T) {
 	tab := Fig6()
+	checkWellFormed(t, tab)
 	want := map[string][3]string{
 		"original":          {"800", "300", "100"},
 		"first T1, then T2": {"600", "200", "400"},
@@ -60,33 +63,6 @@ func TestFig6MatchesPaperTable(t *testing.T) {
 	}
 }
 
-func TestFig8aRCCWinsEverywhereAbove4(t *testing.T) {
-	tab := Fig8a()
-	for _, row := range tab.Rows {
-		n, _ := strconv.Atoi(row[0])
-		if n <= 4 {
-			continue
-		}
-		rccn := parseK(t, row[1])
-		for col := 4; col <= 7; col++ { // PBFT, Zyzzyva, SBFT, HotStuff
-			if rccn < parseK(t, row[col]) {
-				t.Fatalf("n=%d: RCCn %.1f below %s %.1f", n, rccn, tab.Header[col], parseK(t, row[col]))
-			}
-		}
-	}
-}
-
-func TestFig1ConcurrencyDominates(t *testing.T) {
-	for _, txn := range []int{20, 400} {
-		tab := Fig1(txn)
-		for _, row := range tab.Rows {
-			if parseK(t, row[3]) <= parseK(t, row[1]) {
-				t.Fatalf("txn=%d n=%s: Tcmax not above Tmax", txn, row[0])
-			}
-		}
-	}
-}
-
 func TestFig10TimelineShape(t *testing.T) {
 	cfg := DefaultFig10()
 	cfg.Horizon = 24 * time.Second
@@ -96,6 +72,7 @@ func TestFig10TimelineShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkWellFormed(t, tab)
 	rccMin := int(^uint(0) >> 1)
 	var rccPre int
 	for i, row := range tab.Rows {
@@ -117,39 +94,15 @@ func TestFig10TimelineShape(t *testing.T) {
 	}
 }
 
-func TestSummaryRatiosWithinBands(t *testing.T) {
-	tab := Summary()
-	bands := map[string][2]float64{ // paper: 2.77 / 1.53 / 38 / 82 under failure
-		"SBFT":     {1.8, 4.5},
-		"PBFT":     {1.2, 4.0},
-		"HotStuff": {20, 60},
-		"Zyzzyva":  {40, 130},
-	}
-	for _, row := range tab.Rows {
-		band, ok := bands[row[0]]
-		if !ok {
-			t.Fatalf("unexpected baseline %q", row[0])
-		}
-		fail := parseK(t, row[2])
-		if fail < band[0] || fail > band[1] {
-			t.Errorf("%s single-failure ratio %.2f outside [%.1f, %.1f]", row[0], fail, band[0], band[1])
-		}
-	}
-}
-
-func TestValidateSimulatorsAgree(t *testing.T) {
+func TestSimnetRCCOutpacesPBFT(t *testing.T) {
 	if testing.Short() {
-		t.Skip("validate runs seconds of simulated consensus")
+		t.Skip("scaling runs seconds of simulated consensus")
 	}
-	tab, err := Validate()
+	tab, err := Scaling()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range tab.Rows {
-		if row[len(row)-1] != "true" {
-			t.Fatalf("simulators contradict at n=%s: %v", row[0], row)
-		}
-	}
+	checkWellFormed(t, tab)
 	// The protocol-level simulation must show RCC strictly ahead of PBFT
 	// at n=7 (the concurrency advantage the paper measures).
 	last := tab.Rows[len(tab.Rows)-1]
