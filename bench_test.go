@@ -303,7 +303,7 @@ func BenchmarkBroadcast(b *testing.B) {
 // ---------------------------------------------------------------------------
 
 // BenchmarkObsInstruments prices the individual hot-path instruments: one
-// counter increment, one histogram observation, and one tracer sampling
+// counter increment, one histogram observation, and one lifecycle sampling
 // check for an unsampled transaction (the common case — 63 of 64 requests
 // take only this branch). All must be allocation-free.
 func BenchmarkObsInstruments(b *testing.B) {
@@ -325,7 +325,7 @@ func BenchmarkObsInstruments(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// Client 1 seq 1 hashes outside the 1-in-64 sample; the call is
 			// the pure rejection path.
-			met.Trace(1, 1, obs.PointArrive)
+			met.Trace(0, flight.SubPBFT, flight.KArrive, 0, 1, 1)
 		}
 	})
 }
@@ -356,7 +356,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 				// The instrumentation a decided round charges the event
 				// loop, around the real network work.
 				met.Requests.Inc()
-				met.Trace(uint64(i%16+1), uint64(i), obs.PointArrive)
+				met.Trace(0, flight.SubPBFT, flight.KArrive, 0, uint64(i%16+1), uint64(i))
 				for p := types.ReplicaID(1); p <= loopbackPeers; p++ {
 					if err := t0.Send(p, vote); err != nil {
 						b.Fatal(err)
@@ -364,7 +364,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 				}
 				met.Decided.Inc()
 				met.ObserveStage(obs.StageConsensus, time.Duration(i%1000)*time.Microsecond)
-				met.Trace(uint64(i%16+1), uint64(i), obs.PointDecide)
+				met.Trace(0, flight.SubPBFT, flight.KDecide, 0, uint64(i%16+1), uint64(i))
 			}
 		})
 
@@ -396,7 +396,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 						b.Error(err)
 					}
 					met.ObserveStage(obs.StageJournal, time.Since(submitted))
-					met.Trace(cli, cseq, obs.PointDurable)
+					met.Trace(0, flight.SubRuntime, flight.KDurable, 0, cli, cseq)
 					completed.Add(1)
 				})
 			}

@@ -94,8 +94,7 @@ func main() {
 		walPrune = flag.Bool("wal-prune", false, "with -data-dir and -snapshot-every: reclaim WAL segments below each persisted checkpoint; restart replays from the pinned checkpoint instead of genesis")
 		stateSyn = flag.Bool("state-sync", true, "with -data-dir: serve checkpoints to lagging peers and, when this replica is behind (wiped disk, long partition), fetch the f+1-attested snapshot + ledger suffix and rejoin at the cluster head")
 		adminArg = flag.String("admin-addr", "", "admin HTTP listener serving /metrics (Prometheus), /healthz, /readyz, /debug/trace, /debug/events, and /debug/pprof (empty = off)")
-		traceN   = flag.Int("trace-sample", 64, "lifecycle tracer: sample 1 in N transactions into the /debug/trace ring (1 = all, negative = off)")
-		traceBuf = flag.Int("trace-buf", 4096, "lifecycle tracer: ring buffer capacity in events")
+		traceN   = flag.Int("trace-sample", 64, "lifecycle ring: sample 1 in N transactions into the /debug/trace ring (1 = all, negative = off)")
 		flightN  = flag.Int("flight-buf", 0, "flight recorder: ring capacity in events (0 = default 4096, negative = off)")
 		mirrorIv = flag.Duration("flight-mirror", 0, "flight recorder: crash-safe mirror period for <data-dir>/flight.bin (0 = default 2s, negative = off)")
 		timeline = flag.String("timeline", "", "scrape mode: comma-separated admin addresses and/or flight.bin paths; fetch every ring, merge into one causal cluster timeline on stdout, and exit")
@@ -126,8 +125,8 @@ func main() {
 	// every instrumented path degrades to a nil-check.
 	var metrics *obs.NodeMetrics
 	if *adminArg != "" {
-		metrics = obs.NewNodeMetrics(obs.NewRegistry(), *traceBuf, *traceN)
-		// NewNodeMetrics installs a default-size recorder.
+		metrics = obs.NewNodeMetrics(obs.NewRegistry(), 0, *traceN)
+		// NewNodeMetrics installs default-size rings.
 		switch {
 		case *flightN < 0:
 			metrics.Flight = nil
@@ -214,7 +213,7 @@ func main() {
 	log.Printf("rccnode: replica %d/%d (%s) listening on %s", *id, *n, *protoArg, tcp.Addr())
 
 	if *adminArg != "" {
-		handler := obs.NewHandler(metrics.Registry(), metrics.Tracer, metrics.Flight, obs.Health{
+		handler := obs.NewHandler(metrics, obs.Health{
 			// Liveness: the sticky durability error is fatal — a replica
 			// that cannot journal must be replaced, not retried.
 			Healthy: rep.DurabilityErr,

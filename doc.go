@@ -108,17 +108,18 @@
 //
 // Observability: internal/obs instruments the full request path —
 // per-stage latency histograms (verify, batch, consensus, unify, execute,
-// journal, ack),
-// consensus/WAL/transport/statesync counters, Go runtime self-metrics,
-// and a deterministic 1-in-N transaction lifecycle tracer — behind a
-// dependency-free, allocation-free metrics registry whose overhead CI
-// gates at ≤5% of the instrumented hot paths. rccnode -admin-addr serves
-// /metrics (Prometheus text format), /healthz (flips on the sticky
-// durability error), /readyz (journaling and caught up), /debug/trace,
-// /debug/events, and /debug/pprof. See internal/obs and the README's
-// "Observability" section; scripts/admin_smoke.sh asserts every stage
-// histogram fills on a live TCP cluster, and the benchmark/ module's
-// traced runs break client-observed latency down per layer.
+// journal, ack), consensus/WAL/transport/statesync counters, Go runtime
+// self-metrics, and deterministic 1-in-N transaction lifecycle stamps
+// (flight events in a ring of their own) — behind a dependency-free,
+// allocation-free metrics registry whose overhead CI gates at ≤5% of the
+// instrumented hot paths. rccnode -admin-addr serves /metrics (Prometheus
+// text format), /healthz (flips on the sticky durability error), /readyz
+// (journaling and caught up), /debug/trace and /debug/events (one handler
+// over the lifecycle and protocol-event rings), and /debug/pprof. See
+// internal/obs and the README's "Observability" section;
+// scripts/admin_smoke.sh asserts every stage histogram fills on a live TCP
+// cluster, and the benchmark/ module's traced runs break client-observed
+// latency down per layer.
 //
 // Flight recorder: internal/obs/flight is the black box behind
 // /debug/events — a lock-free bounded ring of fixed-shape protocol events

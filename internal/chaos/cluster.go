@@ -194,7 +194,7 @@ func (c *Cluster) peerMap() map[types.ReplicaID]string {
 // state transfer with checkpoint-boundary attestation, WAL pruning, and
 // the shared fault matrix on the transport. It does not Run the replica.
 func (c *Cluster) boot(n *node, listen string) error {
-	met := obs.NewNodeMetrics(obs.NewRegistry(), 0, 2048)
+	met := obs.NewNodeMetrics(obs.NewRegistry(), 0, -1)
 	rep, err := runtime.New(runtime.Config{
 		ID:     n.id,
 		Params: c.params,

@@ -104,6 +104,15 @@ const (
 
 	// runtime
 	KLoopStall // consensus event loop stopped draining; detail = stall ns
+
+	// transaction lifecycle, sampled 1 in N; seq = client seq, detail = client
+	KArrive  // request admitted by its instance, post-dedup (pbft)
+	KAssign  // request routed to its instance (rcc)
+	KPropose // round carrying the request pre-prepared (pbft)
+	KDecide  // that round committed and delivered (pbft)
+	KExecute // batch applied to the application (runtime)
+	KDurable // batch's journal record fsync'd (runtime)
+	KAck     // client replies for the batch enqueued (runtime)
 )
 
 var kindNames = map[Kind]string{
@@ -128,6 +137,13 @@ var kindNames = map[Kind]string{
 	KCkptAttest:       "ckpt_attest",
 	KAttTarget:        "att_target",
 	KLoopStall:        "loop_stalled",
+	KArrive:           "arrive",
+	KAssign:           "assign",
+	KPropose:          "propose",
+	KDecide:           "decide",
+	KExecute:          "execute",
+	KDurable:          "durable",
+	KAck:              "ack",
 }
 
 func (k Kind) String() string {

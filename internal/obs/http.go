@@ -1,10 +1,13 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"time"
 
 	"repro/internal/obs/flight"
 )
@@ -21,58 +24,33 @@ type Health struct {
 	Ready func() error
 }
 
-// NewHandler returns the admin HTTP handler:
+// NewHandler returns the admin HTTP handler over met's instruments:
 //
-//	/metrics       Prometheus text exposition of reg
+//	/metrics       Prometheus text exposition of met's registry
 //	/healthz       liveness probe (503 once durability is poisoned)
 //	/readyz        readiness probe (503 until caught up and journaling)
-//	/debug/trace   lifecycle tracer ring dump; ?since=<cursor> for only-new
-//	/debug/events  flight recorder dump; ?since=<cursor>, ?format=bin|text
+//	/debug/trace   the Lifecycle ring, grouped by transaction
+//	/debug/events  the Flight ring, one event per line
 //	/debug/pprof   Go runtime profiles
 //
-// Both ring endpoints share the cursor contract: each response ends with
-// (text) or carries in its header (binary) a `next` cursor; passing it back
-// as ?since= returns only events recorded after the previous poll. fr may
-// be nil (flight recording disabled).
-func NewHandler(reg *Registry, tr *Tracer, fr *flight.Recorder, h Health) http.Handler {
+// Both ring endpoints are ringHandler over a flight ring, so they share
+// one cursor contract. met may be nil, and either ring may be nil
+// (recording disabled).
+func NewHandler(met *NodeMetrics, h Health) http.Handler {
+	if met == nil {
+		met = &NodeMetrics{}
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WritePrometheus(w)
+		met.reg.WritePrometheus(w)
 	})
 	mux.HandleFunc("/healthz", probe(h.Healthy))
 	mux.HandleFunc("/readyz", probe(h.Ready))
-	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if tr == nil {
-			fmt.Fprintln(w, "trace: tracing disabled")
-			return
-		}
-		since, ok := sinceParam(w, r)
-		if !ok {
-			return
-		}
-		tr.WriteTextSince(w, since)
-	})
-	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, r *http.Request) {
-		if fr == nil {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprintln(w, "flight: recording disabled")
-			return
-		}
-		since, ok := sinceParam(w, r)
-		if !ok {
-			return
-		}
-		snap := fr.Dump(since)
-		if r.URL.Query().Get("format") == "bin" {
-			w.Header().Set("Content-Type", "application/octet-stream")
-			flight.EncodeBinary(w, snap)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		flight.WriteText(w, snap)
-	})
+	mux.HandleFunc("/debug/trace", ringHandler("trace", met.Lifecycle, func(w io.Writer, snap flight.Snapshot) {
+		writeTrace(w, snap, met.sample)
+	}))
+	mux.HandleFunc("/debug/events", ringHandler("flight", met.Flight, flight.WriteText))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -81,19 +59,65 @@ func NewHandler(reg *Registry, tr *Tracer, fr *flight.Recorder, h Health) http.H
 	return mux
 }
 
-// sinceParam parses the optional ?since= ring cursor; on a malformed value
-// it writes 400 and reports false.
-func sinceParam(w http.ResponseWriter, r *http.Request) (uint64, bool) {
-	raw := r.URL.Query().Get("since")
-	if raw == "" {
-		return 0, true
+// ringHandler serves one flight ring. The cursor is the count of events
+// ever recorded: each text dump ends with, and each binary dump
+// (?format=bin) carries in its header, a `next` cursor, and passing it
+// back as ?since= returns only events recorded after the previous poll. A
+// malformed cursor is a 400. text renders the text form.
+func ringHandler(name string, fr *flight.Recorder, text func(io.Writer, flight.Snapshot)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		if fr == nil {
+			fmt.Fprintln(w, name+": recording disabled")
+			return
+		}
+		since, err := strconv.ParseUint(cmp.Or(r.URL.Query().Get("since"), "0"), 10, 64)
+		if err != nil {
+			http.Error(w, "bad since cursor: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+		snap := fr.Dump(since)
+		if r.URL.Query().Get("format") == "bin" {
+			w.Header().Set("Content-Type", "application/octet-stream")
+			flight.EncodeBinary(w, snap)
+			return
+		}
+		text(w, snap)
 	}
-	since, err := strconv.ParseUint(raw, 10, 64)
-	if err != nil {
-		http.Error(w, "bad since cursor: "+err.Error(), http.StatusBadRequest)
-		return 0, false
+}
+
+// writeTrace renders a Lifecycle snapshot grouped by transaction: one line
+// per (replica, client, seq), each stamp shown as a delta from the group's
+// first stamp, then the "next=<cursor>" line.
+func writeTrace(w io.Writer, snap flight.Snapshot, sample uint64) {
+	type key struct {
+		replica     uint16
+		client, seq uint64
 	}
-	return since, true
+	var order []key
+	grouped := make(map[key][]flight.Event)
+	for _, e := range snap.Events {
+		k := key{e.Replica, e.Detail, e.Seq}
+		if _, ok := grouped[k]; !ok {
+			order = append(order, k)
+		}
+		grouped[k] = append(grouped[k], e)
+	}
+	if len(order) == 0 {
+		fmt.Fprintln(w, "trace: no sampled events recorded")
+	} else {
+		fmt.Fprintf(w, "trace: %d events, %d transactions (1 in %d sampled)\n", len(snap.Events), len(order), sample)
+	}
+	for _, k := range order {
+		evs := grouped[k]
+		fmt.Fprintf(w, "r%d client=%d seq=%d inst=%d  %s", k.replica, k.client, k.seq, evs[0].Instance,
+			snap.WallTime(evs[0]).Format("15:04:05.000000"))
+		for _, e := range evs {
+			fmt.Fprintf(w, "  %s+%s", e.Kind, time.Duration(e.Mono-evs[0].Mono).Round(time.Microsecond))
+		}
+		fmt.Fprintln(w)
+	}
+	fmt.Fprintf(w, "next=%d\n", snap.Next)
 }
 
 func probe(f func() error) http.HandlerFunc {

@@ -120,14 +120,9 @@ func validatePrometheusText(t *testing.T, body string) {
 	}
 }
 
-func scrape(t *testing.T, reg *Registry, tr *Tracer, h Health, path string) (int, string) {
+func scrape(t *testing.T, met *NodeMetrics, h Health, path string) (int, string) {
 	t.Helper()
-	return scrapeFlight(t, reg, tr, nil, h, path)
-}
-
-func scrapeFlight(t *testing.T, reg *Registry, tr *Tracer, fr *flight.Recorder, h Health, path string) (int, string) {
-	t.Helper()
-	srv := httptest.NewServer(NewHandler(reg, tr, fr, h))
+	srv := httptest.NewServer(NewHandler(met, h))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + path)
 	if err != nil {
@@ -154,7 +149,7 @@ func TestMetricsEndpointParses(t *testing.T) {
 	reg.CounterFunc("poll_total", "", "polled counter", func() float64 { return 1234 })
 	reg.GaugeFunc("fractional", "", "non-integral value", func() float64 { return 0.375 })
 
-	code, body := scrape(t, reg, m.Tracer, Health{}, "/metrics")
+	code, body := scrape(t, m, Health{}, "/metrics")
 	if code != 200 {
 		t.Fatalf("/metrics status %d", code)
 	}
@@ -225,40 +220,41 @@ func TestHealthEndpoints(t *testing.T) {
 		Healthy: func() error { return healthyErr },
 		Ready:   func() error { return readyErr },
 	}
-	reg := NewRegistry()
+	met := NewNodeMetrics(NewRegistry(), 0, -1)
 
-	if code, body := scrape(t, reg, nil, health, "/healthz"); code != 200 || !strings.Contains(body, "ok") {
+	if code, body := scrape(t, met, health, "/healthz"); code != 200 || !strings.Contains(body, "ok") {
 		t.Fatalf("/healthz = %d %q, want 200 ok", code, body)
 	}
-	if code, _ := scrape(t, reg, nil, health, "/readyz"); code != 200 {
+	if code, _ := scrape(t, met, health, "/readyz"); code != 200 {
 		t.Fatalf("/readyz = %d, want 200", code)
 	}
 
 	readyErr = errors.New("state transfer in progress")
-	if code, body := scrape(t, reg, nil, health, "/readyz"); code != 503 || !strings.Contains(body, "state transfer") {
+	if code, body := scrape(t, met, health, "/readyz"); code != 503 || !strings.Contains(body, "state transfer") {
 		t.Fatalf("/readyz = %d %q, want 503 with reason", code, body)
 	}
-	if code, _ := scrape(t, reg, nil, health, "/healthz"); code != 200 {
+	if code, _ := scrape(t, met, health, "/healthz"); code != 200 {
 		t.Fatal("/healthz must stay 200 while only readiness fails")
 	}
 
 	healthyErr = fmt.Errorf("wal: %w", errors.New("fsync failed"))
-	if code, body := scrape(t, reg, nil, health, "/healthz"); code != 503 || !strings.Contains(body, "fsync failed") {
+	if code, body := scrape(t, met, health, "/healthz"); code != 503 || !strings.Contains(body, "fsync failed") {
 		t.Fatalf("/healthz = %d %q, want 503 with cause", code, body)
 	}
 }
 
 func TestTraceAndPprofEndpoints(t *testing.T) {
-	tr := NewTracer(16, 1)
-	tr.Record(9, 1, PointArrive)
-	tr.Record(9, 1, PointAck)
-	if code, body := scrape(t, NewRegistry(), tr, Health{}, "/debug/trace"); code != 200 || !strings.Contains(body, "client=9 seq=1") {
+	tr := NewNodeMetrics(NewRegistry(), 16, 1)
+	tr.Trace(0, flight.SubPBFT, flight.KArrive, 0, 9, 1)
+	tr.Trace(0, flight.SubRuntime, flight.KAck, 0, 9, 1)
+	if code, body := scrape(t, tr, Health{}, "/debug/trace"); code != 200 || !strings.Contains(body, "client=9 seq=1") {
 		t.Fatalf("/debug/trace = %d %q", code, body)
 	}
-	if code, body := scrape(t, NewRegistry(), nil, Health{}, "/debug/trace"); code != 200 || !strings.Contains(body, "disabled") {
-		t.Fatalf("/debug/trace (no tracer) = %d %q", code, body)
+	untraced := NewNodeMetrics(NewRegistry(), 0, -1)
+	if code, body := scrape(t, untraced, Health{}, "/debug/trace"); code != 200 || !strings.Contains(body, "disabled") {
+		t.Fatalf("/debug/trace (tracing off) = %d %q", code, body)
 	}
-	if code, body := scrape(t, NewRegistry(), nil, Health{}, "/debug/pprof/"); code != 200 || !strings.Contains(body, "goroutine") {
+	if code, body := scrape(t, untraced, Health{}, "/debug/pprof/"); code != 200 || !strings.Contains(body, "goroutine") {
 		t.Fatalf("/debug/pprof/ = %d", code)
 	}
 }
@@ -279,11 +275,11 @@ func nextCursor(t *testing.T, body string) uint64 {
 }
 
 func TestTraceSinceCursor(t *testing.T) {
-	tr := NewTracer(16, 1)
-	tr.Record(1, 1, PointArrive)
-	tr.Record(1, 1, PointDecide)
+	tr := NewNodeMetrics(NewRegistry(), 16, 1)
+	tr.Trace(0, flight.SubPBFT, flight.KArrive, 0, 1, 1)
+	tr.Trace(0, flight.SubPBFT, flight.KDecide, 0, 1, 1)
 
-	code, body := scrape(t, NewRegistry(), tr, Health{}, "/debug/trace")
+	code, body := scrape(t, tr, Health{}, "/debug/trace")
 	if code != 200 || !strings.Contains(body, "client=1 seq=1") {
 		t.Fatalf("/debug/trace = %d %q", code, body)
 	}
@@ -293,29 +289,30 @@ func TestTraceSinceCursor(t *testing.T) {
 	}
 
 	// Polling at the cursor returns nothing new but repeats the cursor.
-	_, body = scrape(t, NewRegistry(), tr, Health{}, fmt.Sprintf("/debug/trace?since=%d", cur))
+	_, body = scrape(t, tr, Health{}, fmt.Sprintf("/debug/trace?since=%d", cur))
 	if !strings.Contains(body, "no sampled events") || nextCursor(t, body) != cur {
 		t.Fatalf("poll at head = %q", body)
 	}
 
 	// New events after the cursor show up in the incremental poll.
-	tr.Record(2, 7, PointAck)
-	_, body = scrape(t, NewRegistry(), tr, Health{}, fmt.Sprintf("/debug/trace?since=%d", cur))
+	tr.Trace(0, flight.SubRuntime, flight.KAck, 0, 2, 7)
+	_, body = scrape(t, tr, Health{}, fmt.Sprintf("/debug/trace?since=%d", cur))
 	if !strings.Contains(body, "client=2 seq=7") || strings.Contains(body, "client=1 seq=1") {
 		t.Fatalf("incremental poll = %q", body)
 	}
 
-	if code, _ := scrape(t, NewRegistry(), tr, Health{}, "/debug/trace?since=banana"); code != 400 {
+	if code, _ := scrape(t, tr, Health{}, "/debug/trace?since=banana"); code != 400 {
 		t.Fatalf("bad cursor accepted: %d", code)
 	}
 }
 
 func TestEventsEndpoint(t *testing.T) {
-	fr := flight.New(64)
+	met := &NodeMetrics{Flight: flight.New(64)}
+	fr := met.Flight
 	fr.Record(2, flight.SubPBFT, flight.KViewChangeStart, 1, 3, 0, 0)
 	fr.Record(2, flight.SubTransport, flight.KDemote, 0, 0, 0, 1)
 
-	code, body := scrapeFlight(t, NewRegistry(), nil, fr, Health{}, "/debug/events")
+	code, body := scrape(t, met, Health{}, "/debug/events")
 	if code != 200 || !strings.Contains(body, "view_change_start") || !strings.Contains(body, "demote") {
 		t.Fatalf("/debug/events = %d %q", code, body)
 	}
@@ -323,13 +320,13 @@ func TestEventsEndpoint(t *testing.T) {
 
 	// Incremental poll: only events after the cursor.
 	fr.Record(2, flight.SubTransport, flight.KReconnect, 0, 0, 0, 1)
-	_, body = scrapeFlight(t, NewRegistry(), nil, fr, Health{}, fmt.Sprintf("/debug/events?since=%d", cur))
+	_, body = scrape(t, met, Health{}, fmt.Sprintf("/debug/events?since=%d", cur))
 	if !strings.Contains(body, "reconnect") || strings.Contains(body, "view_change_start") {
 		t.Fatalf("incremental events poll = %q", body)
 	}
 
 	// Binary format parses back through the flight codec.
-	_, body = scrapeFlight(t, NewRegistry(), nil, fr, Health{}, "/debug/events?format=bin")
+	_, body = scrape(t, met, Health{}, "/debug/events?format=bin")
 	snap, err := flight.DecodeBinary(bytes.NewReader([]byte(body)))
 	if err != nil {
 		t.Fatal(err)
@@ -338,18 +335,17 @@ func TestEventsEndpoint(t *testing.T) {
 		t.Fatalf("binary events dump = %+v", snap)
 	}
 
-	if code, _ := scrapeFlight(t, NewRegistry(), nil, fr, Health{}, "/debug/events?since=nope"); code != 400 {
+	if code, _ := scrape(t, met, Health{}, "/debug/events?since=nope"); code != 400 {
 		t.Fatalf("bad cursor accepted: %d", code)
 	}
-	if _, body := scrapeFlight(t, NewRegistry(), nil, nil, Health{}, "/debug/events"); !strings.Contains(body, "disabled") {
+	if _, body := scrape(t, nil, Health{}, "/debug/events"); !strings.Contains(body, "disabled") {
 		t.Fatalf("nil recorder dump = %q", body)
 	}
 }
 
 func TestRuntimeSelfMetrics(t *testing.T) {
 	reg := NewRegistry()
-	NewNodeMetrics(reg, 0, -1)
-	code, body := scrape(t, reg, nil, Health{}, "/metrics")
+	code, body := scrape(t, NewNodeMetrics(reg, 0, -1), Health{}, "/metrics")
 	if code != 200 {
 		t.Fatalf("/metrics status %d", code)
 	}

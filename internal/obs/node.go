@@ -56,7 +56,7 @@ func (s Stage) String() string {
 }
 
 // NodeMetrics is the replica's instrument catalog: per-stage latency
-// histograms, consensus/runtime counters, and the lifecycle tracer. One
+// histograms, consensus/runtime counters, and two flight rings. One
 // NodeMetrics is shared by every layer of a replica (pbft, rcc, exec, wal,
 // runtime), all feeding one Registry.
 //
@@ -65,14 +65,18 @@ func (s Stage) String() string {
 // call is safe and free-ish, so instrumented code needs no conditional
 // plumbing.
 type NodeMetrics struct {
-	// Tracer samples transaction lifecycles; nil disables tracing.
-	Tracer *Tracer
-
 	// Flight is the black-box protocol-event recorder; nil disables it.
 	// Every subsystem holding this catalog emits into the same ring —
 	// events carry their replica id, so one ring serves an in-process
 	// cluster as well as a single node.
 	Flight *flight.Recorder
+	// Lifecycle holds the sampled transactions' lifecycle stamps (the
+	// flight kinds arrive … ack); nil disables tracing. It is a ring of its
+	// own so that per-transaction stamps never evict Flight's protocol
+	// events.
+	Lifecycle *flight.Recorder
+	// sample is the lifecycle sampling rate: one transaction in sample.
+	sample uint64
 
 	// Requests counts client transactions admitted by consensus instances
 	// (post-dedup).
@@ -103,12 +107,12 @@ type NodeMetrics struct {
 }
 
 // NewNodeMetrics builds the catalog, registering every instrument in reg.
-// traceSize and traceSample parameterize the lifecycle tracer (zero values
-// pick defaults); traceSample < 0 disables tracing entirely.
+// traceSize and traceSample parameterize the Lifecycle ring (zero values
+// pick flight.DefaultSize and 1 in 1); traceSample < 0 disables tracing.
 func NewNodeMetrics(reg *Registry, traceSize, traceSample int) *NodeMetrics {
-	m := &NodeMetrics{reg: reg}
+	m := &NodeMetrics{reg: reg, sample: uint64(max(traceSample, 1))}
 	if traceSample >= 0 {
-		m.Tracer = NewTracer(traceSize, traceSample)
+		m.Lifecycle = flight.New(traceSize)
 	}
 	const stageHelp = "per-stage transaction latency: verify (frame staged to authenticated), batch (queued at the primary to proposed, oldest of each batch), consensus (proposal seen to decided), unify (decided to unified order), execute (state machine apply), journal (submit to durable), ack (delivered to replies enqueued)"
 	for s := Stage(0); s < numStages; s++ {
@@ -250,18 +254,31 @@ func (m *NodeMetrics) Stage(s Stage) *Histogram {
 }
 
 // Tracing reports whether lifecycle tracing is live — instrumented code
-// uses it to skip per-transaction loops entirely when no tracer is
-// attached.
+// uses it to skip per-transaction loops entirely when no ring is attached.
 func (m *NodeMetrics) Tracing() bool {
-	return m != nil && m.Tracer != nil
+	return m != nil && m.Lifecycle != nil
 }
 
-// Trace stamps point for the transaction if it is sampled.
-func (m *NodeMetrics) Trace(client, seq uint64, p TracePoint) {
-	if m == nil {
-		return
+// Sampled reports whether the transaction (client, seq) is in the
+// lifecycle sample. The decision is a stateless hash of (client, seq) and
+// the rate, so every replica — and every stage on one replica — samples
+// the same transactions.
+func (m *NodeMetrics) Sampled(client, seq uint64) bool {
+	if !m.Tracing() {
+		return false
 	}
-	m.Tracer.Record(client, seq, p)
+	h := (client + 1) * 0x9E3779B97F4A7C15
+	h ^= (seq + 1) * 0xBF58476D1CE4E5B9
+	h ^= h >> 29
+	return m.sample <= 1 || h%m.sample == 0
+}
+
+// Trace stamps lifecycle point kind (flight.KArrive … flight.KAck) for
+// the transaction (client, seq) if it is sampled, attributed like Emit.
+func (m *NodeMetrics) Trace(replica uint16, sub flight.Sub, kind flight.Kind, instance uint32, client, seq uint64) {
+	if m.Sampled(client, seq) {
+		m.Lifecycle.Record(replica, sub, kind, instance, 0, seq, client)
+	}
 }
 
 // Emit records a flight event; a nil catalog or nil recorder is a no-op,

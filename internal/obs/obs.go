@@ -1,13 +1,14 @@
 // Package obs is the node's observability layer: a dependency-free metrics
 // registry (atomic counters, gauges, and log-bucketed latency histograms
-// with p50/p95/p99/max snapshots), a sampled per-transaction lifecycle
-// tracer, and an admin HTTP handler exposing everything as Prometheus text
-// exposition format plus health probes and pprof.
+// with p50/p95/p99/max snapshots), sampled per-transaction lifecycle stamps
+// recorded as flight events, and an admin HTTP handler exposing everything
+// as Prometheus text exposition format plus health probes, both flight
+// rings and pprof.
 //
 // The hot path allocates nothing: instruments are plain atomics, every
-// method is nil-receiver safe (a nil *Counter, *Gauge, *Histogram, *Tracer,
-// or *NodeMetrics is a no-op sink), and rendering cost is paid only at
-// scrape time. Subsystems that keep their own counters (transport, wal,
+// method is nil-receiver safe (a nil *Counter, *Gauge, *Histogram,
+// *flight.Recorder or *NodeMetrics is a no-op sink), and rendering cost is
+// paid only at scrape time. Subsystems that keep their own counters (transport, wal,
 // statesync) register closures via CounterFunc/GaugeFunc and are polled at
 // scrape.
 package obs

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs/flight"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -27,24 +29,24 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var c *Counter
 	var g *Gauge
 	var h *Histogram
-	var tr *Tracer
+	var fr *flight.Recorder
 	var m *NodeMetrics
 	c.Add(1)
 	c.Inc()
 	g.Set(1)
 	g.Add(1)
 	h.Observe(time.Second)
-	tr.Record(1, 1, PointArrive)
-	m.Trace(1, 1, PointArrive)
+	fr.Record(0, flight.SubPBFT, flight.KArrive, 0, 0, 1, 1)
+	m.Trace(0, flight.SubPBFT, flight.KArrive, 0, 1, 1)
 	m.ObserveStage(StageAck, time.Second)
-	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 || tr.Sampled(1, 1) || m.Stage(StageAck) != nil || m.Tracing() {
+	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 || fr.Head() != 0 || m.Sampled(1, 1) || m.Stage(StageAck) != nil || m.Tracing() {
 		t.Fatal("nil instruments must be inert")
 	}
 	var zero NodeMetrics
 	zero.Requests.Inc()
 	zero.ObserveStage(StageExecute, time.Second)
-	zero.Trace(1, 1, PointAck)
-	if zero.Requests.Value() != 0 {
+	zero.Trace(0, flight.SubRuntime, flight.KAck, 0, 1, 1)
+	if zero.Requests.Value() != 0 || zero.Sampled(1, 1) {
 		t.Fatal("zero-value NodeMetrics must be a no-op sink")
 	}
 }
@@ -171,19 +173,19 @@ func TestHistogramConcurrent(t *testing.T) {
 }
 
 func TestTracerSamplingAndRing(t *testing.T) {
-	tr := NewTracer(8, 1) // sample everything, tiny ring
-	for i := uint64(0); i < 12; i++ {
-		tr.Record(1, i, PointArrive)
+	tr := NewNodeMetrics(NewRegistry(), 16, 1) // sample everything, smallest ring
+	for i := uint64(0); i < 20; i++ {
+		tr.Trace(0, flight.SubPBFT, flight.KArrive, 0, 1, i)
 	}
-	evs := tr.Dump()
-	if len(evs) != 8 {
-		t.Fatalf("ring holds %d events, want 8", len(evs))
+	evs := tr.Lifecycle.Dump(0).Events
+	if len(evs) != 16 {
+		t.Fatalf("ring holds %d events, want 16", len(evs))
 	}
-	if evs[0].Seq != 4 || evs[7].Seq != 11 {
-		t.Fatalf("ring kept seqs %d..%d, want 4..11", evs[0].Seq, evs[7].Seq)
+	if evs[0].Seq != 4 || evs[15].Seq != 19 {
+		t.Fatalf("ring kept seqs %d..%d, want 4..19", evs[0].Seq, evs[15].Seq)
 	}
 
-	sampled := NewTracer(64, 16)
+	sampled := NewNodeMetrics(NewRegistry(), 64, 16)
 	hits := 0
 	for seq := uint64(0); seq < 16000; seq++ {
 		if sampled.Sampled(3, seq) {
@@ -194,19 +196,25 @@ func TestTracerSamplingAndRing(t *testing.T) {
 	if hits < 500 || hits > 1500 {
 		t.Fatalf("sampled %d of 16000 at 1-in-16", hits)
 	}
-	// The decision must be stable: every stage sees the same verdict.
-	if sampled.Sampled(3, 77) != sampled.Sampled(3, 77) {
-		t.Fatal("sampling not deterministic")
+	// The decision must be stable across replicas: a second, independent
+	// catalog, as another replica builds, samples exactly the same set.
+	other := NewNodeMetrics(NewRegistry(), 0, 16)
+	for client := uint64(0); client < 8; client++ {
+		for seq := uint64(0); seq < 16000; seq++ {
+			if sampled.Sampled(client, seq) != other.Sampled(client, seq) {
+				t.Fatalf("sampling not deterministic: replicas disagree on (%d, %d)", client, seq)
+			}
+		}
 	}
 }
 
 func TestTracerWriteText(t *testing.T) {
-	tr := NewTracer(16, 1)
-	tr.Record(2, 5, PointArrive)
-	tr.Record(2, 5, PointDecide)
-	tr.Record(2, 5, PointAck)
+	tr := NewNodeMetrics(NewRegistry(), 16, 1)
+	tr.Trace(0, flight.SubPBFT, flight.KArrive, 1, 2, 5)
+	tr.Trace(0, flight.SubPBFT, flight.KDecide, 1, 2, 5)
+	tr.Trace(0, flight.SubRuntime, flight.KAck, 1, 2, 5)
 	var sb strings.Builder
-	tr.WriteText(&sb)
+	writeTrace(&sb, tr.Lifecycle.Dump(0), tr.sample)
 	out := sb.String()
 	for _, want := range []string{"client=2 seq=5", "arrive+", "decide+", "ack+"} {
 		if !strings.Contains(out, want) {

@@ -591,7 +591,7 @@ func (p *Instance) onClientRequest(from sm.Source, m *types.ClientRequest) {
 		queued = true
 		if met := p.cfg.Metrics; met != nil {
 			met.Requests.Inc()
-			met.Trace(uint64(tx.Client), tx.Seq, obs.PointArrive)
+			p.trace(flight.KArrive, tx)
 		}
 	}
 	if !queued {
@@ -698,10 +698,9 @@ func (p *Instance) onPrePrepare(from types.ReplicaID, m *types.PrePrepare) {
 	rd.preprepared = true
 	p.highPrep = max(p.highPrep, m.Round)
 	rd.seenAt = p.env.Now()
-	if met := p.cfg.Metrics; met.Tracing() {
+	if p.cfg.Metrics.Tracing() {
 		for i := range m.Batch.Txns {
-			tx := &m.Batch.Txns[i]
-			met.Trace(uint64(tx.Client), tx.Seq, obs.PointPropose)
+			p.trace(flight.KPropose, &m.Batch.Txns[i])
 		}
 	}
 	p.armTimer()
@@ -784,8 +783,7 @@ func (p *Instance) tryDeliver() {
 			}
 			if met.Tracing() && rd.batch != nil {
 				for i := range rd.batch.Txns {
-					tx := &rd.batch.Txns[i]
-					met.Trace(uint64(tx.Client), tx.Seq, obs.PointDecide)
+					p.trace(flight.KDecide, &rd.batch.Txns[i])
 				}
 			}
 		}
@@ -871,6 +869,15 @@ func (p *Instance) markDelivered(b *types.Batch) {
 // emit records a flight event attributed to this replica and instance.
 func (p *Instance) emit(kind flight.Kind, view types.View, seq, detail uint64) {
 	p.cfg.Metrics.Emit(uint16(p.env.ID()), flight.SubPBFT, kind, uint32(p.cfg.Instance), uint64(view), seq, detail)
+}
+
+// trace stamps lifecycle point kind for tx if it is sampled; no-op fills
+// carry no transaction and are skipped, as the runtime skips them.
+func (p *Instance) trace(kind flight.Kind, tx *types.Transaction) {
+	if tx.IsNoOp() {
+		return
+	}
+	p.cfg.Metrics.Trace(uint16(p.env.ID()), flight.SubPBFT, kind, uint32(p.cfg.Instance), uint64(tx.Client), tx.Seq)
 }
 
 // suspect reports a detected primary failure.

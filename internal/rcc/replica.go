@@ -340,7 +340,7 @@ func (r *Replica) routeClientRequest(from sm.Source, m *types.ClientRequest) {
 	inst := r.Assignment(c)
 	if met := r.cfg.Metrics; met.Tracing() {
 		for i := range m.Txns {
-			met.Trace(uint64(c), m.Txns[i].Seq, obs.PointAssign)
+			met.Trace(uint16(r.env.ID()), flight.SubRCC, flight.KAssign, uint32(inst), uint64(c), m.Txns[i].Seq)
 		}
 	}
 	r.states[inst].inst.OnMessage(from, types.NewClientRequest(inst, m.Txns...))

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,8 +11,10 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/flight"
 	"repro/internal/pbft"
 	"repro/internal/quorum"
+	"repro/internal/rcc"
 	"repro/internal/transport"
 	"repro/internal/types"
 	"repro/internal/wal"
@@ -53,7 +56,7 @@ func TestAdminHealthFlipsOnDurabilityFailure(t *testing.T) {
 	}
 	defer stopAll(reps, hub)
 
-	handler := obs.NewHandler(met.Registry(), met.Tracer, met.Flight, obs.Health{
+	handler := obs.NewHandler(met, obs.Health{
 		Healthy: reps[3].DurabilityErr,
 		Ready:   reps[3].DurabilityErr,
 	})
@@ -105,6 +108,72 @@ func TestAdminHealthFlipsOnDurabilityFailure(t *testing.T) {
 	}
 	if !strings.Contains(metrics, `rcc_durability_healthy{replica="0"} 1`) {
 		t.Fatalf("/metrics lost replica 0's healthy gauge:\n%s", grepLines(metrics, "rcc_durability_healthy"))
+	}
+}
+
+// TestLifecycleTraceAttribution runs four RCC replicas that share one
+// catalog at sample 1, as an in-process cluster does, and reads the
+// lifecycle stamps back through /debug/trace: each replica's stamps for a
+// committed transaction are grouped under that replica, and none of them
+// lands in the protocol-event ring.
+func TestLifecycleTraceAttribution(t *testing.T) {
+	params, err := quorum.NewParams(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	met := obs.NewNodeMetrics(obs.NewRegistry(), 0, 1)
+	hub := transport.NewMemory()
+	reps := make([]*Replica, 4)
+	for i := range reps {
+		reps[i], err = New(Config{
+			ID:             types.ReplicaID(i),
+			Params:         params,
+			Machine:        rcc.New(rcc.Config{BatchSize: 1, Window: 4, Metrics: met}),
+			App:            ycsb.NewStore(1000),
+			Journal:        true,
+			ReplyToClients: true,
+			Metrics:        met,
+		})
+		if err != nil {
+			t.Fatalf("replica %d: %v", i, err)
+		}
+		reps[i].Attach(hub.AttachReplica(types.ReplicaID(i), reps[i]))
+	}
+	for _, r := range reps {
+		r.Run()
+	}
+	defer stopAll(reps, hub)
+
+	c := runClient(t, hub, params, 1, 3)
+	waitFor(t, 10*time.Second, func() bool { return len(c.Completions()) == 3 })
+	for _, r := range reps {
+		waitFor(t, 5*time.Second, func() bool { return r.Executed() >= 3 })
+	}
+
+	srv := httptest.NewServer(obs.NewHandler(met, obs.Health{}))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/debug/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := string(raw)
+	for i := range reps {
+		line := grepLines(body, fmt.Sprintf("r%d client=1 seq=1 ", i))
+		for _, point := range []string{"arrive+", "decide+"} {
+			if !strings.Contains(line, point) {
+				t.Fatalf("replica %d: no %s stamp for (1, 1) under r%d:\n%s", i, point, i, body)
+			}
+		}
+	}
+	for _, e := range met.Flight.Dump(0).Events {
+		if e.Kind >= flight.KArrive && e.Kind <= flight.KAck {
+			t.Fatalf("lifecycle stamp %v recorded in the protocol-event ring", e.Kind)
+		}
 	}
 }
 

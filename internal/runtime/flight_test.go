@@ -130,7 +130,7 @@ func flightReplica(t *testing.T, base string, id types.ReplicaID, params quorum.
 // the host:port flight.FetchHTTP wants.
 func adminAddr(t *testing.T, met *obs.NodeMetrics) string {
 	t.Helper()
-	srv := httptest.NewServer(obs.NewHandler(met.Registry(), met.Tracer, met.Flight, obs.Health{}))
+	srv := httptest.NewServer(obs.NewHandler(met, obs.Health{}))
 	t.Cleanup(srv.Close)
 	return strings.TrimPrefix(srv.URL, "http://")
 }

@@ -1009,7 +1009,7 @@ func (e *replicaEnv) Deliver(d sm.Decision) {
 			return
 		}
 		if r.durable != nil && met.Tracing() {
-			traceBatch(met, d.Batch, obs.PointDurable)
+			r.traceBatch(d, flight.KDurable)
 		}
 		e.ackClients(d, nres)
 		if met != nil {
@@ -1020,7 +1020,7 @@ func (e *replicaEnv) Deliver(d sm.Decision) {
 	r.executed += uint64(res.TxnExecuted)
 	r.mu.Unlock()
 	if met.Tracing() {
-		traceBatch(met, d.Batch, obs.PointExecute)
+		r.traceBatch(d, flight.KExecute)
 	}
 	if r.cfg.Journaling.SnapshotEvery > 0 && res.Block != nil &&
 		(res.Block.Height+1)%r.cfg.Journaling.SnapshotEvery == 0 {
@@ -1035,13 +1035,13 @@ func (e *replicaEnv) Deliver(d sm.Decision) {
 	}
 }
 
-// traceBatch stamps one lifecycle point for every sampled transaction of a
-// batch.
-func traceBatch(met *obs.NodeMetrics, batch *types.Batch, p obs.TracePoint) {
-	for i := range batch.Txns {
-		tx := &batch.Txns[i]
+// traceBatch stamps lifecycle point kind for every sampled transaction of
+// a decided batch.
+func (r *Replica) traceBatch(d sm.Decision, kind flight.Kind) {
+	for i := range d.Batch.Txns {
+		tx := &d.Batch.Txns[i]
 		if !tx.IsNoOp() {
-			met.Trace(uint64(tx.Client), tx.Seq, p)
+			r.cfg.Metrics.Trace(uint16(r.cfg.ID), flight.SubRuntime, kind, uint32(d.Instance), uint64(tx.Client), tx.Seq)
 		}
 	}
 }
@@ -1149,7 +1149,7 @@ func (e *replicaEnv) ackClients(d sm.Decision, res exec.Result) {
 		if met != nil {
 			for _, seq := range a.seqs {
 				met.Acks.Inc()
-				met.Trace(uint64(a.c), seq, obs.PointAck)
+				met.Trace(uint16(r.cfg.ID), flight.SubRuntime, flight.KAck, uint32(d.Instance), uint64(a.c), seq)
 			}
 		}
 		reply := types.NewClientReply(d.Instance, r.cfg.ID, a.c, d.Round, res.ResultHash, a.seqs)

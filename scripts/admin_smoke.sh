@@ -3,14 +3,15 @@
 # admin HTTP listener on, driven by rccclient, then scraped. Asserts that
 # /readyz goes 200 on every replica, that /metrics parses far enough to carry
 # the key series, that the per-stage latency histograms actually observed
-# the transactions the client executed, and that every replica's flight
-# recorder (/debug/events) captured protocol events — the live-cluster
-# acceptance check for the observability layer. The cluster runs with -auth ds
-# (signed frames checked by each link's reader, digest cache), so the
-# verify-stage histogram and the digest-cache miss counter must move too —
-# the CLI-level acceptance check for the authentication layer. The client
-# runs a window of 16, so its requests must arrive as envelopes: fewer
-# request envelopes than transactions.
+# the transactions the client executed, that replica 0's lifecycle ring
+# (/debug/trace) holds sampled transactions through their ack, and that
+# every replica's flight recorder (/debug/events) captured protocol events:
+# the live-cluster acceptance check for the observability layer. The
+# cluster runs with -auth ds (signed frames checked by each link's reader,
+# digest cache), so the verify-stage histogram and the digest-cache miss
+# counter must move too — the CLI-level acceptance check for the
+# authentication layer. The client runs a window of 16, so its requests must
+# arrive as envelopes: fewer request envelopes than transactions.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -125,8 +126,17 @@ if [ "${DECIDED%.*}" -lt 1 ]; then
   exit 1
 fi
 
-# The lifecycle tracer must have sampled something.
-curl -fsS "http://127.0.0.1:7704/debug/trace" | head -n 5
+# The lifecycle ring must hold whole sampled transactions. The sample is a
+# fixed hash of (client, seq): of client 1's seqs 1..200, the default 1 in 64
+# picks 48 and 50, so replica 0's dump must carry an ack stamp and end with
+# the ?since= cursor.
+TRACE=$(curl -fsS "http://127.0.0.1:7704/debug/trace")
+if ! grep -q 'ack+' <<<"$TRACE" || ! grep -Eq '^next=[0-9]+$' <<<"$TRACE"; then
+  echo "FAIL: replica 0 /debug/trace holds no acked sampled transaction:" >&2
+  head -n 10 <<<"$TRACE" >&2
+  exit 1
+fi
+echo "OK: /debug/trace carries $(grep -c 'ack+' <<<"$TRACE") acked transactions on replica 0"
 
 # The flight recorder must be populated on every replica: after this much
 # load each text dump has to carry protocol events (a decided round records
