@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/ledger"
 	"repro/internal/obs"
+	"repro/internal/obs/flight"
 	"repro/internal/types"
 )
 
@@ -74,12 +75,14 @@ type Engine struct {
 	journal  Journal
 	executed atomic.Uint64
 	met      *obs.NodeMetrics
+	replica  types.ReplicaID
 }
 
-// SetMetrics attaches the replica's instrument catalog: the engine feeds
-// the execute- and journal-stage latency histograms. Nil (the default)
-// disables instrumentation.
-func (e *Engine) SetMetrics(m *obs.NodeMetrics) { e.met = m }
+// SetMetrics attaches replica id's instrument catalog: the engine feeds
+// the execute- and journal-stage latency histograms and stamps the execute
+// lifecycle point of sampled transactions, after execution and before the
+// journal can complete. Nil (the default) disables instrumentation.
+func (e *Engine) SetMetrics(m *obs.NodeMetrics, id types.ReplicaID) { e.met, e.replica = m, id }
 
 // NewEngine creates an engine over app, journalling into j (which may be
 // nil to skip journalling, e.g. in micro-benchmarks).
@@ -161,6 +164,13 @@ func (e *Engine) execute(batch *types.Batch, proof ledger.Proof) Result {
 	e.executed.Add(uint64(n))
 	if e.met != nil {
 		e.met.ObserveStage(obs.StageExecute, time.Since(start))
+		if e.met.Tracing() {
+			for i := range batch.Txns {
+				if tx := &batch.Txns[i]; !tx.IsNoOp() {
+					e.met.Trace(uint16(e.replica), flight.SubRuntime, flight.KExecute, uint32(proof.Instance), uint64(tx.Client), tx.Seq)
+				}
+			}
+		}
 	}
 	return Result{
 		Round:       proof.Round,

@@ -47,50 +47,28 @@ func AppendBlock(buf []byte, b *Block) []byte {
 
 // DecodeBlock parses the wire encoding produced by EncodeBlock.
 func DecodeBlock(buf []byte) (*Block, error) {
-	if len(buf) < 1 {
-		return nil, fmt.Errorf("ledger: empty block encoding")
+	rd := types.NewReader(buf)
+	if v := rd.U8(); v != codecVersion && rd.Err() == nil {
+		return nil, fmt.Errorf("ledger: unknown block encoding version %d", v)
 	}
-	if buf[0] != codecVersion {
-		return nil, fmt.Errorf("ledger: unknown block encoding version %d", buf[0])
+	b := &Block{Height: rd.U64(), PrevHash: rd.Digest(), StateHash: rd.Digest()}
+	b.Proof = Proof{
+		Instance: types.InstanceID(rd.U16()),
+		Round:    types.Round(rd.U64()),
+		View:     types.View(rd.U64()),
+		Digest:   rd.Digest(),
 	}
-	buf = buf[1:]
-	if len(buf) < blockFixedLen {
-		return nil, fmt.Errorf("ledger: short block encoding: %d bytes", len(buf))
-	}
-	b := &Block{}
-	b.Height = binary.BigEndian.Uint64(buf)
-	buf = buf[8:]
-	copy(b.PrevHash[:], buf)
-	buf = buf[32:]
-	copy(b.StateHash[:], buf)
-	buf = buf[32:]
-	b.Proof.Instance = types.InstanceID(binary.BigEndian.Uint16(buf))
-	buf = buf[2:]
-	b.Proof.Round = types.Round(binary.BigEndian.Uint64(buf))
-	buf = buf[8:]
-	b.Proof.View = types.View(binary.BigEndian.Uint64(buf))
-	buf = buf[8:]
-	copy(b.Proof.Digest[:], buf)
-	buf = buf[32:]
-	nsign := int(binary.BigEndian.Uint16(buf))
-	buf = buf[2:]
-	if len(buf) < nsign*2 {
-		return nil, fmt.Errorf("ledger: block encoding truncated in signers")
-	}
-	if nsign > 0 {
-		b.Proof.Signers = make([]types.ReplicaID, nsign)
+	if n := int(rd.U16()); n > rd.Len()/2 {
+		rd.Fail(fmt.Errorf("truncated in %d signers", n))
+	} else if n > 0 {
+		b.Proof.Signers = make([]types.ReplicaID, n)
 		for i := range b.Proof.Signers {
-			b.Proof.Signers[i] = types.ReplicaID(binary.BigEndian.Uint16(buf))
-			buf = buf[2:]
+			b.Proof.Signers[i] = types.ReplicaID(rd.U16())
 		}
 	}
-	batch, rest, err := types.UnmarshalBatch(buf)
-	if err != nil {
+	b.Batch = rd.Batch()
+	if err := rd.Finish(); err != nil {
 		return nil, fmt.Errorf("ledger: block encoding: %w", err)
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("ledger: %d trailing bytes after block encoding", len(rest))
-	}
-	b.Batch = batch
 	return b, nil
 }

@@ -549,22 +549,42 @@ func (p *Instance) OnMessage(from sm.Source, m types.Message) {
 			return
 		}
 	}
+	// Votes count the sender the link authenticated: a vote naming another
+	// replica is refused, or one replica could vote in every name. Only
+	// requests may come from a client.
 	switch msg := m.(type) {
 	case *types.ClientRequest:
 		p.onClientRequest(from, msg)
 	case *types.PrePrepare:
-		p.onPrePrepare(from.Replica, msg)
+		if !from.IsClient {
+			p.onPrePrepare(from.Replica, msg)
+		}
 	case *types.Prepare:
-		p.onPrepare(msg)
+		if sentBy(from, msg.Replica) {
+			p.onPrepare(msg)
+		}
 	case *types.Commit:
-		p.onCommit(msg)
+		if sentBy(from, msg.Replica) {
+			p.onCommit(msg)
+		}
 	case *types.Checkpoint:
-		p.onCheckpoint(msg)
+		if sentBy(from, msg.Replica) {
+			p.onCheckpoint(msg)
+		}
 	case *types.ViewChange:
-		p.onViewChange(msg)
+		if sentBy(from, msg.Replica) {
+			p.onViewChange(msg)
+		}
 	case *types.NewView:
-		p.onNewView(from.Replica, msg)
+		if !from.IsClient {
+			p.onNewView(from.Replica, msg)
+		}
 	}
+}
+
+// sentBy reports whether from is replica id.
+func sentBy(from sm.Source, id types.ReplicaID) bool {
+	return !from.IsClient && from.Replica == id
 }
 
 // onClientRequest queues a request's transactions; the primary then

@@ -365,3 +365,35 @@ func TestStateForRecoveryContainsCommitted(t *testing.T) {
 		t.Fatalf("unexpected recovery state: %+v", st[0])
 	}
 }
+
+// TestVotesCountTheAuthenticatedSender: a vote counts for the replica whose
+// link delivered it. COMMITs naming replicas 0, 2 and 3 that all arrive on
+// replica 3's link, or on a client's, are one vote at most, and a client
+// cannot pose as the primary; the same COMMITs from their own links commit.
+func TestVotesCountTheAuthenticatedSender(t *testing.T) {
+	env := newRecEnv(1)
+	p := New(Config{Primary: 0, FixedPrimary: true, Window: 16})
+	p.Start(env)
+	b := &types.Batch{Txns: []types.Transaction{{Client: 1, Seq: 1, Op: []byte{1}}}}
+	pp := &types.PrePrepare{Round: 1, Digest: b.Digest(), Batch: b}
+	p.OnMessage(sm.FromClient(0), pp)
+	if p.getRound(1).preprepared {
+		t.Fatal("a client's PRE-PREPARE was taken as the primary's")
+	}
+	p.OnMessage(sm.FromReplica(0), pp)
+	for _, from := range []sm.Source{sm.FromReplica(3), sm.FromClient(7)} {
+		for _, r := range []types.ReplicaID{0, 2, 3} {
+			p.OnMessage(from, types.NewPrepare(0, r, 0, 1, pp.Digest))
+			p.OnMessage(from, types.NewCommit(0, r, 0, 1, pp.Digest))
+		}
+	}
+	if p.Delivered() != 1 {
+		t.Fatal("round 1 committed on votes one link cast in three names")
+	}
+	for _, r := range []types.ReplicaID{0, 2, 3} {
+		p.OnMessage(sm.FromReplica(r), types.NewCommit(0, r, 0, 1, pp.Digest))
+	}
+	if p.Delivered() != 2 {
+		t.Fatalf("delivered up to %d, want round 1", p.Delivered()-1)
+	}
+}

@@ -33,9 +33,8 @@ import (
 const syncPointV1 = 1
 
 // syncPointLen is the fixed prefix size: version, view, deliver, stableCkp,
-// chain digest. A v1 sync point is either exactly this long (legacy, no
-// dedup map) or extends it with a u32 count and count (client u32, seq u64)
-// pairs sorted by client.
+// chain digest. A u32 count and count (client u32, seq u64) pairs sorted by
+// client follow it.
 const syncPointLen = 1 + 8 + 8 + 8 + 32
 
 // SyncPoint implements sm.StateSyncable: the delivered frontier, the
@@ -70,39 +69,45 @@ func (p *Instance) SyncPoint() []byte {
 	return buf
 }
 
-// parseSeqMap parses the dedup map suffix SyncPoint wrote. The count is
-// bounded by the remaining bytes, so a hostile count cannot force a huge
-// allocation.
-func parseSeqMap(b []byte) (map[types.ClientID]uint64, error) {
-	if len(b) == 0 {
-		return nil, nil // legacy fixed-length form
+// syncPoint is a parsed sync point.
+type syncPoint struct {
+	view            types.View
+	deliver, stable types.Round
+	chain           types.Digest
+	seqs            map[types.ClientID]uint64
+}
+
+// parseSyncPoint parses what SyncPoint and BoundarySyncPointAt write. The
+// dedup map's count is bounded by the remaining bytes, so a hostile count
+// cannot force a huge allocation.
+func parseSyncPoint(data []byte) (*syncPoint, error) {
+	rd := types.NewReader(data)
+	if rd.U8() != syncPointV1 {
+		return nil, fmt.Errorf("pbft: malformed sync point (%d bytes)", len(data))
 	}
-	if len(b) < 4 {
-		return nil, fmt.Errorf("pbft: truncated sync point dedup map")
+	sp := &syncPoint{
+		view:    types.View(rd.U64()),
+		deliver: types.Round(rd.U64()),
+		stable:  types.Round(rd.U64()),
+		chain:   rd.Digest(),
 	}
-	n := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	if len(b) != 12*n {
-		return nil, fmt.Errorf("pbft: sync point dedup map length mismatch")
+	n := rd.Count(12)
+	sp.seqs = make(map[types.ClientID]uint64, n)
+	for range n {
+		c := types.ClientID(rd.U32())
+		sp.seqs[c] = rd.U64()
 	}
-	m := make(map[types.ClientID]uint64, n)
-	for i := 0; i < n; i++ {
-		c := types.ClientID(binary.BigEndian.Uint32(b[12*i:]))
-		m[c] = binary.BigEndian.Uint64(b[12*i+4:])
+	if err := rd.Finish(); err != nil {
+		return nil, fmt.Errorf("pbft: sync point: %w", err)
 	}
-	return m, nil
+	return sp, nil
 }
 
 // ValidateSyncPoint implements sm.StateSyncable: format check only, no
 // mutation.
 func (p *Instance) ValidateSyncPoint(data []byte) error {
-	if len(data) < syncPointLen || data[0] != syncPointV1 {
-		return fmt.Errorf("pbft: malformed sync point (%d bytes)", len(data))
-	}
-	if _, err := parseSeqMap(data[syncPointLen:]); err != nil {
-		return err
-	}
-	return nil
+	_, err := parseSyncPoint(data)
+	return err
 }
 
 // InstallSyncPoint implements sm.StateSyncable: jump the delivered frontier
@@ -113,31 +118,26 @@ func (p *Instance) ValidateSyncPoint(data []byte) error {
 // conservative zeros for them, and an install must never regress state the
 // replica accumulated on its own.
 func (p *Instance) InstallSyncPoint(data []byte) error {
-	if err := p.ValidateSyncPoint(data); err != nil {
+	sp, err := parseSyncPoint(data)
+	if err != nil {
 		return err
 	}
-	view := types.View(binary.BigEndian.Uint64(data[1:]))
-	deliver := types.Round(binary.BigEndian.Uint64(data[9:]))
-	stable := types.Round(binary.BigEndian.Uint64(data[17:]))
-	var chain types.Digest
-	copy(chain[:], data[25:])
-	seqs, _ := parseSeqMap(data[syncPointLen:]) // validated above
-
 	// The blob's dedup map is the SOURCE's delivery-derived lastSeq, a pure
 	// function of the frontier being installed — it belongs in lastSeq (the
 	// serialized map), keeping installed replicas byte-identical with
 	// organic ones. Merged even when the frontier brings nothing new: it
 	// only ever prevents re-proposing delivered requests.
-	for c, s := range seqs {
+	for c, s := range sp.seqs {
 		cs := p.client(nil, c)
 		cs.lastSeq = max(cs.lastSeq, s)
 	}
 
+	deliver := sp.deliver
 	if deliver <= p.deliver {
 		return nil // already at or past the install point
 	}
-	if view > p.view {
-		p.view = view
+	if sp.view > p.view {
+		p.view = sp.view
 		p.inViewChange = false
 	}
 	p.deliver = deliver
@@ -149,11 +149,11 @@ func (p *Instance) InstallSyncPoint(data []byte) error {
 	if deliver > p.resumeFloor {
 		p.resumeFloor = deliver
 	}
-	if stable > p.stableCkp {
-		p.stableCkp = stable
+	if sp.stable > p.stableCkp {
+		p.stableCkp = sp.stable
 	}
-	p.chain = chain
-	p.chainAt = map[types.Round]types.Digest{deliver - 1: chain}
+	p.chain = sp.chain
+	p.chainAt = map[types.Round]types.Digest{deliver - 1: sp.chain}
 	for r := range p.rounds {
 		if r < deliver {
 			delete(p.rounds, r)

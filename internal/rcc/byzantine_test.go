@@ -11,7 +11,11 @@ import (
 
 // equivocator is a Byzantine replica: as primary of instance 1 it sends
 // CONFLICTING proposals for the same round to different replicas (the
-// classic equivocation attack), and otherwise stays silent.
+// classic equivocation attack), and otherwise stays silent. To the replica
+// that saw the second proposal it adds its own COMMIT and a PREPARE and a
+// COMMIT forged in replica 0's name: were forged votes counted, that
+// replica would commit the second batch while replicas 0 and 2, which hold
+// the first prepared, recover the first.
 type equivocator struct {
 	env   sm.Env
 	round types.Round
@@ -42,9 +46,12 @@ func (e *equivocator) OnMessage(from sm.Source, m types.Message) {
 		}
 		if r%2 == 0 {
 			e.env.Send(types.ReplicaID(r), pp1)
-		} else {
-			e.env.Send(types.ReplicaID(r), pp2)
+			continue
 		}
+		e.env.Send(types.ReplicaID(r), pp2)
+		e.env.Send(types.ReplicaID(r), types.NewCommit(1, e.env.ID(), 0, e.round, pp2.Digest))
+		e.env.Send(types.ReplicaID(r), types.NewPrepare(1, 0, 0, e.round, pp2.Digest))
+		e.env.Send(types.ReplicaID(r), types.NewCommit(1, 0, 0, e.round, pp2.Digest))
 	}
 }
 
@@ -175,5 +182,110 @@ func TestThrottlingPrimaryCaughtBySigma(t *testing.T) {
 	st := reps[0].Status(1)
 	if st.Stops == 0 && !st.Suspected {
 		t.Fatalf("σ=3 lag detection never fired: %+v", st)
+	}
+}
+
+// byzantine wraps an honest replica that also runs attack once, at its
+// first client request.
+type byzantine struct {
+	*Replica
+	env    sm.Env
+	attack func(env sm.Env)
+}
+
+func (b *byzantine) Start(env sm.Env) {
+	b.env = env
+	b.Replica.Start(env)
+}
+
+func (b *byzantine) OnMessage(from sm.Source, m types.Message) {
+	if _, ok := m.(*types.ClientRequest); ok && b.attack != nil {
+		b.attack(b.env)
+		b.attack = nil
+	}
+	b.Replica.OnMessage(from, m)
+}
+
+// runByzantine runs four replicas, replica bad wrapped with attack, under
+// traffic for every instance, and returns the honest replicas.
+func runByzantine(t *testing.T, bad types.ReplicaID, attack func(env sm.Env)) (*simnet.Network, map[types.ReplicaID]*Replica) {
+	t.Helper()
+	const n = 4
+	net, err := simnet.New(simnet.Config{N: n, Latency: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest := make(map[types.ReplicaID]*Replica)
+	for i := types.ReplicaID(0); i < n; i++ {
+		r := New(Config{
+			BatchSize:       1,
+			Window:          4,
+			ProgressTimeout: 100 * time.Millisecond,
+			RecoveryTimeout: 300 * time.Millisecond,
+		})
+		if i == bad {
+			net.SetMachine(i, &byzantine{Replica: r, attack: attack})
+			continue
+		}
+		honest[i] = r
+		net.SetMachine(i, r)
+	}
+	net.Start()
+	for s := uint64(1); s <= 3; s++ {
+		for c := types.ClientID(1); c <= n; c++ {
+			injectAt(net, n, time.Duration(s)*20*time.Millisecond, mkTx(c, s))
+		}
+	}
+	net.Run(5 * time.Second)
+	return net, honest
+}
+
+// TestForgedFailuresStopNothing: one replica broadcasts nf FAILUREs for
+// the healthy instance 0 in the names of replicas 0, 1 and 2. Counted,
+// they would confirm a failure nobody else saw and stop instance 0.
+func TestForgedFailuresStopNothing(t *testing.T) {
+	net, honest := runByzantine(t, 3, func(env sm.Env) {
+		for r := types.ReplicaID(0); r < 3; r++ {
+			f := &types.Failure{Header: types.Header{Inst: 0}, Replica: r, Round: 1}
+			env.Broadcast(f)
+		}
+	})
+	for id, r := range honest {
+		if st := r.Status(0); st.Stops != 0 || st.Suspected || st.Failures != 0 {
+			t.Fatalf("replica %d acted on forged FAILUREs: %+v", id, st)
+		}
+		if got := len(realTxns(net.Node(id).Decisions())); got != 12 {
+			t.Fatalf("replica %d executed %d transactions, want 12", id, got)
+		}
+	}
+}
+
+// TestStopWithDuplicatedEvidenceRefused: replica 1, coordinating leader of
+// instance 0, gets its coordinator to decide stop(0; E) whose E is one
+// FAILURE nf times. A stop needs nf distinct senders, so no replica voids
+// or skips a round of instance 0.
+func TestStopWithDuplicatedEvidenceRefused(t *testing.T) {
+	net, honest := runByzantine(t, 1, func(env sm.Env) {
+		f := &types.Failure{Header: types.Header{Inst: 0}, Replica: env.ID(), Round: 1}
+		stop := &types.Stop{Header: types.Header{Inst: types.CoordInstance(0)}, Target: 0, Evidence: []*types.Failure{f, f, f}}
+		op, err := types.MarshalMessage(stop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := &types.Batch{Txns: []types.Transaction{{Seq: 1, Op: op}}}
+		pp := &types.PrePrepare{Header: types.Header{Inst: types.CoordInstance(0)}, Round: 1, Digest: b.Digest(), Batch: b}
+		for r := types.ReplicaID(0); r < 4; r++ {
+			if r != env.ID() {
+				env.Send(r, pp)
+			}
+		}
+	})
+	for id, r := range honest {
+		if st := r.Status(0); st.Stops != 0 || st.VoidBelow != 0 {
+			t.Fatalf("replica %d applied a stop with duplicated evidence: %+v", id, st)
+		}
+		if got := len(realTxns(net.Node(id).Decisions())); got != 12 {
+			t.Fatalf("replica %d executed %d transactions, want 12", id, got)
+		}
 	}
 }

@@ -587,42 +587,92 @@ func TestUnpredictableOrderingConsistentAcrossReplicas(t *testing.T) {
 	}
 }
 
-func TestStopWireRoundTrip(t *testing.T) {
-	b := &types.Batch{Txns: []types.Transaction{mkTx(3, 9)}}
-	f1 := &types.Failure{Replica: 2, Round: 17, State: []types.AcceptedProposal{
-		{Round: 15, View: 0, Digest: b.Digest(), Batch: b, Prepared: true},
-		{Round: 16, View: 1, Digest: types.Hash([]byte("x")), Batch: nil},
-	}}
-	f1.Inst = 5
-	f2 := &types.Failure{Replica: 0, Round: 17}
-	f2.Inst = 5
-	enc := encodeStop(5, []*types.Failure{f1, f2})
-	target, ev, err := decodeStop(enc)
-	if err != nil {
-		t.Fatalf("decodeStop: %v", err)
+// TestCoordOpRefused: a coordinator decision is applied only if its op is
+// a Stop of the coordinator's own instance backed by nf FAILUREs about that
+// instance from distinct replicas, or a SwitchInstance. Anything else
+// changes no void watermark and no assignment.
+// TestSwitchOnlyFromNamedClient: a SWITCH-INSTANCE moves only the client
+// whose link sent it; another client or a replica cannot move it.
+func TestSwitchOnlyFromNamedClient(t *testing.T) {
+	const n = 4
+	net, reps := cluster(t, n, Config{BatchSize: 1, Sigma: 2}, simnet.Config{})
+	sw := &types.SwitchInstance{Header: types.Header{Inst: 1}, Client: 1, To: 2}
+	for i := 0; i < n; i++ {
+		node := net.Node(types.ReplicaID(i))
+		net.Schedule(0, func() {
+			node.Machine().OnMessage(sm.FromClient(2), sw)
+			node.Machine().OnMessage(sm.FromReplica(3), sw)
+		})
 	}
-	if target != 5 || len(ev) != 2 {
-		t.Fatalf("target=%d evidence=%d, want 5,2", target, len(ev))
+	for s := uint64(1); s <= 8; s++ {
+		for _, c := range []types.ClientID{2, 3, 4} {
+			injectAt(net, n, time.Duration(s)*20*time.Millisecond, mkTx(c, s))
+		}
 	}
-	if ev[0].Replica != 2 || ev[0].Round != 17 || len(ev[0].State) != 2 {
-		t.Fatalf("evidence[0] mismatch: %+v", ev[0])
-	}
-	if ev[0].State[0].Batch == nil || ev[0].State[0].Batch.Digest() != b.Digest() {
-		t.Fatalf("batch did not round-trip")
-	}
-	if !ev[0].State[0].Prepared || ev[0].State[1].Prepared {
-		t.Fatalf("prepared flags did not round-trip")
+	net.Run(5 * time.Second)
+	for i, r := range reps {
+		if got := r.Assignment(1); got != 1 || len(r.switches) != 0 {
+			t.Fatalf("replica %d: client 1 at instance %d with %d pending moves, want instance 1 and none", i, got, len(r.switches))
+		}
 	}
 }
 
-func TestSwitchWireRoundTrip(t *testing.T) {
-	enc := encodeSwitch(12345, 7)
-	c, to, err := decodeSwitch(enc)
-	if err != nil || c != 12345 || to != 7 {
-		t.Fatalf("switch round-trip: c=%d to=%d err=%v", c, to, err)
+func TestCoordOpRefused(t *testing.T) {
+	const n = 4
+	net, reps := cluster(t, n, Config{BatchSize: 1, Window: 4}, simnet.Config{})
+	for c := types.ClientID(1); c <= n; c++ {
+		inject(net, n, mkTx(c, 1))
 	}
-	if _, _, err := decodeSwitch([]byte{opStop, 0}); err == nil {
-		t.Fatalf("decodeSwitch accepted a stop payload")
+	net.Run(time.Second)
+	r := reps[0]
+	failures := func(inst types.InstanceID, senders ...types.ReplicaID) []*types.Failure {
+		var out []*types.Failure
+		for _, s := range senders {
+			out = append(out, &types.Failure{Header: types.Header{Inst: inst}, Replica: s, Round: 1})
+		}
+		return out
+	}
+	stop := func(target types.InstanceID, evidence []*types.Failure) types.Message {
+		return &types.Stop{Header: types.Header{Inst: types.CoordInstance(target)}, Target: target, Evidence: evidence}
+	}
+	encode := func(m types.Message) []byte {
+		b, err := types.MarshalMessage(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	decide := func(inst types.InstanceID, op []byte) {
+		r.onCoordDecision(inst, sm.Decision{Instance: types.CoordInstance(inst), Round: 1,
+			Batch: &types.Batch{Txns: []types.Transaction{{Seq: 1, Op: op}}}})
+	}
+	snapshot := func() string {
+		out := fmt.Sprint(r.assign, len(r.switches))
+		for i := range r.states {
+			st := r.Status(types.InstanceID(i))
+			out += fmt.Sprint(st.Stops, st.VoidBelow)
+		}
+		return out
+	}
+	before := snapshot()
+	for name, op := range map[string][]byte{
+		"garbage":                   {0xA1, 0, 1, 0, 3},
+		"client request":            encode(types.NewClientRequest(1, mkTx(1, 9))),
+		"stop for another instance": encode(stop(2, failures(2, 0, 1, 2))),
+		"evidence names another":    encode(stop(1, append(failures(1, 0, 1), failures(2, 2)...))),
+		"duplicated sender":         encode(stop(1, failures(1, 0, 0, 0))),
+		"sender past the cluster":   encode(stop(1, failures(1, 0, 1, n))),
+		"too little evidence":       encode(stop(1, failures(1, 0, 1))),
+	} {
+		decide(1, op)
+		if got := snapshot(); got != before {
+			t.Fatalf("%s: state changed from %s to %s", name, before, got)
+		}
+	}
+	// The checks refuse only bad ops: a well-formed stop applies.
+	decide(1, encode(stop(1, failures(1, 0, 1, 2))))
+	if st := r.Status(1); st.Stops != 1 || st.VoidBelow == 0 {
+		t.Fatalf("valid stop not applied: %+v", st)
 	}
 }
 

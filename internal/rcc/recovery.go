@@ -77,7 +77,9 @@ func (r *Replica) onRebroadcastTimer(inst types.InstanceID) {
 
 // onFailure processes FAILURE(i, ρ, P) (Fig. 4 lines 5–8).
 func (r *Replica) onFailure(from sm.Source, m *types.Failure) {
-	if from.IsClient || int(m.Instance()) >= len(r.states) {
+	// A FAILURE counts the sender its link authenticated: one replica
+	// must not claim failures in others' names.
+	if from.IsClient || from.Replica != m.Replica || int(m.Instance()) >= len(r.states) {
 		return
 	}
 	st := r.states[m.Instance()]
@@ -147,13 +149,8 @@ func (r *Replica) maybeProposeStop(st *instState) {
 	for _, s := range senders[:p.NF()] {
 		evidence = append(evidence, st.failures[s])
 	}
-	r.coordSeq++
-	tx := types.Transaction{
-		Client: 0,
-		Seq:    r.coordSeq<<8 | uint64(r.env.ID())&0xff + 1,
-		Op:     encodeStop(st.id, evidence),
-	}
-	if st.coord.Propose(&types.Batch{Txns: []types.Transaction{tx}}) {
+	stop := &types.Stop{Header: types.Header{Inst: types.CoordInstance(st.id)}, Target: st.id, Evidence: evidence}
+	if st.coord.Propose(r.coordOp(stop)) {
 		st.stopProposed = true
 		r.env.Logf("rcc: proposed stop(%d) with %d evidence", st.id, len(evidence))
 	} else {
@@ -183,40 +180,60 @@ func (r *Replica) onRecoveryTimer(inst types.InstanceID) {
 	r.env.SetTimer(sm.TimerID{Instance: inst, Kind: sm.TimerRecovery}, r.cfg.RecoveryTimeout)
 }
 
+// coordOp wraps a coordinator operation in the batch its coordinating
+// consensus replicates. The seq is unique per proposing replica.
+func (r *Replica) coordOp(m types.Message) *types.Batch {
+	r.coordSeq++
+	op, _ := types.AppendMessage(nil, m) // Stop and SwitchInstance have codecs
+	tx := types.Transaction{Seq: r.coordSeq<<8 | uint64(r.env.ID())&0xff + 1, Op: op}
+	return &types.Batch{Txns: []types.Transaction{tx}}
+}
+
 // onCoordDecision processes decisions of the coordinating consensus of
-// instance inst: stop operations and client reassignments.
+// instance inst: stop operations and client reassignments. An op is a
+// types message from the coordinating leader; anything else, and a stop
+// validStop refuses, changes nothing.
 func (r *Replica) onCoordDecision(inst types.InstanceID, d sm.Decision) {
 	if d.Batch == nil {
 		return
 	}
 	for i := range d.Batch.Txns {
-		op := d.Batch.Txns[i].Op
-		if len(op) == 0 {
+		m, err := types.DecodeMessage(d.Batch.Txns[i].Op)
+		if err != nil {
 			continue
 		}
-		switch op[0] {
-		case opStop:
-			target, evidence, err := decodeStop(op)
-			if err == nil && target == inst {
-				r.handleStop(target, evidence)
+		switch op := m.(type) {
+		case *types.Stop:
+			if r.validStop(inst, op) {
+				r.handleStop(inst, op.Evidence)
 			}
-		case opSwitch:
-			c, to, err := decodeSwitch(op)
-			if err == nil {
-				r.handleSwitch(inst, c, to)
-			}
+		case *types.SwitchInstance:
+			r.handleSwitch(inst, op.Client, op.To)
 		}
 	}
+}
+
+// validStop reports whether s may stop instance inst: it targets inst, and
+// its evidence is nf FAILUREs about inst from distinct replicas.
+func (r *Replica) validStop(inst types.InstanceID, s *types.Stop) bool {
+	p := r.env.Params()
+	if s.Target != inst || len(s.Evidence) < p.NF() {
+		return false
+	}
+	seen := make(map[types.ReplicaID]bool, len(s.Evidence))
+	for _, f := range s.Evidence {
+		if f.Inst != inst || int(f.Replica) >= p.N || seen[f.Replica] {
+			return false
+		}
+		seen[f.Replica] = true
+	}
+	return true
 }
 
 // handleStop applies an accepted stop(i; E): recover the instance state
 // from E, then schedule the restart (Fig. 4 lines 9–12).
 func (r *Replica) handleStop(inst types.InstanceID, evidence []*types.Failure) {
 	st := r.states[inst]
-	p := r.env.Params()
-	if len(evidence) < p.NF() {
-		return
-	}
 
 	// Recover the per-round state: for every round, adopt the reported
 	// proposal with the highest view whose batch matches its digest

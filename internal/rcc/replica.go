@@ -284,7 +284,7 @@ func (r *Replica) OnMessage(from sm.Source, m types.Message) {
 		r.onFailure(from, msg)
 		return
 	case *types.SwitchInstance:
-		r.onSwitchRequest(msg)
+		r.onSwitchRequest(from, msg)
 		return
 	}
 	id := m.Instance()
@@ -358,8 +358,9 @@ func (r *Replica) completeSwitch(c types.ClientID, sched *switchSched) {
 // onSwitchRequest handles a client's SWITCH-INSTANCE broadcast: the current
 // leader of the coordinating consensus of the client's instance proposes
 // the reassignment (agreement makes the schedule consistent everywhere).
-func (r *Replica) onSwitchRequest(m *types.SwitchInstance) {
-	if int(m.To) >= len(r.states) {
+// Only the client a request names may move itself.
+func (r *Replica) onSwitchRequest(from sm.Source, m *types.SwitchInstance) {
+	if !from.IsClient || from.Client != m.Client || int(m.To) >= len(r.states) {
 		return
 	}
 	cur := r.Assignment(m.Client)
@@ -373,9 +374,7 @@ func (r *Replica) onSwitchRequest(m *types.SwitchInstance) {
 	if !coord.IsPrimary() {
 		return
 	}
-	r.coordSeq++
-	tx := types.Transaction{Client: 0, Seq: r.coordSeq<<8 | uint64(r.env.ID()) + 1, Op: encodeSwitch(m.Client, m.To)}
-	coord.Propose(&types.Batch{Txns: []types.Transaction{tx}})
+	coord.Propose(r.coordOp(m))
 }
 
 // emit records a flight event attributed to this replica.

@@ -121,92 +121,22 @@ func appendDelivered(buf []byte, m map[types.ClientID]uint64) []byte {
 	return buf
 }
 
-type rccSyncReader struct {
-	b   []byte
-	err error
-}
-
-func (r *rccSyncReader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("rcc: truncated sync point")
-	}
-	r.b = nil
-}
-
-func (r *rccSyncReader) u16() uint16 {
-	if len(r.b) < 2 {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint16(r.b)
-	r.b = r.b[2:]
-	return v
-}
-
-func (r *rccSyncReader) u32() uint32 {
-	if len(r.b) < 4 {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v
-}
-
-func (r *rccSyncReader) u64() uint64 {
-	if len(r.b) < 8 {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *rccSyncReader) blob() []byte {
-	n := int(r.u32())
-	if r.err != nil {
-		return nil
-	}
-	if len(r.b) < n {
-		r.fail()
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-// decided reads what appendDecided wrote, as decisions of instance inst.
-// Each digest must cover its batch, as on every other Decision source: the
-// ledger takes a decision's digest as its batch digest without re-hashing.
-func (r *rccSyncReader) decided(inst types.InstanceID) []sm.Decision {
-	n := int(r.u32())
-	if r.err != nil {
-		return nil
-	}
-	if n > len(r.b)/decidedRecordMin {
-		r.fail()
-		return nil
-	}
-	out := make([]sm.Decision, n)
+// readDecided reads what appendDecided wrote, as decisions of instance
+// inst. Each digest must cover its batch, as on every other Decision
+// source: the ledger takes a decision's digest as its batch digest without
+// re-hashing.
+func readDecided(rd *types.Reader, inst types.InstanceID) []sm.Decision {
+	out := make([]sm.Decision, rd.Count(decidedRecordMin))
 	for i := range out {
-		d := sm.Decision{Instance: inst, Round: types.Round(r.u64()), View: types.View(r.u64())}
-		if r.err != nil || len(r.b) < len(d.Digest) {
-			r.fail()
+		d := sm.Decision{Instance: inst, Round: types.Round(rd.U64()), View: types.View(rd.U64())}
+		d.Digest, d.Batch = rd.Digest(), rd.Batch()
+		if rd.Err() != nil {
 			return nil
 		}
-		copy(d.Digest[:], r.b)
-		b, rest, err := types.UnmarshalBatch(r.b[len(d.Digest):])
-		if err != nil {
-			r.fail()
+		if d.Batch.Digest() != d.Digest {
+			rd.Fail(fmt.Errorf("decision %d/%d: digest does not cover its batch", inst, d.Round))
 			return nil
 		}
-		if b.Digest() != d.Digest {
-			r.err, r.b = fmt.Errorf("rcc: sync point decision %d/%d: digest does not cover its batch", inst, d.Round), nil
-			return nil
-		}
-		d.Batch, r.b = b, rest
 		out[i] = d
 	}
 	return out
@@ -237,71 +167,59 @@ type rccSyncInst struct {
 }
 
 func parseRCCSyncPoint(data []byte, m int) (*rccSyncState, error) {
-	if len(data) < 1 || data[0] != rccSyncPointV1 {
+	rd := types.NewReader(data)
+	if rd.U8() != rccSyncPointV1 {
 		return nil, fmt.Errorf("rcc: malformed sync point")
 	}
-	rd := &rccSyncReader{b: data[1:]}
 	st := &rccSyncState{
-		execRound:  types.Round(rd.u64()),
-		maxDecided: types.Round(rd.u64()),
+		execRound:  types.Round(rd.U64()),
+		maxDecided: types.Round(rd.U64()),
 	}
-	if got := int(rd.u16()); rd.err == nil && got != m {
+	if got := int(rd.U16()); rd.Err() == nil && got != m {
 		return nil, fmt.Errorf("rcc: sync point has %d instances, this deployment runs %d", got, m)
 	}
-	for i := 0; i < m && rd.err == nil; i++ {
+	for i := 0; i < m && rd.Err() == nil; i++ {
 		st.insts = append(st.insts, rccSyncInst{
-			voidBelow: types.Round(rd.u64()),
-			lastDec:   types.Round(rd.u64()),
-			stops:     int(rd.u32()),
-			startedAt: types.Round(rd.u64()),
-			inner:     rd.blob(),
-			coord:     rd.blob(),
-			decided:   rd.decided(types.InstanceID(i)),
+			voidBelow: types.Round(rd.U64()),
+			lastDec:   types.Round(rd.U64()),
+			stops:     int(rd.U32()),
+			startedAt: types.Round(rd.U64()),
+			inner:     rd.Blob(),
+			coord:     rd.Blob(),
+			decided:   readDecided(rd, types.InstanceID(i)),
 		})
 	}
-	n := int(rd.u32())
-	if rd.err == nil && n > len(rd.b)/6 {
-		return nil, fmt.Errorf("rcc: malformed sync point assignment")
-	}
+	n := rd.Count(6)
 	st.assign = make(map[types.ClientID]types.InstanceID, n)
-	for i := 0; i < n && rd.err == nil; i++ {
-		c, inst := types.ClientID(rd.u32()), types.InstanceID(rd.u16())
+	for range n {
+		c, inst := types.ClientID(rd.U32()), types.InstanceID(rd.U16())
 		if int(inst) >= m {
 			return nil, fmt.Errorf("rcc: sync point assigns client %d to instance %d of %d", c, inst, m)
 		}
 		st.assign[c] = inst
 	}
-	n = int(rd.u32())
-	if rd.err == nil && n > len(rd.b)/16 {
-		return nil, fmt.Errorf("rcc: malformed sync point switches")
-	}
+	n = rd.Count(16)
 	st.switches = make(map[types.ClientID]*switchSched, n)
-	for i := 0; i < n && rd.err == nil; i++ {
-		c := types.ClientID(rd.u32())
+	for range n {
+		c := types.ClientID(rd.U32())
 		sw := &switchSched{
-			from:        types.InstanceID(rd.u16()),
-			to:          types.InstanceID(rd.u16()),
-			activeAfter: types.Round(rd.u64()),
+			from:        types.InstanceID(rd.U16()),
+			to:          types.InstanceID(rd.U16()),
+			activeAfter: types.Round(rd.U64()),
 		}
 		if int(sw.from) >= m || int(sw.to) >= m {
 			return nil, fmt.Errorf("rcc: sync point moves client %d between instances %d and %d of %d", c, sw.from, sw.to, m)
 		}
 		st.switches[c] = sw
 	}
-	n = int(rd.u32())
-	if rd.err == nil && n > len(rd.b)/12 {
-		return nil, fmt.Errorf("rcc: malformed sync point dedup map")
-	}
+	n = rd.Count(12)
 	st.delivered = make(map[types.ClientID]uint64, n)
-	for i := 0; i < n && rd.err == nil; i++ {
-		c := types.ClientID(rd.u32())
-		st.delivered[c] = rd.u64()
+	for range n {
+		c := types.ClientID(rd.U32())
+		st.delivered[c] = rd.U64()
 	}
-	if rd.err != nil {
-		return nil, rd.err
-	}
-	if len(rd.b) != 0 {
-		return nil, fmt.Errorf("rcc: %d trailing bytes in sync point", len(rd.b))
+	if err := rd.Finish(); err != nil {
+		return nil, fmt.Errorf("rcc: sync point: %w", err)
 	}
 	return st, nil
 }

@@ -164,10 +164,13 @@ func TestLifecycleTraceAttribution(t *testing.T) {
 	body := string(raw)
 	for i := range reps {
 		line := grepLines(body, fmt.Sprintf("r%d client=1 seq=1 ", i))
-		for _, point := range []string{"arrive+", "decide+"} {
+		for _, point := range []string{"arrive+", "decide+", "execute+", "ack+"} {
 			if !strings.Contains(line, point) {
 				t.Fatalf("replica %d: no %s stamp for (1, 1) under r%d:\n%s", i, point, i, body)
 			}
+		}
+		if strings.Index(line, "execute+") > strings.Index(line, "ack+") {
+			t.Fatalf("replica %d: ack stamped before execute for (1, 1):\n%s", i, line)
 		}
 	}
 	for _, e := range met.Flight.Dump(0).Events {

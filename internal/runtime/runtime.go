@@ -289,7 +289,7 @@ func New(cfg Config) (*Replica, error) {
 		r.log = dl.Memory()
 		journal = durableJournal{r}
 		r.engine = exec.NewEngine(cfg.App, journal)
-		r.engine.SetMetrics(cfg.Metrics)
+		r.engine.SetMetrics(cfg.Metrics, cfg.ID)
 		r.engine.Restore(txns)
 		r.initStateSync()
 		r.registerMetrics()
@@ -300,7 +300,7 @@ func New(cfg Config) (*Replica, error) {
 		journal = exec.MemJournal{Ledger: r.log}
 	}
 	r.engine = exec.NewEngine(cfg.App, journal)
-	r.engine.SetMetrics(cfg.Metrics)
+	r.engine.SetMetrics(cfg.Metrics, cfg.ID)
 	r.registerMetrics()
 	return r, nil
 }
@@ -1019,9 +1019,6 @@ func (e *replicaEnv) Deliver(d sm.Decision) {
 	r.mu.Lock()
 	r.executed += uint64(res.TxnExecuted)
 	r.mu.Unlock()
-	if met.Tracing() {
-		r.traceBatch(d, flight.KExecute)
-	}
 	if r.cfg.Journaling.SnapshotEvery > 0 && res.Block != nil &&
 		(res.Block.Height+1)%r.cfg.Journaling.SnapshotEvery == 0 {
 		if r.boundary != nil {

@@ -1,6 +1,8 @@
 package transport
 
-// Wire format v9 (v9: the message types renumbered after EPOCH-CHANGE and
+// Wire format v10 (v10: the coordinator ops a coordinator PRE-PREPARE
+// carries, stop and switch, are types.Stop and types.SwitchInstance
+// encodings; v9: the message types renumbered after EPOCH-CHANGE and
 // NEW-EPOCH left the catalog, so the state-sync types moved down two type
 // bytes; v8: ResultHash redefined — one SHA-256 over each result's u32
 // length and bytes, so CLIENT-REPLY digests differ from v7's while every
@@ -54,7 +56,7 @@ import (
 // announcing any other version are refused at the handshake. types.MsgType
 // values are positional, so a change to the catalog bumps it too, and so
 // does a change to what replicas must agree on in replies (ResultHash).
-const WireVersion = 9
+const WireVersion = 10
 
 var wireMagic = [4]byte{'R', 'C', 'C', 'B'}
 

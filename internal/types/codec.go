@@ -32,14 +32,14 @@ func (e ErrUnknownMessage) Error() string {
 // codecEntry is one registered message type.
 type codecEntry struct {
 	enc func(buf []byte, m Message) []byte
-	dec func(r *wireReader) Message
+	dec func(r *Reader) Message
 }
 
 // msgCodecs is the registry, indexed by MsgType. The catalog is small and
 // closed (values fit a byte), so a dense array beats a map on the hot path.
 var msgCodecs [256]codecEntry
 
-func registerCodec(t MsgType, enc func(buf []byte, m Message) []byte, dec func(r *wireReader) Message) {
+func registerCodec(t MsgType, enc func(buf []byte, m Message) []byte, dec func(r *Reader) Message) {
 	if msgCodecs[t].enc != nil {
 		panic(fmt.Sprintf("types: duplicate codec for %v", t))
 	}
@@ -72,13 +72,10 @@ func DecodeMessage(b []byte) (Message, error) {
 	if c.dec == nil {
 		return nil, ErrUnknownMessage{Tag: t}
 	}
-	r := &wireReader{b: b[1:]}
+	r := &Reader{b: b[1:]}
 	m := c.dec(r)
-	if r.err != nil {
-		return nil, fmt.Errorf("types: decode %v: %w", t, r.err)
-	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("types: decode %v: %d trailing bytes", t, len(r.b))
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("types: decode %v: %w", t, err)
 	}
 	return m, nil
 }
@@ -87,26 +84,49 @@ func DecodeMessage(b []byte) (Message, error) {
 // Primitive readers/writers
 // ---------------------------------------------------------------------------
 
-// wireReader consumes big-endian primitives from a byte slice, latching the
-// first error so decoders read straight through without per-field checks.
-type wireReader struct {
+// Reader consumes big-endian primitives from a byte slice, latching the
+// first error so decoders read straight through without per-field checks:
+// once an error is latched every read returns a zero value. It is the one
+// bounds-checked reader for bytes from peers: messages, and the sync-point
+// and block encodings they carry.
+type Reader struct {
 	b   []byte
 	err error
 }
 
+// NewReader returns a Reader over b.
+func NewReader(b []byte) *Reader { return &Reader{b: b} }
+
 // errTruncated is shared so refusing a hostile count allocates nothing.
 var errTruncated = errors.New("truncated message")
 
-func (r *wireReader) fail() {
+// Fail latches err unless an error is latched already, and drops the
+// unread bytes.
+func (r *Reader) Fail(err error) {
 	if r.err == nil {
-		r.err = errTruncated
+		r.err = err
 	}
 	r.b = nil
 }
 
-func (r *wireReader) u8() uint8 {
+// Err returns the latched error.
+func (r *Reader) Err() error { return r.err }
+
+// Len returns the number of unread bytes.
+func (r *Reader) Len() int { return len(r.b) }
+
+// Finish returns the latched error, or an error if unread bytes remain.
+func (r *Reader) Finish() error {
+	if r.err == nil && len(r.b) != 0 {
+		return fmt.Errorf("%d trailing bytes", len(r.b))
+	}
+	return r.err
+}
+
+// U8 reads one byte; U16, U32 and U64 read big-endian integers.
+func (r *Reader) U8() uint8 {
 	if len(r.b) < 1 {
-		r.fail()
+		r.Fail(errTruncated)
 		return 0
 	}
 	v := r.b[0]
@@ -114,9 +134,9 @@ func (r *wireReader) u8() uint8 {
 	return v
 }
 
-func (r *wireReader) u16() uint16 {
+func (r *Reader) U16() uint16 {
 	if len(r.b) < 2 {
-		r.fail()
+		r.Fail(errTruncated)
 		return 0
 	}
 	v := binary.BigEndian.Uint16(r.b)
@@ -124,9 +144,9 @@ func (r *wireReader) u16() uint16 {
 	return v
 }
 
-func (r *wireReader) u32() uint32 {
+func (r *Reader) U32() uint32 {
 	if len(r.b) < 4 {
-		r.fail()
+		r.Fail(errTruncated)
 		return 0
 	}
 	v := binary.BigEndian.Uint32(r.b)
@@ -134,9 +154,9 @@ func (r *wireReader) u32() uint32 {
 	return v
 }
 
-func (r *wireReader) u64() uint64 {
+func (r *Reader) U64() uint64 {
 	if len(r.b) < 8 {
-		r.fail()
+		r.Fail(errTruncated)
 		return 0
 	}
 	v := binary.BigEndian.Uint64(r.b)
@@ -144,12 +164,14 @@ func (r *wireReader) u64() uint64 {
 	return v
 }
 
-func (r *wireReader) bool() bool { return r.u8() != 0 }
+// Bool reads one byte, true unless zero.
+func (r *Reader) Bool() bool { return r.U8() != 0 }
 
-func (r *wireReader) digest() Digest {
+// Digest reads a 32-byte digest.
+func (r *Reader) Digest() Digest {
 	var d Digest
 	if len(r.b) < len(d) {
-		r.fail()
+		r.Fail(errTruncated)
 		return d
 	}
 	copy(d[:], r.b)
@@ -157,16 +179,24 @@ func (r *wireReader) digest() Digest {
 	return d
 }
 
-// blob reads a u32-length-prefixed byte string (copied out of the frame
+// Count reads a u32 element count and refuses one the unread bytes cannot
+// hold at minLen bytes per element, so a forged count never sizes an
+// allocation. It returns 0 once an error is latched.
+func (r *Reader) Count(minLen int) int {
+	n := int(r.U32())
+	if n > len(r.b)/minLen {
+		r.Fail(errTruncated)
+		return 0
+	}
+	return n
+}
+
+// Blob reads a u32-length-prefixed byte string (copied out of the frame
 // buffer, which the transport recycles). A zero length decodes as nil so
 // round-trips preserve nil-ness.
-func (r *wireReader) blob() []byte {
-	n := int(r.u32())
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if len(r.b) < n {
-		r.fail()
+func (r *Reader) Blob() []byte {
+	n := r.Count(1)
+	if n == 0 {
 		return nil
 	}
 	out := append([]byte(nil), r.b[:n]...)
@@ -174,76 +204,71 @@ func (r *wireReader) blob() []byte {
 	return out
 }
 
-func (r *wireReader) batch() *Batch {
-	if !r.bool() { // presence byte: proposals retransmit digest-only
-		return nil
-	}
+// Batch reads one batch in Batch.Marshal's encoding.
+func (r *Reader) Batch() *Batch {
 	if r.err != nil {
 		return nil
 	}
 	b, rest, err := UnmarshalBatch(r.b)
 	if err != nil {
-		if r.err == nil {
-			r.err = err
-		}
-		r.b = nil
+		r.Fail(err)
 		return nil
 	}
 	r.b = rest
 	return b
 }
 
-func (r *wireReader) replicas() []ReplicaID {
-	n := int(r.u32())
-	if r.err != nil || n == 0 {
+// MaybeBatch reads a presence byte and, when it is set, a batch: proposals
+// retransmit digest-only.
+func (r *Reader) MaybeBatch() *Batch {
+	if !r.Bool() {
 		return nil
 	}
-	if len(r.b) < 2*n {
-		r.fail()
+	return r.Batch()
+}
+
+// Replicas reads a u32-counted list of replica IDs.
+func (r *Reader) Replicas() []ReplicaID {
+	n := r.Count(2)
+	if n == 0 {
 		return nil
 	}
 	out := make([]ReplicaID, n)
 	for i := range out {
-		out[i] = ReplicaID(r.u16())
+		out[i] = ReplicaID(r.U16())
 	}
 	return out
 }
 
-// seqs reads a client reply's u32-counted sequence numbers. The count
+// Seqs reads a client reply's u32-counted sequence numbers. The count
 // arrives before authentication, so it must be at least 1 (a reply answers
 // something) and at most what the remaining bytes can hold.
-func (r *wireReader) seqs() []uint64 {
-	n := int(r.u32())
-	if r.err != nil {
-		return nil
-	}
-	if n < 1 || n > len(r.b)/8 {
-		r.fail()
+func (r *Reader) Seqs() []uint64 {
+	n := r.Count(8)
+	if n < 1 {
+		r.Fail(errTruncated)
 		return nil
 	}
 	out := make([]uint64, n)
 	for i := range out {
-		out[i] = r.u64()
+		out[i] = r.U64()
 	}
 	return out
 }
 
-// txns reads a client request's u32-counted transactions through the batch
+// Txns reads a client request's u32-counted transactions through the batch
 // decoder (decodeTxns: every length checked before the one op allocation).
 // The count arrives before authentication, so it must also be at least 1:
 // Txns[0] is read unchecked downstream.
-func (r *wireReader) txns() []Transaction {
-	n := int(r.u32())
-	if r.err != nil {
-		return nil
-	}
+func (r *Reader) Txns() []Transaction {
+	n := int(r.U32())
 	if n < 1 {
-		r.fail()
+		r.Fail(errTruncated)
 		return nil
 	}
 	out, rest, err := decodeTxns(r.b, n)
 	if err != nil {
-		r.err, r.b = err, nil
+		r.Fail(err)
 		return nil
 	}
 	r.b = rest
@@ -256,18 +281,15 @@ func (r *wireReader) txns() []Transaction {
 // a huge allocation (counts may arrive unauthenticated).
 const minProposalLen = 8 + 8 + 32 + 1 + 1
 
-func (r *wireReader) proposals() []AcceptedProposal {
-	n := int(r.u32())
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > len(r.b)/minProposalLen {
-		r.fail()
+// Proposals reads a u32-counted list of accepted proposals.
+func (r *Reader) Proposals() []AcceptedProposal {
+	n := r.Count(minProposalLen)
+	if n == 0 {
 		return nil
 	}
 	out := make([]AcceptedProposal, n)
 	for i := range out {
-		out[i] = r.proposal()
+		out[i] = r.Proposal()
 	}
 	if r.err != nil {
 		return nil
@@ -275,13 +297,14 @@ func (r *wireReader) proposals() []AcceptedProposal {
 	return out
 }
 
-func (r *wireReader) proposal() AcceptedProposal {
+// Proposal reads one accepted proposal.
+func (r *Reader) Proposal() AcceptedProposal {
 	return AcceptedProposal{
-		Round:    Round(r.u64()),
-		View:     View(r.u64()),
-		Digest:   r.digest(),
-		Prepared: r.bool(),
-		Batch:    r.batch(),
+		Round:    Round(r.U64()),
+		View:     View(r.U64()),
+		Digest:   r.Digest(),
+		Prepared: r.Bool(),
+		Batch:    r.MaybeBatch(),
 	}
 }
 
@@ -360,8 +383,8 @@ func init() {
 			buf = appendU16(buf, uint16(v.Inst))
 			return appendTxns(buf, v.Txns)
 		},
-		func(r *wireReader) Message {
-			return NewClientRequest(InstanceID(r.u16()), r.txns()...)
+		func(r *Reader) Message {
+			return NewClientRequest(InstanceID(r.U16()), r.Txns()...)
 		})
 
 	registerCodec(MsgClientReply,
@@ -374,10 +397,10 @@ func init() {
 			buf = append(buf, v.Result[:]...)
 			return appendSeqs(buf, v.Seqs)
 		},
-		func(r *wireReader) Message {
+		func(r *Reader) Message {
 			// Arguments evaluate left to right, in wire order.
-			return NewClientReply(InstanceID(r.u16()), ReplicaID(r.u16()), ClientID(r.u32()),
-				Round(r.u64()), r.digest(), r.seqs())
+			return NewClientReply(InstanceID(r.U16()), ReplicaID(r.U16()), ClientID(r.U32()),
+				Round(r.U64()), r.Digest(), r.Seqs())
 		})
 
 	registerCodec(MsgSwitchInstance,
@@ -387,11 +410,11 @@ func init() {
 			buf = appendU32(buf, uint32(v.Client))
 			return appendU16(buf, uint16(v.To))
 		},
-		func(r *wireReader) Message {
+		func(r *Reader) Message {
 			return &SwitchInstance{
-				Header: Header{Inst: InstanceID(r.u16())},
-				Client: ClientID(r.u32()),
-				To:     InstanceID(r.u16()),
+				Header: Header{Inst: InstanceID(r.U16())},
+				Client: ClientID(r.U32()),
+				To:     InstanceID(r.U16()),
 			}
 		})
 
@@ -404,13 +427,13 @@ func init() {
 			buf = append(buf, v.Digest[:]...)
 			return appendBatch(buf, v.Batch)
 		},
-		func(r *wireReader) Message {
+		func(r *Reader) Message {
 			return &PrePrepare{
-				Header: Header{Inst: InstanceID(r.u16())},
-				View:   View(r.u64()),
-				Round:  Round(r.u64()),
-				Digest: r.digest(),
-				Batch:  r.batch(),
+				Header: Header{Inst: InstanceID(r.U16())},
+				View:   View(r.U64()),
+				Round:  Round(r.U64()),
+				Digest: r.Digest(),
+				Batch:  r.MaybeBatch(),
 			}
 		})
 
@@ -421,21 +444,21 @@ func init() {
 		buf = appendU64(buf, uint64(v.Round))
 		return append(buf, v.Digest[:]...)
 	}
-	decVote := func(r *wireReader) PhaseVote {
+	decVote := func(r *Reader) PhaseVote {
 		return PhaseVote{
-			Header:  Header{Inst: InstanceID(r.u16())},
-			Replica: ReplicaID(r.u16()),
-			View:    View(r.u64()),
-			Round:   Round(r.u64()),
-			Digest:  r.digest(),
+			Header:  Header{Inst: InstanceID(r.U16())},
+			Replica: ReplicaID(r.U16()),
+			View:    View(r.U64()),
+			Round:   Round(r.U64()),
+			Digest:  r.Digest(),
 		}
 	}
 	registerCodec(MsgPrepare,
 		func(buf []byte, m Message) []byte { return encVote(buf, &m.(*Prepare).PhaseVote) },
-		func(r *wireReader) Message { return &Prepare{PhaseVote: decVote(r)} })
+		func(r *Reader) Message { return &Prepare{PhaseVote: decVote(r)} })
 	registerCodec(MsgCommit,
 		func(buf []byte, m Message) []byte { return encVote(buf, &m.(*Commit).PhaseVote) },
-		func(r *wireReader) Message { return &Commit{PhaseVote: decVote(r)} })
+		func(r *Reader) Message { return &Commit{PhaseVote: decVote(r)} })
 
 	registerCodec(MsgCheckpoint,
 		func(buf []byte, m Message) []byte {
@@ -446,13 +469,13 @@ func init() {
 			buf = append(buf, v.State[:]...)
 			return appendProposals(buf, v.Proposals)
 		},
-		func(r *wireReader) Message {
+		func(r *Reader) Message {
 			return &Checkpoint{
-				Header:    Header{Inst: InstanceID(r.u16())},
-				Replica:   ReplicaID(r.u16()),
-				Round:     Round(r.u64()),
-				State:     r.digest(),
-				Proposals: r.proposals(),
+				Header:    Header{Inst: InstanceID(r.U16())},
+				Replica:   ReplicaID(r.U16()),
+				Round:     Round(r.U64()),
+				State:     r.Digest(),
+				Proposals: r.Proposals(),
 			}
 		})
 
@@ -465,13 +488,13 @@ func init() {
 			buf = appendU64(buf, uint64(v.StableCkp))
 			return appendProposals(buf, v.Prepared)
 		},
-		func(r *wireReader) Message {
+		func(r *Reader) Message {
 			return &ViewChange{
-				Header:    Header{Inst: InstanceID(r.u16())},
-				Replica:   ReplicaID(r.u16()),
-				NewView:   View(r.u64()),
-				StableCkp: Round(r.u64()),
-				Prepared:  r.proposals(),
+				Header:    Header{Inst: InstanceID(r.U16())},
+				Replica:   ReplicaID(r.U16()),
+				NewView:   View(r.U64()),
+				StableCkp: Round(r.U64()),
+				Prepared:  r.Proposals(),
 			}
 		})
 
@@ -484,19 +507,19 @@ func init() {
 			buf = appendReplicas(buf, v.ViewProofs)
 			return appendProposals(buf, v.Reproposed)
 		},
-		func(r *wireReader) Message {
+		func(r *Reader) Message {
 			return &NewView{
-				Header:     Header{Inst: InstanceID(r.u16())},
-				Replica:    ReplicaID(r.u16()),
-				NewView:    View(r.u64()),
-				ViewProofs: r.replicas(),
-				Reproposed: r.proposals(),
+				Header:     Header{Inst: InstanceID(r.U16())},
+				Replica:    ReplicaID(r.U16()),
+				NewView:    View(r.U64()),
+				ViewProofs: r.Replicas(),
+				Reproposed: r.Proposals(),
 			}
 		})
 
 	registerCodec(MsgFailure,
 		func(buf []byte, m Message) []byte { return appendFailure(buf, m.(*Failure)) },
-		func(r *wireReader) Message { return decodeFailure(r) })
+		func(r *Reader) Message { return decodeFailure(r) })
 
 	registerCodec(MsgStop,
 		func(buf []byte, m Message) []byte {
@@ -509,19 +532,15 @@ func init() {
 			}
 			return buf
 		},
-		func(r *wireReader) Message {
+		func(r *Reader) Message {
 			v := &Stop{
-				Header: Header{Inst: InstanceID(r.u16())},
-				Target: InstanceID(r.u16()),
-			}
-			n := int(r.u32())
-			if r.err != nil || n == 0 {
-				return v
+				Header: Header{Inst: InstanceID(r.U16())},
+				Target: InstanceID(r.U16()),
 			}
 			// A Failure encodes to ≥17 bytes (inst+replica+round+light+
-			// state count): bound the count like proposals() does.
-			if n > len(r.b)/17 {
-				r.fail()
+			// state count).
+			n := r.Count(17)
+			if n == 0 {
 				return v
 			}
 			v.Evidence = make([]*Failure, n)
@@ -540,12 +559,12 @@ func appendFailure(buf []byte, v *Failure) []byte {
 	return appendProposals(buf, v.State)
 }
 
-func decodeFailure(r *wireReader) *Failure {
+func decodeFailure(r *Reader) *Failure {
 	return &Failure{
-		Header:  Header{Inst: InstanceID(r.u16())},
-		Replica: ReplicaID(r.u16()),
-		Round:   Round(r.u64()),
-		Light:   r.bool(),
-		State:   r.proposals(),
+		Header:  Header{Inst: InstanceID(r.U16())},
+		Replica: ReplicaID(r.U16()),
+		Round:   Round(r.U64()),
+		Light:   r.Bool(),
+		State:   r.Proposals(),
 	}
 }

@@ -4,7 +4,7 @@ package types
 // largest payloads on the wire (snapshot chunks, block ranges), and their
 // counts and lengths arrive before authentication — every slice allocation
 // below is bounded by what the received buffer could physically hold, the
-// same rule proposals() and batches follow.
+// same rule Proposals() and batches follow.
 
 // minEncodedBlockLen is the floor of one ledger.EncodeBlock payload
 // (version + height + two hashes + proof fixed part + signer count + batch
@@ -13,21 +13,17 @@ package types
 // allocation.
 const minEncodedBlockLen = 1 + 8 + 32 + 32 + 2 + 8 + 8 + 32 + 2 + 4
 
-// blobs reads a u32-counted sequence of u32-length-prefixed byte strings,
+// Blobs reads a u32-counted sequence of u32-length-prefixed byte strings,
 // bounding the count by the buffer-derived floor of minLen bytes per
 // element.
-func (r *wireReader) blobs(minLen int) [][]byte {
-	n := int(r.u32())
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > len(r.b)/(4+minLen) {
-		r.fail()
+func (r *Reader) Blobs(minLen int) [][]byte {
+	n := r.Count(4 + minLen)
+	if n == 0 {
 		return nil
 	}
 	out := make([][]byte, n)
 	for i := range out {
-		out[i] = r.blob()
+		out[i] = r.Blob()
 	}
 	if r.err != nil {
 		return nil
@@ -62,22 +58,22 @@ func init() {
 			buf = appendBlob(buf, v.AttSyncPoint)
 			return appendBlob(buf, v.Att)
 		},
-		func(r *wireReader) Message {
+		func(r *Reader) Message {
 			return &StateOffer{
-				Header:          Header{Inst: InstanceID(r.u16())},
-				Replica:         ReplicaID(r.u16()),
-				SnapHeight:      r.u64(),
-				SnapSize:        r.u64(),
-				ChunkBytes:      r.u32(),
-				SnapAppHash:     r.digest(),
-				SnapHeadHash:    r.digest(),
-				SnapStateDigest: r.digest(),
-				TxnCount:        r.u64(),
-				Height:          r.u64(),
-				HeadHash:        r.digest(),
-				SyncPoint:       r.blob(),
-				AttSyncPoint:    r.blob(),
-				Att:             r.blob(),
+				Header:          Header{Inst: InstanceID(r.U16())},
+				Replica:         ReplicaID(r.U16()),
+				SnapHeight:      r.U64(),
+				SnapSize:        r.U64(),
+				ChunkBytes:      r.U32(),
+				SnapAppHash:     r.Digest(),
+				SnapHeadHash:    r.Digest(),
+				SnapStateDigest: r.Digest(),
+				TxnCount:        r.U64(),
+				Height:          r.U64(),
+				HeadHash:        r.Digest(),
+				SyncPoint:       r.Blob(),
+				AttSyncPoint:    r.Blob(),
+				Att:             r.Blob(),
 			}
 		})
 
@@ -89,12 +85,12 @@ func init() {
 			buf = appendU64(buf, v.Height)
 			return appendU32(buf, v.Chunk)
 		},
-		func(r *wireReader) Message {
+		func(r *Reader) Message {
 			return &SnapshotRequest{
-				Header:  Header{Inst: InstanceID(r.u16())},
-				Replica: ReplicaID(r.u16()),
-				Height:  r.u64(),
-				Chunk:   r.u32(),
+				Header:  Header{Inst: InstanceID(r.U16())},
+				Replica: ReplicaID(r.U16()),
+				Height:  r.U64(),
+				Chunk:   r.U32(),
 			}
 		})
 
@@ -108,14 +104,14 @@ func init() {
 			buf = appendU32(buf, v.Of)
 			return appendBlob(buf, v.Data)
 		},
-		func(r *wireReader) Message {
+		func(r *Reader) Message {
 			return &SnapshotChunk{
-				Header:  Header{Inst: InstanceID(r.u16())},
-				Replica: ReplicaID(r.u16()),
-				Height:  r.u64(),
-				Chunk:   r.u32(),
-				Of:      r.u32(),
-				Data:    r.blob(),
+				Header:  Header{Inst: InstanceID(r.U16())},
+				Replica: ReplicaID(r.U16()),
+				Height:  r.U64(),
+				Chunk:   r.U32(),
+				Of:      r.U32(),
+				Data:    r.Blob(),
 			}
 		})
 
@@ -127,12 +123,12 @@ func init() {
 			buf = appendU64(buf, v.From)
 			return appendU64(buf, v.To)
 		},
-		func(r *wireReader) Message {
+		func(r *Reader) Message {
 			return &BlockRangeRequest{
-				Header:  Header{Inst: InstanceID(r.u16())},
-				Replica: ReplicaID(r.u16()),
-				From:    r.u64(),
-				To:      r.u64(),
+				Header:  Header{Inst: InstanceID(r.U16())},
+				Replica: ReplicaID(r.U16()),
+				From:    r.U64(),
+				To:      r.U64(),
 			}
 		})
 
@@ -145,13 +141,13 @@ func init() {
 			buf = append(buf, v.Digest[:]...)
 			return appendBlob(buf, v.Share)
 		},
-		func(r *wireReader) Message {
+		func(r *Reader) Message {
 			return &CheckpointAttest{
-				Header:  Header{Inst: InstanceID(r.u16())},
-				Replica: ReplicaID(r.u16()),
-				Height:  r.u64(),
-				Digest:  r.digest(),
-				Share:   r.blob(),
+				Header:  Header{Inst: InstanceID(r.U16())},
+				Replica: ReplicaID(r.U16()),
+				Height:  r.U64(),
+				Digest:  r.Digest(),
+				Share:   r.Blob(),
 			}
 		})
 
@@ -163,12 +159,12 @@ func init() {
 			buf = appendU64(buf, v.From)
 			return appendBlobs(buf, v.Blocks)
 		},
-		func(r *wireReader) Message {
+		func(r *Reader) Message {
 			return &BlockRange{
-				Header:  Header{Inst: InstanceID(r.u16())},
-				Replica: ReplicaID(r.u16()),
-				From:    r.u64(),
-				Blocks:  r.blobs(minEncodedBlockLen),
+				Header:  Header{Inst: InstanceID(r.U16())},
+				Replica: ReplicaID(r.U16()),
+				From:    r.U64(),
+				Blocks:  r.Blobs(minEncodedBlockLen),
 			}
 		})
 }

@@ -260,8 +260,8 @@ func TestCodecRejectsForgedReplySeqCount(t *testing.T) {
 		}
 		seqsAt := len(body) - 12
 		allocs := testing.AllocsPerRun(100, func() {
-			r := wireReader{b: body[seqsAt:]}
-			if r.seqs() != nil || r.err == nil {
+			r := Reader{b: body[seqsAt:]}
+			if r.Seqs() != nil || r.err == nil {
 				t.Fatalf("seq count %d accepted", count)
 			}
 		})
@@ -283,8 +283,8 @@ func TestCodecRejectsForgedRequestTxnCount(t *testing.T) {
 			t.Fatalf("txn count %d decoded", count)
 		}
 		allocs := testing.AllocsPerRun(100, func() {
-			r := wireReader{b: buf[3:]}
-			if r.txns() != nil || r.err == nil {
+			r := Reader{b: buf[3:]}
+			if r.Txns() != nil || r.err == nil {
 				t.Fatalf("txn count %d accepted", count)
 			}
 		})
