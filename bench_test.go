@@ -224,12 +224,19 @@ const loopbackPeers = 3
 // invalidate a measurement, so the links are warmed with exactly ONE vote
 // each: aggregate MsgsSent reaching loopbackPeers proves every link
 // connected and wrote (a failed dial drops its message, the total never
-// arrives, and the bounded wait fails loudly instead of hanging CI).
-func dialLoopbackPeers(b *testing.B) *transport.TCP {
+// arrives, and the bounded wait fails loudly instead of hanging CI). auth,
+// when set, keys every party's links (nil: unauthenticated).
+func dialLoopbackPeers(b *testing.B, auth func(party uint32) crypto.Authenticator) *transport.TCP {
 	b.Helper()
+	keyed := func(id types.ReplicaID) crypto.Authenticator {
+		if auth == nil {
+			return nil
+		}
+		return auth(crypto.PartyID(id))
+	}
 	peerMap := make(map[types.ReplicaID]string)
 	for id := types.ReplicaID(1); id <= loopbackPeers; id++ {
-		r, err := transport.NewTCP(transport.TCPConfig{Self: id, Listen: "127.0.0.1:0"}, discardEndpoint{})
+		r, err := transport.NewTCP(transport.TCPConfig{Self: id, Listen: "127.0.0.1:0", Auth: keyed(id)}, discardEndpoint{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -237,7 +244,7 @@ func dialLoopbackPeers(b *testing.B) *transport.TCP {
 		peerMap[id] = r.Addr()
 	}
 	t0, err := transport.NewTCP(transport.TCPConfig{
-		Self: 0, Listen: "127.0.0.1:0", Peers: peerMap,
+		Self: 0, Listen: "127.0.0.1:0", Peers: peerMap, Auth: keyed(0),
 	}, discardEndpoint{})
 	if err != nil {
 		b.Fatal(err)
@@ -265,7 +272,11 @@ func dialLoopbackPeers(b *testing.B) *transport.TCP {
 // multi-message frames, and write off the caller's back. Sustained
 // enqueueing is bounded by writer throughput (backpressure), so the number
 // is honest steady-state cost, not just a channel send. The case names are
-// the baseline rows' (BENCH_baseline.json).
+// the baseline rows' (BENCH_baseline.json). The ds case signs every frame
+// with ED25519 and reports the signatures made per broadcast: writers whose
+// frames hold the same bytes share one signature, so the figure falls below
+// the 3 a per-peer signer pays once frames repeat across links. It encodes
+// this machine's scheduling and is not a baseline row.
 func BenchmarkBroadcast(b *testing.B) {
 	for _, m := range []struct {
 		name string
@@ -275,7 +286,7 @@ func BenchmarkBroadcast(b *testing.B) {
 		{"preprepare100/enqueue", netPrePrepare(100)},
 	} {
 		b.Run(m.name, func(b *testing.B) {
-			t0 := dialLoopbackPeers(b)
+			t0 := dialLoopbackPeers(b, nil)
 			dropped0 := t0.Stats().PeerDropped
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -296,6 +307,51 @@ func BenchmarkBroadcast(b *testing.B) {
 			}
 		})
 	}
+	b.Run("preprepare100/ds", func(b *testing.B) {
+		secret := []byte("bench-broadcast-secret")
+		signer := &tagCounter{Authenticator: crypto.NewDSDev(crypto.PartyID(0), secret)}
+		t0 := dialLoopbackPeers(b, func(p uint32) crypto.Authenticator {
+			if p == crypto.PartyID(0) {
+				return signer
+			}
+			return crypto.NewDSDev(p, secret)
+		})
+		base := netPrePrepare(100).(*types.PrePrepare)
+		sent0, tags0 := t0.Stats().MsgsSent, signer.tags.Load()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// A distinct round per broadcast: frames of one repeated
+			// message would repeat across time, not only across links.
+			msg := *base
+			msg.Round = types.Round(i)
+			for p := types.ReplicaID(1); p <= loopbackPeers; p++ {
+				if err := t0.Send(p, &msg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		// Count the signatures of every frame this loop queued.
+		for deadline := time.Now().Add(10 * time.Second); t0.Stats().MsgsSent-sent0 < uint64(b.N*loopbackPeers) && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		b.StopTimer()
+		st := t0.Stats()
+		b.ReportMetric(float64(signer.tags.Load()-tags0)/float64(b.N), "tags/bcast")
+		b.ReportMetric(float64(st.MsgsSent)/float64(st.BatchesSent), "msgs/frame")
+	})
+}
+
+// tagCounter counts the Tag calls of the authenticator it wraps and keeps
+// its scheme, so the transport still shares its DS tags.
+type tagCounter struct {
+	crypto.Authenticator
+	tags atomic.Int64
+}
+
+func (a *tagCounter) Tag(to uint32, payload []byte) []byte {
+	a.tags.Add(1)
+	return a.Authenticator.Tag(to, payload)
 }
 
 // ---------------------------------------------------------------------------
@@ -348,7 +404,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	for _, v := range variants {
 		met := v.met
 		b.Run("vote-broadcast/"+v.name, func(b *testing.B) {
-			t0 := dialLoopbackPeers(b)
+			t0 := dialLoopbackPeers(b, nil)
 			vote := netVote()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -426,7 +482,7 @@ func BenchmarkFlightRecord(b *testing.B) {
 	for _, v := range variants {
 		met := v.met
 		b.Run("vote-broadcast/"+v.name, func(b *testing.B) {
-			t0 := dialLoopbackPeers(b)
+			t0 := dialLoopbackPeers(b, nil)
 			vote := netVote()
 			b.ReportAllocs()
 			b.ResetTimer()

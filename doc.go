@@ -41,8 +41,11 @@
 // feed dedicated writer goroutines that encode messages through the
 // registry-based binary codec in internal/types (explicit MsgType tag,
 // per-type Marshal/Unmarshal, pooled buffers; replaces per-message gob),
-// coalesce bursts into multi-message frames (wire format v10, one write
-// syscall and one authenticator tag per burst), and redial failed peers with exponential backoff.
+// coalesce bursts into multi-message frames (wire format v11, one write
+// syscall and one authenticator tag per burst, over a domain-separated
+// digest of the frame's records, and one ED25519 signature for all the
+// peers whose frames repeat the same bytes), and redial failed peers with
+// exponential backoff.
 // Replica links backpressure on overflow while the peer is healthy and
 // drop (counted) while it is down; client links always drop on overflow,
 // so one stalled client or peer can never delay anyone else — client

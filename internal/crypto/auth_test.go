@@ -163,6 +163,25 @@ func TestDSDevDeterministic(t *testing.T) {
 	}
 }
 
+// TestDSTagIgnoresReceiver pins what Scheme documents and the transport's
+// shared frame signatures rely on: a DS tag is the same bytes for every
+// receiver and every call, while a MAC tag differs per receiver.
+func TestDSTagIgnoresReceiver(t *testing.T) {
+	secret := []byte("cluster-seed")
+	payload := []byte("frame digest")
+	ds := NewDSDev(PartyID(0), secret)
+	sig := ds.Tag(PartyID(1), payload)
+	for _, to := range []uint32{PartyID(1), PartyID(2), ClientPartyID(7)} {
+		if !bytes.Equal(ds.Tag(to, payload), sig) {
+			t.Fatalf("DS tag for party %d differs from party 1's", to)
+		}
+	}
+	mac := NewMAC(PartyID(0), secret)
+	if bytes.Equal(mac.Tag(PartyID(1), payload), mac.Tag(PartyID(2), payload)) {
+		t.Fatal("MAC tags for two receivers are equal")
+	}
+}
+
 // TestBatchVerifierBisection: 1 bad signature in a batch of 64 rejects
 // exactly that one (the ISSUE's pinned case), and multi-forgery batches
 // isolate every bad index.

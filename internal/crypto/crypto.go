@@ -11,7 +11,7 @@
 // authenticator freezes its public-key ring at construction so verification
 // never races provisioning. BatchVerifier checks many same-sender
 // signatures with bisection to isolate bad ones; since the transport signs
-// whole frames it has no program caller.
+// one digest per frame it has no program caller.
 //
 // The package also exports the per-operation CPU cost table used by the
 // simulators: the paper (§V-B, Fig. 7 right) reports that digital signatures
@@ -36,6 +36,12 @@ import (
 )
 
 // Scheme selects the authentication scheme for replica-to-replica messages.
+//
+// A MAC tag is keyed by the {sender, receiver} pair, so it names its
+// receiver. A DS tag does not: Tag ignores `to`, and ED25519 signing is
+// deterministic, so one payload signed for any receiver yields the same
+// bytes. The transport relies on this to sign a frame once for every peer
+// that gets the same bytes; a DS authenticator must keep both properties.
 type Scheme uint8
 
 // Authentication schemes (paper Fig. 7 right: None / DS / MAC).

@@ -1,9 +1,10 @@
 // Package digestcache holds a sharded, bounded LRU of verified digests.
 //
 // The TCP transport keys it on the digest of one authenticated frame: the
-// sender party, the exact record bytes, and the tag. A client request
-// retransmitted alone repeats its frame byte for byte, and each arrival
-// would otherwise pay a full signature (or MAC) verification. A hit proves this precise triple was
+// sender party, the frame digest (which binds the exact record bytes), and
+// the tag. A client request retransmitted alone repeats its frame byte for
+// byte, and each arrival would otherwise pay a full signature (or MAC)
+// verification. A hit proves this precise triple was
 // verified before on this replica, so re-verifying is pure waste. A miss
 // verifies as usual and, on success, inserts.
 //

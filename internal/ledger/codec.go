@@ -3,7 +3,6 @@ package ledger
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"repro/internal/types"
 )
@@ -29,7 +28,12 @@ func EncodeBlock(b *Block) []byte { return AppendBlock(nil, b) }
 // AppendBlock appends the wire encoding of b to buf, growing buf at most
 // once, to the encoding's exact size.
 func AppendBlock(buf []byte, b *Block) []byte {
-	buf = slices.Grow(buf, 1+blockFixedLen+2*len(b.Proof.Signers)+b.Batch.EncodedLen())
+	if n := len(buf) + 1 + blockFixedLen + 2*len(b.Proof.Signers) + b.Batch.EncodedLen(); n > cap(buf) {
+		// One explicit make: slices.Grow allocates twice under -race.
+		grown := make([]byte, len(buf), n)
+		copy(grown, buf)
+		buf = grown
+	}
 	buf = append(buf, codecVersion)
 	buf = binary.BigEndian.AppendUint64(buf, b.Height)
 	buf = append(buf, b.PrevHash[:]...)

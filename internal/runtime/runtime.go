@@ -800,6 +800,7 @@ func (r *Replica) loop() {
 	defer r.wg.Done()
 	env := &replicaEnv{r: r}
 	r.cfg.Machine.Start(env)
+	env.drainSelf()
 	for {
 		select {
 		case <-r.stopped:
@@ -811,18 +812,22 @@ func (r *Replica) loop() {
 			case e.isTimer:
 				r.cfg.Machine.OnTimer(e.timer)
 			default:
-				// State-transfer messages are the runtime's, not the
-				// machine's: probes answer with an offer built here (the
-				// machine frontier and ledger head read in the same
-				// instant), serving and responses hand off to the
-				// manager's goroutines.
-				if r.sync != nil && r.sync.HandleMessage(e.from.Replica, e.from.IsClient, e.msg) {
-					break
-				}
-				r.cfg.Machine.OnMessage(e.from, e.msg)
+				r.dispatch(e.from, e.msg)
 			}
 		}
+		env.drainSelf()
 	}
+}
+
+// dispatch hands one message to the machine. State-transfer messages are
+// the runtime's, not the machine's: probes answer with an offer built here
+// (the machine frontier and ledger head read in the same instant), serving
+// and responses hand off to the manager's goroutines.
+func (r *Replica) dispatch(from sm.Source, m types.Message) {
+	if r.sync != nil && r.sync.HandleMessage(from.Replica, from.IsClient, m) {
+		return
+	}
+	r.cfg.Machine.OnMessage(from, m)
 }
 
 // Inspect runs f on the replica's event loop and waits for it to return —
@@ -939,6 +944,11 @@ func (r *Replica) saveSnapshot() {
 // replicaEnv implements sm.Env on top of the process.
 type replicaEnv struct {
 	r *Replica
+	// self holds the messages the machine addressed to itself during the
+	// event being handled. The loop drains it before its next inbox read,
+	// so self-delivery never waits on the bounded inbox only this loop
+	// empties, and the machine still sees one message at a time.
+	self []types.Message
 }
 
 var _ sm.Env = (*replicaEnv)(nil)
@@ -948,14 +958,24 @@ func (e *replicaEnv) Params() quorum.Params { return e.r.cfg.Params }
 
 func (e *replicaEnv) Send(to types.ReplicaID, m types.Message) {
 	if to == e.r.cfg.ID {
-		// Self-delivery loops through the queue like any other message,
-		// preserving the machine's sequential contract.
-		e.r.DeliverReplica(to, m)
+		e.self = append(e.self, m)
 		return
 	}
 	if e.r.trans != nil {
 		_ = e.r.trans.Send(to, m) // unreachable peers are the timeout paths' job
 	}
+}
+
+// drainSelf dispatches the queued self-addressed messages in send order,
+// including those their own handling queues.
+func (e *replicaEnv) drainSelf() {
+	from := sm.FromReplica(e.r.cfg.ID)
+	for i := 0; i < len(e.self); i++ {
+		m := e.self[i]
+		e.self[i] = nil
+		e.r.dispatch(from, m)
+	}
+	e.self = e.self[:0]
 }
 
 func (e *replicaEnv) Broadcast(m types.Message) {

@@ -175,6 +175,67 @@ func TestNewRefusesMachineWithoutStateSync(t *testing.T) {
 	}
 }
 
+// selfFlood broadcasts floodSize PREPAREs, itself included, on Start and on
+// every message from another replica, and records the rounds it receives
+// from itself.
+type selfFlood struct {
+	bareMachine
+	env  sm.Env
+	got  []types.Round
+	done chan struct{}
+}
+
+const floodSize = 64
+
+func (f *selfFlood) flood(base types.Round) {
+	for i := types.Round(0); i < floodSize; i++ {
+		f.env.Broadcast(types.NewPrepare(0, 0, 0, base+i, types.ZeroDigest))
+	}
+}
+
+func (f *selfFlood) Start(env sm.Env) { f.env = env; f.flood(0) }
+
+func (f *selfFlood) OnMessage(from sm.Source, m types.Message) {
+	if from.Replica != f.env.ID() {
+		f.flood(floodSize)
+		return
+	}
+	f.got = append(f.got, m.(*types.Prepare).Round)
+	if len(f.got) == 2*floodSize {
+		close(f.done)
+	}
+}
+
+func (*selfFlood) SyncPoint() []byte                  { return nil }
+func (*selfFlood) ValidateSyncPoint([]byte) error     { return nil }
+func (*selfFlood) InstallSyncPoint(data []byte) error { return nil }
+
+// TestSelfBroadcastNeverBlocksTheLoop: a machine that addresses far more
+// messages to itself than its one-slot inbox holds, on Start and while
+// handling a peer's message, receives all of them in send order; the loop
+// never waits on the inbox only it drains.
+func TestSelfBroadcastNeverBlocksTheLoop(t *testing.T) {
+	params, _ := quorum.NewParams(4)
+	f := &selfFlood{done: make(chan struct{})}
+	r, err := New(Config{ID: 0, Params: params, Machine: f, App: ycsb.NewStore(10), QueueDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Run()
+	defer r.Stop()
+	r.DeliverReplica(1, types.NewPrepare(0, 0, 0, 0, types.ZeroDigest))
+	select {
+	case <-f.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("event loop blocked delivering to itself")
+	}
+	for i, round := range f.got {
+		if round != types.Round(i) {
+			t.Fatalf("self message %d has round %d: self-delivery reordered", i, round)
+		}
+	}
+}
+
 func TestQueueBackpressureDoesNotDeadlockOnStop(t *testing.T) {
 	params, _ := quorum.NewParams(4)
 	r, err := New(Config{

@@ -10,7 +10,7 @@ import (
 // FuzzOpenFrame feeds hostile bytes to the only parser that sees a frame
 // before its tag is checked: openFrame's tag split, then the record walk
 // that runs once the tag holds. No input may panic, and no slice either one
-// yields may reach outside the frame. Seeds: real v5 frames — untagged, MAC
+// yields may reach outside the frame. Seeds: real frames — untagged, MAC
 // and DS sealed, of one and of several records — and each of their
 // truncations.
 //
@@ -31,7 +31,7 @@ func FuzzOpenFrame(f *testing.F) {
 					f.Fatal(err)
 				}
 			}
-			if frame, err = sealFrame(frame, auth, 1); err != nil {
+			if frame, err = sealFrame(frame, auth, 1, nil); err != nil {
 				f.Fatal(err)
 			}
 			for i := 0; i <= len(frame)-4; i++ {

@@ -330,12 +330,13 @@ func TestTCPClientDisconnectUnregisters(t *testing.T) {
 
 // TestTCPRefusesWireVersionMismatch: a peer announcing a different framing
 // version must be cut off at the handshake — inbound (we read its header)
-// and outbound (we read the header it sends back). The peer speaks v9,
-// whose coordinator ops (stop, switch) have another layout than this v10
-// build's, so the two would disagree on which stops a coordinator decided.
+// and outbound (we read the header it sends back). The peer speaks v10,
+// whose frame tags cover the record bytes themselves rather than this v11
+// build's domain-separated frame digest, so every frame it sent would read
+// as a forgery and count toward demoting a link that is merely old.
 func TestTCPRefusesWireVersionMismatch(t *testing.T) {
-	const v9 = 9
-	if WireVersion != 10 {
+	const v10 = 10
+	if WireVersion != 11 {
 		t.Fatalf("WireVersion %d: move this test to the new previous version", WireVersion)
 	}
 	srvSink := newSink()
@@ -345,14 +346,14 @@ func TestTCPRefusesWireVersionMismatch(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// Inbound: dial raw, claim v9, then try to push a frame.
+	// Inbound: dial raw, claim v10, then try to push a frame.
 	raw, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
 	hdr := appendHeader(nil, false, 3, 0)
-	binary.BigEndian.PutUint16(hdr[4:6], v9)
+	binary.BigEndian.PutUint16(hdr[4:6], v10)
 	if _, err := raw.Write(hdr); err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +367,7 @@ func TestTCPRefusesWireVersionMismatch(t *testing.T) {
 		t.Fatal("message from a version-mismatched peer was delivered")
 	}
 
-	// Outbound: an older replica answers this client with a v9 header; the
+	// Outbound: an older replica answers this client with a v10 header; the
 	// client must refuse the stream rather than trust its replies.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -380,7 +381,7 @@ func TestTCPRefusesWireVersionMismatch(t *testing.T) {
 		}
 		io.ReadFull(c, make([]byte, wireHeaderLen)) // swallow the client's header
 		bad := appendHeader(nil, false, 0, 0)
-		binary.BigEndian.PutUint16(bad[4:6], v9)
+		binary.BigEndian.PutUint16(bad[4:6], v10)
 		c.Write(bad)
 	}()
 	cliSink := newSink()

@@ -34,9 +34,9 @@ type TCPConfig struct {
 	// Auth authenticates frames; nil disables authentication.
 	Auth crypto.Authenticator
 
-	// DigestCache, when set, memoizes verified (party, record bytes, tag)
-	// frames from client links, so a byte-identical frame (a retransmitted
-	// request that travels alone) skips re-verification, under every
+	// DigestCache, when set, memoizes verified (party, frame digest, tag)
+	// triples from client links, so a byte-identical frame (a retransmitted
+	// request that travels alone) skips its signature check, under every
 	// scheme. Worth wiring for digital signatures; a MAC re-check costs
 	// about as much as the cache's own hash.
 	DigestCache *digestcache.Cache
@@ -157,7 +157,7 @@ type TCPStats struct {
 	// a local bug, not a peer problem).
 	EncodeErrs uint64
 	// AuthRejects counts frames dropped whole because their tag was
-	// missing, truncated, or did not verify over their record bytes.
+	// missing, truncated, or did not verify over their records' digest.
 	AuthRejects uint64
 	// AuthDemotions counts inbound links closed after AuthFailLimit
 	// consecutive authentication failures.
@@ -208,6 +208,10 @@ type TCP struct {
 	// delayCh feeds the delay heap goroutine (faults.go); nil unless a
 	// Faults matrix is configured.
 	delayCh chan delayedMsg
+
+	// memo shares DS frame signatures between the peer-link writers; nil
+	// unless Auth's scheme is DS.
+	memo *tagMemo
 }
 
 // NewTCP creates a TCP node delivering inbound messages to ep. Replicas
@@ -220,6 +224,7 @@ func NewTCP(cfg TCPConfig, ep Endpoint) (*TCP, error) {
 		clientsByID: make(map[types.ClientID]*connQueue),
 		conns:       make(map[net.Conn]struct{}),
 		done:        make(chan struct{}),
+		memo:        newTagMemo(cfg.Auth),
 	}
 	cp := make(map[types.ReplicaID]string, len(cfg.Peers))
 	for k, v := range cfg.Peers {
@@ -557,6 +562,7 @@ func (t *TCP) peerQueueFor(to types.ReplicaID) (*peerQueue, error) {
 		ch:    make(chan types.Message, t.cfg.queueDepth),
 	}
 	t.queues[to] = q
+	t.memo.addWriter()
 	t.wgWriters.Add(1)
 	go q.run()
 	return q, nil
@@ -664,13 +670,13 @@ func (q *peerQueue) run() {
 		case first = <-q.ch:
 		case <-t.done:
 			if conn != nil {
-				t.drainOnClose(conn, q.ch, q.party, &frame)
+				t.drainOnClose(conn, q.ch, q.party, t.memo, &frame)
 			}
 			return
 		}
 
 		count := 0
-		frame, count = batchInto(t, frame, q.ch, first, q.party)
+		frame, count = batchInto(t, frame, q.ch, first, q.party, t.memo)
 		if count == 0 {
 			continue
 		}
@@ -766,12 +772,12 @@ func (t *TCP) writeFrame(conn net.Conn, frame []byte, count int) error {
 // closes, all of it under the one Close-wide drain deadline (per-write
 // timeouts would let a stalled destination stretch Close far past its
 // bound).
-func (t *TCP) drainOnClose(conn net.Conn, ch chan types.Message, party uint32, frame *[]byte) {
+func (t *TCP) drainOnClose(conn net.Conn, ch chan types.Message, party uint32, memo *tagMemo, frame *[]byte) {
 	conn.SetWriteDeadline(time.Unix(0, t.closeDeadline.Load()))
 	for {
 		select {
 		case m := <-ch:
-			f, n := batchInto(t, *frame, ch, m, party)
+			f, n := batchInto(t, *frame, ch, m, party, memo)
 			*frame = f
 			if n == 0 {
 				continue
@@ -789,9 +795,9 @@ func (t *TCP) drainOnClose(conn net.Conn, ch chan types.Message, party uint32, f
 
 // batchInto is the shared frame assembly of both queue kinds: it encodes
 // first plus everything else queued right now (up to the batch caps) into
-// frame's buffer, seals the frame with one tag, and returns the frame and
-// its message count.
-func batchInto(t *TCP, frame []byte, ch chan types.Message, first types.Message, party uint32) ([]byte, int) {
+// frame's buffer, seals the frame with one tag (shared through memo when
+// set), and returns the frame and its message count.
+func batchInto(t *TCP, frame []byte, ch chan types.Message, first types.Message, party uint32, memo *tagMemo) ([]byte, int) {
 	frame = append(frame[:0], 0, 0, 0, 0) // frameLen, patched by sealFrame
 	count := 0
 	add := func(m types.Message) {
@@ -816,7 +822,7 @@ collect:
 	if count == 0 {
 		return frame[:0], 0
 	}
-	frame, err := sealFrame(frame, t.cfg.Auth, party)
+	frame, err := sealFrame(frame, t.cfg.Auth, party, memo)
 	if err != nil {
 		t.encodeErrs.Add(uint64(count)) // authenticator tag too long: local bug
 		return frame[:0], 0
@@ -897,11 +903,13 @@ func (q *connQueue) run() {
 		case <-q.quit:
 			return
 		case <-t.done:
-			t.drainOnClose(q.conn, q.ch, q.party, &frame)
+			t.drainOnClose(q.conn, q.ch, q.party, nil, &frame)
 			return
 		}
+		// A reply frame is addressed to this one client and never repeats
+		// another writer's bytes, so it does not use the tag memo.
 		count := 0
-		frame, count = batchInto(t, frame, q.ch, first, q.party)
+		frame, count = batchInto(t, frame, q.ch, first, q.party, nil)
 		if count == 0 {
 			continue
 		}

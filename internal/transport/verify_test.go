@@ -2,10 +2,14 @@ package transport
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -65,6 +69,12 @@ func TestTCPDSRejectsWrongSigner(t *testing.T) {
 // exactly as an honest writer frames them.
 func sealedFrame(t *testing.T, auth crypto.Authenticator, to uint32, msgs ...types.Message) []byte {
 	t.Helper()
+	return sealedFrameWith(t, auth, to, nil, msgs...)
+}
+
+// sealedFrameWith is sealedFrame for a writer sharing tags through memo.
+func sealedFrameWith(t *testing.T, auth crypto.Authenticator, to uint32, memo *tagMemo, msgs ...types.Message) []byte {
+	t.Helper()
 	frame := []byte{0, 0, 0, 0}
 	var err error
 	for _, m := range msgs {
@@ -72,10 +82,153 @@ func sealedFrame(t *testing.T, auth crypto.Authenticator, to uint32, msgs ...typ
 			t.Fatal(err)
 		}
 	}
-	if frame, err = sealFrame(frame, auth, to); err != nil {
+	if frame, err = sealFrame(frame, auth, to, memo); err != nil {
 		t.Fatal(err)
 	}
 	return frame
+}
+
+// countingAuth counts the Tag calls of the authenticator it wraps and keeps
+// its scheme. Embedding the interface hides the inner TagAppender, so every
+// tag the transport makes goes through Tag.
+type countingAuth struct {
+	crypto.Authenticator
+	tags atomic.Int64
+}
+
+func (a *countingAuth) Tag(to uint32, payload []byte) []byte {
+	a.tags.Add(1)
+	return a.Authenticator.Tag(to, payload)
+}
+
+// receiverVerifies reports whether party `self`, keyed with auth, accepts
+// frame (with its frameLen word) from replica 0.
+func receiverVerifies(auth crypto.Authenticator, frame []byte) bool {
+	records, tag, ok := openFrame(frame[4:])
+	r := &TCP{cfg: TCPConfig{Auth: auth}}
+	return ok && r.verifyFrame(crypto.PartyID(0), false, records, tag)
+}
+
+// TestSealFrameSharesDSTagsOnly: three peer writers sealing the same records
+// cost one signature under DS, because the DS tag does not name its
+// receiver, and one MAC per peer under MAC, whose pair keys do. Different
+// records cost one tag each. Every sealed frame, the shared signature
+// included, verifies at its receiver, and a flipped record byte is refused.
+func TestSealFrameSharesDSTagsOnly(t *testing.T) {
+	secret := []byte("seal-secret")
+	vote := func(round types.Round) types.Message {
+		return types.NewCommit(0, 0, 0, round, types.Hash([]byte("seal")))
+	}
+	peers := []uint32{1, 2, 3}
+	for _, tc := range []struct {
+		name     string
+		auth     func(party uint32) crypto.Authenticator
+		sameTags int64
+	}{
+		{"ds", func(p uint32) crypto.Authenticator { return crypto.NewDSDev(p, secret) }, 1},
+		{"mac", func(p uint32) crypto.Authenticator { return crypto.NewMAC(p, secret) }, int64(len(peers))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			auth := &countingAuth{Authenticator: tc.auth(crypto.PartyID(0))}
+			memo := newTagMemo(auth)
+			if (memo != nil) != (tc.name == "ds") {
+				t.Fatalf("tag memo %v for scheme %v", memo != nil, auth.Scheme())
+			}
+			for range peers {
+				memo.addWriter()
+			}
+			frames := make([][]byte, len(peers))
+			for i, p := range peers {
+				frames[i] = sealedFrameWith(t, auth, p, memo, vote(1), vote(2))
+			}
+			if got := auth.tags.Load(); got != tc.sameTags {
+				t.Fatalf("%d peers sealing identical records made %d tags, want %d", len(peers), got, tc.sameTags)
+			}
+			for i, p := range peers {
+				sealedFrameWith(t, auth, p, memo, vote(types.Round(10+i)))
+			}
+			if got := auth.tags.Load() - tc.sameTags; got != int64(len(peers)) {
+				t.Fatalf("%d distinct frames made %d tags, want one each", len(peers), got)
+			}
+			for i, p := range peers {
+				recv := tc.auth(p)
+				if !receiverVerifies(recv, frames[i]) {
+					t.Fatalf("peer %d refused its frame", p)
+				}
+				bad := append([]byte(nil), frames[i]...)
+				bad[4+4+1] ^= 0x01 // first byte of the first record's instance field
+				if receiverVerifies(recv, bad) {
+					t.Fatalf("peer %d accepted a frame with a flipped record byte", p)
+				}
+			}
+		})
+	}
+}
+
+// TestTagMemoConcurrentWriters: writers sealing the same frames at once
+// through one memo each append exactly the signature signing would give,
+// and the memo signs each distinct frame at least once and at most once per
+// writer.
+func TestTagMemoConcurrentWriters(t *testing.T) {
+	const writers, frames = 3, 200
+	secret := []byte("memo-secret")
+	auth := &countingAuth{Authenticator: crypto.NewDSDev(crypto.PartyID(0), secret)}
+	direct := crypto.NewDSDev(crypto.PartyID(0), secret)
+	memo := newTagMemo(auth)
+	for range writers {
+		memo.addWriter()
+	}
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range frames {
+				records := []byte(fmt.Sprintf("frame %d", i))
+				d := frameDigest(records)
+				if got := memo.tag(auth, uint32(w+1), d); !bytes.Equal(got, direct.Tag(0, d[:])) {
+					t.Errorf("writer %d frame %d: memo tag differs from a fresh signature", w, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := auth.tags.Load(); n < frames || n > writers*frames {
+		t.Fatalf("%d writers sealing %d shared frames made %d signatures", writers, frames, n)
+	}
+}
+
+// TestFrameTagRefusesUnprefixedDigest: a tag over the bare SHA-256 of the
+// records, made with the sender's genuine key, is refused. Only a tag over
+// the domain-prefixed frame digest authenticates a frame, so nothing else
+// the same keys sign can be replayed as one.
+func TestFrameTagRefusesUnprefixedDigest(t *testing.T) {
+	secret := []byte("domain-secret")
+	for _, mk := range []func(party uint32) crypto.Authenticator{
+		func(p uint32) crypto.Authenticator { return crypto.NewDSDev(p, secret) },
+		func(p uint32) crypto.Authenticator { return crypto.NewMAC(p, secret) },
+	} {
+		sender, recv := mk(crypto.PartyID(0)), mk(crypto.PartyID(1))
+		frame, err := appendRecord([]byte{0, 0, 0, 0}, types.NewCommit(0, 0, 0, 1, types.ZeroDigest))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bare := sha256.Sum256(frame[4:])
+		tag := sender.Tag(crypto.PartyID(1), bare[:])
+		forged := append(append(append([]byte(nil), frame...), tag...), byte(len(tag)))
+		binary.BigEndian.PutUint32(forged, uint32(len(forged)-4))
+		if receiverVerifies(recv, forged) {
+			t.Fatalf("%v: tag over the unprefixed digest accepted", sender.Scheme())
+		}
+		genuine, err := sealFrame(frame, sender, crypto.PartyID(1), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !receiverVerifies(recv, genuine) {
+			t.Fatalf("%v: genuine frame refused", sender.Scheme())
+		}
+	}
 }
 
 // dialAs0 opens a raw connection to t1 that announces replica 0.
@@ -209,7 +362,8 @@ func forgeStream(t *testing.T, stream []byte, genuine, forged types.Message) []b
 // and State[0].Batch dropped, and a genuine CHECKPOINT frame with one op
 // byte of a carried proposal flipped, are replayed without re-tagging: the
 // recovery path picks the proposal to adopt from exactly those fields, so
-// both must be refused, over MAC and DS.
+// both must be refused, over MAC and DS. The captured streams are this
+// build's wire version, whose tags cover the domain-separated frame digest.
 func TestTCPTagCoversEveryDecodedField(t *testing.T) {
 	b := &types.Batch{Txns: []types.Transaction{{Client: 7, Seq: 1, Op: []byte("op-bytes")}}}
 	ap := types.AcceptedProposal{Round: 5, View: 1, Digest: b.Digest(), Batch: b, Prepared: true}
@@ -244,6 +398,9 @@ func TestTCPTagCoversEveryDecodedField(t *testing.T) {
 		} {
 			t.Run(scheme.name+"/"+msg.name, func(t *testing.T) {
 				genuine := captureStream(t, scheme.auth(crypto.PartyID(0)), msg.genuine)
+				if v := binary.BigEndian.Uint16(genuine[4:6]); v != WireVersion {
+					t.Fatalf("captured a v%d stream, want v%d", v, WireVersion)
+				}
 				forged := forgeStream(t, genuine, msg.genuine, msg.forged)
 
 				s1 := newSink()

@@ -1,16 +1,17 @@
 package transport
 
-// Wire format v10 (v10: the coordinator ops a coordinator PRE-PREPARE
-// carries, stop and switch, are types.Stop and types.SwitchInstance
-// encodings; v9: the message types renumbered after EPOCH-CHANGE and
-// NEW-EPOCH left the catalog, so the state-sync types moved down two type
-// bytes; v8: ResultHash redefined — one SHA-256 over each result's u32
-// length and bytes, so CLIENT-REPLY digests differ from v7's while every
-// encoding stays the same; v7 and v6 renumbered the message types after six
-// and seven were removed from the catalog; v5 moved the authenticator tag
-// from each record to the frame; v4 changed the CLIENT-REQUEST body to a
-// transaction list, v3 the CLIENT-REPLY body to a seq list; older peers are
-// refused at the handshake).
+// Wire format v11 (v11: a frame's tag covers the domain-separated digest
+// SHA-256(frameDomain ‖ records) instead of the record bytes themselves;
+// v10: the coordinator ops a coordinator PRE-PREPARE carries, stop and
+// switch, are types.Stop and types.SwitchInstance encodings; v9: the message
+// types renumbered after EPOCH-CHANGE and NEW-EPOCH left the catalog, so the
+// state-sync types moved down two type bytes; v8: ResultHash redefined — one
+// SHA-256 over each result's u32 length and bytes, so CLIENT-REPLY digests
+// differ from v7's while every encoding stays the same; v7 and v6 renumbered
+// the message types after six and seven were removed from the catalog; v5
+// moved the authenticator tag from each record to the frame; v4 changed the
+// CLIENT-REQUEST body to a transaction list, v3 the CLIENT-REPLY body to a
+// seq list; older peers are refused at the handshake).
 //
 // Each direction of a TCP connection is an independent byte stream:
 //
@@ -23,28 +24,35 @@ package transport
 // All integers are big-endian. The header names the SENDER once per
 // connection (kind 0 = replica, 1 = client; sender carries the replica ID in
 // the low 16 bits or the full client ID), so records carry no per-message
-// envelope. One authenticator tag per frame covers the exact bytes of all its
-// records (every recLen and msg, in order); unauthenticated transports send
-// an empty tag. A reader splits the tag off the end of the frame and verifies
-// it against the raw record bytes before it decodes anything, so the only
-// parser hostile bytes reach is openFrame's tag split — the message decoder
-// sees authenticated bytes only, and no decoded field can sit outside the
-// tag. A reader that sees a bad magic or a different version refuses the
-// connection before any frame is interpreted: mixed-version deployments
-// fail loudly at connect time (compare store.ErrDataDirMismatch for disk
-// state) instead of corrupting each other's streams.
+// envelope. One authenticator tag per frame covers the frame digest
+// d = SHA-256(frameDomain ‖ records), where records are the exact bytes of
+// all its records (every recLen and msg, in order): an HMAC under the pair
+// key, or an ED25519 signature, over d. The domain prefix keeps frame tags
+// apart from anything else the same keys sign. Unauthenticated transports
+// send an empty tag. A reader splits the tag off the end of the frame,
+// hashes the records once and verifies the tag against d before it decodes
+// anything, so the only parser hostile bytes reach is openFrame's tag split —
+// the message decoder sees authenticated bytes only, and no decoded field
+// can sit outside the tag. A reader that sees a bad magic or a different
+// version refuses the connection before any frame is interpreted:
+// mixed-version deployments fail loudly at connect time (compare
+// store.ErrDataDirMismatch for disk state) instead of corrupting each
+// other's streams.
 //
 // Frames exist for write-side batching: a writer goroutine coalesces every
 // message queued at that moment into one frame, computes one tag over it and
 // hands the kernel a single buffer, so the per-syscall and per-tag costs
 // amortize across the burst. Record and frame lengths let the reader slice
 // messages back out without peeking into codec internals, and cap memory per
-// frame (maxFrameBytes).
+// frame (maxFrameBytes). Under DS a broadcast often puts the same bytes in
+// every peer's frame; the writers share one signature for them (tagMemo).
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"sync"
 
@@ -56,7 +64,7 @@ import (
 // announcing any other version are refused at the handshake. types.MsgType
 // values are positional, so a change to the catalog bumps it too, and so
 // does a change to what replicas must agree on in replies (ResultHash).
-const WireVersion = 10
+const WireVersion = 11
 
 var wireMagic = [4]byte{'R', 'C', 'C', 'B'}
 
@@ -138,19 +146,46 @@ func appendRecord(buf []byte, m types.Message) ([]byte, error) {
 	return out, nil
 }
 
-// sealFrame appends the tag over frame's records (everything after the
-// frameLen slot) and the tag length, then patches frameLen. The tag is
-// computed here, on the writer goroutine, so the MAC or signature cost never
-// lands on the caller of Send.
-func sealFrame(frame []byte, auth crypto.Authenticator, party uint32) ([]byte, error) {
+// frameDomain prefixes every frame digest, so a frame tag never doubles as
+// a tag over any other object signed or MACed with the same keys.
+var frameDomain = []byte("rcc/transport/frame\x00")
+
+// frameHasher is a pooled SHA-256 state with room for its sum, so a frame
+// digest costs no allocation.
+type frameHasher struct {
+	h   hash.Hash
+	sum [sha256.Size]byte
+}
+
+var hasherPool = sync.Pool{New: func() any { return &frameHasher{h: sha256.New()} }}
+
+// frameDigest returns d = SHA-256(frameDomain ‖ records), the value a
+// frame's tag covers.
+func frameDigest(records []byte) [sha256.Size]byte {
+	fh := hasherPool.Get().(*frameHasher)
+	fh.h.Reset()
+	fh.h.Write(frameDomain)
+	fh.h.Write(records)
+	d := [sha256.Size]byte(fh.h.Sum(fh.sum[:0]))
+	hasherPool.Put(fh)
+	return d
+}
+
+// sealFrame appends the tag over the digest of frame's records (everything
+// after the frameLen slot) and the tag length, then patches frameLen. The
+// tag is computed here, on the writer goroutine, so the MAC or signature
+// cost never lands on the caller of Send. memo, when set, shares DS tags
+// between the node's writers.
+func sealFrame(frame []byte, auth crypto.Authenticator, party uint32, memo *tagMemo) ([]byte, error) {
 	end := len(frame)
 	if auth != nil && auth.Scheme() != crypto.SchemeNone {
-		if ta, ok := auth.(crypto.TagAppender); ok {
-			// AppendTag only reads the records and appends to the frame,
-			// so aliasing one buffer is safe even if the append reallocates.
-			frame = ta.AppendTag(party, frame[4:end], frame)
+		d := frameDigest(frame[4:end])
+		if memo != nil {
+			frame = append(frame, memo.tag(auth, party, d)...)
+		} else if ta, ok := auth.(crypto.TagAppender); ok {
+			frame = ta.AppendTag(party, d[:], frame)
 		} else {
-			frame = append(frame, auth.Tag(party, frame[4:end])...)
+			frame = append(frame, auth.Tag(party, d[:])...)
 		}
 	}
 	tagLen := len(frame) - end
@@ -160,6 +195,65 @@ func sealFrame(frame []byte, auth crypto.Authenticator, party uint32) ([]byte, e
 	frame = append(frame, byte(tagLen))
 	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
 	return frame, nil
+}
+
+// tagMemo lets the peer-link writers of one DS node share frame signatures.
+// An ED25519 signature is deterministic and a DS tag does not name its
+// receiver (crypto.Scheme), so a writer whose frame digest equals one that
+// another writer just sealed appends that tag instead of signing again: the
+// bytes are exactly what signing would produce, and every receiver still
+// verifies them. An entry is published before it is signed, so a writer
+// that arrives while the first still signs waits for that signature rather
+// than computing the same one. The ring holds one slot per peer writer.
+type tagMemo struct {
+	mu   sync.Mutex
+	ring []*memoTag
+	next int
+}
+
+type memoTag struct {
+	d    [sha256.Size]byte
+	tag  []byte
+	done chan struct{} // closed once tag is set
+}
+
+// newTagMemo returns the memo the writers of a node keyed with auth share,
+// or nil when their tags cannot be shared: MAC tags are keyed per receiver.
+func newTagMemo(auth crypto.Authenticator) *tagMemo {
+	if auth == nil || auth.Scheme() != crypto.SchemeDS {
+		return nil
+	}
+	return &tagMemo{}
+}
+
+// addWriter gives one more peer writer its slot.
+func (m *tagMemo) addWriter() {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	m.ring = append(m.ring, nil)
+	m.mu.Unlock()
+}
+
+// tag returns auth's tag over frame digest d, signing only if no writer
+// has signed d since the ring last turned over.
+func (m *tagMemo) tag(auth crypto.Authenticator, party uint32, d [sha256.Size]byte) []byte {
+	m.mu.Lock()
+	for _, e := range m.ring {
+		if e != nil && e.d == d {
+			m.mu.Unlock()
+			<-e.done
+			return e.tag
+		}
+	}
+	e := &memoTag{d: d, done: make(chan struct{})}
+	m.ring[m.next] = e
+	m.next = (m.next + 1) % len(m.ring)
+	m.mu.Unlock()
+	e.tag = auth.Tag(party, d[:])
+	close(e.done)
+	return e.tag
 }
 
 // openFrame splits a frame (the bytes after frameLen) into its record bytes
