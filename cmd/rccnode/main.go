@@ -86,7 +86,7 @@ func main() {
 		records  = flag.Int("records", ycsb.DefaultRecords, "YCSB table records")
 		authArg  = flag.String("auth", "", "frame authentication scheme: none (default), mac (pairwise HMAC), ds (ED25519 dev keyring)")
 		authKey  = flag.String("auth-secret", "", "shared deployment secret: MAC pair keys or the ds dev-keyring seed derive from it")
-		digCache = flag.Int("digest-cache", 0, "verified client-frame digest cache entries (0 off)")
+		digCache = flag.Int("digest-cache", 0, "verified client-frame digest cache entries, consulted on -auth ds links only (0 off)")
 		statsSec = flag.Int("stats", 10, "stats print interval in seconds (0 off)")
 		dataDir  = flag.String("data-dir", "", "durable storage directory: journal decided blocks through a WAL and resume from it on restart")
 		syncMode = flag.String("sync", "group", "WAL durability with -data-dir: group (client acks wait for an fsync shared by every block in flight), none")

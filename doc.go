@@ -41,11 +41,12 @@
 // feed dedicated writer goroutines that encode messages through the
 // registry-based binary codec in internal/types (explicit MsgType tag,
 // per-type Marshal/Unmarshal, pooled buffers; replaces per-message gob),
-// coalesce bursts into multi-message frames (wire format v11, one write
-// syscall and one authenticator tag per burst, over a domain-separated
-// digest of the frame's records, and one ED25519 signature for all the
-// peers whose frames repeat the same bytes), and redial failed peers with
-// exponential backoff.
+// coalesce bursts into multi-message frames (wire format v12, one write
+// syscall and one authenticator tag per burst: on MAC links an AES-256-GCM
+// tag under a per-stream key with the frame's index as nonce, on DS links
+// an ED25519 signature over a domain-separated digest of the frame's
+// records, one for all the peers whose frames repeat the same bytes), and
+// redial failed peers with exponential backoff.
 // Replica links backpressure on overflow while the peer is healthy and
 // drop (counted) while it is down; client links always drop on overflow,
 // so one stalled client or peer can never delay anyone else — client
@@ -90,7 +91,9 @@
 // Frame authentication at line rate: internal/crypto implements the
 // paper's Fig. 7-right schemes as production hot paths. NewMAC precomputes
 // pairwise HMAC keys and pools HMAC state (Tag+Verify is one pool hit, one
-// allocation; BenchmarkAuth is regression-gated). NewDSDev derives a
+// allocation; BenchmarkAuth is regression-gated); the transport derives a
+// stream key per connection direction through it and tags MAC-link frames
+// with AES-256-GCM, an AES-based MAC like the paper's CMAC-AES. NewDSDev derives a
 // deterministic ED25519 dev keyring from one shared secret, so
 // rccnode/rccclient key a whole cluster with -auth none|mac|ds plus
 // -auth-secret (production keys plug into NewDS/KeyRing). One tag per
@@ -99,7 +102,7 @@
 // forged frame is dropped whole.
 // Each link's reader in internal/transport checks and then decodes its own
 // frames, so links verify in parallel and each delivers in order; a
-// sharded cache of verified client frames (-digest-cache,
+// sharded cache of verified DS client frames (-digest-cache,
 // internal/crypto/digestcache) skips re-verifying a byte-identical
 // retransmission, and links exceeding consecutive bad frames are demoted
 // (reconnect, counted). The verify stage reports into

@@ -182,6 +182,48 @@ func TestDSTagIgnoresReceiver(t *testing.T) {
 	}
 }
 
+// tagForwarder forwards every call to the authenticator it wraps, as a
+// timing or counting decorator does.
+type tagForwarder struct{ inner Authenticator }
+
+func (a tagForwarder) Scheme() Scheme                       { return a.inner.Scheme() }
+func (a tagForwarder) Tag(to uint32, payload []byte) []byte { return a.inner.Tag(to, payload) }
+func (a tagForwarder) Verify(from uint32, payload, tag []byte) bool {
+	return a.inner.Verify(from, payload, tag)
+}
+
+// TestMACTagIsSymmetric pins the MAC property Scheme documents and the
+// transport's stream keys rely on: A's tag addressed to B equals B's tag
+// addressed to A, directly and through a decorator that only forwards Tag,
+// while a third party's tag differs. Each is a 32-byte AES-256 key.
+func TestMACTagIsSymmetric(t *testing.T) {
+	secret := []byte("cluster-secret")
+	x := []byte("stream key input")
+	for _, tc := range []struct {
+		name string
+		wrap func(Authenticator) Authenticator
+	}{
+		{"direct", func(a Authenticator) Authenticator { return a }},
+		{"forwarded", func(a Authenticator) Authenticator { return tagForwarder{a} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, pair := range [][2]uint32{{PartyID(0), PartyID(3)}, {PartyID(2), ClientPartyID(7)}} {
+				a, b := tc.wrap(NewMAC(pair[0], secret)), tc.wrap(NewMAC(pair[1], secret))
+				ab := a.Tag(pair[1], x)
+				if !bytes.Equal(ab, b.Tag(pair[0], x)) {
+					t.Fatalf("parties %d and %d derive different tags over the same input", pair[0], pair[1])
+				}
+				if len(ab) != 32 {
+					t.Fatalf("MAC tag is %d bytes, want a 32-byte AES-256 key", len(ab))
+				}
+				if bytes.Equal(ab, tc.wrap(NewMAC(PartyID(1), secret)).Tag(pair[1], x)) {
+					t.Fatalf("party 1 derives the tag of pair {%d, %d}", pair[0], pair[1])
+				}
+			}
+		})
+	}
+}
+
 // TestBatchVerifierBisection: 1 bad signature in a batch of 64 rejects
 // exactly that one (the ISSUE's pinned case), and multi-forgery batches
 // isolate every bad index.

@@ -1,8 +1,11 @@
 // Package crypto provides the message-authentication primitives used by the
-// consensus protocols: no authentication (baseline), HMAC-SHA256 message
-// authentication codes (standing in for the paper's CMAC-AES), and ED25519
-// digital signatures, plus a simulated threshold-signature scheme for
-// checkpoint attestation.
+// consensus protocols: no authentication (baseline), pairwise message
+// authentication codes, and ED25519 digital signatures, plus a simulated
+// threshold-signature scheme for checkpoint attestation. The MAC
+// authenticator is HMAC-SHA256 under symmetric pair keys; the transport uses
+// it to derive one key per connection direction, and MAC-link frames carry
+// AES-256-GCM tags under that key, so the per-frame MAC is AES-based like the
+// paper's CMAC-AES.
 //
 // The live-path implementations are built for line rate: the MAC
 // authenticator derives each pairwise key once and keeps the HMAC inner and
@@ -38,8 +41,12 @@ import (
 // Scheme selects the authentication scheme for replica-to-replica messages.
 //
 // A MAC tag is keyed by the {sender, receiver} pair, so it names its
-// receiver. A DS tag does not: Tag ignores `to`, and ED25519 signing is
-// deterministic, so one payload signed for any receiver yields the same
+// receiver, and the pair key is symmetric: Tag(to=B, x) at party A equals
+// Tag(to=A, x) at party B. The transport relies on this to derive a stream
+// key both ends of a connection compute without exchanging it; a MAC
+// authenticator must keep it, and its tags must be 32 bytes, an AES-256 key.
+// A DS tag does not name its receiver: Tag ignores `to`, and ED25519 signing
+// is deterministic, so one payload signed for any receiver yields the same
 // bytes. The transport relies on this to sign a frame once for every peer
 // that gets the same bytes; a DS authenticator must keep both properties.
 type Scheme uint8
@@ -47,7 +54,7 @@ type Scheme uint8
 // Authentication schemes (paper Fig. 7 right: None / DS / MAC).
 const (
 	SchemeNone Scheme = iota // no authentication (baseline)
-	SchemeMAC                // HMAC-SHA256 pairwise MACs (CMAC-AES in the paper)
+	SchemeMAC                // pairwise MACs: HMAC-SHA256 keys, AES-GCM frame tags (CMAC-AES in the paper)
 	SchemeDS                 // ED25519 digital signatures
 )
 

@@ -10,9 +10,9 @@ import (
 // FuzzOpenFrame feeds hostile bytes to the only parser that sees a frame
 // before its tag is checked: openFrame's tag split, then the record walk
 // that runs once the tag holds. No input may panic, and no slice either one
-// yields may reach outside the frame. Seeds: real frames — untagged, MAC
-// and DS sealed, of one and of several records — and each of their
-// truncations.
+// yields may reach outside the frame. Seeds: real frames — untagged, sealed
+// on a MAC stream and DS signed, of one vote, of one proposal and of several
+// records — and each of their truncations.
 //
 //	go test -run '^$' -fuzz FuzzOpenFrame -fuzztime 20s ./internal/transport
 func FuzzOpenFrame(f *testing.F) {
@@ -23,7 +23,11 @@ func FuzzOpenFrame(f *testing.F) {
 		types.NewClientRequest(0, b.Txns[0]),
 	}
 	for _, auth := range []crypto.Authenticator{nil, crypto.NewMAC(0, []byte("s")), crypto.NewDSDev(0, []byte("s"))} {
-		for _, batch := range [][]types.Message{msgs[:1], msgs} {
+		w, err := newLinkAuth(auth, 0, 1, false, [saltLen]byte{})
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, batch := range [][]types.Message{msgs[:1], msgs[1:2], msgs} {
 			frame := []byte{0, 0, 0, 0}
 			var err error
 			for _, m := range batch {
@@ -31,7 +35,7 @@ func FuzzOpenFrame(f *testing.F) {
 					f.Fatal(err)
 				}
 			}
-			if frame, err = sealFrame(frame, auth, 1, nil); err != nil {
+			if frame, err = w.sealFrame(frame); err != nil {
 				f.Fatal(err)
 			}
 			for i := 0; i <= len(frame)-4; i++ {

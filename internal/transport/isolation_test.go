@@ -132,7 +132,7 @@ func TestTCPStalledClientDropsNotBlocks(t *testing.T) {
 	if tc, ok := raw.(*net.TCPConn); ok {
 		tc.SetReadBuffer(4 << 10) // shrink the sink so the link wedges fast
 	}
-	if _, err := raw.Write(appendHeader(nil, true, 0, 77)); err != nil {
+	if _, err := raw.Write(appendHeader(nil, true, 0, 77, newSalt())); err != nil {
 		t.Fatal(err)
 	}
 	// The server learns client 77 from the stream header alone.
@@ -330,14 +330,21 @@ func TestTCPClientDisconnectUnregisters(t *testing.T) {
 
 // TestTCPRefusesWireVersionMismatch: a peer announcing a different framing
 // version must be cut off at the handshake — inbound (we read its header)
-// and outbound (we read the header it sends back). The peer speaks v10,
-// whose frame tags cover the record bytes themselves rather than this v11
-// build's domain-separated frame digest, so every frame it sent would read
-// as a forgery and count toward demoting a link that is merely old.
+// and outbound (we read the header it sends back). The peer speaks v11,
+// whose header carries no salt and whose MAC frame tags are HMACs over the
+// frame digest rather than this v12 build's stream tags, so every frame it
+// sent would read as a forgery and count toward demoting a link that is
+// merely old. Its header is this build's up to the salt, so the reader must
+// refuse it from the version alone, not wait for salt bytes that never come.
 func TestTCPRefusesWireVersionMismatch(t *testing.T) {
-	const v10 = 10
-	if WireVersion != 11 {
+	const v11 = 11
+	if WireVersion != 12 {
 		t.Fatalf("WireVersion %d: move this test to the new previous version", WireVersion)
+	}
+	v11Header := func(isClient bool, r types.ReplicaID, c types.ClientID) []byte {
+		hdr := appendHeader(nil, isClient, r, c, [saltLen]byte{})[:wirePrefixLen]
+		binary.BigEndian.PutUint16(hdr[4:6], v11)
+		return hdr
 	}
 	srvSink := newSink()
 	srv, err := NewTCP(TCPConfig{Self: 0, Listen: "127.0.0.1:0"}, srvSink)
@@ -346,15 +353,13 @@ func TestTCPRefusesWireVersionMismatch(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// Inbound: dial raw, claim v10, then try to push a frame.
+	// Inbound: dial raw, claim v11, then try to push a frame.
 	raw, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	hdr := appendHeader(nil, false, 3, 0)
-	binary.BigEndian.PutUint16(hdr[4:6], v10)
-	if _, err := raw.Write(hdr); err != nil {
+	if _, err := raw.Write(v11Header(false, 3, 0)); err != nil {
 		t.Fatal(err)
 	}
 	waitCond(t, 5*time.Second, func() bool { return srv.Stats().BadHeader == 1 })
@@ -367,7 +372,7 @@ func TestTCPRefusesWireVersionMismatch(t *testing.T) {
 		t.Fatal("message from a version-mismatched peer was delivered")
 	}
 
-	// Outbound: an older replica answers this client with a v10 header; the
+	// Outbound: an older replica answers this client with a v11 header; the
 	// client must refuse the stream rather than trust its replies.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -380,9 +385,7 @@ func TestTCPRefusesWireVersionMismatch(t *testing.T) {
 			return
 		}
 		io.ReadFull(c, make([]byte, wireHeaderLen)) // swallow the client's header
-		bad := appendHeader(nil, false, 0, 0)
-		binary.BigEndian.PutUint16(bad[4:6], v10)
-		c.Write(bad)
+		c.Write(v11Header(false, 0, 0))
 	}()
 	cliSink := newSink()
 	cli, err := NewTCP(TCPConfig{
@@ -411,7 +414,8 @@ func TestWireHeaderRoundTrip(t *testing.T) {
 		{false, 7, 0},
 		{true, 0, 123456},
 	} {
-		buf := appendHeader(nil, tc.isClient, tc.r, tc.c)
+		salt := newSalt()
+		buf := appendHeader(nil, tc.isClient, tc.r, tc.c, salt)
 		if len(buf) != wireHeaderLen {
 			t.Fatalf("header length %d, want %d", len(buf), wireHeaderLen)
 		}
@@ -419,18 +423,18 @@ func TestWireHeaderRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.version != WireVersion || h.isClient != tc.isClient || h.replica != tc.r || (tc.isClient && h.client != tc.c) {
+		if h.version != WireVersion || h.isClient != tc.isClient || h.replica != tc.r || (tc.isClient && h.client != tc.c) || h.salt != salt {
 			t.Fatalf("header mangled: %+v", h)
 		}
 	}
 	// Bad magic and bad version both surface ErrWireVersion.
-	bad := appendHeader(nil, false, 1, 0)
+	bad := appendHeader(nil, false, 1, 0, newSalt())
 	bad[0] = 'X'
 	if _, err := readHeader(bytesReader(bad)); !errors.Is(err, ErrWireVersion) {
 		t.Fatalf("bad magic: got %v, want ErrWireVersion", err)
 	}
 	for _, v := range []uint16{3, 4, WireVersion + 1} {
-		bad = appendHeader(nil, false, 1, 0)
+		bad = appendHeader(nil, false, 1, 0, newSalt())
 		binary.BigEndian.PutUint16(bad[4:6], v)
 		if _, err := readHeader(bytesReader(bad)); !errors.Is(err, ErrWireVersion) {
 			t.Fatalf("version %d: got %v, want ErrWireVersion", v, err)

@@ -35,10 +35,10 @@ type TCPConfig struct {
 	Auth crypto.Authenticator
 
 	// DigestCache, when set, memoizes verified (party, frame digest, tag)
-	// triples from client links, so a byte-identical frame (a retransmitted
-	// request that travels alone) skips its signature check, under every
-	// scheme. Worth wiring for digital signatures; a MAC re-check costs
-	// about as much as the cache's own hash.
+	// triples from DS client links, so a byte-identical frame (a
+	// retransmitted request that travels alone) skips its signature check.
+	// Only DS links consult it: a MAC stream's frames never repeat, because
+	// each frame's tag is made under its own nonce.
 	DigestCache *digestcache.Cache
 	// VerifyObserve, when set, receives the check+decode latency of every
 	// frame an authenticated link reads (feeds the "verify" stage
@@ -146,7 +146,8 @@ type TCPStats struct {
 	// Reconnects counts successful re-dials after a link failure.
 	Reconnects uint64
 	// BadHeader counts connections refused at the handshake (wrong magic,
-	// wire version, or sender kind).
+	// wire version, or sender kind, or a stream key the authenticator
+	// cannot make).
 	BadHeader uint64
 	// DecodeErrs counts records of authenticated frames that failed to
 	// decode and were skipped (a record length past the frame counts once
@@ -157,13 +158,14 @@ type TCPStats struct {
 	// a local bug, not a peer problem).
 	EncodeErrs uint64
 	// AuthRejects counts frames dropped whole because their tag was
-	// missing, truncated, or did not verify over their records' digest.
+	// missing or truncated, or did not verify over their records (on a MAC
+	// link: at the frame's position in its stream).
 	AuthRejects uint64
 	// AuthDemotions counts inbound links closed after AuthFailLimit
 	// consecutive authentication failures.
 	AuthDemotions uint64
 	// DigestHits / DigestMisses mirror the configured digest cache's
-	// counters (0 when no cache is wired).
+	// counters (0 when no cache is wired; only DS client links consult it).
 	DigestHits   uint64
 	DigestMisses uint64
 	// FaultDropped counts messages discarded by injected link faults
@@ -385,7 +387,6 @@ func (t *TCP) readLoop(c net.Conn, dialed bool) {
 		t.badHeader.Add(1)
 		return
 	}
-	party := hdr.party()
 	if hdr.isClient && !dialed {
 		// A client link: replies to this client ride a dedicated bounded
 		// queue on the connection's write half.
@@ -400,12 +401,16 @@ func (t *TCP) readLoop(c net.Conn, dialed bool) {
 		t.mu.Unlock()
 		go cq.run()
 	}
-	auth := t.cfg.Auth
-	if auth != nil && auth.Scheme() == crypto.SchemeNone {
-		auth = nil
+	la, err := newLinkAuth(t.cfg.Auth, t.party(), hdr.party(), true, hdr.salt)
+	if err != nil {
+		t.badHeader.Add(1)
+		return
+	}
+	if la != nil && la.gcm == nil && hdr.isClient {
+		la.cache = t.cfg.DigestCache
 	}
 	observe := t.cfg.VerifyObserve
-	if auth == nil {
+	if la == nil {
 		observe = nil
 	}
 	consecFails := 0
@@ -433,8 +438,8 @@ func (t *TCP) readLoop(c net.Conn, dialed bool) {
 			start = time.Now()
 		}
 		records, tag, ok := openFrame(*bp)
-		if ok && auth != nil {
-			ok = t.verifyFrame(party, hdr.isClient, records, tag)
+		if la != nil {
+			ok = la.checkFrame(records, tag, ok)
 		}
 		if ok {
 			msgs = t.decodeRecords(records, msgs)
@@ -511,6 +516,27 @@ func (t *TCP) decodeRecords(records []byte, msgs []types.Message) []types.Messag
 // emit records a transport flight event attributed to this node.
 func (t *TCP) emit(kind flight.Kind, seq, detail uint64) {
 	t.cfg.Flight.Record(uint16(t.cfg.Self), flight.SubTransport, kind, 0, 0, seq, detail)
+}
+
+// party returns the crypto party this node authenticates as.
+func (t *TCP) party() uint32 {
+	if t.cfg.IsClient {
+		return crypto.ClientPartyID(t.cfg.SelfClient)
+	}
+	return crypto.PartyID(t.cfg.Self)
+}
+
+// newStream starts a stream this node writes to party peer: it draws the
+// stream's salt and returns the header that announces it and the frame
+// authentication that seals its frames. memo, when set, shares DS
+// signatures between the node's peer writers.
+func (t *TCP) newStream(peer uint32, memo *tagMemo) ([]byte, *linkAuth, error) {
+	salt := newSalt()
+	la, err := newLinkAuth(t.cfg.Auth, t.party(), peer, false, salt)
+	if la != nil {
+		la.memo = memo
+	}
+	return appendHeader(nil, t.cfg.IsClient, t.cfg.Self, t.cfg.SelfClient, salt), la, err
 }
 
 // Send implements Transport: enqueue-only, per-peer queue, backpressure on
@@ -611,7 +637,8 @@ func (t *TCP) Close() error {
 // peerQueue is the outbound queue and writer goroutine of one dialed link
 // (replica→replica, or client→replica). The writer owns the connection:
 // it dials lazily, redials with exponential backoff after failures, encodes
-// messages, coalesces bursts into multi-message frames, and tags each frame.
+// messages, coalesces bursts into multi-message frames, and tags each frame
+// for the connection's stream.
 type peerQueue struct {
 	t         *TCP
 	id        types.ReplicaID
@@ -653,6 +680,7 @@ func (q *peerQueue) run() {
 	t := q.t
 	defer t.wgWriters.Done()
 	var conn net.Conn
+	var la *linkAuth // conn's stream
 	defer func() {
 		if conn != nil {
 			t.dropConn(conn)
@@ -670,13 +698,13 @@ func (q *peerQueue) run() {
 		case first = <-q.ch:
 		case <-t.done:
 			if conn != nil {
-				t.drainOnClose(conn, q.ch, q.party, t.memo, &frame)
+				t.drainOnClose(conn, la, q.ch, frame)
 			}
 			return
 		}
 
 		count := 0
-		frame, count = batchInto(t, frame, q.ch, first, q.party, t.memo)
+		frame, count = batchInto(t, frame, q.ch, first)
 		if count == 0 {
 			continue
 		}
@@ -699,8 +727,11 @@ func (q *peerQueue) run() {
 				c.Close()
 				return
 			}
-			hdr := appendHeader(nil, t.cfg.IsClient, t.cfg.Self, t.cfg.SelfClient)
-			if _, err := c.Write(hdr); err != nil {
+			hdr, sla, err := t.newStream(q.party, t.memo)
+			if err == nil {
+				_, err = c.Write(hdr)
+			}
+			if err != nil {
 				t.dropConn(c)
 				c.Close()
 				nextDial = time.Now().Add(backoff)
@@ -708,7 +739,7 @@ func (q *peerQueue) run() {
 				t.peerDropped.Add(uint64(count))
 				continue
 			}
-			conn = c
+			conn, la = c, sla
 			q.connected.Store(true)
 			backoff = t.cfg.reconnectBackoff
 			if everConnected {
@@ -725,7 +756,8 @@ func (q *peerQueue) run() {
 			}
 		}
 
-		if err := t.writeFrame(conn, frame, count); err != nil {
+		var err error
+		if frame, err = t.writeFrame(conn, la, frame, count); err != nil {
 			// Write failure OR timeout: the peer is not draining. Demote
 			// the link — close, count, redial with backoff — so a peer
 			// that wedges mid-connection is handled exactly like a dead
@@ -755,38 +787,42 @@ func (t *TCP) writeDeadline() time.Time {
 	return dl
 }
 
-// writeFrame writes one batched frame under the steady-state write timeout
-// and bumps the counters. An error (including a timeout: the destination
+// writeFrame seals one batched frame for conn's stream la, writes it under
+// the steady-state write timeout and bumps the counters, returning the
+// frame's buffer for reuse. An error (including a timeout: the destination
 // did not drain) means the connection must be considered failed.
-func (t *TCP) writeFrame(conn net.Conn, frame []byte, count int) error {
+func (t *TCP) writeFrame(conn net.Conn, la *linkAuth, frame []byte, count int) ([]byte, error) {
+	frame, err := la.sealFrame(frame)
+	if err != nil {
+		t.encodeErrs.Add(uint64(count)) // authenticator tag too long: local bug
+		return frame, nil
+	}
 	conn.SetWriteDeadline(t.writeDeadline())
 	if _, err := conn.Write(frame); err != nil {
-		return err
+		return frame, err
 	}
 	t.batchesSent.Add(1)
 	t.msgsSent.Add(uint64(count))
-	return nil
+	return frame, nil
 }
 
 // drainOnClose flushes whatever a queue still holds when the transport
-// closes, all of it under the one Close-wide drain deadline (per-write
-// timeouts would let a stalled destination stretch Close far past its
-// bound).
-func (t *TCP) drainOnClose(conn net.Conn, ch chan types.Message, party uint32, memo *tagMemo, frame *[]byte) {
-	conn.SetWriteDeadline(time.Unix(0, t.closeDeadline.Load()))
+// closes. Once Close has started, every write deadline is capped at the one
+// Close-wide drain deadline, so a stalled destination cannot stretch Close
+// past its bound.
+func (t *TCP) drainOnClose(conn net.Conn, la *linkAuth, ch chan types.Message, frame []byte) {
 	for {
 		select {
 		case m := <-ch:
-			f, n := batchInto(t, *frame, ch, m, party, memo)
-			*frame = f
+			var n int
+			frame, n = batchInto(t, frame, ch, m)
 			if n == 0 {
 				continue
 			}
-			if _, err := conn.Write(f); err != nil {
+			var err error
+			if frame, err = t.writeFrame(conn, la, frame, n); err != nil {
 				return
 			}
-			t.batchesSent.Add(1)
-			t.msgsSent.Add(uint64(n))
 		default:
 			return
 		}
@@ -795,9 +831,9 @@ func (t *TCP) drainOnClose(conn net.Conn, ch chan types.Message, party uint32, m
 
 // batchInto is the shared frame assembly of both queue kinds: it encodes
 // first plus everything else queued right now (up to the batch caps) into
-// frame's buffer, seals the frame with one tag (shared through memo when
-// set), and returns the frame and its message count.
-func batchInto(t *TCP, frame []byte, ch chan types.Message, first types.Message, party uint32, memo *tagMemo) ([]byte, int) {
+// frame's buffer after a frameLen slot, and returns the unsealed frame and
+// its message count.
+func batchInto(t *TCP, frame []byte, ch chan types.Message, first types.Message) ([]byte, int) {
 	frame = append(frame[:0], 0, 0, 0, 0) // frameLen, patched by sealFrame
 	count := 0
 	add := func(m types.Message) {
@@ -820,11 +856,6 @@ collect:
 		}
 	}
 	if count == 0 {
-		return frame[:0], 0
-	}
-	frame, err := sealFrame(frame, t.cfg.Auth, party, memo)
-	if err != nil {
-		t.encodeErrs.Add(uint64(count)) // authenticator tag too long: local bug
 		return frame[:0], 0
 	}
 	return frame, count
@@ -891,8 +922,11 @@ func (q *connQueue) run() {
 	}()
 	// Announce ourselves first: the client's read loop verifies our wire
 	// version before interpreting any frame.
-	hdr := appendHeader(nil, false, t.cfg.Self, 0)
-	if _, err := q.conn.Write(hdr); err != nil {
+	hdr, la, err := t.newStream(q.party, nil)
+	if err == nil {
+		_, err = q.conn.Write(hdr)
+	}
+	if err != nil {
 		return
 	}
 	frame := make([]byte, 0, 4096)
@@ -903,17 +937,17 @@ func (q *connQueue) run() {
 		case <-q.quit:
 			return
 		case <-t.done:
-			t.drainOnClose(q.conn, q.ch, q.party, nil, &frame)
+			t.drainOnClose(q.conn, la, q.ch, frame)
 			return
 		}
 		// A reply frame is addressed to this one client and never repeats
-		// another writer's bytes, so it does not use the tag memo.
+		// another writer's bytes, so its stream does not use the tag memo.
 		count := 0
-		frame, count = batchInto(t, frame, q.ch, first, q.party, nil)
+		frame, count = batchInto(t, frame, q.ch, first)
 		if count == 0 {
 			continue
 		}
-		if err := t.writeFrame(q.conn, frame, count); err != nil {
+		if frame, err = t.writeFrame(q.conn, la, frame, count); err != nil {
 			t.clientDropped.Add(uint64(count))
 			return
 		}

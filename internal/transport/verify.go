@@ -1,13 +1,14 @@
 package transport
 
-// Inbound frame verification.
+// Inbound DS frame verification.
 //
-// A frame carries one tag over its records' digest (wire v11), so checking
-// it is one hash of the records and one Verify call. Each link's readLoop
-// makes that call itself, before it decodes a single record: the links'
-// readers already run in parallel, and a link's own frames are delivered in
-// the order they arrived because one goroutine reads, checks, decodes and
-// delivers them.
+// A DS frame carries one ED25519 signature over its records' digest (wire
+// v12), so checking it is one hash of the records and one Verify call. MAC
+// frames never come here: checkFrame opens their stream tag itself. Each
+// link's readLoop checks its frames before it decodes a single record: the
+// links' readers already run in parallel, and a link's own frames are
+// delivered in the order they arrived because one goroutine reads, checks,
+// decodes and delivers them.
 
 import (
 	"crypto/sha256"
@@ -16,24 +17,22 @@ import (
 	"repro/internal/crypto/digestcache"
 )
 
-// verifyFrame checks one frame's tag against the digest of its record
-// bytes. Frames from client links consult the digest cache, when one is
-// wired: a retransmitted request that travels alone repeats its frame byte
-// for byte, while replica frames coalesce votes that never repeat.
-func (t *TCP) verifyFrame(party uint32, fromClient bool, records, tag []byte) bool {
-	auth := t.cfg.Auth
-	cache := t.cfg.DigestCache
-	d := frameDigest(records)
-	if cache == nil || !fromClient {
-		return auth.Verify(party, d[:], tag)
+// verifyFrame checks one DS frame's signature against the digest of its
+// record bytes. Client links consult the digest cache, when one is wired: a
+// retransmitted request that travels alone repeats its frame byte for byte,
+// while replica frames coalesce votes that never repeat.
+func (la *linkAuth) verifyFrame(records, tag []byte) bool {
+	frameDigest(&la.d, records)
+	if la.cache == nil {
+		return la.auth.Verify(la.party, la.d[:], tag)
 	}
-	key := frameCacheKey(party, d, tag)
-	if cache.Contains(key) {
+	key := frameCacheKey(la.party, &la.d, tag)
+	if la.cache.Contains(key) {
 		return true // this exact triple verified before
 	}
-	ok := auth.Verify(party, d[:], tag)
+	ok := la.auth.Verify(la.party, la.d[:], tag)
 	if ok {
-		cache.Add(key)
+		la.cache.Add(key)
 	}
 	return ok
 }
@@ -42,7 +41,7 @@ func (t *TCP) verifyFrame(party uint32, fromClient bool, records, tag []byte) bo
 // party, the frame digest d (which already binds the exact record bytes)
 // and the tag, so a hit proves this precise triple passed verification
 // before without hashing the records a second time.
-func frameCacheKey(party uint32, d [sha256.Size]byte, tag []byte) digestcache.Key {
+func frameCacheKey(party uint32, d *[sha256.Size]byte, tag []byte) digestcache.Key {
 	var b [4 + sha256.Size + maxTagLen]byte
 	binary.BigEndian.PutUint32(b[:4], party)
 	copy(b[4:], d[:])

@@ -7,16 +7,27 @@
 # (/debug/trace) holds sampled transactions through their ack, and that
 # every replica's flight recorder (/debug/events) captured protocol events:
 # the live-cluster acceptance check for the observability layer. The
-# cluster runs with -auth ds (signed frames checked by each link's reader,
-# digest cache), so the verify-stage histogram and the digest-cache miss
-# counter must move too — the CLI-level acceptance check for the
-# authentication layer. The client runs a window of 16, so its requests must
-# arrive as envelopes: fewer request envelopes than transactions.
+# cluster runs with -auth $AUTH, so the verify-stage histogram must move too
+# — the CLI-level acceptance check for the authentication layer. Under the
+# default AUTH=ds (signed frames, digest cache) the digest-cache miss
+# counter must move as well; AUTH=mac runs MAC streams (AES-GCM frame tags)
+# with no cache, which MAC links never consult. The client runs a window of
+# 16, so its requests must arrive as envelopes: fewer request envelopes than
+# transactions.
+#
+#	scripts/admin_smoke.sh             # -auth ds
+#	AUTH=mac scripts/admin_smoke.sh    # -auth mac
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 TXNS=${TXNS:-200}
+AUTH=${AUTH:-ds}
+case "$AUTH" in
+  ds) CACHE=(-digest-cache 4096) ;;
+  mac) CACHE=() ;;
+  *) echo "AUTH must be ds or mac, not $AUTH" >&2; exit 2 ;;
+esac
 DIR=$(mktemp -d)
 BIN="$DIR/bin"
 mkdir -p "$BIN"
@@ -38,10 +49,10 @@ PEERS="0=127.0.0.1:7700,1=127.0.0.1:7701,2=127.0.0.1:7702,3=127.0.0.1:7703"
 SECRET="admin-smoke-secret"
 for i in 0 1 2 3; do
   # -batch 1: the client keeps only its window in flight, so interactive
-  # batch sizing is what keeps the run fast. -auth ds turns on signed
-  # frames; -digest-cache the verified client frame cache.
+  # batch sizing is what keeps the run fast. -auth turns on authenticated
+  # frames; -digest-cache (ds only) the verified client frame cache.
   "$BIN/rccnode" -id "$i" -n 4 -peers "$PEERS" -batch 1 \
-    -auth ds -auth-secret "$SECRET" -digest-cache 4096 \
+    -auth "$AUTH" -auth-secret "$SECRET" ${CACHE[@]+"${CACHE[@]}"} \
     -data-dir "$DIR/replica-$i" -admin-addr "127.0.0.1:770$((i+4))" \
     -stats 0 >"$DIR/node-$i.log" 2>&1 &
   PIDS+=($!)
@@ -65,7 +76,7 @@ done
 echo "OK: all replicas ready"
 
 "$BIN/rccclient" -n 4 -peers "$PEERS" -txns "$TXNS" -window 16 \
-  -auth ds -auth-secret "$SECRET"
+  -auth "$AUTH" -auth-secret "$SECRET"
 
 # Scrape replica 0 and assert the key series exist and moved.
 METRICS=$(curl -fsS "http://127.0.0.1:7704/metrics")
@@ -103,7 +114,9 @@ series 'wal_appends_total'
 series 'rcc_txns_executed_total'
 series 'rcc_durability_healthy'
 series 'transport_msgs_sent_total'
-series 'transport_digest_cache_misses_total'
+if [ "$AUTH" = ds ]; then
+  series 'transport_digest_cache_misses_total'
+fi
 series 'rcc_client_requests_total'
 
 # Clients send one request per flush, not one per transaction: replica 0
@@ -162,4 +175,4 @@ echo "OK: /debug/events populated on all replicas ($(grep -c . <<<"$EVENTS") lin
 NEXT=${CURSOR#next=}
 curl -fsS "http://127.0.0.1:7707/debug/events?since=$NEXT" | tail -n 1
 
-echo "admin smoke: PASS"
+echo "admin smoke (-auth $AUTH): PASS"
