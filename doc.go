@@ -41,7 +41,7 @@
 // feed dedicated writer goroutines that encode messages through the
 // registry-based binary codec in internal/types (explicit MsgType tag,
 // per-type Marshal/Unmarshal, pooled buffers; replaces per-message gob),
-// coalesce bursts into multi-message frames (wire format v12, one write
+// coalesce bursts into multi-message frames (wire format v13, one write
 // syscall and one authenticator tag per burst: on MAC links an AES-256-GCM
 // tag under a per-stream key with the frame's index as nonce, on DS links
 // an ED25519 signature over a domain-separated digest of the frame's
@@ -61,19 +61,21 @@
 // cluster — wiped, corrupted, or partitioned past what in-protocol
 // checkpoint catch-up (§III-C/§III-D) can bridge — heals itself through
 // internal/statesync (rccnode -state-sync, on by default with -data-dir).
-// It probes its peers, trusts only a target that f+1 distinct replicas
-// attest with byte-identical offers (snapshot digests, ledger head, and
-// the consensus machine's serialized frontier, sm.StateSyncable), fetches
-// the snapshot in bounded 256 KiB chunks plus the ledger
-// suffix in block ranges, and verifies everything against the attested
-// digests: reassembled chunks must hash to the attested state digest,
-// blocks must chain hash-to-hash from the attested anchor to the attested
-// head, proofs must cover their batches. The install is crash-atomic
+// It probes its peers and trusts only what f+1 distinct replicas offer
+// byte-identically: a live head (snapshot digests, ledger head, and the
+// consensus machine's serialized frontier, sm.StateSyncable), or, when
+// load keeps live heads apart, a checkpoint (snapshot digests and the
+// frontier at the snapshot's delivery boundary, sm.BoundarySyncable). It
+// fetches the snapshot in bounded 256 KiB chunks plus the ledger suffix in
+// block ranges, and verifies everything against those digests: reassembled
+// chunks must hash to the vouched-for state digest, blocks must chain
+// hash-to-hash from the snapshot anchor to the vouched-for head, proofs
+// must cover their batches. The install is crash-atomic
 // (staging + commit marker): a kill -9 at any point leaves either the
 // pre-transfer state or the fully installed one, never a mix. Installing
 // rebases the WAL to the snapshot height (records below it live on only
-// inside the pinned base checkpoint) and hands the machine the attested
-// frontier, so the replica votes at the cluster head immediately —
+// inside the pinned base checkpoint) and hands the machine the vouched-for
+// frontier, so the replica votes at that height immediately —
 // including decisions it accumulated while the transfer ran. Acked⇒durable
 // is preserved across a transfer: a syncing replica defers no acks (it is
 // not executing), and after the install its journal again covers exactly

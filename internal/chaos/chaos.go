@@ -32,13 +32,12 @@ type Report struct {
 	Restarts  int
 	Wipes     int
 
-	// State-transfer and attestation activity across all incarnations.
-	Installs           uint64
-	InstalledSnaps     uint64
-	AttestationsFormed uint64
-	AttestedRejoins    uint64 // fetch targets locked via checkpoint attestation
-	FsyncFails         uint64
-	TornWrites         uint64
+	// State-transfer activity across all incarnations.
+	Installs       uint64
+	InstalledSnaps uint64
+	CkptTargets    uint64 // fetch targets that reached a checkpoint, not a live head
+	FsyncFails     uint64
+	TornWrites     uint64
 
 	ClientsDrained int
 	Converged      bool
@@ -59,11 +58,11 @@ func (r *Report) Summary() string {
 	out := fmt.Sprintf(
 		"chaos %s: seed=%d nodes=%d clients=%d duration=%s\n"+
 			"  acked=%d committed-heights=%d final-height=%d converged=%v drained=%d/%d\n"+
-			"  restarts=%d wipes=%d installs=%d (snapshots=%d) attestations=%d attested-rejoins=%d\n"+
+			"  restarts=%d wipes=%d installs=%d (snapshots=%d) checkpoint-targets=%d\n"+
 			"  fsync-faults=%d torn-writes=%d\n",
 		verdict, r.Seed, r.Nodes, r.Clients, r.Duration,
 		r.Acked, r.Committed, r.Height, r.Converged, r.ClientsDrained, r.Clients,
-		r.Restarts, r.Wipes, r.Installs, r.InstalledSnaps, r.AttestationsFormed, r.AttestedRejoins,
+		r.Restarts, r.Wipes, r.Installs, r.InstalledSnaps, r.CkptTargets,
 		r.FsyncFails, r.TornWrites)
 	for _, f := range r.Failures {
 		out += "  FAIL: " + f + "\n"
@@ -245,15 +244,13 @@ func (c *Cluster) totals() (st statesync.Stats, restarts, wipes int) {
 		n.mu.Lock()
 		st.Installs += n.syncStats.Installs
 		st.InstalledSnaps += n.syncStats.InstalledSnaps
-		st.AttestationsFormed += n.syncStats.AttestationsFormed
-		st.AttestedTargets += n.syncStats.AttestedTargets
+		st.CkptTargets += n.syncStats.CkptTargets
 		if n.up {
 			if sy := n.rep.StateSync(); sy != nil {
 				live := sy.Stats()
 				st.Installs += live.Installs
 				st.InstalledSnaps += live.InstalledSnaps
-				st.AttestationsFormed += live.AttestationsFormed
-				st.AttestedTargets += live.AttestedTargets
+				st.CkptTargets += live.CkptTargets
 			}
 		}
 		restarts += n.restarts

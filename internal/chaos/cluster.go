@@ -57,8 +57,7 @@ const (
 	// checkpoints, pruning, and state transfer.
 	batchSize     = 2
 	snapshotEvery = 8 // checkpoint cadence in blocks
-	// secret keys both the transport MACs and the checkpoint-attestation
-	// threshold scheme.
+	// secret keys the transport MACs.
 	secret = "chaos"
 	// progressTimeout is the per-instance failure-detection timeout: longer
 	// than transient scheduling noise, much shorter than an episode, so
@@ -107,7 +106,6 @@ type Cluster struct {
 	cfg    Config
 	params quorum.Params
 	faults *transport.Faults
-	attest *crypto.ThresholdScheme
 	base   string
 	nodes  []*node
 
@@ -146,7 +144,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		cfg:    cfg,
 		params: params,
 		faults: transport.NewFaults(),
-		attest: crypto.NewThresholdScheme(cfg.Nodes, params.F+1, []byte(secret)),
 		base:   base,
 	}
 	if cfg.WAN {
@@ -191,8 +188,8 @@ func (c *Cluster) peerMap() map[types.ReplicaID]string {
 
 // boot builds one incarnation of n: fresh metrics catalog and flight ring
 // (like a real process), durable store from whatever the data dir holds,
-// state transfer with checkpoint-boundary attestation, WAL pruning, and
-// the shared fault matrix on the transport. It does not Run the replica.
+// state transfer, WAL pruning, and the shared fault matrix on the
+// transport. It does not Run the replica.
 func (c *Cluster) boot(n *node, listen string) error {
 	met := obs.NewNodeMetrics(obs.NewRegistry(), 0, -1)
 	rep, err := runtime.New(runtime.Config{
@@ -213,11 +210,10 @@ func (c *Cluster) boot(n *node, listen string) error {
 		},
 		ReplyToClients: true,
 		StateSync: runtime.StateSyncOptions{
-			Enabled:      true,
-			OfferWait:    150 * time.Millisecond,
-			Retry:        300 * time.Millisecond,
-			SteadyProbe:  500 * time.Millisecond,
-			AttestScheme: c.attest,
+			Enabled:     true,
+			OfferWait:   150 * time.Millisecond,
+			Retry:       300 * time.Millisecond,
+			SteadyProbe: 500 * time.Millisecond,
 		},
 		Flight:  runtime.FlightOptions{MirrorInterval: 500 * time.Millisecond},
 		Metrics: met,
@@ -267,10 +263,7 @@ func (c *Cluster) harvestLocked(n *node) {
 		st := sy.Stats()
 		n.syncStats.Installs += st.Installs
 		n.syncStats.InstalledSnaps += st.InstalledSnaps
-		n.syncStats.AttestationsFormed += st.AttestationsFormed
-		n.syncStats.AttestedTargets += st.AttestedTargets
-		n.syncStats.AttSharesRejected += st.AttSharesRejected
-		n.syncStats.AttOffersRejected += st.AttOffersRejected
+		n.syncStats.CkptTargets += st.CkptTargets
 	}
 	if n.met != nil && n.met.Flight != nil {
 		n.deadSnaps = append(n.deadSnaps, n.met.Flight.Dump(0))

@@ -15,8 +15,8 @@
 //     nodes at once, keeping a live quorum by construction.
 //   - Cluster (cluster.go): node lifecycle over real loopback TCP. Every
 //     node is a full runtime.Replica — durable WAL, periodic checkpoints
-//     with WAL pruning, state transfer with checkpoint-boundary
-//     attestation, flight recorder — behind a transport.TCP that shares
+//     with WAL pruning, state transfer that also trusts f+1 identical
+//     checkpoint offers, flight recorder — behind a transport.TCP that shares
 //     one transport.Faults matrix (partitions, per-link WAN delays) and
 //     one wal.Failpoints per node (fsync-error, torn-write).
 //   - Monitor (monitor.go): accumulates every acknowledged transaction and

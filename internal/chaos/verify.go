@@ -109,8 +109,7 @@ func verdict(c *Cluster, mon *monitor, rep *Report) {
 	rep.Restarts, rep.Wipes = restarts, wipes
 	rep.Installs = st.Installs
 	rep.InstalledSnaps = st.InstalledSnaps
-	rep.AttestationsFormed = st.AttestationsFormed
-	rep.AttestedRejoins = st.AttestedTargets
+	rep.CkptTargets = st.CkptTargets
 	for _, n := range c.nodes {
 		rep.FsyncFails += n.fp.FsyncFails.Load()
 		rep.TornWrites += n.fp.TornWrites.Load()
@@ -147,8 +146,8 @@ func verdict(c *Cluster, mon *monitor, rep *Report) {
 		rep.Failures = append(rep.Failures, "no transaction was ever acknowledged — the cluster made no progress under faults")
 	}
 
-	if rep.AttestedRejoins == 0 && rep.Wipes > 0 {
-		rep.Warnings = append(rep.Warnings, "no state transfer used the checkpoint-attested offer path (healed via byte-identical offers)")
+	if rep.CkptTargets == 0 && rep.Wipes > 0 {
+		rep.Warnings = append(rep.Warnings, "no state transfer used a checkpoint target (healed via live-head offers)")
 	}
 	if rep.Wipes > 0 && rep.InstalledSnaps == 0 {
 		rep.Warnings = append(rep.Warnings, "nodes were wiped but no snapshot install was recorded")

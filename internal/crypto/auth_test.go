@@ -330,71 +330,6 @@ func TestDSVerifyBatch(t *testing.T) {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Attestations
-// ---------------------------------------------------------------------------
-
-func TestAttestRoundTrip(t *testing.T) {
-	s := NewThresholdScheme(4, 3, []byte("dealer"))
-	msg := []byte("checkpoint digest @ height 48")
-	shares := map[uint32][]byte{}
-	for p := uint32(0); p < 4; p++ {
-		shares[p] = s.Share(p, msg)
-	}
-	at, err := s.Attest(msg, shares)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(at.Signers) != 3 {
-		t.Fatalf("attestation carries %d signers, want t=3", len(at.Signers))
-	}
-	if !s.VerifyAttestation(msg, at) {
-		t.Fatal("valid attestation rejected")
-	}
-	if s.VerifyAttestation([]byte("other"), at) {
-		t.Fatal("attestation verified for the wrong message")
-	}
-
-	wire := at.Marshal(nil)
-	back, rest, err := UnmarshalAttestation(wire)
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("unmarshal: %v (rest %d)", err, len(rest))
-	}
-	if !s.VerifyAttestation(msg, back) {
-		t.Fatal("attestation did not survive the wire round trip")
-	}
-
-	// Tampered signer set must fail.
-	back.Signers[0] = 3
-	if s.VerifyAttestation(msg, back) {
-		t.Fatal("attestation verified with a swapped signer set")
-	}
-}
-
-func TestAttestInsufficientShares(t *testing.T) {
-	s := NewThresholdScheme(4, 3, []byte("dealer"))
-	msg := []byte("m")
-	if _, err := s.Attest(msg, map[uint32][]byte{0: s.Share(0, msg)}); err == nil {
-		t.Fatal("attested with fewer than t shares")
-	}
-}
-
-func TestUnmarshalAttestationTruncated(t *testing.T) {
-	s := NewThresholdScheme(4, 3, []byte("dealer"))
-	msg := []byte("m")
-	shares := map[uint32][]byte{}
-	for p := uint32(0); p < 3; p++ {
-		shares[p] = s.Share(p, msg)
-	}
-	at, _ := s.Attest(msg, shares)
-	wire := at.Marshal(nil)
-	for cut := 0; cut < len(wire); cut++ {
-		if _, _, err := UnmarshalAttestation(wire[:cut]); err == nil {
-			t.Fatalf("truncation at %d decoded", cut)
-		}
-	}
-}
-
 func TestParseScheme(t *testing.T) {
 	for in, want := range map[string]Scheme{
 		"": SchemeNone, "none": SchemeNone, "None": SchemeNone,

@@ -1,7 +1,6 @@
 // Package crypto provides the message-authentication primitives used by the
 // consensus protocols: no authentication (baseline), pairwise message
-// authentication codes, and ED25519 digital signatures, plus a simulated
-// threshold-signature scheme for checkpoint attestation. The MAC
+// authentication codes, and ED25519 digital signatures. The MAC
 // authenticator is HMAC-SHA256 under symmetric pair keys; the transport uses
 // it to derive one key per connection direction, and MAC-link frames carry
 // AES-256-GCM tags under that key, so the per-frame MAC is AES-based like the
@@ -15,11 +14,6 @@
 // never races provisioning. BatchVerifier checks many same-sender
 // signatures with bisection to isolate bad ones; since the transport signs
 // one digest per frame it has no program caller.
-//
-// The package also exports the per-operation CPU cost table used by the
-// simulators: the paper (§V-B, Fig. 7 right) reports that digital signatures
-// reduce PBFT throughput by 86% and MACs by 33% relative to no
-// authentication; the costs below reproduce those ratios.
 package crypto
 
 import (
@@ -33,7 +27,6 @@ import (
 	"hash"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/types"
 )
@@ -93,41 +86,6 @@ func ParseAuth(scheme, secret string, party uint32) (Authenticator, error) {
 		return nil, err
 	}
 	return NewAuth(s, party, []byte(secret))
-}
-
-// Simulated per-operation CPU costs. Calibrated so that, with the paper's
-// message mix, DS costs ≈ 86% throughput and MAC ≈ 33% (Fig. 7 right).
-const (
-	CostMACGen    = 2 * time.Microsecond
-	CostMACVerify = 2 * time.Microsecond
-	CostDSSign    = 55 * time.Microsecond
-	CostDSVerify  = 130 * time.Microsecond
-)
-
-// SignCost returns the simulated CPU time to authenticate one outgoing
-// message under scheme s. For MACs the cost is per recipient (a broadcast
-// needs one MAC per receiver); callers multiply accordingly.
-func SignCost(s Scheme) time.Duration {
-	switch s {
-	case SchemeMAC:
-		return CostMACGen
-	case SchemeDS:
-		return CostDSSign
-	default:
-		return 0
-	}
-}
-
-// VerifyCost returns the simulated CPU time to verify one incoming message.
-func VerifyCost(s Scheme) time.Duration {
-	switch s {
-	case SchemeMAC:
-		return CostMACVerify
-	case SchemeDS:
-		return CostDSVerify
-	default:
-		return 0
-	}
 }
 
 // Authenticator authenticates messages between a fixed set of parties.

@@ -75,18 +75,6 @@ func TestNoneAcceptsEverything(t *testing.T) {
 	}
 }
 
-func TestSchemeCosts(t *testing.T) {
-	if SignCost(SchemeNone) != 0 || VerifyCost(SchemeNone) != 0 {
-		t.Fatal("None must be free")
-	}
-	if SignCost(SchemeDS) <= SignCost(SchemeMAC) {
-		t.Fatal("DS must cost more than MAC (Fig. 7 right)")
-	}
-	if VerifyCost(SchemeDS) <= VerifyCost(SchemeMAC) {
-		t.Fatal("DS verify must cost more than MAC verify")
-	}
-}
-
 func TestSchemeString(t *testing.T) {
 	for _, s := range []Scheme{SchemeNone, SchemeMAC, SchemeDS, Scheme(9)} {
 		if s.String() == "" {
@@ -102,93 +90,5 @@ func TestClientPartyIDsDisjointFromReplicas(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Threshold signatures
-// ---------------------------------------------------------------------------
-
-func TestThresholdCombineAndVerify(t *testing.T) {
-	s := NewThresholdScheme(4, 3, []byte("dealer"))
-	msg := []byte("commit round 7")
-	shares := map[uint32][]byte{}
-	for p := uint32(0); p < 3; p++ {
-		shares[p] = s.Share(p, msg)
-	}
-	combined := s.Combine(msg, shares)
-	if combined == nil {
-		t.Fatal("combine failed with t shares")
-	}
-	if !s.VerifyCombined(msg, []uint32{0, 1, 2}, combined) {
-		t.Fatal("valid combined signature rejected")
-	}
-	if s.VerifyCombined([]byte("other"), []uint32{0, 1, 2}, combined) {
-		t.Fatal("combined signature verified for wrong message")
-	}
-}
-
-func TestThresholdInsufficientShares(t *testing.T) {
-	s := NewThresholdScheme(4, 3, []byte("dealer"))
-	msg := []byte("m")
-	shares := map[uint32][]byte{0: s.Share(0, msg), 1: s.Share(1, msg)}
-	if s.Combine(msg, shares) != nil {
-		t.Fatal("combined with fewer than t shares")
-	}
-	if s.VerifyCombined(msg, []uint32{0, 1}, []byte("x")) {
-		t.Fatal("verified with fewer than t signers")
-	}
-}
-
-func TestThresholdRejectsBadShare(t *testing.T) {
-	s := NewThresholdScheme(4, 3, []byte("dealer"))
-	msg := []byte("m")
-	shares := map[uint32][]byte{
-		0: s.Share(0, msg),
-		1: s.Share(1, msg),
-		2: []byte("forged"),
-	}
-	if s.Combine(msg, shares) != nil {
-		t.Fatal("combined with a forged share")
-	}
-	if s.VerifyShare(2, msg, []byte("forged")) {
-		t.Fatal("forged share verified")
-	}
-}
-
-func TestThresholdCanonicalSubsetIndependence(t *testing.T) {
-	// The combined signature over the same t smallest signers must be
-	// identical regardless of which extra shares the collector held.
-	s := NewThresholdScheme(7, 5, []byte("dealer"))
-	msg := []byte("m")
-	small := map[uint32][]byte{}
-	for p := uint32(0); p < 5; p++ {
-		small[p] = s.Share(p, msg)
-	}
-	big := map[uint32][]byte{}
-	for p := uint32(0); p < 7; p++ {
-		big[p] = s.Share(p, msg)
-	}
-	if !bytes.Equal(s.Combine(msg, small), s.Combine(msg, big)) {
-		t.Fatal("combine is not canonical over the t smallest signers")
-	}
-}
-
-func TestThresholdSharesDifferPerParty(t *testing.T) {
-	s := NewThresholdScheme(4, 3, []byte("dealer"))
-	f := func(msg []byte) bool {
-		return !bytes.Equal(s.Share(0, msg), s.Share(1, msg))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestThresholdDifferentDealersIncompatible(t *testing.T) {
-	a := NewThresholdScheme(4, 3, []byte("dealer-a"))
-	b := NewThresholdScheme(4, 3, []byte("dealer-b"))
-	msg := []byte("m")
-	if b.VerifyShare(0, msg, a.Share(0, msg)) {
-		t.Fatal("share verified across dealers")
 	}
 }

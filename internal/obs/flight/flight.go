@@ -99,8 +99,8 @@ const (
 	// statesync
 	KSyncPhase   // phase transition; detail = Phase code
 	KOfferReject // snapshot/chunk/range refused; detail = Reject code
-	KCkptAttest  // checkpoint-boundary attestation formed; seq = height, detail = shares
-	KAttTarget   // attested-checkpoint target adopted by a fetch; seq = snap height
+	_            // was ckpt_attest; kept so the kinds after it keep their codes
+	KCkptTarget  // checkpoint target adopted by a fetch; seq = snap height, detail = vouching peers
 
 	// runtime
 	KLoopStall // consensus event loop stopped draining; detail = stall ns
@@ -134,8 +134,7 @@ var kindNames = map[Kind]string{
 	KSnapshotCommit:   "snapshot_commit",
 	KSyncPhase:        "sync_phase",
 	KOfferReject:      "offer_reject",
-	KCkptAttest:       "ckpt_attest",
-	KAttTarget:        "att_target",
+	KCkptTarget:       "ckpt_target",
 	KLoopStall:        "loop_stalled",
 	KArrive:           "arrive",
 	KAssign:           "assign",

@@ -62,17 +62,6 @@ type Config struct {
 	// up to Window proposals in flight. Window <= 1 disables
 	// out-of-order processing (the Fig. 8 (g,h) configuration).
 	Window int
-	// CheckpointEvery emits a checkpoint every so many rounds
-	// (0 disables periodic checkpoints; RCC uses dynamic per-need
-	// checkpoints instead, implemented in internal/rcc).
-	CheckpointEvery types.Round
-	// RetainDelivered bounds per-round state: delivered rounds more than
-	// this many rounds behind the delivery frontier are garbage-collected
-	// even without a stable checkpoint. The retained window is what
-	// FAILURE messages and view changes can still attach as evidence;
-	// anything older was delivered by a quorum and is recoverable through
-	// checkpoints. 0 selects the default of 512.
-	RetainDelivered types.Round
 	// ProgressTimeout is the failure-detection timeout: if an expected
 	// decision does not arrive in time, the primary is suspected.
 	ProgressTimeout time.Duration
@@ -89,6 +78,19 @@ type Config struct {
 	// Metrics receives consensus counters, the consensus-stage latency
 	// histogram, and lifecycle trace stamps. Nil disables instrumentation.
 	Metrics *obs.NodeMetrics
+
+	// checkpointEvery emits a checkpoint every so many rounds
+	// (0 disables periodic checkpoints; RCC uses dynamic per-need
+	// checkpoints instead, implemented in internal/rcc).
+	checkpointEvery types.Round
+	// retainDelivered bounds per-round state: delivered rounds more than
+	// this many rounds behind the delivery frontier are garbage-collected
+	// even without a stable checkpoint. The retained window is what
+	// FAILURE messages and view changes can still attach as evidence;
+	// anything older was delivered by a quorum and is recoverable through
+	// checkpoints. 0 selects the default of 512.
+	retainDelivered types.Round
+	// Only same-package tests set checkpointEvery and retainDelivered.
 }
 
 const (
@@ -115,8 +117,8 @@ func (c *Config) defaults() {
 	if c.BatchTimeout <= 0 {
 		c.BatchTimeout = 50 * time.Millisecond
 	}
-	if c.RetainDelivered <= 0 {
-		c.RetainDelivered = 512
+	if c.retainDelivered <= 0 {
+		c.retainDelivered = 512
 	}
 }
 
@@ -815,7 +817,7 @@ func (p *Instance) tryDeliver() {
 			Batch:    rd.batch,
 			Signers:  voters(rd.commits, rd.digest),
 		})
-		if p.cfg.CheckpointEvery > 0 && p.deliver%p.cfg.CheckpointEvery == 0 {
+		if p.cfg.checkpointEvery > 0 && p.deliver%p.cfg.checkpointEvery == 0 {
 			p.emitCheckpoint(p.deliver)
 		}
 		p.deliver++
@@ -834,11 +836,11 @@ func (p *Instance) tryDeliver() {
 // window (stable checkpoints GC more aggressively when enabled). The scan
 // is amortized: it runs once every quarter-window of delivery progress.
 func (p *Instance) gcDelivered() {
-	if p.deliver <= p.cfg.RetainDelivered || p.deliver < p.nextGC {
+	if p.deliver <= p.cfg.retainDelivered || p.deliver < p.nextGC {
 		return
 	}
-	p.nextGC = p.deliver + p.cfg.RetainDelivered/4
-	floor := p.deliver - p.cfg.RetainDelivered
+	p.nextGC = p.deliver + p.cfg.retainDelivered/4
+	floor := p.deliver - p.cfg.retainDelivered
 	for r, rd := range p.rounds {
 		if r < floor && rd.delivered {
 			delete(p.rounds, r)

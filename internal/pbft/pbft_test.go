@@ -258,7 +258,7 @@ func TestInTheDarkReplicaCatchesUpViaCheckpoint(t *testing.T) {
 	net, _ := cluster(t, n, Config{
 		BatchSize:       1,
 		Window:          8,
-		CheckpointEvery: 4,
+		checkpointEvery: 4,
 		// Long timeout: the dark replica should recover via
 		// checkpoints, not via a view change.
 		ProgressTimeout: time.Hour,
@@ -282,7 +282,7 @@ func TestInTheDarkReplicaCatchesUpViaCheckpoint(t *testing.T) {
 
 func TestCheckpointGarbageCollects(t *testing.T) {
 	n := 4
-	net, insts := cluster(t, n, Config{BatchSize: 1, Window: 8, CheckpointEvery: 4}, simnet.Config{})
+	net, insts := cluster(t, n, Config{BatchSize: 1, Window: 8, checkpointEvery: 4}, simnet.Config{})
 	for s := 1; s <= 12; s++ {
 		inject(net, n, mkTx(1, uint64(s)))
 	}

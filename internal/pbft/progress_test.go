@@ -46,7 +46,7 @@ func TestFarFuturePrePrepareStillSuspected(t *testing.T) {
 }
 
 // TestNoProgressTimerAfterLongDelivery: after 600 rounds delivered through
-// PRE-PREPARE and COMMITs — more than RetainDelivered keeps — with nothing
+// PRE-PREPARE and COMMITs — more than retainDelivered keeps — with nothing
 // pending, the backup has no progress timer armed. With the next round
 // preprepared ahead of the one that commits, the timer stays armed.
 func TestNoProgressTimerAfterLongDelivery(t *testing.T) {
@@ -70,8 +70,8 @@ func TestNoProgressTimerAfterLongDelivery(t *testing.T) {
 	if p.Delivered() != 601 {
 		t.Fatalf("delivered up to %d, want 600", p.Delivered()-1)
 	}
-	if len(p.rounds) <= int(p.Config().RetainDelivered) {
-		t.Fatalf("%d rounds retained, want more than RetainDelivered (%d)", len(p.rounds), p.Config().RetainDelivered)
+	if len(p.rounds) <= int(p.Config().retainDelivered) {
+		t.Fatalf("%d rounds retained, want more than retainDelivered (%d)", len(p.rounds), p.Config().retainDelivered)
 	}
 	if _, armed := env.timers[progressTimer]; armed {
 		t.Fatal("progress timer armed with nothing outstanding")

@@ -162,7 +162,7 @@ func TestVoidRangeDigestDistinguishesRanges(t *testing.T) {
 func TestRetentionGCBoundsRoundState(t *testing.T) {
 	params, _ := quorum.NewParams(4)
 	env := &recEnv{id: 1, params: params}
-	p := New(Config{Instance: 0, Primary: 0, FixedPrimary: true, Window: 16, RetainDelivered: 64})
+	p := New(Config{Instance: 0, Primary: 0, FixedPrimary: true, Window: 16, retainDelivered: 64})
 	p.Start(env)
 	for r := types.Round(1); r <= 1000; r++ {
 		adopt(p, r, byte(r))

@@ -177,7 +177,7 @@ func (p *Instance) InstallSyncPoint(data []byte) error {
 // every correct replica serializes byte-identically at a checkpoint
 // boundary regardless of how far its live state has run ahead. Returns nil
 // when the chain value at the boundary is no longer retained (GC'd past);
-// callers skip attestation for that boundary.
+// offers then carry no boundary frontier for that checkpoint.
 func (p *Instance) BoundarySyncPointAt(frontier types.Round) []byte {
 	var chain types.Digest
 	if frontier > 1 {

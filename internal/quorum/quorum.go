@@ -1,13 +1,9 @@
 // Package quorum implements the quorum arithmetic of Byzantine consensus
-// (n > 3f; nf = n − f non-faulty replicas) and vote-tracking certificates
-// shared by all protocols in this repository.
+// (n > 3f; nf = n − f non-faulty replicas) shared by all protocols in this
+// repository.
 package quorum
 
-import (
-	"fmt"
-
-	"repro/internal/types"
-)
+import "fmt"
 
 // Params captures the fault-tolerance parameters of a deployment.
 type Params struct {
@@ -38,53 +34,3 @@ func (p Params) FaultDetection() int { return p.F + 1 }
 // the threshold of failure claims that triggers a dynamic per-need
 // checkpoint (§III-D).
 func (p Params) InDarkRecovery() int { return p.NF() - p.F }
-
-// Valid reports whether n > 3f holds.
-func (p Params) Valid() bool { return p.N > 3*p.F && p.F >= 0 }
-
-// VoteSet tracks votes keyed by (round, digest) from distinct replicas, the
-// building block of prepared/committed certificates.
-type VoteSet struct {
-	votes map[types.Digest]map[types.ReplicaID]struct{}
-}
-
-// NewVoteSet creates an empty vote set.
-func NewVoteSet() *VoteSet {
-	return &VoteSet{votes: make(map[types.Digest]map[types.ReplicaID]struct{})}
-}
-
-// Add records a vote from replica r for digest d, returning the number of
-// distinct voters for d after the addition. Duplicate votes are idempotent.
-func (vs *VoteSet) Add(r types.ReplicaID, d types.Digest) int {
-	m, ok := vs.votes[d]
-	if !ok {
-		m = make(map[types.ReplicaID]struct{})
-		vs.votes[d] = m
-	}
-	m[r] = struct{}{}
-	return len(m)
-}
-
-// Count returns the number of distinct voters for digest d.
-func (vs *VoteSet) Count(d types.Digest) int { return len(vs.votes[d]) }
-
-// Voters returns the distinct voters for digest d.
-func (vs *VoteSet) Voters(d types.Digest) []types.ReplicaID {
-	m := vs.votes[d]
-	out := make([]types.ReplicaID, 0, len(m))
-	for r := range m {
-		out = append(out, r)
-	}
-	return out
-}
-
-// Certificate is an assembled quorum certificate: a digest together with the
-// replicas that voted for it.
-type Certificate struct {
-	Round   types.Round
-	Digest  types.Digest
-	Signers []types.ReplicaID
-}
-
-// Meets reports whether the certificate carries at least q signers.
-func (c *Certificate) Meets(q int) bool { return len(c.Signers) >= q }

@@ -155,7 +155,7 @@ func TestThrottlingPrimaryCaughtBySigma(t *testing.T) {
 		reps[i] = New(Config{
 			BatchSize:       1,
 			Window:          8,
-			Sigma:           3,
+			sigma:           3,
 			ProgressTimeout: time.Hour, // timeouts alone must not catch it
 			RecoveryTimeout: 300 * time.Millisecond,
 		})

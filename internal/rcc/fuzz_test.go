@@ -12,7 +12,7 @@ import (
 
 // fuzzConfig is the deployment FuzzValidateSyncPoint's seeds come from and
 // its fresh replicas run.
-var fuzzConfig = Config{BatchSize: 1, Window: 4, Sigma: 2}
+var fuzzConfig = Config{BatchSize: 1, Window: 4, sigma: 2}
 
 // FuzzValidateSyncPoint feeds hostile bytes to the sync-point parser a
 // state transfer runs on a frontier received from peers. No input may

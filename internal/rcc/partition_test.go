@@ -90,7 +90,7 @@ func TestSwitchInstanceDuringFailure(t *testing.T) {
 	net, reps := cluster(t, n, Config{
 		BatchSize:       1,
 		Window:          4,
-		Sigma:           2,
+		sigma:           2,
 		ProgressTimeout: 100 * time.Millisecond,
 		RecoveryTimeout: 300 * time.Millisecond,
 	}, simnet.Config{})

@@ -127,7 +127,7 @@ func TestHappyPathConcurrentInstances(t *testing.T) {
 
 func TestRoundCompletionRequiresAllInstances(t *testing.T) {
 	n := 4
-	net, reps := cluster(t, n, Config{BatchSize: 1, DisableNoOpFill: true, ProgressTimeout: time.Hour}, simnet.Config{})
+	net, reps := cluster(t, n, Config{BatchSize: 1, disableNoOpFill: true, ProgressTimeout: time.Hour}, simnet.Config{})
 	// Only client 1 (instance 1) submits: without no-op fill the round
 	// can never complete.
 	inject(net, n, mkTx(1, 1))
@@ -405,7 +405,7 @@ func TestThrottlingDetectionSigma(t *testing.T) {
 	net, reps := cluster(t, n, Config{
 		BatchSize:       1,
 		Window:          8,
-		Sigma:           4,
+		sigma:           4,
 		ProgressTimeout: time.Hour, // disable timeout-based detection
 		RecoveryTimeout: 300 * time.Millisecond,
 	}, simnet.Config{})
@@ -427,7 +427,7 @@ func TestSwitchInstanceReassignsClient(t *testing.T) {
 	n := 4
 	net, reps := cluster(t, n, Config{
 		BatchSize: 1,
-		Sigma:     2,
+		sigma:     2,
 	}, simnet.Config{})
 	// Client 1 is served by instance 1. Ask to switch to instance 2.
 	sw := &types.SwitchInstance{Client: 1, To: 2}
@@ -477,7 +477,7 @@ func TestSwitchUnderLoadExecutesOnce(t *testing.T) {
 	t.Skip("ROADMAP 32: the old instance keeps proposing its queued seqs after the move, " +
 		"and instance 2 proposes the retransmitted copies; measured: 35 of 40 seqs queued at the move, all 35 delivered twice")
 	const n, k = 4, 40
-	net, reps := cluster(t, n, Config{BatchSize: 1, Window: 1, Sigma: 2}, simnet.Config{})
+	net, reps := cluster(t, n, Config{BatchSize: 1, Window: 1, sigma: 2}, simnet.Config{})
 	for s := uint64(1); s <= k; s++ {
 		inject(net, n, mkTx(1, s))
 	}
@@ -595,7 +595,7 @@ func TestUnpredictableOrderingConsistentAcrossReplicas(t *testing.T) {
 // whose link sent it; another client or a replica cannot move it.
 func TestSwitchOnlyFromNamedClient(t *testing.T) {
 	const n = 4
-	net, reps := cluster(t, n, Config{BatchSize: 1, Sigma: 2}, simnet.Config{})
+	net, reps := cluster(t, n, Config{BatchSize: 1, sigma: 2}, simnet.Config{})
 	sw := &types.SwitchInstance{Header: types.Header{Inst: 1}, Client: 1, To: 2}
 	for i := 0; i < n; i++ {
 		node := net.Node(types.ReplicaID(i))
@@ -679,7 +679,7 @@ func TestCoordOpRefused(t *testing.T) {
 func TestFewerInstancesThanReplicas(t *testing.T) {
 	// RCC_3 configuration from the paper: m=3 instances on n=7 replicas.
 	n := 7
-	net, reps := cluster(t, n, Config{M: 3, BatchSize: 1}, simnet.Config{})
+	net, reps := cluster(t, n, Config{m: 3, BatchSize: 1}, simnet.Config{})
 	for c := types.ClientID(1); c <= 3; c++ {
 		inject(net, n, mkTx(c, 1))
 	}

@@ -98,7 +98,7 @@ func (r *Replica) onFailure(from sm.Source, m *types.Failure) {
 	// in-the-dark replicas (§III-D) no longer reach back to our frontier.
 	// Only a ledger-level state transfer can close it.
 	if len(st.failures) >= p.FaultDetection() &&
-		m.Round > st.lastDec+2*r.cfg.Sigma && m.Round > r.voidHorizon(st)+2*r.cfg.Sigma {
+		m.Round > st.lastDec+2*r.cfg.sigma && m.Round > r.voidHorizon(st)+2*r.cfg.sigma {
 		r.requestStateSync()
 	}
 	// A replica that already finished the claimed round and does not
@@ -356,6 +356,6 @@ func (r *Replica) handleSwitch(coordOf types.InstanceID, c types.ClientID, to ty
 	r.switches[c] = &switchSched{
 		from:        cur,
 		to:          to,
-		activeAfter: r.maxDecided + 2*r.cfg.Sigma,
+		activeAfter: r.maxDecided + 2*r.cfg.sigma,
 	}
 }

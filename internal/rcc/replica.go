@@ -12,8 +12,6 @@ import (
 
 // Config parameterizes an RCC replica.
 type Config struct {
-	// M is the number of concurrent instances (1 ≤ m ≤ n); 0 means n.
-	M int
 	// BatchSize groups client transactions per proposal.
 	BatchSize int
 	// Window is the out-of-order proposal window per instance
@@ -24,24 +22,28 @@ type Config struct {
 	// RecoveryTimeout bounds the wait for the coordinating leader's
 	// stop proposal before forcing a coordinator view change.
 	RecoveryTimeout time.Duration
-	// Sigma is the lag threshold σ: an instance σ rounds behind any
-	// other is suspected (throttling detection, §IV), and σ also paces
-	// the SwitchInstance schedule (§III-E).
-	Sigma types.Round
 	// UnpredictableOrdering enables the §IV permutation ordering;
 	// when false, round transactions execute in instance order.
 	UnpredictableOrdering bool
-	// DisableNoOpFill turns off no-op filling (§III-E) for tests.
-	DisableNoOpFill bool
 	// Metrics receives unification counters, the unify-stage latency
 	// histogram, and lifecycle trace stamps, and is forwarded to each
 	// BCA instance. Nil disables instrumentation.
 	Metrics *obs.NodeMetrics
+
+	// m is the number of concurrent instances (1 ≤ m ≤ n); 0 means n.
+	m int
+	// sigma is the lag threshold σ: an instance σ rounds behind any
+	// other is suspected (throttling detection, §IV), and σ also paces
+	// the SwitchInstance schedule (§III-E). 0 means 16.
+	sigma types.Round
+	// disableNoOpFill turns off no-op filling (§III-E).
+	disableNoOpFill bool
+	// Only same-package tests set m, sigma and disableNoOpFill.
 }
 
 func (c *Config) defaults(n int) {
-	if c.M <= 0 || c.M > n {
-		c.M = n
+	if c.m <= 0 || c.m > n {
+		c.m = n
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 100
@@ -55,8 +57,8 @@ func (c *Config) defaults(n int) {
 	if c.RecoveryTimeout <= 0 {
 		c.RecoveryTimeout = 4 * c.ProgressTimeout
 	}
-	if c.Sigma <= 0 {
-		c.Sigma = 16
+	if c.sigma <= 0 {
+		c.sigma = 16
 	}
 }
 
@@ -149,8 +151,8 @@ func (r *Replica) Start(env sm.Env) {
 	n := env.Params().N
 	r.cfg.defaults(n)
 	r.execRound = 1
-	r.states = make([]*instState, r.cfg.M)
-	for i := 0; i < r.cfg.M; i++ {
+	r.states = make([]*instState, r.cfg.m)
+	for i := 0; i < r.cfg.m; i++ {
 		id := types.InstanceID(i)
 		st := &instState{
 			id:       id,
@@ -542,7 +544,7 @@ func (r *Replica) checkLag() {
 		if v := r.voidHorizon(st); v > behind {
 			behind = v
 		}
-		if r.maxDecided > behind+r.cfg.Sigma {
+		if r.maxDecided > behind+r.cfg.sigma {
 			r.suspectInstance(st.id, behind+1)
 		}
 	}
@@ -575,7 +577,7 @@ func (r *Replica) voidHorizon(st *instState) types.Round {
 // its pipeline occupancy is below 1/4 and the extra rounds cost idle
 // capacity only.
 func (r *Replica) maybeNoOpFill() {
-	if r.cfg.DisableNoOpFill {
+	if r.cfg.disableNoOpFill {
 		return
 	}
 	own, ok := r.OwnInstance()

@@ -330,9 +330,10 @@ func (r *Replica) InstallSyncPoint(data []byte) error {
 // at the same wave boundary produces identical bytes while consensus keeps
 // running. Recovery bookkeeping (voidBelow, stops, startedAt, the coord
 // frontier) is stable between recoveries; a boundary captured while a
-// recovery is mid-flight may serialize differently across replicas, fail to
-// gather f+1 matching shares, and simply go unattested — attestation is
-// best-effort per boundary, and the next quiet boundary attests.
+// recovery is mid-flight may serialize differently across replicas, so no
+// f+1 offers of that checkpoint match and it is never a state-transfer
+// target — checkpoint targets are best-effort per boundary, and the next
+// quiet boundary serves.
 func (r *Replica) BoundarySyncPoint() []byte {
 	buf := make([]byte, 0, 64+64*len(r.states))
 	buf = append(buf, rccSyncPointV1)

@@ -125,7 +125,7 @@ func TestSyncPointRefusesSwappedDecision(t *testing.T) {
 }
 
 // decidedAheadConfig is the deployment decidedAheadSyncPoint runs.
-var decidedAheadConfig = Config{BatchSize: 1, DisableNoOpFill: true, ProgressTimeout: time.Hour}
+var decidedAheadConfig = Config{BatchSize: 1, disableNoOpFill: true, ProgressTimeout: time.Hour}
 
 // decidedAheadSyncPoint returns the sync point of a replica whose instance 1
 // decided round 2 while the wave still waits on round 2 elsewhere, together

@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/crypto"
 	"repro/internal/exec"
 	"repro/internal/ledger"
 	"repro/internal/obs"
@@ -111,12 +110,6 @@ type StateSyncOptions struct {
 	OfferWait   time.Duration
 	Retry       time.Duration
 	SteadyProbe time.Duration
-	// AttestScheme enables checkpoint-boundary attestation when the
-	// machine also implements the optional sm.BoundarySyncable (RCC does,
-	// standalone PBFT does not): replicas exchange threshold shares over
-	// each checkpoint, and a fetcher accepts one aggregate-verified offer
-	// when load keeps f+1 byte-identical offers from forming. All replicas must share the scheme's group secret.
-	AttestScheme *crypto.ThresholdScheme
 }
 
 // Config parameterizes one replica process.
@@ -400,11 +393,9 @@ func (r *Replica) initStateSync() {
 	r.sync = statesync.New(statesync.Config{
 		Self:          r.cfg.ID,
 		N:             r.cfg.Params.N,
-		Attest:        r.cfg.Params.FaultDetection(),
 		OfferWait:     r.cfg.StateSync.OfferWait,
 		RetryInterval: r.cfg.StateSync.Retry,
 		SteadyProbe:   r.cfg.StateSync.SteadyProbe,
-		AttestScheme:  r.attestScheme(),
 		Flight:        r.flight(),
 	}, statesync.Host{
 		Send: func(to types.ReplicaID, m types.Message) {
@@ -426,20 +417,6 @@ func (r *Replica) initStateSync() {
 		},
 		Logf: r.logf,
 	})
-}
-
-// attestScheme returns the checkpoint-attestation scheme to wire into the
-// state-transfer manager: configured AND usable (the machine must serialize
-// boundary frontiers, or no checkpoint could ever be attested).
-func (r *Replica) attestScheme() *crypto.ThresholdScheme {
-	if r.cfg.StateSync.AttestScheme == nil {
-		return nil
-	}
-	if r.boundary == nil {
-		r.logf("runtime: machine %T cannot serialize boundary frontiers; checkpoint attestation disabled", r.cfg.Machine)
-		return nil
-	}
-	return r.cfg.StateSync.AttestScheme
 }
 
 // StateSync returns the state-transfer manager (nil unless Config.StateSync
@@ -928,16 +905,14 @@ func (r *Replica) saveSnapshot() {
 		return
 	}
 	r.emit(flight.SubStore, flight.KSnapshotCommit, r.durable.Memory().Height(), 0)
-	// Attest the fresh checkpoint at its delivery boundary: when the machine
-	// can serialize a boundary frontier, every replica checkpointing this
-	// height signs identical bytes, and f+1 shares make the snapshot a
-	// single-offer state-transfer target even under load. saveSnapshot runs
-	// on the event loop for boundary-syncable machines only at the boundary
+	// Offers name the fresh checkpoint with the machine frontier at its
+	// delivery boundary, so f+1 replicas that checkpointed this height vouch
+	// for the same bytes however far their live heads run ahead.
+	// saveSnapshot runs for boundary-syncable machines only at the boundary
 	// (CheckpointDue), so the frontier read here IS the boundary frontier.
-	if r.sync != nil && r.boundary != nil {
-		if bsp := r.boundary.BoundarySyncPoint(); bsp != nil {
-			r.sync.AttestCheckpoint(r.durable.LatestSnapshot(), bsp)
-		}
+	// Snapshot is a no-op on an empty chain, so there may be none.
+	if snap := r.durable.LatestSnapshot(); snap != nil && r.sync != nil && r.boundary != nil {
+		r.sync.RecordCheckpoint(snap.Height, r.boundary.BoundarySyncPoint())
 	}
 }
 

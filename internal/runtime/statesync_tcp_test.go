@@ -7,34 +7,42 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/obs"
 	"repro/internal/pbft"
 	"repro/internal/quorum"
+	"repro/internal/rcc"
 	"repro/internal/sm"
 	"repro/internal/transport"
 	"repro/internal/types"
 	"repro/internal/ycsb"
 )
 
-// syncCluster boots one durable, state-sync-enabled replica of a 4-node TCP
+// syncPBFT is the machine of the standalone-PBFT state-transfer tests.
+func syncPBFT() sm.Machine {
+	return pbft.New(pbft.Config{
+		BatchSize: 1, Window: 8,
+		// Keep the cluster calm while a replica is down or syncing:
+		// failure detection is not under test here.
+		ProgressTimeout: 20 * time.Second,
+	})
+}
+
+// syncReplica boots one durable, state-sync-enabled replica of a 4-node TCP
 // cluster. Listen is the fixed address to bind (so a restarted replica is
 // reachable at the address its peers already know).
-func syncReplica(t *testing.T, base string, id types.ReplicaID, params quorum.Params,
+func syncReplica(t *testing.T, base string, id types.ReplicaID, params quorum.Params, mach sm.Machine,
 	listen string, peers map[types.ReplicaID]string, snapshotEvery uint64, met *obs.NodeMetrics) (*Replica, *transport.TCP) {
 	t.Helper()
 	rep, err := New(Config{
 		Metrics: met,
 		ID:      id,
 		Params:  params,
-		Machine: pbft.New(pbft.Config{
-			BatchSize: 1, Window: 8,
-			// Keep the cluster calm while a replica is down or syncing:
-			// failure detection is not under test here.
-			ProgressTimeout: 20 * time.Second,
-		}),
+		Machine: mach,
 		App:     ycsb.NewStore(1000),
 		DataDir: filepath.Join(base, fmt.Sprintf("replica-%d", id)),
 		Journaling: JournalOptions{
@@ -62,7 +70,7 @@ func syncReplica(t *testing.T, base string, id types.ReplicaID, params quorum.Pa
 	return rep, tcp
 }
 
-func bootSyncCluster(t *testing.T, base string, snapshotEvery uint64) ([]*Replica, map[types.ReplicaID]string, quorum.Params) {
+func bootSyncCluster(t *testing.T, base string, mk func() sm.Machine, snapshotEvery uint64) ([]*Replica, map[types.ReplicaID]string, quorum.Params) {
 	t.Helper()
 	const n = 4
 	params, err := quorum.NewParams(n)
@@ -74,7 +82,7 @@ func bootSyncCluster(t *testing.T, base string, snapshotEvery uint64) ([]*Replic
 	peers := make(map[types.ReplicaID]string)
 	for i := 0; i < n; i++ {
 		id := types.ReplicaID(i)
-		reps[i], tcps[i] = syncReplica(t, base, id, params, "127.0.0.1:0", nil, snapshotEvery, nil)
+		reps[i], tcps[i] = syncReplica(t, base, id, params, mk(), "127.0.0.1:0", nil, snapshotEvery, nil)
 		peers[id] = tcps[i].Addr()
 	}
 	for i := 0; i < n; i++ {
@@ -98,7 +106,7 @@ func TestStateSyncWipedReplicaOverTCP(t *testing.T) {
 	// height 12, so the transfer must ship the snapshot AND a 2-block
 	// suffix.
 	const txns = 14
-	reps, peers, params := bootSyncCluster(t, base, 4)
+	reps, peers, params := bootSyncCluster(t, base, syncPBFT, 4)
 
 	c := tcpClient(t, peers, params, 1, "", txns)
 	waitFor(t, 30*time.Second, func() bool { return len(c.Completions()) == txns })
@@ -116,7 +124,7 @@ func TestStateSyncWipedReplicaOverTCP(t *testing.T) {
 	if err := os.RemoveAll(filepath.Join(base, "replica-3")); err != nil {
 		t.Fatal(err)
 	}
-	rep3, _ := syncReplica(t, base, 3, params, peers[3], peers, 4, nil)
+	rep3, _ := syncReplica(t, base, 3, params, syncPBFT(), peers[3], peers, 4, nil)
 	rep3.Run()
 	t.Cleanup(rep3.Stop)
 
@@ -159,6 +167,106 @@ func TestStateSyncWipedReplicaOverTCP(t *testing.T) {
 	}
 }
 
+// loadClient runs a closed-loop client that keeps window transactions in
+// flight until the returned stop function is called.
+func loadClient(t *testing.T, peers map[types.ReplicaID]string, params quorum.Params, id types.ClientID, window int) (stop func()) {
+	t.Helper()
+	var stopped atomic.Bool
+	wl := ycsb.NewWorkload(ycsb.WorkloadConfig{Records: 1000, Seed: int64(id)})
+	mach := client.New(client.Config{Client: id, Broadcast: true, RetryTimeout: time.Second})
+	mach.SetWindow(window)
+	for i := 0; i < window; i++ {
+		mach.Submit(wl.Next(id))
+	}
+	proc := NewClient(id, params, mach)
+	mach.SetCompletionHook(func(client.Completion) {
+		if !stopped.Load() {
+			// Refill from inside the client's own event loop.
+			proc.DeliverReplica(types.NoReplica, &client.Submission{Tx: wl.Next(id)})
+		}
+	})
+	tcp, err := transport.NewTCP(transport.TCPConfig{IsClient: true, SelfClient: id, Peers: peers}, proc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc.Attach(tcp)
+	proc.Run()
+	t.Cleanup(proc.Stop)
+	return func() { stopped.Store(true) }
+}
+
+// TestStateSyncWipedReplicaUnderLoadOverTCP wipes an RCC replica while four
+// closed-loop clients keep submitting. The wiped replica must install a
+// snapshot and reach the height the cluster had when it was wiped while the
+// clients still submit, then reach the final head and vote in a quorum that
+// needs it. Its target may be a live head (the wiped replica is the primary
+// of instance 3, so waves wait on it and live heads can agree) or a
+// checkpoint that f+1 peers offer identically. ProgressTimeout is 1 s so
+// the quorum proof's stop of instance 1 lands within the test's budget.
+func TestStateSyncWipedReplicaUnderLoadOverTCP(t *testing.T) {
+	base := t.TempDir()
+	mk := func() sm.Machine { return rcc.New(rcc.Config{BatchSize: 2, Window: 8, ProgressTimeout: time.Second}) }
+	reps, peers, params := bootSyncCluster(t, base, mk, 8)
+	var stops []func()
+	for c := types.ClientID(1); c <= 4; c++ {
+		stops = append(stops, loadClient(t, peers, params, c, 4))
+	}
+	stopLoad := func() {
+		for _, s := range stops {
+			s()
+		}
+	}
+	waitFor(t, 10*time.Second, func() bool { return reps[0].Ledger().Height() >= 40 })
+
+	reps[3].Stop()
+	if err := os.RemoveAll(filepath.Join(base, "replica-3")); err != nil {
+		t.Fatal(err)
+	}
+	wiped := reps[0].Ledger().Height()
+	rep3, _ := syncReplica(t, base, 3, params, mk(), peers[3], peers, 8, nil)
+	rep3.Run()
+	t.Cleanup(rep3.Stop)
+	waitFor(t, 10*time.Second, func() bool {
+		return rep3.StateSync().Stats().InstalledSnaps > 0 && rep3.Ledger().Height() >= wiped
+	})
+
+	stopLoad()
+	waitFor(t, 10*time.Second, func() bool {
+		h, head := reps[0].Ledger().Tip()
+		h3, head3 := rep3.Ledger().Tip()
+		return h == h3 && head == head3 && reps[1].Ledger().Height() == h
+	})
+	// Participation proof: with replica 1 stopped, the stop that voids its
+	// instance and every decision after it need 3 of the 3 live replicas,
+	// the recovered one included.
+	reps[1].Stop()
+	before := rep3.Ledger().Height()
+	c2 := tcpClient(t, peers, params, 8, "", 4) // instance 0, whose primary is up
+	waitFor(t, 10*time.Second, func() bool { return len(c2.Completions()) == 4 })
+	waitFor(t, 5*time.Second, func() bool {
+		return rep3.Ledger().Height() > before && rep3.Ledger().HeadHash() == reps[0].Ledger().HeadHash()
+	})
+	if err := rep3.Ledger().Verify(); err != nil {
+		t.Fatalf("synced chain fails audit: %v", err)
+	}
+}
+
+// TestCheckpointOnEmptyChainWithStateSync: RCC's dynamic checkpoint can ask
+// for a snapshot before the chain holds a block. Snapshot is then a no-op,
+// and there is no checkpoint for offers to name.
+func TestCheckpointOnEmptyChainWithStateSync(t *testing.T) {
+	params, err := quorum.NewParams(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := syncReplica(t, t.TempDir(), 0, params, rcc.New(rcc.Config{}), "127.0.0.1:0", nil, 8, nil)
+	defer r.Stop()
+	r.saveSnapshot()
+	if snap := r.Durable().LatestSnapshot(); snap != nil {
+		t.Fatalf("checkpoint at height %d on an empty chain", snap.Height)
+	}
+}
+
 // TestStateSyncLaggingReplicaOverTCP is the lag-behind variant: the replica
 // keeps its disk, misses a stretch of decisions, and catches up with a
 // block-range-only transfer (no snapshot install) before voting again.
@@ -166,7 +274,7 @@ func TestStateSyncLaggingReplicaOverTCP(t *testing.T) {
 	base := t.TempDir()
 	// SnapshotEvery=0: no checkpoints exist, so the transfer MUST take the
 	// range-only path.
-	reps, peers, params := bootSyncCluster(t, base, 0)
+	reps, peers, params := bootSyncCluster(t, base, syncPBFT, 0)
 
 	c := tcpClient(t, peers, params, 1, "", 6)
 	waitFor(t, 30*time.Second, func() bool { return len(c.Completions()) == 6 })
@@ -179,7 +287,7 @@ func TestStateSyncLaggingReplicaOverTCP(t *testing.T) {
 	c2 := tcpClient(t, peers, params, 2, "", 8)
 	waitFor(t, 30*time.Second, func() bool { return len(c2.Completions()) == 8 })
 
-	rep3, _ := syncReplica(t, base, 3, params, peers[3], peers, 0, nil)
+	rep3, _ := syncReplica(t, base, 3, params, syncPBFT(), peers[3], peers, 0, nil)
 	rep3.Run()
 	t.Cleanup(rep3.Stop)
 
@@ -218,7 +326,7 @@ func TestStateSyncLaggingReplicaOverTCP(t *testing.T) {
 func TestMetricsFollowInstalledJournalOverTCP(t *testing.T) {
 	base := t.TempDir()
 	const txns = 14
-	reps, peers, params := bootSyncCluster(t, base, 4)
+	reps, peers, params := bootSyncCluster(t, base, syncPBFT, 4)
 	c := tcpClient(t, peers, params, 1, "", txns)
 	waitFor(t, 30*time.Second, func() bool { return len(c.Completions()) == txns })
 	for _, r := range reps {
@@ -230,7 +338,7 @@ func TestMetricsFollowInstalledJournalOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	rep3, _ := syncReplica(t, base, 3, params, peers[3], peers, 4, obs.NewNodeMetrics(reg, 0, -1))
+	rep3, _ := syncReplica(t, base, 3, params, syncPBFT(), peers[3], peers, 4, obs.NewNodeMetrics(reg, 0, -1))
 	stop, scraped := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(scraped)

@@ -165,9 +165,10 @@ type StateSyncable interface {
 // serializes the frontier as it stands at the machine's current delivery
 // boundary — a pure function of the delivery prefix — so every correct
 // replica serializes identical bytes when its ledger stands at the same
-// height, no quiescence required. That is the property checkpoint-boundary
-// attestation rests on: f+1 replicas each sign their own serialization at
-// snapshot time, and the shares only combine when the bytes agree.
+// height, no quiescence required. That is the property state transfer's
+// checkpoint targets rest on: each replica's StateOffer carries its own
+// serialization taken at snapshot time, and a fetcher trusts a checkpoint
+// only when f+1 offers carry identical bytes.
 //
 // A machine implementing this interface also takes over the periodic
 // checkpoint cadence: the runtime defers cadence-triggered snapshots
@@ -180,7 +181,7 @@ type BoundarySyncable interface {
 	// same wire format InstallSyncPoint accepts. Returns nil when the
 	// boundary cannot be serialized right now (e.g. a checkpoint chain
 	// value at the boundary was garbage-collected, or a recovery is in
-	// flight); callers then skip attestation for this boundary.
+	// flight); offers then carry no boundary frontier for this snapshot.
 	BoundarySyncPoint() []byte
 }
 

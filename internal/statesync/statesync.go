@@ -11,47 +11,43 @@
 //
 // The fetcher broadcasts a probe (SnapshotRequest with Chunk == NoChunk);
 // peers answer with a StateOffer naming their latest snapshot (height, app
-// state hash, anchoring block hash), their ledger head, and their consensus
-// machine's serialized frontier (sm.StateSyncable). The fetcher trusts a
-// target only once Config.Attest (f+1) distinct peers advertise
-// byte-identical offers: at least one of them is honest, so every digest in
-// the tuple is real. Everything fetched afterwards is verified against
-// those digests, never against the serving peer's word:
+// state hash, anchoring block hash, and the machine frontier serialized at
+// that snapshot's delivery boundary), their ledger head, and their consensus
+// machine's live frontier (sm.StateSyncable). The fetcher has one trust
+// rule: f+1 distinct replicas must advertise byte-identical values. At
+// least one of them is honest, so every digest it then relies on is real.
+// Everything fetched afterwards is verified against those digests, never
+// against the serving peer's word:
 //
 //   - Snapshot chunks are size-checked on arrival (a truncated chunk is
 //     refused immediately) and the reassembled state must hash to the
-//     attested SnapAppHash — a single flipped bit anywhere fails the whole
-//     snapshot and the fetcher retries from another source.
-//   - Ledger blocks must chain hash-to-hash from the attested snapshot
-//     anchor (or the local head, on the lag-only path) up to the attested
-//     head hash, and each block's commit proof must cover its batch. A
-//     peer serving a wrong-height range or substituted blocks breaks the
-//     chain at the first forged link and is rotated away from.
+//     vouched-for SnapAppHash — a single flipped bit anywhere fails the
+//     whole snapshot and the fetcher retries from another source.
+//   - Ledger blocks must chain hash-to-hash from the snapshot anchor (or
+//     the local head, on the lag-only path) up to the vouched-for head
+//     hash, and each block's commit proof must cover its batch. A peer
+//     serving a wrong-height range or substituted blocks breaks the chain
+//     at the first forged link and is rotated away from.
 //
 // A replica that lagged but kept its disk fetches only the block range; a
 // wiped replica fetches snapshot plus range. Either way the install is
 // crash-atomic (store.InstallState): kill -9 mid-transfer leaves the
 // pre-transfer state intact and the transfer restarts from scratch.
 //
-// Attestation is deliberately strict: the machine frontier (view,
-// checkpoint chain anchor) is part of the byte-identical tuple, because an
-// UNattested frontier would let a single malicious source forge the
-// checkpoint chain anchor and poison all future checkpoint adoption. The
-// cost is that peers mid-view-change or mid-checkpoint-exchange briefly
-// serialize different frontiers and no f+1 group forms; the fetcher treats
-// that as a retryable condition (RetryInterval) and converges as soon as
-// the peers do.
-//
-// That byte-identity requirement only converges on a quiescent-enough
-// cluster — under sustained load the peers' live heads never agree. The
-// checkpoint-boundary attestation path (attest.go) removes the quiescence
-// assumption: replicas exchange threshold shares over each snapshot at its
-// deterministic delivery boundary, combine f+1 of them into an aggregate
-// their offers carry, and a fetcher that verifies the aggregate can trust a
-// SINGLE offer. When no byte-identical group forms, the fetcher falls back
-// to the best attested checkpoint, installs snapshot plus boundary
-// frontier, and bridges checkpoint→head through in-protocol catch-up while
-// the cluster keeps deciding.
+// The rule applies at two granularities. The live head first: f+1 offers
+// identical in every field, the live frontier included, because a frontier
+// only one replica vouched for could forge the checkpoint chain anchor and
+// poison all future checkpoint adoption. Live heads only agree on a
+// quiescent-enough cluster; under load they seldom do. The checkpoint
+// second: f+1 offers identical in their snapshot fields and boundary
+// frontier (sm.BoundarySyncable). That frontier is a pure function of the
+// delivery prefix, so every correct replica that checkpointed a height
+// serializes the same bytes however far its live state has run ahead. The
+// checkpoint target reaches the snapshot, not the head: the fetcher
+// installs snapshot plus boundary frontier, rejoins consensus there, and
+// bridges the rest through in-protocol catch-up while the cluster keeps
+// deciding. When neither group forms (peers mid-view-change, or replies
+// lost), the fetcher retries after RetryInterval.
 //
 // # Threading
 //
@@ -71,7 +67,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/crypto"
 	"repro/internal/ledger"
 	"repro/internal/obs/flight"
 	"repro/internal/store"
@@ -82,11 +77,9 @@ import (
 type Config struct {
 	// Self is the local replica.
 	Self types.ReplicaID
-	// N is the number of replicas in the deployment.
+	// N is the number of replicas in the deployment; a target needs f+1
+	// byte-identical offers, f = (N-1)/3.
 	N int
-	// Attest is how many byte-identical offers make a target trustworthy;
-	// use quorum f+1 (at least one honest attester).
-	Attest int
 	// OfferWait is how long a probe gathers offers (default 400ms).
 	OfferWait time.Duration
 	// RetryInterval separates sync passes while the replica knows it is
@@ -96,13 +89,6 @@ type Config struct {
 	// caught up, so silent lag is eventually noticed without any trigger
 	// (default 10s; negative disables).
 	SteadyProbe time.Duration
-	// AttestScheme, when set, enables checkpoint-boundary attestation
-	// (attest.go): the manager exchanges threshold shares over each local
-	// snapshot's boundary digest, attaches the formed aggregate to its
-	// offers, and accepts a single aggregate-verified offer as a fetch
-	// target when no byte-identical f+1 group forms. Nil disables both
-	// sides.
-	AttestScheme *crypto.ThresholdScheme
 	// Flight, when set, receives sync-phase transitions and refusal causes
 	// as structured events (nil disables recording).
 	Flight *flight.Recorder
@@ -137,10 +123,10 @@ func (c *Config) defaults() {
 	if c.SteadyProbe == 0 {
 		c.SteadyProbe = 10 * time.Second
 	}
-	if c.Attest <= 0 {
-		c.Attest = 1
-	}
 }
+
+// quorum is f+1: that many byte-identical offers include an honest one.
+func (c *Config) quorum() int { return (c.N-1)/3 + 1 }
 
 // Host is the set of callbacks the hosting runtime provides. Send,
 // Snapshot, and Ledger must be safe for concurrent use (the transport and
@@ -189,7 +175,7 @@ type Result struct {
 type Stats struct {
 	Probes         uint64 // probe broadcasts sent
 	OffersServed   uint64 // StateOffers answered to peers
-	OffersRejected uint64 // offers discarded for failing f+1 attestation
+	OffersRejected uint64 // offers no f+1 byte-identical group vouched for
 	ChunksServed   uint64 // snapshot chunks served
 	RangesServed   uint64 // block ranges served
 	ChunksFetched  uint64 // chunks accepted from peers
@@ -203,11 +189,7 @@ type Stats struct {
 	InstallFailed  uint64 // installs that errored
 	TransferNanos  uint64 // wall time spent in successful transfers
 	InstalledSnaps uint64 // installs that included a snapshot (vs range-only)
-	// Checkpoint-boundary attestation counters (attest.go).
-	AttestationsFormed uint64 // f+1-share aggregates formed over local checkpoints
-	AttSharesRejected  uint64 // peer shares refused (bad share or digest mismatch)
-	AttOffersRejected  uint64 // offers whose aggregate failed verification
-	AttestedTargets    uint64 // fetch targets chosen via the attested-offer path
+	CkptTargets    uint64 // fetch targets that reach a checkpoint, not a live head
 	// RejectCauses counts refusals by flight.Reject code (index = code), so
 	// "why did this transfer stall" is answerable from /metrics without
 	// correlating log lines: no_quorum vs truncated_chunk vs digest_mismatch
@@ -256,26 +238,24 @@ type Manager struct {
 	// so pointer identity is the generation key).
 	offerSnap *store.Snapshot
 	offerHash types.Digest
-	// Checkpoint-boundary attestation state (attest.go), all under mu:
-	// share accumulators for checkpoints this replica took, early shares
-	// for checkpoints it has not reached, and the newest formed aggregate.
-	attLocals  map[uint64]*attLocal
-	attPending map[uint64]map[uint32]pendingShare
-	attDone    *attDone
+
+	// ckptHeight/ckptSyncPoint are the machine's boundary frontier at the
+	// latest local snapshot (RecordCheckpoint). Only the event loop touches
+	// them.
+	ckptHeight    uint64
+	ckptSyncPoint []byte
 }
 
 // New creates a Manager; Start launches its goroutines.
 func New(cfg Config, host Host) *Manager {
 	cfg.defaults()
 	return &Manager{
-		cfg:        cfg,
-		host:       host,
-		serveQ:     make(chan serveReq, 64),
-		fetchQ:     make(chan inMsg, 128),
-		kickQ:      make(chan struct{}, 1),
-		done:       make(chan struct{}),
-		attLocals:  make(map[uint64]*attLocal),
-		attPending: make(map[uint64]map[uint32]pendingShare),
+		cfg:    cfg,
+		host:   host,
+		serveQ: make(chan serveReq, 64),
+		fetchQ: make(chan inMsg, 128),
+		kickQ:  make(chan struct{}, 1),
+		done:   make(chan struct{}),
 	}
 }
 
@@ -361,8 +341,7 @@ func (m *Manager) logf(format string, args ...any) {
 func (m *Manager) HandleMessage(from types.ReplicaID, isClient bool, msg types.Message) bool {
 	switch msg.(type) {
 	case *types.SnapshotRequest, *types.BlockRangeRequest,
-		*types.StateOffer, *types.SnapshotChunk, *types.BlockRange,
-		*types.CheckpointAttest:
+		*types.StateOffer, *types.SnapshotChunk, *types.BlockRange:
 	default:
 		return false
 	}
@@ -384,14 +363,6 @@ func (m *Manager) HandleMessage(from types.ReplicaID, isClient bool, msg types.M
 		case m.serveQ <- serveReq{from: from, msg: msg}:
 		default:
 		}
-	case *types.CheckpointAttest:
-		// Share verification is HMAC work — keep it off the event loop. A
-		// full queue drops the share; the sender's boundary simply counts
-		// one attester fewer here.
-		select {
-		case m.serveQ <- serveReq{fn: func() { m.handleAttestShare(from, v) }}:
-		default:
-		}
 	default: // StateOffer, SnapshotChunk, BlockRange
 		select {
 		case m.fetchQ <- inMsg{from, msg}:
@@ -399,6 +370,14 @@ func (m *Manager) HandleMessage(from types.ReplicaID, isClient bool, msg types.M
 		}
 	}
 	return true
+}
+
+// RecordCheckpoint notes the machine frontier bsp serialized at the
+// delivery boundary of the snapshot just taken at height; offers carry it
+// while that snapshot is the latest. Runs on the event loop (runtime
+// saveSnapshot); bsp must not change afterwards.
+func (m *Manager) RecordCheckpoint(height uint64, bsp []byte) {
+	m.ckptHeight, m.ckptSyncPoint = height, bsp
 }
 
 // serveOffer answers a probe. The tuple is ASSEMBLED on the event loop —
@@ -434,15 +413,13 @@ func (m *Manager) serveOffer(to types.ReplicaID) {
 		offer.SnapHeadHash = snap.HeadHash
 		offer.SnapStateDigest = snap.StateDigest
 		offer.TxnCount = snap.TxnCount
+		if snap.Height == m.ckptHeight {
+			offer.SnapSyncPoint = m.ckptSyncPoint
+		}
 	}
 	task := serveReq{fn: func() {
 		if snap != nil {
 			offer.SnapAppHash = m.snapHash(snap)
-			// Attach the boundary attestation only when it covers exactly
-			// this snapshot generation — serveChunk can serve no other.
-			if bsp, att := m.attestationFor(snap); att != nil {
-				offer.AttSyncPoint, offer.Att = bsp, att
-			}
 		}
 		m.bump(func(s *Stats) { s.OffersServed++ })
 		m.host.Send(to, offer)
@@ -635,7 +612,7 @@ func (m *Manager) syncPass() (bool, error) {
 		// existed, that silence is positive evidence the replica IS the
 		// head — mark it synced so readiness does not hang on a fresh or
 		// idle cluster that never needed a transfer.
-		if info.responses >= m.cfg.Attest {
+		if info.responses >= m.cfg.quorum() {
 			m.synced.Store(true)
 			m.setPhase(flight.PhaseSynced, m.host.Ledger().Height())
 		}
@@ -696,10 +673,11 @@ func (m *Manager) syncPass() (bool, error) {
 	return true, nil
 }
 
-// offerKey is the attestation identity of an offer: every field a transfer
-// will be verified against. Offers agree only if they are byte-identical
-// in all of them.
-type offerKey struct {
+// ckptKey is the checkpoint identity of an offer: every snapshot field a
+// transfer is verified against, plus the boundary frontier the fetcher
+// installs with it. Every correct replica that checkpointed a height
+// serializes the same ckptKey, whatever its live head.
+type ckptKey struct {
 	snapHeight      uint64
 	snapSize        uint64
 	chunkBytes      uint32
@@ -707,20 +685,21 @@ type offerKey struct {
 	snapHeadHash    types.Digest
 	snapStateDigest types.Digest
 	txnCount        uint64
-	height          uint64
-	headHash        types.Digest
-	syncPoint       string
+	snapSyncPoint   string
 }
 
-// keyOf deliberately EXCLUDES AttSyncPoint and Att: two honest replicas
-// combine their aggregates from whichever f+1 shares reached them first, so
-// those bytes legitimately differ even when every attested field agrees —
-// folding them in would dissolve every byte-identical group the moment
-// attestation is enabled. They do not need identity protection here: the
-// legacy path never reads them, and the fallback path verifies each offer's
-// aggregate cryptographically on its own.
-func keyOf(o *types.StateOffer) offerKey {
-	return offerKey{
+// offerKey is the full identity of an offer: the checkpoint plus the live
+// head and frontier. Offers agree only if they are byte-identical in all of
+// it.
+type offerKey struct {
+	ckptKey
+	height    uint64
+	headHash  types.Digest
+	syncPoint string
+}
+
+func ckptKeyOf(o *types.StateOffer) ckptKey {
+	return ckptKey{
 		snapHeight:      o.SnapHeight,
 		snapSize:        o.SnapSize,
 		chunkBytes:      o.ChunkBytes,
@@ -728,9 +707,16 @@ func keyOf(o *types.StateOffer) offerKey {
 		snapHeadHash:    o.SnapHeadHash,
 		snapStateDigest: o.SnapStateDigest,
 		txnCount:        o.TxnCount,
-		height:          o.Height,
-		headHash:        o.HeadHash,
-		syncPoint:       string(o.SyncPoint),
+		snapSyncPoint:   string(o.SnapSyncPoint),
+	}
+}
+
+func keyOf(o *types.StateOffer) offerKey {
+	return offerKey{
+		ckptKey:   ckptKeyOf(o),
+		height:    o.Height,
+		headHash:  o.HeadHash,
+		syncPoint: string(o.SyncPoint),
 	}
 }
 
@@ -742,8 +728,9 @@ type probeInfo struct {
 }
 
 // probe broadcasts a probe and gathers offers for OfferWait; it returns the
-// highest target attested by Config.Attest byte-identical offers, plus the
-// replicas that attested it in ascending ID order.
+// highest target that f+1 byte-identical offers vouch for, plus the replicas
+// that sent them in ascending ID order. A live head is preferred; failing
+// that, the highest checkpoint above the local height.
 func (m *Manager) probe() (*types.StateOffer, []types.ReplicaID, probeInfo) {
 	local := m.host.Ledger().Height()
 	m.drain()
@@ -775,25 +762,32 @@ gather:
 	}
 
 	info := probeInfo{responses: len(offers)}
-	groups := make(map[offerKey][]types.ReplicaID)
-	for from, o := range offers {
+	for _, o := range offers {
 		if o.Height > local {
 			info.sawHigher = true
 		}
-		groups[keyOf(o)] = append(groups[keyOf(o)], from)
 	}
-	var best *types.StateOffer
-	var bestSrc []types.ReplicaID
-	rejected := 0
-	for k, members := range groups {
-		if len(members) < m.cfg.Attest {
-			rejected += len(members)
-			continue
-		}
-		if best == nil || k.height > best.Height {
-			best = offers[members[0]]
-			bestSrc = members
-		}
+	q := m.cfg.quorum()
+	var target *types.StateOffer
+	src, rejected := bestGroup(offers, q, func(o *types.StateOffer) (offerKey, uint64, bool) {
+		return keyOf(o), o.Height, true
+	})
+	if src != nil {
+		target = offers[src[0]]
+	} else if ckSrc, ckRejected := bestGroup(offers, q, func(o *types.StateOffer) (ckptKey, uint64, bool) {
+		return ckptKeyOf(o), o.SnapHeight, o.SnapHeight > local && len(o.SnapSyncPoint) > 0
+	}); ckSrc != nil {
+		// No live head has f+1 offers, but a checkpoint does. The target
+		// reaches the checkpoint: the range fetch is empty and the boundary
+		// frontier stands in for the live one.
+		src, rejected = ckSrc, ckRejected
+		t := *offers[src[0]]
+		t.Height = t.SnapHeight
+		t.HeadHash = t.SnapHeadHash
+		t.SyncPoint = t.SnapSyncPoint
+		target = &t
+		m.bump(func(s *Stats) { s.CkptTargets++ })
+		m.emit(flight.KCkptTarget, t.SnapHeight, uint64(len(src)))
 	}
 	if rejected > 0 {
 		m.bump(func(s *Stats) {
@@ -802,23 +796,39 @@ gather:
 		})
 		m.emit(flight.KOfferReject, uint64(rejected), uint64(flight.RejectNoQuorum))
 	}
-	if best == nil {
-		// No byte-identical group — the cluster is deciding and the live
-		// heads disagree. Fall back to the best checkpoint-boundary
-		// attested offer: its aggregate proves f+1 replicas signed exactly
-		// these snapshot fields, so one offer suffices as a target. The
-		// synthetic target reaches the checkpoint, not the head; the pass
-		// installs it and in-protocol catch-up bridges the rest.
-		if t, srcs := m.attestedTarget(offers, local); t != nil {
-			info.attested = true
-			slices.Sort(srcs)
-			return t, srcs, info
-		}
+	if target == nil {
 		return nil, nil, info
 	}
 	info.attested = true
-	slices.Sort(bestSrc)
-	return best, bestSrc, info
+	slices.Sort(src)
+	return target, src, info
+}
+
+// bestGroup groups the offers key accepts by the key it returns and picks
+// the group of at least q members with the greatest height. It returns that
+// group's members and how many grouped offers sat in groups below q.
+func bestGroup[K comparable](offers map[types.ReplicaID]*types.StateOffer, q int,
+	key func(*types.StateOffer) (K, uint64, bool)) ([]types.ReplicaID, int) {
+	groups := make(map[K][]types.ReplicaID)
+	heights := make(map[K]uint64)
+	for from, o := range offers {
+		if k, h, ok := key(o); ok {
+			groups[k] = append(groups[k], from)
+			heights[k] = h
+		}
+	}
+	var best []types.ReplicaID
+	var bestHeight uint64
+	rejected := 0
+	for k, members := range groups {
+		switch {
+		case len(members) < q:
+			rejected += len(members)
+		case best == nil || heights[k] > bestHeight:
+			best, bestHeight = members, heights[k]
+		}
+	}
+	return best, rejected
 }
 
 // drain discards stale responses from a previous pass.

@@ -1,10 +1,12 @@
 package statesync
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/ledger"
+	"repro/internal/obs/flight"
 	"repro/internal/types"
 )
 
@@ -32,11 +34,11 @@ func encodeRange(lg *ledger.Ledger, from, to uint64) [][]byte {
 // newFetcher builds a Manager whose Send is answered synchronously by
 // respond (per-destination): the reply, if any, is injected back through
 // HandleMessage exactly as the event loop would.
-func newFetcher(t *testing.T, attest int, respond func(to types.ReplicaID, m types.Message) types.Message) *Manager {
+func newFetcher(t *testing.T, respond func(to types.ReplicaID, m types.Message) types.Message) *Manager {
 	t.Helper()
 	var m *Manager
 	m = New(Config{
-		Self: 3, N: 4, Attest: attest,
+		Self: 3, N: 4,
 		requestTimeout: 50 * time.Millisecond,
 		OfferWait:      30 * time.Millisecond,
 	}, Host{
@@ -90,7 +92,7 @@ func TestFetchSnapshotRefusesTruncatedChunk(t *testing.T) {
 		}
 		return data
 	})
-	m := newFetcher(t, 1, func(to types.ReplicaID, msg types.Message) types.Message {
+	m := newFetcher(t, func(to types.ReplicaID, msg types.Message) types.Message {
 		if to == 0 {
 			return truncating(msg)
 		}
@@ -109,7 +111,7 @@ func TestFetchSnapshotRefusesTruncatedChunk(t *testing.T) {
 	}
 
 	// With ONLY the truncating source, the fetch must fail outright.
-	m2 := newFetcher(t, 1, func(to types.ReplicaID, msg types.Message) types.Message { return truncating(msg) })
+	m2 := newFetcher(t, func(to types.ReplicaID, msg types.Message) types.Message { return truncating(msg) })
 	if _, err := m2.fetchSnapshot(snapOffer(state, cb), []types.ReplicaID{0}); err == nil {
 		t.Fatal("truncated-only source produced a snapshot")
 	}
@@ -127,7 +129,7 @@ func TestFetchSnapshotRefusesBitFlippedChunk(t *testing.T) {
 		}
 		return data
 	})
-	m := newFetcher(t, 1, func(to types.ReplicaID, msg types.Message) types.Message { return flipping(msg) })
+	m := newFetcher(t, func(to types.ReplicaID, msg types.Message) types.Message { return flipping(msg) })
 	if _, err := m.fetchSnapshot(snapOffer(state, cb), []types.ReplicaID{0}); err == nil {
 		t.Fatal("bit-flipped snapshot passed the attested digest")
 	}
@@ -158,7 +160,7 @@ func TestFetchRangeRefusesWrongHeightAndForgedChains(t *testing.T) {
 
 	// Wrong-height server (serves heights shifted by 2 under the requested
 	// labels) is refused by the chain-link check; honest server completes.
-	m := newFetcher(t, 1, func(to types.ReplicaID, msg types.Message) types.Message {
+	m := newFetcher(t, func(to types.ReplicaID, msg types.Message) types.Message {
 		if to == 0 {
 			return rangeServer(0, honestChain, 2)(msg)
 		}
@@ -177,7 +179,7 @@ func TestFetchRangeRefusesWrongHeightAndForgedChains(t *testing.T) {
 
 	// A consistent forgery (a whole substitute chain) survives the
 	// internal link check but cannot reach the attested head hash.
-	m2 := newFetcher(t, 1, func(to types.ReplicaID, msg types.Message) types.Message {
+	m2 := newFetcher(t, func(to types.ReplicaID, msg types.Message) types.Message {
 		return rangeServer(0, forgedChain, 0)(msg)
 	})
 	if _, err := m2.fetchRange(0, 10, types.ZeroDigest, head, []types.ReplicaID{0}); err == nil {
@@ -185,7 +187,7 @@ func TestFetchRangeRefusesWrongHeightAndForgedChains(t *testing.T) {
 	}
 
 	// A forged block in the middle of an honest prefix breaks the link.
-	m3 := newFetcher(t, 1, func(to types.ReplicaID, msg types.Message) types.Message {
+	m3 := newFetcher(t, func(to types.ReplicaID, msg types.Message) types.Message {
 		req, ok := msg.(*types.BlockRangeRequest)
 		if !ok {
 			return nil
@@ -201,42 +203,126 @@ func TestFetchRangeRefusesWrongHeightAndForgedChains(t *testing.T) {
 	}
 }
 
-func TestProbeRequiresAttestation(t *testing.T) {
-	state := []byte("app state")
-	mkOffer := func(id types.ReplicaID, height uint64) *types.StateOffer {
-		o := snapOffer(state, 1024)
-		o.Replica = id
-		o.Height = height
-		o.HeadHash = types.Hash([]byte{byte(height)})
-		o.SyncPoint = []byte{1}
-		return o
-	}
-	// Disagreeing offers with Attest=2: no trustworthy target.
-	m := newFetcher(t, 2, func(to types.ReplicaID, msg types.Message) types.Message {
+// probeWith runs one probe on a fetcher at N = 4 (f+1 = 2) whose peers
+// answer with offer(peer), nil for silence.
+func probeWith(t *testing.T, offer func(types.ReplicaID) *types.StateOffer) (*Manager, *types.StateOffer, []types.ReplicaID, probeInfo) {
+	t.Helper()
+	m := newFetcher(t, func(to types.ReplicaID, msg types.Message) types.Message {
 		if req, ok := msg.(*types.SnapshotRequest); ok && req.IsProbe() {
-			return mkOffer(to, uint64(10+to)) // every peer claims a different head
+			if o := offer(to); o != nil {
+				return o
+			}
 		}
 		return nil
 	})
-	if _, _, info := m.probe(); info.attested || !info.sawHigher {
+	target, sources, info := m.probe()
+	return m, target, sources, info
+}
+
+// liveOffer is an offer of peer id with a snapshot at height 8 (boundary
+// frontier {8}) and a live head at height.
+func liveOffer(id types.ReplicaID, height uint64) *types.StateOffer {
+	o := snapOffer([]byte("app state"), 1024)
+	o.Replica = id
+	o.SnapHeadHash = types.Hash([]byte("block 7"))
+	o.SnapSyncPoint = []byte{8}
+	o.Height = height
+	o.HeadHash = types.Hash([]byte{byte(height)})
+	o.SyncPoint = []byte{byte(height)}
+	return o
+}
+
+func TestProbeRequiresAttestation(t *testing.T) {
+	// Every peer claims a different head and no checkpoint: no target.
+	_, _, _, info := probeWith(t, func(id types.ReplicaID) *types.StateOffer {
+		o := liveOffer(id, uint64(10+id))
+		o.SnapHeight, o.SnapSyncPoint = 0, nil
+		return o
+	})
+	if info.attested || !info.sawHigher {
 		t.Fatal("disagreeing offers produced an attested target")
 	}
-	// Two identical offers: attested.
-	m2 := newFetcher(t, 2, func(to types.ReplicaID, msg types.Message) types.Message {
-		if req, ok := msg.(*types.SnapshotRequest); ok && req.IsProbe() {
-			if to == 2 {
-				return mkOffer(to, 99) // lone dissenter
-			}
-			return mkOffer(to, 12)
+
+	// Two identical offers: their live head is the target.
+	_, target, sources, info := probeWith(t, func(id types.ReplicaID) *types.StateOffer {
+		if id == 2 {
+			return liveOffer(id, 99) // lone dissenter
 		}
-		return nil
+		return liveOffer(id, 12)
 	})
-	target, sources, info2 := m2.probe()
-	if !info2.attested {
-		t.Fatal("identical offers did not attest")
+	if !info.attested || target.Height != 12 || len(sources) != 2 {
+		t.Fatalf("target %v from %v, want head 12 from 2 peers", target, sources)
 	}
-	if target.Height != 12 || len(sources) != 2 {
-		t.Fatalf("attested target %d from %v, want 12 from 2 peers", target.Height, sources)
+
+	// Two identical checkpoints whose live heads disagree, the load case:
+	// the target is the checkpoint, with its boundary frontier.
+	m, target, sources, info := probeWith(t, func(id types.ReplicaID) *types.StateOffer {
+		return liveOffer(id, uint64(10+id))
+	})
+	if !info.attested || len(sources) != 3 {
+		t.Fatalf("no checkpoint target from three identical checkpoints (sources %v)", sources)
+	}
+	if target.Height != 8 || target.HeadHash != target.SnapHeadHash || string(target.SyncPoint) != "\x08" {
+		t.Fatalf("checkpoint target reaches height %d with frontier %v, want 8 with the boundary frontier", target.Height, target.SyncPoint)
+	}
+	if st := m.Stats(); st.CkptTargets != 1 {
+		t.Fatalf("checkpoint target not counted: %+v", st)
+	}
+
+	// A lone checkpoint offer is no target.
+	_, _, _, info = probeWith(t, func(id types.ReplicaID) *types.StateOffer {
+		if id != 0 {
+			return nil
+		}
+		return liveOffer(id, 12)
+	})
+	if info.attested {
+		t.Fatal("a single checkpoint offer produced a target")
+	}
+}
+
+// TestProbeRefusesLyingCheckpointOffer: at N = 4 one replica serves a
+// fabricated checkpoint (a higher snapshot no other replica holds) while the
+// two honest ones agree on theirs and are under load, so their live heads
+// differ. The fetcher must target the honest checkpoint, never fetch from
+// the liar, and count its offer under RejectNoQuorum.
+func TestProbeRefusesLyingCheckpointOffer(t *testing.T) {
+	lie := func() *types.StateOffer {
+		o := liveOffer(0, 60)
+		o.SnapHeight = 50
+		o.SnapAppHash = types.Hash([]byte("fabricated state"))
+		o.SnapHeadHash = types.Hash([]byte("fabricated block 49"))
+		o.SnapSyncPoint = []byte{50}
+		return o
+	}
+	m, target, sources, info := probeWith(t, func(id types.ReplicaID) *types.StateOffer {
+		if id == 0 {
+			return lie()
+		}
+		return liveOffer(id, uint64(20+id))
+	})
+	if !info.attested || target.SnapHeight != 8 || !slices.Equal(sources, []types.ReplicaID{1, 2}) {
+		t.Fatalf("target snapshot %v from %v, want the honest checkpoint at 8 from [1 2]", target, sources)
+	}
+	if got := m.Stats().RejectCauses[flight.RejectNoQuorum]; got != 1 {
+		t.Fatalf("RejectNoQuorum = %d, want 1 (the liar's offer)", got)
+	}
+
+	// The liar alone, or with honest peers that hold no checkpoint: no
+	// target, and its offer is refused.
+	m, _, _, info = probeWith(t, func(id types.ReplicaID) *types.StateOffer {
+		if id == 0 {
+			return lie()
+		}
+		o := liveOffer(id, uint64(20+id))
+		o.SnapHeight, o.SnapSyncPoint = 0, nil
+		return o
+	})
+	if info.attested {
+		t.Fatal("the fabricated checkpoint became a target")
+	}
+	if m.Stats().RejectCauses[flight.RejectNoQuorum] == 0 {
+		t.Fatal("the fabricated checkpoint was not counted under RejectNoQuorum")
 	}
 }
 

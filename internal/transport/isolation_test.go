@@ -330,20 +330,19 @@ func TestTCPClientDisconnectUnregisters(t *testing.T) {
 
 // TestTCPRefusesWireVersionMismatch: a peer announcing a different framing
 // version must be cut off at the handshake — inbound (we read its header)
-// and outbound (we read the header it sends back). The peer speaks v11,
-// whose header carries no salt and whose MAC frame tags are HMACs over the
-// frame digest rather than this v12 build's stream tags, so every frame it
-// sent would read as a forgery and count toward demoting a link that is
-// merely old. Its header is this build's up to the salt, so the reader must
-// refuse it from the version alone, not wait for salt bytes that never come.
+// and outbound (we read the header it sends back). The peer speaks v12,
+// whose STATE-OFFER lays out its fields differently and whose catalog still
+// holds CHECKPOINT-ATTEST, so its state-transfer records would decode as
+// garbage or be refused. Its header is this build's except for the
+// version, so the reader must refuse it from the version alone.
 func TestTCPRefusesWireVersionMismatch(t *testing.T) {
-	const v11 = 11
-	if WireVersion != 12 {
+	const v12 = 12
+	if WireVersion != 13 {
 		t.Fatalf("WireVersion %d: move this test to the new previous version", WireVersion)
 	}
-	v11Header := func(isClient bool, r types.ReplicaID, c types.ClientID) []byte {
-		hdr := appendHeader(nil, isClient, r, c, [saltLen]byte{})[:wirePrefixLen]
-		binary.BigEndian.PutUint16(hdr[4:6], v11)
+	v12Header := func(isClient bool, r types.ReplicaID, c types.ClientID) []byte {
+		hdr := appendHeader(nil, isClient, r, c, [saltLen]byte{})
+		binary.BigEndian.PutUint16(hdr[4:6], v12)
 		return hdr
 	}
 	srvSink := newSink()
@@ -353,13 +352,13 @@ func TestTCPRefusesWireVersionMismatch(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// Inbound: dial raw, claim v11, then try to push a frame.
+	// Inbound: dial raw, claim v12, then try to push a frame.
 	raw, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	if _, err := raw.Write(v11Header(false, 3, 0)); err != nil {
+	if _, err := raw.Write(v12Header(false, 3, 0)); err != nil {
 		t.Fatal(err)
 	}
 	waitCond(t, 5*time.Second, func() bool { return srv.Stats().BadHeader == 1 })
@@ -372,7 +371,7 @@ func TestTCPRefusesWireVersionMismatch(t *testing.T) {
 		t.Fatal("message from a version-mismatched peer was delivered")
 	}
 
-	// Outbound: an older replica answers this client with a v11 header; the
+	// Outbound: an older replica answers this client with a v12 header; the
 	// client must refuse the stream rather than trust its replies.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -385,7 +384,7 @@ func TestTCPRefusesWireVersionMismatch(t *testing.T) {
 			return
 		}
 		io.ReadFull(c, make([]byte, wireHeaderLen)) // swallow the client's header
-		c.Write(v11Header(false, 0, 0))
+		c.Write(v12Header(false, 0, 0))
 	}()
 	cliSink := newSink()
 	cli, err := NewTCP(TCPConfig{

@@ -1,6 +1,9 @@
 package transport
 
-// Wire format v12 (v12: the stream header carries a 16-byte salt, and a MAC
+// Wire format v13 (v13: STATE-OFFER carries the snapshot's boundary
+// frontier after TxnCount instead of a threshold attestation after the live
+// frontier, and CHECKPOINT-ATTEST left the catalog; v12: the stream header
+// carries a 16-byte salt, and a MAC
 // link's frame tag is an AES-256-GCM record MAC under a per-stream key with
 // the frame's index as its nonce, instead of an HMAC over the frame digest;
 // v11: a frame's tag covers the domain-separated digest
@@ -87,7 +90,7 @@ import (
 // announcing any other version are refused at the handshake. types.MsgType
 // values are positional, so a change to the catalog bumps it too, and so
 // does a change to what replicas must agree on in replies (ResultHash).
-const WireVersion = 12
+const WireVersion = 13
 
 var wireMagic = [4]byte{'R', 'C', 'C', 'B'}
 

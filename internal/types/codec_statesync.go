@@ -52,11 +52,10 @@ func init() {
 			buf = append(buf, v.SnapHeadHash[:]...)
 			buf = append(buf, v.SnapStateDigest[:]...)
 			buf = appendU64(buf, v.TxnCount)
+			buf = appendBlob(buf, v.SnapSyncPoint)
 			buf = appendU64(buf, v.Height)
 			buf = append(buf, v.HeadHash[:]...)
-			buf = appendBlob(buf, v.SyncPoint)
-			buf = appendBlob(buf, v.AttSyncPoint)
-			return appendBlob(buf, v.Att)
+			return appendBlob(buf, v.SyncPoint)
 		},
 		func(r *Reader) Message {
 			return &StateOffer{
@@ -69,11 +68,10 @@ func init() {
 				SnapHeadHash:    r.Digest(),
 				SnapStateDigest: r.Digest(),
 				TxnCount:        r.U64(),
+				SnapSyncPoint:   r.Blob(),
 				Height:          r.U64(),
 				HeadHash:        r.Digest(),
 				SyncPoint:       r.Blob(),
-				AttSyncPoint:    r.Blob(),
-				Att:             r.Blob(),
 			}
 		})
 
@@ -129,25 +127,6 @@ func init() {
 				Replica: ReplicaID(r.U16()),
 				From:    r.U64(),
 				To:      r.U64(),
-			}
-		})
-
-	registerCodec(MsgCheckpointAttest,
-		func(buf []byte, m Message) []byte {
-			v := m.(*CheckpointAttest)
-			buf = appendU16(buf, uint16(v.Inst))
-			buf = appendU16(buf, uint16(v.Replica))
-			buf = appendU64(buf, v.Height)
-			buf = append(buf, v.Digest[:]...)
-			return appendBlob(buf, v.Share)
-		},
-		func(r *Reader) Message {
-			return &CheckpointAttest{
-				Header:  Header{Inst: InstanceID(r.U16())},
-				Replica: ReplicaID(r.U16()),
-				Height:  r.U64(),
-				Digest:  r.Digest(),
-				Share:   r.Blob(),
 			}
 		})
 

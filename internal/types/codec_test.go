@@ -46,9 +46,7 @@ func codecCorpus() []Message {
 		&Stop{Header: Header{Inst: CoordInstance(3)}, Target: 3, Evidence: []*Failure{fail1, fail2}},
 		&StateOffer{Header: Header{Inst: 0}, Replica: 1, SnapHeight: 64, SnapSize: 4096,
 			ChunkBytes: 1024, SnapAppHash: d1, SnapHeadHash: d2, SnapStateDigest: d3,
-			TxnCount: 640, Height: 70, HeadHash: d1, SyncPoint: []byte{1, 2, 3, 4},
-			AttSyncPoint: []byte{5, 6, 7}, Att: []byte{8, 9}},
-		&CheckpointAttest{Header: Header{Inst: 0}, Replica: 1, Height: 64, Digest: d2, Share: []byte{1, 2, 3}},
+			TxnCount: 640, SnapSyncPoint: []byte{5, 6, 7}, Height: 70, HeadHash: d1, SyncPoint: []byte{1, 2, 3, 4}},
 		&SnapshotRequest{Header: Header{Inst: 0}, Replica: 1, Height: 64, Chunk: 3},
 		&SnapshotRequest{Header: Header{Inst: 0}, Replica: 1, Chunk: NoChunk}, // probe
 		&SnapshotChunk{Header: Header{Inst: 0}, Replica: 1, Height: 64, Chunk: 3, Of: 4, Data: []byte("chunk bytes")},

@@ -16,8 +16,9 @@ import (
 // value. Seeds: every message of the round-trip corpus and each of its
 // truncations, client requests of one transaction and at the cap, requests
 // claiming zero or more transactions than they carry, a 100-txn proposal
-// with empty ops, whole and with one op length forged, and each wire-v5,
-// wire-v6 or wire-v8 record of a removed message type with each of its
+// with empty ops, whole and with one op length forged, each wire-v5,
+// wire-v6 or wire-v8 record of a removed message type, and each wire-v12
+// record of a type v13 removed or re-laid-out, with each of its
 // truncations.
 //
 //	go test -run '^$' -fuzz FuzzDecodeMessage -fuzztime 20s ./internal/types
@@ -57,7 +58,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		f.Fatal("proposal with a forged op length decoded")
 	}
 	f.Add(forged)
-	for _, h := range slices.Concat(removedV5Records, removedV6Records, removedV8Records) {
+	for _, h := range slices.Concat(removedV5Records, removedV6Records, removedV8Records, v12Records) {
 		enc, err := hex.DecodeString(h)
 		if err != nil {
 			f.Fatal(err)
@@ -122,4 +123,13 @@ var removedV6Records = []string{
 var removedV8Records = []string{
 	"0c00000001000000000000000500020000000000000007",
 	"0d00000001000000000000000500000003000000010003000000000000000c",
+}
+
+// v12Records are records a wire-v12 build encoded for what v13 changed: a
+// STATE-OFFER in v12's field order, carrying a threshold attestation after
+// the live frontier, and CHECKPOINT-ATTEST, which v13 removed (its type
+// byte 0x11 lies past the catalog).
+var v12Records = []string{
+	"0c0000000100000000000000400000000000001000000004008b53639f152c8fc6ef30802fde462ba0be9cf085f7580dc69efd72e002abbb35e788103ee15318fcd2af9b73b4ebbb33a903b020de7b307d71f5fed0f433e548f451a61749c611ba0fa0e16c61831db44f38c611dff25879cf271a24c81a88b6000000000000028000000000000000468b53639f152c8fc6ef30802fde462ba0be9cf085f7580dc69efd72e002abbb35000000040102030400000003050607000000020809",
+	"11000000010000000000000040e788103ee15318fcd2af9b73b4ebbb33a903b020de7b307d71f5fed0f433e54800000003010203",
 }

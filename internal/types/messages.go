@@ -35,10 +35,6 @@ const (
 	MsgSnapshotChunk
 	MsgBlockRangeRequest
 	MsgBlockRange
-	// MsgCheckpointAttest carries one replica's threshold-signature share
-	// over a checkpoint-boundary attestation digest; f+1 matching shares
-	// combine into the aggregate attestation offers carry.
-	MsgCheckpointAttest
 
 	msgTypeEnd // one past the last message type
 )
@@ -62,7 +58,6 @@ var msgTypeNames = map[MsgType]string{
 	MsgSnapshotChunk:     "SNAPSHOT-CHUNK",
 	MsgBlockRangeRequest: "BLOCK-RANGE-REQUEST",
 	MsgBlockRange:        "BLOCK-RANGE",
-	MsgCheckpointAttest:  "CHECKPOINT-ATTEST",
 }
 
 func (t MsgType) String() string {

@@ -13,9 +13,11 @@ const NoChunk = uint32(0xFFFFFFFF)
 
 // StateOffer advertises the durable state a replica can serve: its latest
 // application snapshot (identified by content digests so the fetcher can
-// verify what it receives) and its current ledger head. A fetcher trusts an
-// offer tuple only once f+1 distinct replicas advertise byte-identical
-// contents — at least one of them is honest, so the digests inside are real.
+// verify what it receives) and its current ledger head. A fetcher trusts a
+// live head only once f+1 distinct replicas advertise byte-identical offers,
+// and a checkpoint once f+1 advertise byte-identical snapshot fields and
+// SnapSyncPoint — at least one of them is honest, so the digests inside are
+// real.
 type StateOffer struct {
 	Header
 	Replica ReplicaID
@@ -41,6 +43,13 @@ type StateOffer struct {
 	// SnapHeight (restarted replicas must resume the executed counter to
 	// keep client replies identical to peers').
 	TxnCount uint64
+	// SnapSyncPoint is the consensus machine's frontier serialized at the
+	// snapshot's delivery boundary (sm.BoundarySyncable); empty when the
+	// machine cannot serialize one. It is a pure function of the delivery
+	// prefix, so correct replicas that checkpointed SnapHeight send
+	// identical bytes even while their live heads differ, and f+1
+	// identical checkpoint fields make the snapshot a target under load.
+	SnapSyncPoint []byte
 	// Height and HeadHash name the sender's current ledger head; blocks
 	// [SnapHeight, Height) are fetchable as ranges.
 	Height   uint64
@@ -50,22 +59,11 @@ type StateOffer struct {
 	// it lets the fetcher's machine rejoin at the head instead of waiting
 	// on rounds that were decided while it was gone.
 	SyncPoint []byte
-	// AttSyncPoint and Att, when non-empty, carry the checkpoint-boundary
-	// attestation of the advertised snapshot: AttSyncPoint is the machine
-	// frontier serialized at the snapshot's delivery boundary
-	// (sm.BoundarySyncable), and Att is a marshaled crypto.Attestation —
-	// f+1 combined threshold shares over the digest binding the Snap*
-	// fields to AttSyncPoint. A fetcher holding the group scheme can trust
-	// this ONE offer without f+1 byte-identical peers, which is what lets a
-	// wiped replica rejoin while the cluster is under load and its live
-	// heads never agree.
-	AttSyncPoint []byte
-	Att          []byte
 }
 
 func (m *StateOffer) Type() MsgType { return MsgStateOffer }
 func (m *StateOffer) WireSize() int {
-	return ConsensusMsgBytes + len(m.SyncPoint) + len(m.AttSyncPoint) + len(m.Att)
+	return ConsensusMsgBytes + len(m.SnapSyncPoint) + len(m.SyncPoint)
 }
 
 // SnapshotRequest asks a peer either for its StateOffer (Chunk == NoChunk, a
@@ -132,20 +130,3 @@ func (m *BlockRange) WireSize() int {
 	}
 	return sz
 }
-
-// CheckpointAttest carries one replica's threshold-signature share over its
-// checkpoint-boundary attestation digest (internal/statesync): Digest binds
-// the snapshot at Height to the machine frontier serialized at the same
-// delivery boundary, and Share is the sender's share over Digest. A replica
-// that gathers f+1 shares whose digests match its own combines them into
-// the aggregate Attestation its StateOffers then carry.
-type CheckpointAttest struct {
-	Header
-	Replica ReplicaID
-	Height  uint64
-	Digest  Digest
-	Share   []byte
-}
-
-func (m *CheckpointAttest) Type() MsgType { return MsgCheckpointAttest }
-func (m *CheckpointAttest) WireSize() int { return ConsensusMsgBytes + len(m.Share) }
