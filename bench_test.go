@@ -564,10 +564,10 @@ func BenchmarkExec(b *testing.B) {
 	}
 
 	run := func(b *testing.B, app exec.Application, batches []*types.Batch) {
-		e := exec.NewEngine(app, nil)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.ExecuteBatch(batches[i%len(batches)], ledger.Proof{Round: types.Round(i + 1)})
+			exec.Apply(app, batches[i%len(batches)].Txns)
+			app.StateDigest()
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(b.N)*execBatch/b.Elapsed().Seconds(), "txn/s")
@@ -692,6 +692,8 @@ func (e *backupEnv) SetTimer(sm.TimerID, time.Duration)       {}
 func (e *backupEnv) CancelTimer(sm.TimerID)                   {}
 func (e *backupEnv) Now() time.Duration                       { return 0 }
 func (e *backupEnv) Suspect(types.InstanceID, types.Round)    {}
+func (e *backupEnv) RequestStateSync()                        {}
+func (e *backupEnv) Checkpoint(bool)                          {}
 func (e *backupEnv) Logf(string, ...any)                      {}
 
 // BenchmarkBackupBatchPath prices a pbft backup's per-transaction work at

@@ -1,5 +1,5 @@
 // Command rccnode runs one replica of a consensus deployment over TCP: the
-// same protocol machines, execution engine, and ledger the tests and
+// same protocol machines, executor, and ledger the tests and
 // benchmarks exercise, wired to real sockets.
 //
 // Example 4-replica RCC deployment on one machine:
@@ -162,7 +162,6 @@ func main() {
 		Params:  params,
 		Machine: machine,
 		App:     ycsb.NewStore(*records),
-		Journal: true,
 		DataDir: *dataDir,
 		Journaling: runtime.JournalOptions{
 			Sync:          durability,

@@ -82,9 +82,10 @@
 // the chain it acknowledges. The TestStateSync*OverTCP tests in
 // internal/runtime drive the whole transfer over real sockets.
 //
-// In-order execution: the execution engine (internal/exec) applies each
-// unified round after unification, in the one deterministic order every
-// replica agrees on (§III), one transaction at a time. ResultHash is one
+// In-order execution: exec.Apply, which the replica runtime calls for each
+// decision, applies each unified round after unification, in the one
+// deterministic order every replica agrees on (§III), one transaction at a
+// time. ResultHash is one
 // SHA-256 over every result in batch order, each as a u32 length and its
 // bytes (since wire v8), so it depends only on the batch and its results and
 // costs one hash per batch; TestGoldenResultHashes pins it.

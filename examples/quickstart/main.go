@@ -19,7 +19,6 @@ func main() {
 	cluster, err := core.NewCluster(core.Options{
 		N:        4,
 		Protocol: core.RCC,
-		Journal:  true,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -366,10 +366,11 @@ func (c *Cluster) StartClients(mon *monitor) {
 			stop := c.stopSub
 			c.clientMu.Unlock()
 			if !stop {
-				// Refill the window from inside the client's own event
-				// loop; Submission is the local bridge for exactly this.
+				// The hook runs on the client's own event loop, and Submit
+				// only queues: the client pumps the window once this
+				// completion returns.
 				h.submitted.Add(1)
-				h.proc.DeliverReplica(types.NoReplica, &client.Submission{Tx: h.wl.Next(id)})
+				h.mach.Submit(h.wl.Next(id))
 			}
 		})
 		for j := 0; j < window; j++ {

@@ -168,7 +168,11 @@ func (c *Client) Submit(tx types.Transaction) { c.queue.push(tx) }
 // SetCompletionHook registers a callback invoked (from the client's event
 // loop) on every completion. Set before Start. A client with a hook keeps
 // no completion list: the hook is the only record, and Completions stays
-// empty.
+// empty. The hook may call Submit to refill a closed loop: Submit only
+// queues, and the client moves queued transactions into flight once the
+// completion returns. It must not wait on the client's own event queue
+// (e.g. through runtime.ClientProc.DeliverReplica), which only the
+// hook's caller drains.
 func (c *Client) SetCompletionHook(f func(Completion)) { c.onComplete = f }
 
 // Completions returns a snapshot of the finished transactions in

@@ -1,7 +1,7 @@
 // Package core is the high-level public API of the RCC reproduction: it
-// assembles complete replicated deployments — consensus machines, execution
-// engine, blockchain ledger, transports, and clients — behind a handful of
-// calls.
+// assembles complete replicated deployments — consensus machines,
+// applications, blockchain ledgers, transports, and clients — behind a
+// handful of calls.
 //
 // Quickstart (see examples/quickstart):
 //
@@ -64,11 +64,9 @@ type Options struct {
 	// App builds the per-replica application; nil selects a fresh YCSB
 	// store with the paper's 500k records.
 	App func() exec.Application
-	// Journal enables the per-replica blockchain ledger.
-	Journal bool
-	// DataDir enables durable storage (implies Journal): replica i
-	// journals its ledger through a write-ahead log under
-	// DataDir/replica-i and restores height and application state from
+	// DataDir enables durable storage: replica i journals its ledger
+	// through a write-ahead log under DataDir/replica-i instead of keeping
+	// it in memory only, and restores height and application state from
 	// there on construction, so a cluster rebuilt on the same DataDir
 	// resumes where the previous one stopped.
 	DataDir string
@@ -173,7 +171,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 			Params:         params,
 			Machine:        m,
 			App:            opts.App(),
-			Journal:        opts.Journal,
 			Journaling:     runtime.JournalOptions{SnapshotEvery: opts.SnapshotEvery},
 			ReplyToClients: true,
 			Metrics:        opts.Metrics,
@@ -232,7 +229,7 @@ func (c *Cluster) Replica(i int) *runtime.Replica { return c.replicas[i] }
 // e.g. cast to *rcc.Replica for Status).
 func (c *Cluster) Machine(i int) sm.Machine { return c.machines[i] }
 
-// Ledger returns replica i's journal (nil unless Options.Journal).
+// Ledger returns replica i's ledger.
 func (c *Cluster) Ledger(i int) *ledger.Ledger { return c.replicas[i].Ledger() }
 
 // Client is a connected cluster client.

@@ -12,7 +12,7 @@ import (
 )
 
 func TestQuickstartRCC(t *testing.T) {
-	cluster, err := NewCluster(Options{N: 4, Journal: true})
+	cluster, err := NewCluster(Options{N: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,11 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/bank"
-	"repro/internal/ledger"
 	"repro/internal/types"
 	"repro/internal/ycsb"
 )
@@ -20,34 +18,36 @@ func wtx(c types.ClientID, seq uint64, key uint32) types.Transaction {
 	return types.Transaction{Client: c, Seq: seq, Op: ycsb.EncodeWrite(key, []byte("v"))}
 }
 
-func TestExecuteBatchCountsAndHashes(t *testing.T) {
-	e := NewEngine(ycsb.NewStore(100), nil)
-	res := e.ExecuteBatch(batch(wtx(1, 1, 1), wtx(1, 2, 2)), ledger.Proof{Round: 1})
-	if res.TxnExecuted != 2 || e.Executed() != 2 {
-		t.Fatalf("executed %d/%d", res.TxnExecuted, e.Executed())
+func TestApplyHashesAndMutates(t *testing.T) {
+	app := ycsb.NewStore(100)
+	before := app.StateDigest()
+	if Apply(app, batch(wtx(1, 1, 1), wtx(1, 2, 2)).Txns).IsZero() {
+		t.Fatal("zero ResultHash")
 	}
-	if res.ResultHash.IsZero() || res.StateHash.IsZero() {
-		t.Fatal("zero hashes")
+	if app.StateDigest() == before {
+		t.Fatal("batch left the application state unchanged")
 	}
 }
 
 func TestIdenticalHistoriesProduceIdenticalResults(t *testing.T) {
 	// §III-A determinism: same batches in the same order → same result
 	// hashes and state hashes on independent replicas.
-	mk := func() []Result {
-		e := NewEngine(ycsb.NewStore(100), nil)
-		var out []Result
-		for r := types.Round(1); r <= 5; r++ {
-			out = append(out, e.ExecuteBatch(batch(
-				wtx(1, uint64(r)*2-1, uint32(r)),
-				wtx(2, uint64(r), uint32(r+50)),
-			), ledger.Proof{Round: r}))
+	type result struct{ res, state types.Digest }
+	mk := func() []result {
+		app := ycsb.NewStore(100)
+		var out []result
+		for r := uint64(1); r <= 5; r++ {
+			res := Apply(app, batch(
+				wtx(1, r*2-1, uint32(r)),
+				wtx(2, r, uint32(r+50)),
+			).Txns)
+			out = append(out, result{res, app.StateDigest()})
 		}
 		return out
 	}
 	a, b := mk(), mk()
 	for i := range a {
-		if a[i].ResultHash != b[i].ResultHash || a[i].StateHash != b[i].StateHash {
+		if a[i] != b[i] {
 			t.Fatalf("round %d diverges", i+1)
 		}
 	}
@@ -59,16 +59,13 @@ func TestIdenticalHistoriesProduceIdenticalResults(t *testing.T) {
 // differently still hand a client the same result digest. StateHash is
 // what commits to history.
 func TestResultHashIgnoresHistory(t *testing.T) {
-	fresh := NewEngine(ycsb.NewStore(100), nil)
-	busy := NewEngine(ycsb.NewStore(100), nil)
-	busy.ExecuteBatch(batch(wtx(2, 1, 60), wtx(2, 2, 61)), ledger.Proof{Round: 1})
+	fresh, busy := ycsb.NewStore(100), ycsb.NewStore(100)
+	Apply(busy, batch(wtx(2, 1, 60), wtx(2, 2, 61)).Txns)
 	b := batch(wtx(1, 1, 1), wtx(1, 2, 2))
-	r1 := fresh.ExecuteBatch(b, ledger.Proof{Round: 1})
-	r2 := busy.ExecuteBatch(b, ledger.Proof{Round: 2})
-	if r1.ResultHash != r2.ResultHash {
+	if Apply(fresh, b.Txns) != Apply(busy, b.Txns) {
 		t.Fatal("ResultHash depends on previously executed transactions")
 	}
-	if r1.StateHash == r2.StateHash {
+	if fresh.StateDigest() == busy.StateDigest() {
 		t.Fatal("StateHash ignores history")
 	}
 }
@@ -76,111 +73,13 @@ func TestResultHashIgnoresHistory(t *testing.T) {
 func TestOrderSensitivity(t *testing.T) {
 	// Different execution orders must yield different state hashes when
 	// the transactions conflict (that is the whole point of consensus).
-	e1 := NewEngine(ycsb.NewStore(100), nil)
-	e2 := NewEngine(ycsb.NewStore(100), nil)
+	app1, app2 := ycsb.NewStore(100), ycsb.NewStore(100)
 	a := types.Transaction{Client: 1, Seq: 1, Op: ycsb.EncodeWrite(7, []byte("from-a"))}
 	b := types.Transaction{Client: 2, Seq: 1, Op: ycsb.EncodeWrite(7, []byte("from-b"))}
-	r1 := e1.ExecuteBatch(batch(a, b), ledger.Proof{})
-	r2 := e2.ExecuteBatch(batch(b, a), ledger.Proof{})
-	if r1.StateHash == r2.StateHash {
+	Apply(app1, batch(a, b).Txns)
+	Apply(app2, batch(b, a).Txns)
+	if app1.StateDigest() == app2.StateDigest() {
 		t.Fatal("conflicting orders produced identical state")
-	}
-}
-
-func TestJournalling(t *testing.T) {
-	l := ledger.New()
-	e := NewEngine(ycsb.NewStore(100), MemJournal{l})
-	res := e.ExecuteBatch(batch(wtx(1, 1, 3)), ledger.Proof{Instance: 2, Round: 9})
-	if res.Block == nil {
-		t.Fatal("no block journalled")
-	}
-	if l.Height() != 1 || l.Head().Proof.Round != 9 {
-		t.Fatal("ledger state wrong")
-	}
-	if err := l.Verify(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNilJournalIsFine(t *testing.T) {
-	e := NewEngine(ycsb.NewStore(10), nil)
-	if res := e.ExecuteBatch(batch(wtx(1, 1, 1)), ledger.Proof{}); res.Block != nil {
-		t.Fatal("block produced without a journal")
-	}
-}
-
-// asyncLedger wraps the in-memory ledger with a deferred-completion journal
-// — the shape internal/store provides.
-type asyncLedger struct {
-	l       *ledger.Ledger
-	pending []func(error)
-}
-
-func (a *asyncLedger) AppendAsync(b *types.Batch, p ledger.Proof, s types.Digest, done func(error)) *ledger.Block {
-	blk := a.l.Append(b, p, s)
-	a.pending = append(a.pending, done)
-	return blk
-}
-
-func (a *asyncLedger) complete(err error) {
-	for _, done := range a.pending {
-		done(err)
-	}
-	a.pending = nil
-}
-
-func TestExecuteBatchAsyncDefersCompletion(t *testing.T) {
-	aj := &asyncLedger{l: ledger.New()}
-	e := NewEngine(ycsb.NewStore(100), aj)
-	var got []Result
-	res := e.ExecuteBatchAsync(batch(wtx(1, 1, 3)), ledger.Proof{Round: 4}, func(r Result, err error) {
-		if err != nil {
-			t.Errorf("completion error: %v", err)
-		}
-		got = append(got, r)
-	})
-	if res.Block == nil {
-		t.Fatal("no block journalled")
-	}
-	if len(got) != 0 {
-		t.Fatal("completion fired before the journal reported durable")
-	}
-	aj.complete(nil)
-	if len(got) != 1 {
-		t.Fatalf("%d completions, want 1", len(got))
-	}
-	if got[0].ResultHash != res.ResultHash || got[0].Round != res.Round {
-		t.Fatal("completion result differs from the returned result")
-	}
-	if got[0].Block != nil {
-		t.Fatal("completion result must not carry the block")
-	}
-}
-
-func TestExecuteBatchAsyncMemJournalCompletesInline(t *testing.T) {
-	l := ledger.New()
-	e := NewEngine(ycsb.NewStore(100), MemJournal{l})
-	fired := false
-	res := e.ExecuteBatchAsync(batch(wtx(1, 1, 3)), ledger.Proof{Round: 1}, func(r Result, err error) {
-		fired = true
-		if err != nil {
-			t.Errorf("completion error: %v", err)
-		}
-	})
-	if !fired {
-		t.Fatal("in-memory journal must complete inline")
-	}
-	if res.Block == nil || l.Height() != 1 {
-		t.Fatal("block not journalled")
-	}
-}
-
-func TestExecuteBatchAsyncNilJournalCompletesInline(t *testing.T) {
-	e := NewEngine(ycsb.NewStore(10), nil)
-	fired := false
-	e.ExecuteBatchAsync(batch(wtx(1, 1, 1)), ledger.Proof{}, func(Result, error) { fired = true })
-	if !fired {
-		t.Fatal("nil journal must complete inline")
 	}
 }
 
@@ -253,52 +152,18 @@ func TestGoldenResultHashes(t *testing.T) {
 			"06d64598da89dda632b71e420d674586c5bbad3ce9c37f2561d4e3c5a6e761b2",
 			"d58dc4704f03c16f2069d0f6abd8fd13d06c5d93ab96c9655b47af73115e5de2"},
 	} {
-		res := NewEngine(c.app(), nil).ExecuteBatch(c.b, ledger.Proof{Round: 1})
-		if got := hex.EncodeToString(res.ResultHash[:]); got != c.result {
+		app := c.app()
+		res := Apply(app, c.b.Txns)
+		state := app.StateDigest()
+		if got := hex.EncodeToString(res[:]); got != c.result {
 			t.Errorf("%s: ResultHash %s, want %s", c.name, got, c.result)
 		}
-		if ref := referenceResultHash(c.app(), c.b); res.ResultHash != ref {
-			t.Errorf("%s: ResultHash %x, definition gives %x", c.name, res.ResultHash, ref)
+		if ref := referenceResultHash(c.app(), c.b); res != ref {
+			t.Errorf("%s: ResultHash %x, definition gives %x", c.name, res, ref)
 		}
-		if got := hex.EncodeToString(res.StateHash[:]); got != c.state {
+		if got := hex.EncodeToString(state[:]); got != c.state {
 			t.Errorf("%s: StateHash %s, want %s", c.name, got, c.state)
 		}
-	}
-}
-
-// TestExecutedCounterRaceSafe drives the engine while another goroutine
-// polls Executed() — the metrics scrape path — and a Restore lands between
-// batches. Run under -race this pins the atomic counter.
-func TestExecutedCounterRaceSafe(t *testing.T) {
-	e := NewEngine(ycsb.NewStore(128), nil)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				_ = e.Executed()
-			}
-		}
-	}()
-	wl := ycsb.NewWorkload(ycsb.WorkloadConfig{Records: 128, WriteRatio: 0.7, FieldLen: 8, Seed: 42})
-	var want uint64
-	for i := 0; i < 30; i++ {
-		b := wl.NextBatch(types.ClientID(i%13+1), 64)
-		want += uint64(len(b.Txns))
-		e.ExecuteBatch(b, ledger.Proof{Round: types.Round(i + 1)})
-		if i == 15 {
-			e.Restore(e.Executed()) // restart replay primes the counter
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if got := e.Executed(); got != want {
-		t.Fatalf("executed %d, want %d", got, want)
 	}
 }
 
@@ -318,7 +183,7 @@ func (sizedApp) Execute(tx types.Transaction) []byte {
 func (sizedApp) StateDigest() types.Digest { return types.Digest{} }
 
 // TestResultHashChunkBoundaries checks ResultHash against its definition
-// around the engine's 1 KiB hashing buffer: empty results, results that
+// around Apply's 1 KiB hashing buffer: empty results, results that
 // fill it exactly or overflow it by one byte, and results larger than it.
 func TestResultHashChunkBoundaries(t *testing.T) {
 	sizes := [][]int{
@@ -332,9 +197,9 @@ func TestResultHashChunkBoundaries(t *testing.T) {
 			op := binary.BigEndian.AppendUint16(nil, uint16(n))
 			b.Txns = append(b.Txns, types.Transaction{Client: 1, Seq: uint64(i + 1), Op: op})
 		}
-		res := NewEngine(sizedApp{}, nil).ExecuteBatch(b, ledger.Proof{Round: 1})
-		if ref := referenceResultHash(sizedApp{}, b); res.ResultHash != ref {
-			t.Errorf("sizes %v: ResultHash %x, definition gives %x", sz, res.ResultHash, ref)
+		res := Apply(sizedApp{}, b.Txns)
+		if ref := referenceResultHash(sizedApp{}, b); res != ref {
+			t.Errorf("sizes %v: ResultHash %x, definition gives %x", sz, res, ref)
 		}
 	}
 }

@@ -45,6 +45,8 @@ func (e *recEnv) SetTimer(id sm.TimerID, d time.Duration) {
 func (e *recEnv) CancelTimer(id sm.TimerID)                 { delete(e.timers, id) }
 func (e *recEnv) Now() time.Duration                        { return 0 }
 func (e *recEnv) Suspect(_ types.InstanceID, r types.Round) { e.suspects = append(e.suspects, r) }
+func (e *recEnv) RequestStateSync()                         {}
+func (e *recEnv) Checkpoint(bool)                           {}
 func (e *recEnv) Logf(string, ...any)                       {}
 
 func newFixed(t *testing.T) (*Instance, *recEnv) {

@@ -212,10 +212,6 @@ func (p *Instance) MergeDeliveredSeqs(seqs map[types.ClientID]uint64) {
 }
 
 // reportSyncGap asks the runtime for a state transfer when in-protocol
-// catch-up cannot bridge a certified gap (sm.StateSyncRequester; runtimes
-// without the capability ignore the report).
-func (p *Instance) reportSyncGap() {
-	if req, ok := p.env.(interface{ RequestStateSync() }); ok {
-		req.RequestStateSync()
-	}
-}
+// catch-up cannot bridge a certified gap (runtimes without state transfer
+// ignore the report).
+func (p *Instance) reportSyncGap() { p.env.RequestStateSync() }

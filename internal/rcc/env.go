@@ -1,74 +1,39 @@
 package rcc
 
 import (
-	"time"
-
-	"repro/internal/quorum"
 	"repro/internal/sm"
 	"repro/internal/types"
 )
 
-// instEnv is the environment handed to each BCA instance: it passes network
-// effects through to the outer environment but intercepts Deliver (RCC
-// collects decisions for round ordering) and Suspect (RCC runs the Fig. 4
-// recovery instead of a view change).
-type instEnv struct {
-	outer sm.Env
+// subEnv is the environment handed to each nested consensus: it passes
+// every effect through to the outer environment but intercepts Deliver,
+// Suspect and RequestStateSync. A BCA instance's decisions go to round
+// ordering and its suspicions to the Fig. 4 recovery instead of a view
+// change. A coordinating consensus (coord) hands its decisions (stop
+// operations, reassignments) to the manager, and its view changes never
+// escalate.
+type subEnv struct {
+	sm.Env
 	mgr   *Replica
-	inst  types.InstanceID
+	inst  types.InstanceID // the BCA instance this consensus is or recovers
+	coord bool
 }
 
-var _ sm.Env = (*instEnv)(nil)
-
-func (e *instEnv) ID() types.ReplicaID                          { return e.outer.ID() }
-func (e *instEnv) Params() quorum.Params                        { return e.outer.Params() }
-func (e *instEnv) Send(to types.ReplicaID, m types.Message)     { e.outer.Send(to, m) }
-func (e *instEnv) Broadcast(m types.Message)                    { e.outer.Broadcast(m) }
-func (e *instEnv) SendClient(c types.ClientID, m types.Message) { e.outer.SendClient(c, m) }
-func (e *instEnv) SetTimer(id sm.TimerID, d time.Duration)      { e.outer.SetTimer(id, d) }
-func (e *instEnv) CancelTimer(id sm.TimerID)                    { e.outer.CancelTimer(id) }
-func (e *instEnv) Now() time.Duration                           { return e.outer.Now() }
-func (e *instEnv) Logf(format string, args ...any)              { e.outer.Logf(format, args...) }
-
-func (e *instEnv) Deliver(d sm.Decision) { e.mgr.onDecision(e.inst, d) }
-
-func (e *instEnv) Suspect(inst types.InstanceID, round types.Round) {
-	e.mgr.suspectInstance(e.inst, round)
+func (e *subEnv) Deliver(d sm.Decision) {
+	if e.coord {
+		e.mgr.onCoordDecision(e.inst, d)
+	} else {
+		e.mgr.onDecision(e.inst, d)
+	}
 }
 
-// RequestStateSync forwards an instance's in-the-dark report (a certified
-// checkpoint it cannot bridge) to the hosting runtime, when that runtime
-// can run state transfer (sm.StateSyncRequester).
-func (e *instEnv) RequestStateSync() { e.mgr.requestStateSync() }
-
-// coordEnv is the environment of a coordinating consensus instance: its
-// decisions (stop operations, reassignments) go to the manager, and its
-// internal view changes never escalate.
-type coordEnv struct {
-	outer sm.Env
-	mgr   *Replica
-	inst  types.InstanceID // the BCA instance this coordinator recovers
+func (e *subEnv) Suspect(_ types.InstanceID, round types.Round) {
+	if !e.coord {
+		e.mgr.suspectInstance(e.inst, round)
+	}
 }
 
-var _ sm.Env = (*coordEnv)(nil)
-
-func (e *coordEnv) ID() types.ReplicaID                          { return e.outer.ID() }
-func (e *coordEnv) Params() quorum.Params                        { return e.outer.Params() }
-func (e *coordEnv) Send(to types.ReplicaID, m types.Message)     { e.outer.Send(to, m) }
-func (e *coordEnv) Broadcast(m types.Message)                    { e.outer.Broadcast(m) }
-func (e *coordEnv) SendClient(c types.ClientID, m types.Message) { e.outer.SendClient(c, m) }
-func (e *coordEnv) SetTimer(id sm.TimerID, d time.Duration)      { e.outer.SetTimer(id, d) }
-func (e *coordEnv) CancelTimer(id sm.TimerID)                    { e.outer.CancelTimer(id) }
-func (e *coordEnv) Now() time.Duration                           { return e.outer.Now() }
-func (e *coordEnv) Logf(format string, args ...any)              { e.outer.Logf(format, args...) }
-
-func (e *coordEnv) Deliver(d sm.Decision) { e.mgr.onCoordDecision(e.inst, d) }
-
-func (e *coordEnv) Suspect(types.InstanceID, types.Round) {
-	// The coordinator runs standalone PBFT (view changes enabled), so it
-	// never reports suspicions; nothing to do.
-}
-
-// RequestStateSync forwards a coordinator's in-the-dark report like the
-// instance path does.
-func (e *coordEnv) RequestStateSync() { e.mgr.requestStateSync() }
+// RequestStateSync forwards a nested consensus's in-the-dark report (a
+// certified checkpoint it cannot bridge) to the hosting runtime, through
+// the manager's flight-recorded kick.
+func (e *subEnv) RequestStateSync() { e.mgr.requestStateSync() }

@@ -306,14 +306,12 @@ func (r *Replica) resetDetection(st *instState, startedAt types.Round) {
 }
 
 // requestStateSync reports that this replica is in the dark beyond what
-// checkpoint catch-up can bridge: the hosting runtime (when it implements
-// sm.StateSyncRequester) starts a checkpoint-based state transfer from
-// peers. Requests coalesce in the runtime; duplicates are cheap.
+// checkpoint catch-up can bridge: a hosting runtime with state transfer
+// starts a checkpoint-based transfer from peers. Requests coalesce in the
+// runtime; duplicates are cheap.
 func (r *Replica) requestStateSync() {
-	if req, ok := r.env.(sm.StateSyncRequester); ok {
-		r.emit(flight.KRecoveryKick, 0, 0, uint64(r.execRound), 0)
-		req.RequestStateSync()
-	}
+	r.emit(flight.KRecoveryKick, 0, 0, uint64(r.execRound), 0)
+	r.env.RequestStateSync()
 }
 
 // maybeDynamicCheckpoint triggers per-need checkpoints (§III-D): when
@@ -333,9 +331,7 @@ func (r *Replica) maybeDynamicCheckpoint(round types.Round) {
 	// recovery point: runtimes with a snapshot store persist the
 	// execution state here, so a crash-restart resumes from this round
 	// instead of replaying the whole journal.
-	if sink, ok := r.env.(sm.CheckpointSink); ok {
-		sink.PersistCheckpoint()
-	}
+	r.env.Checkpoint(true)
 }
 
 // handleSwitch installs the agreed reassignment schedule (§III-E): requests

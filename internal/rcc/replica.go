@@ -185,8 +185,8 @@ func (r *Replica) Start(env sm.Env) {
 		})
 		r.states[i] = st
 		st.coord.SetViewInstalledHook(func(types.View) { r.onCoordViewInstalled(st) })
-		st.inst.Start(&instEnv{outer: env, mgr: r, inst: id})
-		st.coord.Start(&coordEnv{outer: env, mgr: r, inst: id})
+		st.inst.Start(&subEnv{Env: env, mgr: r, inst: id})
+		st.coord.Start(&subEnv{Env: env, mgr: r, inst: id, coord: true})
 	}
 }
 
@@ -384,7 +384,7 @@ func (r *Replica) emit(kind flight.Kind, inst types.InstanceID, view types.View,
 	r.cfg.Metrics.Emit(uint16(r.env.ID()), flight.SubRCC, kind, uint32(inst), uint64(view), seq, detail)
 }
 
-// onDecision receives one BCA instance decision (via instEnv.Deliver).
+// onDecision receives one BCA instance decision (via subEnv.Deliver).
 func (r *Replica) onDecision(inst types.InstanceID, d sm.Decision) {
 	st := r.states[inst]
 	if _, dup := st.decided[d.Round]; dup {
@@ -478,11 +478,7 @@ func (r *Replica) tryExecute() {
 		// wave boundary: the ledger head and the boundary sync point
 		// describe the same deterministic instant on every replica, which is
 		// what lets f+1 of them attest the checkpoint byte-identically.
-		if due, ok := r.env.(sm.DeferredCheckpointer); ok && due.CheckpointDue() {
-			if sink, ok := r.env.(sm.CheckpointSink); ok {
-				sink.PersistCheckpoint()
-			}
-		}
+		r.env.Checkpoint(false)
 	}
 }
 

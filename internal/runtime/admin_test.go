@@ -130,7 +130,6 @@ func TestLifecycleTraceAttribution(t *testing.T) {
 			Params:         params,
 			Machine:        rcc.New(rcc.Config{BatchSize: 1, Window: 4, Metrics: met}),
 			App:            ycsb.NewStore(1000),
-			Journal:        true,
 			ReplyToClients: true,
 			Metrics:        met,
 		})

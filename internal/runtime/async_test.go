@@ -102,8 +102,7 @@ func TestAsyncCrashRestartKeepsAckedPrefix(t *testing.T) {
 	// Crash every replica abruptly: no committer drain, no buffer flush.
 	for i, r := range reps {
 		hub.Detach(types.ReplicaID(i))
-		r.stopOnce.Do(func() { close(r.stopped) })
-		r.wg.Wait()
+		r.host.halt()
 		r.Durable().CloseAbrupt()
 	}
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/exec"
 	"repro/internal/pbft"
 	"repro/internal/quorum"
 	"repro/internal/sm"
@@ -56,7 +55,6 @@ func TestOneReplyPerClientBatch(t *testing.T) {
 			// The batch proposes only when full, so all k land in one.
 			Machine:        pbft.New(pbft.Config{BatchSize: k, Window: 1, BatchTimeout: time.Minute}),
 			App:            ycsb.NewStore(1000),
-			Journal:        true,
 			ReplyToClients: true,
 		})
 		if err != nil {
@@ -153,9 +151,9 @@ func (s *ackSink) SendClient(_ types.ClientID, m types.Message) error {
 // ackBatch acks a decided batch of txns from a bare replica and returns the
 // replies it sent.
 func ackBatch(sink *ackSink, txns []types.Transaction) {
-	r := &Replica{cfg: Config{ID: 2, ReplyToClients: true}, trans: sink}
+	r := &Replica{cfg: Config{ID: 2}, trans: sink}
 	d := sm.Decision{Instance: 1, Round: 3, Batch: &types.Batch{Txns: txns}}
-	(&replicaEnv{r: r}).ackClients(d, exec.Result{ResultHash: types.Hash([]byte("result"))})
+	r.ackClients(d, types.Hash([]byte("result")))
 }
 
 // TestAckClientsGroupsByClient: a batch's replies are one per client, in
@@ -218,11 +216,10 @@ func TestAckClientsAllocsFlatInBatchSize(t *testing.T) {
 			txns[i] = types.Transaction{Client: types.ClientID(1 + i%2), Seq: uint64(i), Op: []byte{1}}
 		}
 		sink := &ackSink{sent: make([]*types.ClientReply, 0, 4)}
-		r := &Replica{cfg: Config{ID: 2, ReplyToClients: true}, trans: sink}
+		r := &Replica{cfg: Config{ID: 2}, trans: sink}
 		d := sm.Decision{Instance: 1, Round: 3, Batch: &types.Batch{Txns: txns}}
-		env := &replicaEnv{r: r}
 		return testing.AllocsPerRun(50, func() {
-			env.ackClients(d, exec.Result{})
+			r.ackClients(d, types.Digest{})
 			sink.sent = sink.sent[:0]
 		})
 	}

@@ -1,13 +1,13 @@
 // Package runtime hosts the deterministic protocol state machines
 // (internal/sm) on real goroutines and wall-clock timers, wiring them to a
-// transport (in-memory or TCP), the execution engine, the blockchain
-// ledger, and clients — the ResilientDB-style replica process.
+// transport (in-memory or TCP), the application, the blockchain ledger, and
+// clients — the ResilientDB-style replica process.
 //
 // Architecture (mirroring §V-B): inbound messages funnel into a single
 // event loop that drives the machine (machines are sequential by contract);
-// decisions flow into the ordered executor, which applies batches to the
-// application, journals blocks, and answers clients with f+1-collectible
-// replies.
+// each decision is executed in order on that loop (exec.Apply), its block
+// is appended to the replica's ledger, and the append's completion answers
+// the clients with f+1-collectible replies.
 package runtime
 
 import (
@@ -124,13 +124,11 @@ type Config struct {
 	Machine sm.Machine
 	// App is the deterministic application decisions execute against.
 	App exec.Application
-	// Journal enables the blockchain ledger.
-	Journal bool
-	// DataDir enables the durable storage subsystem (implies Journal):
-	// every decided batch is journaled through a write-ahead log under
-	// this directory — pipelined, so the event loop never waits out an
-	// fsync and client replies for a block are deferred until its record
-	// is durable — and New restores ledger height and application
+	// DataDir enables the durable storage subsystem: the replica's ledger
+	// is journaled through a write-ahead log under this directory instead
+	// of kept in memory only — pipelined, so the event loop never waits
+	// out an fsync and client replies for a block are deferred until its
+	// record is durable — and New restores ledger height and application
 	// state from disk before the replica starts — a restarted replica
 	// resumes at its pre-crash height with an identical head hash and
 	// state digest instead of demanding state transfer from peers.
@@ -144,11 +142,13 @@ type Config struct {
 	Flight FlightOptions
 	// QueueDepth bounds the inbound event queue (default 4096).
 	QueueDepth int
-	// ReplyToClients answers the clients of executed batches.
+	// ReplyToClients is accepted and ignored: a replica always answers the
+	// clients of executed batches. The field remains only because
+	// benchmark/cluster.go still sets it.
 	ReplyToClients bool
 	// Metrics is the replica's instrument catalog (shared with the
-	// consensus machine). New wires it through the execution engine and
-	// durable store, registers the replica's own gauges plus WAL and
+	// consensus machine). New wires it through the durable store,
+	// registers the replica's own gauges plus WAL and
 	// statesync counters — each labeled replica="ID" so an in-process
 	// cluster can share one registry — and Attach adds the transport's.
 	// Nil disables instrumentation.
@@ -159,11 +159,13 @@ type Config struct {
 
 // Replica is one running replica process.
 type Replica struct {
-	cfg     Config
-	trans   transport.Transport
-	engine  *exec.Engine
-	log     *ledger.Ledger
+	cfg   Config
+	host  *host
+	trans transport.Transport
+	// durable is the replica's ledger when Config.DataDir is set, log the
+	// in-memory one otherwise; exactly one of them is non-nil.
 	durable *store.DurableLedger
+	log     *ledger.Ledger
 	sync    *statesync.Manager
 
 	// syncable is cfg.Machine's state-transfer capability, and boundary
@@ -172,21 +174,10 @@ type Replica struct {
 	syncable sm.StateSyncable
 	boundary sm.BoundarySyncable
 
-	events chan event
-	timers struct {
-		sync.Mutex
-		m map[sm.TimerID]*time.Timer
-	}
-	start time.Time
+	executed atomic.Uint64 // transactions executed by this process
 
-	stopOnce sync.Once
-	stopped  chan struct{}
-	wg       sync.WaitGroup
-
-	mu        sync.Mutex
-	delivered uint64
-	executed  uint64
-	durErr    error
+	mu     sync.Mutex
+	durErr error
 
 	// replies caches recent client replies so a retransmit of an already
 	// executed request is answered instead of silently deduplicated — the
@@ -199,15 +190,6 @@ type Replica struct {
 		m map[types.ClientID]*replyRing
 	}
 
-	// snapDue defers a cadence-triggered checkpoint to the machine's next
-	// delivery boundary (sm.BoundarySyncable machines only; event-loop
-	// state, no lock). The cadence fires MID-wave — inside Deliver — where
-	// different replicas observe different in-flight frontiers; the machine
-	// consumes the flag at the wave boundary (sm.DeferredCheckpointer), the
-	// one point where its frontier is a pure function of the delivery
-	// prefix and a checkpoint can be attested across replicas.
-	snapDue bool
-
 	stallCount atomic.Uint64 // watchdog-detected event-loop stall episodes
 }
 
@@ -218,6 +200,88 @@ type event struct {
 	isTimer bool
 	fn      func()
 }
+
+// host is the event-loop plumbing a replica and a client process share:
+// the bounded event queue, the armed timers, the clock and the stop
+// signal. Its SetTimer, CancelTimer and Now serve both environments.
+type host struct {
+	events chan event
+	timers struct {
+		sync.Mutex
+		m map[sm.TimerID]*time.Timer
+	}
+	start time.Time
+
+	stopOnce sync.Once
+	stopped  chan struct{}
+	wg       sync.WaitGroup
+}
+
+func newHost(queueDepth int) *host {
+	h := &host{
+		events:  make(chan event, queueDepth),
+		stopped: make(chan struct{}),
+		start:   time.Now(),
+	}
+	h.timers.m = make(map[sm.TimerID]*time.Timer)
+	return h
+}
+
+// enqueue hands e to the loop, waiting for queue space. It reports false
+// once the host stopped.
+func (h *host) enqueue(e event) bool {
+	select {
+	case h.events <- e:
+		return true
+	case <-h.stopped:
+		return false
+	}
+}
+
+// spawn runs fn on a goroutine that halt waits for.
+func (h *host) spawn(fn func()) {
+	h.wg.Add(1)
+	go func() {
+		defer h.wg.Done()
+		fn()
+	}()
+}
+
+// halt signals stop, disarms every timer and waits for the spawned
+// goroutines to return.
+func (h *host) halt() {
+	h.stopOnce.Do(func() {
+		close(h.stopped)
+		h.timers.Lock()
+		for _, t := range h.timers.m {
+			t.Stop()
+		}
+		h.timers.Unlock()
+	})
+	h.wg.Wait()
+}
+
+func (h *host) SetTimer(id sm.TimerID, d time.Duration) {
+	h.timers.Lock()
+	defer h.timers.Unlock()
+	if t, ok := h.timers.m[id]; ok {
+		t.Stop()
+	}
+	h.timers.m[id] = time.AfterFunc(d, func() {
+		h.enqueue(event{timer: id, isTimer: true})
+	})
+}
+
+func (h *host) CancelTimer(id sm.TimerID) {
+	h.timers.Lock()
+	defer h.timers.Unlock()
+	if t, ok := h.timers.m[id]; ok {
+		t.Stop()
+		delete(h.timers.m, id)
+	}
+}
+
+func (h *host) Now() time.Duration { return time.Since(h.start) }
 
 // New creates a replica process. Attach a transport with Attach, then Run.
 // With Config.DataDir set it opens the durable store, replays the
@@ -238,62 +302,47 @@ func New(cfg Config) (*Replica, error) {
 	cfg.Flight.defaults()
 	r := &Replica{
 		cfg:      cfg,
+		host:     newHost(cfg.QueueDepth),
 		syncable: syncable,
 		boundary: boundary,
-		events:   make(chan event, cfg.QueueDepth),
-		stopped:  make(chan struct{}),
-		start:    time.Now(),
 	}
-	r.timers.m = make(map[sm.TimerID]*time.Timer)
-	var journal exec.Journal
-	if cfg.DataDir != "" {
-		var onCommit func(records int, bytes int64, took time.Duration)
-		if cfg.Metrics != nil {
-			fsync := cfg.Metrics.WALFsync
-			met := cfg.Metrics
-			id := uint16(cfg.ID)
-			onCommit = func(_ int, _ int64, took time.Duration) {
-				fsync.Observe(took)
-				if took >= fsyncStallThreshold {
-					// The disk held up a commit point long enough to matter:
-					// leave a breadcrumb the post-mortem timeline can line up
-					// against demotions and view changes.
-					met.Emit(id, flight.SubStore, flight.KFsyncStall, 0, 0, 0, uint64(took))
-				}
-			}
-		}
-		dl, err := store.Open(cfg.DataDir, store.Options{
-			Sync:            cfg.Journaling.Sync,
-			AsyncQueueDepth: cfg.Journaling.queueDepth,
-			AsyncOnCommit:   onCommit,
-			PruneWAL:        cfg.Journaling.PruneWAL,
-			Failpoints:      cfg.Journaling.Failpoints,
-			Identity:        fmt.Sprintf("replica-%d", cfg.ID),
-		})
-		if err != nil {
-			return nil, err
-		}
-		txns, err := dl.RestoreApp(cfg.App)
-		if err != nil {
-			dl.Close()
-			return nil, err
-		}
-		r.durable = dl
-		r.log = dl.Memory()
-		journal = durableJournal{r}
-		r.engine = exec.NewEngine(cfg.App, journal)
-		r.engine.SetMetrics(cfg.Metrics, cfg.ID)
-		r.engine.Restore(txns)
-		r.initStateSync()
+	if cfg.DataDir == "" {
+		r.log = ledger.New()
 		r.registerMetrics()
 		return r, nil
 	}
-	if cfg.Journal {
-		r.log = ledger.New()
-		journal = exec.MemJournal{Ledger: r.log}
+	var onCommit func(records int, bytes int64, took time.Duration)
+	if cfg.Metrics != nil {
+		fsync := cfg.Metrics.WALFsync
+		met := cfg.Metrics
+		id := uint16(cfg.ID)
+		onCommit = func(_ int, _ int64, took time.Duration) {
+			fsync.Observe(took)
+			if took >= fsyncStallThreshold {
+				// The disk held up a commit point long enough to matter:
+				// leave a breadcrumb the post-mortem timeline can line up
+				// against demotions and view changes.
+				met.Emit(id, flight.SubStore, flight.KFsyncStall, 0, 0, 0, uint64(took))
+			}
+		}
 	}
-	r.engine = exec.NewEngine(cfg.App, journal)
-	r.engine.SetMetrics(cfg.Metrics, cfg.ID)
+	dl, err := store.Open(cfg.DataDir, store.Options{
+		Sync:            cfg.Journaling.Sync,
+		AsyncQueueDepth: cfg.Journaling.queueDepth,
+		AsyncOnCommit:   onCommit,
+		PruneWAL:        cfg.Journaling.PruneWAL,
+		Failpoints:      cfg.Journaling.Failpoints,
+		Identity:        fmt.Sprintf("replica-%d", cfg.ID),
+	})
+	if err != nil {
+		return nil, err
+	}
+	if _, err := dl.RestoreApp(cfg.App); err != nil {
+		dl.Close()
+		return nil, err
+	}
+	r.durable = dl
+	r.initStateSync()
 	r.registerMetrics()
 	return r, nil
 }
@@ -319,10 +368,7 @@ func (r *Replica) registerMetrics() {
 		return 1
 	})
 	reg.GaugeFunc("rcc_ledger_height", rl, "blocks in the journal", func() float64 {
-		if l := r.Ledger(); l != nil {
-			return float64(l.Height())
-		}
-		return 0
+		return float64(r.Ledger().Height())
 	})
 	reg.CounterFunc("rcc_loop_stalls_total", rl, "event-loop stall episodes detected by the watchdog", func() float64 {
 		return float64(r.stallCount.Load())
@@ -407,15 +453,8 @@ func (r *Replica) initStateSync() {
 		Ledger:    func() *ledger.Ledger { return r.durable.Memory() },
 		SyncPoint: r.syncable.SyncPoint,
 		Install:   r.installFromSync,
-		OnLoop: func(fn func()) bool {
-			select {
-			case r.events <- event{fn: fn}:
-				return true
-			case <-r.stopped:
-				return false
-			}
-		},
-		Logf: r.logf,
+		OnLoop:    func(fn func()) bool { return r.host.enqueue(event{fn: fn}) },
+		Logf:      r.logf,
 	})
 }
 
@@ -451,8 +490,7 @@ func (r *Replica) installFromSync(res *statesync.Result) error {
 		if err := r.durable.InstallState(res.Snapshot, res.Blocks); err != nil {
 			return err
 		}
-		txns, err := r.durable.RestoreApp(r.cfg.App)
-		if err != nil {
+		if _, err := r.durable.RestoreApp(r.cfg.App); err != nil {
 			// The store committed the new state but the application could
 			// not be rebuilt onto it: the replica is torn. Poison it
 			// (DurabilityErr) so it stops acknowledging and operators
@@ -461,10 +499,9 @@ func (r *Replica) installFromSync(res *statesync.Result) error {
 			r.setDurErr(err)
 			return err
 		}
-		r.engine.Restore(txns)
 	} else {
 		// Lag-only install: the local prefix is intact, the fetched blocks
-		// extend it; execute them against the live application. Blocks
+		// extend it; replay them on the live application. Blocks
 		// consensus delivered while the fetch ran are trimmed off the
 		// front (they are the same chain — InstallBlocks re-checks the
 		// hash link onto the local head).
@@ -482,20 +519,13 @@ func (r *Replica) installFromSync(res *statesync.Result) error {
 		if err := r.durable.InstallBlocks(blocks); err != nil {
 			return err
 		}
-		for _, blk := range blocks {
-			for i := range blk.Batch.Txns {
-				r.cfg.App.Execute(blk.Batch.Txns[i])
-			}
-			if r.cfg.App.StateDigest() != blk.StateHash {
-				// The blocks are journaled but the application diverged
-				// applying them: torn replica, same poisoning rationale as
-				// the snapshot path.
-				err := fmt.Errorf("runtime: catch-up replay diverged at height %d", blk.Height)
-				r.setDurErr(err)
-				return err
-			}
+		if err := r.durable.ReplayApp(r.cfg.App, local); err != nil {
+			// The blocks are journaled but the application diverged
+			// applying them: torn replica, same poisoning rationale as the
+			// snapshot path.
+			r.setDurErr(err)
+			return err
 		}
-		r.engine.Restore(r.durable.Memory().TxnCount())
 	}
 	// The machine rejoins at the attested frontier; rounds it committed
 	// while the transfer ran deliver (and execute) from here.
@@ -509,25 +539,6 @@ func (r *Replica) installFromSync(res *statesync.Result) error {
 		}
 	}
 	return nil
-}
-
-// durableJournal routes the engine's block appends through the durable
-// store. A WAL failure means the in-memory chain is ahead of disk; the
-// error sticks (DurabilityErr) so operators stop the replica instead of
-// running with a silent durability gap.
-type durableJournal struct{ r *Replica }
-
-// AppendAsync implements exec.Journal over the store's pipelined commit
-// path: the completion callback runs on the WAL committer goroutine
-// once the block's record is durable (carrying nil) or the journal has
-// failed (sticky error, also recorded for DurabilityErr).
-func (j durableJournal) AppendAsync(batch *types.Batch, proof ledger.Proof, state types.Digest, done func(err error)) *ledger.Block {
-	return j.r.durable.AppendAsync(batch, proof, state, func(_ uint64, err error) {
-		if err != nil {
-			j.r.setDurErr(err)
-		}
-		done(err)
-	})
 }
 
 func (r *Replica) setDurErr(err error) {
@@ -616,9 +627,10 @@ func (r *Replica) Attach(t transport.Transport) {
 	})
 }
 
-// Ledger returns the journal (nil unless Config.Journal or Config.DataDir).
-// Durable replicas resolve it through the store: a state-transfer install
-// replaces the ledger object, and this accessor always names the live one.
+// Ledger returns the replica's chain, never nil: the durable store's view
+// when Config.DataDir is set, else the in-memory ledger. Durable replicas
+// resolve it through the store: a state-transfer install replaces the
+// ledger object, and this accessor always names the live one.
 func (r *Replica) Ledger() *ledger.Ledger {
 	if r.durable != nil {
 		return r.durable.Memory()
@@ -632,23 +644,16 @@ func (r *Replica) Durable() *store.DurableLedger { return r.durable }
 // StateDigest returns the application's state digest. The application is
 // single-threaded by contract: call this only on a replica that is not
 // running, or from inside Inspect.
-func (r *Replica) StateDigest() types.Digest { return r.engine.StateDigest() }
+func (r *Replica) StateDigest() types.Digest { return r.cfg.App.StateDigest() }
 
-// Executed returns the number of transactions executed by this process
-// (restored transactions are not re-counted; see the engine's Executed for
-// the chain total).
-func (r *Replica) Executed() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.executed
-}
+// Executed returns the number of transactions this process executed since
+// it started. Blocks restored from disk or installed by state transfer are
+// not counted; the chain total is Ledger().TxnCount().
+func (r *Replica) Executed() uint64 { return r.executed.Load() }
 
 // DeliverReplica implements transport.Endpoint.
 func (r *Replica) DeliverReplica(from types.ReplicaID, m types.Message) {
-	select {
-	case r.events <- event{from: sm.FromReplica(from), msg: m}:
-	case <-r.stopped:
-	}
+	r.host.enqueue(event{from: sm.FromReplica(from), msg: m})
 }
 
 // DeliverClient implements transport.Endpoint.
@@ -663,32 +668,24 @@ func (r *Replica) DeliverClient(from types.ClientID, m types.Message) {
 		if met := r.cfg.Metrics; met != nil {
 			met.ClientRequests.Inc()
 		}
-		if r.cfg.ReplyToClients {
-			if req = r.answerRetransmits(req); req == nil {
-				return
-			}
-			m = req
+		if req = r.answerRetransmits(req); req == nil {
+			return
 		}
+		m = req
 	}
-	select {
-	case r.events <- event{from: sm.FromClient(from), msg: m}:
-	case <-r.stopped:
-	}
+	r.host.enqueue(event{from: sm.FromClient(from), msg: m})
 }
 
 // Run starts the event loop (and, when configured, the state-transfer
 // manager — a freshly started replica probes its peers before assuming its
 // disk is current). It returns immediately; Stop shuts down.
 func (r *Replica) Run() {
-	r.wg.Add(1)
-	go r.loop()
+	r.host.spawn(r.loop)
 	if r.cfg.Metrics != nil {
-		r.wg.Add(1)
-		go r.watchdog(r.cfg.Flight.stallThreshold)
+		r.host.spawn(func() { r.watchdog(r.cfg.Flight.stallThreshold) })
 	}
 	if iv := r.cfg.Flight.MirrorInterval; iv > 0 && r.flight() != nil && r.cfg.DataDir != "" {
-		r.wg.Add(1)
-		go r.mirrorFlight(iv)
+		r.host.spawn(func() { r.mirrorFlight(iv) })
 	}
 	if r.sync != nil {
 		r.sync.Start()
@@ -702,7 +699,6 @@ func (r *Replica) Run() {
 // is not re-reported until the probe finally drains, so a 10-second wedge is
 // one event, not twenty.
 func (r *Replica) watchdog(threshold time.Duration) {
-	defer r.wg.Done()
 	interval := threshold / 4
 	if interval < time.Millisecond {
 		interval = time.Millisecond
@@ -721,7 +717,7 @@ func (r *Replica) watchdog(threshold time.Duration) {
 	reported := false
 	for {
 		select {
-		case <-r.stopped:
+		case <-r.host.stopped:
 			return
 		case <-tick.C:
 		}
@@ -737,7 +733,7 @@ func (r *Replica) watchdog(threshold time.Duration) {
 			// A full queue is itself the backlog being measured: keep the
 			// clock running from the first attempt and retry the enqueue.
 			select {
-			case r.events <- probe:
+			case r.host.events <- probe:
 				enqueued = true
 			default:
 			}
@@ -754,14 +750,13 @@ func (r *Replica) watchdog(threshold time.Duration) {
 // abrupt death (kill -9, OOM) still leaves a recent event prefix on disk.
 // Quiet periods skip the write; a clean stop takes one final mirror.
 func (r *Replica) mirrorFlight(interval time.Duration) {
-	defer r.wg.Done()
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	fr := r.flight()
 	var last uint64
 	for {
 		select {
-		case <-r.stopped:
+		case <-r.host.stopped:
 			r.dumpFlight()
 			return
 		case <-tick.C:
@@ -774,15 +769,14 @@ func (r *Replica) mirrorFlight(interval time.Duration) {
 }
 
 func (r *Replica) loop() {
-	defer r.wg.Done()
-	env := &replicaEnv{r: r}
+	env := &replicaEnv{host: r.host, r: r}
 	r.cfg.Machine.Start(env)
 	env.drainSelf()
 	for {
 		select {
-		case <-r.stopped:
+		case <-r.host.stopped:
 			return
-		case e := <-r.events:
+		case e := <-r.host.events:
 			switch {
 			case e.fn != nil:
 				e.fn()
@@ -812,50 +806,21 @@ func (r *Replica) dispatch(from sm.Source, m types.Message) {
 // contract). Returns false if the replica stopped before f could run.
 func (r *Replica) Inspect(f func()) bool {
 	done := make(chan struct{})
-	select {
-	case r.events <- event{fn: func() { f(); close(done) }}:
-	case <-r.stopped:
+	if !r.host.enqueue(event{fn: func() { f(); close(done) }}) {
 		return false
 	}
 	select {
 	case <-done:
 		return true
-	case <-r.stopped:
+	case <-r.host.stopped:
 		return false
 	}
 }
 
-// Stop shuts the replica down and waits for the loop to exit.
-func (r *Replica) Stop() {
-	r.stopOnce.Do(func() {
-		close(r.stopped)
-		r.timers.Lock()
-		for _, t := range r.timers.m {
-			t.Stop()
-		}
-		r.timers.Unlock()
-	})
-	r.wg.Wait()
-	// The state-transfer manager stops before the store closes: an
-	// in-flight transfer aborts (installs are atomic, nothing partial
-	// remains) and no serve request can touch a closing store.
-	if r.sync != nil {
-		r.sync.Stop()
-	}
-	// Drain the durable store BEFORE closing the transport: Close
-	// completes every in-flight block's commit point and its durability
-	// callback enqueues the deferred client acks onto the
-	// transport's per-client queues, which the transport's Close then
-	// flushes (bounded by its drain timeout).
-	if r.durable != nil {
-		if err := r.durable.Close(); err != nil {
-			r.setDurErr(err)
-		}
-	}
-	if r.trans != nil {
-		r.trans.Close()
-	}
-}
+// Stop shuts the replica down and waits for the loop to exit. The durable
+// store drains: every in-flight block gets its commit point, and its
+// deferred client acks reach the transport before it closes.
+func (r *Replica) Stop() { r.shutdown(false) }
 
 // Kill shuts the replica down the way kill -9 would: the event loop stops,
 // but the durable store closes abruptly — in-flight appends are
@@ -863,21 +828,29 @@ func (r *Replica) Stop() {
 // fires), deferred client acks never flush — so only state the WAL already
 // made durable survives into the next incarnation. Peers observe exactly
 // what a process death looks like: sockets torn down mid-stream.
-func (r *Replica) Kill() {
-	r.stopOnce.Do(func() {
-		close(r.stopped)
-		r.timers.Lock()
-		for _, t := range r.timers.m {
-			t.Stop()
-		}
-		r.timers.Unlock()
-	})
-	r.wg.Wait()
+func (r *Replica) Kill() { r.shutdown(true) }
+
+// shutdown stops the loop and its helpers, then the state-transfer manager,
+// the durable store (abruptly for Kill) and the transport, in that order.
+func (r *Replica) shutdown(abrupt bool) {
+	r.host.halt()
+	// The state-transfer manager stops before the store closes: an
+	// in-flight transfer aborts (installs are atomic, nothing partial
+	// remains) and no serve request can touch a closing store.
 	if r.sync != nil {
 		r.sync.Stop()
 	}
+	// Close the durable store BEFORE the transport: a draining Close
+	// completes every in-flight block's commit point and its durability
+	// callback enqueues the deferred client acks onto the transport's
+	// per-client queues, which the transport's Close then flushes (bounded
+	// by its drain timeout).
 	if r.durable != nil {
-		r.durable.CloseAbrupt()
+		if abrupt {
+			r.durable.CloseAbrupt()
+		} else if err := r.durable.Close(); err != nil {
+			r.setDurErr(err)
+		}
 	}
 	if r.trans != nil {
 		r.trans.Close()
@@ -909,7 +882,7 @@ func (r *Replica) saveSnapshot() {
 	// delivery boundary, so f+1 replicas that checkpointed this height vouch
 	// for the same bytes however far their live heads run ahead.
 	// saveSnapshot runs for boundary-syncable machines only at the boundary
-	// (CheckpointDue), so the frontier read here IS the boundary frontier.
+	// (Checkpoint), so the frontier read here IS the boundary frontier.
 	// Snapshot is a no-op on an empty chain, so there may be none.
 	if snap := r.durable.LatestSnapshot(); snap != nil && r.sync != nil && r.boundary != nil {
 		r.sync.RecordCheckpoint(snap.Height, r.boundary.BoundarySyncPoint())
@@ -918,7 +891,16 @@ func (r *Replica) saveSnapshot() {
 
 // replicaEnv implements sm.Env on top of the process.
 type replicaEnv struct {
+	*host
 	r *Replica
+	// snapDue defers a cadence-triggered checkpoint to the machine's next
+	// delivery boundary (sm.BoundarySyncable machines only). The cadence
+	// fires MID-wave — inside Deliver — where different replicas observe
+	// different in-flight frontiers; the machine's Checkpoint call at the
+	// wave boundary consumes the flag, at the one point where its frontier
+	// is a pure function of the delivery prefix and a checkpoint can be
+	// attested across replicas.
+	snapDue bool
 	// self holds the messages the machine addressed to itself during the
 	// event being handled. The loop drains it before its next inbox read,
 	// so self-delivery never waits on the bounded inbox only this loop
@@ -965,62 +947,79 @@ func (e *replicaEnv) SendClient(c types.ClientID, m types.Message) {
 	}
 }
 
-// Deliver executes the decision's batch in order, journals it, and answers
-// the clients. The journal append is pipelined: execution returns
-// immediately and the client replies wait for the block's WAL record to be
-// reported durable (per-height ack deferral), so no client ever holds an
-// acknowledgement the disk does not. Without a durable store the completion
-// fires inline.
+// Deliver executes the decision's batch in order, appends its block to the
+// replica's ledger, and answers the clients when that append completes.
+// The durable store completes on its WAL committer goroutine once the
+// block's record is durable (per-height ack deferral), so no client ever
+// holds an acknowledgement the disk does not; the in-memory ledger
+// completes inline.
 func (e *replicaEnv) Deliver(d sm.Decision) {
 	r := e.r
-	r.mu.Lock()
-	r.delivered++
-	r.mu.Unlock()
 	if d.Batch == nil || d.Batch.IsNoOp() {
 		// No-op fillers (§III-E) keep rounds complete but carry no client
 		// work: nothing to execute, journal, or answer.
 		return
 	}
+	met := r.cfg.Metrics
+	var start time.Time
+	if met != nil {
+		start = time.Now()
+	}
+	result := exec.Apply(r.cfg.App, d.Batch.Txns)
+	r.executed.Add(uint64(len(d.Batch.Txns)))
+	if met != nil {
+		met.ObserveStage(obs.StageExecute, time.Since(start))
+		if met.Tracing() {
+			r.traceBatch(d, flight.KExecute)
+		}
+	}
+	state := r.cfg.App.StateDigest()
 	proof := ledger.Proof{
 		Instance: d.Instance, Round: d.Round, View: d.View,
 		Digest: d.Digest, Signers: d.Signers,
 	}
-	met := r.cfg.Metrics
-	var delivAt time.Time
+	var appended time.Time
 	if met != nil {
-		delivAt = time.Now()
+		appended = time.Now()
 	}
-	// With a durable store the callback runs on the WAL committer
-	// goroutine; d and the completion Result are read-only there, and the
-	// transports are safe for concurrent use. SendClient is enqueue-only
-	// (bounded per-client queue, drop on overflow), so acking directly from
-	// the committer can never wait on a client's socket — a dropped reply
-	// only un-acks a durable block and the client collects its f+1 replies
-	// elsewhere or retries.
-	res := r.engine.ExecuteBatchAsync(d.Batch, proof, func(nres exec.Result, err error) {
+	// With a durable store done runs on the WAL committer goroutine; d is
+	// read-only there, and the transports are safe for concurrent use.
+	// SendClient is enqueue-only (bounded per-client queue, drop on
+	// overflow), so acking directly from the committer can never wait on a
+	// client's socket — a dropped reply only un-acks a durable block and
+	// the client collects its f+1 replies elsewhere or retries.
+	done := func(_ uint64, err error) {
+		if met != nil {
+			met.ObserveStage(obs.StageJournal, time.Since(appended))
+		}
 		if err != nil {
-			// setDurErr already ran (durableJournal); stay silent and
-			// let clients collect f+1 replies from healthy replicas.
+			// The in-memory chain is now ahead of disk: the error sticks
+			// (DurabilityErr), and clients collect their f+1 replies from
+			// healthy replicas.
+			r.setDurErr(err)
 			return
 		}
 		if r.durable != nil && met.Tracing() {
 			r.traceBatch(d, flight.KDurable)
 		}
-		e.ackClients(d, nres)
+		r.ackClients(d, result)
 		if met != nil {
-			met.ObserveStage(obs.StageAck, time.Since(delivAt))
+			met.ObserveStage(obs.StageAck, time.Since(start))
 		}
-	})
-	r.mu.Lock()
-	r.executed += uint64(res.TxnExecuted)
-	r.mu.Unlock()
-	if r.cfg.Journaling.SnapshotEvery > 0 && res.Block != nil &&
-		(res.Block.Height+1)%r.cfg.Journaling.SnapshotEvery == 0 {
+	}
+	var blk *ledger.Block
+	if r.durable != nil {
+		blk = r.durable.AppendAsync(d.Batch, proof, state, done)
+	} else {
+		blk = r.log.Append(d.Batch, proof, state)
+		done(0, nil)
+	}
+	if every := r.cfg.Journaling.SnapshotEvery; every > 0 && (blk.Height+1)%every == 0 {
 		if r.boundary != nil {
-			// Heights land mid-wave; a boundary-syncable machine drains the
-			// flag at the end of the wave (CheckpointDue → PersistCheckpoint)
-			// so the checkpoint lands where the frontier is deterministic.
-			r.snapDue = true
+			// Heights land mid-wave; a boundary-syncable machine announces
+			// the end of the wave (Checkpoint(false)), where the checkpoint
+			// lands at a deterministic frontier.
+			e.snapDue = true
 		} else {
 			r.saveSnapshot()
 		}
@@ -1120,16 +1119,13 @@ func (r *Replica) cachedReply(c types.ClientID, seq uint64) *types.ClientReply {
 }
 
 // ackClients answers the clients covered by a decided, executed, durable
-// batch: one reply per client, listing every seq of that client's
-// non-no-op transactions in batch order (duplicates once), so a client's
-// whole share of a batch costs one tag here and one verify at the client,
-// and each listed seq completes on f+1 matching replies. Safe off the event
-// loop — it reads only immutable decision state.
-func (e *replicaEnv) ackClients(d sm.Decision, res exec.Result) {
-	r := e.r
-	if !r.cfg.ReplyToClients {
-		return
-	}
+// batch with its ResultHash result: one reply per client, listing every
+// seq of that client's non-no-op transactions in batch order (duplicates
+// once), so a client's whole share of a batch costs one tag here and one
+// verify at the client, and each listed seq completes on f+1 matching
+// replies. Safe off the event loop — it reads only immutable decision
+// state.
+func (r *Replica) ackClients(d sm.Decision, result types.Digest) {
 	// A durable replica whose journal failed must not acknowledge
 	// transactions it can no longer persist: stay silent and let clients
 	// collect their f+1 replies from healthy replicas.
@@ -1144,9 +1140,11 @@ func (e *replicaEnv) ackClients(d sm.Decision, res exec.Result) {
 				met.Trace(uint16(r.cfg.ID), flight.SubRuntime, flight.KAck, uint32(d.Instance), uint64(a.c), seq)
 			}
 		}
-		reply := types.NewClientReply(d.Instance, r.cfg.ID, a.c, d.Round, res.ResultHash, a.seqs)
+		reply := types.NewClientReply(d.Instance, r.cfg.ID, a.c, d.Round, result, a.seqs)
 		r.cacheReply(reply)
-		e.SendClient(a.c, reply)
+		if r.trans != nil {
+			_ = r.trans.SendClient(a.c, reply)
+		}
 	}
 }
 
@@ -1203,66 +1201,36 @@ func groupAcks(txns []types.Transaction) []clientAck {
 	return acks
 }
 
-func (e *replicaEnv) SetTimer(id sm.TimerID, d time.Duration) {
-	r := e.r
-	r.timers.Lock()
-	defer r.timers.Unlock()
-	if t, ok := r.timers.m[id]; ok {
-		t.Stop()
-	}
-	r.timers.m[id] = time.AfterFunc(d, func() {
-		select {
-		case r.events <- event{timer: id, isTimer: true}:
-		case <-r.stopped:
-		}
-	})
-}
-
-func (e *replicaEnv) CancelTimer(id sm.TimerID) {
-	r := e.r
-	r.timers.Lock()
-	defer r.timers.Unlock()
-	if t, ok := r.timers.m[id]; ok {
-		t.Stop()
-		delete(r.timers.m, id)
-	}
-}
-
-func (e *replicaEnv) Now() time.Duration { return time.Since(e.r.start) }
-
 func (e *replicaEnv) Suspect(inst types.InstanceID, round types.Round) {
 	// Standalone machines route suspicion internally; RCC replicas never
 	// surface it to the runtime. Nothing to do.
 }
 
-// PersistCheckpoint implements sm.CheckpointSink: RCC's dynamic per-need
-// checkpoints (§III-D) double as durable recovery points. Runs on the event
-// loop (machines emit effects from their own loop), so touching the
-// application is safe.
-func (e *replicaEnv) PersistCheckpoint() { e.r.saveSnapshot() }
-
-// CheckpointDue implements sm.DeferredCheckpointer: it consumes the
-// cadence flag Deliver set mid-wave, so a boundary-syncable machine takes
-// exactly one checkpoint per trigger, at its next delivery boundary.
-func (e *replicaEnv) CheckpointDue() bool {
-	due := e.r.snapDue
-	e.r.snapDue = false
-	return due
+// Checkpoint implements sm.Env. A forced checkpoint — RCC's dynamic
+// per-need checkpoint (§III-D) — persists now, so it doubles as a durable
+// recovery point. A delivery boundary consumes the cadence flag Deliver set
+// mid-wave, so a boundary-syncable machine takes exactly one checkpoint per
+// trigger, at its next boundary. Runs on the event loop (machines emit
+// effects from their own loop), so touching the application is safe.
+func (e *replicaEnv) Checkpoint(force bool) {
+	if !force {
+		if !e.snapDue {
+			return
+		}
+		e.snapDue = false
+	}
+	e.r.saveSnapshot()
 }
 
 func (e *replicaEnv) Logf(format string, args ...any) { e.r.logf(format, args...) }
 
-// RequestStateSync implements sm.StateSyncRequester: machines report gaps
-// that in-protocol catch-up cannot bridge; the manager coalesces the kicks.
+// RequestStateSync implements sm.Env: machines report gaps that
+// in-protocol catch-up cannot bridge; the manager coalesces the kicks.
 func (e *replicaEnv) RequestStateSync() {
 	if e.r.sync != nil {
 		e.r.sync.Kick()
 	}
 }
-
-// ---------------------------------------------------------------------------
-// Client process
-// ---------------------------------------------------------------------------
 
 // ClientProc hosts an sm.ClientMachine on goroutines and a transport.
 type ClientProc struct {
@@ -1270,39 +1238,22 @@ type ClientProc struct {
 	params  quorum.Params
 	machine sm.ClientMachine
 	trans   transport.Transport
-
-	events chan event
-	timers struct {
-		sync.Mutex
-		m map[sm.TimerID]*time.Timer
-	}
-	start    time.Time
-	stopOnce sync.Once
-	stopped  chan struct{}
-	wg       sync.WaitGroup
+	host    *host
 }
 
 // NewClient creates a client process.
 func NewClient(id types.ClientID, params quorum.Params, m sm.ClientMachine) *ClientProc {
-	c := &ClientProc{
-		id: id, params: params, machine: m,
-		events:  make(chan event, 1024),
-		stopped: make(chan struct{}),
-		start:   time.Now(),
-	}
-	c.timers.m = make(map[sm.TimerID]*time.Timer)
-	return c
+	return &ClientProc{id: id, params: params, machine: m, host: newHost(1024)}
 }
 
 // Attach wires the transport (must precede Run).
 func (c *ClientProc) Attach(t transport.Transport) { c.trans = t }
 
-// DeliverReplica implements transport.Endpoint.
+// DeliverReplica implements transport.Endpoint. It waits for room in the
+// client's event queue, so it must not be called from the client's own
+// loop (a completion hook): refill from there with client.Client.Submit.
 func (c *ClientProc) DeliverReplica(from types.ReplicaID, m types.Message) {
-	select {
-	case c.events <- event{from: sm.FromReplica(from), msg: m}:
-	case <-c.stopped:
-	}
+	c.host.enqueue(event{from: sm.FromReplica(from), msg: m})
 }
 
 // DeliverClient implements transport.Endpoint (unused for clients).
@@ -1312,24 +1263,23 @@ func (c *ClientProc) DeliverClient(types.ClientID, types.Message) {}
 // already queued behind it, then flushes the machine, so whatever those
 // events put in flight leaves as one request per destination set.
 func (c *ClientProc) Run() {
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		c.machine.Start(&clientEnv{c: c})
+	h := c.host
+	h.spawn(func() {
+		c.machine.Start(&clientEnv{host: h, c: c})
 		c.machine.Flush()
 		for {
 			select {
-			case <-c.stopped:
+			case <-h.stopped:
 				return
-			case e := <-c.events:
+			case e := <-h.events:
 				c.handle(e)
-				for n := len(c.events); n > 0; n-- {
-					c.handle(<-c.events)
+				for n := len(h.events); n > 0; n-- {
+					c.handle(<-h.events)
 				}
 				c.machine.Flush()
 			}
 		}
-	}()
+	})
 }
 
 func (c *ClientProc) handle(e event) {
@@ -1342,21 +1292,16 @@ func (c *ClientProc) handle(e event) {
 
 // Stop shuts the client down.
 func (c *ClientProc) Stop() {
-	c.stopOnce.Do(func() {
-		close(c.stopped)
-		c.timers.Lock()
-		for _, t := range c.timers.m {
-			t.Stop()
-		}
-		c.timers.Unlock()
-	})
-	c.wg.Wait()
+	c.host.halt()
 	if c.trans != nil {
 		c.trans.Close()
 	}
 }
 
-type clientEnv struct{ c *ClientProc }
+type clientEnv struct {
+	*host
+	c *ClientProc
+}
 
 var _ sm.ClientEnv = (*clientEnv)(nil)
 
@@ -1375,30 +1320,4 @@ func (e *clientEnv) Broadcast(m types.Message) {
 	}
 }
 
-func (e *clientEnv) SetTimer(id sm.TimerID, d time.Duration) {
-	c := e.c
-	c.timers.Lock()
-	defer c.timers.Unlock()
-	if t, ok := c.timers.m[id]; ok {
-		t.Stop()
-	}
-	c.timers.m[id] = time.AfterFunc(d, func() {
-		select {
-		case c.events <- event{timer: id, isTimer: true}:
-		case <-c.stopped:
-		}
-	})
-}
-
-func (e *clientEnv) CancelTimer(id sm.TimerID) {
-	c := e.c
-	c.timers.Lock()
-	defer c.timers.Unlock()
-	if t, ok := c.timers.m[id]; ok {
-		t.Stop()
-		delete(c.timers.m, id)
-	}
-}
-
-func (e *clientEnv) Now() time.Duration  { return time.Since(e.c.start) }
 func (e *clientEnv) Logf(string, ...any) {}

@@ -33,7 +33,6 @@ func memCluster(t *testing.T, n int, machine func() sm.Machine) ([]*Replica, *tr
 			Params:         params,
 			Machine:        machine(),
 			App:            ycsb.NewStore(1000),
-			Journal:        true,
 			ReplyToClients: true,
 		})
 		if err != nil {

@@ -64,7 +64,6 @@ func tcpClusterWith(t *testing.T, n int, opts tcpAuthOpts, machine func() sm.Mac
 			Params:         params,
 			Machine:        machine(),
 			App:            ycsb.NewStore(1000),
-			Journal:        true,
 			ReplyToClients: true,
 		})
 		if err != nil {

@@ -438,6 +438,12 @@ func (nd *Node) Suspect(inst types.InstanceID, round types.Round) {
 	nd.suspects = append(nd.suspects, Suspicion{Instance: inst, Round: round, At: nd.net.clock})
 }
 
+// RequestStateSync implements sm.Env: the simulator has no state transfer.
+func (nd *Node) RequestStateSync() {}
+
+// Checkpoint implements sm.Env: the simulator keeps no snapshot store.
+func (nd *Node) Checkpoint(bool) {}
+
 // Logf implements sm.Env.
 func (nd *Node) Logf(format string, args ...any) {
 	if nd.net.cfg.Trace != nil {

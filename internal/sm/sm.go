@@ -8,7 +8,7 @@
 //
 //   - the deterministic discrete-event simulator (internal/simnet),
 //   - the goroutine/TCP replica runtime (internal/runtime), and
-//   - unit tests (the synchronous Bus in this package),
+//   - unit tests that drive a machine through a recording Env,
 //
 // which is what makes property testing and failure injection of the
 // protocols possible.
@@ -104,6 +104,22 @@ type Env interface {
 	// internally via view changes.
 	Suspect(inst types.InstanceID, round types.Round)
 
+	// RequestStateSync reports that the machine is in the dark beyond what
+	// in-protocol catch-up can bridge, e.g. a certified checkpoint whose
+	// body no longer reaches back to the local frontier. A runtime with
+	// checkpoint-based state transfer (internal/statesync) coalesces the
+	// requests, so calling it repeatedly is cheap; others ignore it.
+	RequestStateSync()
+
+	// Checkpoint persists an execution-state checkpoint at the current
+	// ledger head, when the runtime keeps a snapshot store. With force the
+	// checkpoint is taken now: RCC calls it so for a dynamic per-need
+	// checkpoint (§III-D), which then doubles as a crash-restart recovery
+	// point on disk. Without force the machine announces a delivery
+	// boundary, and the runtime takes a checkpoint only if its periodic
+	// cadence came due since the last boundary (see BoundarySyncable).
+	Checkpoint(force bool)
+
 	// Logf records a debug line. Runtimes may discard it.
 	Logf(format string, args ...any)
 }
@@ -116,13 +132,6 @@ type Machine interface {
 	OnMessage(from Source, m types.Message)
 	// OnTimer processes one fired timer.
 	OnTimer(id TimerID)
-}
-
-// Suspector is implemented by client-facing machines that can be told a
-// request went unserved (used to detect primaries refusing service,
-// §III-E).
-type Suspector interface {
-	SuspectClientNeglect(c types.ClientID)
 }
 
 // StateSyncable is the checkpoint-based state-transfer capability
@@ -171,10 +180,9 @@ type StateSyncable interface {
 // only when f+1 offers carry identical bytes.
 //
 // A machine implementing this interface also takes over the periodic
-// checkpoint cadence: the runtime defers cadence-triggered snapshots
-// (CheckpointDue) and the machine persists them at its next delivery
-// boundary via CheckpointSink, so the snapshot and the boundary sync point
-// describe the same instant.
+// checkpoint cadence: the runtime defers cadence-triggered snapshots until
+// the machine announces its next delivery boundary (Env.Checkpoint(false)),
+// so the snapshot and the boundary sync point describe the same instant.
 type BoundarySyncable interface {
 	StateSyncable
 	// BoundarySyncPoint serializes the delivery-boundary frontier, in the
@@ -183,31 +191,4 @@ type BoundarySyncable interface {
 	// value at the boundary was garbage-collected, or a recovery is in
 	// flight); offers then carry no boundary frontier for this snapshot.
 	BoundarySyncPoint() []byte
-}
-
-// DeferredCheckpointer is optionally implemented by an Env whose runtime
-// defers cadence snapshots to machine-announced delivery boundaries (see
-// BoundarySyncable). CheckpointDue consumes the pending-cadence flag: it
-// returns true at most once per cadence trigger, and the machine responds
-// by calling CheckpointSink.PersistCheckpoint at its current boundary.
-type DeferredCheckpointer interface {
-	CheckpointDue() bool
-}
-
-// StateSyncRequester is optionally implemented by an Env whose runtime can
-// run checkpoint-based state transfer. Machines call it when they detect
-// they are in the dark beyond what in-protocol catch-up can bridge — e.g. a
-// certified checkpoint whose body no longer reaches back to the local
-// frontier. The runtime coalesces requests; calling it repeatedly is cheap.
-type StateSyncRequester interface {
-	RequestStateSync()
-}
-
-// CheckpointSink is optionally implemented by an Env whose runtime can
-// persist execution-state checkpoints (the durable snapshot store). RCC
-// calls it when a dynamic per-need checkpoint runs (§III-D), so the
-// in-protocol catch-up point also becomes a crash-restart recovery point on
-// disk. Runtimes without durable storage simply do not implement it.
-type CheckpointSink interface {
-	PersistCheckpoint()
 }

@@ -328,10 +328,9 @@ func (d *DurableLedger) pruneWAL(h uint64) {
 
 // RestoreApp brings app to the chain head's state: from the latest
 // consistent checkpoint when app implements Snapshotter (re-executing only
-// the blocks after it), otherwise by re-executing the whole journal. It
-// verifies the final application digest against the head block's StateHash
-// and returns the total number of transactions the chain carries (for
-// priming executed-transaction counters).
+// the blocks after it), otherwise by re-executing the whole journal, each
+// block audited as in ReplayApp. It returns the total number of
+// transactions the chain carries.
 func (d *DurableLedger) RestoreApp(app exec.Application) (uint64, error) {
 	var from uint64
 	if _, ok := app.(Snapshotter); !ok && d.mem.Base() > 0 {
@@ -351,16 +350,28 @@ func (d *DurableLedger) RestoreApp(app exec.Application) (uint64, error) {
 		}
 		from = d.snap.Height
 	}
+	if err := d.ReplayApp(app, from); err != nil {
+		return 0, err
+	}
+	return d.mem.TxnCount(), nil
+}
+
+// ReplayApp re-executes the journaled blocks from height from to the head
+// on app, which must hold the state the chain reached after block from-1.
+// After each block it audits the application digest against the block's
+// StateHash, so an application that diverged from the chain is reported at
+// the first height where it did.
+func (d *DurableLedger) ReplayApp(app exec.Application, from uint64) error {
 	for h := from; h < d.mem.Height(); h++ {
 		blk := d.mem.Get(h)
 		for i := range blk.Batch.Txns {
 			app.Execute(blk.Batch.Txns[i])
 		}
 		if app.StateDigest() != blk.StateHash {
-			return 0, fmt.Errorf("store: replay diverged at height %d: application digest does not match the journaled StateHash", h)
+			return fmt.Errorf("store: replay diverged at height %d: application digest does not match the journaled StateHash", h)
 		}
 	}
-	return d.mem.TxnCount(), nil
+	return nil
 }
 
 // Sync forces all journaled blocks to durable storage. The blocks are

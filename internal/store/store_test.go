@@ -18,7 +18,7 @@ import (
 )
 
 // appendBlocks executes n single-transaction batches against app and
-// journals them through d, mirroring what the execution engine does.
+// journals them through d, mirroring what the replica runtime does.
 func appendBlocks(t *testing.T, d *DurableLedger, app *ycsb.Store, start, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {

@@ -53,21 +53,6 @@ func (f *Faults) Partition(a, b types.ReplicaID) {
 	f.mu.Unlock()
 }
 
-// PartitionSets cuts every link between the two groups, both directions. A
-// replica appearing in both groups keeps its intra-group links.
-func (f *Faults) PartitionSets(groupA, groupB []types.ReplicaID) {
-	f.mu.Lock()
-	for _, a := range groupA {
-		for _, b := range groupB {
-			if a != b {
-				f.cut[linkKey{a, b}] = struct{}{}
-				f.cut[linkKey{b, a}] = struct{}{}
-			}
-		}
-	}
-	f.mu.Unlock()
-}
-
 // Isolate cuts every link to and from a.
 func (f *Faults) Isolate(a types.ReplicaID, n int) {
 	f.mu.Lock()
@@ -89,14 +74,6 @@ func (f *Faults) Heal(a, b types.ReplicaID) {
 	f.mu.Unlock()
 }
 
-// HealAll removes every cut (delays stay — they model geography, not
-// failure).
-func (f *Faults) HealAll() {
-	f.mu.Lock()
-	f.cut = make(map[linkKey]struct{})
-	f.mu.Unlock()
-}
-
 // SetLinkDelay imposes a constant one-way delivery delay from a to b (0
 // removes it). Symmetric latency needs two calls.
 func (f *Faults) SetLinkDelay(a, b types.ReplicaID, d time.Duration) {
@@ -107,16 +84,6 @@ func (f *Faults) SetLinkDelay(a, b types.ReplicaID, d time.Duration) {
 		f.delay[linkKey{a, b}] = d
 	}
 	f.mu.Unlock()
-}
-
-// Cuts reports how many directed links are currently cut.
-func (f *Faults) Cuts() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return len(f.cut)
 }
 
 // dropped reports whether the directed link from→to is cut. Nil-safe.

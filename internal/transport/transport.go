@@ -1,6 +1,6 @@
 // Package transport provides the message transports of the replica runtime:
 // an in-process transport for tests and single-machine deployments, and a
-// TCP transport (binary wire format v10, see wire.go) for real multi-host
+// TCP transport (binary wire format v13, see wire.go) for real multi-host
 // deployments via cmd/rccnode and cmd/rccclient.
 //
 // # Non-blocking contract

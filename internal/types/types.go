@@ -99,7 +99,7 @@ func (d Digest) Uint64() uint64 { return binary.BigEndian.Uint64(d[:8]) }
 func Hash(data []byte) Digest { return sha256.Sum256(data) }
 
 // Transaction is a client-signed request ⟨T⟩_c. Op is an opaque payload
-// interpreted by the execution engine (YCSB operation, bank transfer, ...).
+// interpreted by the application (YCSB operation, bank transfer, ...).
 type Transaction struct {
 	Client ClientID
 	Seq    uint64 // per-client sequence number

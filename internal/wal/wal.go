@@ -653,9 +653,6 @@ func (l *Log) Stats() (appends, syncs uint64) {
 	return l.appends.Load(), l.syncs.Load()
 }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Close flushes, syncs, and closes the log. Further appends fail with
 // ErrClosed.
 func (l *Log) Close() error {

@@ -84,7 +84,7 @@ func (s *Store) Writes() uint64 { return s.writes.Load() }
 
 // Keys appends the one record tx reads or writes. Malformed and
 // unknown-opcode payloads execute statelessly (result 0xff), so they
-// append nothing. The engine does not call it; it stays only because the
+// append nothing. The runtime does not call it; it stays only because the
 // benchmark module's traced app does.
 func (s *Store) Keys(tx types.Transaction, buf []types.StateKey) ([]types.StateKey, bool) {
 	if tx.IsNoOp() {

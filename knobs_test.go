@@ -38,8 +38,7 @@ var knobCensus = []struct {
 	{runtime.FlightOptions{}, []string{"MirrorInterval"}},
 	{runtime.JournalOptions{}, []string{"Sync", "Async", "SnapshotEvery", "PruneWAL", "Failpoints"}},
 	{store.Options{}, []string{"Sync", "AsyncQueueDepth", "AsyncOnCommit", "Identity", "PruneWAL", "Failpoints"}},
-	{core.Options{}, []string{"N", "Protocol", "BatchSize", "Window", "ProgressTimeout", "App", "Journal",
-		"DataDir", "SnapshotEvery", "UnpredictableOrdering", "Metrics"}},
+	{core.Options{}, []string{"N", "Protocol", "BatchSize", "Window", "ProgressTimeout", "App", "DataDir", "SnapshotEvery", "UnpredictableOrdering", "Metrics"}},
 	{chaos.Config{}, []string{"Nodes", "Duration", "Seed", "WAN", "ArtifactDir", "Schedule", "Logf"}},
 	{client.Config{}, []string{"Client", "RetryTimeout", "Broadcast", "Primary", "Instance"}},
 	{rcc.Config{}, []string{"BatchSize", "Window", "ProgressTimeout", "RecoveryTimeout", "UnpredictableOrdering", "Metrics"}},
