@@ -18,144 +18,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/exec"
 	"repro/internal/ledger"
-	"repro/internal/obs"
 	"repro/internal/obs/flight"
-	"repro/internal/quorum"
 	"repro/internal/sm"
 	"repro/internal/statesync"
 	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/types"
-	"repro/internal/wal"
 )
-
-// JournalOptions groups the durability tunables that apply when
-// Config.DataDir is set.
-type JournalOptions struct {
-	// Sync selects the WAL sync policy. Under the default every client
-	// reply follows an fsync covering its block; under wal.SyncNone a
-	// completion means flushed to the OS, not fsynced.
-	Sync wal.SyncPolicy
-	// Async is accepted and ignored: journaling is always pipelined. The
-	// field remains only because benchmark/cluster.go still sets it.
-	Async bool
-	// SnapshotEvery persists an application checkpoint every N decided
-	// blocks when App implements store.Snapshotter (0 disables periodic
-	// checkpoints; RCC's dynamic checkpoints still persist on demand).
-	SnapshotEvery uint64
-	// PruneWAL reclaims write-ahead-log segments made redundant by each
-	// persisted checkpoint (see store.Options.PruneWAL): recovery replays
-	// snapshot + suffix, so disk usage stays proportional to the
-	// checkpoint interval instead of total history.
-	PruneWAL bool
-	// Failpoints, when non-nil, injects disk faults into the WAL
-	// (fsync-error, torn-write; see wal.Failpoints). Chaos/test wiring
-	// only.
-	Failpoints *wal.Failpoints
-
-	// queueDepth bounds blocks executed but not yet durable (zero selects
-	// wal.DefaultQueueDepth); only same-package tests shrink it. When it
-	// fills, execution back-pressures by blocking the event loop until the
-	// disk catches up.
-	queueDepth int
-}
-
-const (
-	// stallThreshold is how long the event loop may fail to service a
-	// watchdog probe before a loop_stalled event is recorded and
-	// rcc_loop_stalls_total increments. One event fires per stall episode,
-	// not per probe interval.
-	stallThreshold = 500 * time.Millisecond
-	// fsyncStallThreshold is the WAL commit-point latency above which an
-	// fsync_stall event is recorded, detail = latency in nanoseconds.
-	fsyncStallThreshold = 250 * time.Millisecond
-)
-
-// FlightOptions tunes the black-box flight recorder's runtime hooks.
-type FlightOptions struct {
-	// MirrorInterval is the period of the crash-safe ring mirror written to
-	// <DataDir>/flight.bin (default 2s; requires DataDir; negative
-	// disables). kill -9 then loses at most one interval of events; a
-	// sticky durability failure additionally dumps synchronously.
-	MirrorInterval time.Duration
-
-	// stallThreshold overrides the watchdog's stallThreshold in
-	// same-package tests (zero selects it).
-	stallThreshold time.Duration
-}
-
-func (o *FlightOptions) defaults() {
-	if o.stallThreshold == 0 {
-		o.stallThreshold = stallThreshold
-	}
-	if o.MirrorInterval == 0 {
-		o.MirrorInterval = 2 * time.Second
-	}
-}
-
-// StateSyncOptions groups the checkpoint-based state-transfer tunables.
-type StateSyncOptions struct {
-	// Enabled arms the subsystem (requires Config.DataDir): the replica
-	// serves its snapshots and ledger to lagging peers, and when it is
-	// itself behind — wiped, corrupted, or partitioned past what
-	// checkpoint catch-up bridges — it fetches the f+1-attested snapshot
-	// plus ledger suffix from peers, installs it crash-atomically, and
-	// rejoins consensus at the cluster head.
-	Enabled bool
-	// OfferWait / Retry / SteadyProbe tune the manager's probe gathering
-	// window, failed-pass retry interval, and the steady-state re-probe
-	// period (defaults in internal/statesync; tests shrink them).
-	OfferWait   time.Duration
-	Retry       time.Duration
-	SteadyProbe time.Duration
-}
-
-// Config parameterizes one replica process.
-type Config struct {
-	// ID is the local replica.
-	ID types.ReplicaID
-	// Params are the deployment's quorum parameters.
-	Params quorum.Params
-	// Machine is the consensus machine to host: an RCC replica or a
-	// standalone PBFT instance. It must implement sm.StateSyncable; New
-	// refuses one that does not.
-	Machine sm.Machine
-	// App is the deterministic application decisions execute against.
-	App exec.Application
-	// DataDir enables the durable storage subsystem: the replica's ledger
-	// is journaled through a write-ahead log under this directory instead
-	// of kept in memory only — pipelined, so the event loop never waits
-	// out an fsync and client replies for a block are deferred until its
-	// record is durable — and New restores ledger height and application
-	// state from disk before the replica starts — a restarted replica
-	// resumes at its pre-crash height with an identical head hash and
-	// state digest instead of demanding state transfer from peers.
-	DataDir string
-	// Journaling tunes durability when DataDir is set.
-	Journaling JournalOptions
-	// StateSync configures the state-transfer subsystem.
-	StateSync StateSyncOptions
-	// Flight tunes the flight recorder's watchdog, fsync-stall detector,
-	// and crash-safe disk mirror (the recorder itself lives in Metrics).
-	Flight FlightOptions
-	// QueueDepth bounds the inbound event queue (default 4096).
-	QueueDepth int
-	// ReplyToClients is accepted and ignored: a replica always answers the
-	// clients of executed batches. The field remains only because
-	// benchmark/cluster.go still sets it.
-	ReplyToClients bool
-	// Metrics is the replica's instrument catalog (shared with the
-	// consensus machine). New wires it through the durable store,
-	// registers the replica's own gauges plus WAL and
-	// statesync counters — each labeled replica="ID" so an in-process
-	// cluster can share one registry — and Attach adds the transport's.
-	// Nil disables instrumentation.
-	Metrics *obs.NodeMetrics
-	// Logf, when set, receives runtime and state-transfer progress lines.
-	Logf func(format string, args ...any)
-}
 
 // Replica is one running replica process.
 type Replica struct {
@@ -192,96 +62,6 @@ type Replica struct {
 
 	stallCount atomic.Uint64 // watchdog-detected event-loop stall episodes
 }
-
-type event struct {
-	from    sm.Source
-	msg     types.Message
-	timer   sm.TimerID
-	isTimer bool
-	fn      func()
-}
-
-// host is the event-loop plumbing a replica and a client process share:
-// the bounded event queue, the armed timers, the clock and the stop
-// signal. Its SetTimer, CancelTimer and Now serve both environments.
-type host struct {
-	events chan event
-	timers struct {
-		sync.Mutex
-		m map[sm.TimerID]*time.Timer
-	}
-	start time.Time
-
-	stopOnce sync.Once
-	stopped  chan struct{}
-	wg       sync.WaitGroup
-}
-
-func newHost(queueDepth int) *host {
-	h := &host{
-		events:  make(chan event, queueDepth),
-		stopped: make(chan struct{}),
-		start:   time.Now(),
-	}
-	h.timers.m = make(map[sm.TimerID]*time.Timer)
-	return h
-}
-
-// enqueue hands e to the loop, waiting for queue space. It reports false
-// once the host stopped.
-func (h *host) enqueue(e event) bool {
-	select {
-	case h.events <- e:
-		return true
-	case <-h.stopped:
-		return false
-	}
-}
-
-// spawn runs fn on a goroutine that halt waits for.
-func (h *host) spawn(fn func()) {
-	h.wg.Add(1)
-	go func() {
-		defer h.wg.Done()
-		fn()
-	}()
-}
-
-// halt signals stop, disarms every timer and waits for the spawned
-// goroutines to return.
-func (h *host) halt() {
-	h.stopOnce.Do(func() {
-		close(h.stopped)
-		h.timers.Lock()
-		for _, t := range h.timers.m {
-			t.Stop()
-		}
-		h.timers.Unlock()
-	})
-	h.wg.Wait()
-}
-
-func (h *host) SetTimer(id sm.TimerID, d time.Duration) {
-	h.timers.Lock()
-	defer h.timers.Unlock()
-	if t, ok := h.timers.m[id]; ok {
-		t.Stop()
-	}
-	h.timers.m[id] = time.AfterFunc(d, func() {
-		h.enqueue(event{timer: id, isTimer: true})
-	})
-}
-
-func (h *host) CancelTimer(id sm.TimerID) {
-	h.timers.Lock()
-	defer h.timers.Unlock()
-	if t, ok := h.timers.m[id]; ok {
-		t.Stop()
-		delete(h.timers.m, id)
-	}
-}
-
-func (h *host) Now() time.Duration { return time.Since(h.start) }
 
 // New creates a replica process. Attach a transport with Attach, then Run.
 // With Config.DataDir set it opens the durable store, replays the
@@ -427,118 +207,6 @@ func (r *Replica) dumpFlight() {
 	if err := fr.WriteFile(filepath.Join(r.cfg.DataDir, flight.FileName), uint16(r.cfg.ID)); err != nil {
 		r.logf("runtime: flight dump failed: %v", err)
 	}
-}
-
-// initStateSync wires the checkpoint-based state-transfer subsystem when
-// configured. The manager's goroutines start in Run (after the transport is
-// attached).
-func (r *Replica) initStateSync() {
-	if !r.cfg.StateSync.Enabled {
-		return
-	}
-	r.sync = statesync.New(statesync.Config{
-		Self:          r.cfg.ID,
-		N:             r.cfg.Params.N,
-		OfferWait:     r.cfg.StateSync.OfferWait,
-		RetryInterval: r.cfg.StateSync.Retry,
-		SteadyProbe:   r.cfg.StateSync.SteadyProbe,
-		Flight:        r.flight(),
-	}, statesync.Host{
-		Send: func(to types.ReplicaID, m types.Message) {
-			if r.trans != nil {
-				_ = r.trans.Send(to, m)
-			}
-		},
-		Snapshot:  func() *store.Snapshot { return r.durable.LatestSnapshot() },
-		Ledger:    func() *ledger.Ledger { return r.durable.Memory() },
-		SyncPoint: r.syncable.SyncPoint,
-		Install:   r.installFromSync,
-		OnLoop:    func(fn func()) bool { return r.host.enqueue(event{fn: fn}) },
-		Logf:      r.logf,
-	})
-}
-
-// StateSync returns the state-transfer manager (nil unless Config.StateSync
-// armed it).
-func (r *Replica) StateSync() *statesync.Manager { return r.sync }
-
-// installFromSync applies a verified state transfer. Runs on the event
-// loop: the application and machine are single-threaded by contract, and no
-// execution can interleave with the store swap.
-func (r *Replica) installFromSync(res *statesync.Result) error {
-	if err := r.DurabilityErr(); err != nil {
-		// The disk already failed this process; installing over it would
-		// just hide the fault. Operators restart the replica instead.
-		return err
-	}
-	local := r.durable.Memory().Height()
-	if res.Target <= local {
-		return nil // consensus caught this replica up while the fetch ran
-	}
-	// Reject a malformed or incompatible machine frontier BEFORE the store
-	// commits anything: at this point the whole transfer is still cleanly
-	// retryable, whereas a post-commit failure tears the replica.
-	if len(res.SyncPoint) > 0 {
-		if err := r.syncable.ValidateSyncPoint(res.SyncPoint); err != nil {
-			return err
-		}
-	}
-	if res.Snapshot != nil {
-		// Full install: rebase the store, then rebuild the application
-		// from the installed snapshot + suffix (with per-block digest
-		// audits, exactly like a restart).
-		if err := r.durable.InstallState(res.Snapshot, res.Blocks); err != nil {
-			return err
-		}
-		if _, err := r.durable.RestoreApp(r.cfg.App); err != nil {
-			// The store committed the new state but the application could
-			// not be rebuilt onto it: the replica is torn. Poison it
-			// (DurabilityErr) so it stops acknowledging and operators
-			// restart it — a reopen re-runs this restore from the durable
-			// install — instead of running on and reporting itself synced.
-			r.setDurErr(err)
-			return err
-		}
-	} else {
-		// Lag-only install: the local prefix is intact, the fetched blocks
-		// extend it; replay them on the live application. Blocks
-		// consensus delivered while the fetch ran are trimmed off the
-		// front (they are the same chain — InstallBlocks re-checks the
-		// hash link onto the local head).
-		blocks := res.Blocks
-		for len(blocks) > 0 && blocks[0].Height < local {
-			blocks = blocks[1:]
-		}
-		if len(blocks) == 0 {
-			return nil
-		}
-		if blocks[0].Height != local {
-			return fmt.Errorf("runtime: catch-up range starts at %d, local height is %d",
-				blocks[0].Height, local)
-		}
-		if err := r.durable.InstallBlocks(blocks); err != nil {
-			return err
-		}
-		if err := r.durable.ReplayApp(r.cfg.App, local); err != nil {
-			// The blocks are journaled but the application diverged
-			// applying them: torn replica, same poisoning rationale as the
-			// snapshot path.
-			r.setDurErr(err)
-			return err
-		}
-	}
-	// The machine rejoins at the attested frontier; rounds it committed
-	// while the transfer ran deliver (and execute) from here.
-	if len(res.SyncPoint) > 0 {
-		if err := r.syncable.InstallSyncPoint(res.SyncPoint); err != nil {
-			// Store and application are at the target but the machine is
-			// not: poison rather than run split-brained. A restart
-			// re-derives the machine frontier from a fresh sync.
-			r.setDurErr(err)
-			return err
-		}
-	}
-	return nil
 }
 
 func (r *Replica) setDurErr(err error) {
@@ -692,131 +360,6 @@ func (r *Replica) Run() {
 	}
 }
 
-// watchdog detects a wedged event loop: it enqueues a probe event and
-// measures how long the loop takes to service it. A probe outstanding past
-// the threshold records one loop_stalled flight event (detail = observed
-// delay in nanoseconds) and one rcc_loop_stalls_total increment; the episode
-// is not re-reported until the probe finally drains, so a 10-second wedge is
-// one event, not twenty.
-func (r *Replica) watchdog(threshold time.Duration) {
-	interval := threshold / 4
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	ack := make(chan struct{}, 1)
-	probe := event{fn: func() {
-		select {
-		case ack <- struct{}{}:
-		default:
-		}
-	}}
-	var sentAt time.Time // zero: no probe outstanding
-	enqueued := false    // probe handed to the queue (false while it is full)
-	reported := false
-	for {
-		select {
-		case <-r.host.stopped:
-			return
-		case <-tick.C:
-		}
-		select {
-		case <-ack:
-			sentAt, enqueued, reported = time.Time{}, false, false
-		default:
-		}
-		if sentAt.IsZero() {
-			sentAt = time.Now()
-		}
-		if !enqueued {
-			// A full queue is itself the backlog being measured: keep the
-			// clock running from the first attempt and retry the enqueue.
-			select {
-			case r.host.events <- probe:
-				enqueued = true
-			default:
-			}
-		}
-		if el := time.Since(sentAt); el >= threshold && !reported {
-			reported = true
-			r.stallCount.Add(1)
-			r.emit(flight.SubRuntime, flight.KLoopStall, 0, uint64(el))
-		}
-	}
-}
-
-// mirrorFlight periodically persists the ring to <DataDir>/flight.bin so an
-// abrupt death (kill -9, OOM) still leaves a recent event prefix on disk.
-// Quiet periods skip the write; a clean stop takes one final mirror.
-func (r *Replica) mirrorFlight(interval time.Duration) {
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	fr := r.flight()
-	var last uint64
-	for {
-		select {
-		case <-r.host.stopped:
-			r.dumpFlight()
-			return
-		case <-tick.C:
-			if h := fr.Head(); h != last {
-				last = h
-				r.dumpFlight()
-			}
-		}
-	}
-}
-
-func (r *Replica) loop() {
-	env := &replicaEnv{host: r.host, r: r}
-	r.cfg.Machine.Start(env)
-	env.drainSelf()
-	for {
-		select {
-		case <-r.host.stopped:
-			return
-		case e := <-r.host.events:
-			switch {
-			case e.fn != nil:
-				e.fn()
-			case e.isTimer:
-				r.cfg.Machine.OnTimer(e.timer)
-			default:
-				r.dispatch(e.from, e.msg)
-			}
-		}
-		env.drainSelf()
-	}
-}
-
-// dispatch hands one message to the machine. State-transfer messages are
-// the runtime's, not the machine's: probes answer with an offer built here
-// (the machine frontier and ledger head read in the same instant), serving
-// and responses hand off to the manager's goroutines.
-func (r *Replica) dispatch(from sm.Source, m types.Message) {
-	if r.sync != nil && r.sync.HandleMessage(from.Replica, from.IsClient, m) {
-		return
-	}
-	r.cfg.Machine.OnMessage(from, m)
-}
-
-// Inspect runs f on the replica's event loop and waits for it to return —
-// the safe way to read machine state (machines are single-threaded by
-// contract). Returns false if the replica stopped before f could run.
-func (r *Replica) Inspect(f func()) bool {
-	done := make(chan struct{})
-	if !r.host.enqueue(event{fn: func() { f(); close(done) }}) {
-		return false
-	}
-	select {
-	case <-done:
-		return true
-	case <-r.host.stopped:
-		return false
-	}
-}
-
 // Stop shuts the replica down and waits for the loop to exit. The durable
 // store drains: every in-flight block gets its commit point, and its
 // deferred client acks reach the transport before it closes.
@@ -888,436 +431,3 @@ func (r *Replica) saveSnapshot() {
 		r.sync.RecordCheckpoint(snap.Height, r.boundary.BoundarySyncPoint())
 	}
 }
-
-// replicaEnv implements sm.Env on top of the process.
-type replicaEnv struct {
-	*host
-	r *Replica
-	// snapDue defers a cadence-triggered checkpoint to the machine's next
-	// delivery boundary (sm.BoundarySyncable machines only). The cadence
-	// fires MID-wave — inside Deliver — where different replicas observe
-	// different in-flight frontiers; the machine's Checkpoint call at the
-	// wave boundary consumes the flag, at the one point where its frontier
-	// is a pure function of the delivery prefix and a checkpoint can be
-	// attested across replicas.
-	snapDue bool
-	// self holds the messages the machine addressed to itself during the
-	// event being handled. The loop drains it before its next inbox read,
-	// so self-delivery never waits on the bounded inbox only this loop
-	// empties, and the machine still sees one message at a time.
-	self []types.Message
-}
-
-var _ sm.Env = (*replicaEnv)(nil)
-
-func (e *replicaEnv) ID() types.ReplicaID   { return e.r.cfg.ID }
-func (e *replicaEnv) Params() quorum.Params { return e.r.cfg.Params }
-
-func (e *replicaEnv) Send(to types.ReplicaID, m types.Message) {
-	if to == e.r.cfg.ID {
-		e.self = append(e.self, m)
-		return
-	}
-	if e.r.trans != nil {
-		_ = e.r.trans.Send(to, m) // unreachable peers are the timeout paths' job
-	}
-}
-
-// drainSelf dispatches the queued self-addressed messages in send order,
-// including those their own handling queues.
-func (e *replicaEnv) drainSelf() {
-	from := sm.FromReplica(e.r.cfg.ID)
-	for i := 0; i < len(e.self); i++ {
-		m := e.self[i]
-		e.self[i] = nil
-		e.r.dispatch(from, m)
-	}
-	e.self = e.self[:0]
-}
-
-func (e *replicaEnv) Broadcast(m types.Message) {
-	for i := 0; i < e.r.cfg.Params.N; i++ {
-		e.Send(types.ReplicaID(i), m)
-	}
-}
-
-func (e *replicaEnv) SendClient(c types.ClientID, m types.Message) {
-	if e.r.trans != nil {
-		_ = e.r.trans.SendClient(c, m)
-	}
-}
-
-// Deliver executes the decision's batch in order, appends its block to the
-// replica's ledger, and answers the clients when that append completes.
-// The durable store completes on its WAL committer goroutine once the
-// block's record is durable (per-height ack deferral), so no client ever
-// holds an acknowledgement the disk does not; the in-memory ledger
-// completes inline.
-func (e *replicaEnv) Deliver(d sm.Decision) {
-	r := e.r
-	if d.Batch == nil || d.Batch.IsNoOp() {
-		// No-op fillers (§III-E) keep rounds complete but carry no client
-		// work: nothing to execute, journal, or answer.
-		return
-	}
-	met := r.cfg.Metrics
-	var start time.Time
-	if met != nil {
-		start = time.Now()
-	}
-	result := exec.Apply(r.cfg.App, d.Batch.Txns)
-	r.executed.Add(uint64(len(d.Batch.Txns)))
-	if met != nil {
-		met.ObserveStage(obs.StageExecute, time.Since(start))
-		if met.Tracing() {
-			r.traceBatch(d, flight.KExecute)
-		}
-	}
-	state := r.cfg.App.StateDigest()
-	proof := ledger.Proof{
-		Instance: d.Instance, Round: d.Round, View: d.View,
-		Digest: d.Digest, Signers: d.Signers,
-	}
-	var appended time.Time
-	if met != nil {
-		appended = time.Now()
-	}
-	// With a durable store done runs on the WAL committer goroutine; d is
-	// read-only there, and the transports are safe for concurrent use.
-	// SendClient is enqueue-only (bounded per-client queue, drop on
-	// overflow), so acking directly from the committer can never wait on a
-	// client's socket — a dropped reply only un-acks a durable block and
-	// the client collects its f+1 replies elsewhere or retries.
-	done := func(_ uint64, err error) {
-		if met != nil {
-			met.ObserveStage(obs.StageJournal, time.Since(appended))
-		}
-		if err != nil {
-			// The in-memory chain is now ahead of disk: the error sticks
-			// (DurabilityErr), and clients collect their f+1 replies from
-			// healthy replicas.
-			r.setDurErr(err)
-			return
-		}
-		if r.durable != nil && met.Tracing() {
-			r.traceBatch(d, flight.KDurable)
-		}
-		r.ackClients(d, result)
-		if met != nil {
-			met.ObserveStage(obs.StageAck, time.Since(start))
-		}
-	}
-	var blk *ledger.Block
-	if r.durable != nil {
-		blk = r.durable.AppendAsync(d.Batch, proof, state, done)
-	} else {
-		blk = r.log.Append(d.Batch, proof, state)
-		done(0, nil)
-	}
-	if every := r.cfg.Journaling.SnapshotEvery; every > 0 && (blk.Height+1)%every == 0 {
-		if r.boundary != nil {
-			// Heights land mid-wave; a boundary-syncable machine announces
-			// the end of the wave (Checkpoint(false)), where the checkpoint
-			// lands at a deterministic frontier.
-			e.snapDue = true
-		} else {
-			r.saveSnapshot()
-		}
-	}
-}
-
-// traceBatch stamps lifecycle point kind for every sampled transaction of
-// a decided batch.
-func (r *Replica) traceBatch(d sm.Decision, kind flight.Kind) {
-	for i := range d.Batch.Txns {
-		tx := &d.Batch.Txns[i]
-		if !tx.IsNoOp() {
-			r.cfg.Metrics.Trace(uint16(r.cfg.ID), flight.SubRuntime, kind, uint32(d.Instance), uint64(tx.Client), tx.Seq)
-		}
-	}
-}
-
-// replyCacheWindow bounds the per-client reply cache, counted in batch
-// replies: a retransmitted seq stays answerable while its batch is among
-// the client's last replyCacheWindow decided batches.
-const replyCacheWindow = 16
-
-// replyRing holds a client's most recent batch replies.
-type replyRing struct {
-	buf  [replyCacheWindow]*types.ClientReply
-	next int    // slot the next reply overwrites
-	max  uint64 // highest seq ever cached
-}
-
-// cacheReply remembers a sent batch reply for retransmit resends, evicting
-// the client's oldest cached batch reply.
-func (r *Replica) cacheReply(reply *types.ClientReply) {
-	r.replies.Lock()
-	defer r.replies.Unlock()
-	if r.replies.m == nil {
-		r.replies.m = make(map[types.ClientID]*replyRing)
-	}
-	ring := r.replies.m[reply.Client]
-	if ring == nil {
-		ring = &replyRing{}
-		r.replies.m[reply.Client] = ring
-	}
-	ring.buf[ring.next] = reply
-	ring.next = (ring.next + 1) % replyCacheWindow
-	ring.max = max(ring.max, slices.Max(reply.Seqs))
-}
-
-// answerRetransmits resends the cached reply of every transaction in req
-// this replica already executed and answered, and returns the request of
-// the rest (req itself when nothing was cached, nil when nothing is left).
-// Answered transactions must not enter the event loop: the machine would
-// only drop them below the dedup floor, leaving a client that lost the
-// original reply stuck retransmitting forever.
-func (r *Replica) answerRetransmits(req *types.ClientRequest) *types.ClientRequest {
-	var rest []types.Transaction
-	for i := range req.Txns {
-		tx := &req.Txns[i]
-		reply := r.cachedReply(tx.Client, tx.Seq)
-		if reply == nil {
-			if rest != nil {
-				rest = append(rest, *tx)
-			}
-			continue
-		}
-		if rest == nil {
-			rest = append(make([]types.Transaction, 0, len(req.Txns)), req.Txns[:i]...)
-		}
-		if r.trans != nil {
-			_ = r.trans.SendClient(reply.Client, reply)
-		}
-	}
-	switch {
-	case rest == nil:
-		return req
-	case len(rest) == 0:
-		return nil
-	}
-	return types.NewClientRequest(req.Inst, rest...)
-}
-
-// cachedReply returns a one-seq reply for (c, seq) derived from the cached
-// batch reply that covered it, or nil. A seq above the highest cached one —
-// every first transmission — returns in O(1); only retransmits scan.
-func (r *Replica) cachedReply(c types.ClientID, seq uint64) *types.ClientReply {
-	r.replies.Lock()
-	defer r.replies.Unlock()
-	ring := r.replies.m[c]
-	if ring == nil || seq > ring.max {
-		return nil
-	}
-	for _, cached := range ring.buf {
-		if cached != nil && slices.Contains(cached.Seqs, seq) {
-			return types.NewClientReply(cached.Inst, cached.Replica, c, cached.Round, cached.Result, []uint64{seq})
-		}
-	}
-	return nil
-}
-
-// ackClients answers the clients covered by a decided, executed, durable
-// batch with its ResultHash result: one reply per client, listing every
-// seq of that client's non-no-op transactions in batch order (duplicates
-// once), so a client's whole share of a batch costs one tag here and one
-// verify at the client, and each listed seq completes on f+1 matching
-// replies. Safe off the event loop — it reads only immutable decision
-// state.
-func (r *Replica) ackClients(d sm.Decision, result types.Digest) {
-	// A durable replica whose journal failed must not acknowledge
-	// transactions it can no longer persist: stay silent and let clients
-	// collect their f+1 replies from healthy replicas.
-	if r.DurabilityErr() != nil {
-		return
-	}
-	met := r.cfg.Metrics
-	for _, a := range groupAcks(d.Batch.Txns) {
-		if met != nil {
-			for _, seq := range a.seqs {
-				met.Acks.Inc()
-				met.Trace(uint16(r.cfg.ID), flight.SubRuntime, flight.KAck, uint32(d.Instance), uint64(a.c), seq)
-			}
-		}
-		reply := types.NewClientReply(d.Instance, r.cfg.ID, a.c, d.Round, result, a.seqs)
-		r.cacheReply(reply)
-		if r.trans != nil {
-			_ = r.trans.SendClient(a.c, reply)
-		}
-	}
-}
-
-// clientAck is one client's share of a decided batch.
-type clientAck struct {
-	c    types.ClientID
-	n    int    // c's transactions in the batch, duplicates included
-	max  uint64 // highest seq in seqs
-	seqs []uint64
-}
-
-// groupAcks groups the seqs of txns' non-no-op transactions by client: one
-// entry per client in first-appearance order, its seqs in batch order, each
-// duplicate once. Batches carry few clients, so it finds a client by
-// scanning those seen so far, and looks for a duplicate only where a seq
-// is not above the client's highest so far. Every entry's seqs share one
-// allocation.
-func groupAcks(txns []types.Transaction) []clientAck {
-	var acks []clientAck
-	last := 0 // the previous transaction's entry
-	find := func(c types.ClientID) *clientAck {
-		if last >= len(acks) || acks[last].c != c {
-			last = slices.IndexFunc(acks, func(a clientAck) bool { return a.c == c })
-			if last < 0 {
-				last = len(acks)
-				acks = append(acks, clientAck{c: c})
-			}
-		}
-		return &acks[last]
-	}
-	total := 0
-	for i := range txns {
-		if tx := &txns[i]; !tx.IsNoOp() {
-			find(tx.Client).n++
-			total++
-		}
-	}
-	buf := make([]uint64, total)
-	for i := range acks {
-		acks[i].seqs, buf = buf[:0:acks[i].n], buf[acks[i].n:]
-	}
-	for i := range txns {
-		tx := &txns[i]
-		if tx.IsNoOp() {
-			continue
-		}
-		a := find(tx.Client)
-		if tx.Seq <= a.max && slices.Contains(a.seqs, tx.Seq) {
-			continue
-		}
-		a.seqs = append(a.seqs, tx.Seq)
-		a.max = max(a.max, tx.Seq)
-	}
-	return acks
-}
-
-func (e *replicaEnv) Suspect(inst types.InstanceID, round types.Round) {
-	// Standalone machines route suspicion internally; RCC replicas never
-	// surface it to the runtime. Nothing to do.
-}
-
-// Checkpoint implements sm.Env. A forced checkpoint — RCC's dynamic
-// per-need checkpoint (§III-D) — persists now, so it doubles as a durable
-// recovery point. A delivery boundary consumes the cadence flag Deliver set
-// mid-wave, so a boundary-syncable machine takes exactly one checkpoint per
-// trigger, at its next boundary. Runs on the event loop (machines emit
-// effects from their own loop), so touching the application is safe.
-func (e *replicaEnv) Checkpoint(force bool) {
-	if !force {
-		if !e.snapDue {
-			return
-		}
-		e.snapDue = false
-	}
-	e.r.saveSnapshot()
-}
-
-func (e *replicaEnv) Logf(format string, args ...any) { e.r.logf(format, args...) }
-
-// RequestStateSync implements sm.Env: machines report gaps that
-// in-protocol catch-up cannot bridge; the manager coalesces the kicks.
-func (e *replicaEnv) RequestStateSync() {
-	if e.r.sync != nil {
-		e.r.sync.Kick()
-	}
-}
-
-// ClientProc hosts an sm.ClientMachine on goroutines and a transport.
-type ClientProc struct {
-	id      types.ClientID
-	params  quorum.Params
-	machine sm.ClientMachine
-	trans   transport.Transport
-	host    *host
-}
-
-// NewClient creates a client process.
-func NewClient(id types.ClientID, params quorum.Params, m sm.ClientMachine) *ClientProc {
-	return &ClientProc{id: id, params: params, machine: m, host: newHost(1024)}
-}
-
-// Attach wires the transport (must precede Run).
-func (c *ClientProc) Attach(t transport.Transport) { c.trans = t }
-
-// DeliverReplica implements transport.Endpoint. It waits for room in the
-// client's event queue, so it must not be called from the client's own
-// loop (a completion hook): refill from there with client.Client.Submit.
-func (c *ClientProc) DeliverReplica(from types.ReplicaID, m types.Message) {
-	c.host.enqueue(event{from: sm.FromReplica(from), msg: m})
-}
-
-// DeliverClient implements transport.Endpoint (unused for clients).
-func (c *ClientProc) DeliverClient(types.ClientID, types.Message) {}
-
-// Run starts the client loop. The loop handles one event plus every event
-// already queued behind it, then flushes the machine, so whatever those
-// events put in flight leaves as one request per destination set.
-func (c *ClientProc) Run() {
-	h := c.host
-	h.spawn(func() {
-		c.machine.Start(&clientEnv{host: h, c: c})
-		c.machine.Flush()
-		for {
-			select {
-			case <-h.stopped:
-				return
-			case e := <-h.events:
-				c.handle(e)
-				for n := len(h.events); n > 0; n-- {
-					c.handle(<-h.events)
-				}
-				c.machine.Flush()
-			}
-		}
-	})
-}
-
-func (c *ClientProc) handle(e event) {
-	if e.isTimer {
-		c.machine.OnTimer(e.timer)
-	} else {
-		c.machine.OnMessage(e.from.Replica, e.msg)
-	}
-}
-
-// Stop shuts the client down.
-func (c *ClientProc) Stop() {
-	c.host.halt()
-	if c.trans != nil {
-		c.trans.Close()
-	}
-}
-
-type clientEnv struct {
-	*host
-	c *ClientProc
-}
-
-var _ sm.ClientEnv = (*clientEnv)(nil)
-
-func (e *clientEnv) Client() types.ClientID { return e.c.id }
-func (e *clientEnv) Params() quorum.Params  { return e.c.params }
-
-func (e *clientEnv) Send(to types.ReplicaID, m types.Message) {
-	if e.c.trans != nil {
-		_ = e.c.trans.Send(to, m)
-	}
-}
-
-func (e *clientEnv) Broadcast(m types.Message) {
-	for i := 0; i < e.c.params.N; i++ {
-		e.Send(types.ReplicaID(i), m)
-	}
-}
-
-func (e *clientEnv) Logf(string, ...any) {}
