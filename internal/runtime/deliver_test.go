@@ -42,21 +42,13 @@ func writeBatch() *types.Batch {
 	}}
 }
 
-// TestMemoryLedgerAcksInline: without a DataDir a decision's block joins
-// the in-memory ledger with its proof, and the clients are answered before
-// Deliver returns, with the batch's ResultHash.
-func TestMemoryLedgerAcksInline(t *testing.T) {
-	sink := &ackSink{}
-	r, env := deliverReplica(t, "", sink)
-	b := writeBatch()
-	env.Deliver(sm.Decision{Instance: 2, Round: 9, Batch: b})
+// TestMemoryLedgerJournalsDecision: without a DataDir a decision's block
+// joins the in-memory ledger with its proof and commits to the state the
+// batch left behind.
+func TestMemoryLedgerJournalsDecision(t *testing.T) {
+	r, env := deliverReplica(t, "", &ackSink{})
+	env.Deliver(sm.Decision{Instance: 2, Round: 9, Batch: writeBatch()})
 
-	if len(sink.sent) != 1 {
-		t.Fatalf("%d replies sent before Deliver returned, want 1", len(sink.sent))
-	}
-	if want := exec.Apply(ycsb.NewStore(100), b.Txns); sink.sent[0].Result != want {
-		t.Fatalf("reply carries result %x, want %x", sink.sent[0].Result, want)
-	}
 	l := r.Ledger()
 	if l.Height() != 1 || l.Head().Proof.Instance != 2 || l.Head().Proof.Round != 9 {
 		t.Fatalf("ledger height %d, head proof %+v", l.Height(), l.Head().Proof)
@@ -69,6 +61,22 @@ func TestMemoryLedgerAcksInline(t *testing.T) {
 	}
 	if r.Executed() != 2 {
 		t.Fatalf("executed %d, want 2", r.Executed())
+	}
+}
+
+// TestMemoryLedgerAcksInline: without a DataDir the clients are answered
+// before Deliver returns, with the batch's ResultHash.
+func TestMemoryLedgerAcksInline(t *testing.T) {
+	sink := &ackSink{}
+	_, env := deliverReplica(t, "", sink)
+	b := writeBatch()
+	env.Deliver(sm.Decision{Instance: 2, Round: 9, Batch: b})
+
+	if len(sink.sent) != 1 {
+		t.Fatalf("%d replies sent before Deliver returned, want 1", len(sink.sent))
+	}
+	if want := exec.Apply(ycsb.NewStore(100), b.Txns); sink.sent[0].Result != want {
+		t.Fatalf("reply carries result %x, want %x", sink.sent[0].Result, want)
 	}
 }
 
