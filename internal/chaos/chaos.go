@@ -95,16 +95,17 @@ func Run(cfg Config) (*Report, error) {
 		Duration: cfg.Duration, Schedule: sched,
 	}
 
-	mon := newMonitor(cfg.Nodes)
 	cluster, err := NewCluster(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer cluster.Close()
-	cluster.StartClients(mon)
+	mon := cluster.mon
+	cluster.StartClients()
 
-	// The monitor sweeps continuously so every committed block is captured
-	// while some executing replica still materializes it.
+	// Replicas report every block they append to the monitor as they
+	// append it; the sweep adds the blocks replicas install by state
+	// transfer, while they are still materialized.
 	monDone := make(chan struct{})
 	monStop := make(chan struct{})
 	go func() {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/crypto"
+	"repro/internal/ledger"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/quorum"
@@ -108,6 +109,7 @@ type Cluster struct {
 	faults *transport.Faults
 	base   string
 	nodes  []*node
+	mon    *monitor // observes every block each incarnation appends
 
 	clientMu sync.Mutex
 	clients  []*clientHandle
@@ -145,6 +147,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		params: params,
 		faults: transport.NewFaults(),
 		base:   base,
+		mon:    newMonitor(cfg.Nodes),
 	}
 	if cfg.WAN {
 		for from, row := range simnet.WANLatencyMatrix(cfg.Nodes) {
@@ -233,6 +236,8 @@ func (c *Cluster) boot(n *node, listen string) error {
 		return fmt.Errorf("replica %d transport: %w", n.id, err)
 	}
 	rep.Attach(tcp)
+	id := n.id
+	rep.SetBlockHook(func(b *ledger.Block) { c.mon.record(b.Height, b.Hash(), b.Batch.Txns, id) })
 	n.rep, n.tcp, n.met = rep, tcp, met
 	n.addr = tcp.Addr()
 	return nil
@@ -347,8 +352,9 @@ func (c *Cluster) eachUp(f func(n *node)) {
 
 // StartClients launches the closed-loop load: each client keeps window
 // transactions in flight, submitting a fresh one the moment one completes,
-// and reports every completion — an acked transaction — to mon.
-func (c *Cluster) StartClients(mon *monitor) {
+// and reports every completion — an acked transaction — to the monitor.
+func (c *Cluster) StartClients() {
+	mon := c.mon
 	peers := c.peerMap()
 	for i := 0; i < c.cfg.Nodes; i++ {
 		id := types.ClientID(i + 1)

@@ -1,16 +1,18 @@
 package chaos
 
 // The monitor is the harness's memory: it records every transaction the
-// moment a client acknowledges it and every block the moment any live
-// replica materializes it. Recording during the run — not after — matters
-// twice over. First, a replica holds a committed block in memory only
-// until its own next restart replays from a pruned WAL; scanning
-// continuously guarantees some replica that executed the block is still
-// holding it when the monitor looks (the schedule keeps a quorum live, and
-// the scan period is far below the minimum episode gap). Second,
-// cross-replica block identity is checked at the height it diverges, so a
-// safety violation surfaces mid-run with the conflicting hashes in hand
-// instead of as an unexplained head mismatch at the end.
+// moment a client acknowledges it and every block the moment a replica
+// appends it. Recording during the run — not after — matters twice over.
+// First, a durable replica keeps a block's body in memory only until its
+// journal record is on disk, and the chaos cluster prunes its journals at
+// every checkpoint, so a block may be unreadable everywhere within
+// milliseconds of its commit: replicas therefore push each appended block
+// to the monitor (runtime.Replica.SetBlockHook), and a periodic scan adds
+// the blocks replicas install by state transfer while they are still
+// materialized. Second, cross-replica block identity is checked at the
+// height it diverges, so a safety violation surfaces mid-run with the
+// conflicting hashes in hand instead of as an unexplained head mismatch at
+// the end.
 
 import (
 	"fmt"
@@ -62,9 +64,10 @@ func (m *monitor) acked(c types.ClientID, seq uint64) {
 	m.mu.Unlock()
 }
 
-// scan sweeps every running replica's ledger for blocks the monitor has
-// not seen and records them, cross-checking indices it has. Ledger.Height
-// is a count; materialized block indices run [Base, Height).
+// scan sweeps every running replica's ledger for blocks it has not swept
+// yet and records them, cross-checking indices the monitor has. Ledger.Height
+// is a count; materialized block indices run [Base, Height), and a block
+// whose journal record is gone (pruned, or the incarnation died) is skipped.
 func (m *monitor) scan(c *Cluster) {
 	c.eachUp(func(n *node) {
 		l := n.rep.Ledger()

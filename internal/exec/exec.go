@@ -22,7 +22,9 @@ import (
 // Application is a deterministic state machine. Apply calls Execute for
 // one transaction at a time, in batch order.
 type Application interface {
-	// Execute applies tx and returns its result bytes.
+	// Execute applies tx and returns its result bytes. The result is
+	// read-only to the caller, so an application may return one shared
+	// slice for many transactions (ycsb does for writes and rejections).
 	Execute(tx types.Transaction) []byte
 	// StateDigest returns a digest of the current application state.
 	StateDigest() types.Digest

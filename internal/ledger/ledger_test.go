@@ -2,6 +2,8 @@ package ledger
 
 import (
 	"encoding/hex"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -138,5 +140,129 @@ func TestConcurrentAppendsAndReads(t *testing.T) {
 	}
 	if err := l.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// journaled builds a ledger of n blocks whose loader reads from an encoded
+// copy of each block, as a durable store's loader reads its WAL records.
+func journaled(t *testing.T, n int) (*Ledger, map[uint64][]byte) {
+	t.Helper()
+	l := New()
+	records := make(map[uint64][]byte)
+	l.SetLoader(func(h uint64) (*Block, error) {
+		rec, ok := records[h]
+		if !ok {
+			return nil, fmt.Errorf("no record for height %d", h)
+		}
+		return DecodeBlock(rec)
+	})
+	for i := 0; i < n; i++ {
+		b := batch(1, uint64(i+1), fmt.Sprintf("op-%d", i))
+		blk := l.Append(b, Proof{Round: types.Round(i + 1), Digest: b.Digest(), Signers: []types.ReplicaID{0, 1, 2}}, types.Hash([]byte{byte(i)}))
+		records[blk.Height] = EncodeBlock(blk)
+	}
+	return l, records
+}
+
+// TestReleasedBodiesReadBack: a released block keeps its header in memory
+// and reads its body back through the loader, so Get, Head and Verify see
+// the same chain as before the release.
+func TestReleasedBodiesReadBack(t *testing.T) {
+	l, _ := journaled(t, 6)
+	want := make([]types.Digest, 6)
+	for h := range want {
+		want[h] = l.Get(uint64(h)).Batch.Digest()
+	}
+	head := l.HeadHash()
+	for h := uint64(0); h < 6; h++ {
+		l.Release(h)
+	}
+	if l.Retained() != 0 {
+		t.Fatalf("%d bodies retained after releasing all", l.Retained())
+	}
+	if l.Height() != 6 || l.TxnCount() != 6 || l.HeadHash() != head {
+		t.Fatalf("headers changed: height %d txns %d", l.Height(), l.TxnCount())
+	}
+	for h := uint64(0); h < 6; h++ {
+		b := l.Get(h)
+		if b == nil || b.Batch.Digest() != want[h] || b.Proof.Digest != want[h] || len(b.Proof.Signers) != 3 {
+			t.Fatalf("block %d read back wrong: %+v", h, b)
+		}
+	}
+	if l.Head() == nil || l.Head().Hash() != head {
+		t.Fatal("head did not read back")
+	}
+	if err := l.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if l.Retained() != 0 {
+		t.Fatal("reading a released body back retained it")
+	}
+}
+
+// TestReleasedBodyMismatchIsUnreadable: a journal record that does not
+// hash to the header the ledger kept is never returned; Verify names its
+// height.
+func TestReleasedBodyMismatchIsUnreadable(t *testing.T) {
+	l, records := journaled(t, 4)
+	for h := uint64(0); h < 4; h++ {
+		l.Release(h)
+	}
+	forged := l.Get(2)
+	forged.Batch = batch(1, 3, "forged")
+	records[2] = EncodeBlock(forged)
+	if l.Get(2) != nil {
+		t.Fatal("a record that does not match its header was returned")
+	}
+	err := l.Verify()
+	if err == nil || !strings.Contains(err.Error(), "block 2") {
+		t.Fatalf("verify: %v, want an error naming block 2", err)
+	}
+	delete(records, 1)
+	if l.Get(1) != nil {
+		t.Fatal("a missing record was returned")
+	}
+}
+
+// TestReleaseWithoutLoaderKeepsBody: a ledger with nowhere to read a body
+// back from never drops one.
+func TestReleaseWithoutLoaderKeepsBody(t *testing.T) {
+	l := New()
+	l.Append(batch(1, 1, "a"), Proof{}, types.ZeroDigest)
+	l.Release(0)
+	if l.Retained() != 1 || l.Get(0).Batch == nil {
+		t.Fatal("released a body without a loader")
+	}
+}
+
+// TestRebaseDropsPrefix: a rebased ledger starts at the new base with the
+// dropped prefix's hash and transaction count, as a ledger built by state
+// transfer does.
+func TestRebaseDropsPrefix(t *testing.T) {
+	l, _ := journaled(t, 8)
+	l.Release(6)
+	want := l.Get(5).Hash()
+	height, head := l.Tip()
+	l.Rebase(5)
+	if l.Base() != 5 || l.BaseHash() != l.Get(4+1).PrevHash || l.Get(4) != nil {
+		t.Fatalf("rebase: base %d", l.Base())
+	}
+	if h, hh := l.Tip(); h != height || hh != head || l.TxnCount() != 8 {
+		t.Fatalf("rebase moved the tip or count: %d %d", h, l.TxnCount())
+	}
+	if l.Get(5).Hash() != want || l.Retained() != 2 {
+		t.Fatalf("retained %d after rebase, want 2", l.Retained())
+	}
+	if err := l.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	l.Rebase(3) // below the base: ignored
+	l.Rebase(9) // past the head: ignored
+	if l.Base() != 5 {
+		t.Fatalf("out-of-range rebase moved the base to %d", l.Base())
+	}
+	l.Rebase(8)
+	if l.Base() != 8 || l.Head() != nil || l.HeadHash() != head || l.TxnCount() != 8 {
+		t.Fatal("rebase to the head lost the chain's anchor")
 	}
 }

@@ -458,6 +458,13 @@ func (r *Replica) tryExecute() {
 			r.env.Deliver(slots[p].dec)
 		}
 		met := r.cfg.Metrics
+		for _, st := range r.states {
+			if st.stallRound == r.execRound {
+				// The round executed: its stall detector is moot.
+				r.env.CancelTimer(sm.TimerID{Instance: st.id, Kind: sm.TimerLag, Round: r.execRound})
+				st.stallRound = 0
+			}
+		}
 		for _, s := range slots {
 			st := r.states[s.inst]
 			delete(st.decided, r.execRound)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/pbft"
 	"repro/internal/quorum"
+	"repro/internal/rcc"
 	"repro/internal/sm"
 	"repro/internal/transport"
 	"repro/internal/types"
@@ -151,4 +152,35 @@ func TestCompletionHookRefillKeepsWindowFull(t *testing.T) {
 	proc.Run()
 	t.Cleanup(proc.Stop)
 	waitFor(t, 10*time.Second, func() bool { return completed.Load() == total })
+}
+
+// TestHostTimersStayBounded runs an RCC cluster over the memory transport
+// for thousands of rounds and checks that the host's timer map holds only
+// armed timers: a fired timer removes its own entry, and a round that
+// executes cancels its stall timer, so the map stays within a small
+// constant per instance however long the replica runs.
+func TestHostTimersStayBounded(t *testing.T) {
+	const instances, perClient = 4, 2500
+	params, _ := quorum.NewParams(4)
+	reps, hub := memCluster(t, 4, func() sm.Machine {
+		return rcc.New(rcc.Config{BatchSize: 1, Window: 8})
+	})
+	clients := make([]*client.Client, instances)
+	for i := range clients {
+		clients[i] = runClient(t, hub, params, types.ClientID(i+1), perClient)
+	}
+	for _, c := range clients {
+		waitFor(t, 60*time.Second, func() bool { return len(c.Completions()) == perClient })
+	}
+	for i, r := range reps {
+		r.host.timers.Lock()
+		n := len(r.host.timers.m)
+		r.host.timers.Unlock()
+		if h := r.Ledger().Height(); h < instances*perClient {
+			t.Fatalf("replica %d at height %d, want %d", i, h, instances*perClient)
+		}
+		if n > 4*instances {
+			t.Fatalf("replica %d holds %d timers after %d blocks, want at most %d", i, n, r.Ledger().Height(), 4*instances)
+		}
+	}
 }

@@ -137,6 +137,9 @@ func (e *replicaEnv) Deliver(d sm.Decision) {
 		blk = r.log.Append(d.Batch, proof, state)
 		done(0, nil)
 	}
+	if r.blockHook != nil {
+		r.blockHook(blk)
+	}
 	if every := r.cfg.Journaling.SnapshotEvery; every > 0 && (blk.Height+1)%every == 0 {
 		if r.boundary != nil {
 			// Heights land mid-wave; a boundary-syncable machine announces

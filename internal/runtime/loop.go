@@ -77,15 +77,24 @@ func (h *host) halt() {
 	h.wg.Wait()
 }
 
+// SetTimer arms id. A timer that fires removes its own entry, so the map
+// holds only armed timers however many distinct ids a machine uses.
 func (h *host) SetTimer(id sm.TimerID, d time.Duration) {
 	h.timers.Lock()
 	defer h.timers.Unlock()
 	if t, ok := h.timers.m[id]; ok {
 		t.Stop()
 	}
-	h.timers.m[id] = time.AfterFunc(d, func() {
+	var t *time.Timer
+	t = time.AfterFunc(d, func() {
+		h.timers.Lock()
+		if h.timers.m[id] == t { // not re-armed since
+			delete(h.timers.m, id)
+		}
+		h.timers.Unlock()
 		h.enqueue(event{timer: id, isTimer: true})
 	})
+	h.timers.m[id] = t
 }
 
 func (h *host) CancelTimer(id sm.TimerID) {

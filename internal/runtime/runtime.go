@@ -61,6 +61,8 @@ type Replica struct {
 	}
 
 	stallCount atomic.Uint64 // watchdog-detected event-loop stall episodes
+
+	blockHook func(*ledger.Block) // see SetBlockHook
 }
 
 // New creates a replica process. Attach a transport with Attach, then Run.
@@ -305,6 +307,16 @@ func (r *Replica) Ledger() *ledger.Ledger {
 	}
 	return r.log
 }
+
+// SetBlockHook installs fn to observe every block the replica appends to its
+// ledger, with its batch, on the event loop right after the append (blocks
+// installed by state transfer are not appended here and are not observed).
+// A durable replica keeps a block's body in memory only until its record is
+// on disk, and a pruned journal drops it altogether, so a harness that must
+// see every block (internal/chaos) observes them here rather than by
+// reading the ledger later. Call before Run; fn must be fast and must not
+// retain the batch beyond the call.
+func (r *Replica) SetBlockHook(fn func(*ledger.Block)) { r.blockHook = fn }
 
 // Durable returns the durable store (nil unless Config.DataDir).
 func (r *Replica) Durable() *store.DurableLedger { return r.durable }

@@ -36,18 +36,16 @@ func syncPBFT() sm.Machine {
 // cluster. Listen is the fixed address to bind (so a restarted replica is
 // reachable at the address its peers already know).
 func syncReplica(t *testing.T, base string, id types.ReplicaID, params quorum.Params, mach sm.Machine,
-	listen string, peers map[types.ReplicaID]string, snapshotEvery uint64, met *obs.NodeMetrics) (*Replica, *transport.TCP) {
+	listen string, peers map[types.ReplicaID]string, journal JournalOptions, met *obs.NodeMetrics) (*Replica, *transport.TCP) {
 	t.Helper()
 	rep, err := New(Config{
-		Metrics: met,
-		ID:      id,
-		Params:  params,
-		Machine: mach,
-		App:     ycsb.NewStore(1000),
-		DataDir: filepath.Join(base, fmt.Sprintf("replica-%d", id)),
-		Journaling: JournalOptions{
-			SnapshotEvery: snapshotEvery,
-		},
+		Metrics:        met,
+		ID:             id,
+		Params:         params,
+		Machine:        mach,
+		App:            ycsb.NewStore(1000),
+		DataDir:        filepath.Join(base, fmt.Sprintf("replica-%d", id)),
+		Journaling:     journal,
 		ReplyToClients: true,
 		StateSync: StateSyncOptions{
 			Enabled:     true,
@@ -70,7 +68,7 @@ func syncReplica(t *testing.T, base string, id types.ReplicaID, params quorum.Pa
 	return rep, tcp
 }
 
-func bootSyncCluster(t *testing.T, base string, mk func() sm.Machine, snapshotEvery uint64) ([]*Replica, map[types.ReplicaID]string, quorum.Params) {
+func bootSyncCluster(t *testing.T, base string, mk func() sm.Machine, journal JournalOptions) ([]*Replica, map[types.ReplicaID]string, quorum.Params) {
 	t.Helper()
 	const n = 4
 	params, err := quorum.NewParams(n)
@@ -82,7 +80,7 @@ func bootSyncCluster(t *testing.T, base string, mk func() sm.Machine, snapshotEv
 	peers := make(map[types.ReplicaID]string)
 	for i := 0; i < n; i++ {
 		id := types.ReplicaID(i)
-		reps[i], tcps[i] = syncReplica(t, base, id, params, mk(), "127.0.0.1:0", nil, snapshotEvery, nil)
+		reps[i], tcps[i] = syncReplica(t, base, id, params, mk(), "127.0.0.1:0", nil, journal, nil)
 		peers[id] = tcps[i].Addr()
 	}
 	for i := 0; i < n; i++ {
@@ -101,12 +99,24 @@ func bootSyncCluster(t *testing.T, base string, mk func() sm.Machine, snapshotEv
 // contract is pinned at the store layer: TestInstallCrashBeforeCommitKeeps
 // OldState / TestInstallCrashAfterCommitRollsForward in internal/store.)
 func TestStateSyncWipedReplicaOverTCP(t *testing.T) {
+	wipedReplicaOverTCP(t, JournalOptions{SnapshotEvery: 4})
+}
+
+// TestStateSyncWipedReplicaOverTCPPrunedPeers runs the same transfer
+// against peers that prune their WAL at every checkpoint: their ledgers
+// are rebased to the latest checkpoint and hold no block below it, so the
+// transfer can only be served from the snapshot and the suffix above it.
+func TestStateSyncWipedReplicaOverTCPPrunedPeers(t *testing.T) {
+	wipedReplicaOverTCP(t, JournalOptions{SnapshotEvery: 4, PruneWAL: true})
+}
+
+func wipedReplicaOverTCP(t *testing.T, journal JournalOptions) {
 	base := t.TempDir()
 	// 14 txns with a snapshot every 4 blocks: the latest checkpoint sits at
 	// height 12, so the transfer must ship the snapshot AND a 2-block
 	// suffix.
 	const txns = 14
-	reps, peers, params := bootSyncCluster(t, base, syncPBFT, 4)
+	reps, peers, params := bootSyncCluster(t, base, syncPBFT, journal)
 
 	c := tcpClient(t, peers, params, 1, "", txns)
 	waitFor(t, 30*time.Second, func() bool { return len(c.Completions()) == txns })
@@ -117,6 +127,13 @@ func TestStateSyncWipedReplicaOverTCP(t *testing.T) {
 		}
 	}
 	head := reps[0].Ledger().HeadHash()
+	if journal.PruneWAL {
+		for i, r := range reps {
+			if b := r.Ledger().Base(); b != 12 || r.Ledger().Get(11) != nil {
+				t.Fatalf("pruned replica %d ledger base %d, want 12", i, b)
+			}
+		}
+	}
 
 	// Wipe replica 3: stop it, delete its entire data dir, restart empty
 	// at the same address.
@@ -124,7 +141,7 @@ func TestStateSyncWipedReplicaOverTCP(t *testing.T) {
 	if err := os.RemoveAll(filepath.Join(base, "replica-3")); err != nil {
 		t.Fatal(err)
 	}
-	rep3, _ := syncReplica(t, base, 3, params, syncPBFT(), peers[3], peers, 4, nil)
+	rep3, _ := syncReplica(t, base, 3, params, syncPBFT(), peers[3], peers, journal, nil)
 	rep3.Run()
 	t.Cleanup(rep3.Stop)
 
@@ -206,7 +223,7 @@ func loadClient(t *testing.T, peers map[types.ReplicaID]string, params quorum.Pa
 func TestStateSyncWipedReplicaUnderLoadOverTCP(t *testing.T) {
 	base := t.TempDir()
 	mk := func() sm.Machine { return rcc.New(rcc.Config{BatchSize: 2, Window: 8, ProgressTimeout: time.Second}) }
-	reps, peers, params := bootSyncCluster(t, base, mk, 8)
+	reps, peers, params := bootSyncCluster(t, base, mk, JournalOptions{SnapshotEvery: 8})
 	var stops []func()
 	for c := types.ClientID(1); c <= 4; c++ {
 		stops = append(stops, loadClient(t, peers, params, c, 4))
@@ -223,7 +240,7 @@ func TestStateSyncWipedReplicaUnderLoadOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	wiped := reps[0].Ledger().Height()
-	rep3, _ := syncReplica(t, base, 3, params, mk(), peers[3], peers, 8, nil)
+	rep3, _ := syncReplica(t, base, 3, params, mk(), peers[3], peers, JournalOptions{SnapshotEvery: 8}, nil)
 	rep3.Run()
 	t.Cleanup(rep3.Stop)
 	waitFor(t, 10*time.Second, func() bool {
@@ -259,7 +276,7 @@ func TestCheckpointOnEmptyChainWithStateSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _ := syncReplica(t, t.TempDir(), 0, params, rcc.New(rcc.Config{}), "127.0.0.1:0", nil, 8, nil)
+	r, _ := syncReplica(t, t.TempDir(), 0, params, rcc.New(rcc.Config{}), "127.0.0.1:0", nil, JournalOptions{SnapshotEvery: 8}, nil)
 	defer r.Stop()
 	r.saveSnapshot()
 	if snap := r.Durable().LatestSnapshot(); snap != nil {
@@ -274,7 +291,7 @@ func TestStateSyncLaggingReplicaOverTCP(t *testing.T) {
 	base := t.TempDir()
 	// SnapshotEvery=0: no checkpoints exist, so the transfer MUST take the
 	// range-only path.
-	reps, peers, params := bootSyncCluster(t, base, syncPBFT, 0)
+	reps, peers, params := bootSyncCluster(t, base, syncPBFT, JournalOptions{})
 
 	c := tcpClient(t, peers, params, 1, "", 6)
 	waitFor(t, 30*time.Second, func() bool { return len(c.Completions()) == 6 })
@@ -287,7 +304,7 @@ func TestStateSyncLaggingReplicaOverTCP(t *testing.T) {
 	c2 := tcpClient(t, peers, params, 2, "", 8)
 	waitFor(t, 30*time.Second, func() bool { return len(c2.Completions()) == 8 })
 
-	rep3, _ := syncReplica(t, base, 3, params, syncPBFT(), peers[3], peers, 0, nil)
+	rep3, _ := syncReplica(t, base, 3, params, syncPBFT(), peers[3], peers, JournalOptions{}, nil)
 	rep3.Run()
 	t.Cleanup(rep3.Stop)
 
@@ -326,7 +343,7 @@ func TestStateSyncLaggingReplicaOverTCP(t *testing.T) {
 func TestMetricsFollowInstalledJournalOverTCP(t *testing.T) {
 	base := t.TempDir()
 	const txns = 14
-	reps, peers, params := bootSyncCluster(t, base, syncPBFT, 4)
+	reps, peers, params := bootSyncCluster(t, base, syncPBFT, JournalOptions{SnapshotEvery: 4})
 	c := tcpClient(t, peers, params, 1, "", txns)
 	waitFor(t, 30*time.Second, func() bool { return len(c.Completions()) == txns })
 	for _, r := range reps {
@@ -338,7 +355,7 @@ func TestMetricsFollowInstalledJournalOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	rep3, _ := syncReplica(t, base, 3, params, syncPBFT(), peers[3], peers, 4, obs.NewNodeMetrics(reg, 0, -1))
+	rep3, _ := syncReplica(t, base, 3, params, syncPBFT(), peers[3], peers, JournalOptions{SnapshotEvery: 4}, obs.NewNodeMetrics(reg, 0, -1))
 	stop, scraped := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(scraped)

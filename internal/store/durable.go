@@ -54,9 +54,16 @@ type Options struct {
 // DurableLedger wraps the in-memory hash-chained ledger with durability:
 // every appended block is journaled through the write-ahead log's pipelined
 // committer (wal.Appender), and Open rebuilds the chain from disk — replaying
-// the WAL, truncating a torn tail, re-auditing the rebuilt chain
-// (ledger.Verify, including commit-proof digests), and cross-checking the
-// latest snapshot against it.
+// the WAL, truncating a torn tail, auditing each rebuilt block (hash link and
+// commit-proof digest), and cross-checking the latest snapshot against it.
+//
+// The WAL is the home of every durable block body: one record per block, at
+// record index height+1. The in-memory ledger keeps every block's header and
+// holds a body only until the append's completion reports its record
+// durable (never after a journal error); from then on Get, Head and Verify
+// read the body back from the record (wal.Log.Read), checked against the
+// header's hash. Open's replay retains no bodies, and a WAL prune rebases
+// the ledger to the checkpoint it pruned to.
 type DurableLedger struct {
 	dir  string
 	opts Options
@@ -114,9 +121,9 @@ func Open(dir string, opts Options) (*DurableLedger, error) {
 			return nil, fmt.Errorf("%w: journal is rebased to height %d but the base checkpoint is missing",
 				ErrSnapshotMismatch, base)
 		}
-		d.mem = ledger.NewAt(base, bs.HeadHash, bs.TxnCount)
+		d.mem = d.newMemory(base, bs.HeadHash, bs.TxnCount)
 	} else {
-		d.mem = ledger.New()
+		d.mem = d.newMemory(0, types.Digest{}, 0)
 	}
 	if err := d.replay(); err != nil {
 		d.Close()
@@ -136,7 +143,12 @@ func Open(dir string, opts Options) (*DurableLedger, error) {
 		// the replayed chain so state-transfer offers stay accurate.
 		if snap.TxnCount == 0 && snap.Height > 0 && d.mem.Base() == 0 {
 			for h := uint64(0); h < snap.Height; h++ {
-				snap.TxnCount += uint64(d.mem.Get(h).Batch.Len())
+				blk := d.mem.Get(h)
+				if blk == nil {
+					d.Close()
+					return nil, fmt.Errorf("store: block %d unreadable", h)
+				}
+				snap.TxnCount += uint64(blk.Batch.Len())
 			}
 		}
 		d.snap = snap
@@ -163,27 +175,44 @@ func (d *DurableLedger) openJournal() error {
 	return nil
 }
 
-// replay rebuilds the in-memory chain from the WAL and re-audits it.
+// newMemory builds the in-memory ledger over the current log: its loader
+// reads a released block back from the block's record. The loader is bound
+// to this log, as the ledger is — an install replaces both together.
+func (d *DurableLedger) newMemory(base uint64, baseHash types.Digest, baseTxns uint64) *ledger.Ledger {
+	mem := ledger.NewAt(base, baseHash, baseTxns)
+	log := d.log
+	mem.SetLoader(func(h uint64) (*ledger.Block, error) {
+		payload, err := log.Read(h + 1)
+		if err != nil {
+			return nil, err
+		}
+		return ledger.DecodeBlock(payload)
+	})
+	return mem
+}
+
+// replay rebuilds the chain's headers from the WAL, auditing each block as
+// it goes and retaining no body: every record it reads is already on disk.
 func (d *DurableLedger) replay() error {
-	if err := d.log.Replay(func(idx uint64, payload []byte) error {
+	return d.log.Replay(func(idx uint64, payload []byte) error {
 		blk, err := ledger.DecodeBlock(payload)
 		if err != nil {
 			return fmt.Errorf("store: wal record %d: %w", idx, err)
 		}
 		got := d.mem.Append(blk.Batch, blk.Proof, blk.StateHash)
 		// The rebuilt block must land at the journaled height with the
-		// journaled hash — anything else means records were reordered
-		// or the chain prefix differs from what this block was chained
-		// onto before the crash.
+		// journaled hash. got's hash chains onto the rebuilt prefix and
+		// takes the proof's digest; blk's hash takes its own prev link and
+		// recomputes the batch digest. Equal hashes therefore audit the
+		// hash link and that the proof covers the batch, which is all
+		// Verify would check.
 		if got.Height != blk.Height || got.Hash() != blk.Hash() {
 			return fmt.Errorf("store: wal record %d rebuilds height %d (hash %v), journal says height %d (hash %v)",
 				idx, got.Height, got.Hash(), blk.Height, blk.Hash())
 		}
+		d.mem.Release(got.Height)
 		return nil
-	}); err != nil {
-		return err
-	}
-	return d.mem.Verify()
+	})
 }
 
 // checkSnapshot cross-checks a checkpoint against the replayed chain.
@@ -210,7 +239,7 @@ func (d *DurableLedger) checkSnapshot(snap *Snapshot) error {
 			ErrSnapshotMismatch, snap.Height, d.mem.Base())
 	}
 	blk := d.mem.Get(snap.Height - 1)
-	if blk.Hash() != snap.HeadHash || blk.StateHash != snap.StateDigest {
+	if blk == nil || blk.Hash() != snap.HeadHash || blk.StateHash != snap.StateDigest {
 		return fmt.Errorf("%w: checkpoint at height %d does not match the journaled block",
 			ErrSnapshotMismatch, snap.Height)
 	}
@@ -256,12 +285,22 @@ func (d *DurableLedger) Append(batch *types.Batch, proof ledger.Proof, state typ
 // same contract as Append). done runs on the committer goroutine: keep it
 // short and do not call back into the ledger from it. AppendAsync blocks
 // while AsyncQueueDepth blocks are in flight.
+//
+// The in-memory ledger releases the block's body just before a successful
+// done: from then on the body is read back from its record.
 func (d *DurableLedger) AppendAsync(batch *types.Batch, proof ledger.Proof, state types.Digest, done func(lsn uint64, err error)) *ledger.Block {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	blk := d.mem.Append(batch, proof, state)
+	mem := d.mem
+	blk := mem.Append(batch, proof, state)
 	d.enc = ledger.AppendBlock(d.enc[:0], blk)
-	if _, err := d.async.Submit(d.enc, done); err != nil {
+	h := blk.Height
+	if _, err := d.async.Submit(d.enc, func(lsn uint64, err error) {
+		if err == nil {
+			mem.Release(h)
+		}
+		done(lsn, err)
+	}); err != nil {
 		done(0, err) // Submit never ran the callback; fail it here
 	}
 	return blk
@@ -275,11 +314,15 @@ func (d *DurableLedger) AppendAsync(batch *types.Batch, proof ledger.Proof, stat
 // dir that can never reopen.
 func (d *DurableLedger) Snapshot(appState []byte) error {
 	d.mu.Lock()
+	empty := d.mem.Height() == d.mem.Base()
 	head := d.mem.Head()
 	txns := d.mem.TxnCount()
 	d.mu.Unlock()
-	if head == nil {
+	if empty {
 		return nil
+	}
+	if head == nil {
+		return fmt.Errorf("store: chain head at height %d unreadable", d.mem.Height()-1)
 	}
 	if err := d.log.Sync(); err != nil {
 		return err
@@ -322,6 +365,9 @@ func (d *DurableLedger) pruneWAL(h uint64) {
 	if d.log.Base()-1 == h {
 		d.mu.Lock()
 		d.snaps.Pin(h)
+		// The records below h are gone: the ledger drops their headers
+		// too and starts at the checkpoint, as after an install.
+		d.mem.Rebase(h)
 		d.mu.Unlock()
 	}
 }
@@ -364,6 +410,9 @@ func (d *DurableLedger) RestoreApp(app exec.Application) (uint64, error) {
 func (d *DurableLedger) ReplayApp(app exec.Application, from uint64) error {
 	for h := from; h < d.mem.Height(); h++ {
 		blk := d.mem.Get(h)
+		if blk == nil {
+			return fmt.Errorf("store: replay cannot read block %d back from the journal", h)
+		}
 		for i := range blk.Batch.Txns {
 			app.Execute(blk.Batch.Txns[i])
 		}

@@ -220,12 +220,13 @@ func (d *DurableLedger) InstallState(snap *Snapshot, blocks []*ledger.Block) err
 		return err
 	}
 	d.snaps.Pin(snap.Height)
-	mem := ledger.NewAt(snap.Height, snap.HeadHash, snap.TxnCount)
+	mem := d.newMemory(snap.Height, snap.HeadHash, snap.TxnCount)
 	for _, blk := range blocks {
 		got := mem.Append(blk.Batch, blk.Proof, blk.StateHash)
 		if got.Hash() != blk.Hash() {
 			return fmt.Errorf("store: installed block at height %d rebuilds a different hash", blk.Height)
 		}
+		mem.Release(got.Height) // the staged log was fsynced before the swap
 	}
 	d.mem = mem
 	d.snap = snap
@@ -246,11 +247,7 @@ func (d *DurableLedger) InstallBlocks(blocks []*ledger.Block) error {
 			return fmt.Errorf("store: catch-up block at height %d does not extend the chain (height %d)",
 				blk.Height, d.mem.Height())
 		}
-		prev := d.mem.BaseHash()
-		if head := d.mem.Head(); head != nil {
-			prev = head.Hash()
-		}
-		if blk.PrevHash != prev {
+		if blk.PrevHash != d.mem.HeadHash() {
 			return fmt.Errorf("store: catch-up block at height %d does not chain onto the local head", blk.Height)
 		}
 		got := d.mem.Append(blk.Batch, blk.Proof, blk.StateHash)
@@ -261,5 +258,11 @@ func (d *DurableLedger) InstallBlocks(blocks []*ledger.Block) error {
 			return err
 		}
 	}
-	return d.log.Sync()
+	if err := d.log.Sync(); err != nil {
+		return err
+	}
+	for _, blk := range blocks {
+		d.mem.Release(blk.Height)
+	}
+	return nil
 }

@@ -3,6 +3,11 @@
 // execution-state checkpoints through an atomic snapshot store, and rebuilds
 // both on restart with open-replay-truncate semantics. See doc.go of
 // internal/wal for the on-disk log format and crash taxonomy.
+//
+// The write-ahead log is the home of every durable block body: the
+// in-memory ledger (DurableLedger.Memory) keeps each block's header and
+// holds its body only until the block's record is durable, then reads it
+// back from the record on demand (see DurableLedger).
 package store
 
 import (

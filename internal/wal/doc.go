@@ -61,6 +61,16 @@
 // Options.FirstIndex is the creation hook; Log.Base reports the rebase
 // point.
 //
+// # Random access
+//
+// Open's scan and every write record each record's file offset, per
+// segment, so Log.Read(index) returns one record with a single positioned
+// read, checked against its CRC. Read serves only what is on disk: it
+// refuses (ErrUnavailable) an index that was pruned, never written, or is
+// still in the write buffer. The store relies on it: once a block's record
+// is durable, the record is the only copy of the block's body, and the
+// in-memory ledger reads it back from there.
+//
 // Acked⇒durable across a state transfer: the committer is drained and
 // closed before the old journal is retired, the staged log is fully
 // fsynced before the commit marker is written, and the install either

@@ -69,16 +69,23 @@ var ErrCorrupt = errors.New("wal: corrupt log")
 // ErrClosed reports use of a closed log.
 var ErrClosed = errors.New("wal: log closed")
 
+// ErrUnavailable reports a Read of a record the log cannot serve: pruned,
+// never written, or still in the write buffer.
+var ErrUnavailable = errors.New("wal: record unavailable")
+
 type segment struct {
 	path  string
-	first uint64 // index of the segment's first record
-	count uint64 // records in the segment
+	first uint64   // index of the segment's first record
+	count uint64   // records in the segment
+	offs  []int64  // file offset of each record's frame, record first+i at offs[i]
+	end   int64    // file offset just past the last record
+	rd    *os.File // read handle, opened by the first Read of the segment
 }
 
 func (s *segment) lastIndex() uint64 { return s.first + s.count - 1 }
 
-// Log is a segmented write-ahead log. Append, Sync, and Close are safe for
-// concurrent use; Replay must not run concurrently with Append.
+// Log is a segmented write-ahead log. Append, Read, Sync, and Close are
+// safe for concurrent use; Replay must not run concurrently with Append.
 type Log struct {
 	dir  string
 	opts Options
@@ -87,8 +94,8 @@ type Log struct {
 	segments  []segment
 	f         *os.File      // active (last) segment
 	w         *bufio.Writer // buffers writes into f
-	size      int64         // bytes written to the active segment
 	next      uint64        // index the next Append receives
+	flushed   uint64        // highest index pushed to the OS; Read serves up to it
 	closed    bool
 	fatal     error // sticky fsync failure: the kernel may have dropped dirty pages
 	truncated int   // torn records dropped at Open
@@ -141,7 +148,7 @@ func Open(dir string, opts Options) (*Log, error) {
 			}
 			l.truncated++
 		}
-		segs[i].count = res.count
+		segs[i].count, segs[i].offs, segs[i].end = res.count, res.offs, res.end
 		if segs[i].first != l.next {
 			return nil, fmt.Errorf("%w: segment %s starts at index %d, want %d",
 				ErrCorrupt, filepath.Base(segs[i].path), segs[i].first, l.next)
@@ -165,22 +172,18 @@ func Open(dir string, opts Options) (*Log, error) {
 			return nil, err
 		}
 	} else {
-		active := &l.segments[len(l.segments)-1]
+		active := l.active()
 		f, err := os.OpenFile(active.path, os.O_WRONLY, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
-		fi, err := f.Stat()
-		if err != nil {
+		if _, err := f.Seek(active.end, io.SeekStart); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("wal: %w", err)
 		}
-		if _, err := f.Seek(fi.Size(), io.SeekStart); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		l.f, l.w, l.size = f, bufio.NewWriterSize(f, writeBuffer), fi.Size()
+		l.f, l.w = f, bufio.NewWriterSize(f, writeBuffer)
 	}
+	l.flushed = l.next - 1
 	l.synced.Store(l.next - 1)
 	return l, nil
 }
@@ -210,14 +213,16 @@ func listSegments(dir string) ([]segment, error) {
 
 type scanResult struct {
 	count  uint64
-	tornAt int64 // file offset of the torn tail, -1 when intact
+	offs   []int64 // frame offset of each intact record
+	end    int64   // file offset just past the last intact record
+	tornAt int64   // file offset of the torn tail, -1 when intact
 }
 
 // scanSegment validates seg record by record, invoking fn (when non-nil)
 // with each intact payload. Damage in the last segment's tail position is
 // reported via tornAt; any other damage is ErrCorrupt.
 func (l *Log) scanSegment(seg *segment, isLast bool, fn func(index uint64, payload []byte) error) (scanResult, error) {
-	res := scanResult{tornAt: -1}
+	res := scanResult{tornAt: -1, end: headerSize}
 	f, err := os.Open(seg.path)
 	if err != nil {
 		return res, fmt.Errorf("wal: %w", err)
@@ -292,8 +297,10 @@ func (l *Log) scanSegment(seg *segment, isLast bool, fn func(index uint64, paylo
 				return res, err
 			}
 		}
+		res.offs = append(res.offs, off)
 		res.count++
 		off += frameSize + n
+		res.end = off
 	}
 	return res, nil
 }
@@ -341,10 +348,13 @@ func (l *Log) rollLocked() error {
 		f.Close()
 		return err
 	}
-	l.segments = append(l.segments, segment{path: path, first: l.next})
-	l.f, l.w, l.size = f, bufio.NewWriterSize(f, writeBuffer), headerSize
+	l.segments = append(l.segments, segment{path: path, first: l.next, end: headerSize})
+	l.f, l.w = f, bufio.NewWriterSize(f, writeBuffer)
 	return nil
 }
+
+// active returns the segment appends go to. Caller holds l.mu.
+func (l *Log) active() *segment { return &l.segments[len(l.segments)-1] }
 
 // writeLocked validates, rolls if needed, and writes payload as the next
 // record into the write buffer. Caller holds l.mu. Durability is the
@@ -359,7 +369,7 @@ func (l *Log) writeLocked(payload []byte) (uint64, error) {
 	if l.fatal != nil {
 		return 0, l.fatal
 	}
-	if l.size+frameSize+int64(len(payload)) > l.opts.SegmentBytes && l.size > headerSize {
+	if end := l.active().end; end+frameSize+int64(len(payload)) > l.opts.SegmentBytes && end > headerSize {
 		if err := l.rollLocked(); err != nil {
 			l.fatal = err // mid-roll failures leave the log unusable too
 			return 0, err
@@ -376,8 +386,10 @@ func (l *Log) writeLocked(payload []byte) (uint64, error) {
 	}
 	idx := l.next
 	l.next++
-	l.size += frameSize + int64(len(payload))
-	l.segments[len(l.segments)-1].count++
+	seg := l.active()
+	seg.offs = append(seg.offs, seg.end)
+	seg.end += frameSize + int64(len(payload))
+	seg.count++
 	l.appends.Add(1)
 	return idx, nil
 }
@@ -448,6 +460,16 @@ func (l *Log) syncDir() error {
 	return nil
 }
 
+// flushLocked pushes the write buffer to the OS and advances the flushed
+// watermark Read serves up to. Caller holds l.mu.
+func (l *Log) flushLocked() error {
+	if err := l.w.Flush(); err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	l.flushed = l.next - 1
+	return nil
+}
+
 // markDurable advances the durable watermark to idx (never backwards: two
 // commit points may finish out of order) and returns the watermark.
 func (l *Log) markDurable(idx uint64) uint64 {
@@ -469,8 +491,8 @@ func (l *Log) markDurable(idx uint64) uint64 {
 // (fsyncgate), so no later append may be reported durable. Caller holds
 // l.mu.
 func (l *Log) syncLocked() error {
-	if err := l.w.Flush(); err != nil {
-		l.fatal = fmt.Errorf("wal: %w", err)
+	if err := l.flushLocked(); err != nil {
+		l.fatal = err
 		return l.fatal
 	}
 	l.syncs.Add(1)
@@ -496,8 +518,7 @@ func (l *Log) commit(fsync bool) (uint64, error) {
 		err = ErrClosed
 	}
 	if err == nil {
-		if ferr := l.w.Flush(); ferr != nil {
-			err = fmt.Errorf("wal: %w", ferr)
+		if err = l.flushLocked(); err != nil {
 			l.fatal = err
 		}
 	}
@@ -536,6 +557,80 @@ func (l *Log) Sync() error {
 // when nothing is durable yet).
 func (l *Log) DurableIndex() uint64 { return l.synced.Load() }
 
+// Read returns the payload of record index, read back from disk and checked
+// against its CRC. Open's scan and every write record each record's offset,
+// so a Read is one positioned read. It refuses with ErrUnavailable an index
+// that was pruned, never written, or not yet flushed (a record still in the
+// write buffer has no bytes on disk), and reports ErrCorrupt when the bytes
+// on disk fail their CRC. Read is safe for concurrent use with every other
+// method, and keeps serving after Close for as long as the segment files
+// exist.
+func (l *Log) Read(index uint64) ([]byte, error) {
+	l.mu.Lock()
+	i := sort.Search(len(l.segments), func(i int) bool {
+		return l.segments[i].first+l.segments[i].count > index
+	})
+	if index == 0 || index > l.flushed || i == len(l.segments) || index < l.segments[i].first {
+		flushed := l.flushed
+		l.mu.Unlock()
+		return nil, fmt.Errorf("%w: record %d (flushed through %d)", ErrUnavailable, index, flushed)
+	}
+	seg := &l.segments[i]
+	k := index - seg.first
+	off, end := seg.offs[k], seg.end
+	if k+1 < seg.count {
+		end = seg.offs[k+1]
+	}
+	name := filepath.Base(seg.path)
+	f, err := l.readerLocked(seg)
+	closed := l.closed
+	l.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	if closed {
+		defer f.Close()
+	}
+	// A concurrent Prune may close f under us; the read then fails rather
+	// than returning bytes of a deleted segment.
+	buf := make([]byte, end-off)
+	if _, err := f.ReadAt(buf, off); err != nil {
+		return nil, fmt.Errorf("wal: reading record %d: %w", index, err)
+	}
+	if n := binary.BigEndian.Uint32(buf[:4]); int64(n) != end-off-frameSize ||
+		crc32.ChecksumIEEE(buf[frameSize:]) != binary.BigEndian.Uint32(buf[4:]) {
+		return nil, fmt.Errorf("%w: record %d in %s at offset %d fails its check", ErrCorrupt, index, name, off)
+	}
+	return buf[frameSize:], nil
+}
+
+// readerLocked returns a read handle on seg: the segment's cached one, or,
+// once the log is closed, a fresh handle the caller closes. Caller holds
+// l.mu.
+func (l *Log) readerLocked(seg *segment) (*os.File, error) {
+	if seg.rd != nil {
+		return seg.rd, nil
+	}
+	f, err := os.Open(seg.path)
+	if err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	if !l.closed {
+		seg.rd = f
+	}
+	return f, nil
+}
+
+// closeReaders closes every segment's cached read handle. Caller holds l.mu.
+func (l *Log) closeReaders() {
+	for i := range l.segments {
+		if rd := l.segments[i].rd; rd != nil {
+			rd.Close()
+			l.segments[i].rd = nil
+		}
+	}
+}
+
 // Replay streams every record to fn in index order. It re-reads from disk,
 // so it reflects exactly what a restart would recover. Replay must not run
 // concurrently with Append.
@@ -545,9 +640,9 @@ func (l *Log) Replay(fn func(index uint64, payload []byte) error) error {
 		l.mu.Unlock()
 		return ErrClosed
 	}
-	if err := l.w.Flush(); err != nil {
+	if err := l.flushLocked(); err != nil {
 		l.mu.Unlock()
-		return fmt.Errorf("wal: %w", err)
+		return err
 	}
 	segs := append([]segment(nil), l.segments...)
 	l.mu.Unlock()
@@ -575,7 +670,7 @@ func (l *Log) Roll() error {
 	if l.fatal != nil {
 		return l.fatal
 	}
-	if l.size <= headerSize {
+	if l.active().end <= headerSize {
 		return nil // active segment is empty: already a fresh cut
 	}
 	if err := l.rollLocked(); err != nil {
@@ -601,6 +696,9 @@ func (l *Log) Prune(keepFrom uint64) error {
 		if i < len(l.segments)-1 && s.count > 0 && s.lastIndex() < keepFrom {
 			if err := os.Remove(s.path); err != nil {
 				return fmt.Errorf("wal: %w", err)
+			}
+			if s.rd != nil {
+				s.rd.Close()
 			}
 			continue
 		}
@@ -664,6 +762,7 @@ func (l *Log) Close() error {
 	err := l.syncLocked()
 	l.closed = true
 	cerr := l.f.Close()
+	l.closeReaders()
 	l.mu.Unlock()
 	if err != nil {
 		return err
@@ -695,6 +794,7 @@ func (l *Log) CloseAbrupt() {
 		tearPath = l.segments[len(l.segments)-1].path
 	}
 	l.f.Close() // deliberately without Flush: the buffer dies with the "process"
+	l.closeReaders()
 	if tearPath != "" {
 		l.opts.Failpoints.tear(tearPath)
 	}

@@ -97,15 +97,23 @@ func (s *Store) Keys(tx types.Transaction, buf []types.StateKey) ([]types.StateK
 	return append(buf, types.StateKey(int(key)%len(s.records))), true
 }
 
-// Execute applies one YCSB transaction deterministically.
+// Shared results of writes and rejections: exec.Application results are
+// read-only to callers, so every such transaction returns the same slice.
+var (
+	resultWritten  = []byte{1}
+	resultRejected = []byte{0xff}
+)
+
+// Execute applies one YCSB transaction deterministically. Writes and
+// rejections return shared constant results and allocate nothing.
 func (s *Store) Execute(tx types.Transaction) []byte {
 	if tx.IsNoOp() {
 		return nil
 	}
-	code, key, value, err := DecodeOp(tx.Op)
-	if err != nil || len(s.records) == 0 {
-		return []byte{0xff}
+	if len(tx.Op) < 5 || len(s.records) == 0 {
+		return resultRejected // DecodeOp's error, without building it
 	}
+	code, key, value, _ := DecodeOp(tx.Op)
 	idx := int(key) % len(s.records)
 	switch code {
 	case OpRead:
@@ -119,9 +127,9 @@ func (s *Store) Execute(tx types.Transaction) []byte {
 		fp := fingerprint(value)
 		s.records[idx] = fp
 		s.stateSum.Add(fp - old)
-		return []byte{1}
+		return resultWritten
 	default:
-		return []byte{0xff}
+		return resultRejected
 	}
 }
 
@@ -236,17 +244,21 @@ func NewWorkload(cfg WorkloadConfig) *Workload {
 
 // Next generates the next transaction for client c.
 func (w *Workload) Next(c types.ClientID) types.Transaction {
-	w.nextSeq[c]++
+	seq := w.nextSeq[c] + 1
+	w.nextSeq[c] = seq
 	key := uint32(w.zipf.Uint64())
 	var op []byte
 	if w.rng.Float64() < w.writeRatio {
-		value := make([]byte, w.fieldLen)
-		w.rng.Read(value)
-		op = EncodeWrite(key, value)
+		// EncodeWrite's layout in one allocation: the value is read from
+		// the generator straight into place.
+		op = make([]byte, 5+w.fieldLen)
+		op[0] = OpWrite
+		binary.BigEndian.PutUint32(op[1:], key)
+		w.rng.Read(op[5:])
 	} else {
 		op = EncodeRead(key)
 	}
-	return types.Transaction{Client: c, Seq: w.nextSeq[c], Op: op}
+	return types.Transaction{Client: c, Seq: seq, Op: op}
 }
 
 // NextBatch generates a batch of size transactions for client c.

@@ -1,6 +1,8 @@
 package ycsb
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -149,5 +151,53 @@ func TestNoOpFootprintsAreEmpty(t *testing.T) {
 	bad := types.Transaction{Client: 1, Seq: 1, Op: []byte{0xde}}
 	if keys, ok := s.Keys(bad, nil); !ok || len(keys) != 0 {
 		t.Fatalf("malformed footprint = %v, %v; want empty, true", keys, ok)
+	}
+}
+
+// TestExecuteWriteAllocatesNothing: writes and rejections return shared
+// constant results.
+func TestExecuteWriteAllocatesNothing(t *testing.T) {
+	s := NewStore(100)
+	write := types.Transaction{Client: 1, Seq: 1, Op: EncodeWrite(7, []byte("value"))}
+	if n := testing.AllocsPerRun(100, func() { s.Execute(write) }); n != 0 {
+		t.Fatalf("a write allocates %v times, want 0", n)
+	}
+	if r := s.Execute(write); len(r) != 1 || r[0] != 1 {
+		t.Fatalf("write result %v", r)
+	}
+	for _, op := range [][]byte{{9}, {9, 0, 0, 0, 1}} { // short, unknown opcode
+		garbage := types.Transaction{Client: 1, Seq: 2, Op: op}
+		if n := testing.AllocsPerRun(100, func() { s.Execute(garbage) }); n != 0 {
+			t.Fatalf("rejecting %x allocates %v times, want 0", op, n)
+		}
+		if r := s.Execute(garbage); len(r) != 1 || r[0] != 0xff {
+			t.Fatalf("rejecting %x: result %v", op, r)
+		}
+	}
+}
+
+// TestWorkloadOpsMatchTwoAllocationEncoding: building a write op in one
+// allocation, with the value read from the generator straight into place,
+// leaves seed 1's stream byte-identical to encoding a separately read
+// value with EncodeWrite.
+func TestWorkloadOpsMatchTwoAllocationEncoding(t *testing.T) {
+	cfg := WorkloadConfig{Records: 1000, Seed: 1}
+	w := NewWorkload(cfg)
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.01, 1, uint64(cfg.Records-1))
+	for i := 0; i < 1000; i++ {
+		key := uint32(zipf.Uint64())
+		var want []byte
+		if rng.Float64() < DefaultWriteRatio {
+			value := make([]byte, DefaultFieldLength)
+			rng.Read(value)
+			want = EncodeWrite(key, value)
+		} else {
+			want = EncodeRead(key)
+		}
+		tx := w.Next(3)
+		if !bytes.Equal(tx.Op, want) || tx.Seq != uint64(i+1) || tx.Client != 3 {
+			t.Fatalf("op %d: got %x (seq %d), want %x", i, tx.Op, tx.Seq, want)
+		}
 	}
 }
