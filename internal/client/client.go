@@ -36,6 +36,7 @@
 package client
 
 import (
+	"math/bits"
 	"sync"
 	"time"
 
@@ -81,7 +82,7 @@ type Client struct {
 	env sm.ClientEnv
 
 	queue    fifo[types.Transaction]
-	inFlight map[uint64]*pending
+	inFlight flightRing
 	free     []*pending // retired pendings, reused by pump
 	window   int
 	// unsent lists the transactions put in flight or due for
@@ -152,7 +153,7 @@ var _ sm.ClientMachine = (*Client)(nil)
 // New creates a client machine.
 func New(cfg Config) *Client {
 	cfg.defaults()
-	return &Client{cfg: cfg, inFlight: make(map[uint64]*pending), window: 1}
+	return &Client{cfg: cfg, window: 1}
 }
 
 // SetWindow allows w transactions in flight concurrently (default 1).
@@ -163,6 +164,17 @@ func (c *Client) SetWindow(w int) {
 }
 
 // Submit queues a transaction for submission. Safe to call before Start.
+//
+// Seqs must increase: the client finds a transaction's pending state by
+// its seq's offset from the oldest seq in flight. A transaction goes in
+// flight only when its seq is above every seq put in flight since the
+// client last had nothing in flight, and less than maxFlightSpan above the
+// oldest one still in flight; otherwise it waits at the head of the queue,
+// holding back those behind it, until every transaction in flight has
+// completed. So a repeated or lower seq is sent only after the client
+// drains, and a replica that executed it answers from its reply cache or
+// not at all. Consecutive seqs, as core.Client.Submit and
+// ycsb.Workload.Next assign them, never wait.
 func (c *Client) Submit(tx types.Transaction) { c.queue.push(tx) }
 
 // SetCompletionHook registers a callback invoked (from the client's event
@@ -193,7 +205,7 @@ func (c *Client) Retries() uint64 {
 }
 
 // Done reports whether every queued transaction completed.
-func (c *Client) Done() bool { return c.queue.len() == 0 && len(c.inFlight) == 0 }
+func (c *Client) Done() bool { return c.queue.len() == 0 && c.inFlight.n == 0 }
 
 // Start implements sm.ClientMachine.
 func (c *Client) Start(env sm.ClientEnv) {
@@ -201,9 +213,10 @@ func (c *Client) Start(env sm.ClientEnv) {
 	c.pump()
 }
 
-// pump moves queued transactions into flight up to the window.
+// pump moves queued transactions into flight up to the window, stopping at
+// one whose seq does not fit the in-flight ring (see Submit).
 func (c *Client) pump() {
-	for len(c.inFlight) < c.window && c.queue.len() > 0 {
+	for c.inFlight.n < c.window && c.queue.len() > 0 && c.inFlight.fits(c.queue.peek().Seq) {
 		tx := c.queue.pop()
 		var p *pending
 		if n := len(c.free); n > 0 {
@@ -214,7 +227,7 @@ func (c *Client) pump() {
 			p = &pending{votes: make([]vote, 0, c.env.Params().N)}
 		}
 		p.tx, p.sentAt = tx, c.env.Now()
-		c.inFlight[tx.Seq] = p
+		c.inFlight.put(p)
 		c.send(p)
 	}
 }
@@ -245,7 +258,7 @@ func (c *Client) Flush() {
 	for i, p := range c.unsent {
 		// A pending completed before it left, or listed twice because it
 		// was reused within the run, leaves at most once.
-		if !p.queued || c.inFlight[p.tx.Seq] != p {
+		if !p.queued || c.inFlight.get(p.tx.Seq) != p {
 			p.queued = false
 			continue
 		}
@@ -325,7 +338,7 @@ func (c *Client) onReply(from types.ReplicaID, m *types.ClientReply) {
 	need := c.env.Params().FaultDetection()
 	for _, seq := range m.Seqs {
 		// f+1 matching results guarantee one comes from a non-faulty replica.
-		if p := c.inFlight[seq]; p != nil && p.vote(from, m.Result) >= need {
+		if p := c.inFlight.get(seq); p != nil && p.vote(from, m.Result) >= need {
 			c.complete(p, m.Result)
 		}
 	}
@@ -340,7 +353,7 @@ func (c *Client) onReply(from types.ReplicaID, m *types.ClientReply) {
 // complete retires p and records its completion; the caller refills the
 // window with pump.
 func (c *Client) complete(p *pending, result types.Digest) {
-	delete(c.inFlight, p.tx.Seq)
+	c.inFlight.remove(p.tx.Seq)
 	comp := Completion{
 		Seq:     p.tx.Seq,
 		Latency: c.env.Now() - p.sentAt,
@@ -368,7 +381,7 @@ func (c *Client) OnTimer(id sm.TimerID) {
 	for c.prune(); c.deadlines.len() > 0 && c.deadlines.peek().at <= now; c.prune() {
 		// Retransmit, escalating to a broadcast so every replica forwards
 		// the request and starts neglect detection (§III-E).
-		p := c.inFlight[c.deadlines.pop().seq]
+		p := c.inFlight.get(c.deadlines.pop().seq)
 		p.escalated = true
 		c.statsMu.Lock()
 		c.retries++
@@ -384,10 +397,75 @@ func (c *Client) OnTimer(id sm.TimerID) {
 func (c *Client) prune() {
 	for c.deadlines.len() > 0 {
 		d := c.deadlines.peek()
-		if p := c.inFlight[d.seq]; p != nil && p.due == d.at {
+		if p := c.inFlight.get(d.seq); p != nil && p.due == d.at {
 			return
 		}
 		c.deadlines.pop()
+	}
+}
+
+// maxFlightSpan bounds the seqs the in-flight ring spans, oldest to newest:
+// a transaction stuck in flight holds back new ones once this many seqs
+// have gone in flight after it, so the ring's memory stays bounded.
+const maxFlightSpan = 1 << 20
+
+// flightRing holds the transactions in flight. Seq s lives at
+// slots[s&(len(slots)-1)], for s in [base, base+span): base is the oldest
+// seq in flight and base+span-1 the newest put in flight since the ring
+// last emptied. Slots outside that range are nil, so a completion, a
+// lookup and an insert are each an index, whatever order replies complete
+// transactions in.
+type flightRing struct {
+	slots []*pending // power-of-two length
+	base  uint64
+	span  uint64 // 0 when nothing is in flight
+	n     int    // pendings held
+}
+
+// get returns the pending of seq, or nil when seq is not in flight.
+func (r *flightRing) get(seq uint64) *pending {
+	if seq-r.base >= r.span {
+		return nil
+	}
+	return r.slots[seq&uint64(len(r.slots)-1)]
+}
+
+// fits reports whether put accepts seq: the ring is empty, or seq is above
+// every seq in it and less than maxFlightSpan above the oldest.
+func (r *flightRing) fits(seq uint64) bool {
+	return r.n == 0 || seq >= r.base+r.span && seq-r.base < maxFlightSpan
+}
+
+// put adds p, whose seq fits.
+func (r *flightRing) put(p *pending) {
+	seq := p.tx.Seq
+	if r.n == 0 {
+		r.base, r.span = seq, 0
+	}
+	span := seq - r.base + 1
+	if span > uint64(len(r.slots)) {
+		slots := make([]*pending, max(16, 1<<bits.Len64(span-1)))
+		for s := r.base; s < r.base+r.span; s++ {
+			slots[s&uint64(len(slots)-1)] = r.slots[s&uint64(len(r.slots)-1)]
+		}
+		r.slots = slots
+	}
+	r.slots[seq&uint64(len(r.slots)-1)] = p
+	r.span = span
+	r.n++
+}
+
+// remove drops seq, which is in flight, and advances base past the
+// completed seqs at the front.
+func (r *flightRing) remove(seq uint64) {
+	mask := uint64(len(r.slots) - 1)
+	r.slots[seq&mask] = nil
+	if r.n--; r.n == 0 {
+		r.span = 0
+		return
+	}
+	for r.slots[r.base&mask] == nil {
+		r.base, r.span = r.base+1, r.span-1
 	}
 }
 

@@ -584,3 +584,136 @@ func TestCompletionHook(t *testing.T) {
 		t.Fatalf("client with a hook kept %d completions", len(got))
 	}
 }
+
+// complete2 sends f+1 = 2 matching replies for seqs from replicas 0 and 1.
+func complete2(c *Client, seqs ...uint64) {
+	d := types.Hash([]byte("r"))
+	c.OnMessage(0, batchReply(0, 1, d, seqs...))
+	c.OnMessage(1, batchReply(1, 1, d, seqs...))
+}
+
+// TestOutOfOrderCompletions: replies may complete in-flight seqs in any
+// order; each completes once, and the window refills as they do.
+func TestOutOfOrderCompletions(t *testing.T) {
+	env := newFakeEnv(4)
+	c := New(Config{Client: 1, Broadcast: true})
+	c.SetWindow(4)
+	for s := uint64(1); s <= 6; s++ {
+		c.Submit(tx(s))
+	}
+	c.Start(env)
+	c.Flush()
+	complete2(c, 3)
+	complete2(c, 4, 2)
+	complete2(c, 3) // already completed
+	c.Flush()
+	if got := completedSeqs(c); !reflect.DeepEqual(got, []uint64{3, 4, 2}) {
+		t.Fatalf("completed %v, want [3 4 2]", got)
+	}
+	if len(env.bcast) != 2 || !reflect.DeepEqual(sentSeqs(env.bcast[1]), []uint64{5, 6}) {
+		t.Fatalf("refills %v, want one request for [5 6]", env.bcast)
+	}
+	complete2(c, 6, 1, 5)
+	if !c.Done() || !reflect.DeepEqual(completedSeqs(c), []uint64{3, 4, 2, 6, 1, 5}) {
+		t.Fatalf("done %v, completed %v", c.Done(), completedSeqs(c))
+	}
+}
+
+// TestStuckOldestSeqWhileWindowRefills: while the oldest seq waits for its
+// replies, the window keeps refilling behind it, however far the newer seqs
+// run ahead, and the oldest still completes on its replies.
+func TestStuckOldestSeqWhileWindowRefills(t *testing.T) {
+	const total = 1000
+	env := newFakeEnv(4)
+	c := New(Config{Client: 1, Broadcast: true, RetryTimeout: time.Hour})
+	c.SetWindow(3)
+	for s := uint64(1); s <= total; s++ {
+		c.Submit(tx(s))
+	}
+	c.Start(env)
+	c.Flush()
+	for s := uint64(2); s <= total; s++ {
+		complete2(c, s)
+		c.Flush()
+	}
+	if got := len(c.Completions()); got != total-1 {
+		t.Fatalf("%d completions behind the stuck seq, want %d", got, total-1)
+	}
+	if c.Done() || c.inFlight.n != 1 {
+		t.Fatalf("done %v with %d in flight, want seq 1 alone", c.Done(), c.inFlight.n)
+	}
+	complete2(c, 1)
+	if !c.Done() || c.inFlight.span != 0 {
+		t.Fatal("stuck seq did not complete")
+	}
+}
+
+// TestRetransmitAfterCompletion: replies that arrive after a seq completed
+// — late replicas, or answers to a retransmission — complete nothing and
+// resend nothing.
+func TestRetransmitAfterCompletion(t *testing.T) {
+	env := newFakeEnv(4)
+	c := New(Config{Client: 1, Broadcast: true, RetryTimeout: time.Second})
+	c.SetWindow(2)
+	c.Submit(tx(1))
+	c.Submit(tx(2))
+	c.Start(env)
+	c.Flush()
+	env.advance(c, time.Second) // both time out and are re-sent
+	complete2(c, 1)
+	d := types.Hash([]byte("r"))
+	c.OnMessage(2, reply(2, 1, d))
+	c.OnMessage(3, batchReply(3, 1, d, 1, 2))
+	c.Flush()
+	if got := completedSeqs(c); !reflect.DeepEqual(got, []uint64{1}) {
+		t.Fatalf("completed %v, want [1]", got)
+	}
+	env.advance(c, time.Second)
+	if got := sentSeqs(env.bcast[len(env.bcast)-1]); !reflect.DeepEqual(got, []uint64{2}) {
+		t.Fatalf("last retransmission %v, want only seq 2", got)
+	}
+	// Seq 2 has replica 3's reply from before: one more completes it.
+	c.OnMessage(0, reply(0, 2, d))
+	if got := completedSeqs(c); !reflect.DeepEqual(got, []uint64{1, 2}) {
+		t.Fatalf("completed %v, want [1 2]", got)
+	}
+}
+
+// TestNonIncreasingSeqWaitsForDrain: a seq that is not above every seq put
+// in flight since the client last drained waits at the head of the queue,
+// holding back the seqs behind it, and goes out once nothing is in flight.
+func TestNonIncreasingSeqWaitsForDrain(t *testing.T) {
+	env := newFakeEnv(4)
+	c := New(Config{Client: 1, Broadcast: true})
+	c.SetWindow(4)
+	c.Submit(tx(5))
+	c.Submit(tx(7))
+	c.Submit(tx(6)) // below 7
+	c.Submit(tx(8))
+	c.Start(env)
+	c.Flush()
+	if len(env.bcast) != 1 || !reflect.DeepEqual(sentSeqs(env.bcast[0]), []uint64{5, 7}) {
+		t.Fatalf("first flush sent %v, want [5 7]", env.bcast)
+	}
+	complete2(c, 7)
+	c.Flush()
+	if len(env.bcast) != 1 {
+		t.Fatalf("seq 6 left with seq 5 in flight: %v", env.bcast)
+	}
+	complete2(c, 5)
+	c.Flush()
+	if len(env.bcast) != 2 || !reflect.DeepEqual(sentSeqs(env.bcast[1]), []uint64{6, 8}) {
+		t.Fatalf("after the drain sent %v, want [6 8]", env.bcast)
+	}
+	// A repeat of a completed seq waits the same way, then goes out again.
+	c.OnMessage(types.NoReplica, &Submission{Tx: tx(6)})
+	c.Flush()
+	if len(env.bcast) != 2 {
+		t.Fatal("repeated seq left while seqs were in flight")
+	}
+	complete2(c, 6, 8)
+	c.Flush()
+	if len(env.bcast) != 3 || !reflect.DeepEqual(sentSeqs(env.bcast[2]), []uint64{6}) {
+		t.Fatalf("repeated seq after the drain: sent %v", env.bcast)
+	}
+}

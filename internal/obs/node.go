@@ -93,6 +93,10 @@ type NodeMetrics struct {
 	// LightPartials counts partial batches a primary proposed at its
 	// light-regime deadline (pbft's two-regime batching).
 	LightPartials *Counter
+	// SeqRefused counts client transactions a consensus instance refused
+	// because their seq lay 2^20 or more from the client's other live seqs
+	// (pbft's dedup window).
+	SeqRefused *Counter
 	// Suspects counts instance-failure suspicions raised.
 	Suspects *Counter
 	// ViewChanges counts new views installed.
@@ -124,6 +128,7 @@ func NewNodeMetrics(reg *Registry, traceSize, traceSample int) *NodeMetrics {
 	m.Unified = reg.Counter("rcc_rounds_unified_total", "", "rounds delivered in the unified execution order")
 	m.NoOps = reg.Counter("rcc_noops_proposed_total", "", "no-op rounds proposed to fill lagging instances")
 	m.LightPartials = reg.Counter("rcc_light_partials_total", "", "partial batches proposed at the light-regime batching deadline")
+	m.SeqRefused = reg.Counter("rcc_seq_refused_total", "", "client transactions refused for a seq too far from the client's other live seqs")
 	m.Suspects = reg.Counter("rcc_suspects_total", "", "instance-failure suspicions raised")
 	m.ViewChanges = reg.Counter("rcc_view_changes_total", "", "new views installed")
 	m.Acks = reg.Counter("rcc_acks_sent_total", "", "client reply messages enqueued")

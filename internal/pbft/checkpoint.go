@@ -78,10 +78,10 @@ func (p *Instance) ForceCheckpoint() {
 func (p *Instance) onCheckpoint(m *types.Checkpoint) {
 	votes, ok := p.ckpVotes[m.Round]
 	if !ok {
-		votes = make(map[types.Digest]map[types.ReplicaID]struct{})
+		votes = &tally{}
 		p.ckpVotes[m.Round] = votes
 	}
-	n := addVote(votes, m.State, m.Replica)
+	n := votes.add(m.State, m.Replica, p.env.Params().N)
 	bodies, ok := p.ckpBodies[m.Round]
 	if !ok {
 		bodies = make(map[types.ReplicaID][]types.AcceptedProposal)

@@ -16,12 +16,16 @@ import (
 // refDedup is the reference model of one instance's client dedup, built
 // from the structures the per-client records replaced: a (client, seq) set
 // of queued or in-flight transactions, the delivered and synced floor
-// maps, and the queue in arrival order (stale entries included).
+// maps, and the queue in arrival order (stale entries included). It adds
+// one rule the set never had: the seq window's refusal (see refused).
 type refDedup struct {
 	live    map[txKey]struct{}
 	lastSeq map[types.ClientID]uint64
 	syncSeq map[types.ClientID]uint64
-	queue   []txKey
+	// anchor is the lowest 64-seq word of a seq accepted since the client
+	// last had no live seq.
+	anchor map[types.ClientID]uint64
+	queue  []txKey
 }
 
 func newRefDedup() *refDedup {
@@ -29,6 +33,7 @@ func newRefDedup() *refDedup {
 		live:    make(map[txKey]struct{}),
 		lastSeq: make(map[types.ClientID]uint64),
 		syncSeq: make(map[types.ClientID]uint64),
+		anchor:  make(map[types.ClientID]uint64),
 	}
 }
 
@@ -39,19 +44,50 @@ func (r *refDedup) isLive(k txKey) bool {
 	return live && k.s > r.floor(k.c)
 }
 
-// request returns how many of txns the instance must accept.
-func (r *refDedup) request(txns []types.Transaction) int {
-	n := 0
+// window returns the 64-seq words [base, top] client c's seq window spans:
+// from its anchor, or the word holding floor+1 once the floor passes the
+// anchor, to the word of its highest live seq. ok is false when c has no
+// live seq.
+func (r *refDedup) window(c types.ClientID) (base, top uint64, ok bool) {
+	for k := range r.live {
+		if k.c == c && r.isLive(k) {
+			top, ok = max(top, k.s>>6), true
+		}
+	}
+	return max(r.anchor[c], (r.floor(c)+1)>>6), top, ok
+}
+
+// refused reports whether the instance refuses seq s of client c, which is
+// above c's floor and not live: s would widen c's window to windowWords
+// words (2^20 seqs) or more. A client with no live seq is never refused.
+func (r *refDedup) refused(c types.ClientID, s uint64) bool {
+	base, top, ok := r.window(c)
+	w := s >> 6
+	return ok && max(top, w)-min(base, w) >= windowWords
+}
+
+// request returns how many of txns the instance must accept and how many
+// it must refuse for their seq window.
+func (r *refDedup) request(txns []types.Transaction) (accepted, refused int) {
 	for _, tx := range txns {
 		k := txKey{tx.Client, tx.Seq}
 		if _, dup := r.live[k]; tx.IsNoOp() || tx.Seq <= r.floor(tx.Client) || dup {
 			continue
 		}
+		if r.refused(tx.Client, tx.Seq) {
+			refused++
+			continue
+		}
+		if _, _, ok := r.window(tx.Client); ok {
+			r.anchor[tx.Client] = min(r.anchor[tx.Client], tx.Seq>>6)
+		} else {
+			r.anchor[tx.Client] = tx.Seq >> 6
+		}
 		r.live[k] = struct{}{}
 		r.queue = append(r.queue, k)
-		n++
+		accepted++
 	}
-	return n
+	return accepted, refused
 }
 
 // take pops up to max live transactions from the queue front.
@@ -133,19 +169,38 @@ func syncPointBlob(deliver types.Round, seqs map[types.ClientID]uint64) []byte {
 
 // TestDedupMatchesReferenceModel drives a primary and a backup through
 // seeded random steps over three clients — in-order, out-of-order and
-// duplicate seqs, retransmits of delivered and in-flight seqs, partial
-// proposals, deliveries, voided rounds with requeue, MergeDeliveredSeqs
-// and InstallSyncPoint — and after every step compares each instance with
-// the reference model: how many transactions it accepted, the order its
-// proposals take them in, the live part of its queue, and its SyncPoint
-// dedup map.
+// duplicate seqs, retransmits of delivered and in-flight seqs, seqs near
+// the far edge of the seq window, partial proposals, deliveries, voided
+// rounds with requeue, MergeDeliveredSeqs and InstallSyncPoint — and after
+// every step compares each instance with the reference model: how many
+// transactions it accepted and refused, the order its proposals take them
+// in, the live part of its queue, and its SyncPoint dedup map.
 func TestDedupMatchesReferenceModel(t *testing.T) {
+	refused := 0
 	for seed := int64(1); seed <= 20; seed++ {
-		runDedupModel(t, seed, 600)
+		refused += runDedupModel(t, seed, 600)
+	}
+	if refused == 0 {
+		t.Fatal("no seed reached the seq window's refusal")
 	}
 }
 
-func runDedupModel(t *testing.T, seed int64, steps int) {
+// FuzzDedupModel runs the reference-model comparison of
+// TestDedupMatchesReferenceModel from fuzzed seeds and step counts.
+//
+//	go test -run '^$' -fuzz '^FuzzDedupModel$' -fuzztime 20s ./internal/pbft
+func FuzzDedupModel(f *testing.F) {
+	f.Add(int64(1), uint16(600))
+	f.Add(int64(7), uint16(2000))
+	f.Fuzz(func(t *testing.T, seed int64, steps uint16) {
+		runDedupModel(t, seed, int(steps%4096))
+	})
+}
+
+// runDedupModel runs steps seeded random steps against the reference model
+// and returns how many transactions the instances refused for their seq
+// window.
+func runDedupModel(t *testing.T, seed int64, steps int) int {
 	rng := rand.New(rand.NewSource(seed))
 	const batchSize = 4
 	type node struct {
@@ -197,6 +252,11 @@ func runDedupModel(t *testing.T, seed int64, steps int) {
 		}
 	}
 	randomSeq := func(c types.ClientID) uint64 {
+		if rng.Intn(40) == 0 { // near the far edge of the window; the client jumps there
+			s := nextSeq[c] + 1<<20 - 128 + uint64(rng.Intn(256))
+			nextSeq[c] = s + 1
+			return s
+		}
 		switch rng.Intn(5) {
 		case 0, 1: // in order
 			s := nextSeq[c]
@@ -246,11 +306,14 @@ func runDedupModel(t *testing.T, seed int64, steps int) {
 				to = nodes[op%2 : op%2+1]
 			}
 			for _, n := range to {
-				before := n.met.Requests.Value()
-				want := n.ref.request(txns)
+				before, refusedBefore := n.met.Requests.Value(), n.met.SeqRefused.Value()
+				want, wantRefused := n.ref.request(txns)
 				n.p.OnMessage(sm.FromClient(c), types.NewClientRequest(0, txns...))
 				if got := int(n.met.Requests.Value() - before); got != want {
 					fail(step, "replica %d accepted %d of %v, reference %d", n.env.id, got, txns, want)
+				}
+				if got := int(n.met.SeqRefused.Value() - refusedBefore); got != wantRefused {
+					fail(step, "replica %d refused %d of %v, reference %d", n.env.id, got, txns, wantRefused)
 				}
 				drain(step)
 			}
@@ -326,8 +389,32 @@ func runDedupModel(t *testing.T, seed int64, steps int) {
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				fail(step, "replica %d queues %v, reference %v", n.env.id, got, want)
 			}
+			// The live sets themselves, queued or in flight.
+			for c := types.ClientID(1); c <= 3; c++ {
+				live := 0
+				if cs := n.p.clients[c]; cs != nil {
+					live = cs.live.n
+				}
+				want := 0
+				for k := range n.ref.live {
+					if k.c == c && n.ref.isLive(k) {
+						want++
+						if !n.p.clients[c].isLive(k.s) {
+							fail(step, "replica %d lost live seq %d of client %d", n.env.id, k.s, c)
+						}
+					}
+				}
+				if live != want {
+					fail(step, "replica %d holds %d live seqs of client %d, reference %d", n.env.id, live, c, want)
+				}
+			}
 		}
 	}
+	refused := 0
+	for _, n := range nodes {
+		refused += int(n.met.SeqRefused.Value())
+	}
+	return refused
 }
 
 // TestDescendingSeqsStayCheap: a client that sends its seqs in descending

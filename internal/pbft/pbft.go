@@ -36,6 +36,14 @@
 // extra round would be matched by every other RCC instance (see
 // rcc.Replica.maybeNoOpFill), multiplying rounds and breaking the in-phase
 // proposing that cross-instance frame coalescing relies on.
+//
+// Client transactions are deduplicated per client (clientState). A
+// transaction is queued only when its seq is above the client's floor — the
+// highest seq known executed, delivered here or pushed down by RCC — and
+// not already live (queued or in flight). A client's live seqs form a
+// bitset window that slides up as its floor rises. A seq that would widen
+// the window to 2^20 seqs or more is refused and counted; a client with no
+// live seq starts a fresh window wherever its next seq lies.
 package pbft
 
 import (
@@ -122,15 +130,18 @@ func (c *Config) defaults() {
 	}
 }
 
-// round tracks the state of one consensus round.
+// round tracks the state of one consensus round. Its PREPARE and COMMIT
+// votes are tallies: per digest, a bitset of the replicas that voted for it,
+// with the first digest inline, so a round whose votes all name one digest
+// allocates nothing for them.
 type round struct {
 	view        types.View
 	digest      types.Digest
 	batch       *types.Batch
 	seenAt      time.Duration // env.Now() when the proposal was first seen
 	preprepared bool
-	prepares    map[types.Digest]map[types.ReplicaID]struct{}
-	commits     map[types.Digest]map[types.ReplicaID]struct{}
+	prepares    tally
+	commits     tally
 	prepared    bool
 	committed   bool
 	delivered   bool
@@ -144,7 +155,12 @@ type txKey struct {
 	s uint64
 }
 
-// clientState is one client's dedup record.
+// clientState is one client's dedup record (see the package doc). Its live
+// window starts at the 64-seq word holding floor()+1, or, after the client
+// had nothing live, at the word of its next accepted seq, so an insert, a
+// lookup and a delivery cost a shift and a mask. The refusal counts in
+// obs.NodeMetrics.SeqRefused; a correct client keeps its live seqs far
+// closer together than 2^20.
 type clientState struct {
 	id types.ClientID
 	// lastSeq is the highest sequence number this instance delivered. Only
@@ -157,10 +173,11 @@ type clientState struct {
 	// state-transfer install (MergeDeliveredSeqs). It stays out of sync
 	// points, so installed replicas serialize like organic ones.
 	syncSeq uint64
-	// live holds the seqs queued or in flight (proposed, not delivered),
-	// so client retransmissions cannot enter a second round. A set rather
-	// than a sorted list: a client may send its seqs in any order.
-	live map[uint64]struct{}
+	// live holds the seqs above the floor that are queued or in flight
+	// (proposed, not delivered), so client retransmissions cannot enter a
+	// second round. A set rather than a sorted list: a client may send its
+	// seqs in any order.
+	live seqWindow
 }
 
 // floor is the client's dedup floor: the highest sequence number known
@@ -168,35 +185,11 @@ type clientState struct {
 func (cs *clientState) floor() uint64 { return max(cs.lastSeq, cs.syncSeq) }
 
 // isLive reports whether seq is queued or in flight and not yet executed.
-func (cs *clientState) isLive(seq uint64) bool {
-	_, live := cs.live[seq]
-	return live && seq > cs.floor()
-}
+func (cs *clientState) isLive(seq uint64) bool { return cs.live.has(seq) }
 
-func newRound() *round {
-	return &round{
-		prepares: make(map[types.Digest]map[types.ReplicaID]struct{}),
-		commits:  make(map[types.Digest]map[types.ReplicaID]struct{}),
-	}
-}
-
-func addVote(m map[types.Digest]map[types.ReplicaID]struct{}, d types.Digest, r types.ReplicaID) int {
-	s, ok := m[d]
-	if !ok {
-		s = make(map[types.ReplicaID]struct{})
-		m[d] = s
-	}
-	s[r] = struct{}{}
-	return len(s)
-}
-
-func voters(m map[types.Digest]map[types.ReplicaID]struct{}, d types.Digest) []types.ReplicaID {
-	out := make([]types.ReplicaID, 0, len(m[d]))
-	for r := range m[d] {
-		out = append(out, r)
-	}
-	return out
-}
+// slide drops the live seqs at or below the floor; it follows every raise
+// of lastSeq or syncSeq.
+func (cs *clientState) slide() { cs.live.slide(cs.floor()) }
 
 // Instance is one PBFT machine: standalone, an RCC coordinating consensus,
 // or one of RCC's concurrent instances (FixedPrimary), for which it offers
@@ -236,7 +229,7 @@ type Instance struct {
 	stableCkp types.Round
 	chain     types.Digest
 	chainAt   map[types.Round]types.Digest
-	ckpVotes  map[types.Round]map[types.Digest]map[types.ReplicaID]struct{}
+	ckpVotes  map[types.Round]*tally
 	ckpBodies map[types.Round]map[types.ReplicaID][]types.AcceptedProposal
 
 	// View change state (standalone mode). vcAnnounced tracks the highest
@@ -279,7 +272,7 @@ func New(cfg Config) *Instance {
 		deliver:   1,
 		chainAt:   make(map[types.Round]types.Digest),
 		clients:   make(map[types.ClientID]*clientState),
-		ckpVotes:  make(map[types.Round]map[types.Digest]map[types.ReplicaID]struct{}),
+		ckpVotes:  make(map[types.Round]*tally),
 		ckpBodies: make(map[types.Round]map[types.ReplicaID][]types.AcceptedProposal),
 		vcVotes:   make(map[types.View]map[types.ReplicaID]*types.ViewChange),
 	}
@@ -315,7 +308,7 @@ func (p *Instance) client(cur *clientState, c types.ClientID) *clientState {
 	}
 	cs := p.clients[c]
 	if cs == nil {
-		cs = &clientState{id: c, live: make(map[uint64]struct{})}
+		cs = &clientState{id: c}
 		p.clients[c] = cs
 	}
 	return cs
@@ -324,7 +317,7 @@ func (p *Instance) client(cur *clientState, c types.ClientID) *clientState {
 func (p *Instance) getRound(r types.Round) *round {
 	rd, ok := p.rounds[r]
 	if !ok {
-		rd = newRound()
+		rd = &round{}
 		p.rounds[r] = rd
 	}
 	return rd
@@ -462,7 +455,7 @@ func (p *Instance) SkipTo(target types.Round) {
 			View:     rd.view,
 			Digest:   rd.digest,
 			Batch:    rd.batch,
-			Signers:  voters(rd.commits, rd.digest),
+			Signers:  rd.commits.voters(rd.digest),
 		})
 		p.deliver = c + 1
 	}
@@ -600,13 +593,13 @@ func (p *Instance) onClientRequest(from sm.Source, m *types.ClientRequest) {
 		if tx.IsNoOp() {
 			continue // filler
 		}
-		if cs = p.client(cs, tx.Client); tx.Seq <= cs.floor() {
-			continue // already executed
+		if cs = p.client(cs, tx.Client); tx.Seq <= cs.floor() || cs.isLive(tx.Seq) {
+			continue // already executed, queued or in flight
 		}
-		// One map operation: an insert that leaves the set's size alone
-		// found the seq already queued or in flight.
-		n := len(cs.live)
-		if cs.live[tx.Seq] = struct{}{}; len(cs.live) == n {
+		if !cs.live.add(tx.Seq) {
+			if met := p.cfg.Metrics; met != nil {
+				met.SeqRefused.Inc()
+			}
 			continue
 		}
 		p.pending = append(p.pending, queuedTx{*tx, now})
@@ -744,7 +737,7 @@ func (p *Instance) onPrepare(m *types.Prepare) {
 }
 
 func (p *Instance) tallyPrepare(rnd types.Round, rd *round, from types.ReplicaID, d types.Digest) {
-	n := addVote(rd.prepares, d, from)
+	n := rd.prepares.add(d, from, p.env.Params().N)
 	if rd.prepared || n < p.env.Params().NF() {
 		return
 	}
@@ -763,7 +756,7 @@ func (p *Instance) onCommit(m *types.Commit) {
 		return
 	}
 	rd := p.getRound(m.Round)
-	n := addVote(rd.commits, m.Digest, m.Replica)
+	n := rd.commits.add(m.Digest, m.Replica, p.env.Params().N)
 	if rd.committed || n < p.env.Params().NF() {
 		return
 	}
@@ -815,7 +808,7 @@ func (p *Instance) tryDeliver() {
 			View:     rd.view,
 			Digest:   rd.digest,
 			Batch:    rd.batch,
-			Signers:  voters(rd.commits, rd.digest),
+			Signers:  rd.commits.voters(rd.digest),
 		})
 		if p.cfg.checkpointEvery > 0 && p.deliver%p.cfg.checkpointEvery == 0 {
 			p.emitCheckpoint(p.deliver)
@@ -860,15 +853,22 @@ func (p *Instance) markDelivered(b *types.Batch) {
 	if b == nil {
 		return
 	}
+	// Delivering a seq raises its client's floor past it, which is what
+	// takes it out of the live window: one slide per same-client run.
 	var cs *clientState
 	for i := range b.Txns {
 		tx := &b.Txns[i]
 		if tx.IsNoOp() {
 			continue
 		}
+		if cs != nil && cs.id != tx.Client {
+			cs.slide()
+		}
 		cs = p.client(cs, tx.Client)
-		delete(cs.live, tx.Seq)
 		cs.lastSeq = max(cs.lastSeq, tx.Seq)
+	}
+	if cs != nil {
+		cs.slide()
 	}
 	// Compact the queue only when at least half of it is stale: a scan per
 	// delivered batch is O(backlog) and melts down under open-loop

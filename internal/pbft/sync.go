@@ -130,6 +130,7 @@ func (p *Instance) InstallSyncPoint(data []byte) error {
 	for c, s := range sp.seqs {
 		cs := p.client(nil, c)
 		cs.lastSeq = max(cs.lastSeq, s)
+		cs.slide()
 	}
 
 	deliver := sp.deliver
@@ -208,6 +209,7 @@ func (p *Instance) MergeDeliveredSeqs(seqs map[types.ClientID]uint64) {
 	for c, s := range seqs {
 		cs := p.client(nil, c)
 		cs.syncSeq = max(cs.syncSeq, s)
+		cs.slide()
 	}
 }
 

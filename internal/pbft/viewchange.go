@@ -200,8 +200,8 @@ func (p *Instance) onNewView(from types.ReplicaID, m *types.NewView) {
 		rd.prepared = false
 		rd.sentPrepare = true
 		rd.sentCommit = false
-		rd.prepares = make(map[types.Digest]map[types.ReplicaID]struct{})
-		rd.commits = make(map[types.Digest]map[types.ReplicaID]struct{})
+		rd.prepares = tally{}
+		rd.commits = tally{}
 		p.env.Broadcast(types.NewPrepare(p.cfg.Instance, p.env.ID(), m.NewView, ap.Round, ap.Digest))
 		p.tallyPrepare(ap.Round, rd, from, ap.Digest)
 	}

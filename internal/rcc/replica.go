@@ -490,19 +490,27 @@ func (r *Replica) tryExecute() {
 }
 
 // noteDelivered advances the composite dedup frontier for every client
-// transaction the wave just executed.
+// transaction the wave just executed, with one map write per same-client
+// run of the batch.
 func (r *Replica) noteDelivered(b *types.Batch) {
 	if b == nil {
 		return
 	}
+	var c types.ClientID
+	var top uint64 // highest seq of c's current run; 0 before the first
 	for i := range b.Txns {
 		tx := &b.Txns[i]
 		if tx.IsNoOp() {
 			continue
 		}
-		if tx.Seq > r.delivered[tx.Client] {
-			r.delivered[tx.Client] = tx.Seq
+		if top > 0 && tx.Client != c {
+			r.delivered[c] = max(r.delivered[c], top)
+			top = 0
 		}
+		c, top = tx.Client, max(top, tx.Seq)
+	}
+	if top > 0 {
+		r.delivered[c] = max(r.delivered[c], top)
 	}
 }
 

@@ -43,23 +43,39 @@ func (r *Replica) cacheReply(reply *types.ClientReply) {
 // the rest (req itself when nothing was cached, nil when nothing is left).
 // Answered transactions must not enter the event loop: the machine would
 // only drop them below the dedup floor, leaving a client that lost the
-// original reply stuck retransmitting forever.
+// original reply stuck retransmitting forever. req is non-empty and names
+// one client (DeliverClient refuses any other), so it takes the cache lock
+// once, and a request whose seqs are all above the client's highest cached
+// seq — every first transmission — costs one comparison per transaction.
 func (r *Replica) answerRetransmits(req *types.ClientRequest) *types.ClientRequest {
-	var rest []types.Transaction
+	c := req.Txns[0].Client
+	low := req.Txns[0].Seq
 	for i := range req.Txns {
-		tx := &req.Txns[i]
-		reply := r.cachedReply(tx.Client, tx.Seq)
-		if reply == nil {
-			if rest != nil {
-				rest = append(rest, *tx)
+		low = min(low, req.Txns[i].Seq)
+	}
+	var rest []types.Transaction
+	var answers []*types.ClientReply
+	r.replies.Lock()
+	if ring := r.replies.m[c]; ring != nil && low <= ring.max {
+		for i := range req.Txns {
+			tx := &req.Txns[i]
+			reply := ring.reply(c, tx.Seq)
+			if reply == nil {
+				if rest != nil {
+					rest = append(rest, *tx)
+				}
+				continue
 			}
-			continue
+			if rest == nil {
+				rest = append(make([]types.Transaction, 0, len(req.Txns)), req.Txns[:i]...)
+			}
+			answers = append(answers, reply)
 		}
-		if rest == nil {
-			rest = append(make([]types.Transaction, 0, len(req.Txns)), req.Txns[:i]...)
-		}
-		if r.trans != nil {
-			_ = r.trans.SendClient(reply.Client, reply)
+	}
+	r.replies.Unlock()
+	if r.trans != nil {
+		for _, reply := range answers {
+			_ = r.trans.SendClient(c, reply)
 		}
 	}
 	switch {
@@ -71,14 +87,10 @@ func (r *Replica) answerRetransmits(req *types.ClientRequest) *types.ClientReque
 	return types.NewClientRequest(req.Inst, rest...)
 }
 
-// cachedReply returns a one-seq reply for (c, seq) derived from the cached
-// batch reply that covered it, or nil. A seq above the highest cached one —
-// every first transmission — returns in O(1); only retransmits scan.
-func (r *Replica) cachedReply(c types.ClientID, seq uint64) *types.ClientReply {
-	r.replies.Lock()
-	defer r.replies.Unlock()
-	ring := r.replies.m[c]
-	if ring == nil || seq > ring.max {
+// reply returns a one-seq reply for (c, seq) derived from the cached batch
+// reply that covered it, or nil.
+func (ring *replyRing) reply(c types.ClientID, seq uint64) *types.ClientReply {
+	if seq > ring.max {
 		return nil
 	}
 	for _, cached := range ring.buf {

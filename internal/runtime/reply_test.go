@@ -120,21 +120,48 @@ func TestOneReplyPerClientBatch(t *testing.T) {
 
 // TestReplyCacheHoldsLastBatches: the cache keeps a client's last
 // replyCacheWindow batch replies, whatever their size; a seq above every
-// cached one is a first transmission and misses.
+// cached one is a first transmission and misses. A request mixing the
+// three is answered for its cached seq and passes the others on, in order.
 func TestReplyCacheHoldsLastBatches(t *testing.T) {
-	var r Replica
+	sink := &ackSink{}
+	r := Replica{trans: sink}
 	const c = types.ClientID(3)
 	for b := uint64(0); b <= replyCacheWindow; b++ { // one batch too many
 		r.cacheReply(types.NewClientReply(0, 0, c, 0, types.ZeroDigest, []uint64{100*b + 1, 100*b + 2}))
 	}
-	if got := r.cachedReply(c, 1); got != nil {
-		t.Fatalf("seq of the evicted oldest batch answered: %v", got.Seqs)
+	// answer returns the seqs answerRetransmits passes on for a request of
+	// client c's seqs, and the seqs of the replies it resent.
+	answer := func(c types.ClientID, seqs ...uint64) (rest, resent []uint64) {
+		sink.sent = nil
+		txns := make([]types.Transaction, len(seqs))
+		for i, s := range seqs {
+			txns[i] = types.Transaction{Client: c, Seq: s}
+		}
+		if req := r.answerRetransmits(types.NewClientRequest(0, txns...)); req != nil {
+			for _, tx := range req.Txns {
+				rest = append(rest, tx.Seq)
+			}
+		}
+		for _, m := range sink.sent {
+			resent = append(resent, m.Seqs...)
+		}
+		return rest, resent
 	}
-	if got := r.cachedReply(c, 102); got == nil || !reflect.DeepEqual(got.Seqs, []uint64{102}) {
-		t.Fatalf("seq of the oldest kept batch: got %v, want a one-seq reply", got)
+	if _, resent := answer(c, 1); resent != nil {
+		t.Fatalf("seq of the evicted oldest batch answered: %v", resent)
 	}
-	if r.cachedReply(c, 100*replyCacheWindow+3) != nil || r.cachedReply(c+1, 1) != nil {
-		t.Fatal("uncached seq or client answered")
+	if rest, resent := answer(c, 102); rest != nil || !reflect.DeepEqual(resent, []uint64{102}) {
+		t.Fatalf("seq of the oldest kept batch: passed on %v, resent %v; want a one-seq reply", rest, resent)
+	}
+	if _, resent := answer(c, 100*replyCacheWindow+3); resent != nil {
+		t.Fatal("uncached seq answered")
+	}
+	if _, resent := answer(c+1, 1); resent != nil {
+		t.Fatal("uncached client answered")
+	}
+	top := uint64(100*replyCacheWindow + 3)
+	if rest, resent := answer(c, 1, 102, top); !reflect.DeepEqual(rest, []uint64{1, top}) || !reflect.DeepEqual(resent, []uint64{102}) {
+		t.Fatalf("mixed request: passed on %v, resent %v; want [1 %d] and [102]", rest, resent, top)
 	}
 }
 

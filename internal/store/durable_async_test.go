@@ -361,6 +361,10 @@ func TestIdentityStampAdoptedByUnnamedDir(t *testing.T) {
 // TestAppendAsyncAllocsFlatInBatchSize: AppendAsync encodes each block into
 // a buffer the ledger reuses, sized from the batch, so its steady-state
 // allocations per append do not grow from a 4- to a 400-transaction batch.
+// testing.AllocsPerRun counts every goroutine's allocations, so each
+// sampled append waits for its commit callback: the WAL committer's work
+// for it (commit point, ledger release) lands inside the sample, never
+// partly in the next one, and the count is the same on every run.
 func TestAppendAsyncAllocsFlatInBatchSize(t *testing.T) {
 	perAppend := func(n int) float64 {
 		d, err := Open(t.TempDir(), Options{Sync: wal.SyncNone})
@@ -373,9 +377,14 @@ func TestAppendAsyncAllocsFlatInBatchSize(t *testing.T) {
 			batch.Txns[i] = types.Transaction{Client: 1, Seq: uint64(i + 1), Op: make([]byte, 69)}
 		}
 		proof := ledger.Proof{Round: 1, Digest: batch.Digest(), Signers: []types.ReplicaID{0, 1, 2}}
-		done := func(uint64, error) {}
-		d.AppendAsync(batch, proof, types.Digest{}, done) // sizes the buffer
-		return testing.AllocsPerRun(200, func() { d.AppendAsync(batch, proof, types.Digest{}, done) })
+		committed := make(chan struct{}, 1)
+		done := func(uint64, error) { committed <- struct{}{} }
+		appendOne := func() {
+			d.AppendAsync(batch, proof, types.Digest{}, done)
+			<-committed
+		}
+		appendOne() // sizes the buffer
+		return testing.AllocsPerRun(200, appendOne)
 	}
 	small, large := perAppend(4), perAppend(400)
 	if large > small+0.5 {
