@@ -132,13 +132,13 @@ func TestSaturatedPrimaryKeepsFullBatches(t *testing.T) {
 	}
 }
 
-// Time spent waiting for a window slot does not count against BatchTimeout:
-// a window-bound primary whose commits take longer than BatchTimeout fills
+// Time spent waiting for a window slot does not count against batchTimeout:
+// a window-bound primary whose commits take longer than batchTimeout fills
 // each freed slot with a full batch instead of the partial that queued
 // while the slot was busy.
 func TestWindowBoundPrimaryKeepsFullBatches(t *testing.T) {
 	const link = 30 * time.Millisecond // a commit takes ≈ 90 ms
-	net, props := batchingCluster(t, Config{BatchSize: 100, Window: 1, BatchTimeout: 50 * time.Millisecond}, link)
+	net, props := batchingCluster(t, Config{BatchSize: 100, Window: 1, batchTimeout: 50 * time.Millisecond}, link)
 	for i := 0; i < 1000; i++ {
 		arrive(net, time.Duration(i)*time.Millisecond, mkTx(1, uint64(i+1)))
 	}
@@ -154,14 +154,14 @@ func TestWindowBoundPrimaryKeepsFullBatches(t *testing.T) {
 	}
 }
 
-// Waiting for a first request does not count against BatchTimeout either:
+// Waiting for a first request does not count against batchTimeout either:
 // after a batch that emptied the queue, a burst too small to fill the next
-// batch waits BatchTimeout from its own arrival, and the burst behind it
+// batch waits batchTimeout from its own arrival, and the burst behind it
 // fills the batch. Measured from the last proposal, the deadline would cut
 // the first burst alone.
 func TestBurstyArrivalsKeepFullBatches(t *testing.T) {
 	const link = 5 * time.Millisecond // occupancy well above 1/4: load regime
-	net, props := batchingCluster(t, Config{BatchSize: 100, Window: 8, BatchTimeout: 50 * time.Millisecond}, link)
+	net, props := batchingCluster(t, Config{BatchSize: 100, Window: 8, batchTimeout: 50 * time.Millisecond}, link)
 	seq := uint64(0)
 	burst := func(at time.Duration, n int) {
 		txns := make([]types.Transaction, n)
@@ -182,9 +182,9 @@ func TestBurstyArrivalsKeepFullBatches(t *testing.T) {
 }
 
 // A lone request with nothing arriving behind it is proposed within
-// BatchTimeout.
+// batchTimeout.
 func TestLoneRequestProposedWithinBatchTimeout(t *testing.T) {
-	net, props := batchingCluster(t, Config{BatchSize: 100, BatchTimeout: 50 * time.Millisecond}, time.Millisecond)
+	net, props := batchingCluster(t, Config{BatchSize: 100, batchTimeout: 50 * time.Millisecond}, time.Millisecond)
 	arrive(net, 200*time.Millisecond, mkTx(1, 1))
 	net.Run(time.Second)
 	ps := *props
@@ -192,17 +192,17 @@ func TestLoneRequestProposedWithinBatchTimeout(t *testing.T) {
 		t.Fatalf("proposals = %+v, want one batch of the lone request", ps)
 	}
 	if wait := ps[0].at - 200*time.Millisecond; wait > 50*time.Millisecond {
-		t.Fatalf("lone request proposed after %v, want within BatchTimeout", wait)
+		t.Fatalf("lone request proposed after %v, want within batchTimeout", wait)
 	}
 }
 
-// In the load regime BatchTimeout is a deadline that arrivals do not move.
+// In the load regime batchTimeout is a deadline that arrivals do not move.
 // A burst that leaves a remainder queued (with window slots free) starts it
 // at the burst's proposal, so a trickle too slow to fill the next batch
-// gets that batch out BatchTimeout later. The old idle timer, re-armed by
+// gets that batch out batchTimeout later. The old idle timer, re-armed by
 // every arrival, waited for the batch to fill (100 ms here).
 func TestLoadDeadlineMeasuredFromLastProposal(t *testing.T) {
-	net, props := batchingCluster(t, Config{BatchSize: 100, Window: 8, BatchTimeout: 50 * time.Millisecond}, time.Millisecond)
+	net, props := batchingCluster(t, Config{BatchSize: 100, Window: 8, batchTimeout: 50 * time.Millisecond}, time.Millisecond)
 	burst := make([]types.Transaction, 150)
 	for i := range burst {
 		burst[i] = mkTx(1, uint64(i+1))
@@ -217,7 +217,7 @@ func TestLoadDeadlineMeasuredFromLastProposal(t *testing.T) {
 		t.Fatalf("proposals = %+v, want a full batch first", ps)
 	}
 	if gap := ps[1].at - ps[0].at; gap > 50*time.Millisecond || ps[1].size >= 100 {
-		t.Fatalf("second proposal: %d transactions %v after the first, want a partial within BatchTimeout", ps[1].size, gap)
+		t.Fatalf("second proposal: %d transactions %v after the first, want a partial within batchTimeout", ps[1].size, gap)
 	}
 }
 

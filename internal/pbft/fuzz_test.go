@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -19,9 +20,11 @@ var fuzzConfig = Config{BatchSize: 1, Window: 4}
 // dedup-map count the remaining bytes cannot hold is refused before it is
 // allocated; and where ValidateSyncPoint accepts, InstallSyncPoint on a
 // fresh replica of the same deployment returns nil too (sm.StateSyncable:
-// an install cannot fail halfway). Seeds: the SyncPoint and the
-// BoundarySyncPointAt its delivered frontier of a short simnet run, each
-// with every truncation and with a u32 of all ones at every offset.
+// an install cannot fail halfway). An accepted input also round-trips
+// through the one writer: parsed, written and parsed again, it gives an
+// equal frontier. Seeds: the SyncPoint and the BoundarySyncPointAt its
+// delivered frontier of a short simnet run, each with every truncation and
+// with a u32 of all ones at every offset.
 //
 //	go test -run '^$' -fuzz FuzzValidateSyncPoint -fuzztime 20s ./internal/pbft
 func FuzzValidateSyncPoint(f *testing.F) {
@@ -57,6 +60,17 @@ func FuzzValidateSyncPoint(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		sp, err := parseSyncPoint(b)
+		if err != nil {
+			t.Fatalf("sync point passed ValidateSyncPoint but does not parse: %v", err)
+		}
+		again, err := parseSyncPoint(sp.marshal())
+		if err != nil {
+			t.Fatalf("rewritten sync point does not parse: %v", err)
+		}
+		if !reflect.DeepEqual(again, sp) {
+			t.Fatalf("rewritten sync point parses to %+v, want %+v", again, sp)
 		}
 		_, fresh := cluster(t, n, fuzzConfig, simnet.Config{})
 		if err := fresh[0].InstallSyncPoint(b); err != nil {

@@ -20,7 +20,7 @@
 // from what it observes (see maybeProposeBatch):
 //
 //   - Load (the default): batches fill to Config.BatchSize, and
-//     Config.BatchTimeout is the backstop for a batch that does not fill.
+//     Config.batchTimeout is the backstop for a batch that does not fill.
 //     It is a deadline, which arrivals do not move, measured patiently
 //     (sm.BatchDeadline): from the first moment after the last proposal at
 //     which the primary had a free window slot and a queued request.
@@ -75,18 +75,18 @@ type Config struct {
 	ProgressTimeout time.Duration
 	// BatchSize is the number of client transactions in a full batch.
 	BatchSize int
-	// BatchTimeout is the load-regime deadline: queued transactions that
-	// have not filled a batch BatchTimeout after the primary could first
+	// Metrics receives consensus counters, the consensus-stage latency
+	// histogram, and lifecycle trace stamps. Nil disables instrumentation.
+	Metrics *obs.NodeMetrics
+
+	// batchTimeout is the load-regime deadline: queued transactions that
+	// have not filled a batch batchTimeout after the primary could first
 	// have proposed them go out as a partial batch, whatever keeps
 	// arriving. It is a backstop, long enough (50 ms by default) that a
 	// busy primary fills its batches first. In the light regime the
 	// deadline is lightWait after the last proposal instead (see the
 	// package doc).
-	BatchTimeout time.Duration
-	// Metrics receives consensus counters, the consensus-stage latency
-	// histogram, and lifecycle trace stamps. Nil disables instrumentation.
-	Metrics *obs.NodeMetrics
-
+	batchTimeout time.Duration
 	// checkpointEvery emits a checkpoint every so many rounds
 	// (0 disables periodic checkpoints; RCC uses dynamic per-need
 	// checkpoints instead, implemented in internal/rcc).
@@ -98,12 +98,13 @@ type Config struct {
 	// anything older was delivered by a quorum and is recoverable through
 	// checkpoints. 0 selects the default of 512.
 	retainDelivered types.Round
-	// Only same-package tests set checkpointEvery and retainDelivered.
+	// Only same-package tests set batchTimeout, checkpointEvery and
+	// retainDelivered.
 }
 
 const (
 	// lightWait is the light-regime deadline. It is a fifth of the default
-	// BatchTimeout: at a third of saturation it roughly halves the batch,
+	// batchTimeout: at a third of saturation it roughly halves the batch,
 	// and it stays several LAN consensus rounds (≈ 1–4 ms) long, so the
 	// previous proposal has usually committed when it passes.
 	lightWait = 10 * time.Millisecond
@@ -122,8 +123,8 @@ func (c *Config) defaults() {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 100
 	}
-	if c.BatchTimeout <= 0 {
-		c.BatchTimeout = 50 * time.Millisecond
+	if c.batchTimeout <= 0 {
+		c.batchTimeout = 50 * time.Millisecond
 	}
 	if c.retainDelivered <= 0 {
 		c.retainDelivered = 512
@@ -633,7 +634,7 @@ func (p *Instance) maybeProposeBatch() {
 			continue
 		}
 		light := p.lightRegime()
-		wait := p.cfg.BatchTimeout
+		wait := p.cfg.batchTimeout
 		if light {
 			wait = lightWait
 		}

@@ -24,7 +24,6 @@ package pbft
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"repro/internal/types"
 )
@@ -33,8 +32,8 @@ import (
 const syncPointV1 = 1
 
 // syncPointLen is the fixed prefix size: version, view, deliver, stableCkp,
-// chain digest. A u32 count and count (client u32, seq u64) pairs sorted by
-// client follow it.
+// chain digest. The per-client dedup floors follow it
+// (types.AppendSeqFloors).
 const syncPointLen = 1 + 8 + 8 + 8 + 32
 
 // SyncPoint implements sm.StateSyncable: the delivered frontier, the
@@ -46,27 +45,13 @@ func (p *Instance) SyncPoint() []byte {
 	// Only clients with a delivered seq appear: a record may exist for a
 	// client whose requests are merely queued, or whose floor came from
 	// MergeDeliveredSeqs.
-	delivered := make([]*clientState, 0, len(p.clients))
+	seqs := make(map[types.ClientID]uint64, len(p.clients))
 	for _, cs := range p.clients {
 		if cs.lastSeq > 0 {
-			delivered = append(delivered, cs)
+			seqs[cs.id] = cs.lastSeq
 		}
 	}
-	sort.Slice(delivered, func(i, j int) bool { return delivered[i].id < delivered[j].id })
-	buf := make([]byte, 0, syncPointLen+4+12*len(delivered))
-	buf = append(buf, syncPointV1)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(p.view))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(p.deliver))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(p.stableCkp))
-	buf = append(buf, p.chain[:]...)
-	// The dedup map: a u32 count plus (client u32, seq u64) pairs sorted by
-	// client.
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(delivered)))
-	for _, cs := range delivered {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(cs.id))
-		buf = binary.BigEndian.AppendUint64(buf, cs.lastSeq)
-	}
-	return buf
+	return (&syncPoint{view: p.view, deliver: p.deliver, stable: p.stableCkp, chain: p.chain, seqs: seqs}).marshal()
 }
 
 // syncPoint is a parsed sync point.
@@ -77,9 +62,20 @@ type syncPoint struct {
 	seqs            map[types.ClientID]uint64
 }
 
-// parseSyncPoint parses what SyncPoint and BoundarySyncPointAt write. The
-// dedup map's count is bounded by the remaining bytes, so a hostile count
-// cannot force a huge allocation.
+// marshal serializes sp; parseSyncPoint reads it back.
+func (sp *syncPoint) marshal() []byte {
+	buf := make([]byte, 0, syncPointLen+4+12*len(sp.seqs))
+	buf = append(buf, syncPointV1)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(sp.view))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(sp.deliver))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(sp.stable))
+	buf = append(buf, sp.chain[:]...)
+	return types.AppendSeqFloors(buf, sp.seqs)
+}
+
+// parseSyncPoint parses what marshal writes. The dedup map's count is
+// bounded by the remaining bytes, so a hostile count cannot force a huge
+// allocation.
 func parseSyncPoint(data []byte) (*syncPoint, error) {
 	rd := types.NewReader(data)
 	if rd.U8() != syncPointV1 {
@@ -90,12 +86,7 @@ func parseSyncPoint(data []byte) (*syncPoint, error) {
 		deliver: types.Round(rd.U64()),
 		stable:  types.Round(rd.U64()),
 		chain:   rd.Digest(),
-	}
-	n := rd.Count(12)
-	sp.seqs = make(map[types.ClientID]uint64, n)
-	for range n {
-		c := types.ClientID(rd.U32())
-		sp.seqs[c] = rd.U64()
+		seqs:    rd.SeqFloors(),
 	}
 	if err := rd.Finish(); err != nil {
 		return nil, fmt.Errorf("pbft: sync point: %w", err)
@@ -188,13 +179,9 @@ func (p *Instance) BoundarySyncPointAt(frontier types.Round) []byte {
 		}
 		chain = c
 	}
-	buf := make([]byte, 0, syncPointLen+4)
-	buf = append(buf, syncPointV1)
-	buf = binary.BigEndian.AppendUint64(buf, 0) // view: quorum-timing dependent
-	buf = binary.BigEndian.AppendUint64(buf, uint64(frontier))
-	buf = binary.BigEndian.AppendUint64(buf, 0) // stableCkp: quorum-timing dependent
-	buf = append(buf, chain[:]...)
-	return binary.BigEndian.AppendUint32(buf, 0) // dedup map travels at the RCC level
+	// View and stableCkp are quorum-timing dependent and stay zero; the
+	// dedup map travels at the RCC level.
+	return (&syncPoint{deliver: frontier, chain: chain}).marshal()
 }
 
 // MergeDeliveredSeqs folds externally established per-client delivered

@@ -1,6 +1,7 @@
 package rcc
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -21,9 +22,11 @@ var fuzzConfig = Config{BatchSize: 1, Window: 4, sigma: 2}
 // and where ValidateSyncPoint accepts, InstallSyncPoint on a fresh replica
 // of the same deployment returns nil too (sm.StateSyncable: an install
 // cannot fail halfway) and leaves every client assigned to an instance the
-// deployment runs. Seeds: the SyncPoint and BoundarySyncPoint of a
-// short simnet run, mid-reassignment and after it, each with every
-// truncation, and the richest one with a u32 of all ones at every offset.
+// deployment runs. An accepted input also round-trips through the one
+// writer: parsed, written and parsed again, it gives an equal frontier.
+// Seeds: the SyncPoint and BoundarySyncPoint of a short simnet run,
+// mid-reassignment and after it, each with every truncation, and the
+// richest one with a u32 of all ones at every offset.
 //
 //	go test -run '^$' -fuzz FuzzValidateSyncPoint -fuzztime 20s ./internal/rcc
 func FuzzValidateSyncPoint(f *testing.F) {
@@ -52,6 +55,17 @@ func FuzzValidateSyncPoint(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		sp, err := parseRCCSyncPoint(b, probe[0].M())
+		if err != nil {
+			t.Fatalf("sync point passed ValidateSyncPoint but does not parse: %v", err)
+		}
+		again, err := parseRCCSyncPoint(sp.marshal(), probe[0].M())
+		if err != nil {
+			t.Fatalf("rewritten sync point does not parse: %v", err)
+		}
+		if !reflect.DeepEqual(again, sp) {
+			t.Fatalf("rewritten sync point parses to %+v, want %+v", again, sp)
 		}
 		_, fresh := cluster(t, 4, fuzzConfig, simnet.Config{})
 		r := fresh[0]

@@ -8,12 +8,45 @@ package rcc
 // from consensus decisions, so replicas with identical frontiers serialize
 // identically — the property the f+1 attestation of statesync offers rests
 // on.
+//
+// One writer (rccSyncState.marshal) serializes both forms of the frontier
+// and one reader (parseRCCSyncPoint) parses them; frontier captures the live
+// form for SyncPoint and the boundary form for BoundarySyncPoint. Each
+// field, in wire order, with its live and boundary value and the rule
+// InstallSyncPoint applies to it:
+//
+//	field       live                boundary                   install
+//	execRound   r.execRound         same                       replace when ahead (a)
+//	maxDecided  r.maxDecided        execRound-1                max-merge; derivable
+//	m           len(r.states)       same                       validated: the deployment's m
+//	 voidBelow  st.voidBelow        same                       max-merge
+//	 lastDec    st.lastDec          execRound-1                max-merge; derivable
+//	 stops      st.stops            same                       max-merge
+//	 startedAt  st.startedAt        same                       replace
+//	 inner      inst.SyncPoint()    inst.BoundarySyncPointAt   validated; pbft installs it
+//	 coord      coord.SyncPoint()   coord.BoundarySyncPointAt  validated; pbft installs it
+//	 decided    ahead of execRound  none                       validated (b); queued (c)
+//	assign      r.assign            same                       validated (d); replace
+//	switches    r.switches          same                       validated (d); replace
+//	delivered   r.delivered         same                       max-merge (e)
+//
+// (a) Every check runs first, on every install; then every row but
+// delivered installs only when the blob's execRound is ahead of the
+// replica's. (b) Each digest must cover its batch. (c) Where the replica
+// holds no decision for the round; the replica's decisions below the new
+// execRound are dropped. (d) Every instance named is below m. (e) Also when
+// execRound is not ahead, and pushed into every instance.
+//
+// maxDecided and lastDec are derivable: the boundary form already fixes
+// them at execRound-1, and an install max-merges them. Dropping them from
+// the blob changes the format.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 
 	"repro/internal/sm"
 	"repro/internal/types"
@@ -22,106 +55,130 @@ import (
 const rccSyncPointV1 = 2 // distinct from the PBFT tag so blobs cannot be confused
 
 // SyncPoint implements sm.StateSyncable.
-func (r *Replica) SyncPoint() []byte {
-	buf := make([]byte, 0, 64+64*len(r.states))
-	buf = append(buf, rccSyncPointV1)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(r.execRound))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(r.maxDecided))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(r.states)))
-	for _, st := range r.states {
-		isp := st.inst.SyncPoint()
-		buf = binary.BigEndian.AppendUint64(buf, uint64(st.voidBelow))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(st.lastDec))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(st.stops))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(st.startedAt))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(isp)))
-		buf = append(buf, isp...)
-		csp := st.coord.SyncPoint()
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(csp)))
-		buf = append(buf, csp...)
-		// The inner frontier above counts rounds the instance decided but the
+func (r *Replica) SyncPoint() []byte { return r.frontier(false).marshal() }
+
+// BoundarySyncPoint implements sm.BoundarySyncable: the frontier as it
+// stands at the current wave boundary, serialized from delivery-derived
+// state only. Quorum-timing-dependent fields are normalized — per-instance
+// lastDec and the replica's maxDecided collapse to execRound-1, inner
+// frontiers serialize through BoundarySyncPointAt(execRound), views and
+// stable checkpoints to zero — so every correct replica whose ledger stands
+// at the same wave boundary produces identical bytes while consensus keeps
+// running. Recovery bookkeeping (voidBelow, stops, startedAt, the coord
+// frontier) is stable between recoveries; a boundary captured while a
+// recovery is mid-flight may serialize differently across replicas, so no
+// f+1 offers of that checkpoint match and it is never a state-transfer
+// target — checkpoint targets are best-effort per boundary, and the next
+// quiet boundary serves.
+func (r *Replica) BoundarySyncPoint() []byte {
+	sp := r.frontier(true)
+	if sp == nil {
+		return nil
+	}
+	return sp.marshal()
+}
+
+// frontier captures the replica's frontier in its live form or, when
+// boundary is set, in its boundary form (see BoundarySyncPoint). The maps
+// are the replica's own, not copies. It returns nil when an instance no
+// longer retains its boundary frontier.
+func (r *Replica) frontier(boundary bool) *rccSyncState {
+	sp := &rccSyncState{
+		execRound:  r.execRound,
+		maxDecided: r.maxDecided,
+		insts:      make([]rccSyncInst, len(r.states)),
+		assign:     r.assign,
+		switches:   r.switches,
+		delivered:  r.delivered,
+	}
+	if boundary {
+		sp.maxDecided = r.execRound - 1
+	}
+	for i, st := range r.states {
+		in := &sp.insts[i]
+		in.voidBelow, in.lastDec, in.stops, in.startedAt = st.voidBelow, st.lastDec, st.stops, st.startedAt
+		if boundary {
+			// The inner frontier stops at execRound, so no round is decided
+			// ahead of it.
+			in.lastDec = r.execRound - 1
+			in.inner = st.inst.BoundarySyncPointAt(r.execRound)
+			in.coord = st.coord.BoundarySyncPointAt(st.coord.Delivered())
+			if in.inner == nil || in.coord == nil {
+				return nil
+			}
+			continue
+		}
+		in.inner, in.coord = st.inst.SyncPoint(), st.coord.SyncPoint()
+		// The inner frontier counts rounds the instance decided but the
 		// wave has not executed yet; their decisions live only here, so they
 		// travel with it or an installing replica would treat them as void.
-		buf = appendDecided(buf, st, r.execRound)
+		for rnd, d := range st.decided {
+			if rnd >= r.execRound && d.Batch != nil {
+				in.decided = append(in.decided, d)
+			}
+		}
+		slices.SortFunc(in.decided, func(a, b sm.Decision) int { return cmp.Compare(a.Round, b.Round) })
+	}
+	return sp
+}
+
+// marshal serializes sp; parseRCCSyncPoint reads it back.
+func (sp *rccSyncState) marshal() []byte {
+	buf := make([]byte, 0, 64+64*len(sp.insts))
+	buf = append(buf, rccSyncPointV1)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(sp.execRound))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(sp.maxDecided))
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(sp.insts)))
+	for _, in := range sp.insts {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(in.voidBelow))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(in.lastDec))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(in.stops))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(in.startedAt))
+		buf = types.AppendBlob(buf, in.inner)
+		buf = types.AppendBlob(buf, in.coord)
+		// Each decided round as (round, view, digest, batch). Commit signers
+		// are left out: they depend on quorum timing, and offers from
+		// distinct replicas must serialize byte-identically.
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(in.decided)))
+		for _, d := range in.decided {
+			buf = binary.BigEndian.AppendUint64(buf, uint64(d.Round))
+			buf = binary.BigEndian.AppendUint64(buf, uint64(d.View))
+			buf = append(buf, d.Digest[:]...)
+			buf = d.Batch.Marshal(buf)
+		}
 	}
 	// Client assignment (§III-E), sorted for determinism. Only explicit
 	// reassignments are recorded; the default hash assignment needs none.
-	clients := make([]types.ClientID, 0, len(r.assign))
-	for c := range r.assign {
-		clients = append(clients, c)
-	}
-	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
+	clients := slices.Sorted(maps.Keys(sp.assign))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(clients)))
 	for _, c := range clients {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(c))
-		buf = binary.BigEndian.AppendUint16(buf, uint16(r.assign[c]))
+		buf = binary.BigEndian.AppendUint16(buf, uint16(sp.assign[c]))
 	}
 	// In-flight reassignment schedules (without their queued requests —
 	// clients retransmit).
-	pending := make([]types.ClientID, 0, len(r.switches))
-	for c := range r.switches {
-		pending = append(pending, c)
-	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i] < pending[j] })
+	pending := slices.Sorted(maps.Keys(sp.switches))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(pending)))
 	for _, c := range pending {
-		s := r.switches[c]
+		s := sp.switches[c]
 		buf = binary.BigEndian.AppendUint32(buf, uint32(c))
 		buf = binary.BigEndian.AppendUint16(buf, uint16(s.from))
 		buf = binary.BigEndian.AppendUint16(buf, uint16(s.to))
 		buf = binary.BigEndian.AppendUint64(buf, uint64(s.activeAfter))
 	}
 	// Composite per-client dedup frontier (pure function of the delivery
-	// prefix), sorted for determinism. A synced replica that becomes primary
-	// must know which sequence numbers already executed, or a client
-	// retransmission would be re-proposed and double-delivered.
-	return appendDelivered(buf, r.delivered)
+	// prefix). A synced replica that becomes primary must know which
+	// sequence numbers already executed, or a client retransmission would be
+	// re-proposed and double-delivered.
+	return types.AppendSeqFloors(buf, sp.delivered)
 }
 
 // decidedRecordMin is the encoded floor of one decided round: round, view,
 // digest, batch count.
 const decidedRecordMin = 8 + 8 + 32 + 4
 
-// appendDecided appends a u32 count plus, in round order, the (round, view,
-// digest, batch) of every decision st holds for a round at or past from.
-// Commit signers are left out: they depend on quorum timing, and offers from
-// distinct replicas must serialize byte-identically.
-func appendDecided(buf []byte, st *instState, from types.Round) []byte {
-	rounds := make([]types.Round, 0, len(st.decided))
-	for rnd, d := range st.decided {
-		if rnd >= from && d.Batch != nil {
-			rounds = append(rounds, rnd)
-		}
-	}
-	slices.Sort(rounds)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(rounds)))
-	for _, rnd := range rounds {
-		d := st.decided[rnd]
-		buf = binary.BigEndian.AppendUint64(buf, uint64(rnd))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(d.View))
-		buf = append(buf, d.Digest[:]...)
-		buf = d.Batch.Marshal(buf)
-	}
-	return buf
-}
-
-// appendDelivered appends a u32 count plus sorted (client u32, seq u64)
-// pairs.
-func appendDelivered(buf []byte, m map[types.ClientID]uint64) []byte {
-	clients := make([]types.ClientID, 0, len(m))
-	for c := range m {
-		clients = append(clients, c)
-	}
-	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(clients)))
-	for _, c := range clients {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(c))
-		buf = binary.BigEndian.AppendUint64(buf, m[c])
-	}
-	return buf
-}
-
-// readDecided reads what appendDecided wrote, as decisions of instance
+// readDecided reads one instance's decided rounds as marshal writes them,
+// as decisions of instance
 // inst. Each digest must cover its batch, as on every other Decision
 // source: the ledger takes a decision's digest as its batch digest without
 // re-hashing.
@@ -212,40 +269,36 @@ func parseRCCSyncPoint(data []byte, m int) (*rccSyncState, error) {
 		}
 		st.switches[c] = sw
 	}
-	n = rd.Count(12)
-	st.delivered = make(map[types.ClientID]uint64, n)
-	for range n {
-		c := types.ClientID(rd.U32())
-		st.delivered[c] = rd.U64()
-	}
+	st.delivered = rd.SeqFloors()
 	if err := rd.Finish(); err != nil {
 		return nil, fmt.Errorf("rcc: sync point: %w", err)
 	}
 	return st, nil
 }
 
-// validateParsed checks every nested frontier blob against its instance's
-// format without mutating anything.
-func (r *Replica) validateParsed(sp *rccSyncState) error {
+// parseValid parses data and checks every nested frontier blob against its
+// instance's format without mutating anything.
+func (r *Replica) parseValid(data []byte) (*rccSyncState, error) {
+	sp, err := parseRCCSyncPoint(data, len(r.states))
+	if err != nil {
+		return nil, err
+	}
 	for i, st := range r.states {
 		if err := st.inst.ValidateSyncPoint(sp.insts[i].inner); err != nil {
-			return fmt.Errorf("rcc: instance %d: %w", st.id, err)
+			return nil, fmt.Errorf("rcc: instance %d: %w", st.id, err)
 		}
 		if err := st.coord.ValidateSyncPoint(sp.insts[i].coord); err != nil {
-			return fmt.Errorf("rcc: instance %d coordinator: %w", st.id, err)
+			return nil, fmt.Errorf("rcc: instance %d coordinator: %w", st.id, err)
 		}
 	}
-	return nil
+	return sp, nil
 }
 
 // ValidateSyncPoint implements sm.StateSyncable: full structural check —
 // envelope and every nested frontier blob — with no mutation.
 func (r *Replica) ValidateSyncPoint(data []byte) error {
-	sp, err := parseRCCSyncPoint(data, len(r.states))
-	if err != nil {
-		return err
-	}
-	return r.validateParsed(sp)
+	_, err := r.parseValid(data)
+	return err
 }
 
 // InstallSyncPoint implements sm.StateSyncable: adopt an attested frontier.
@@ -256,11 +309,8 @@ func (r *Replica) ValidateSyncPoint(data []byte) error {
 // those trigger (rounds committed while the transfer ran) order and execute
 // against the new frontier, not the stale one.
 func (r *Replica) InstallSyncPoint(data []byte) error {
-	sp, err := parseRCCSyncPoint(data, len(r.states))
+	sp, err := r.parseValid(data)
 	if err != nil {
-		return err
-	}
-	if err := r.validateParsed(sp); err != nil {
 		return err
 	}
 	// Max-merge the dedup frontier even when the execution frontier brings
@@ -319,70 +369,6 @@ func (r *Replica) InstallSyncPoint(data []byte) error {
 	r.tryExecute()
 	r.maybeNoOpFill()
 	return nil
-}
-
-// BoundarySyncPoint implements sm.BoundarySyncable: the frontier as it
-// stands at the current wave boundary, serialized from delivery-derived
-// state only. Quorum-timing-dependent fields are normalized — per-instance
-// lastDec and the replica's maxDecided collapse to execRound-1, inner
-// frontiers serialize through BoundarySyncPointAt(execRound), views and
-// stable checkpoints to zero — so every correct replica whose ledger stands
-// at the same wave boundary produces identical bytes while consensus keeps
-// running. Recovery bookkeeping (voidBelow, stops, startedAt, the coord
-// frontier) is stable between recoveries; a boundary captured while a
-// recovery is mid-flight may serialize differently across replicas, so no
-// f+1 offers of that checkpoint match and it is never a state-transfer
-// target — checkpoint targets are best-effort per boundary, and the next
-// quiet boundary serves.
-func (r *Replica) BoundarySyncPoint() []byte {
-	buf := make([]byte, 0, 64+64*len(r.states))
-	buf = append(buf, rccSyncPointV1)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(r.execRound))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(r.execRound-1)) // maxDecided, normalized
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(r.states)))
-	for _, st := range r.states {
-		isp := st.inst.BoundarySyncPointAt(r.execRound)
-		if isp == nil {
-			return nil
-		}
-		csp := st.coord.BoundarySyncPointAt(st.coord.Delivered())
-		if csp == nil {
-			return nil
-		}
-		buf = binary.BigEndian.AppendUint64(buf, uint64(st.voidBelow))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(r.execRound-1)) // lastDec, normalized
-		buf = binary.BigEndian.AppendUint32(buf, uint32(st.stops))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(st.startedAt))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(isp)))
-		buf = append(buf, isp...)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(csp)))
-		buf = append(buf, csp...)
-		buf = binary.BigEndian.AppendUint32(buf, 0) // decided ahead: none, the inner frontier stops at execRound
-	}
-	clients := make([]types.ClientID, 0, len(r.assign))
-	for c := range r.assign {
-		clients = append(clients, c)
-	}
-	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(clients)))
-	for _, c := range clients {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(c))
-		buf = binary.BigEndian.AppendUint16(buf, uint16(r.assign[c]))
-	}
-	pending := make([]types.ClientID, 0, len(r.switches))
-	for c := range r.switches {
-		pending = append(pending, c)
-	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i] < pending[j] })
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(pending)))
-	for _, c := range pending {
-		s := r.switches[c]
-		buf = binary.BigEndian.AppendUint32(buf, uint32(c))
-		buf = binary.BigEndian.AppendUint16(buf, uint16(s.from))
-		buf = binary.BigEndian.AppendUint16(buf, uint16(s.to))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(s.activeAfter))
-	}
-	return appendDelivered(buf, r.delivered)
 }
 
 var _ sm.StateSyncable = (*Replica)(nil)

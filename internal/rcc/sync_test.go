@@ -2,6 +2,11 @@ package rcc
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -146,6 +151,67 @@ func decidedAheadSyncPoint(t *testing.T) ([]byte, sm.Decision) {
 		t.Fatalf("exec round %d, instance 1 decided round 2: %v; want a decided round the wave has not executed", src.ExecRound(), ok)
 	}
 	return src.SyncPoint(), ahead
+}
+
+// goldenFrontier sets a fresh replica's frontier by hand: the wave at round
+// 5 with round 7 the highest decided, every inner instance delivered to
+// round 5 with its chain value retained, recovery bookkeeping on instance 0,
+// on instance 1 a decided-ahead round between an executed one and one with
+// no batch (neither travels), an explicit assignment of clients 9 and 3, a
+// pending switch of client 5, and delivered floors for clients 1, 7 and 2.
+func goldenFrontier(t *testing.T) *Replica {
+	t.Helper()
+	_, reps := cluster(t, 4, Config{BatchSize: 1, Window: 4}, simnet.Config{})
+	r := reps[0]
+	inner := []byte{1}                              // pbft sync point tag
+	inner = binary.BigEndian.AppendUint64(inner, 0) // view
+	inner = binary.BigEndian.AppendUint64(inner, 5) // deliver
+	inner = binary.BigEndian.AppendUint64(inner, 0) // stable checkpoint
+	chain := types.Hash([]byte("inner chain at round 4"))
+	inner = append(inner, chain[:]...)
+	inner = binary.BigEndian.AppendUint32(inner, 0) // no dedup floors
+	for _, st := range r.states {
+		if err := st.inst.InstallSyncPoint(inner); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.execRound, r.maxDecided = 5, 7
+	st := r.states[0]
+	st.voidBelow, st.lastDec, st.stops, st.startedAt = 3, 6, 1, 2
+	batch := func(seq uint64) *types.Batch { return &types.Batch{Txns: []types.Transaction{mkTx(2, seq)}} }
+	executed, ahead := batch(4), batch(7)
+	st = r.states[1]
+	st.lastDec = 7
+	st.decided[4] = sm.Decision{Instance: 1, Round: 4, Digest: executed.Digest(), Batch: executed}
+	st.decided[6] = sm.Decision{Instance: 1, Round: 6, View: 2, Digest: ahead.Digest(), Batch: ahead, Signers: []types.ReplicaID{0, 2, 3}}
+	st.decided[7] = sm.Decision{Instance: 1, Round: 7}
+	r.assign[9], r.assign[3] = 2, 1
+	r.switches[5] = &switchSched{from: 0, to: 3, activeAfter: 8}
+	r.delivered[1], r.delivered[7], r.delivered[2] = 4, 2, 9
+	return r
+}
+
+// TestSyncPointGolden pins the sync-point format: both forms of a frontier
+// built by hand serialize to the hex bytes in testdata/syncpoint-*.hex, so a
+// change to the writer cannot change what peers compare byte for byte
+// without failing here.
+func TestSyncPointGolden(t *testing.T) {
+	r := goldenFrontier(t)
+	for _, c := range []struct {
+		name string
+		got  []byte
+	}{
+		{"live", r.SyncPoint()},
+		{"boundary", r.BoundarySyncPoint()},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", "syncpoint-"+c.name+".hex"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(c.got); got != strings.TrimSpace(string(want)) {
+			t.Errorf("%s sync point:\n got %s\nwant %s", c.name, got, want)
+		}
+	}
 }
 
 var _ sm.StateSyncable = (*Replica)(nil)

@@ -52,8 +52,9 @@ func TestOneReplyPerClientBatch(t *testing.T) {
 		var err error
 		reps[i], err = New(Config{
 			ID: types.ReplicaID(i), Params: params,
-			// The batch proposes only when full, so all k land in one.
-			Machine:        pbft.New(pbft.Config{BatchSize: k, Window: 1, BatchTimeout: time.Minute}),
+			// All k reach each replica in one request, which fills the
+			// batch on arrival, so all k land in one.
+			Machine:        pbft.New(pbft.Config{BatchSize: k, Window: 1}),
 			App:            ycsb.NewStore(1000),
 			ReplyToClients: true,
 		})

@@ -30,6 +30,8 @@ func (m *Manager) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("statesync_installs_total", rl, "successful installs", stat(func(s Stats) uint64 { return s.Installs }))
 	reg.CounterFunc("statesync_install_failed_total", rl, "installs that errored", stat(func(s Stats) uint64 { return s.InstallFailed }))
 	reg.CounterFunc("statesync_snapshots_installed_total", rl, "installs that included a snapshot (vs range-only)", stat(func(s Stats) uint64 { return s.InstalledSnaps }))
+	reg.CounterFunc("statesync_ckpt_targets_total", rl, "fetch targets that reach a checkpoint, not a live head", stat(func(s Stats) uint64 { return s.CkptTargets }))
+	reg.CounterFunc("statesync_ckpt_no_frontier_total", rl, "snapshots recorded with no boundary frontier (offers name no checkpoint)", stat(func(s Stats) uint64 { return s.CkptNoFrontier }))
 	reg.CounterFunc("statesync_transfer_seconds_total", rl, "wall time spent in successful transfers", func() float64 {
 		return float64(m.Stats().TransferNanos) / 1e9
 	})

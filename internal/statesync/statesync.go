@@ -190,6 +190,7 @@ type Stats struct {
 	TransferNanos  uint64 // wall time spent in successful transfers
 	InstalledSnaps uint64 // installs that included a snapshot (vs range-only)
 	CkptTargets    uint64 // fetch targets that reach a checkpoint, not a live head
+	CkptNoFrontier uint64 // snapshots recorded with no boundary frontier, so offers name no checkpoint
 	// RejectCauses counts refusals by flight.Reject code (index = code), so
 	// "why did this transfer stall" is answerable from /metrics without
 	// correlating log lines: no_quorum vs truncated_chunk vs digest_mismatch
@@ -375,9 +376,14 @@ func (m *Manager) HandleMessage(from types.ReplicaID, isClient bool, msg types.M
 // RecordCheckpoint notes the machine frontier bsp serialized at the
 // delivery boundary of the snapshot just taken at height; offers carry it
 // while that snapshot is the latest. Runs on the event loop (runtime
-// saveSnapshot); bsp must not change afterwards.
+// saveSnapshot); bsp must not change afterwards. A nil bsp (the machine
+// could not serialize its boundary frontier) is counted: offers then name
+// no checkpoint until the next snapshot.
 func (m *Manager) RecordCheckpoint(height uint64, bsp []byte) {
 	m.ckptHeight, m.ckptSyncPoint = height, bsp
+	if bsp == nil {
+		m.bump(func(s *Stats) { s.CkptNoFrontier++ })
+	}
 }
 
 // serveOffer answers a probe. The tuple is ASSEMBLED on the event loop —

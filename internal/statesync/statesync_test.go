@@ -2,10 +2,12 @@ package statesync
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/ledger"
+	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/types"
 )
@@ -267,6 +269,24 @@ func TestProbeRequiresAttestation(t *testing.T) {
 	}
 	if st := m.Stats(); st.CkptTargets != 1 {
 		t.Fatalf("checkpoint target not counted: %+v", st)
+	}
+	// Both checkpoint series read back from /metrics: the target just
+	// counted, and a snapshot recorded with no boundary frontier.
+	m.RecordCheckpoint(8, []byte{8})
+	m.RecordCheckpoint(16, nil)
+	reg := obs.NewRegistry()
+	m.RegisterMetrics(reg)
+	var exposed strings.Builder
+	if err := reg.WritePrometheus(&exposed); err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{
+		`statesync_ckpt_targets_total{replica="3"} 1`,
+		`statesync_ckpt_no_frontier_total{replica="3"} 1`,
+	} {
+		if !strings.Contains(exposed.String(), series+"\n") {
+			t.Errorf("/metrics lacks %q:\n%s", series, exposed.String())
+		}
 	}
 
 	// A lone checkpoint offer is no target.

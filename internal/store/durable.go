@@ -121,9 +121,9 @@ func Open(dir string, opts Options) (*DurableLedger, error) {
 			return nil, fmt.Errorf("%w: journal is rebased to height %d but the base checkpoint is missing",
 				ErrSnapshotMismatch, base)
 		}
-		d.mem = d.newMemory(base, bs.HeadHash, bs.TxnCount)
+		d.mem = d.readsLog(ledger.NewAt(base, bs.HeadHash, bs.TxnCount))
 	} else {
-		d.mem = d.newMemory(0, types.Digest{}, 0)
+		d.mem = d.readsLog(ledger.New())
 	}
 	if err := d.replay(); err != nil {
 		d.Close()
@@ -175,11 +175,10 @@ func (d *DurableLedger) openJournal() error {
 	return nil
 }
 
-// newMemory builds the in-memory ledger over the current log: its loader
-// reads a released block back from the block's record. The loader is bound
-// to this log, as the ledger is — an install replaces both together.
-func (d *DurableLedger) newMemory(base uint64, baseHash types.Digest, baseTxns uint64) *ledger.Ledger {
-	mem := ledger.NewAt(base, baseHash, baseTxns)
+// readsLog makes mem read a released block back from the block's record in
+// the current log, and returns it. The loader is bound to this log, as the
+// ledger is — an install replaces both together.
+func (d *DurableLedger) readsLog(mem *ledger.Ledger) *ledger.Ledger {
 	log := d.log
 	mem.SetLoader(func(h uint64) (*ledger.Block, error) {
 		payload, err := log.Read(h + 1)
@@ -199,20 +198,32 @@ func (d *DurableLedger) replay() error {
 		if err != nil {
 			return fmt.Errorf("store: wal record %d: %w", idx, err)
 		}
-		got := d.mem.Append(blk.Batch, blk.Proof, blk.StateHash)
-		// The rebuilt block must land at the journaled height with the
-		// journaled hash. got's hash chains onto the rebuilt prefix and
-		// takes the proof's digest; blk's hash takes its own prev link and
-		// recomputes the batch digest. Equal hashes therefore audit the
-		// hash link and that the proof covers the batch, which is all
-		// Verify would check.
-		if got.Height != blk.Height || got.Hash() != blk.Hash() {
-			return fmt.Errorf("store: wal record %d rebuilds height %d (hash %v), journal says height %d (hash %v)",
-				idx, got.Height, got.Hash(), blk.Height, blk.Hash())
+		if err := appendAudited(d.mem, blk); err != nil {
+			return fmt.Errorf("store: wal record %d: %w", idx, err)
 		}
-		d.mem.Release(got.Height)
+		d.mem.Release(blk.Height)
 		return nil
 	})
+}
+
+// appendAudited appends blk to mem, the one audit every block rebuilt into
+// the in-memory ledger passes: from the WAL, from an installed state, or
+// from peers. blk must sit at mem's height, link to mem's head, and carry a
+// proof whose digest covers its batch; the ledger takes that digest as the
+// batch digest without re-hashing. The rebuilt block then has blk's hash,
+// and the chain passes Verify. A refused block leaves mem unchanged.
+func appendAudited(mem *ledger.Ledger, blk *ledger.Block) error {
+	height, head := mem.Tip()
+	switch {
+	case blk.Height != height:
+		return fmt.Errorf("block at height %d does not extend the chain (height %d)", blk.Height, height)
+	case blk.PrevHash != head:
+		return fmt.Errorf("block at height %d does not chain onto the local head", blk.Height)
+	case !blk.Proof.Digest.IsZero() && blk.Proof.Digest != blk.Batch.Digest():
+		return fmt.Errorf("block at height %d carries a proof for a different batch", blk.Height)
+	}
+	mem.Append(blk.Batch, blk.Proof, blk.StateHash)
+	return nil
 }
 
 // checkSnapshot cross-checks a checkpoint against the replayed chain.

@@ -111,28 +111,6 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// validateInstall checks the internal consistency of a fetched state before
-// any disk mutation: the suffix must chain onto the snapshot and onto
-// itself. (The statesync fetcher has already verified the contents against
-// the f+1-attested digests; this re-check is the store's own invariant.)
-func validateInstall(snap *Snapshot, blocks []*ledger.Block) error {
-	if snap == nil {
-		return fmt.Errorf("store: install requires a snapshot")
-	}
-	prev := snap.HeadHash
-	for i, blk := range blocks {
-		if blk.Height != snap.Height+uint64(i) {
-			return fmt.Errorf("store: install block %d has height %d, want %d",
-				i, blk.Height, snap.Height+uint64(i))
-		}
-		if blk.PrevHash != prev {
-			return fmt.Errorf("store: install block at height %d breaks the hash chain", blk.Height)
-		}
-		prev = blk.Hash()
-	}
-	return nil
-}
-
 // InstallState atomically replaces the durable state with snap (the new
 // chain base) plus the block suffix at heights [snap.Height,
 // snap.Height+len(blocks)). On success the ledger is rebased: Height
@@ -145,8 +123,17 @@ func validateInstall(snap *Snapshot, blocks []*ledger.Block) error {
 // the commit marker is written the install only rolls forward; an error
 // after that point leaves the store closed and the caller must reopen.
 func (d *DurableLedger) InstallState(snap *Snapshot, blocks []*ledger.Block) error {
-	if err := validateInstall(snap, blocks); err != nil {
-		return err
+	if snap == nil {
+		return fmt.Errorf("store: install requires a snapshot")
+	}
+	// Audit the suffix onto the snapshot before any disk mutation. (The
+	// statesync fetcher has already verified the contents against the
+	// f+1-attested digests; this re-check is the store's own invariant.)
+	mem := ledger.NewAt(snap.Height, snap.HeadHash, snap.TxnCount)
+	for _, blk := range blocks {
+		if err := appendAudited(mem, blk); err != nil {
+			return fmt.Errorf("store: install %w", err)
+		}
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -220,15 +207,10 @@ func (d *DurableLedger) InstallState(snap *Snapshot, blocks []*ledger.Block) err
 		return err
 	}
 	d.snaps.Pin(snap.Height)
-	mem := d.newMemory(snap.Height, snap.HeadHash, snap.TxnCount)
+	d.mem = d.readsLog(mem)
 	for _, blk := range blocks {
-		got := mem.Append(blk.Batch, blk.Proof, blk.StateHash)
-		if got.Hash() != blk.Hash() {
-			return fmt.Errorf("store: installed block at height %d rebuilds a different hash", blk.Height)
-		}
-		mem.Release(got.Height) // the staged log was fsynced before the swap
+		mem.Release(blk.Height) // the staged log was fsynced before the swap
 	}
-	d.mem = mem
 	d.snap = snap
 	return nil
 }
@@ -243,18 +225,10 @@ func (d *DurableLedger) InstallBlocks(blocks []*ledger.Block) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, blk := range blocks {
-		if blk.Height != d.mem.Height() {
-			return fmt.Errorf("store: catch-up block at height %d does not extend the chain (height %d)",
-				blk.Height, d.mem.Height())
+		if err := appendAudited(d.mem, blk); err != nil {
+			return fmt.Errorf("store: catch-up %w", err)
 		}
-		if blk.PrevHash != d.mem.HeadHash() {
-			return fmt.Errorf("store: catch-up block at height %d does not chain onto the local head", blk.Height)
-		}
-		got := d.mem.Append(blk.Batch, blk.Proof, blk.StateHash)
-		if got.Hash() != blk.Hash() {
-			return fmt.Errorf("store: catch-up block at height %d rebuilds a different hash", blk.Height)
-		}
-		if _, err := d.log.AppendNoSync(ledger.EncodeBlock(got)); err != nil {
+		if _, err := d.log.AppendNoSync(ledger.EncodeBlock(blk)); err != nil {
 			return err
 		}
 	}

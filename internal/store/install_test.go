@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/ledger"
+	"repro/internal/types"
 	"repro/internal/wal"
 	"repro/internal/ycsb"
 )
@@ -196,6 +197,51 @@ func TestInstallBlocksRefusesWrongHeightOrForeignChain(t *testing.T) {
 	}
 	if got := d.Memory().Height(); got != 5 {
 		t.Fatalf("failed installs changed the chain: height %d, want 5", got)
+	}
+}
+
+// TestInstallRefusesLyingProofDigest: both install paths refuse a fetched
+// block whose proof digest does not cover its batch, as a reopen refuses it
+// from the journal (TestLyingProofDigestRefusesReopen). Neither changes the
+// store: InstallBlocks leaves the chain as it was, and InstallState refuses
+// before it stages anything.
+func TestInstallRefusesLyingProofDigest(t *testing.T) {
+	donor := openStore(t, t.TempDir())
+	app := ycsb.NewStore(64)
+	appendBlocks(t, donor, app, 0, 2)
+	if err := donor.Snapshot(app.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	honest := donor.Memory().Get(1)
+	lying := &ledger.Block{
+		Height: 2, PrevHash: honest.Hash(), Batch: honest.Batch, StateHash: honest.StateHash,
+		Proof: ledger.Proof{Round: 3, Digest: types.Hash([]byte("some other proposal"))},
+	}
+	// As a peer serves it: the hash comes from the batch, not the proof.
+	fetched, err := ledger.DecodeBlock(ledger.EncodeBlock(lying))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d := openStore(t, t.TempDir())
+	appendBlocks(t, d, ycsb.NewStore(64), 0, 2)
+	if err := d.InstallBlocks([]*ledger.Block{fetched}); err == nil {
+		t.Fatal("catch-up block with a lying proof digest accepted")
+	}
+	if got := d.Memory().Height(); got != 2 {
+		t.Fatalf("refused catch-up block changed the chain: height %d, want 2", got)
+	}
+	wipedDir := t.TempDir()
+	wiped := openStore(t, wipedDir)
+	if err := wiped.InstallState(donor.LatestSnapshot(), []*ledger.Block{fetched}); err == nil {
+		t.Fatal("installed block with a lying proof digest accepted")
+	}
+	// Refused before anything was staged: the store still takes appends,
+	// and its directory reopens on them.
+	appendBlocks(t, wiped, ycsb.NewStore(64), 0, 1)
+	wiped.Close()
+	if got := openStore(t, wipedDir).Memory().Height(); got != 1 {
+		t.Fatalf("store after the refused install reopens at height %d, want 1", got)
 	}
 }
 

@@ -20,6 +20,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 )
 
 // ErrUnknownMessage reports an unregistered or invalid message tag.
@@ -256,6 +258,31 @@ func (r *Reader) Seqs() []uint64 {
 	return out
 }
 
+// AppendSeqFloors appends per-client sequence floors, the dedup state sync
+// points carry: a u32 count plus (client u32, seq u64) pairs sorted by
+// client, so equal maps encode identically.
+func AppendSeqFloors(buf []byte, floors map[ClientID]uint64) []byte {
+	clients := slices.Sorted(maps.Keys(floors))
+	buf = appendU32(buf, uint32(len(clients)))
+	for _, c := range clients {
+		buf = appendU32(buf, uint32(c))
+		buf = appendU64(buf, floors[c])
+	}
+	return buf
+}
+
+// SeqFloors reads what AppendSeqFloors writes. A client listed twice keeps
+// its last seq.
+func (r *Reader) SeqFloors() map[ClientID]uint64 {
+	n := r.Count(4 + 8)
+	out := make(map[ClientID]uint64, n)
+	for range n {
+		c := ClientID(r.U32())
+		out[c] = r.U64()
+	}
+	return out
+}
+
 // Txns reads a client request's u32-counted transactions through the batch
 // decoder (decodeTxns: every length checked before the one op allocation).
 // The count arrives before authentication, so it must also be at least 1:
@@ -319,7 +346,9 @@ func appendBool(buf []byte, v bool) []byte {
 	return append(buf, 0)
 }
 
-func appendBlob(buf, b []byte) []byte {
+// AppendBlob appends b as a u32-length-prefixed byte string, which
+// Reader.Blob reads.
+func AppendBlob(buf, b []byte) []byte {
 	buf = appendU32(buf, uint32(len(b)))
 	return append(buf, b...)
 }

@@ -34,7 +34,7 @@ func (r *Reader) Blobs(minLen int) [][]byte {
 func appendBlobs(buf []byte, bs [][]byte) []byte {
 	buf = appendU32(buf, uint32(len(bs)))
 	for _, b := range bs {
-		buf = appendBlob(buf, b)
+		buf = AppendBlob(buf, b)
 	}
 	return buf
 }
@@ -52,10 +52,10 @@ func init() {
 			buf = append(buf, v.SnapHeadHash[:]...)
 			buf = append(buf, v.SnapStateDigest[:]...)
 			buf = appendU64(buf, v.TxnCount)
-			buf = appendBlob(buf, v.SnapSyncPoint)
+			buf = AppendBlob(buf, v.SnapSyncPoint)
 			buf = appendU64(buf, v.Height)
 			buf = append(buf, v.HeadHash[:]...)
-			return appendBlob(buf, v.SyncPoint)
+			return AppendBlob(buf, v.SyncPoint)
 		},
 		func(r *Reader) Message {
 			return &StateOffer{
@@ -100,7 +100,7 @@ func init() {
 			buf = appendU64(buf, v.Height)
 			buf = appendU32(buf, v.Chunk)
 			buf = appendU32(buf, v.Of)
-			return appendBlob(buf, v.Data)
+			return AppendBlob(buf, v.Data)
 		},
 		func(r *Reader) Message {
 			return &SnapshotChunk{

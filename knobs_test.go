@@ -19,14 +19,14 @@ import (
 // knobCensus is the reviewed list of exported fields on the option structs
 // of the replica-process path and its two consensus machines. Every entry
 // is a knob some caller outside tests sets to more than one value, or a
-// deployment setting, with three exceptions: store.Options.AsyncQueueDepth
-// and pbft.Config.BatchTimeout are cross-package test seams (runtime's
-// tests set them through another package), which stay exported until an
-// export_test.go hook replaces them (ROADMAP 19a); and client.Config's
-// Broadcast, which every caller sets to true, with the Primary and Instance
-// that only a non-broadcasting client reads (ROADMAP 24c). A field that every caller leaves at its default is an unexported
-// constant instead; a tuning only same-package tests change is an
-// unexported field.
+// deployment setting, with two exceptions: store.Options.AsyncQueueDepth,
+// a cross-package test seam (runtime's tests set it through another
+// package), which stays exported until an export_test.go hook replaces it
+// (ROADMAP 19a); and client.Config's Broadcast, which every caller sets to
+// true, with the Primary and Instance that only a non-broadcasting client
+// reads (ROADMAP 24c). A field that every caller leaves at its default is
+// an unexported constant instead; a tuning only same-package tests change
+// is an unexported field.
 var knobCensus = []struct {
 	v      any
 	fields []string
@@ -42,8 +42,7 @@ var knobCensus = []struct {
 	{chaos.Config{}, []string{"Nodes", "Duration", "Seed", "WAN", "ArtifactDir", "Schedule", "Logf"}},
 	{client.Config{}, []string{"Client", "RetryTimeout", "Broadcast", "Primary", "Instance"}},
 	{rcc.Config{}, []string{"BatchSize", "Window", "ProgressTimeout", "RecoveryTimeout", "UnpredictableOrdering", "Metrics"}},
-	{pbft.Config{}, []string{"Instance", "Primary", "FixedPrimary", "Window", "ProgressTimeout", "BatchSize",
-		"BatchTimeout", "Metrics"}},
+	{pbft.Config{}, []string{"Instance", "Primary", "FixedPrimary", "Window", "ProgressTimeout", "BatchSize", "Metrics"}},
 }
 
 // TestKnobCensus fails when an option struct gains or loses an exported
